@@ -19,10 +19,11 @@ from .observability import (Discretization, ObservabilityScenario, TheoremReport
                             chi_cutoff, constant_pure, constant_toeplitz, hbar_threshold,
                             observed_time_integral, std_dev, verify_pure_theorem,
                             verify_toeplitz_theorem)
-from .quantization import (FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, husimi,
-                           husimi_mass_on_boxes, observe, periodic_trace, toeplitz_quantize)
+from .quantization import (FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family,
+                           husimi, husimi_mass_on_boxes, observe, periodic_trace,
+                           toeplitz_quantize)
 from .quantum_dynamics import (CommutatorResiduals, FiberHamiltonian, commutator_residual,
-                               dense_fiber_matrix, evolve_density, propagate_fiber)
+                               evolve_density, propagate_fiber)
 from .states import (CoherentParams, coherent_planewave_coeffs, coherent_state,
                      periodized_coherent, periodized_coherent_direct)
 from .transport_metric import (CostParams, CouplingEnergy, StabilityEnvelope, apply_cost,

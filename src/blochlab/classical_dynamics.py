@@ -115,7 +115,16 @@ def hamiltonian(x: np.ndarray, xi: np.ndarray, potential: TrigPotential) -> np.n
     return 0.5 * np.sum(np.asarray(xi) ** 2, axis=-1) + potential.value(x)
 
 
-def _verlet(x, xi, t, potential: TrigPotential, dt, vel_offset=None):
+def _verlet_step(x, xi, force, h: float, potential: TrigPotential):
+    """One Stoermer-Verlet step of size h; returns the new (x, xi, force)."""
+    x = x + h * xi + 0.5 * h * h * force
+    new_force = -potential.gradient(x)
+    xi = xi + 0.5 * h * (force + new_force)
+    return x, xi, new_force
+
+
+def flow(x, xi, t: float, potential: TrigPotential, dt: float = 1e-3) -> PhasePoint:
+    """Stoermer-Verlet approximation of the Hamiltonian flow; negative t reverses."""
     x = np.array(x, dtype=float, copy=True)
     xi = np.array(xi, dtype=float, copy=True)
     if t == 0.0:
@@ -124,33 +133,18 @@ def _verlet(x, xi, t, potential: TrigPotential, dt, vel_offset=None):
         raise ValueError("dt must be positive")
     n_steps = max(1, int(np.ceil(abs(t) / dt)))
     h = t / n_steps
-    off = 0.0 if vel_offset is None else np.asarray(vel_offset, dtype=float)
     force = -potential.gradient(x)
     for _ in range(n_steps):
-        x = x + h * (xi + off) + 0.5 * h * h * force
-        new_force = -potential.gradient(x)
-        xi = xi + 0.5 * h * (force + new_force)
-        force = new_force
+        x, xi, force = _verlet_step(x, xi, force, h, potential)
     return PhasePoint(x, xi)
-
-
-def flow(x, xi, t: float, potential: TrigPotential, dt: float = 1e-3) -> PhasePoint:
-    """Stoermer-Verlet approximation of the Hamiltonian flow; negative t reverses."""
-    return _verlet(x, xi, t, potential, dt)
 
 
 def k_flow(x, xi, k, t: float, potential: TrigPotential, hbar: float,
            dt: float = 1e-3) -> PhasePoint:
     """Fiber flow: the plain flow started at momentum xi + hbar*k, shifted back."""
     k = np.asarray(k, dtype=float)
-    shifted = _verlet(x, np.asarray(xi, dtype=float) + hbar * k, t, potential, dt)
+    shifted = flow(x, np.asarray(xi, dtype=float) + hbar * k, t, potential, dt)
     return PhasePoint(shifted.x, shifted.xi - hbar * k)
-
-
-def k_flow_direct(x, xi, k, t: float, potential: TrigPotential, hbar: float,
-                  dt: float = 1e-3) -> PhasePoint:
-    """Fiber flow by integrating the offset system directly (consistency oracle)."""
-    return _verlet(x, xi, t, potential, dt, vel_offset=hbar * np.asarray(k, dtype=float))
 
 
 def transport_density(f: PhaseSpaceDensity, t: float, potential: TrigPotential,
@@ -173,7 +167,7 @@ def sample_trajectory(x, xi, horizon: float, potential: TrigPotential,
     xis = [np.array(xi, dtype=float, copy=True)]
     step = horizon / n_samples
     for _ in range(n_samples):
-        out = _verlet(xs[-1], xis[-1], step, potential, dt)
+        out = flow(xs[-1], xis[-1], step, potential, dt)
         xs.append(out.x)
         xis.append(out.xi)
     return times, np.stack(xs), np.stack(xis)
@@ -231,10 +225,7 @@ def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region,
     for _ in range(n_time):
         x_mid = x + 0.5 * h * xi + 0.125 * h * h * force
         inside += omega.contains(reduce_to_cell(x_mid, lat))
-        x = x + h * xi + 0.5 * h * h * force
-        new_force = -potential.gradient(x)
-        xi = xi + 0.5 * h * (force + new_force)
-        force = new_force
+        x, xi, force = _verlet_step(x, xi, force, h, potential)
     occupation = inside * h
     value = float(np.min(occupation))
     return GCEstimate(value=value, satisfied=value > 0.0,

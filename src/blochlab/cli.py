@@ -29,11 +29,11 @@ from .bloch import KGrid, bloch_transform, grid_weight, inverse_bloch, position_
 from .config import load_config
 from .errors import AccuracyError, ConfigParseError, ConfigValidationError
 from .observability import (constant_pure, constant_toeplitz, c_bold, default_p_max,
-                            gaussian_bump_on_k, hbar_threshold, observed_time_integral,
-                            std_dev, verify_pure_theorem, verify_toeplitz_theorem)
-from .quantization import FiberedDensity, PhaseSpaceDensity, husimi, periodic_trace, \
-    toeplitz_quantize
-from .states import CoherentParams, coherent_state, coherent_coeff_batch
+                            hbar_threshold, initial_density, initial_state,
+                            observed_time_integral, std_dev, verify_pure_theorem,
+                            verify_toeplitz_theorem)
+from .quantization import husimi, periodic_trace
+from .states import CoherentParams, coherent_state
 from .transport_metric import CostParams, coupling_energy_husimi, coupling_energy_toeplitz, \
     gronwall_rate, stability_envelope
 from .classical_dynamics import gc_constant
@@ -55,29 +55,6 @@ def _write_csv(path, header, rows, cfg_hash):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _build_density(cfg, scn) -> PhaseSpaceDensity:
-    f = PhaseSpaceDensity.from_function(gaussian_bump_on_k(scn), scn.lat, scn.disc.n_q,
-                                        scn.disc.n_p, default_p_max(scn))
-    return f.pruned(scn.disc.prune_tol).normalized()
-
-
-def _build_fibered(cfg, scn) -> FiberedDensity:
-    kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
-    if scn.initial_kind == "pure":
-        d = scn.lat.dimension
-        q0 = np.zeros(d) if scn.center_q is None else scn.center_q
-        p0 = np.zeros(d) if scn.center_p is None else scn.center_p
-        vecs = np.empty((kgrid.size, 1, (2 * scn.disc.m + 1) ** d), dtype=complex)
-        for ik in range(kgrid.size):
-            vecs[ik, 0] = coherent_coeff_batch(
-                q0[None, :], (p0 - scn.hbar * kgrid.points[ik])[None, :],
-                scn.hbar, scn.lat, scn.disc.m)[0]
-        return FiberedDensity(kgrid, scn.lat, scn.disc.m, scn.hbar,
-                              np.ones((kgrid.size, 1)), vecs)
-    f = _build_density(cfg, scn)
-    return toeplitz_quantize(f, scn.lat, kgrid, scn.disc.m, scn.hbar)
 
 
 def _cmd_bloch_check(cfg, scn, out, cfg_hash) -> int:
@@ -124,7 +101,7 @@ def _cmd_bloch_check(cfg, scn, out, cfg_hash) -> int:
 
 
 def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
-    rho = _build_fibered(cfg, scn)
+    rho = initial_state(scn)
     integral, series, times, quad_err = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)
@@ -137,7 +114,7 @@ def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
 
 
 def _cmd_husimi(cfg, scn, out, cfg_hash) -> int:
-    rho = _build_fibered(cfg, scn)
+    rho = initial_state(scn)
     d = scn.lat.dimension
     p_max = default_p_max(scn)
     qs = position_grid(scn.lat, scn.disc.n_q)
@@ -159,13 +136,13 @@ def _cmd_metric(cfg, scn, out, cfg_hash) -> int:
     if scn.initial_kind == "toeplitz":
         lam = scn.lam if scn.lam is not None else 1.0
         cost = CostParams(lam, scn.hbar, scn.geom)
-        f = _build_density(cfg, scn)
+        f = initial_density(scn)
         ce = coupling_energy_toeplitz(f, cost, scn.lat, kgrid, scn.disc.m)
         rows += [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
                  ("position_part", ce.position_part), ("momentum_part", ce.momentum_part),
                  ("lambda", lam)]
     else:
-        rho = _build_fibered(cfg, scn)
+        rho = initial_state(scn)
         ce = coupling_energy_husimi(rho, scn.disc.n_q, scn.disc.n_p, default_p_max(scn))
         rows += [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
                  ("position_part", ce.position_part), ("momentum_part", ce.momentum_part),
@@ -183,7 +160,7 @@ def _cmd_stability(cfg, scn, out, cfg_hash) -> int:
                                     "stability envelope requires a toeplitz datum")
     lam = scn.lam if scn.lam is not None else max(scn.potential.lipschitz_gradient().value, 1.0)
     cost = CostParams(lam, scn.hbar, scn.geom)
-    f = _build_density(cfg, scn)
+    f = initial_density(scn)
     kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
     env = stability_envelope(f, cost, scn.potential, scn.lat, kgrid, scn.disc.m,
                              scn.horizon, n_times=20, dt=scn.disc.dt)
@@ -289,14 +266,18 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "rb") as fh:
             raw = fh.read()
+        text = raw.decode("utf-8")
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"config parse error: {exc}", file=sys.stderr)
         return 2
 
     cfg_hash = hashlib.sha256(raw).hexdigest()[:12]
     set_fft_workers(args.threads)
     try:
-        cfg = load_config(raw.decode("utf-8"))
+        cfg = load_config(text)
         scn = cfg.scenario(tolerance_scale=args.tolerance_scale)
         scn.disc.seed = int(cfg_hash, 16) % (2 ** 31)
         os.makedirs(args.out, exist_ok=True)

@@ -13,14 +13,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bloch import default_window
 from .classical_dynamics import TrigPotential
 from .errors import ConfigParseError, ConfigValidationError
 from .lattice import LatticeSpec, Region, gamma_bounds
 from .observability import Discretization, ObservabilityScenario
 from .quantization import PhaseBoxSet
 
-_KNOWN_SECTIONS = ("lattice", "potential", "physics", "discretization",
-                   "scenario", "initial", "output")
+# Every accepted key of every section; any other key is a validation error.
+_KEYS = {
+    "lattice": ("basis",),
+    "potential": ("terms",),
+    "physics": ("hbar", "T", "dt", "lambda"),
+    "discretization": ("m", "n_k", "n_q", "n_p", "p_max", "n_time_obs", "n_time_gc",
+                       "gc_per_axis", "gc_quasi", "l_cut"),
+    "scenario": ("K", "omega", "delta"),
+    "initial": ("kind", "center_q", "center_p", "sigma_q", "sigma_p"),
+    "output": ("prefix",),
+}
 
 
 def parse_config(text: str) -> dict:
@@ -37,7 +47,7 @@ def parse_config(text: str) -> dict:
                 raise ConfigParseError("unterminated section header", lineno,
                                        len(line))
             name = stripped[1:-1].strip()
-            if name not in _KNOWN_SECTIONS:
+            if name not in _KEYS:
                 raise ConfigParseError(f"unknown section [{name}]", lineno, 1)
             current = sections.setdefault(name, {})
             continue
@@ -69,8 +79,8 @@ class ExperimentConfig:
     horizon: float
     dt: float
     disc: Discretization
-    k_boxes: list
-    omega_boxes: list
+    k_boxes: np.ndarray      # (nb, 4, d): q_lo, q_hi, p_lo, p_hi
+    omega_boxes: np.ndarray  # (nb, 2, d): lo, hi
     delta: float
     initial_kind: str
     center_q: np.ndarray | None
@@ -89,19 +99,10 @@ class ExperimentConfig:
         return TrigPotential(self.lattice, self.terms)
 
     def omega_region(self) -> Region:
-        lat = self.lattice
-        if not self.omega_boxes:
-            return Region(np.zeros((0, 2, lat.dimension)), lat)
-        boxes = np.array([[np.atleast_1d(lo), np.atleast_1d(hi)]
-                          for lo, hi in self.omega_boxes], dtype=float)
-        return Region(boxes, lat)
+        return Region(self.omega_boxes, self.lattice)
 
     def k_set(self) -> PhaseBoxSet:
-        qb = np.array([[np.atleast_1d(a), np.atleast_1d(b)]
-                       for a, b, _, _ in self.k_boxes], dtype=float)
-        pb = np.array([[np.atleast_1d(c), np.atleast_1d(d)]
-                       for _, _, c, d in self.k_boxes], dtype=float)
-        return PhaseBoxSet(qb, pb)
+        return PhaseBoxSet(self.k_boxes[:, :2], self.k_boxes[:, 2:])
 
     def scenario(self, tolerance_scale: float = 1.0) -> ObservabilityScenario:
         lat = self.lattice
@@ -115,65 +116,110 @@ class ExperimentConfig:
             tolerance_scale=tolerance_scale)
 
 
-def _require(sections: dict, section: str, key: str):
-    if section not in sections or key not in sections[section]:
-        raise ConfigValidationError(f"{section}.{key}", "required key is missing")
-    return sections[section][key]
+_REQUIRED = object()
 
 
-def _get(sections: dict, section: str, key: str, default):
-    return sections.get(section, {}).get(key, default)
+def _value(sections: dict, section: str, key: str, convert, default=_REQUIRED):
+    """``convert(section.key)``, or ``default`` when absent; failures name the key."""
+    if key not in sections.get(section, {}):
+        if default is _REQUIRED:
+            raise ConfigValidationError(f"{section}.{key}", "required key is missing")
+        return default
+    raw = sections[section][key]
+    try:
+        return convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigValidationError(f"{section}.{key}",
+                                    f"invalid value {raw!r}: {exc}") from None
+
+
+def _real(value) -> float:
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
+def _reals(value) -> np.ndarray:
+    x = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("entries must be finite")
+    return x
+
+
+def _lattice(value) -> LatticeSpec:
+    basis = _reals(value)
+    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+        raise ValueError("must be a square matrix")
+    return LatticeSpec(basis)
+
+
+def _terms(value, d: int) -> tuple:
+    terms = []
+    for n, c, phi in value:
+        n = tuple(int(v) for v in np.atleast_1d(n))
+        if len(n) != d:
+            raise ValueError(f"reciprocal index {n} is not of dimension {d}")
+        terms.append((n, _real(c), _real(phi)))
+    return tuple(terms)
+
+
+def _boxes(value, corners: int, d: int) -> np.ndarray:
+    """Boxes as an (nb, corners, d) array; in 1-D a corner may be a bare number."""
+    boxes = np.array([[np.atleast_1d(_reals(c)) for c in box] for box in value], dtype=float)
+    if boxes.size == 0:
+        return boxes.reshape(0, corners, d)
+    if boxes.shape[1:] != (corners, d):
+        raise ValueError(f"each box is {corners} corners of dimension {d}")
+    return boxes
+
+
+def _point(value, d: int) -> np.ndarray:
+    point = np.atleast_1d(_reals(value))
+    if point.shape != (d,):
+        raise ValueError(f"must have dimension {d}")
+    return point
 
 
 def load_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigParseError / ConfigValidationError."""
     sections = parse_config(text)
+    for section, entries in sections.items():
+        for key in entries:
+            if key not in _KEYS[section]:
+                raise ConfigValidationError(f"{section}.{key}", "unknown key")
 
-    basis = np.asarray(_require(sections, "lattice", "basis"), dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-        raise ConfigValidationError("lattice.basis", "must be a square matrix")
-    d = basis.shape[0]
+    lat = _value(sections, "lattice", "basis", _lattice)
+    d = lat.dimension
+    terms = _value(sections, "potential", "terms", lambda v: _terms(v, d), ())
 
-    raw_terms = _get(sections, "potential", "terms", [])
-    terms = []
-    for item in raw_terms:
-        try:
-            n, c, phi = item
-        except (TypeError, ValueError):
-            raise ConfigValidationError("potential.terms",
-                                        "each term must be (index, amplitude, phase)")
-        terms.append((tuple(np.atleast_1d(n).astype(int)), float(c), float(phi)))
-
-    hbar = float(_require(sections, "physics", "hbar"))
+    hbar = _value(sections, "physics", "hbar", _real)
     if not (1e-4 <= hbar <= 1.0):
         raise ConfigValidationError("physics.hbar", "supported range is [1e-4, 1]")
-    horizon = float(_require(sections, "physics", "T"))
+    horizon = _value(sections, "physics", "T", _real)
     if horizon <= 0:
         raise ConfigValidationError("physics.T", "must be positive")
-    dt = float(_get(sections, "physics", "dt", 1e-3))
+    dt = _value(sections, "physics", "dt", _real, 1e-3)
     if dt <= 0:
         raise ConfigValidationError("physics.dt", "must be positive")
-    lam = _get(sections, "physics", "lambda", None)
-    lam = float(lam) if lam is not None else None
+    lam = _value(sections, "physics", "lambda", _real, None)
     if lam is not None and lam <= 0:
         raise ConfigValidationError("physics.lambda", "must be positive")
 
-    m = int(_get(sections, "discretization", "m", 64 if d == 1 else 24))
-    n_k = int(_get(sections, "discretization", "n_k", 32 if d == 1 else 4))
-    n_q = int(_get(sections, "discretization", "n_q", 16))
-    n_p = int(_get(sections, "discretization", "n_p", 24))
-    p_max = _get(sections, "discretization", "p_max", None)
-    p_max = float(p_max) if p_max is not None else None
-    disc = Discretization(
-        m=m, n_k=n_k, n_q=n_q, n_p=n_p, p_max=p_max,
-        n_time_obs=int(_get(sections, "discretization", "n_time_obs", 200)),
-        n_time_gc=int(_get(sections, "discretization", "n_time_gc", 2000)),
-        gc_per_axis=int(_get(sections, "discretization", "gc_per_axis", 32)),
-        gc_quasi=int(_get(sections, "discretization", "gc_quasi", 1000)),
-        dt=dt)
-    for name, val in (("m", m), ("n_k", n_k), ("n_q", n_q), ("n_p", n_p)):
-        if val < 2:
-            raise ConfigValidationError(f"discretization.{name}", "must be at least 2")
+    sizes = {}
+    for key, default, least in (("m", 64 if d == 1 else 24, 2),
+                                ("n_k", 32 if d == 1 else 4, 2),
+                                ("n_q", 16, 2), ("n_p", 24, 2),
+                                ("n_time_obs", 200, 1), ("n_time_gc", 2000, 1),
+                                ("gc_per_axis", 32, 1), ("gc_quasi", 1000, 0)):
+        sizes[key] = _value(sections, "discretization", key, int, default)
+        if sizes[key] < least:
+            raise ConfigValidationError(f"discretization.{key}", f"must be at least {least}")
+    m = sizes["m"]
+    p_max = _value(sections, "discretization", "p_max", _real, None)
+    if p_max is not None and p_max <= 0:
+        raise ConfigValidationError("discretization.p_max", "must be positive")
+    disc = Discretization(p_max=p_max, dt=dt, **sizes)
     if m * np.sqrt(hbar) < 4.0:
         raise ConfigValidationError(
             "discretization.m", f"m*sqrt(hbar) = {m * np.sqrt(hbar):.2f} < 4; "
@@ -184,49 +230,45 @@ def load_config(text: str) -> ExperimentConfig:
             "discretization.m", f"m = {m} must be at least twice the potential "
             f"bandwidth {bw} (anti-aliasing)")
 
-    delta = float(_require(sections, "scenario", "delta"))
+    delta = _value(sections, "scenario", "delta", _real)
     if delta <= 0:
         raise ConfigValidationError("scenario.delta", "must be positive")
-    k_boxes = _require(sections, "scenario", "K")
-    if not k_boxes:
+    k_boxes = _value(sections, "scenario", "K", lambda v: _boxes(v, 4, d))
+    if not k_boxes.size:
         raise ConfigValidationError("scenario.K", "must be nonempty")
-    for box in k_boxes:
-        if len(box) != 4:
-            raise ConfigValidationError("scenario.K",
-                                        "each box is (q_lo, q_hi, p_lo, p_hi)")
-    omega_boxes = _get(sections, "scenario", "omega", [])
+    omega_boxes = _value(sections, "scenario", "omega", lambda v: _boxes(v, 2, d),
+                         np.zeros((0, 2, d)))
 
-    kind = str(_get(sections, "initial", "kind", "toeplitz"))
+    kind = _value(sections, "initial", "kind", str, "toeplitz")
     if kind not in ("toeplitz", "pure"):
         raise ConfigValidationError("initial.kind", "must be 'toeplitz' or 'pure'")
-    center_q = _get(sections, "initial", "center_q", None)
-    center_p = _get(sections, "initial", "center_p", None)
-    center_q = np.atleast_1d(np.asarray(center_q, dtype=float)) if center_q is not None else None
-    center_p = np.atleast_1d(np.asarray(center_p, dtype=float)) if center_p is not None else None
-    sigma_q = float(_get(sections, "initial", "sigma_q", 0.1))
-    sigma_p = float(_get(sections, "initial", "sigma_p", 0.15))
+    center_q = _value(sections, "initial", "center_q", lambda v: _point(v, d), None)
+    center_p = _value(sections, "initial", "center_p", lambda v: _point(v, d), None)
+    sigma_q = _value(sections, "initial", "sigma_q", _real, 0.1)
+    sigma_p = _value(sections, "initial", "sigma_p", _real, 0.15)
+    for key, val in (("sigma_q", sigma_q), ("sigma_p", sigma_p)):
+        if val <= 0:
+            raise ConfigValidationError(f"initial.{key}", "must be positive")
 
     # momentum coverage: the plane-wave band must reach the data's momenta
-    lat = LatticeSpec(basis)
     b_min = float(np.min(np.linalg.norm(lat.reciprocal, axis=1)))
     reach = hbar * m * b_min
     p_need = 6.0 * np.sqrt(hbar)
     if center_p is not None:
         p_need += float(np.max(np.abs(center_p)))
-    elif k_boxes:
-        p_need += float(max(np.max(np.abs(np.atleast_1d(b[2]))) for b in k_boxes)
-                        + max(np.max(np.abs(np.atleast_1d(b[3]))) for b in k_boxes))
+    else:
+        p_need += float(np.max(np.abs(k_boxes[:, 2])) + np.max(np.abs(k_boxes[:, 3])))
     if reach < p_need:
         raise ConfigValidationError(
             "discretization.m", f"momentum coverage hbar*m*|b| = {reach:.3f} "
             f"is below the data's requirement {p_need:.3f}")
 
-    l_cut = int(_get(sections, "discretization", "l_cut",
-                     max(1, int(np.ceil(np.sqrt(2 * hbar * 32.3) / 0.5)))))
+    l_cut = _value(sections, "discretization", "l_cut", int,
+                   default_window(lat, hbar, gamma_bounds(lat).gamma_minus))
 
     return ExperimentConfig(
-        basis=basis, terms=tuple(terms), hbar=hbar, lam=lam, horizon=horizon, dt=dt,
-        disc=disc, k_boxes=list(k_boxes), omega_boxes=list(omega_boxes), delta=delta,
+        basis=lat.basis, terms=terms, hbar=hbar, lam=lam, horizon=horizon, dt=dt,
+        disc=disc, k_boxes=k_boxes, omega_boxes=omega_boxes, delta=delta,
         initial_kind=kind, center_q=center_q, center_p=center_p,
         sigma_q=sigma_q, sigma_p=sigma_p, l_cut=l_cut,
-        prefix=str(_get(sections, "output", "prefix", "out")), raw=sections)
+        prefix=_value(sections, "output", "prefix", str, "out"), raw=sections)

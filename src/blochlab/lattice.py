@@ -106,38 +106,18 @@ class CellGeometry:
             raise ValueError("require 0 < gamma_minus <= gamma_plus")
 
 
-def _face_samples(d: int, samples_per_face: int) -> np.ndarray:
-    """Fractional coordinates of boundary sample points (includes vertices)."""
-    if d == 1:
-        return np.array([[-0.5], [0.5]])
-    # odd per-axis count so face centers and edge midpoints are sampled exactly
-    m = max(3, int(np.ceil(samples_per_face ** (1.0 / (d - 1)))))
-    if m % 2 == 0:
-        m += 1
-    axis = np.linspace(-0.5, 0.5, m)
-    free = np.stack(np.meshgrid(*([axis] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
-    faces = []
-    for i in range(d):
-        for s in (-0.5, 0.5):
-            t = np.empty((free.shape[0], d))
-            t[:, i] = s
-            t[:, [j for j in range(d) if j != i]] = free
-            faces.append(t)
-    return np.concatenate(faces, axis=0)
+def gamma_bounds(lat: LatticeSpec) -> CellGeometry:
+    """Compute (gamma_minus, gamma_plus) for the parallelepiped cell, both exact.
 
-
-def gamma_bounds(lat: LatticeSpec, samples_per_face: int = 10_000) -> CellGeometry:
-    """Compute (gamma_minus, gamma_plus) for the parallelepiped cell.
-
-    gamma_plus is exact (the norm maximum over the cell is attained at a
-    vertex); gamma_minus comes from dense sampling of the boundary faces and
-    is accurate to ~1e-4 relative for skew bases, exact for orthogonal ones.
+    gamma_plus: the norm maximum over the cell is attained at a vertex.
+    gamma_minus: the cell is centrally symmetric and convex, so the nearest
+    boundary point lies on the nearest face plane t_i = +-1/2, at distance
+    |a_i . b_i| / (2 |b_i|) = pi / |b_i| from the center.
     """
     d = lat.dimension
     corners = np.stack(np.meshgrid(*([[-0.5, 0.5]] * d), indexing="ij"), axis=-1).reshape(-1, d)
     gamma_plus = float(np.max(np.linalg.norm(lat.from_fractional(corners), axis=-1)))
-    boundary = lat.from_fractional(_face_samples(d, samples_per_face))
-    gamma_minus = float(np.min(np.linalg.norm(boundary, axis=-1)))
+    gamma_minus = float(np.min(np.pi / np.linalg.norm(lat.reciprocal, axis=-1)))
     return CellGeometry(gamma_minus=gamma_minus, gamma_plus=gamma_plus, parent=lat)
 
 

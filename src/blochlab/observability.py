@@ -19,12 +19,11 @@ import numpy as np
 
 from .bloch import KGrid, centered_indices, coeffs_to_values, grid_weight, position_grid
 from .classical_dynamics import GCEstimate, TrigPotential, gc_constant
-from .lattice import CellGeometry, LatticeSpec, Region, reduce_to_cell
-from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, \
+from .lattice import CellGeometry, LatticeSpec, Region
+from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
     husimi_mass_on_boxes, toeplitz_quantize
-from .quantum_dynamics import FiberHamiltonian, kinetic_phase, propagate_batch
-from .states import coherent_coeff_batch
-from .transport_metric import gronwall_rate
+from .quantum_dynamics import FiberPropagator
+from .transport_metric import gronwall_rate, pair_moment
 
 
 # ---------------------------------------------------------------------------
@@ -40,29 +39,30 @@ def _toeplitz_objective(log_lam: np.ndarray, geom: CellGeometry, horizon: float,
     return num / (lam ** 2 + lip ** 2) * np.sqrt((1.0 + lam ** 2) / 2.0)
 
 
-def constant_toeplitz(geom: CellGeometry, horizon: float, lip: float,
-                      coarse: int = 2001, tol: float = 1e-8) -> float:
-    """Quantized-density penalty constant: prefactor times the minimized rate factor.
+def minimize_toeplitz_penalty(geom: CellGeometry, horizon: float,
+                              lip: float) -> tuple[float, float]:
+    """Quantized-density penalty constant and the cost scale that attains it.
 
-    The inner minimum over the cost scale is bracketed on a coarse grid in
-    log-lambda over [-8, 8] and refined by golden-section search to ``tol``.
+    The inner minimum over the cost scale is bracketed on a 2001-point grid in
+    log-lambda over [-8, 8] and refined by golden-section search to 1e-8.
+    Returns (constant, lambda).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if lip < 0:
         raise ValueError("Lipschitz bound must be nonnegative")
-    grid = np.linspace(-8.0, 8.0, coarse)
+    grid = np.linspace(-8.0, 8.0, 2001)
     vals = _toeplitz_objective(grid, geom, horizon, lip)
     i = int(np.argmin(vals))
     lo = grid[max(0, i - 1)]
-    hi = grid[min(coarse - 1, i + 1)]
+    hi = grid[min(grid.size - 1, i + 1)]
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d_ = a + inv_phi * (b - a)
     fc = _toeplitz_objective(np.array([c]), geom, horizon, lip)[0]
     fd = _toeplitz_objective(np.array([d_]), geom, horizon, lip)[0]
-    while b - a > tol:
+    while b - a > 1e-8:
         if fc < fd:
             b, d_, fd = d_, c, fc
             c = b - inv_phi * (b - a)
@@ -71,15 +71,14 @@ def constant_toeplitz(geom: CellGeometry, horizon: float, lip: float,
             a, c, fc = c, d_, fd
             d_ = a + inv_phi * (b - a)
             fd = _toeplitz_objective(np.array([d_]), geom, horizon, lip)[0]
-    best = min(fc, fd)
-    return float(np.sqrt(geom.gamma_minus / (2.0 * geom.gamma_plus)) * best)
+    best, log_lam = (fc, c) if fc <= fd else (fd, d_)
+    return (float(np.sqrt(geom.gamma_minus / (2.0 * geom.gamma_plus)) * best),
+            float(np.exp(log_lam)))
 
 
-def argmin_lambda_toeplitz(geom: CellGeometry, horizon: float, lip: float) -> float:
-    """Cost scale achieving (numerically) the inner minimum of the penalty constant."""
-    grid = np.linspace(-8.0, 8.0, 20001)
-    vals = _toeplitz_objective(grid, geom, horizon, lip)
-    return float(np.exp(grid[int(np.argmin(vals))]))
+def constant_toeplitz(geom: CellGeometry, horizon: float, lip: float) -> float:
+    """Quantized-density penalty constant: prefactor times the minimized rate factor."""
+    return minimize_toeplitz_penalty(geom, horizon, lip)[0]
 
 
 def constant_pure(geom: CellGeometry, horizon: float, lip: float) -> float:
@@ -122,17 +121,13 @@ def std_dev(rho: FiberedDensity) -> float:
     lat, m, hbar = rho.lat, rho.m, rho.hbar
     d = lat.dimension
     n = 2 * m + 1
-    pts = position_grid(lat, n)
-    diff = pts[:, None, :] - pts[None, :, :]
-    red = reduce_to_cell(diff.reshape(-1, d), lat)
-    dist_sq = np.sum(red * red, axis=-1).reshape(pts.shape[0], pts.shape[0])
     w = grid_weight(lat, n)
     g = centered_indices(m, d) @ lat.reciprocal
     total = 0.0
     for ik in range(rho.kgrid.size):
         psi = rho.vectors[ik, 0]
-        dens = np.abs(coeffs_to_values(psi.reshape((n,) * d), lat, n).reshape(-1)) ** 2
-        pos = 0.5 * float(dens @ dist_sq @ dens) * w * w
+        dens = np.abs(coeffs_to_values(psi.reshape((n,) * d), lat, n)) ** 2
+        pos = 0.5 * pair_moment(dens, lat) * w * w
         norm_sq = float(np.sum(np.abs(psi) ** 2))
         hg = hbar * g
         grad_sq = float(np.sum(np.sum(hg * hg, axis=-1) * np.abs(psi) ** 2))
@@ -189,13 +184,16 @@ class ObservabilityScenario:
     disc: Discretization = field(default_factory=Discretization)
     lam: float | None = None
     initial_kind: str = "toeplitz"          # "toeplitz" | "pure"
-    center_q: np.ndarray | None = None      # bump / packet center
+    center_q: np.ndarray | None = None      # bump / packet center (default: origin)
     center_p: np.ndarray | None = None
     sigma_q: float = 0.1
     sigma_p: float = 0.15
     tolerance_scale: float = 1.0
 
     def __post_init__(self):
+        d = self.lat.dimension
+        self.center_q = np.zeros(d) if self.center_q is None else np.atleast_1d(self.center_q)
+        self.center_p = np.zeros(d) if self.center_p is None else np.atleast_1d(self.center_p)
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.horizon <= 0:
@@ -253,54 +251,47 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
     pts = position_grid(lat, n)
     mask = (region.contains_dilated(pts, delta) if delta > 0
             else region.contains(pts)).astype(float) * grid_weight(lat, n)
-    n_k, rank = rho.kgrid.size, rho.rank
-    coeffs = rho.vectors.copy()
-    hams = [FiberHamiltonian(lat, m, rho.kgrid.points[ik], potential, rho.hbar)
-            for ik in range(n_k)]
+    rho_t = FiberedDensity(rho.kgrid, lat, m, rho.hbar, rho.lambdas, rho.vectors.copy())
+    propagator = FiberPropagator(rho.kgrid, lat, m, potential, rho.hbar)
     sample_dt = horizon / n_samples
-
-    def observe_now():
-        vals = coeffs_to_values(coeffs.reshape((-1,) + (n,) * lat.dimension), lat, n)
-        dens = np.abs(vals.reshape(n_k, rank, -1)) ** 2
-        per_fiber = np.einsum("kr,krg,g->k", rho.lambdas, dens, mask)
-        return float(np.mean(per_fiber))
-
     series = np.empty(n_samples + 1)
-    series[0] = observe_now()
+    series[0] = rho_t.masked_trace(mask)
     for i in range(1, n_samples + 1):
-        if potential.is_zero:
-            for ik in range(n_k):
-                coeffs[ik] *= kinetic_phase(hams[ik], sample_dt).reshape(1, -1)
-        else:
-            for ik in range(n_k):
-                coeffs[ik] = propagate_batch(
-                    coeffs[ik].reshape((rank,) + (n,) * lat.dimension),
-                    hams[ik], sample_dt, dt).reshape(rank, -1)
-        series[i] = observe_now()
+        propagator.advance(rho_t.vectors, sample_dt, dt)
+        series[i] = rho_t.masked_trace(mask)
     times = np.linspace(0.0, horizon, n_samples + 1)
     trapz = getattr(np, "trapezoid", None) or np.trapz
     integral = float(trapz(series, times))
-    coarse = float(trapz(series[::2], times[::2]))
-    return integral, series, times, abs(integral - coarse)
+    halved = float(trapz(series[::2], times[::2]))
+    return integral, series, times, abs(integral - halved)
 
 
-def gaussian_bump_on_k(scn: ObservabilityScenario):
-    q0 = np.zeros(scn.lat.dimension) if scn.center_q is None else np.atleast_1d(scn.center_q)
-    p0 = np.zeros(scn.lat.dimension) if scn.center_p is None else np.atleast_1d(scn.center_p)
+def initial_density(scn: ObservabilityScenario) -> PhaseSpaceDensity:
+    """The scenario's Gaussian bump, cut to K, sampled, pruned and normalized."""
 
-    def fn(q, p):
-        val = np.exp(-np.sum((q - q0) ** 2, axis=-1) / (2 * scn.sigma_q ** 2)
-                     - np.sum((p - p0) ** 2, axis=-1) / (2 * scn.sigma_p ** 2))
+    def bump(q, p):
+        val = np.exp(-np.sum((q - scn.center_q) ** 2, axis=-1) / (2 * scn.sigma_q ** 2)
+                     - np.sum((p - scn.center_p) ** 2, axis=-1) / (2 * scn.sigma_p ** 2))
         val[~scn.k_set.contains(q, p)] = 0.0    # supported in K by construction
         return val
 
-    return fn
+    f = PhaseSpaceDensity.from_function(bump, scn.lat, scn.disc.n_q, scn.disc.n_p,
+                                        default_p_max(scn))
+    return f.pruned(scn.disc.prune_tol).normalized()
+
+
+def initial_state(scn: ObservabilityScenario) -> FiberedDensity:
+    """The scenario's fibered initial datum: quantized bump or coherent family."""
+    kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
+    if scn.initial_kind == "pure":
+        return coherent_family(scn.lat, kgrid, scn.disc.m, scn.hbar, scn.center_q, scn.center_p)
+    return toeplitz_quantize(initial_density(scn), scn.lat, kgrid, scn.disc.m, scn.hbar)
 
 
 def default_p_max(scn: ObservabilityScenario) -> float:
     if scn.disc.p_max is not None:
         return scn.disc.p_max
-    p0 = 0.0 if scn.center_p is None else float(np.max(np.abs(scn.center_p)))
+    p0 = float(np.max(np.abs(scn.center_p)))
     reach = float(np.max(np.abs(scn.k_set.p_bounds)))
     return max(p0, reach) + 6.0 * np.sqrt(scn.hbar)
 
@@ -343,10 +334,7 @@ def _assemble_report(scn: ObservabilityScenario, kind: str, lhs: float, series, 
 def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
     """Run the inequality check for a quantized Gaussian-bump density."""
     d = scn.lat.dimension
-    p_max = default_p_max(scn)
-    f = PhaseSpaceDensity.from_function(gaussian_bump_on_k(scn), scn.lat, scn.disc.n_q,
-                                        scn.disc.n_p, p_max)
-    f = f.pruned(scn.disc.prune_tol).normalized()
+    f = initial_density(scn)
     rho = toeplitz_quantize(f, scn.lat, KGrid.monkhorst_pack(scn.lat, scn.disc.n_k),
                             scn.disc.m, scn.hbar)
     lhs, series, times, quad_err = observed_time_integral(
@@ -357,8 +345,7 @@ def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
                      n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
     mass_k = f.mass_in(scn.k_set)
     lip = scn.potential.lipschitz_gradient().value
-    c_t = constant_toeplitz(scn.geom, scn.horizon, lip)
-    lam_star = argmin_lambda_toeplitz(scn.geom, scn.horizon, lip)
+    c_t, lam_star = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip)
     # penalty is C * sqrt(d hbar)/delta; the Groenwall assembly carries the
     # coupling-energy bound sqrt((1+lam^2) d hbar / 2) at the minimizing scale
     energy_bound = float(np.sqrt((1.0 + lam_star ** 2) * d * scn.hbar / 2.0))
@@ -369,16 +356,7 @@ def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
 def verify_pure_theorem(scn: ObservabilityScenario) -> TheoremReport:
     """Run the inequality check for a coherent-family pure fibered density."""
     d = scn.lat.dimension
-    kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
-    q0 = np.zeros(d) if scn.center_q is None else np.atleast_1d(scn.center_q)
-    p0 = np.zeros(d) if scn.center_p is None else np.atleast_1d(scn.center_p)
-    n_g = (2 * scn.disc.m + 1) ** d
-    vecs = np.empty((kgrid.size, 1, n_g), dtype=complex)
-    for ik in range(kgrid.size):
-        vecs[ik, 0] = coherent_coeff_batch(q0[None, :], (p0 - scn.hbar * kgrid.points[ik])[None, :],
-                                           scn.hbar, scn.lat, scn.disc.m)[0]
-    rho = FiberedDensity(kgrid, scn.lat, scn.disc.m, scn.hbar,
-                         np.ones((kgrid.size, 1)), vecs)
+    rho = initial_state(scn)
     lhs, series, times, quad_err = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import KGrid, coeffs_to_values, grid_weight, position_grid
+from .bloch import KGrid, centered_indices, coeffs_to_values, grid_weight, position_grid
 from .lattice import LatticeSpec, Region
 from .states import coherent_coeff_batch
 
@@ -206,15 +206,31 @@ class FiberedDensity:
         return FiberedDensity(self.kgrid, self.lat, self.m, self.hbar,
                               c * self.lambdas, self.vectors)
 
-    def dense_fiber(self, i: int) -> np.ndarray:
-        """Assembled fiber matrix (test oracle only; O(n_coeff^2) memory)."""
-        v = self.vectors[i]
-        return (v.conj().T * self.lambdas[i]) @ v
+    def masked_trace(self, mask: np.ndarray) -> float:
+        """Fiber average of sum_r lambda_r <v_r| mask |v_r>, mask on the (2m+1)^d cell grid.
+
+        ``mask`` carries the grid quadrature weight; every fiber and rank is
+        evaluated by one batched transform.
+        """
+        n = 2 * self.m + 1
+        vals = coeffs_to_values(self.vectors.reshape((-1,) + self.coeff_shape), self.lat, n)
+        dens = np.abs(vals.reshape(self.kgrid.size, self.rank, -1)) ** 2
+        return float(np.mean(np.einsum("kr,krg,g->k", self.lambdas, dens, mask)))
 
 
 def periodic_trace(rho: FiberedDensity) -> float:
     """Normalized fiber average of the fiber traces (electrons per unit cell)."""
     return float(np.mean(rho.fiber_traces()))
+
+
+def coherent_family(lat: LatticeSpec, kgrid: KGrid, m: int, hbar: float, q0, p0
+                    ) -> FiberedDensity:
+    """Rank-1 fibered density whose fiber k is the periodized packet at (q0, p0 - hbar*k)."""
+    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
+    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
+    vecs = coherent_coeff_batch(np.broadcast_to(q0, kgrid.points.shape),
+                                p0 - hbar * kgrid.points, hbar, lat, m)
+    return FiberedDensity(kgrid, lat, m, hbar, np.ones((kgrid.size, 1)), vecs[:, None, :])
 
 
 def toeplitz_quantize(f: PhaseSpaceDensity, lat: LatticeSpec, kgrid: KGrid, m: int,
@@ -237,6 +253,31 @@ def toeplitz_quantize(f: PhaseSpaceDensity, lat: LatticeSpec, kgrid: KGrid, m: i
     return FiberedDensity(kgrid, lat, m, hbar, lam, vecs)
 
 
+class PacketOverlaps:
+    """Overlaps of periodized packets at nodes (q, p) with fiber vectors.
+
+    The position phases exp(i q.G) are built once for the q nodes; each call
+    applies the Gaussian momentum window at the p nodes given (callers pass
+    p - hbar*k to address fiber k) and returns the unnormalized overlaps,
+    shape (r, Np, Nq).  ``pref`` times their squared modulus is the Husimi
+    integrand.
+    """
+
+    def __init__(self, lat: LatticeSpec, m: int, hbar: float, qs: np.ndarray):
+        d = lat.dimension
+        self.hbar = hbar
+        self.g = centered_indices(m, d) @ lat.reciprocal
+        self.phase_q = np.exp(1j * qs @ self.g.T)                        # (Nq, nG)
+        amp_sq = (4.0 * np.pi * hbar) ** (d / 2.0) / lat.cell_volume
+        self.pref = (2.0 * np.pi * hbar) ** (-d) * amp_sq
+
+    def __call__(self, vectors: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        diff = ps[:, None, :] - self.hbar * self.g[None, :, :]
+        gauss = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * self.hbar))  # (Np, nG)
+        windowed = gauss[None, :, :] * vectors[:, None, :]                # (r, Np, nG)
+        return np.einsum("qg,rpg->rpq", self.phase_q, windowed)
+
+
 def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
            weight: float, grid_shape: tuple | None = None) -> PhaseSpaceDensity:
     """Husimi density of a fibered operator on given phase-space nodes.
@@ -246,23 +287,13 @@ def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
     at all product nodes (qs x ps); the scalar ``weight`` is the per-node
     quadrature weight of that product grid.
     """
-    lat, m, hbar = rho.lat, rho.m, rho.hbar
-    d = lat.dimension
     qs = np.atleast_2d(qs)
     ps = np.atleast_2d(ps)
-    g = (np.stack(np.meshgrid(*([np.arange(-m, m + 1)] * d), indexing="ij"),
-                  axis=-1).reshape(-1, d) @ lat.reciprocal)
-    phase_q = np.exp(1j * qs @ g.T)                                     # (Nq, nG)
-    amp_sq = (4.0 * np.pi * hbar) ** (d / 2.0) / lat.cell_volume
-    pref = (2.0 * np.pi * hbar) ** (-d) * amp_sq
+    overlaps = PacketOverlaps(rho.lat, rho.m, rho.hbar, qs)
     acc = np.zeros((qs.shape[0], ps.shape[0]))
     for ik in range(rho.kgrid.size):
-        shifted = ps - hbar * rho.kgrid.points[ik]                      # (Np, d)
-        diff = shifted[:, None, :] - hbar * g[None, :, :]
-        gauss = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * hbar))    # (Np, nG)
-        windowed = gauss[None, :, :] * rho.vectors[ik][:, None, :]      # (r, Np, nG)
-        t = np.einsum("qg,rpg->rpq", phase_q, windowed)
-        acc += pref * np.einsum("r,rpq->qp", rho.lambdas[ik], np.abs(t) ** 2)
+        t = overlaps(rho.vectors[ik], ps - rho.hbar * rho.kgrid.points[ik])
+        acc += overlaps.pref * np.einsum("r,rpq->qp", rho.lambdas[ik], np.abs(t) ** 2)
     acc /= rho.kgrid.size
     n_q, n_p = qs.shape[0], ps.shape[0]
     q_full = np.repeat(qs, n_p, axis=0)
@@ -309,10 +340,4 @@ def observe(rho: FiberedDensity, region: Region) -> float:
         return 0.0
     n = 2 * rho.m + 1
     pts = position_grid(rho.lat, n)
-    mask = region.contains(pts).astype(float) * grid_weight(rho.lat, n)
-    total = 0.0
-    for ik in range(rho.kgrid.size):
-        vals = coeffs_to_values(rho.vectors[ik].reshape((-1,) + rho.coeff_shape), rho.lat, n)
-        dens = np.abs(vals.reshape(rho.rank, -1)) ** 2
-        total += float(np.sum(rho.lambdas[ik] @ dens * mask))
-    return total / rho.kgrid.size
+    return rho.masked_trace(region.contains(pts).astype(float) * grid_weight(rho.lat, n))

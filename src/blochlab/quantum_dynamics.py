@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PeriodicField, centered_indices, coeffs_to_values, grid_weight, \
+from .bloch import KGrid, PeriodicField, centered_indices, coeffs_to_values, grid_weight, \
     position_grid, values_to_coeffs
 from .classical_dynamics import TrigPotential
 from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
@@ -83,35 +83,35 @@ def propagate_fiber(u: PeriodicField, h: FiberHamiltonian, t: float, dt: float) 
     return PeriodicField(u.lat, u.m, propagate_batch(u.coeffs, h, t, dt))
 
 
+class FiberPropagator:
+    """One Hamiltonian per fiber of a k-grid, advancing (n_k, batch, n_G) coefficient blocks."""
+
+    def __init__(self, kgrid: KGrid, lat: LatticeSpec, m: int, potential: TrigPotential,
+                 hbar: float):
+        self.hams = [FiberHamiltonian(lat, m, k, potential, hbar) for k in kgrid.points]
+
+    def advance(self, coeffs: np.ndarray, t: float, dt: float) -> np.ndarray:
+        """Propagate every fiber of ``coeffs`` by time t in place; returns ``coeffs``.
+
+        With V = 0 the kinetic phases are applied directly; otherwise each
+        fiber's batch goes through one ``propagate_batch`` call.
+        """
+        n_b = coeffs.shape[1]
+        for ik, h in enumerate(self.hams):
+            if h.potential.is_zero:
+                coeffs[ik] *= kinetic_phase(h, t).reshape(-1)
+            else:
+                coeffs[ik] = propagate_batch(coeffs[ik].reshape((n_b,) + h.kinetic_diagonal.shape),
+                                             h, t, dt).reshape(n_b, -1)
+        return coeffs
+
+
 def evolve_density(rho: FiberedDensity, potential: TrigPotential, t: float,
                    dt: float) -> FiberedDensity:
     """Propagate every low-rank factor; fiber weights (hence traces) are untouched."""
-    shape = rho.coeff_shape
-    new_vectors = np.empty_like(rho.vectors)
-    for ik in range(rho.kgrid.size):
-        h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points[ik], potential, rho.hbar)
-        prop = propagate_batch(rho.vectors[ik].reshape((-1,) + shape), h, t, dt)
-        new_vectors[ik] = prop.reshape(rho.rank, -1)
-    return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar,
-                          rho.lambdas.copy(), new_vectors)
-
-
-def dense_fiber_matrix(h: FiberHamiltonian) -> np.ndarray:
-    """Assembled fiber Hamiltonian in the plane-wave basis (small-m oracle)."""
-    d = h.lat.dimension
-    idx = centered_indices(h.m, d)
-    n_g = idx.shape[0]
-    mat = np.diag(h.kinetic_diagonal.reshape(-1)).astype(complex)
-    key = {tuple(v): i for i, v in enumerate(idx)}
-    for n, c, phi in h.potential.terms:
-        for row, nv in enumerate(idx):
-            up = tuple(nv - np.array(n))
-            if up in key:
-                mat[row, key[up]] += 0.5 * c * np.exp(1j * phi)
-            dn = tuple(nv + np.array(n))
-            if dn in key:
-                mat[row, key[dn]] += 0.5 * c * np.exp(-1j * phi)
-    return mat
+    propagator = FiberPropagator(rho.kgrid, rho.lat, rho.m, potential, rho.hbar)
+    vectors = propagator.advance(rho.vectors.copy(), t, dt)
+    return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, rho.lambdas.copy(), vectors)
 
 
 # ---------------------------------------------------------------------------

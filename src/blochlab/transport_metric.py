@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy import fft as sfft
+
 from .bloch import KGrid, PeriodicField, centered_indices, coeffs_to_values, grid_weight, \
     position_grid, values_to_coeffs
-from .classical_dynamics import TrigPotential
+from .classical_dynamics import TrigPotential, flow
 from .lattice import CellGeometry, LatticeSpec, reduce_to_cell, theta_cost_weights
-from .quantization import FiberedDensity, PhaseSpaceDensity
-from .quantum_dynamics import FiberHamiltonian, kinetic_phase, propagate_batch
+from .quantization import FiberedDensity, PacketOverlaps, PhaseSpaceDensity, toeplitz_quantize
+from .quantum_dynamics import FiberPropagator
 from .states import coherent_coeff_batch
 
 
@@ -133,12 +135,19 @@ def coupling_energy_toeplitz(f: PhaseSpaceDensity, cost: CostParams, lat: Lattic
                           position_per_fiber=pos_fiber, momentum_per_fiber=mom_fiber)
 
 
-def _pair_distance_sq(lat: LatticeSpec, n: int) -> np.ndarray:
-    """|P_Gamma(y_i - y_j)|^2 over the n-point cell grid, shape (n^d, n^d)."""
+def pair_moment(dens: np.ndarray, lat: LatticeSpec) -> float:
+    """sum_ij dens_i dens_j |P_Gamma(y_i - y_j)|^2 over the uniform n^d cell grid.
+
+    ``dens`` has shape (n,)*d.  On the uniform fractional grid the summand
+    depends on i - j mod n only, so the double sum is dens . (D * dens) with
+    one circular convolution by D, the distances from the first grid point.
+    """
+    n = dens.shape[-1]
     pts = position_grid(lat, n)
-    diff = pts[:, None, :] - pts[None, :, :]
-    red = reduce_to_cell(diff.reshape(-1, lat.dimension), lat)
-    return np.sum(red * red, axis=-1).reshape(pts.shape[0], pts.shape[0])
+    red = reduce_to_cell(pts - pts[0], lat)
+    kernel = np.sum(red * red, axis=-1).reshape(dens.shape)
+    conv = sfft.irfftn(sfft.rfftn(kernel) * sfft.rfftn(dens), s=dens.shape)
+    return float(np.sum(dens * conv))
 
 
 def coupling_energy_husimi(rho: FiberedDensity, nq: int, np_per_dim: int,
@@ -166,12 +175,8 @@ def coupling_energy_husimi(rho: FiberedDensity, nq: int, np_per_dim: int,
     ps = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
     wp = dp ** d
 
-    g = centered_indices(m, d) @ lat.reciprocal
-    phase_q = np.exp(1j * qs @ g.T)
-    amp_sq = (4.0 * np.pi * hbar) ** (d / 2.0) / lat.cell_volume
-    pref = (2.0 * np.pi * hbar) ** (-d) * amp_sq
-    dist_grid = None
-
+    overlaps = PacketOverlaps(lat, m, hbar, qs)
+    g = overlaps.g
     e1 = np.zeros(n_k)
     e2 = np.zeros(n_k)
     bound_k = np.zeros(n_k)
@@ -186,16 +191,13 @@ def coupling_energy_husimi(rho: FiberedDensity, nq: int, np_per_dim: int,
     for ik in range(n_k):
         psi = rho.vectors[ik, 0]
         norm_sq = float(np.sum(np.abs(psi) ** 2))
-        vals = coeffs_to_values(psi.reshape((n,) * d), lat, n).reshape(-1)
+        vals = coeffs_to_values(psi.reshape((n,) * d), lat, n)
         dens = np.abs(vals) ** 2
         # second periodized moment of |psi|^2 around each husimi q node
-        m2 = (dist_qy @ dens) * w_fft
+        m2 = (dist_qy @ dens.reshape(-1)) * w_fft
 
         # husimi weight at (q, p + hbar k): packet momentum argument is p itself
-        diffp = ps[:, None, :] - hbar * g[None, :, :]
-        gauss = np.exp(-np.sum(diffp * diffp, axis=-1) / (2.0 * hbar))
-        t = np.einsum("qg,pg->pq", phase_q, gauss * psi[None, :])
-        fk = pref * np.abs(t) ** 2                                   # (Np, Nq)
+        fk = overlaps.pref * np.abs(overlaps(psi[None, :], ps)[0]) ** 2    # (Np, Nq)
         mom_sym = np.sum((ps[:, None, :] - hbar * g[None, :, :]) ** 2, axis=-1)
         mom_psi = mom_sym @ np.abs(psi) ** 2                         # (Np,)
 
@@ -208,10 +210,7 @@ def coupling_energy_husimi(rho: FiberedDensity, nq: int, np_per_dim: int,
         ident_k[ik] = (d * hbar / 2.0) * norm_sq ** 2 \
             + 2.0 * norm_sq * grad_sq - 2.0 * float(grad_mean @ grad_mean)
 
-        if dist_grid is None:
-            dist_grid = _pair_distance_sq(lat, n)
-        pair_moment = float(dens @ dist_grid @ dens) * w_fft ** 2
-        bound_k[ik] = d * hbar * norm_sq ** 2 + pair_moment \
+        bound_k[ik] = d * hbar * norm_sq ** 2 + pair_moment(dens, lat) * w_fft ** 2 \
             + 2.0 * (norm_sq * grad_sq - float(grad_mean @ grad_mean))
 
     per_fiber = e1 + e2
@@ -252,23 +251,15 @@ def stability_envelope(f: PhaseSpaceDensity, cost: CostParams, potential: TrigPo
     a shifted momentum argument), so one Verlet sweep per node serves all
     fibers.
     """
-    if abs(f.mass - 1.0) > 1e-8:
-        raise ValueError("density must be normalized")
+    rho = toeplitz_quantize(f, lat, kgrid, m, cost.hbar)
     n_k = kgrid.size
-    n_j = f.size
     d = lat.dimension
     n = 2 * m + 1
     wf = f.weights * f.values
     lip = potential.lipschitz_gradient().value
     eta = gronwall_rate(cost.geom, cost.lam, lip)
-
-    # initial packets per (fiber, node)
-    coeffs = np.empty((n_k, n_j, n ** d), dtype=complex)
-    for ik in range(n_k):
-        coeffs[ik] = coherent_coeff_batch(f.nodes_q, f.nodes_p - cost.hbar * kgrid.points[ik],
-                                          cost.hbar, lat, m)
-    hams = [FiberHamiltonian(lat, m, kgrid.points[ik], potential, cost.hbar)
-            for ik in range(n_k)]
+    coeffs = rho.vectors
+    propagator = FiberPropagator(kgrid, lat, m, potential, cost.hbar)
 
     x = f.nodes_q.copy()
     xi = f.nodes_p.copy()
@@ -278,7 +269,7 @@ def stability_envelope(f: PhaseSpaceDensity, cost: CostParams, potential: TrigPo
     def energy_now():
         w = theta_cost_weights(x, grid, cost.geom)                    # (n_j, nGpos)
         vals = coeffs_to_values(coeffs.reshape((-1,) + (n,) * d), lat, n)
-        dens = np.abs(vals.reshape(n_k, n_j, -1)) ** 2
+        dens = np.abs(vals.reshape(n_k, f.size, -1)) ** 2
         pos = cost.lam ** 2 * np.einsum("jg,kjg->kj", w, dens) * grid_weight(lat, n)
         xi_eff = xi[None, :, :] - cost.hbar * kgrid.points[:, None, :]   # (n_k, n_j, d)
         sym = np.sum((xi_eff[:, :, None, :] - cost.hbar * g[None, None, :, :]) ** 2, axis=-1)
@@ -290,21 +281,8 @@ def stability_envelope(f: PhaseSpaceDensity, cost: CostParams, potential: TrigPo
     energies[0] = energy_now()
     sample_dt = horizon / n_times
     for i in range(1, n_times + 1):
-        n_sub = max(1, int(np.ceil(sample_dt / dt)))
-        h = sample_dt / n_sub
-        force = -potential.gradient(x)
-        for _ in range(n_sub):
-            x = x + h * xi + 0.5 * h * h * force
-            new_force = -potential.gradient(x)
-            xi = xi + 0.5 * h * (force + new_force)
-            force = new_force
-        if potential.is_zero:
-            for ik in range(n_k):
-                coeffs[ik] *= kinetic_phase(hams[ik], sample_dt).reshape(-1)
-        else:
-            for ik in range(n_k):
-                coeffs[ik] = propagate_batch(coeffs[ik].reshape((n_j,) + (n,) * d),
-                                             hams[ik], sample_dt, dt).reshape(n_j, -1)
+        x, xi = flow(x, xi, sample_dt, potential, dt)
+        propagator.advance(coeffs, sample_dt, dt)
         energies[i] = energy_now()
     bounds = energies[0] * np.exp(2.0 * eta * times)
     return StabilityEnvelope(times=times, energies=energies, bounds=bounds, eta=eta,

@@ -10,17 +10,16 @@ import pytest
 
 from blochlab import (CoherentParams, CostParams, Discretization, KGrid,
                       ObservabilityScenario, PhaseBoxSet, PhaseSpaceDensity, Region,
-                      TrigPotential, bloch_transform, coherent_planewave_coeffs,
-                      coherent_state, commutator_residual, constant_pure,
-                      constant_toeplitz, coupling_energy_husimi, coupling_energy_toeplitz,
-                      evolve_density, fiber_average, flow, hbar_threshold, husimi,
-                      periodic_trace, periodized_coherent, stability_envelope,
-                      verify_pure_theorem, verify_toeplitz_theorem)
+                      TrigPotential, bloch_transform, coherent_family,
+                      coherent_planewave_coeffs, coherent_state, commutator_residual,
+                      constant_pure, constant_toeplitz, coupling_energy_husimi,
+                      coupling_energy_toeplitz, evolve_density, fiber_average, flow,
+                      hbar_threshold, husimi, periodic_trace, periodized_coherent,
+                      stability_envelope, verify_pure_theorem, verify_toeplitz_theorem)
 from blochlab.bloch import default_window, grid_weight, position_grid
 from blochlab.cli import main as cli_main
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
-from blochlab.states import coherent_coeff_batch
 
 from conftest import coherent_overlap
 
@@ -28,16 +27,6 @@ from conftest import coherent_overlap
 def _report(num, ok, detail):
     print(f"\n[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def _percoh_rank1(lat, kg, m, hbar, q0, p0):
-    q0 = np.atleast_1d(np.asarray(q0, float))
-    p0 = np.atleast_1d(np.asarray(p0, float))
-    vecs = np.empty((kg.size, 1, (2 * m + 1) ** lat.dimension), dtype=complex)
-    for i in range(kg.size):
-        vecs[i, 0] = coherent_coeff_batch(q0[None, :], (p0 - hbar * kg.points[i])[None, :],
-                                          hbar, lat, m)[0]
-    return FiberedDensity(kg, lat, m, hbar, np.ones((kg.size, 1)), vecs)
 
 
 def test_criterion_01_bloch_isometry(lat1, lat2):
@@ -166,7 +155,7 @@ def test_criterion_05_pure_state_bound(lat1, geom1):
     for hbar in (0.04, 0.02):
         m = 64
         kg = KGrid.monkhorst_pack(lat1, 16)
-        rho = _percoh_rank1(lat1, kg, m, hbar, [0.0], [0.4])
+        rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
         ce = coupling_energy_husimi(rho, nq=64, np_per_dim=160,
                                     p_max=0.4 + 9 * np.sqrt(hbar))
         worst_ratio = max(worst_ratio, ce.total / ce.bound)
@@ -268,7 +257,7 @@ def test_criterion_08_unitarity_trace(lat1):
     norm_drift = abs(np.sqrt(np.sum(np.abs(out) ** 2)) - np.sqrt(np.sum(np.abs(u0) ** 2)))
 
     kg = KGrid.monkhorst_pack(lat1, 8)
-    rho = _percoh_rank1(lat1, kg, m, hbar, [0.0], [0.4])
+    rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
     tr0 = periodic_trace(rho)
     rho_t = evolve_density(rho, vpot, 1.0, 1e-3)
     trace_drift = abs(periodic_trace(rho_t) - tr0)

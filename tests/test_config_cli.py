@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blochlab.bloch import default_window
 from blochlab.cli import main
 from blochlab.config import load_config, parse_config
 from blochlab.errors import ConfigParseError, ConfigValidationError
@@ -89,6 +90,24 @@ def test_validator_antialiasing():
     assert "anti-aliasing" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("basis = [[1.0]]", "basis = [[0.0]]", "lattice.basis"),
+    ("sigma_q = 0.1", "sigma_q = 0.0", "initial.sigma_q"),
+    ("T = 0.5", "T = nan", "physics.T"),
+    ("center_q = (0.0,)", "center_q = (1e999,)", "initial.center_q"),
+    ("n_time_gc = 200", "n_time_gc = 0", "discretization.n_time_gc"),
+    ("n_p = 14", "n_p = 14\np_max = -1.0", "discretization.p_max"),
+    ("center_p = (1.0,)", "center_p = (1.0, 0.0)", "initial.center_p"),
+    ("K = [((-0.5,), (0.5,), (0.5,), (1.5,))]", "K = [((-0.5,), (0.5,))]", "scenario.K"),
+    ("omega = [((-0.1,), (0.1,))]", "omega = 0.1", "scenario.omega"),
+    ("[initial]", "[potential]\nterms = [((1, 1), 0.1, 0.0)]\n\n[initial]", "potential.terms"),
+])
+def test_validator_names_malformed_values(old, new, field):
+    with pytest.raises(ConfigValidationError) as err:
+        load_config(BASE.replace(old, new))
+    assert err.value.field == field
+
+
 def test_load_config_roundtrip_objects():
     cfg = load_config(BASE)
     scn = cfg.scenario()
@@ -108,6 +127,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     # parse error -> 2
     bad = write_cfg(tmp_path, "[lattice]\nbasis [[1.0]]\n", "bad.cfg")
     assert main(["constants", "--config", bad, "--out", str(tmp_path)]) == 2
+    # bytes that are not UTF-8 -> 2
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"[lattice]\nbasis = [[1.0]]  # \xff\n")
+    assert main(["constants", "--config", str(binary), "--out", str(tmp_path)]) == 2
     # validation error -> 3 naming the field
     missing = write_cfg(tmp_path, BASE.replace("hbar = 0.02\n", ""), "missing.cfg")
     assert main(["constants", "--config", missing, "--out", str(tmp_path)]) == 3
@@ -116,6 +139,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     # T = 0 -> 3
     zt = write_cfg(tmp_path, BASE.replace("T = 0.5", "T = 0"), "zt.cfg")
     assert main(["constants", "--config", zt, "--out", str(tmp_path)]) == 3
+    # a value that cannot be read as its type -> 3 naming the field
+    bad_m = write_cfg(tmp_path, BASE.replace("m = 48", "m = 3x4"), "bad_m.cfg")
+    assert main(["constants", "--config", bad_m, "--out", str(tmp_path)]) == 3
+    assert "discretization.m" in capsys.readouterr().err
+    # a misspelled key -> 3 naming it
+    typo = write_cfg(tmp_path, BASE.replace("n_time_obs = 16", "n_time_ob = 7"), "typo.cfg")
+    assert main(["constants", "--config", typo, "--out", str(tmp_path)]) == 3
+    assert "discretization.n_time_ob" in capsys.readouterr().err
+
+
+def test_default_window_follows_the_cell():
+    # gamma_minus is 0.25 on this cell, so exp(-(l gamma_minus)^2 / (2 hbar))
+    # drops below 1e-14 only from l = 2 on
+    text = (BASE.replace("basis = [[1.0]]", "basis = [[0.5]]")
+            .replace("hbar = 0.02", "hbar = 0.003").replace("m = 48", "m = 80"))
+    cfg = load_config(text)
+    assert cfg.l_cut == 2
+    assert cfg.l_cut == default_window(cfg.lattice, 0.003, 0.25)
 
 
 def test_cli_constants_and_metric(tmp_path):
@@ -168,11 +209,16 @@ def test_cli_determinism_bitwise(tmp_path):
     cfg = write_cfg(tmp_path)
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
+    out_threads = tmp_path / "threads"
+    # two FFT workers first: every later main() call sets the count back to 1
+    assert main(["verify", "--config", cfg, "--out", str(out_threads), "--threads", "2"]) == 0
     for out in (out1, out2):
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["verify", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
         assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
     for name in ("out_verify.csv", "out_observation.csv", "out_constants.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for name in ("out_verify.csv", "out_observation.csv"):
+        assert (out1 / name).read_bytes() == (out_threads / name).read_bytes()
 
 
 def test_cli_env_overrides(tmp_path, monkeypatch):

@@ -96,6 +96,13 @@ def test_gamma_bounds_skew_brute_force():
     assert g.gamma_plus == pytest.approx(r.max(), rel=1e-12)
 
 
+def test_gamma_minus_exact_on_skew_3d_cell():
+    # the nearest face of this cell is t_3 = +-1/2: a_3 has height 0.8 over
+    # the plane of a_1, a_2, so the inradius is 0.4
+    g = gamma_bounds(LatticeSpec([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.2, 0.5, 0.8]]))
+    assert g.gamma_minus == pytest.approx(0.4, abs=1e-12)
+
+
 def test_theta_values(geom1):
     assert theta(0.0, geom1) == 0.0
     # oracle: adaptive quadrature of the defining integrand

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from blochlab import (Discretization, KGrid, ObservabilityScenario, PhaseBoxSet,
-                      Region, TrigPotential, c_bold, chi_cutoff, constant_pure,
+                      Region, TrigPotential, c_bold, chi_cutoff, coherent_family, constant_pure,
                       constant_toeplitz, hbar_threshold, std_dev, verify_pure_theorem,
                       verify_toeplitz_theorem)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
-from blochlab.observability import argmin_lambda_toeplitz
+from blochlab.observability import minimize_toeplitz_penalty
 from blochlab.quantization import FiberedDensity
-from blochlab.states import coherent_coeff_batch
 
 
 def _toeplitz_oracle(geom, horizon, lip, n=100_000):
@@ -70,19 +69,9 @@ def test_hbar_threshold_arithmetic():
         hbar_threshold(0.1, 0.0, 0.05, 1)
 
 
-def percoh_rank1(lat, kg, m, hbar, q0, p0):
-    vecs = np.empty((kg.size, 1, (2 * m + 1) ** lat.dimension), dtype=complex)
-    q0 = np.atleast_1d(np.asarray(q0, float))
-    p0 = np.atleast_1d(np.asarray(p0, float))
-    for i in range(kg.size):
-        vecs[i, 0] = coherent_coeff_batch(q0[None, :], (p0 - hbar * kg.points[i])[None, :],
-                                          hbar, lat, m)[0]
-    return FiberedDensity(kg, lat, m, hbar, np.ones((kg.size, 1)), vecs)
-
-
 def test_c_bold_values(lat1):
     kg = KGrid.monkhorst_pack(lat1, 8)
-    rho = percoh_rank1(lat1, kg, 48, 0.05, [0.1], [0.3])
+    rho = coherent_family(lat1, kg, 48, 0.05, [0.1], [0.3])
     assert c_bold(rho) == pytest.approx(1.0, abs=1e-4)      # norms fluctuate O(e^{-c/h})
     scaled = FiberedDensity(kg, lat1, 48, 0.05, rho.lambdas, 2.0 * rho.vectors)
     assert c_bold(scaled) == pytest.approx(16.0 * c_bold(rho), rel=1e-12)
@@ -95,7 +84,7 @@ def test_c_bold_values(lat1):
 def test_c_bold_toeplitz_point_mass_quadrature(lat1):
     hbar, m = 0.05, 48
     kg = KGrid.monkhorst_pack(lat1, 16)
-    rho = percoh_rank1(lat1, kg, m, hbar, [0.2], [0.5])
+    rho = coherent_family(lat1, kg, m, hbar, [0.2], [0.5])
     norms4 = np.array([np.sum(np.abs(rho.vectors[i, 0]) ** 2) ** 2
                        for i in range(kg.size)])
     assert c_bold(rho) == pytest.approx(float(np.mean(norms4)), abs=1e-8)
@@ -122,7 +111,7 @@ def test_std_dev_packet_scaling(lat1):
     ratios = []
     for hbar in (0.04, 0.02, 0.01):
         m = max(48, int(np.ceil(4 / np.sqrt(hbar))) + 8)
-        rho = percoh_rank1(lat1, kg, m, hbar, [0.0], [0.3])
+        rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.3])
         ratios.append(std_dev(rho) ** 2 / hbar)
     assert max(ratios) / min(ratios) < 1.15
 
@@ -131,7 +120,7 @@ def test_std_dev_two_quadrature_routes(lat1):
     # spectral moments vs position-space gradient quadrature
     hbar, m = 0.02, 56
     kg = KGrid.monkhorst_pack(lat1, 4)
-    rho = percoh_rank1(lat1, kg, m, hbar, [0.1], [0.4])
+    rho = coherent_family(lat1, kg, m, hbar, [0.1], [0.4])
     spectral = std_dev(rho) ** 2
 
     n = 4 * m + 1
@@ -264,9 +253,9 @@ def test_rhs_monotone_decreasing_in_hbar(lat1, geom1):
 
 
 def test_argmin_lambda_consistent(geom1):
-    lam = argmin_lambda_toeplitz(geom1, 1.0, 0.0)
-    base = constant_toeplitz(geom1, 1.0, 0.0)
+    base, lam = minimize_toeplitz_penalty(geom1, 1.0, 0.0)
+    assert base == constant_toeplitz(geom1, 1.0, 0.0)
     a = 2 * geom1.gamma_plus / geom1.gamma_minus
     val = (np.sqrt(geom1.gamma_minus / (2 * geom1.gamma_plus))
            * np.expm1(a * lam * 1.0) / lam ** 2 * np.sqrt((1 + lam ** 2) / 2))
-    assert val == pytest.approx(base, rel=1e-6)
+    assert val == pytest.approx(base, rel=1e-12)

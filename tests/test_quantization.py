@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from blochlab import (KGrid, PhaseBoxSet, PhaseSpaceDensity, Region, husimi,
-                      observe, periodic_trace, toeplitz_quantize)
+from blochlab import (KGrid, PhaseBoxSet, PhaseSpaceDensity, Region, coherent_family,
+                      husimi, observe, periodic_trace, toeplitz_quantize)
 from blochlab.bloch import grid_weight, position_grid
 from blochlab.quantization import FiberedDensity, husimi_mass_on_boxes
-from blochlab.states import coherent_coeff_batch
 
 
 def gaussian_bump(q0, p0, sq, sp):
@@ -14,19 +13,6 @@ def gaussian_bump(q0, p0, sq, sp):
         return np.exp(-np.sum((q - q0) ** 2, axis=-1) / (2 * sq ** 2)
                       - np.sum((p - p0) ** 2, axis=-1) / (2 * sp ** 2))
     return fn
-
-
-def percoh_family(lat, kgrid, m, hbar, q0, p0, rank_weights=None):
-    """Rank-1 (or scaled) fibered density from a packet family."""
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    n_g = (2 * m + 1) ** lat.dimension
-    vecs = np.empty((kgrid.size, 1, n_g), dtype=complex)
-    for i in range(kgrid.size):
-        vecs[i, 0] = coherent_coeff_batch(q0[None, :], (p0 - hbar * kgrid.points[i])[None, :],
-                                          hbar, lat, m)[0]
-    lam = np.ones((kgrid.size, 1)) if rank_weights is None else rank_weights
-    return FiberedDensity(kgrid, lat, m, hbar, lam, vecs)
 
 
 def test_density_validation(lat1):
@@ -47,7 +33,7 @@ def test_density_mass_and_pruning(lat1):
 def test_periodic_trace_identities(lat1):
     hbar, m, nk = 0.05, 48, 8
     kg = KGrid.monkhorst_pack(lat1, nk)
-    rho = percoh_family(lat1, kg, m, hbar, [0.1], [0.4])
+    rho = coherent_family(lat1, kg, m, hbar, [0.1], [0.4])
     assert periodic_trace(rho) == pytest.approx(1.0, abs=1e-8)
     assert periodic_trace(rho.scaled(2.5)) == pytest.approx(2.5, abs=2.5e-8)
     zero = FiberedDensity(kg, lat1, m, hbar, np.zeros((nk, 1)), rho.vectors)
@@ -76,7 +62,7 @@ def test_toeplitz_single_node_rank_one(lat1):
                           np.array([1.0]))
     rho = toeplitz_quantize(f, lat1, kg, m, hbar)
     assert rho.rank == 1
-    expected = percoh_family(lat1, kg, m, hbar, [0.1], [0.5])
+    expected = coherent_family(lat1, kg, m, hbar, [0.1], [0.5])
     np.testing.assert_allclose(rho.vectors, expected.vectors, atol=1e-14)
     np.testing.assert_allclose(rho.lambdas, 1.0)
 
@@ -87,7 +73,8 @@ def test_toeplitz_fiber_nonnegative_dense_oracle(lat1):
                                         lat1, 10, 12, 1.0)
     rho = toeplitz_quantize(f, lat1, KGrid.monkhorst_pack(lat1, 4), m, hbar)
     for i in range(rho.kgrid.size):
-        w = np.linalg.eigvalsh(rho.dense_fiber(i))
+        v = rho.vectors[i]
+        w = np.linalg.eigvalsh((v.conj().T * rho.lambdas[i]) @ v)   # dense fiber oracle
         assert w.min() >= -1e-12
 
 
@@ -173,7 +160,7 @@ def test_husimi_argmax_near_point_mass(lat1):
 def test_observe_cases(lat1):
     hbar, m = 0.05, 48
     kg = KGrid.monkhorst_pack(lat1, 8)
-    rho = percoh_family(lat1, kg, m, hbar, [0.1], [0.4])
+    rho = coherent_family(lat1, kg, m, hbar, [0.1], [0.4])
     full = Region.interval([-0.5], [0.5], lat1)
     assert observe(rho, full) == pytest.approx(periodic_trace(rho), abs=1e-12)
     empty = Region(np.zeros((0, 2, 1)), lat1)
@@ -185,7 +172,7 @@ def test_observe_gaussian_mass_oracle(lat1):
     # cells, so the sharp comparison uses the selected cells' actual extent
     kg = KGrid.monkhorst_pack(lat1, 8)
     for hbar, m in ((0.01, 64), (0.001, 200)):
-        rho = percoh_family(lat1, kg, m, hbar, [0.0], [0.0])
+        rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.0])
         got = observe(rho, Region.interval([-0.1], [0.1], lat1))
         n = 2 * m + 1
         y = position_grid(lat1, n)[:, 0]
@@ -198,14 +185,14 @@ def test_observe_gaussian_mass_oracle(lat1):
         # against the exact window mass the error is O(grid spacing)
         assert abs(got - erf(0.1 / np.sqrt(hbar))) < 2.0 * (np.pi * hbar) ** -0.5 / n
     # at hbar = 1e-3 the captured mass clears 0.99
-    rho = percoh_family(lat1, kg, 200, 1e-3, [0.0], [0.0])
+    rho = coherent_family(lat1, kg, 200, 1e-3, [0.0], [0.0])
     assert observe(rho, Region.interval([-0.1], [0.1], lat1)) >= 0.99
 
 
 def test_husimi_mass_on_boxes_matches_full_grid(lat1):
     hbar, m = 0.02, 48
     kg = KGrid.monkhorst_pack(lat1, 8)
-    rho = percoh_family(lat1, kg, m, hbar, [0.0], [0.5])
+    rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.5])
     box = PhaseBoxSet.single([-0.5], [0.5], [-1.0], [2.0])   # wide momentum margin
     mass = husimi_mass_on_boxes(rho, box)
     assert mass == pytest.approx(1.0, abs=1e-6)

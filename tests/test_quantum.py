@@ -3,16 +3,33 @@ import pytest
 from scipy.linalg import eigh, expm
 
 from blochlab import (CoherentParams, KGrid, LatticeSpec, PeriodicField, TrigPotential,
-                      bloch_transform, coherent_state, commutator_residual, evolve_density,
-                      gamma_bounds, periodic_trace, periodized_coherent, propagate_fiber)
+                      bloch_transform, coherent_family, coherent_state, commutator_residual,
+                      evolve_density, gamma_bounds, periodic_trace, periodized_coherent,
+                      propagate_fiber)
+from blochlab.bloch import centered_indices
 from blochlab.quantization import FiberedDensity
-from blochlab.quantum_dynamics import FiberHamiltonian, dense_fiber_matrix, propagate_batch
-from blochlab.states import coherent_coeff_batch
+from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
 
 @pytest.fixture(scope="module")
 def vpot():
     return TrigPotential.cosine(LatticeSpec.cubic(1), (1,), 0.1)
+
+
+def dense_fiber_matrix(h):
+    """Assembled fiber Hamiltonian in the plane-wave basis (small-m oracle)."""
+    idx = centered_indices(h.m, h.lat.dimension)
+    mat = np.diag(h.kinetic_diagonal.reshape(-1)).astype(complex)
+    key = {tuple(v): i for i, v in enumerate(idx)}
+    for n, c, phi in h.potential.terms:
+        for row, nv in enumerate(idx):
+            up = tuple(nv - np.array(n))
+            if up in key:
+                mat[row, key[up]] += 0.5 * c * np.exp(1j * phi)
+            dn = tuple(nv + np.array(n))
+            if dn in key:
+                mat[row, key[dn]] += 0.5 * c * np.exp(-1j * phi)
+    return mat
 
 
 def test_free_propagator_exact(lat1):
@@ -104,12 +121,7 @@ def test_eigenstate_stationary(lat1, vpot):
 def test_evolve_density_trace_and_identity(lat1, vpot):
     hbar, m, nk = 0.05, 32, 4
     kg = KGrid.monkhorst_pack(lat1, nk)
-    vecs = np.empty((nk, 1, 2 * m + 1), dtype=complex)
-    for i in range(nk):
-        vecs[i, 0] = coherent_coeff_batch(np.array([[0.0]]),
-                                          np.array([[0.4]]) - hbar * kg.points[i],
-                                          hbar, lat1, m)[0]
-    rho = FiberedDensity(kg, lat1, m, hbar, np.ones((nk, 1)), vecs)
+    rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
     same = evolve_density(rho, vpot, 0.0, 1e-3)
     np.testing.assert_allclose(same.vectors, rho.vectors)
     tr0 = periodic_trace(rho)

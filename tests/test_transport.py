@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from blochlab import (CoherentParams, CostParams, KGrid, PeriodicField,
-                      PhaseSpaceDensity, TrigPotential, apply_cost, coupling_energy_husimi,
-                      coupling_energy_toeplitz, gronwall_rate, stability_envelope,
-                      toeplitz_quantize)
+from blochlab import (CoherentParams, CostParams, KGrid, LatticeSpec, PeriodicField,
+                      PhaseSpaceDensity, TrigPotential, apply_cost, coherent_family,
+                      coupling_energy_husimi, coupling_energy_toeplitz, gronwall_rate,
+                      stability_envelope, toeplitz_quantize)
 from blochlab.bloch import grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab.quantization import FiberedDensity
 from blochlab.states import coherent_coeff_batch, coherent_state
+from blochlab.transport_metric import pair_moment
 from scipy.integrate import quad
 
 
@@ -17,16 +18,6 @@ def bump_density(lat, nq=16, np_=24, p_max=1.0, p0=0.3):
         return np.exp(-np.sum(q ** 2, axis=-1) / (2 * 0.1 ** 2)
                       - np.sum((p - p0) ** 2, axis=-1) / (2 * 0.15 ** 2))
     return PhaseSpaceDensity.from_function(fn, lat, nq, np_, p_max)
-
-
-def percoh_rank1(lat, kg, m, hbar, q0, p0):
-    vecs = np.empty((kg.size, 1, (2 * m + 1) ** lat.dimension), dtype=complex)
-    q0 = np.atleast_1d(np.asarray(q0, float))
-    p0 = np.atleast_1d(np.asarray(p0, float))
-    for i in range(kg.size):
-        vecs[i, 0] = coherent_coeff_batch(q0[None, :], (p0 - hbar * kg.points[i])[None, :],
-                                          hbar, lat, m)[0]
-    return FiberedDensity(kg, lat, m, hbar, np.ones((kg.size, 1)), vecs)
 
 
 def test_apply_cost_plane_wave_momentum_symbol(lat1, geom1):
@@ -166,7 +157,7 @@ def test_cost_equivalence_pointwise(rng, lat2, geom2):
 def test_husimi_coupling_bound_and_identity(lat1, geom1, hbar):
     m = max(48, int(np.ceil(4 / np.sqrt(hbar))) + 8)
     kg = KGrid.monkhorst_pack(lat1, 8)
-    rho = percoh_rank1(lat1, kg, m, hbar, [0.0], [0.4])
+    rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
     p_max = 0.4 + 9 * np.sqrt(hbar)
     ce = coupling_energy_husimi(rho, nq=64, np_per_dim=160, p_max=p_max)
     assert ce.total <= ce.bound * (1 + 1e-3)
@@ -178,7 +169,7 @@ def test_husimi_coupling_bound_and_identity(lat1, geom1, hbar):
 def test_husimi_coupling_determinism(lat1, geom1):
     hbar, m = 0.02, 56
     kg = KGrid.monkhorst_pack(lat1, 8)
-    rho = percoh_rank1(lat1, kg, m, hbar, [0.1], [0.4])
+    rho = coherent_family(lat1, kg, m, hbar, [0.1], [0.4])
     p_max = 0.4 + 9 * np.sqrt(hbar)
     ce = coupling_energy_husimi(rho, nq=64, np_per_dim=160, p_max=p_max)
     again = coupling_energy_husimi(rho, nq=64, np_per_dim=160, p_max=p_max)
@@ -191,7 +182,7 @@ def test_husimi_coupling_scaling_and_constant_fiber(lat1, geom1):
     totals = []
     for hbar in (0.04, 0.02):
         m = 56
-        rho = percoh_rank1(lat1, kg, m, hbar, [0.0], [0.0])
+        rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.0])
         ce = coupling_energy_husimi(rho, nq=48, np_per_dim=128, p_max=9 * np.sqrt(hbar))
         totals.append(ce.total / hbar)
     assert abs(totals[0] - totals[1]) / totals[1] < 0.15
@@ -204,6 +195,20 @@ def test_husimi_coupling_scaling_and_constant_fiber(lat1, geom1):
     ce = coupling_energy_husimi(rho_c, nq=32, np_per_dim=96, p_max=2.0)
     ident = ce.momentum_identity - 0.05 / 2  # subtract d*hbar/2*norm^4 term
     assert np.max(np.abs(ident)) < 1e-12
+
+
+@pytest.mark.parametrize("basis, n", [([[1.0]], 41), ([[1.0, 0.0], [0.5, np.sqrt(3) / 2]], 13),
+                                      ([[1.0, 0, 0], [0.3, 1.0, 0], [0.2, 0.5, 0.8]], 7)])
+def test_pair_moment_matches_dense_matrix(basis, n, rng):
+    lat = LatticeSpec(basis)
+    d = lat.dimension
+    dens = rng.uniform(0.0, 1.0, (n,) * d)
+    # oracle: the full (n^d x n^d) matrix of periodized pair distances
+    pts = position_grid(lat, n)
+    red = reduce_to_cell((pts[:, None, :] - pts[None, :, :]).reshape(-1, d), lat)
+    dist = np.sum(red * red, axis=-1).reshape(pts.shape[0], pts.shape[0])
+    flat = dens.reshape(-1)
+    assert pair_moment(dens, lat) == pytest.approx(flat @ dist @ flat, rel=1e-12)
 
 
 def test_husimi_coupling_requires_rank_one(lat1):
