@@ -23,14 +23,6 @@ from scipy import fft as sfft
 from .errors import AccuracyError
 from .lattice import LatticeSpec
 
-_FFT_WORKERS = 1
-
-
-def set_fft_workers(n: int) -> None:
-    """Set the worker count used by batched FFTs (CLI --threads)."""
-    global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(n))
-
 
 def centered_indices(m: int, d: int) -> np.ndarray:
     """Integer index grid, shape ((2m+1)^d, d), in C order of the coefficient array."""
@@ -85,7 +77,7 @@ def coeffs_to_values(coeffs: np.ndarray, lat: LatticeSpec, nout: int | None = No
         coeffs = np.pad(coeffs, width)
     axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
     signed = coeffs * _alt_sign(nout, d)
-    vals = sfft.ifftn(sfft.ifftshift(signed, axes=axes), axes=axes, workers=_FFT_WORKERS)
+    vals = sfft.ifftn(sfft.ifftshift(signed, axes=axes), axes=axes)
     return vals * (nout ** d / np.sqrt(lat.cell_volume))
 
 
@@ -96,7 +88,7 @@ def values_to_coeffs(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray
     if n % 2 == 0 or n < 2 * m + 1:
         raise ValueError("value grid must be odd and >= 2m+1")
     axes = tuple(range(values.ndim - d, values.ndim))
-    spec = sfft.fftshift(sfft.fftn(values, axes=axes, workers=_FFT_WORKERS), axes=axes)
+    spec = sfft.fftshift(sfft.fftn(values, axes=axes), axes=axes)
     spec = spec * (np.sqrt(lat.cell_volume) / n ** d) * _alt_sign(n, d)
     if n > 2 * m + 1:
         cut = (n - (2 * m + 1)) // 2
@@ -198,16 +190,6 @@ class FiberedState:
 
     def fiber_norms_sq(self) -> np.ndarray:
         return np.sum(np.abs(self.coeffs.reshape(self.kgrid.size, -1)) ** 2, axis=1)
-
-    def dump_csv(self, path) -> None:
-        """Flat debug dump: one row (k_index, flat G index, re, im) per coefficient."""
-        flat = self.coeffs.reshape(self.kgrid.size, -1)
-        with open(path, "w") as fh:
-            fh.write("k_index,g_index,re,im\n")
-            for ik in range(flat.shape[0]):
-                for ig in range(flat.shape[1]):
-                    c = flat[ik, ig]
-                    fh.write(f"{ik},{ig},{c.real:.17g},{c.imag:.17g}\n")
 
 
 def translate_window(l_cut: int, d: int) -> np.ndarray:

@@ -159,34 +159,6 @@ def transport_density(f: PhaseSpaceDensity, t: float, potential: TrigPotential,
                              f.weights.copy(), f.values.copy(), None, f.p_max)
 
 
-def sample_trajectory(x, xi, horizon: float, potential: TrigPotential,
-                      dt: float = 1e-3, n_samples: int = 100):
-    """Times and phase-space states along one (or a batch of) trajectories."""
-    times = np.linspace(0.0, horizon, n_samples + 1)
-    xs = [np.array(x, dtype=float, copy=True)]
-    xis = [np.array(xi, dtype=float, copy=True)]
-    step = horizon / n_samples
-    for _ in range(n_samples):
-        out = flow(xs[-1], xis[-1], step, potential, dt)
-        xs.append(out.x)
-        xis.append(out.xi)
-    return times, np.stack(xs), np.stack(xis)
-
-
-def dump_trajectory_csv(path, x, xi, horizon: float, potential: TrigPotential,
-                        dt: float = 1e-3, n_samples: int = 100) -> None:
-    """Write one trajectory as CSV rows (t, x..., xi...)."""
-    times, xs, xis = sample_trajectory(x, xi, horizon, potential, dt, n_samples)
-    d = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1).shape[0]
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"x{i}" for i in range(d))
-                 + "," + ",".join(f"xi{i}" for i in range(d)) + "\n")
-        for t, xv, xiv in zip(times, xs.reshape(len(times), -1),
-                              xis.reshape(len(times), -1)):
-            row = [f"{t:.17g}"] + [f"{v:.17g}" for v in xv] + [f"{v:.17g}" for v in xiv]
-            fh.write(",".join(row) + "\n")
-
-
 @dataclass(frozen=True)
 class GCEstimate:
     """Sampled lower estimate of the geometric-control observability constant."""

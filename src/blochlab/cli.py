@@ -22,20 +22,20 @@ import os
 import sys
 
 import numpy as np
+from scipy import fft as sfft
 
 from . import __version__
 from .bloch import KGrid, bloch_transform, grid_weight, inverse_bloch, position_grid, \
-    set_fft_workers, translate_window
+    translate_window
 from .config import load_config
 from .errors import AccuracyError, ConfigParseError, ConfigValidationError
-from .observability import (constant_pure, constant_toeplitz, c_bold, default_p_max,
-                            hbar_threshold, initial_density, initial_state,
-                            observed_time_integral, std_dev, verify_pure_theorem,
-                            verify_toeplitz_theorem)
-from .quantization import husimi, periodic_trace
+from .observability import (constant_pure, constant_toeplitz, default_p_max, hbar_threshold,
+                            initial_density, initial_state, observed_time_integral,
+                            verify_pure_theorem, verify_toeplitz_theorem)
+from .quantization import husimi, momentum_grid, periodic_trace
 from .states import CoherentParams, coherent_state
-from .transport_metric import CostParams, coupling_energy_husimi, coupling_energy_toeplitz, \
-    gronwall_rate, stability_envelope
+from .transport_metric import CostParams, c_bold, coupling_energy_husimi, \
+    coupling_energy_toeplitz, gronwall_rate, stability_envelope, std_dev
 from .classical_dynamics import gc_constant
 
 
@@ -118,10 +118,8 @@ def _cmd_husimi(cfg, scn, out, cfg_hash) -> int:
     d = scn.lat.dimension
     p_max = default_p_max(scn)
     qs = position_grid(scn.lat, scn.disc.n_q)
-    dp = 2.0 * p_max / scn.disc.n_p
-    axis = -p_max + (np.arange(scn.disc.n_p) + 0.5) * dp
-    ps = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    w = husimi(rho, qs, ps, grid_weight(scn.lat, scn.disc.n_q) * dp ** d)
+    ps, wp = momentum_grid(d, scn.disc.n_p, p_max)
+    w = husimi(rho, qs, ps, grid_weight(scn.lat, scn.disc.n_q) * wp)
     header = tuple(f"q{i}" for i in range(d)) + tuple(f"p{i}" for i in range(d)) + ("value",)
     rows = [tuple(q) + tuple(p) + (v,)
             for q, p, v in zip(w.nodes_q, w.nodes_p, w.values)]
@@ -275,13 +273,14 @@ def main(argv=None) -> int:
         return 2
 
     cfg_hash = hashlib.sha256(raw).hexdigest()[:12]
-    set_fft_workers(args.threads)
     try:
         cfg = load_config(text)
         scn = cfg.scenario(tolerance_scale=args.tolerance_scale)
         scn.disc.seed = int(cfg_hash, 16) % (2 ** 31)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, scn, args.out, cfg_hash)
+        # the worker count holds for this command only, not for later calls in the process
+        with sfft.set_workers(max(1, args.threads)):
+            return _COMMANDS[args.subcommand](cfg, scn, args.out, cfg_hash)
     except ConfigParseError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return 2

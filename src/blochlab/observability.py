@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import KGrid, centered_indices, coeffs_to_values, grid_weight, position_grid
+from .bloch import KGrid, grid_weight, position_grid
 from .classical_dynamics import GCEstimate, TrigPotential, gc_constant
 from .lattice import CellGeometry, LatticeSpec, Region
 from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
     husimi_mass_on_boxes, toeplitz_quantize
 from .quantum_dynamics import FiberPropagator
-from .transport_metric import gronwall_rate, pair_moment
+from .transport_metric import c_bold, gronwall_rate, std_dev
 
 
 # ---------------------------------------------------------------------------
@@ -95,45 +95,6 @@ def hbar_threshold(c_gc: float, c_toeplitz: float, delta: float, dimension: int)
     if c_toeplitz <= 0:
         raise ValueError("penalty constant must be positive")
     return (delta ** 2 / dimension) * (c_gc / c_toeplitz) ** 2
-
-
-# ---------------------------------------------------------------------------
-# state functionals
-# ---------------------------------------------------------------------------
-
-def c_bold(rho: FiberedDensity) -> float:
-    """Fiber average of the fourth power of the fiber norms (rank-1 densities)."""
-    if rho.rank != 1:
-        raise ValueError("requires rank-1 fibers")
-    norms = np.sum(np.abs(rho.vectors[:, 0, :]) ** 2, axis=1)
-    return float(np.mean(norms ** 2))
-
-
-def std_dev(rho: FiberedDensity) -> float:
-    """Spread functional Delta of a rank-1 fibered density.
-
-    Per fiber: half the second periodized moment of the pair density plus the
-    momentum variance (norm^2 * grad-norm^2 minus squared mean momentum);
-    returns the square root of the fiber average.
-    """
-    if rho.rank != 1:
-        raise ValueError("requires rank-1 fibers")
-    lat, m, hbar = rho.lat, rho.m, rho.hbar
-    d = lat.dimension
-    n = 2 * m + 1
-    w = grid_weight(lat, n)
-    g = centered_indices(m, d) @ lat.reciprocal
-    total = 0.0
-    for ik in range(rho.kgrid.size):
-        psi = rho.vectors[ik, 0]
-        dens = np.abs(coeffs_to_values(psi.reshape((n,) * d), lat, n)) ** 2
-        pos = 0.5 * pair_moment(dens, lat) * w * w
-        norm_sq = float(np.sum(np.abs(psi) ** 2))
-        hg = hbar * g
-        grad_sq = float(np.sum(np.sum(hg * hg, axis=-1) * np.abs(psi) ** 2))
-        mean_p = (hg * np.abs(psi[:, None]) ** 2).sum(axis=0)
-        total += pos + norm_sq * grad_sq - float(mean_p @ mean_p)
-    return float(np.sqrt(total / rho.kgrid.size))
 
 
 def chi_cutoff(region: Region, delta: float):

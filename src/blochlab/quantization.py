@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import KGrid, centered_indices, coeffs_to_values, grid_weight, position_grid
+from .bloch import KGrid, coeffs_to_values, g_vectors, grid_weight, position_grid
 from .lattice import LatticeSpec, Region
 from .states import coherent_coeff_batch
 
@@ -155,15 +155,21 @@ def phase_grid_nodes(lat: LatticeSpec, nq: int, np_per_dim: int, p_max: float,
         p_center = np.zeros(d)
     p_center = np.atleast_1d(np.asarray(p_center, dtype=float))
     qs = position_grid(lat, nq)
-    dp = 2.0 * p_max / np_per_dim
-    axis = -p_max + (np.arange(np_per_dim) + 0.5) * dp
-    pmesh = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    pmesh, wp = momentum_grid(d, np_per_dim, p_max)
     pmesh = pmesh + p_center
     nqt, npt = qs.shape[0], pmesh.shape[0]
     q_full = np.repeat(qs, npt, axis=0)
     p_full = np.tile(pmesh, (nqt, 1))
-    weight = grid_weight(lat, nq) * dp ** d
+    weight = grid_weight(lat, nq) * wp
     return q_full, p_full, weight
+
+
+def momentum_grid(d: int, np_per_dim: int, p_max: float):
+    """Midpoint grid of np_per_dim^d nodes on [-p_max, p_max]^d and its node weight."""
+    dp = 2.0 * p_max / np_per_dim
+    axis = -p_max + (np.arange(np_per_dim) + 0.5) * dp
+    ps = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    return ps, dp ** d
 
 
 @dataclass
@@ -206,16 +212,39 @@ class FiberedDensity:
         return FiberedDensity(self.kgrid, self.lat, self.m, self.hbar,
                               c * self.lambdas, self.vectors)
 
+    def position_density(self) -> np.ndarray:
+        """|v(y)|^2 of every vector on the (2m+1)^d cell grid, shape (n_k, rank, (2m+1)^d).
+
+        Every fiber and rank is evaluated by one batched transform.
+        """
+        vals = coeffs_to_values(self.vectors.reshape(self.lambdas.shape + self.coeff_shape),
+                                self.lat)
+        return np.abs(vals.reshape(self.vectors.shape)) ** 2
+
+    def momentum_moments(self):
+        """Moments of |c_G|^2 of every vector: N (n_k, rank), P (n_k, rank, d), Q (n_k, rank).
+
+        N = sum |c_G|^2, P = sum hbar G |c_G|^2, Q = sum |hbar G|^2 |c_G|^2, so the
+        momentum cost sum_G |xi - hbar G|^2 |c_G|^2 is N|xi|^2 - 2 xi.P + Q
+        (``momentum_cost``).
+        """
+        hg = self.hbar * g_vectors(self.lat, self.m)
+        weights = np.abs(self.vectors) ** 2
+        return np.sum(weights, axis=-1), weights @ hg, weights @ np.sum(hg * hg, axis=-1)
+
     def masked_trace(self, mask: np.ndarray) -> float:
         """Fiber average of sum_r lambda_r <v_r| mask |v_r>, mask on the (2m+1)^d cell grid.
 
-        ``mask`` carries the grid quadrature weight; every fiber and rank is
-        evaluated by one batched transform.
+        ``mask`` carries the grid quadrature weight.
         """
-        n = 2 * self.m + 1
-        vals = coeffs_to_values(self.vectors.reshape((-1,) + self.coeff_shape), self.lat, n)
-        dens = np.abs(vals.reshape(self.kgrid.size, self.rank, -1)) ** 2
-        return float(np.mean(np.einsum("kr,krg,g->k", self.lambdas, dens, mask)))
+        return float(np.mean(np.einsum("kr,krg,g->k", self.lambdas, self.position_density(),
+                                       mask)))
+
+
+def momentum_cost(moments, xi: np.ndarray) -> np.ndarray:
+    """sum_G |xi - hbar G|^2 |c_G|^2 from the moments (N, P, Q); xi broadcasts against P."""
+    n, p, q = moments
+    return n * np.sum(xi * xi, axis=-1) - 2.0 * np.sum(xi * p, axis=-1) + q
 
 
 def periodic_trace(rho: FiberedDensity) -> float:
@@ -256,25 +285,27 @@ def toeplitz_quantize(f: PhaseSpaceDensity, lat: LatticeSpec, kgrid: KGrid, m: i
 class PacketOverlaps:
     """Overlaps of periodized packets at nodes (q, p) with fiber vectors.
 
-    The position phases exp(i q.G) are built once for the q nodes; each call
-    applies the Gaussian momentum window at the p nodes given (callers pass
-    p - hbar*k to address fiber k) and returns the unnormalized overlaps,
-    shape (r, Np, Nq).  ``pref`` times their squared modulus is the Husimi
-    integrand.
+    The position phases exp(i q.G) are built once for the q nodes; the
+    Gaussian momentum window of the p nodes comes from ``window`` (callers
+    pass p - hbar*k to address fiber k).  A call returns the unnormalized
+    overlaps, shape (r, Np, Nq); ``pref`` times their squared modulus is the
+    Husimi integrand.
     """
 
     def __init__(self, lat: LatticeSpec, m: int, hbar: float, qs: np.ndarray):
         d = lat.dimension
         self.hbar = hbar
-        self.g = centered_indices(m, d) @ lat.reciprocal
+        self.g = g_vectors(lat, m)
         self.phase_q = np.exp(1j * qs @ self.g.T)                        # (Nq, nG)
         amp_sq = (4.0 * np.pi * hbar) ** (d / 2.0) / lat.cell_volume
         self.pref = (2.0 * np.pi * hbar) ** (-d) * amp_sq
 
-    def __call__(self, vectors: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    def window(self, ps: np.ndarray) -> np.ndarray:
         diff = ps[:, None, :] - self.hbar * self.g[None, :, :]
-        gauss = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * self.hbar))  # (Np, nG)
-        windowed = gauss[None, :, :] * vectors[:, None, :]                # (r, Np, nG)
+        return np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * self.hbar))  # (Np, nG)
+
+    def __call__(self, vectors: np.ndarray, window: np.ndarray) -> np.ndarray:
+        windowed = window[None, :, :] * vectors[:, None, :]               # (r, Np, nG)
         return np.einsum("qg,rpg->rpq", self.phase_q, windowed)
 
 
@@ -292,7 +323,7 @@ def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
     overlaps = PacketOverlaps(rho.lat, rho.m, rho.hbar, qs)
     acc = np.zeros((qs.shape[0], ps.shape[0]))
     for ik in range(rho.kgrid.size):
-        t = overlaps(rho.vectors[ik], ps - rho.hbar * rho.kgrid.points[ik])
+        t = overlaps(rho.vectors[ik], overlaps.window(ps - rho.hbar * rho.kgrid.points[ik]))
         acc += overlaps.pref * np.einsum("r,rpq->qp", rho.lambdas[ik], np.abs(t) ** 2)
     acc /= rho.kgrid.size
     n_q, n_p = qs.shape[0], ps.shape[0]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import KGrid, PeriodicField, centered_indices, coeffs_to_values, grid_weight, \
-    position_grid, values_to_coeffs
+from .bloch import KGrid, PeriodicField, coeffs_to_values, g_vectors, grid_weight, position_grid, \
+    values_to_coeffs
 from .classical_dynamics import TrigPotential
 from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
 from .quantization import FiberedDensity
@@ -35,8 +35,7 @@ class FiberHamiltonian:
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
         d = self.lat.dimension
-        g = centered_indices(self.m, d) @ self.lat.reciprocal
-        shifted = g + self.k
+        shifted = g_vectors(self.lat, self.m) + self.k
         diag = 0.5 * self.hbar ** 2 * np.sum(shifted * shifted, axis=-1)
         self.kinetic_diagonal = diag.reshape((2 * self.m + 1,) * d)
         n = 2 * self.m + 1
@@ -67,7 +66,6 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     half = kinetic_phase(h, 0.5 * step)
     full = half * half
     pot = np.exp(-1j * step * h.potential_values / h.hbar)
-    d = h.lat.dimension
     out = coeffs * half
     for i in range(n_steps):
         vals = coeffs_to_values(out, h.lat)
@@ -199,7 +197,7 @@ def commutator_residual(potential: TrigPotential, k, xi, u: PeriodicField, hbar:
     u_big = np.abs(coeffs_to_values(u.coeffs, lat, nv)).reshape(-1)
     res_diag = float(np.sqrt(np.sum(np.abs(diff * u_big) ** 2) * grid_weight(lat, nv)))
 
-    g = centered_indices(u.m, d) @ lat.reciprocal
+    g = g_vectors(lat, u.m)
     kin = 0.5 * hbar ** 2 * np.sum((g + k) ** 2, axis=-1)
     mom = np.sum((xi - hbar * g) ** 2, axis=-1)
     both = kin * mom - mom * kin
@@ -219,8 +217,8 @@ def _gradient_identity_residual(w_coeffs: np.ndarray, w_order: int, u: PeriodicF
     d = lat.dimension
     out_order = w_order + u.m
     big_shape = (2 * out_order + 1,) * d
-    g_small = centered_indices(u.m, d) @ lat.reciprocal
-    g_big = centered_indices(out_order, d) @ lat.reciprocal
+    g_small = g_vectors(lat, u.m)
+    g_big = g_vectors(lat, out_order)
     p_small = xi - hbar * g_small
     p_big = xi - hbar * g_big
 
@@ -232,7 +230,7 @@ def _gradient_identity_residual(w_coeffs: np.ndarray, w_order: int, u: PeriodicF
                          - p2_big * wu)
 
     rhs = np.zeros_like(lhs)
-    gw = centered_indices(w_order, d) @ lat.reciprocal
+    gw = g_vectors(lat, w_order)
     for i in range(d):
         grad_i = (1j * gw[:, i]).reshape(w_coeffs.shape) * w_coeffs
         pi_small = p_small[:, i].reshape(u.coeffs.shape)

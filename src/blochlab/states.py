@@ -3,8 +3,7 @@
 The periodized packet is represented in closed form: its plane-wave
 coefficients are the continuum Fourier transform of the Gaussian evaluated at
 the reciprocal vectors (Poisson summation makes this exact, not an
-approximation; only the basis truncation at order m is approximate).  The
-brute-force lattice sum on the position grid is kept as an independent oracle.
+approximation; only the basis truncation at order m is approximate).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PeriodicField, centered_indices, position_grid, translate_window, values_to_coeffs
+from .bloch import PeriodicField, g_vectors
 from .errors import AccuracyError
 from .lattice import LatticeSpec
 
@@ -56,8 +55,7 @@ def coherent_coeff_batch(qs: np.ndarray, ps: np.ndarray, hbar: float,
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     ps = np.atleast_2d(np.asarray(ps, dtype=float))
     d = lat.dimension
-    g = centered_indices(m, d) @ lat.reciprocal                    # (nG, d)
-    hg = hbar * g
+    hg = hbar * g_vectors(lat, m)                                  # (nG, d)
     amp = (4.0 * np.pi * hbar) ** (d / 4.0) / np.sqrt(lat.cell_volume)
     diff = ps[:, None, :] - hg[None, :, :]                        # (B, nG, d)
     gauss = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * hbar))
@@ -105,14 +103,3 @@ def _edge_max(a: np.ndarray) -> float:
         mask[tuple(sl)] = True
     return float(np.max(a[mask])) if a.size else 0.0
 
-
-def periodized_coherent_direct(params: CoherentParams, lat: LatticeSpec, m: int,
-                               l_cut: int) -> PeriodicField:
-    """Oracle construction: truncated lattice sum sampled on the position grid."""
-    n = 2 * m + 1
-    x = position_grid(lat, n)
-    shifts = lat.lattice_vector(translate_window(l_cut, lat.dimension))
-    vals = np.zeros(x.shape[0], dtype=complex)
-    for s in shifts:
-        vals += coherent_state(params, x + s)
-    return PeriodicField(lat, m, values_to_coeffs(vals.reshape((n,) * lat.dimension), lat, m))

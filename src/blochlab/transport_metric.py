@@ -16,13 +16,12 @@ import numpy as np
 
 from scipy import fft as sfft
 
-from .bloch import KGrid, PeriodicField, centered_indices, coeffs_to_values, grid_weight, \
-    position_grid, values_to_coeffs
+from .bloch import KGrid, PeriodicField, g_vectors, grid_weight, position_grid, values_to_coeffs
 from .classical_dynamics import TrigPotential, flow
 from .lattice import CellGeometry, LatticeSpec, reduce_to_cell, theta_cost_weights
-from .quantization import FiberedDensity, PacketOverlaps, PhaseSpaceDensity, toeplitz_quantize
+from .quantization import FiberedDensity, PacketOverlaps, PhaseSpaceDensity, momentum_cost, \
+    momentum_grid, toeplitz_quantize
 from .quantum_dynamics import FiberPropagator
-from .states import coherent_coeff_batch
 
 
 @dataclass(frozen=True)
@@ -60,28 +59,8 @@ def apply_cost(cost: CostParams, x, xi, u):
     w = cost.lam ** 2 * theta_cost_weights(x[None, :], grid, cost.geom)[0]
     vals = u.values() * w.reshape((n,) * lat.dimension)
     out = values_to_coeffs(vals, lat, u.m)
-    g = centered_indices(u.m, lat.dimension) @ lat.reciprocal
-    sym = np.sum((xi - cost.hbar * g) ** 2, axis=-1).reshape(u.coeffs.shape)
+    sym = np.sum((xi - cost.hbar * g_vectors(lat, u.m)) ** 2, axis=-1).reshape(u.coeffs.shape)
     return PeriodicField(lat, u.m, out + sym * u.coeffs)
-
-
-def cost_expectation_parts(cost: CostParams, xs: np.ndarray, xis: np.ndarray,
-                           coeffs: np.ndarray, lat: LatticeSpec, m: int):
-    """Position and momentum parts of <u|c|u> for a batch of (x, xi, u).
-
-    ``coeffs`` has shape (B, nG); returns two (B,) arrays.  The position part
-    is a cell-grid quadrature, the momentum part is exact in coefficients.
-    """
-    d = lat.dimension
-    n = 2 * m + 1
-    grid = position_grid(lat, n)
-    w = theta_cost_weights(xs, grid, cost.geom)                    # (B, nG_pos)
-    vals = coeffs_to_values(coeffs.reshape((-1,) + (n,) * d), lat, n).reshape(coeffs.shape[0], -1)
-    pos = cost.lam ** 2 * np.einsum("bg,bg->b", w, np.abs(vals) ** 2) * grid_weight(lat, n)
-    g = centered_indices(m, d) @ lat.reciprocal
-    sym = np.sum((xis[:, None, :] - cost.hbar * g[None, :, :]) ** 2, axis=-1)
-    mom = np.einsum("bg,bg->b", sym, np.abs(coeffs) ** 2)
-    return pos, mom
 
 
 @dataclass
@@ -102,52 +81,86 @@ class CouplingEnergy:
             raise ValueError("coupling energy must be nonnegative")
 
 
+def diagonal_coupling_parts(rho: FiberedDensity, x: np.ndarray, xi: np.ndarray,
+                            cost: CostParams):
+    """Per-fiber position and momentum energies of a diagonal packet coupling.
+
+    Vector j of fiber k, weighted by lambda_kj, is coupled to the phase-space
+    point (x_j, xi_j - hbar k).  The position part is the cell-grid
+    quadrature of lambda^2 theta(|P_Gamma(x_j - y)|^2) against its density;
+    the momentum part is exact in coefficients.  Returns two (n_k,) arrays.
+    """
+    lat = rho.lat
+    n = 2 * rho.m + 1
+    w = theta_cost_weights(x, position_grid(lat, n), cost.geom)        # (n_j, n^d)
+    pos = cost.lam ** 2 * np.einsum("jg,kjg->kj", w, rho.position_density()) \
+        * grid_weight(lat, n)
+    xi_k = xi[None, :, :] - cost.hbar * rho.kgrid.points[:, None, :]   # (n_k, n_j, d)
+    mom = momentum_cost(rho.momentum_moments(), xi_k)
+    return np.sum(rho.lambdas * pos, axis=1), np.sum(rho.lambdas * mom, axis=1)
+
+
 def coupling_energy_toeplitz(f: PhaseSpaceDensity, cost: CostParams, lat: LatticeSpec,
-                             kgrid: KGrid, m: int, mass_tol: float = 1e-8,
-                             chunk: int = 512) -> CouplingEnergy:
+                             kgrid: KGrid, m: int, mass_tol: float = 1e-8) -> CouplingEnergy:
     """Energy of the diagonal packet coupling between f and its quantization.
 
     For each node and fiber the integrand is the cost expectation on the
     periodized packet at (q_j, p_j - hbar k); the k average of the total is an
     upper bound (squared) for the pseudo-distance, below (1+lambda^2) d hbar/2.
     """
-    if abs(f.mass - 1.0) > mass_tol:
-        raise ValueError(f"density mass {f.mass:.3e} is not 1 (tol {mass_tol:g})")
-    n_k = kgrid.size
-    wf = f.weights * f.values
-    pos_fiber = np.zeros(n_k)
-    mom_fiber = np.zeros(n_k)
-    for ik in range(n_k):
-        k = kgrid.points[ik]
-        for lo in range(0, f.size, chunk):
-            sl = slice(lo, min(lo + chunk, f.size))
-            xis = f.nodes_p[sl] - cost.hbar * k
-            coeffs = coherent_coeff_batch(f.nodes_q[sl], xis, cost.hbar, lat, m)
-            pos, mom = cost_expectation_parts(cost, f.nodes_q[sl], xis, coeffs, lat, m)
-            pos_fiber[ik] += float(wf[sl] @ pos)
-            mom_fiber[ik] += float(wf[sl] @ mom)
-    d = lat.dimension
+    rho = toeplitz_quantize(f, lat, kgrid, m, cost.hbar, mass_tol)
+    pos_fiber, mom_fiber = diagonal_coupling_parts(rho, f.nodes_q, f.nodes_p, cost)
     per_fiber = pos_fiber + mom_fiber
-    bound = (1.0 + cost.lam ** 2) * d * cost.hbar / 2.0
+    bound = (1.0 + cost.lam ** 2) * lat.dimension * cost.hbar / 2.0
     return CouplingEnergy(total=float(np.mean(per_fiber)), per_fiber=per_fiber,
                           position_part=float(np.mean(pos_fiber)),
                           momentum_part=float(np.mean(mom_fiber)), bound=bound,
                           position_per_fiber=pos_fiber, momentum_per_fiber=mom_fiber)
 
 
-def pair_moment(dens: np.ndarray, lat: LatticeSpec) -> float:
+def pair_moment(dens: np.ndarray, lat: LatticeSpec):
     """sum_ij dens_i dens_j |P_Gamma(y_i - y_j)|^2 over the uniform n^d cell grid.
 
-    ``dens`` has shape (n,)*d.  On the uniform fractional grid the summand
+    ``dens`` has shape (..., n, ..., n) with d trailing grid axes; the result
+    has the leading shape.  On the uniform fractional grid the summand
     depends on i - j mod n only, so the double sum is dens . (D * dens) with
     one circular convolution by D, the distances from the first grid point.
     """
+    d = lat.dimension
     n = dens.shape[-1]
+    axes = tuple(range(-d, 0))
     pts = position_grid(lat, n)
     red = reduce_to_cell(pts - pts[0], lat)
-    kernel = np.sum(red * red, axis=-1).reshape(dens.shape)
-    conv = sfft.irfftn(sfft.rfftn(kernel) * sfft.rfftn(dens), s=dens.shape)
-    return float(np.sum(dens * conv))
+    kernel = np.sum(red * red, axis=-1).reshape((n,) * d)
+    conv = sfft.irfftn(sfft.rfftn(kernel) * sfft.rfftn(dens, axes=axes), s=(n,) * d, axes=axes)
+    return np.sum(dens * conv, axis=axes)
+
+
+def c_bold(rho: FiberedDensity) -> float:
+    """Fiber average of the fourth power of the fiber norms (rank-1 densities)."""
+    if rho.rank != 1:
+        raise ValueError("requires rank-1 fibers")
+    norms = rho.momentum_moments()[0][:, 0]
+    return float(np.mean(norms ** 2))
+
+
+def std_dev(rho: FiberedDensity) -> float:
+    """Spread functional Delta of a rank-1 fibered density.
+
+    Per fiber: half the second periodized moment of the pair density plus the
+    momentum variance N Q - |P|^2 (``FiberedDensity.momentum_moments``);
+    returns the square root of the fiber average.
+    """
+    if rho.rank != 1:
+        raise ValueError("requires rank-1 fibers")
+    lat = rho.lat
+    n = 2 * rho.m + 1
+    w = grid_weight(lat, n)
+    dens = rho.position_density()[:, 0].reshape((rho.kgrid.size,) + (n,) * lat.dimension)
+    norm_sq, mean_p, grad_sq = (a[:, 0] for a in rho.momentum_moments())
+    total = 0.5 * pair_moment(dens, lat) * w * w + norm_sq * grad_sq \
+        - np.sum(mean_p * mean_p, axis=-1)
+    return float(np.sqrt(np.mean(total)))
 
 
 def coupling_energy_husimi(rho: FiberedDensity, nq: int, np_per_dim: int,
@@ -155,69 +168,48 @@ def coupling_energy_husimi(rho: FiberedDensity, nq: int, np_per_dim: int,
     """Energy of the Husimi-weighted coupling for a rank-1 fibered density.
 
     Quadrature of the two energy pieces per fiber: the periodized-distance
-    moment against the Husimi weight, and the momentum symbol against the same
+    moment against the Husimi weight, and the momentum cost against the same
     weight.  ``bound`` carries the closed-form estimate
-    ``d hbar <norm^4> + 2 Delta^2`` that the quadrature total must stay under;
+    ``d hbar c_bold + 2 Delta^2`` that the quadrature total must stay under;
     ``momentum_identity`` holds the exact per-fiber value of the momentum
-    piece derived from norm/gradient moments, matched by the quadrature.
+    piece derived from the momentum moments, matched by the quadrature.
     """
     if rho.rank != 1:
         raise ValueError("Husimi coupling requires rank-1 fibers")
     lat, m, hbar = rho.lat, rho.m, rho.hbar
     d = lat.dimension
     n = 2 * m + 1
-    n_k = rho.kgrid.size
 
     qs = position_grid(lat, nq)
     wq = grid_weight(lat, nq)
-    dp = 2.0 * p_max / np_per_dim
-    axis = -p_max + (np.arange(np_per_dim) + 0.5) * dp
-    ps = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    wp = dp ** d
+    ps, wp = momentum_grid(d, np_per_dim, p_max)
 
-    overlaps = PacketOverlaps(lat, m, hbar, qs)
-    g = overlaps.g
-    e1 = np.zeros(n_k)
-    e2 = np.zeros(n_k)
-    bound_k = np.zeros(n_k)
-    ident_k = np.zeros(n_k)
-    grid_fft = position_grid(lat, n)
-    w_fft = grid_weight(lat, n)
-
-    diff_qy = qs[:, None, :] - grid_fft[None, :, :]
-    red_qy = reduce_to_cell(diff_qy.reshape(-1, d), lat)
+    # second periodized moment of |psi|^2 around each husimi q node, per fiber
+    red_qy = reduce_to_cell((qs[:, None, :] - position_grid(lat, n)[None, :, :]).reshape(-1, d),
+                            lat)
     dist_qy = np.sum(red_qy * red_qy, axis=-1).reshape(qs.shape[0], -1)
+    m2 = rho.position_density()[:, 0] @ dist_qy.T * grid_weight(lat, n)    # (n_k, Nq)
 
-    for ik in range(n_k):
-        psi = rho.vectors[ik, 0]
-        norm_sq = float(np.sum(np.abs(psi) ** 2))
-        vals = coeffs_to_values(psi.reshape((n,) * d), lat, n)
-        dens = np.abs(vals) ** 2
-        # second periodized moment of |psi|^2 around each husimi q node
-        m2 = (dist_qy @ dens.reshape(-1)) * w_fft
+    moments = tuple(a[:, 0] for a in rho.momentum_moments())
+    overlaps = PacketOverlaps(lat, m, hbar, qs)
+    # husimi weight at (q, p + hbar k): packet momentum argument is p itself
+    window = overlaps.window(ps)
+    e1 = np.zeros(rho.kgrid.size)
+    e2 = np.zeros(rho.kgrid.size)
+    for ik in range(rho.kgrid.size):
+        fk = overlaps.pref * np.abs(overlaps(rho.vectors[ik], window)[0]) ** 2    # (Np, Nq)
+        e1[ik] = float(np.einsum("pq,q->", fk, m2[ik]) * wq * wp)
+        e2[ik] = float((fk.sum(axis=1) * wq * wp)
+                       @ momentum_cost([a[ik] for a in moments], ps))
 
-        # husimi weight at (q, p + hbar k): packet momentum argument is p itself
-        fk = overlaps.pref * np.abs(overlaps(psi[None, :], ps)[0]) ** 2    # (Np, Nq)
-        mom_sym = np.sum((ps[:, None, :] - hbar * g[None, :, :]) ** 2, axis=-1)
-        mom_psi = mom_sym @ np.abs(psi) ** 2                         # (Np,)
-
-        e1[ik] = float(np.einsum("pq,q->", fk, m2) * wq * wp)
-        e2[ik] = float((fk.sum(axis=1) * wq * wp) @ mom_psi)
-
-        hg = hbar * g
-        grad_sq = float(np.sum(np.sum(hg * hg, axis=-1) * np.abs(psi) ** 2))
-        grad_mean = (hg * np.abs(psi[:, None]) ** 2).sum(axis=0)
-        ident_k[ik] = (d * hbar / 2.0) * norm_sq ** 2 \
-            + 2.0 * norm_sq * grad_sq - 2.0 * float(grad_mean @ grad_mean)
-
-        bound_k[ik] = d * hbar * norm_sq ** 2 + pair_moment(dens, lat) * w_fft ** 2 \
-            + 2.0 * (norm_sq * grad_sq - float(grad_mean @ grad_mean))
-
+    norm_sq, mean_p, grad_sq = moments
+    ident_k = (d * hbar / 2.0) * norm_sq ** 2 + 2.0 * norm_sq * grad_sq \
+        - 2.0 * np.sum(mean_p * mean_p, axis=-1)
     per_fiber = e1 + e2
     return CouplingEnergy(total=float(np.mean(per_fiber)), per_fiber=per_fiber,
                           position_part=float(np.mean(e1)),
                           momentum_part=float(np.mean(e2)),
-                          bound=float(np.mean(bound_k)),
+                          bound=d * hbar * c_bold(rho) + 2.0 * std_dev(rho) ** 2,
                           position_per_fiber=e1, momentum_per_fiber=e2,
                           momentum_identity=ident_k)
 
@@ -252,38 +244,20 @@ def stability_envelope(f: PhaseSpaceDensity, cost: CostParams, potential: TrigPo
     fibers.
     """
     rho = toeplitz_quantize(f, lat, kgrid, m, cost.hbar)
-    n_k = kgrid.size
-    d = lat.dimension
-    n = 2 * m + 1
-    wf = f.weights * f.values
     lip = potential.lipschitz_gradient().value
     eta = gronwall_rate(cost.geom, cost.lam, lip)
-    coeffs = rho.vectors
     propagator = FiberPropagator(kgrid, lat, m, potential, cost.hbar)
 
-    x = f.nodes_q.copy()
-    xi = f.nodes_p.copy()
-    grid = position_grid(lat, n)
-    g = centered_indices(m, d) @ lat.reciprocal
-
-    def energy_now():
-        w = theta_cost_weights(x, grid, cost.geom)                    # (n_j, nGpos)
-        vals = coeffs_to_values(coeffs.reshape((-1,) + (n,) * d), lat, n)
-        dens = np.abs(vals.reshape(n_k, f.size, -1)) ** 2
-        pos = cost.lam ** 2 * np.einsum("jg,kjg->kj", w, dens) * grid_weight(lat, n)
-        xi_eff = xi[None, :, :] - cost.hbar * kgrid.points[:, None, :]   # (n_k, n_j, d)
-        sym = np.sum((xi_eff[:, :, None, :] - cost.hbar * g[None, None, :, :]) ** 2, axis=-1)
-        mom = np.einsum("kjg,kjg->kj", sym, np.abs(coeffs) ** 2)
-        return float(np.mean((pos + mom) @ wf))
-
+    x, xi = f.nodes_q, f.nodes_p
     times = np.linspace(0.0, horizon, n_times + 1)
     energies = np.empty(n_times + 1)
-    energies[0] = energy_now()
     sample_dt = horizon / n_times
-    for i in range(1, n_times + 1):
-        x, xi = flow(x, xi, sample_dt, potential, dt)
-        propagator.advance(coeffs, sample_dt, dt)
-        energies[i] = energy_now()
+    for i in range(n_times + 1):
+        if i > 0:
+            x, xi = flow(x, xi, sample_dt, potential, dt)
+            propagator.advance(rho.vectors, sample_dt, dt)
+        pos, mom = diagonal_coupling_parts(rho, x, xi, cost)
+        energies[i] = np.mean(pos + mom)
     bounds = energies[0] * np.exp(2.0 * eta * times)
     return StabilityEnvelope(times=times, energies=energies, bounds=bounds, eta=eta,
                              lam=cost.lam, lipschitz=lip, initial_energy=energies[0])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.fft
 
+from blochlab import LatticeSpec, bloch
 from blochlab.bloch import default_window
 from blochlab.cli import main
 from blochlab.config import load_config, parse_config
@@ -207,18 +209,46 @@ def test_cli_bloch_check(tmp_path):
 
 def test_cli_determinism_bitwise(tmp_path):
     cfg = write_cfg(tmp_path)
+    pure = write_cfg(tmp_path, BASE.replace("kind = toeplitz", "kind = pure"), "pure.cfg")
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    out_threads = tmp_path / "threads"
-    # two FFT workers first: every later main() call sets the count back to 1
-    assert main(["verify", "--config", cfg, "--out", str(out_threads), "--threads", "2"]) == 0
     for out in (out1, out2):
         assert main(["verify", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
         assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
     for name in ("out_verify.csv", "out_observation.csv", "out_constants.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    for name in ("out_verify.csv", "out_observation.csv"):
-        assert (out1 / name).read_bytes() == (out_threads / name).read_bytes()
+    # the same bytes with one and with two FFT workers
+    runs = (("verify", cfg, ("out_verify.csv", "out_observation.csv")),
+            ("stability", cfg, ("out_stability.csv",)),
+            ("metric", cfg, ("out_metric.csv",)),
+            ("metric", pure, ("out_metric.csv",)))
+    for i, (sub, path, names) in enumerate(runs):
+        outs = [tmp_path / f"run{i}-threads{t}" for t in (1, 2)]
+        for t, out in zip((1, 2), outs):
+            assert main([sub, "--config", path, "--out", str(out), "--threads", str(t)]) == 0
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_threads_hold_for_one_command_only(tmp_path, monkeypatch):
+    # record the FFT worker count of every transform coeffs_to_values runs
+    seen = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            return getattr(scipy.fft, name)
+
+        def ifftn(self, *args, workers=None, **kwargs):
+            seen.append(scipy.fft.get_workers() if workers is None else workers)
+            return scipy.fft.ifftn(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(bloch, "sfft", Recorder())
+    cfg = write_cfg(tmp_path)
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
+    assert seen and set(seen) == {2}
+    seen.clear()
+    bloch.coeffs_to_values(np.ones(5, dtype=complex), LatticeSpec.cubic(1))
+    assert seen == [1]
 
 
 def test_cli_env_overrides(tmp_path, monkeypatch):

@@ -232,7 +232,8 @@ def test_husimi_of_toeplitz_sharpens_with_hbar(lat1):
 
 
 def test_trajectory_dump(tmp_path, lat1):
-    from blochlab.classical_dynamics import TrigPotential, dump_trajectory_csv
+    from blochlab.classical_dynamics import TrigPotential
+    from oracles import dump_trajectory_csv
     v = TrigPotential.cosine(lat1, (1,), 0.1)
     path = tmp_path / "traj.csv"
     dump_trajectory_csv(path, [0.0], [0.7], 1.0, v, dt=1e-2, n_samples=10)

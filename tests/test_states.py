@@ -3,10 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from blochlab import (CoherentParams, KGrid, bloch_transform, coherent_planewave_coeffs,
-                      coherent_state, fiber_average, periodized_coherent,
-                      periodized_coherent_direct)
+                      coherent_state, fiber_average, periodized_coherent)
 from blochlab.bloch import default_window
 from blochlab.errors import AccuracyError
+
+from oracles import periodized_coherent_direct
 
 
 def test_coherent_peak_value():

@@ -3,14 +3,16 @@ import pytest
 
 from blochlab import (CoherentParams, CostParams, KGrid, LatticeSpec, PeriodicField,
                       PhaseSpaceDensity, TrigPotential, apply_cost, coherent_family,
-                      coupling_energy_husimi, coupling_energy_toeplitz, gronwall_rate,
-                      stability_envelope, toeplitz_quantize)
+                      coupling_energy_husimi, coupling_energy_toeplitz, gamma_bounds,
+                      gronwall_rate, stability_envelope, toeplitz_quantize)
 from blochlab.bloch import grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab.quantization import FiberedDensity
 from blochlab.states import coherent_coeff_batch, coherent_state
 from blochlab.transport_metric import pair_moment
 from scipy.integrate import quad
+
+from oracles import diagonal_coupling_dense
 
 
 def bump_density(lat, nq=16, np_=24, p_max=1.0, p0=0.3):
@@ -93,6 +95,31 @@ def test_toeplitz_coupling_bound_1d(lat1, geom1, lam):
     assert ce.bound == pytest.approx((1 + lam ** 2) * hbar / 2)
     assert np.all(ce.per_fiber >= -1e-10)
     assert ce.total == pytest.approx(np.mean(ce.per_fiber), rel=1e-10)
+
+
+@pytest.mark.parametrize("basis, m, nq, np_", [
+    ([[1.0]], 48, 10, 12),
+    ([[1.0, 0.0], [0.5, np.sqrt(3) / 2]], 10, 4, 5),
+    ([[1.0, 0, 0], [0.3, 1.0, 0], [0.2, 0.5, 0.8]], 4, 2, 3)])
+def test_diagonal_coupling_matches_dense_symbol_loop(basis, m, nq, np_):
+    # oracle: packets rebuilt per fiber and node chunk, momentum part summed
+    # against the dense symbol |xi - hbar G|^2 instead of the moments N, P, Q
+    lat = LatticeSpec(basis)
+    d = lat.dimension
+    hbar = 0.05
+    p0 = np.linspace(0.3, 0.6, d)
+
+    def fn(q, p):
+        return np.exp(-np.sum(q ** 2, axis=-1) / (2 * 0.2 ** 2)
+                      - np.sum((p - p0) ** 2, axis=-1) / (2 * 0.3 ** 2))
+
+    f = PhaseSpaceDensity.from_function(fn, lat, nq, np_, 1.0)
+    cost = CostParams(1.3, hbar, gamma_bounds(lat))
+    kg = KGrid.monkhorst_pack(lat, 2)
+    ce = coupling_energy_toeplitz(f, cost, lat, kg, m)
+    pos, mom = diagonal_coupling_dense(f, cost, lat, kg, m, chunk=7)
+    np.testing.assert_allclose(ce.position_per_fiber, pos, rtol=1e-11, atol=0)
+    np.testing.assert_allclose(ce.momentum_per_fiber, mom, rtol=1e-11, atol=0)
 
 
 def test_toeplitz_coupling_monotone_in_lambda(lat1, geom1):
@@ -208,7 +235,11 @@ def test_pair_moment_matches_dense_matrix(basis, n, rng):
     red = reduce_to_cell((pts[:, None, :] - pts[None, :, :]).reshape(-1, d), lat)
     dist = np.sum(red * red, axis=-1).reshape(pts.shape[0], pts.shape[0])
     flat = dens.reshape(-1)
-    assert pair_moment(dens, lat) == pytest.approx(flat @ dist @ flat, rel=1e-12)
+    ref = flat @ dist @ flat
+    assert pair_moment(dens, lat) == pytest.approx(ref, rel=1e-12)
+    # batched over a leading axis
+    np.testing.assert_allclose(pair_moment(np.stack([dens, 2.0 * dens]), lat),
+                               [ref, 4.0 * ref], rtol=1e-12)
 
 
 def test_husimi_coupling_requires_rank_one(lat1):
