@@ -15,6 +15,7 @@ all cross terms between distinct translates).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,25 @@ def _alt_sign(n: int, d: int) -> np.ndarray:
     return out
 
 
+def _twisted(coeffs: np.ndarray, nout: int, d: int) -> np.ndarray:
+    """ifftshift of the zero-padded, sign-twisted coefficients, without a roll.
+
+    Centered coefficient n (d trailing axes, -m..m) times (-1)^(sum n_i) is
+    written straight to FFT position n mod nout, so padding, twist and shift
+    are one pass into a fresh (..., nout, ..., nout) array.
+    """
+    nin = coeffs.shape[-1]
+    m = nin // 2
+    alt = _alt_sign(nin, d)
+    out = np.zeros(coeffs.shape[:coeffs.ndim - d] + (nout,) * d, dtype=complex)
+    halves = ((slice(m, nin), slice(0, m + 1)), (slice(0, m), slice(nout - m, nout)))
+    for parts in itertools.product(halves, repeat=d):
+        src = tuple(p[0] for p in parts)
+        np.multiply(coeffs[(Ellipsis,) + src], alt[src],
+                    out=out[(Ellipsis,) + tuple(p[1] for p in parts)])
+    return out
+
+
 def position_grid(lat: LatticeSpec, n: int) -> np.ndarray:
     """Uniform grid of n^d points on the half-open cell, fractional t = j/n - 1/2."""
     d = lat.dimension
@@ -71,14 +91,10 @@ def coeffs_to_values(coeffs: np.ndarray, lat: LatticeSpec, nout: int | None = No
         nout = nin
     if nout % 2 == 0 or nout < nin:
         raise ValueError("nout must be odd and >= 2M+1")
-    pad = (nout - nin) // 2
-    if pad:
-        width = [(0, 0)] * (coeffs.ndim - d) + [(pad, pad)] * d
-        coeffs = np.pad(coeffs, width)
     axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
-    signed = coeffs * _alt_sign(nout, d)
-    vals = sfft.ifftn(sfft.ifftshift(signed, axes=axes), axes=axes)
-    return vals * (nout ** d / np.sqrt(lat.cell_volume))
+    vals = sfft.ifftn(_twisted(coeffs, nout, d), axes=axes, overwrite_x=True)
+    vals *= nout ** d / np.sqrt(lat.cell_volume)
+    return vals
 
 
 def values_to_coeffs(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray:

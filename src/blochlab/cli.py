@@ -213,6 +213,8 @@ def _cmd_verify(cfg, scn, out, cfg_hash) -> int:
         ("gronwall_factor", report.gronwall_factor),
         ("energy_bound", report.energy_bound),
         ("lhs_quad_error", report.lhs_quad_error),
+        ("rank", report.rank), ("rank_evolved", report.rank_evolved),
+        ("rank_tail", report.rank_tail),
     ]
     if report.threshold is not None:
         rows.append(("hbar_threshold", report.threshold))

@@ -27,17 +27,30 @@ class LatticeSpec:
     ----------
     basis : (d, d) array
         Row ``j`` is the basis vector ``a_j``.  Must be nonsingular.
+
+    The inverse basis, the reciprocal rows ``b_i`` (``b_i . a_j = 2 pi
+    delta_ij``) and the cell volume are computed once, read-only.
     """
 
     basis: np.ndarray
+    inverse_basis: np.ndarray = field(init=False, repr=False, compare=False)
+    reciprocal: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise ValueError("lattice basis must be a square matrix")
-        if abs(np.linalg.det(basis)) < 1e-14:
+        volume = abs(np.linalg.det(basis))
+        if volume < 1e-14:
             raise ValueError("lattice basis is singular")
+        inverse = np.linalg.inv(basis)
+        reciprocal = 2.0 * np.pi * inverse.T
+        inverse.flags.writeable = reciprocal.flags.writeable = False
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "inverse_basis", inverse)
+        object.__setattr__(self, "reciprocal", reciprocal)
+        object.__setattr__(self, "cell_volume", float(volume))
 
     @classmethod
     def cubic(cls, dimension: int, a: float = 1.0) -> "LatticeSpec":
@@ -46,19 +59,6 @@ class LatticeSpec:
     @property
     def dimension(self) -> int:
         return self.basis.shape[0]
-
-    @property
-    def inverse_basis(self) -> np.ndarray:
-        return np.linalg.inv(self.basis)
-
-    @property
-    def reciprocal(self) -> np.ndarray:
-        """Rows are the reciprocal vectors b_i, with b_i . a_j = 2 pi delta_ij."""
-        return 2.0 * np.pi * np.linalg.inv(self.basis).T
-
-    @property
-    def cell_volume(self) -> float:
-        return abs(np.linalg.det(self.basis))
 
     def to_fractional(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(z, dtype=float) @ self.inverse_basis

@@ -189,6 +189,9 @@ class TheoremReport:
     threshold: float | None
     threshold_ok: bool
     lhs_quad_error: float
+    rank: int                    # vectors per fiber of the initial datum
+    rank_evolved: int            # vectors per fiber after compression (the ones evolved)
+    rank_tail: float             # largest trace fraction compression dropped in one fiber
     std_dev: float | None = None
     c_bold: float | None = None
     observation_series: np.ndarray | None = None
@@ -242,11 +245,16 @@ def initial_density(scn: ObservabilityScenario) -> PhaseSpaceDensity:
 
 
 def initial_state(scn: ObservabilityScenario) -> FiberedDensity:
-    """The scenario's fibered initial datum: quantized bump or coherent family."""
+    """The scenario's fibered initial datum.
+
+    A coherent family for pure data; for toeplitz data the quantized bump,
+    compressed to its effective rank at ``prune_tol`` (``FiberedDensity.compressed``).
+    """
     kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
     if scn.initial_kind == "pure":
         return coherent_family(scn.lat, kgrid, scn.disc.m, scn.hbar, scn.center_q, scn.center_p)
-    return toeplitz_quantize(initial_density(scn), scn.lat, kgrid, scn.disc.m, scn.hbar)
+    rho = toeplitz_quantize(initial_density(scn), scn.lat, kgrid, scn.disc.m, scn.hbar)
+    return rho.compressed(scn.disc.prune_tol)[0]
 
 
 def default_p_max(scn: ObservabilityScenario) -> float:
@@ -293,11 +301,18 @@ def _assemble_report(scn: ObservabilityScenario, kind: str, lhs: float, series, 
 
 
 def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
-    """Run the inequality check for a quantized Gaussian-bump density."""
+    """Run the inequality check for a quantized Gaussian-bump density.
+
+    The quantized density is evolved on its effective rank: compression at
+    ``prune_tol`` drops at most that fraction of each fiber trace, the same
+    tolerance as the node pruning of the classical density.
+    """
     d = scn.lat.dimension
     f = initial_density(scn)
     rho = toeplitz_quantize(f, scn.lat, KGrid.monkhorst_pack(scn.lat, scn.disc.n_k),
                             scn.disc.m, scn.hbar)
+    rank = rho.rank
+    rho, tail = rho.compressed(scn.disc.prune_tol)
     lhs, series, times, quad_err = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)
@@ -311,7 +326,8 @@ def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
     # coupling-energy bound sqrt((1+lam^2) d hbar / 2) at the minimizing scale
     energy_bound = float(np.sqrt((1.0 + lam_star ** 2) * d * scn.hbar / 2.0))
     return _assemble_report(scn, "toeplitz", lhs, series, times, quad_err, gc, mass_k,
-                            c_t, lam_star, float(np.sqrt(d * scn.hbar)), energy_bound, {})
+                            c_t, lam_star, float(np.sqrt(d * scn.hbar)), energy_bound,
+                            {"rank": rank, "rank_evolved": rho.rank, "rank_tail": tail})
 
 
 def verify_pure_theorem(scn: ObservabilityScenario) -> TheoremReport:
@@ -332,4 +348,5 @@ def verify_pure_theorem(scn: ObservabilityScenario) -> TheoremReport:
     energy_bound = float(np.sqrt(d * scn.hbar * cb + 2.0 * dev ** 2))
     return _assemble_report(scn, "pure", lhs, series, times, quad_err, gc, mass_k,
                             c_p, 1.0, energy_bound, energy_bound,
-                            {"std_dev": dev, "c_bold": cb})
+                            {"std_dev": dev, "c_bold": cb, "rank": rho.rank,
+                             "rank_evolved": rho.rank, "rank_tail": 0.0})

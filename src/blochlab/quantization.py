@@ -212,6 +212,40 @@ class FiberedDensity:
         return FiberedDensity(self.kgrid, self.lat, self.m, self.hbar,
                               c * self.lambdas, self.vectors)
 
+    def compressed(self, tol: float) -> tuple["FiberedDensity", float]:
+        """The same fibers on their leading eigenvectors, and the largest trace tail dropped.
+
+        With s_j = sqrt(lambda_j), fiber k has the nonzero spectrum of the
+        (rank x rank) Gram matrix G_ij = s_i s_j <v_i, v_j>, and the Gram
+        eigenvector u with eigenvalue w gives the unit eigenvector
+        sum_j u_j s_j v_j / sqrt(w).  The kept rank r is the smallest one, common
+        to all fibers, whose discarded eigenvalues sum to at most tol times the
+        fiber trace in every fiber; the kept eigenvalues are rescaled so that
+        each fiber trace is unchanged.  Returns (density, largest discarded
+        trace fraction over fibers); when nothing can be dropped the density
+        itself is returned.
+        """
+        s = np.sqrt(np.clip(self.lambdas, 0.0, None))
+        gram = np.stack([np.conj(v) @ v.T for v in self.vectors]) * s[:, :, None] * s[:, None, :]
+        w, u = np.linalg.eigh(gram)                         # ascending, per fiber
+        w = np.clip(w, 0.0, None)
+        traces = self.fiber_traces()
+        # tails[k, i]: trace left out when the i smallest eigenvalues of fiber k are dropped
+        tails = np.concatenate([np.zeros((w.shape[0], 1)), np.cumsum(w, axis=1)], axis=1)
+        n_drop = min(int(np.min(np.sum(tails <= tol * traces[:, None], axis=1))) - 1,
+                     self.rank - 1)
+        if n_drop <= 0:
+            return self, 0.0
+        w, u = w[:, n_drop:], u[:, :, n_drop:]
+        inv_root = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > 0.0)
+        vectors = (np.swapaxes(u, 1, 2) * s[:, None, :] * inv_root[:, :, None]) @ self.vectors
+        lambdas = w * np.divide(traces, np.sum(w, axis=1), out=np.zeros_like(traces),
+                                where=traces > 0.0)[:, None]
+        dropped = np.divide(tails[:, n_drop], traces, out=np.zeros_like(traces),
+                            where=traces > 0.0)
+        return (FiberedDensity(self.kgrid, self.lat, self.m, self.hbar, lambdas, vectors),
+                float(np.max(dropped)))
+
     def position_density(self) -> np.ndarray:
         """|v(y)|^2 of every vector on the (2m+1)^d cell grid, shape (n_k, rank, (2m+1)^d).
 
@@ -219,7 +253,8 @@ class FiberedDensity:
         """
         vals = coeffs_to_values(self.vectors.reshape(self.lambdas.shape + self.coeff_shape),
                                 self.lat)
-        return np.abs(vals.reshape(self.vectors.shape)) ** 2
+        vals = vals.reshape(self.vectors.shape)
+        return vals.real ** 2 + vals.imag ** 2
 
     def momentum_moments(self):
         """Moments of |c_G|^2 of every vector: N (n_k, rank), P (n_k, rank, d), Q (n_k, rank).
@@ -288,8 +323,8 @@ class PacketOverlaps:
     The position phases exp(i q.G) are built once for the q nodes; the
     Gaussian momentum window of the p nodes comes from ``window`` (callers
     pass p - hbar*k to address fiber k).  A call returns the unnormalized
-    overlaps, shape (r, Np, Nq); ``pref`` times their squared modulus is the
-    Husimi integrand.
+    overlaps of one fiber vector, shape (Np, Nq); ``pref`` times their
+    squared modulus is the Husimi integrand.
     """
 
     def __init__(self, lat: LatticeSpec, m: int, hbar: float, qs: np.ndarray):
@@ -301,12 +336,24 @@ class PacketOverlaps:
         self.pref = (2.0 * np.pi * hbar) ** (-d) * amp_sq
 
     def window(self, ps: np.ndarray) -> np.ndarray:
-        diff = ps[:, None, :] - self.hbar * self.g[None, :, :]
-        return np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * self.hbar))  # (Np, nG)
+        """exp(-|p - hbar G|^2 / (2 hbar)), shape (Np, nG), summed one axis at a time."""
+        dist = np.zeros((ps.shape[0], self.g.shape[0]))
+        for i in range(ps.shape[1]):
+            diff = ps[:, i, None] - self.hbar * self.g[None, :, i]
+            dist += diff * diff
+        return np.exp(-dist / (2.0 * self.hbar))
 
-    def __call__(self, vectors: np.ndarray, window: np.ndarray) -> np.ndarray:
-        windowed = window[None, :, :] * vectors[:, None, :]               # (r, Np, nG)
-        return np.einsum("qg,rpg->rpq", self.phase_q, windowed)
+    def __call__(self, vector: np.ndarray, window: np.ndarray) -> np.ndarray:
+        return (window * vector) @ self.phase_q.T
+
+    def intensity(self, vectors: np.ndarray, weights: np.ndarray,
+                  window: np.ndarray) -> np.ndarray:
+        """sum_r weights_r |overlaps of vectors_r|^2, shape (Np, Nq), one vector at a time."""
+        out = np.zeros((window.shape[0], self.phase_q.shape[0]))
+        for w, vector in zip(weights, vectors):
+            t = self(vector, window)
+            out += w * (t.real ** 2 + t.imag ** 2)
+        return out
 
 
 def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
@@ -321,11 +368,11 @@ def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
     qs = np.atleast_2d(qs)
     ps = np.atleast_2d(ps)
     overlaps = PacketOverlaps(rho.lat, rho.m, rho.hbar, qs)
-    acc = np.zeros((qs.shape[0], ps.shape[0]))
+    acc = np.zeros((ps.shape[0], qs.shape[0]))
     for ik in range(rho.kgrid.size):
-        t = overlaps(rho.vectors[ik], overlaps.window(ps - rho.hbar * rho.kgrid.points[ik]))
-        acc += overlaps.pref * np.einsum("r,rpq->qp", rho.lambdas[ik], np.abs(t) ** 2)
-    acc /= rho.kgrid.size
+        acc += overlaps.intensity(rho.vectors[ik], rho.lambdas[ik],
+                                  overlaps.window(ps - rho.hbar * rho.kgrid.points[ik]))
+    acc = overlaps.pref * acc.T / rho.kgrid.size
     n_q, n_p = qs.shape[0], ps.shape[0]
     q_full = np.repeat(qs, n_p, axis=0)
     p_full = np.tile(ps, (n_q, 1))

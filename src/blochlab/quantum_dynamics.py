@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
-from .bloch import KGrid, PeriodicField, coeffs_to_values, g_vectors, grid_weight, position_grid, \
-    values_to_coeffs
+from .bloch import KGrid, PeriodicField, _alt_sign, _twisted, coeffs_to_values, g_vectors, \
+    grid_weight, position_grid, values_to_coeffs
 from .classical_dynamics import TrigPotential
 from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
 from .quantization import FiberedDensity
@@ -53,6 +54,12 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     Kinetic half-steps act diagonally on coefficients; the potential factor
     multiplies pointwise on the position grid.  The zero-potential case uses
     the exact diagonal propagator.
+
+    The batch is moved once into twisted FFT order, x = ifftshift(c * alt),
+    in which the values on the cell grid are ifftn(x) up to a constant that
+    cancels between the two transforms of a step; each step is then
+    fftn(ifftn(x) * pot) * phase with kinetic phases in FFT order, and the
+    result is moved back once at the end.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if t == 0.0:
@@ -63,15 +70,19 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
         raise ValueError("dt must be positive")
     n_steps = max(1, int(np.ceil(abs(t) / dt)))
     step = t / n_steps
+    d = h.lat.dimension
+    axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
     half = kinetic_phase(h, 0.5 * step)
+    x = _twisted(coeffs * half, 2 * h.m + 1, d)
+    half = sfft.ifftshift(half)
     full = half * half
     pot = np.exp(-1j * step * h.potential_values / h.hbar)
-    out = coeffs * half
     for i in range(n_steps):
-        vals = coeffs_to_values(out, h.lat)
-        out = values_to_coeffs(vals * pot, h.lat, h.m)
-        out = out * (half if i == n_steps - 1 else full)
-    return out
+        vals = sfft.ifftn(x, axes=axes, overwrite_x=True)
+        vals *= pot
+        x = sfft.fftn(vals, axes=axes, overwrite_x=True)
+        x *= half if i == n_steps - 1 else full
+    return sfft.fftshift(x, axes=axes) * _alt_sign(2 * h.m + 1, d)
 
 
 def propagate_fiber(u: PeriodicField, h: FiberHamiltonian, t: float, dt: float) -> PeriodicField:
@@ -87,20 +98,23 @@ class FiberPropagator:
     def __init__(self, kgrid: KGrid, lat: LatticeSpec, m: int, potential: TrigPotential,
                  hbar: float):
         self.hams = [FiberHamiltonian(lat, m, k, potential, hbar) for k in kgrid.points]
+        self.free = potential.is_zero
+        self.hbar = hbar
+        self.kinetic = np.stack([h.kinetic_diagonal.reshape(-1) for h in self.hams])
 
     def advance(self, coeffs: np.ndarray, t: float, dt: float) -> np.ndarray:
         """Propagate every fiber of ``coeffs`` by time t in place; returns ``coeffs``.
 
-        With V = 0 the kinetic phases are applied directly; otherwise each
-        fiber's batch goes through one ``propagate_batch`` call.
+        With V = 0 the kinetic phases of all fibers are applied at once;
+        otherwise each fiber's batch goes through one ``propagate_batch`` call.
         """
+        if self.free:
+            coeffs *= np.exp(-1j * t * self.kinetic / self.hbar)[:, None, :]
+            return coeffs
         n_b = coeffs.shape[1]
         for ik, h in enumerate(self.hams):
-            if h.potential.is_zero:
-                coeffs[ik] *= kinetic_phase(h, t).reshape(-1)
-            else:
-                coeffs[ik] = propagate_batch(coeffs[ik].reshape((n_b,) + h.kinetic_diagonal.shape),
-                                             h, t, dt).reshape(n_b, -1)
+            coeffs[ik] = propagate_batch(coeffs[ik].reshape((n_b,) + h.kinetic_diagonal.shape),
+                                         h, t, dt).reshape(n_b, -1)
         return coeffs
 
 

@@ -197,7 +197,7 @@ def coupling_energy_husimi(rho: FiberedDensity, nq: int, np_per_dim: int,
     e1 = np.zeros(rho.kgrid.size)
     e2 = np.zeros(rho.kgrid.size)
     for ik in range(rho.kgrid.size):
-        fk = overlaps.pref * np.abs(overlaps(rho.vectors[ik], window)[0]) ** 2    # (Np, Nq)
+        fk = overlaps.pref * np.abs(overlaps(rho.vectors[ik, 0], window)) ** 2    # (Np, Nq)
         e1[ik] = float(np.einsum("pq,q->", fk, m2[ik]) * wq * wp)
         e2[ik] = float((fk.sum(axis=1) * wq * wp)
                        @ momentum_cost([a[ik] for a in moments], ps))

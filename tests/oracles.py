@@ -1,14 +1,16 @@
 """Independent reference constructions that the tests compare the package against.
 
 Each oracle computes a quantity the slow, direct way: a lattice sum on the
-position grid, a per-fiber loop over dense momentum symbols, or a plain dump
-of arrays.  None of them is used by the package itself.
+position grid, a per-fiber loop over dense momentum symbols, a transform loop
+that rolls and rescales at every step, or a plain dump of arrays.  None of
+them is used by the package itself.
 """
 
 import numpy as np
+from scipy import fft as sfft
 
 from blochlab import PeriodicField
-from blochlab.bloch import coeffs_to_values, g_vectors, grid_weight, position_grid, \
+from blochlab.bloch import _alt_sign, coeffs_to_values, g_vectors, grid_weight, position_grid, \
     translate_window, values_to_coeffs
 from blochlab.classical_dynamics import flow
 from blochlab.lattice import theta_cost_weights
@@ -24,6 +26,31 @@ def periodized_coherent_direct(params, lat, m: int, l_cut: int) -> PeriodicField
     for s in shifts:
         vals += coherent_state(params, x + s)
     return PeriodicField(lat, m, values_to_coeffs(vals.reshape((n,) * lat.dimension), lat, m))
+
+
+def coeffs_to_values_rolled(coeffs, lat, nout=None):
+    """Coefficients to grid values by padding, twisting, ifftshift roll, ifftn and scale."""
+    d = lat.dimension
+    nout = coeffs.shape[-1] if nout is None else nout
+    pad = (nout - coeffs.shape[-1]) // 2
+    coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - d) + [(pad, pad)] * d)
+    axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
+    vals = sfft.ifftn(sfft.ifftshift(coeffs * _alt_sign(nout, d), axes=axes), axes=axes)
+    return vals * (nout ** d / np.sqrt(lat.cell_volume))
+
+
+def propagate_batch_rolled(coeffs, h, t: float, dt: float):
+    """Strang splitting with a full coefficient/value round trip (rolls, signs, scales) per step."""
+    n_steps = max(1, int(np.ceil(abs(t) / dt)))
+    step = t / n_steps
+    half = np.exp(-1j * 0.5 * step * h.kinetic_diagonal / h.hbar)
+    pot = np.exp(-1j * step * h.potential_values / h.hbar)
+    out = np.asarray(coeffs, dtype=complex) * half
+    for i in range(n_steps):
+        vals = coeffs_to_values_rolled(out, h.lat)
+        out = values_to_coeffs(vals * pot, h.lat, h.m)
+        out = out * (half if i == n_steps - 1 else half * half)
+    return out
 
 
 def dump_csv(state, path) -> None:

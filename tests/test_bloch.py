@@ -8,7 +8,7 @@ from blochlab.bloch import (coeffs_to_values, default_window, g_vectors, grid_we
 from blochlab.errors import AccuracyError
 
 from conftest import coherent_overlap
-from oracles import dump_csv
+from oracles import coeffs_to_values_rolled, dump_csv
 
 
 def random_field(rng, lat, m):
@@ -58,6 +58,12 @@ def test_coeff_value_roundtrip(rng, lat1, lat2):
                   / np.sqrt(lat.cell_volume))
         np.testing.assert_allclose(coeffs_to_values(f.coeffs, lat, n).reshape(-1),
                                    direct, atol=1e-11)
+        # the roll-free transform against pad, twist, ifftshift roll and ifftn, batched
+        batch = np.stack([f.coeffs, 1j * f.coeffs[::-1]])
+        for nout in (None, n, 2 * m + 9):
+            ref = coeffs_to_values_rolled(batch, lat, nout)
+            err = np.max(np.abs(coeffs_to_values(batch, lat, nout) - ref))
+            assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_parseval_on_grid(rng, lat1):

@@ -181,6 +181,8 @@ def test_cli_verify_and_evolve(tmp_path):
     rows = dict(line.split(",") for line in
                 (tmp_path / "out_verify.csv").read_text().splitlines()[2:])
     assert float(rows["margin"]) >= -float(rows["error_budget"])
+    assert int(rows["rank_evolved"]) <= int(rows["rank"])
+    assert float(rows["rank_tail"]) <= 1e-10
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "out_evolve.csv").read_text().splitlines()
     assert lines[1] == "t,observed"
@@ -268,3 +270,4 @@ def test_cli_pure_verify(tmp_path):
                 (tmp_path / "out_verify.csv").read_text().splitlines()[2:])
     assert rows["kind"] == "pure"
     assert float(rows["std_dev"]) > 0
+    assert (rows["rank"], rows["rank_evolved"], rows["rank_tail"]) == ("1", "1", "0")

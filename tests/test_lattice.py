@@ -11,6 +11,9 @@ def test_reciprocal_duality(lat1, lat2):
         prod = lat.reciprocal @ lat.basis.T
         np.testing.assert_allclose(prod, 2 * np.pi * np.eye(lat.dimension),
                                    rtol=1e-12, atol=1e-12)
+        # computed once with the lattice and shared by every caller, so read-only
+        assert lat.cell_volume == abs(np.linalg.det(lat.basis))
+        assert not lat.reciprocal.flags.writeable and not lat.inverse_basis.flags.writeable
 
 
 def test_singular_basis_rejected():

@@ -7,8 +7,9 @@ from blochlab import (Discretization, KGrid, ObservabilityScenario, PhaseBoxSet,
                       verify_toeplitz_theorem)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
-from blochlab.observability import minimize_toeplitz_penalty
-from blochlab.quantization import FiberedDensity
+from blochlab.observability import initial_density, minimize_toeplitz_penalty, \
+    observed_time_integral
+from blochlab.quantization import FiberedDensity, toeplitz_quantize
 
 
 def _toeplitz_oracle(geom, horizon, lip, n=100_000):
@@ -188,6 +189,23 @@ def test_toeplitz_report_structure(lat1, geom1):
     assert assembled == pytest.approx(rep.penalty, rel=1e-6)
     assert rep.threshold is not None and not rep.threshold_ok
     assert rep.lhs_quad_error < 5e-3 * rep.lhs
+    assert rep.rank_evolved <= rep.rank and rep.rank_tail <= 1e-10
+
+
+def test_compression_keeps_toeplitz_lhs(lat1, geom1):
+    # with a potential the quantized bump has far fewer significant eigenvectors than nodes
+    scn = base_scenario(lat1, geom1, hbar=0.01, n_obs=20)
+    scn.potential = TrigPotential.cosine(lat1, (1,), 0.1)
+    scn.disc = Discretization(m=64, n_k=4, n_q=10, n_p=14, n_time_obs=20, n_time_gc=200,
+                              gc_per_axis=8, gc_quasi=40, dt=1e-3)
+    rep = verify_toeplitz_theorem(scn)
+    assert rep.rank_evolved < rep.rank and 0.0 < rep.rank_tail <= scn.disc.prune_tol
+    rho = toeplitz_quantize(initial_density(scn), lat1, KGrid.monkhorst_pack(lat1, 4), 64,
+                            scn.hbar)
+    assert rho.rank == rep.rank
+    lhs = observed_time_integral(rho, scn.omega, scn.delta, scn.potential, scn.horizon,
+                                 20, scn.disc.dt)[0]
+    assert rep.lhs == pytest.approx(lhs, rel=1e-9)
 
 
 def test_pure_report_structure(lat1, geom1):
@@ -196,6 +214,7 @@ def test_pure_report_structure(lat1, geom1):
     assert rep.mass_on_k == pytest.approx(1.0, abs=1e-4)
     assert rep.c_bold == pytest.approx(1.0, abs=1e-6)
     assert rep.std_dev ** 2 == pytest.approx(rep.hbar, rel=1e-3)
+    assert (rep.rank, rep.rank_evolved, rep.rank_tail) == (1, 1, 0.0)
     assembled = rep.gronwall_factor * rep.energy_bound
     assert assembled == pytest.approx(rep.penalty, rel=1e-6)
 

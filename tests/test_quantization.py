@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from blochlab import (KGrid, PhaseBoxSet, PhaseSpaceDensity, Region, coherent_family,
+from blochlab import (KGrid, LatticeSpec, PhaseBoxSet, PhaseSpaceDensity, Region, coherent_family,
                       husimi, observe, periodic_trace, toeplitz_quantize)
 from blochlab.bloch import grid_weight, position_grid
 from blochlab.quantization import FiberedDensity, husimi_mass_on_boxes
@@ -76,6 +76,37 @@ def test_toeplitz_fiber_nonnegative_dense_oracle(lat1):
         v = rho.vectors[i]
         w = np.linalg.eigvalsh((v.conj().T * rho.lambdas[i]) @ v)   # dense fiber oracle
         assert w.min() >= -1e-12
+
+
+def _dense_fibers(rho):
+    """sum_j lambda_j v_j v_j^H of every fiber, shape (n_k, n_G, n_G)."""
+    return np.stack([(v.T * lam) @ v.conj() for lam, v in zip(rho.lambdas, rho.vectors)])
+
+
+@pytest.mark.parametrize("basis, m, nq, npd, hbar", [
+    ([[1.0]], 32, 10, 14, 0.02),
+    ([[1.0, 0.0], [0.5, 0.8660254037844386]], 8, 5, 6, 0.05),
+])
+def test_compressed_matches_dense_fiber_operator(rng, basis, m, nq, npd, hbar):
+    lat = LatticeSpec(basis)
+    d = lat.dimension
+    f = PhaseSpaceDensity.from_function(gaussian_bump(np.zeros(d), np.full(d, 0.3), 0.15, 0.2),
+                                        lat, nq, npd, 1.0)
+    rho = toeplitz_quantize(f, lat, KGrid.monkhorst_pack(lat, 2), m, hbar)
+    tol = 1e-6
+    small, tail = rho.compressed(tol)
+    assert small.rank < rho.rank and 0.0 < tail <= tol
+    traces = rho.fiber_traces()
+    np.testing.assert_allclose(small.fiber_traces(), traces, rtol=1e-13)
+    # the tail is dropped and its trace put back on the kept part: trace norm 2 tail
+    for diff, tr in zip(_dense_fibers(rho) - _dense_fibers(small), traces):
+        assert np.sum(np.abs(np.linalg.eigvalsh(diff))) <= 2.0 * tail * tr * (1 + 1e-6) + 1e-14
+    # a density with nothing to drop comes back as it is
+    vecs = rng.standard_normal((2, 3, (2 * m + 1) ** d)) + 0j
+    full = FiberedDensity(rho.kgrid, lat, m, hbar, np.full((2 ** d, 3), 0.5),
+                          np.tile(vecs, (2 ** (d - 1), 1, 1)))
+    same, tail = full.compressed(1e-10)
+    assert same is full and tail == 0.0
 
 
 @pytest.mark.parametrize("rank", [1, 4])

@@ -10,6 +10,8 @@ from blochlab.bloch import centered_indices
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
+from oracles import propagate_batch_rolled
+
 
 @pytest.fixture(scope="module")
 def vpot():
@@ -51,6 +53,21 @@ def test_norm_preserved_thousand_steps(lat1, vpot):
     u = periodized_coherent(CoherentParams([0.0], [0.4], hbar), lat1, m)
     out = propagate_batch(u.coeffs, h, 1.0, 1e-3)   # 1000 strang steps
     assert abs(np.sqrt(np.sum(np.abs(out) ** 2)) - np.sqrt(u.norm_sq)) < 1e-9
+
+
+@pytest.mark.parametrize("basis, terms, m", [
+    ([[1.0]], (((1,), 0.1, 0.0),), 32),
+    ([[1.0, 0.0], [0.5, 0.8660254037844386]], (((1, 0), 0.3, 0.2), ((1, -1), 0.2, 0.0)), 8),
+])
+def test_propagate_batch_matches_rolled_loop(rng, basis, terms, m):
+    # twisted FFT order and phases precomputed once against a full round trip per step
+    lat = LatticeSpec(basis)
+    h = FiberHamiltonian(lat, m, 0.3 * lat.reciprocal[0], TrigPotential(lat, terms), 0.05)
+    shape = (3,) + (2 * m + 1,) * lat.dimension
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = propagate_batch_rolled(coeffs, h, 0.2, 1e-2)
+    err = np.max(np.abs(propagate_batch(coeffs, h, 0.2, 1e-2) - ref))
+    assert err <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_strang_matches_dense_exponential(lat1, vpot):
