@@ -78,6 +78,20 @@ def grid_weight(lat: LatticeSpec, n: int) -> float:
     return lat.cell_volume / n ** lat.dimension
 
 
+def quadrature_len(m: int) -> int:
+    """Points per axis of the cell grid that every quadrature against |v|^2 uses.
+
+    The smallest odd n >= 2m+1 that is 11-smooth (``scipy.fft.next_fast_len``),
+    so the transforms avoid the prime-length fallback.  |v|^2 of an order-m
+    field has frequencies up to 2m, so its grid sum is its exact integral for
+    any n >= 2m+1.
+    """
+    n = 2 * m + 1
+    while sfft.next_fast_len(n) != n:
+        n += 2
+    return n
+
+
 def coeffs_to_values(coeffs: np.ndarray, lat: LatticeSpec, nout: int | None = None) -> np.ndarray:
     """Evaluate plane-wave coefficients on the position grid (batched over leading axes).
 

@@ -9,6 +9,7 @@ errors carry line/column information; validation errors name the offending
 from __future__ import annotations
 
 import ast
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,6 +237,11 @@ def load_config(text: str) -> ExperimentConfig:
     k_boxes = _value(sections, "scenario", "K", lambda v: _boxes(v, 4, d))
     if not k_boxes.size:
         raise ConfigValidationError("scenario.K", "must be nonempty")
+    # the Husimi mass on K is summed box by box, so an overlap would count twice
+    for i, j in itertools.combinations(range(k_boxes.shape[0]), 2):
+        if np.all(np.maximum(k_boxes[i, ::2], k_boxes[j, ::2])
+                  < np.minimum(k_boxes[i, 1::2], k_boxes[j, 1::2])):
+            raise ConfigValidationError("scenario.K", f"boxes {i} and {j} overlap")
     omega_boxes = _value(sections, "scenario", "omega", lambda v: _boxes(v, 2, d),
                          np.zeros((0, 2, d)))
 

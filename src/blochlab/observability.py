@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import KGrid, grid_weight, position_grid
+from .bloch import KGrid
 from .classical_dynamics import GCEstimate, TrigPotential, gc_constant
 from .lattice import CellGeometry, LatticeSpec, Region
 from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
@@ -210,13 +210,9 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
     """
     if n_samples % 2 == 1:
         n_samples += 1
-    lat, m = rho.lat, rho.m
-    n = 2 * m + 1
-    pts = position_grid(lat, n)
-    mask = (region.contains_dilated(pts, delta) if delta > 0
-            else region.contains(pts)).astype(float) * grid_weight(lat, n)
-    rho_t = FiberedDensity(rho.kgrid, lat, m, rho.hbar, rho.lambdas, rho.vectors.copy())
-    propagator = FiberPropagator(rho.kgrid, lat, m, potential, rho.hbar)
+    mask = rho.region_mask(region, delta)
+    rho_t = FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, rho.lambdas, rho.vectors.copy())
+    propagator = FiberPropagator(rho.kgrid, rho.lat, rho.m, potential, rho.hbar)
     sample_dt = horizon / n_samples
     series = np.empty(n_samples + 1)
     series[0] = rho_t.masked_trace(mask)

@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import KGrid, coeffs_to_values, g_vectors, grid_weight, position_grid
+from .bloch import KGrid, coeffs_to_values, g_vectors, grid_weight, position_grid, \
+    quadrature_len
 from .lattice import LatticeSpec, Region
 from .states import coherent_coeff_batch
 
@@ -246,15 +247,22 @@ class FiberedDensity:
         return (FiberedDensity(self.kgrid, self.lat, self.m, self.hbar, lambdas, vectors),
                 float(np.max(dropped)))
 
-    def position_density(self) -> np.ndarray:
-        """|v(y)|^2 of every vector on the (2m+1)^d cell grid, shape (n_k, rank, (2m+1)^d).
+    def _squared_values(self) -> np.ndarray:
+        """Every vector on the quadrature grid, squared in place on its float view.
 
-        Every fiber and rank is evaluated by one batched transform.
+        Shape (n_k, rank, 2 n^d) with n = ``quadrature_len(m)``: re^2 and im^2
+        of each grid value, interleaved.  Every fiber and rank is evaluated by
+        one batched transform.
         """
         vals = coeffs_to_values(self.vectors.reshape(self.lambdas.shape + self.coeff_shape),
-                                self.lat)
-        vals = vals.reshape(self.vectors.shape)
-        return vals.real ** 2 + vals.imag ** 2
+                                self.lat, quadrature_len(self.m))
+        sq = vals.reshape(self.lambdas.shape + (-1,)).view(float)
+        return np.multiply(sq, sq, out=sq)
+
+    def position_density(self) -> np.ndarray:
+        """|v(y)|^2 of every vector on the quadrature grid, shape (n_k, rank, n^d)."""
+        sq = self._squared_values()
+        return sq[..., 0::2] + sq[..., 1::2]
 
     def momentum_moments(self):
         """Moments of |c_G|^2 of every vector: N (n_k, rank), P (n_k, rank, d), Q (n_k, rank).
@@ -267,13 +275,26 @@ class FiberedDensity:
         weights = np.abs(self.vectors) ** 2
         return np.sum(weights, axis=-1), weights @ hg, weights @ np.sum(hg * hg, axis=-1)
 
-    def masked_trace(self, mask: np.ndarray) -> float:
-        """Fiber average of sum_r lambda_r <v_r| mask |v_r>, mask on the (2m+1)^d cell grid.
+    def region_mask(self, region: Region, delta: float = 0.0) -> np.ndarray:
+        """Indicator of a cell region on the quadrature grid, times the grid weight.
 
-        ``mask`` carries the grid quadrature weight.
+        A grid point counts when it lies in the periodized region, or within
+        distance ``delta`` of it when ``delta`` > 0; ``masked_trace`` takes the result.
         """
-        return float(np.mean(np.einsum("kr,krg,g->k", self.lambdas, self.position_density(),
-                                       mask)))
+        n = quadrature_len(self.m)
+        pts = position_grid(self.lat, n)
+        inside = region.contains_dilated(pts, delta) if delta > 0 else region.contains(pts)
+        return inside.astype(float) * grid_weight(self.lat, n)
+
+    def masked_trace(self, mask: np.ndarray) -> float:
+        """Fiber average of sum_r lambda_r <v_r| mask |v_r>, mask on the quadrature grid.
+
+        ``mask`` carries the grid weight, as the one ``region_mask`` returns.
+        The squared grid values are contracted with the mask, repeated for the
+        re^2, im^2 pairs, in one matrix-vector product.
+        """
+        per_vector = self._squared_values().reshape(self.lambdas.size, -1) @ np.repeat(mask, 2)
+        return float(self.lambdas.reshape(-1) @ per_vector) / self.kgrid.size
 
 
 def momentum_cost(moments, xi: np.ndarray) -> np.ndarray:
@@ -416,6 +437,4 @@ def observe(rho: FiberedDensity, region: Region) -> float:
     """
     if region.is_empty:
         return 0.0
-    n = 2 * rho.m + 1
-    pts = position_grid(rho.lat, n)
-    return rho.masked_trace(region.contains(pts).astype(float) * grid_weight(rho.lat, n))
+    return rho.masked_trace(rho.region_mask(region))

@@ -16,7 +16,8 @@ import numpy as np
 
 from scipy import fft as sfft
 
-from .bloch import KGrid, PeriodicField, g_vectors, grid_weight, position_grid, values_to_coeffs
+from .bloch import KGrid, PeriodicField, g_vectors, grid_weight, position_grid, quadrature_len, \
+    values_to_coeffs
 from .classical_dynamics import TrigPotential, flow
 from .lattice import CellGeometry, LatticeSpec, reduce_to_cell, theta_cost_weights
 from .quantization import FiberedDensity, PacketOverlaps, PhaseSpaceDensity, momentum_cost, \
@@ -91,7 +92,7 @@ def diagonal_coupling_parts(rho: FiberedDensity, x: np.ndarray, xi: np.ndarray,
     the momentum part is exact in coefficients.  Returns two (n_k,) arrays.
     """
     lat = rho.lat
-    n = 2 * rho.m + 1
+    n = quadrature_len(rho.m)
     w = theta_cost_weights(x, position_grid(lat, n), cost.geom)        # (n_j, n^d)
     pos = cost.lam ** 2 * np.einsum("jg,kjg->kj", w, rho.position_density()) \
         * grid_weight(lat, n)
@@ -136,25 +137,36 @@ def pair_moment(dens: np.ndarray, lat: LatticeSpec):
     return np.sum(dens * conv, axis=axes)
 
 
-def c_bold(rho: FiberedDensity) -> float:
-    """Fiber average of the fourth power of the fiber norms (rank-1 densities)."""
+def _weighted_vectors(rho: FiberedDensity) -> FiberedDensity:
+    """A rank-1 density as its weighted vectors sqrt(lambda) v, with unit weights.
+
+    ``c_bold``, ``std_dev`` and ``coupling_energy_husimi`` work on these, so
+    scaling the density by c scales each of them (std_dev squared) by c^2.
+    """
     if rho.rank != 1:
         raise ValueError("requires rank-1 fibers")
-    norms = rho.momentum_moments()[0][:, 0]
+    root = np.sqrt(np.clip(rho.lambdas, 0.0, None))
+    return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, np.ones_like(root),
+                          root[:, :, None] * rho.vectors)
+
+
+def c_bold(rho: FiberedDensity) -> float:
+    """Fiber average of the fourth power of the weighted fiber norms (rank-1 densities)."""
+    norms = _weighted_vectors(rho).momentum_moments()[0][:, 0]
     return float(np.mean(norms ** 2))
 
 
 def std_dev(rho: FiberedDensity) -> float:
     """Spread functional Delta of a rank-1 fibered density.
 
-    Per fiber: half the second periodized moment of the pair density plus the
-    momentum variance N Q - |P|^2 (``FiberedDensity.momentum_moments``);
-    returns the square root of the fiber average.
+    Per fiber, of the weighted vector sqrt(lambda) v: half the second
+    periodized moment of the pair density plus the momentum variance
+    N Q - |P|^2 (``FiberedDensity.momentum_moments``); returns the square root
+    of the fiber average.
     """
-    if rho.rank != 1:
-        raise ValueError("requires rank-1 fibers")
+    rho = _weighted_vectors(rho)
     lat = rho.lat
-    n = 2 * rho.m + 1
+    n = quadrature_len(rho.m)
     w = grid_weight(lat, n)
     dens = rho.position_density()[:, 0].reshape((rho.kgrid.size,) + (n,) * lat.dimension)
     norm_sq, mean_p, grad_sq = (a[:, 0] for a in rho.momentum_moments())
@@ -174,11 +186,10 @@ def coupling_energy_husimi(rho: FiberedDensity, nq: int, np_per_dim: int,
     ``momentum_identity`` holds the exact per-fiber value of the momentum
     piece derived from the momentum moments, matched by the quadrature.
     """
-    if rho.rank != 1:
-        raise ValueError("Husimi coupling requires rank-1 fibers")
+    rho = _weighted_vectors(rho)
     lat, m, hbar = rho.lat, rho.m, rho.hbar
     d = lat.dimension
-    n = 2 * m + 1
+    n = quadrature_len(m)
 
     qs = position_grid(lat, nq)
     wq = grid_weight(lat, nq)

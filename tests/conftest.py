@@ -36,3 +36,11 @@ def coherent_overlap(q1, p1, q2, p2, hbar):
     dp = p1 - p2
     return np.exp(-(dq @ dq + dp @ dp) / (4.0 * hbar)
                   + 1j * (p2 - p1) @ (q1 + q2) / (2.0 * hbar))
+
+
+def is_11_smooth(n: int) -> bool:
+    """True when n has no prime factor above 11."""
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1

@@ -11,7 +11,7 @@ from scipy import fft as sfft
 
 from blochlab import PeriodicField
 from blochlab.bloch import _alt_sign, coeffs_to_values, g_vectors, grid_weight, position_grid, \
-    translate_window, values_to_coeffs
+    quadrature_len, translate_window, values_to_coeffs
 from blochlab.classical_dynamics import flow
 from blochlab.lattice import theta_cost_weights
 from blochlab.states import coherent_coeff_batch, coherent_state
@@ -99,7 +99,7 @@ def diagonal_coupling_dense(f, cost, lat, kgrid, m: int, chunk: int = 512):
     momentum energy is summed against the dense symbol |xi - hbar G|^2.
     """
     d = lat.dimension
-    n = 2 * m + 1
+    n = quadrature_len(m)
     grid = position_grid(lat, n)
     g = g_vectors(lat, m)
     wf = f.weights * f.values
@@ -112,7 +112,7 @@ def diagonal_coupling_dense(f, cost, lat, kgrid, m: int, chunk: int = 512):
             xis = f.nodes_p[sl] - cost.hbar * k
             coeffs = coherent_coeff_batch(xs, xis, cost.hbar, lat, m)
             w = theta_cost_weights(xs, grid, cost.geom)
-            vals = coeffs_to_values(coeffs.reshape((-1,) + (n,) * d), lat, n)
+            vals = coeffs_to_values(coeffs.reshape((-1,) + (2 * m + 1,) * d), lat, n)
             pos = cost.lam ** 2 * np.einsum("bg,bg->b", w, np.abs(vals.reshape(w.shape)) ** 2) \
                 * grid_weight(lat, n)
             sym = np.sum((xis[:, None, :] - cost.hbar * g[None, :, :]) ** 2, axis=-1)

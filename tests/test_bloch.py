@@ -4,10 +4,10 @@ import pytest
 from blochlab import (CoherentParams, KGrid, PeriodicField, bloch_transform,
                       coherent_state, fiber_average, inverse_bloch)
 from blochlab.bloch import (coeffs_to_values, default_window, g_vectors, grid_weight,
-                            position_grid, translate_window, values_to_coeffs)
+                            position_grid, quadrature_len, translate_window, values_to_coeffs)
 from blochlab.errors import AccuracyError
 
-from conftest import coherent_overlap
+from conftest import coherent_overlap, is_11_smooth
 from oracles import coeffs_to_values_rolled, dump_csv
 
 
@@ -213,3 +213,11 @@ def test_fibered_state_csv_dump(tmp_path, rng, lat1):
     assert len(lines) == 1 + 2 * 5
     k, g, re, im = lines[3].split(",")
     assert complex(float(re), float(im)) == pytest.approx(coeffs[int(k), int(g)])
+
+
+def test_quadrature_len_is_the_least_odd_11_smooth_length():
+    for m in range(601):
+        n = quadrature_len(m)
+        assert n % 2 == 1 and n >= 2 * m + 1 and is_11_smooth(n)
+        assert not any(is_11_smooth(j) for j in range(2 * m + 1, n, 2))
+    assert (quadrature_len(384), quadrature_len(64), quadrature_len(24)) == (825, 135, 49)

@@ -149,6 +149,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     typo = write_cfg(tmp_path, BASE.replace("n_time_obs = 16", "n_time_ob = 7"), "typo.cfg")
     assert main(["constants", "--config", typo, "--out", str(tmp_path)]) == 3
     assert "discretization.n_time_ob" in capsys.readouterr().err
+    # overlapping boxes of K -> 3 naming it; boxes that only touch are accepted
+    k = "K = [((-0.5,), (0.5,), (0.5,), (1.5,))]"
+    for other, code in (("((0.0,), (0.5,), (1.0,), (2.0,))", 3),
+                        ("((-0.5,), (0.5,), (1.5,), (2.0,))", 0)):
+        two = write_cfg(tmp_path, BASE.replace(k, k[:-1] + ", " + other + "]"), "two.cfg")
+        assert main(["constants", "--config", two, "--out", str(tmp_path)]) == code
+        assert ("scenario.K" in capsys.readouterr().err) == (code == 3)
 
 
 def test_default_window_follows_the_cell():

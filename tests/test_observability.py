@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from blochlab import (Discretization, KGrid, ObservabilityScenario, PhaseBoxSet,
                       Region, TrigPotential, c_bold, chi_cutoff, coherent_family, constant_pure,
@@ -10,6 +11,8 @@ from blochlab.lattice import reduce_to_cell
 from blochlab.observability import initial_density, minimize_toeplitz_penalty, \
     observed_time_integral
 from blochlab.quantization import FiberedDensity, toeplitz_quantize
+
+from conftest import is_11_smooth
 
 
 def _toeplitz_oracle(geom, horizon, lip, n=100_000):
@@ -278,3 +281,21 @@ def test_argmin_lambda_consistent(geom1):
     val = (np.sqrt(geom1.gamma_minus / (2 * geom1.gamma_plus))
            * np.expm1(a * lam * 1.0) / lam ** 2 * np.sqrt((1 + lam ** 2) / 2))
     assert val == pytest.approx(base, rel=1e-12)
+
+
+def test_observation_transforms_have_11_smooth_lengths(lat1, monkeypatch):
+    # at m = 384 the plane-wave grid 2m+1 = 769 is prime; observation must not use it
+    lengths = []
+    ifftn = scipy.fft.ifftn
+
+    def spy(x, *args, **kwargs):
+        axes = kwargs.get("axes") or range(x.ndim)
+        lengths.extend(x.shape[a] for a in axes)
+        return ifftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "ifftn", spy)
+    rho = coherent_family(lat1, KGrid.monkhorst_pack(lat1, 2), 384, 1e-3, [0.0], [1.5])
+    observed_time_integral(rho, Region.interval([-0.1], [0.1], lat1), 0.05,
+                           TrigPotential.zero(lat1), 0.01, 2, 1e-3)
+    assert len(lengths) == 3
+    assert all(is_11_smooth(n) for n in lengths), lengths

@@ -4,7 +4,7 @@ from scipy.special import erf
 
 from blochlab import (KGrid, LatticeSpec, PhaseBoxSet, PhaseSpaceDensity, Region, coherent_family,
                       husimi, observe, periodic_trace, toeplitz_quantize)
-from blochlab.bloch import grid_weight, position_grid
+from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len
 from blochlab.quantization import FiberedDensity, husimi_mass_on_boxes
 
 
@@ -198,6 +198,24 @@ def test_observe_cases(lat1):
     assert observe(rho, empty) == 0.0
 
 
+@pytest.mark.parametrize("basis, m", [([[1.0]], 18), ([[1.0, 0.0], [0.5, np.sqrt(3) / 2]], 6)])
+def test_masked_trace_matches_einsum_of_squared_values(rng, basis, m):
+    # 2m+1 is prime (37, 13); the trace runs on the 45- and 15-point grids
+    lat = LatticeSpec(basis)
+    d = lat.dimension
+    kg = KGrid.monkhorst_pack(lat, 2)
+    n = quadrature_len(m)
+    shape = (kg.size, 3) + (2 * m + 1,) * d
+    vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    lam = rng.uniform(0.1, 1.0, (kg.size, 3))
+    rho = FiberedDensity(kg, lat, m, 0.05, lam, vecs.reshape(kg.size, 3, -1))
+    mask = rng.uniform(0.0, 1.0, n ** d) * grid_weight(lat, n)
+    dens = np.abs(coeffs_to_values(vecs, lat, n).reshape(kg.size, 3, -1)) ** 2
+    ref = float(np.mean(np.einsum("kr,krg,g->k", lam, dens, mask)))
+    assert rho.masked_trace(mask) == pytest.approx(ref, rel=1e-13)
+    np.testing.assert_allclose(rho.position_density(), dens, rtol=1e-13)
+
+
 def test_observe_gaussian_mass_oracle(lat1):
     # oracle: erf mass of the packet envelope; the indicator selects whole grid
     # cells, so the sharp comparison uses the selected cells' actual extent
@@ -205,7 +223,7 @@ def test_observe_gaussian_mass_oracle(lat1):
     for hbar, m in ((0.01, 64), (0.001, 200)):
         rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.0])
         got = observe(rho, Region.interval([-0.1], [0.1], lat1))
-        n = 2 * m + 1
+        n = quadrature_len(m)
         y = position_grid(lat1, n)[:, 0]
         sel = y[(y >= -0.1) & (y < 0.1)]
         # the k average kills all cross-translate terms, so the fiber-averaged

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from blochlab import (CoherentParams, CostParams, KGrid, LatticeSpec, PeriodicField,
-                      PhaseSpaceDensity, TrigPotential, apply_cost, coherent_family,
+                      PhaseSpaceDensity, TrigPotential, apply_cost, c_bold, coherent_family,
                       coupling_energy_husimi, coupling_energy_toeplitz, gamma_bounds,
-                      gronwall_rate, stability_envelope, toeplitz_quantize)
+                      gronwall_rate, stability_envelope, std_dev, toeplitz_quantize)
 from blochlab.bloch import grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab.quantization import FiberedDensity
@@ -250,6 +250,17 @@ def test_husimi_coupling_requires_rank_one(lat1):
     rho = FiberedDensity(kg, lat1, m, 0.05, np.ones((2, 2)), vecs)
     with pytest.raises(ValueError):
         coupling_energy_husimi(rho, 8, 8, 1.0)
+
+
+def test_rank_one_quantities_follow_the_fiber_weight(lat1):
+    # weight 2 is the vector sqrt(2) v: every quadratic quantity doubles twice
+    rho = coherent_family(lat1, KGrid.monkhorst_pack(lat1, 4), 48, 0.02, [0.0], [0.5])
+    twice = rho.scaled(2.0)
+    assert c_bold(twice) == pytest.approx(4.0 * c_bold(rho), rel=1e-12)
+    assert std_dev(twice) ** 2 == pytest.approx(4.0 * std_dev(rho) ** 2, rel=1e-12)
+    one, two = (coupling_energy_husimi(r, 12, 16, 1.5) for r in (rho, twice))
+    assert two.total == pytest.approx(4.0 * one.total, rel=1e-12)
+    assert two.bound == pytest.approx(4.0 * one.bound, rel=1e-12)
 
 
 def test_stability_envelope_free(lat1, geom1):
