@@ -156,7 +156,7 @@ def transport_density(f: PhaseSpaceDensity, t: float, potential: TrigPotential,
     """
     moved = flow(f.nodes_q, f.nodes_p, t, potential, dt)
     return PhaseSpaceDensity(reduce_to_cell(moved.x, lat), moved.xi,
-                             f.weights.copy(), f.values.copy(), None, f.p_max)
+                             f.weights.copy(), f.values.copy())
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,7 @@ def _cmd_metric(cfg, scn, out, cfg_hash) -> int:
                  ("lambda", lam)]
     else:
         rho = initial_state(scn)
-        ce = coupling_energy_husimi(rho, scn.disc.n_q, scn.disc.n_p, default_p_max(scn))
+        ce = coupling_energy_husimi(rho)
         rows += [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
                  ("position_part", ce.position_part), ("momentum_part", ce.momentum_part),
                  ("std_dev", std_dev(rho)), ("c_bold", c_bold(rho))]

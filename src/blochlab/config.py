@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class ExperimentConfig:
     sigma_p: float
     l_cut: int
     prefix: str = "out"
-    raw: dict = field(default_factory=dict)
 
     @property
     def lattice(self) -> LatticeSpec:
@@ -277,4 +276,4 @@ def load_config(text: str) -> ExperimentConfig:
         disc=disc, k_boxes=k_boxes, omega_boxes=omega_boxes, delta=delta,
         initial_kind=kind, center_q=center_q, center_p=center_p,
         sigma_q=sigma_q, sigma_p=sigma_p, l_cut=l_cut,
-        prefix=_value(sections, "output", "prefix", str, "out"), raw=sections)
+        prefix=_value(sections, "output", "prefix", str, "out"))

@@ -262,10 +262,9 @@ def default_p_max(scn: ObservabilityScenario) -> float:
 
 
 def _assemble_report(scn: ObservabilityScenario, kind: str, lhs: float, series, times,
-                     quad_err: float, gc: GCEstimate, mass_k: float, c_const: float,
-                     lam_star: float, penalty_scale: float, energy_bound: float,
-                     extra: dict) -> TheoremReport:
-    lip = scn.potential.lipschitz_gradient().value
+                     quad_err: float, gc: GCEstimate, mass_k: float, lip: float,
+                     c_const: float, lam_star: float, penalty_scale: float,
+                     energy_bound: float, extra: dict) -> TheoremReport:
     penalty = c_const * penalty_scale / scn.delta
     classical = gc.value * mass_k
     rhs = classical - penalty
@@ -321,7 +320,7 @@ def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
     # penalty is C * sqrt(d hbar)/delta; the Groenwall assembly carries the
     # coupling-energy bound sqrt((1+lam^2) d hbar / 2) at the minimizing scale
     energy_bound = float(np.sqrt((1.0 + lam_star ** 2) * d * scn.hbar / 2.0))
-    return _assemble_report(scn, "toeplitz", lhs, series, times, quad_err, gc, mass_k,
+    return _assemble_report(scn, "toeplitz", lhs, series, times, quad_err, gc, mass_k, lip,
                             c_t, lam_star, float(np.sqrt(d * scn.hbar)), energy_bound,
                             {"rank": rank, "rank_evolved": rho.rank, "rank_tail": tail})
 
@@ -342,7 +341,7 @@ def verify_pure_theorem(scn: ObservabilityScenario) -> TheoremReport:
     cb = c_bold(rho)
     dev = std_dev(rho)
     energy_bound = float(np.sqrt(d * scn.hbar * cb + 2.0 * dev ** 2))
-    return _assemble_report(scn, "pure", lhs, series, times, quad_err, gc, mass_k,
+    return _assemble_report(scn, "pure", lhs, series, times, quad_err, gc, mass_k, lip,
                             c_p, 1.0, energy_bound, energy_bound,
                             {"std_dev": dev, "c_bold": cb, "rank": rho.rank,
                              "rank_evolved": rho.rank, "rank_tail": 0.0})

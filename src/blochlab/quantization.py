@@ -14,8 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import KGrid, coeffs_to_values, g_vectors, grid_weight, position_grid, \
-    quadrature_len
+from scipy.special import erf
+
+from .bloch import KGrid, centered_indices, coeffs_to_values, g_vectors, grid_weight, \
+    position_grid, quadrature_len
 from .lattice import LatticeSpec, Region
 from .states import coherent_coeff_batch
 
@@ -85,8 +87,6 @@ class PhaseSpaceDensity:
     nodes_p: np.ndarray
     weights: np.ndarray
     values: np.ndarray
-    grid_shape: tuple | None = None
-    p_max: float | None = None
 
     def __post_init__(self):
         self.nodes_q = np.atleast_2d(np.asarray(self.nodes_q, dtype=float))
@@ -113,8 +113,7 @@ class PhaseSpaceDensity:
         total = self.mass
         if total <= 0:
             raise ValueError("cannot normalize a zero-mass density")
-        return PhaseSpaceDensity(self.nodes_q, self.nodes_p, self.weights,
-                                 self.values / total, self.grid_shape, self.p_max)
+        return PhaseSpaceDensity(self.nodes_q, self.nodes_p, self.weights, self.values / total)
 
     def mass_in(self, region: PhaseBoxSet) -> float:
         mask = region.contains(self.nodes_q, self.nodes_p)
@@ -129,7 +128,7 @@ class PhaseSpaceDensity:
         keep = np.ones(self.size, dtype=bool)
         keep[order[drop]] = False
         return PhaseSpaceDensity(self.nodes_q[keep], self.nodes_p[keep],
-                                 self.weights[keep], self.values[keep], None, self.p_max)
+                                 self.weights[keep], self.values[keep])
 
     @classmethod
     def from_function(cls, fn: Callable, lat: LatticeSpec, nq: int, np_per_dim: int,
@@ -138,8 +137,7 @@ class PhaseSpaceDensity:
         """Sample fn(q, p) on the tensor grid over cell x [-p_max, p_max]^d."""
         qs, ps, w = phase_grid_nodes(lat, nq, np_per_dim, p_max, p_center)
         vals = np.asarray(fn(qs, ps), dtype=float)
-        dens = cls(qs, ps, np.full(qs.shape[0], w), vals,
-                   grid_shape=(nq, np_per_dim), p_max=p_max)
+        dens = cls(qs, ps, np.full(qs.shape[0], w), vals)
         return dens.normalized() if normalize else dens
 
 
@@ -338,95 +336,97 @@ def toeplitz_quantize(f: PhaseSpaceDensity, lat: LatticeSpec, kgrid: KGrid, m: i
     return FiberedDensity(kgrid, lat, m, hbar, lam, vecs)
 
 
-class PacketOverlaps:
-    """Overlaps of periodized packets at nodes (q, p) with fiber vectors.
-
-    The position phases exp(i q.G) are built once for the q nodes; the
-    Gaussian momentum window of the p nodes comes from ``window`` (callers
-    pass p - hbar*k to address fiber k).  A call returns the unnormalized
-    overlaps of one fiber vector, shape (Np, Nq); ``pref`` times their
-    squared modulus is the Husimi integrand.
-    """
-
-    def __init__(self, lat: LatticeSpec, m: int, hbar: float, qs: np.ndarray):
-        d = lat.dimension
-        self.hbar = hbar
-        self.g = g_vectors(lat, m)
-        self.phase_q = np.exp(1j * qs @ self.g.T)                        # (Nq, nG)
-        amp_sq = (4.0 * np.pi * hbar) ** (d / 2.0) / lat.cell_volume
-        self.pref = (2.0 * np.pi * hbar) ** (-d) * amp_sq
-
-    def window(self, ps: np.ndarray) -> np.ndarray:
-        """exp(-|p - hbar G|^2 / (2 hbar)), shape (Np, nG), summed one axis at a time."""
-        dist = np.zeros((ps.shape[0], self.g.shape[0]))
-        for i in range(ps.shape[1]):
-            diff = ps[:, i, None] - self.hbar * self.g[None, :, i]
-            dist += diff * diff
-        return np.exp(-dist / (2.0 * self.hbar))
-
-    def __call__(self, vector: np.ndarray, window: np.ndarray) -> np.ndarray:
-        return (window * vector) @ self.phase_q.T
-
-    def intensity(self, vectors: np.ndarray, weights: np.ndarray,
-                  window: np.ndarray) -> np.ndarray:
-        """sum_r weights_r |overlaps of vectors_r|^2, shape (Np, Nq), one vector at a time."""
-        out = np.zeros((window.shape[0], self.phase_q.shape[0]))
-        for w, vector in zip(weights, vectors):
-            t = self(vector, window)
-            out += w * (t.real ** 2 + t.imag ** 2)
-        return out
-
-
 def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
-           weight: float, grid_shape: tuple | None = None) -> PhaseSpaceDensity:
+           weight: float) -> PhaseSpaceDensity:
     """Husimi density of a fibered operator on given phase-space nodes.
 
     Evaluates the fiber average of the coherent-state expectations
     ``(2 pi hbar)^-d <packet(q, p - hbar k)| R_k |packet(q, p - hbar k)>``
     at all product nodes (qs x ps); the scalar ``weight`` is the per-node
-    quadrature weight of that product grid.
+    quadrature weight of that product grid.  A packet overlap is the
+    coefficients times the momentum window exp(-|p - hbar k - hbar G|^2 / (2 hbar))
+    against the phases exp(i q.G).
     """
     qs = np.atleast_2d(qs)
     ps = np.atleast_2d(ps)
-    overlaps = PacketOverlaps(rho.lat, rho.m, rho.hbar, qs)
+    lat, hbar = rho.lat, rho.hbar
+    d = lat.dimension
+    g = g_vectors(lat, rho.m)
+    phase_q = np.exp(1j * qs @ g.T)                                     # (Nq, nG)
     acc = np.zeros((ps.shape[0], qs.shape[0]))
-    for ik in range(rho.kgrid.size):
-        acc += overlaps.intensity(rho.vectors[ik], rho.lambdas[ik],
-                                  overlaps.window(ps - rho.hbar * rho.kgrid.points[ik]))
-    acc = overlaps.pref * acc.T / rho.kgrid.size
-    n_q, n_p = qs.shape[0], ps.shape[0]
-    q_full = np.repeat(qs, n_p, axis=0)
-    p_full = np.tile(ps, (n_q, 1))
-    return PhaseSpaceDensity(q_full, p_full, np.full(n_q * n_p, weight),
-                             acc.reshape(-1), grid_shape=grid_shape)
+    for k, lambdas, vectors in zip(rho.kgrid.points, rho.lambdas, rho.vectors):
+        shifted = ps - hbar * k
+        dist = np.zeros((ps.shape[0], g.shape[0]))
+        for i in range(d):
+            diff = shifted[:, i, None] - hbar * g[None, :, i]
+            dist += diff * diff
+        window = np.exp(-dist / (2.0 * hbar))                           # (Np, nG)
+        fiber = np.zeros_like(acc)
+        for w, vector in zip(lambdas, vectors):
+            t = (window * vector) @ phase_q.T
+            fiber += w * (t.real ** 2 + t.imag ** 2)
+        acc += fiber
+    pref = (2.0 * np.pi * hbar) ** (-d) * ((4.0 * np.pi * hbar) ** (d / 2.0) / lat.cell_volume)
+    acc = pref * acc.T / rho.kgrid.size
+    return PhaseSpaceDensity(np.repeat(qs, ps.shape[0], axis=0), np.tile(ps, (qs.shape[0], 1)),
+                             np.full(acc.size, weight), acc.reshape(-1))
 
 
-def husimi_mass_on_boxes(rho: FiberedDensity, k_set: PhaseBoxSet,
-                         dq: float | None = None, dp: float | None = None) -> float:
-    """Husimi mass on a union of phase-space boxes, resolved at the hbar scale.
+# Offsets G - G' whose Gaussian factor is below the double-precision unit
+# roundoff leave every Husimi mass unchanged.
+_GAUSS_FLOOR = 2.0 ** -53
 
-    Midpoint tensor grids are laid over each box with spacings ``dq``/``dp``
-    (defaults sqrt(hbar)/3 and pi*sqrt(hbar)/8, fine enough for the
-    packet-width structure of the density).  Boxes are assumed disjoint.
+
+def husimi_mass_on_boxes(rho: FiberedDensity, k_set: PhaseBoxSet) -> float:
+    """Husimi mass on a union of disjoint phase-space boxes, as a finite sum.
+
+    With S = (G + G') / 2, the mass of fiber k on a box Q x P is
+
+        2^-d / |cell| sum_{G,G'} c_G conj(c_G') exp(-hbar |G - G'|^2 / 4)
+            int_Q exp(i (G - G').q) dq  prod_i [erf((P_hi - hbar k - hbar S)_i / sqrt(hbar))
+                                                - erf((P_lo - hbar k - hbar S)_i / sqrt(hbar))]
+
+    (an erf for the p-integral of two Gaussian momentum windows, a box
+    transform for the q-integral).  The erf factor is evaluated once per fiber
+    and box on the grid of index sums; the sum runs over the offsets G - G'
+    whose Gaussian factor is at least ``_GAUSS_FLOOR``.  Fibers are weighted
+    by lambda and averaged.
     """
-    s = np.sqrt(rho.hbar)
-    dq = s / 3.0 if dq is None else dq
-    dp = np.pi * s / 8.0 if dp is None else dp
+    lat, m, hbar = rho.lat, rho.m, rho.hbar
+    d = lat.dimension
+    offsets = centered_indices(2 * m, d)
+    dg = offsets @ lat.reciprocal
+    gauss = np.exp(-hbar * np.sum(dg * dg, axis=-1) / 4.0)
+    keep = gauss >= _GAUSS_FLOOR
+    dg, gauss = dg[keep], gauss[keep]
+    slices = [_offset_slices(off, m) for off in offsets[keep]]
+    vectors = (np.sqrt(np.clip(rho.lambdas, 0.0, None))[:, :, None] * rho.vectors
+               ).reshape(rho.lambdas.shape + rho.coeff_shape)
+    centres = hbar * (rho.kgrid.points[:, None, :] + g_vectors(lat, 2 * m) / 2.0)
+    root = np.sqrt(hbar)
     total = 0.0
     for (qlo, qhi), (plo, phi) in zip(k_set.q_bounds, k_set.p_bounds):
-        q_axes = [_midpoint_axis(qlo[i], qhi[i], dq) for i in range(qlo.shape[0])]
-        p_axes = [_midpoint_axis(plo[i], phi[i], dp) for i in range(plo.shape[0])]
-        qs = np.stack(np.meshgrid(*q_axes, indexing="ij"), axis=-1).reshape(-1, qlo.shape[0])
-        ps = np.stack(np.meshgrid(*p_axes, indexing="ij"), axis=-1).reshape(-1, plo.shape[0])
-        w = float(np.prod([(qhi[i] - qlo[i]) / len(q_axes[i]) for i in range(len(q_axes))])
-                  * np.prod([(phi[i] - plo[i]) / len(p_axes[i]) for i in range(len(p_axes))]))
-        total += husimi(rho, qs, ps, w).mass
-    return total
+        width = qhi - qlo
+        box = np.prod(width * np.exp(0.5j * dg * (qhi + qlo)) * np.sinc(dg * width / (2 * np.pi)),
+                      axis=-1)
+        windows = np.prod(erf((phi - centres) / root) - erf((plo - centres) / root),
+                          axis=-1).reshape((rho.kgrid.size,) + (4 * m + 1,) * d)
+        for vecs, window in zip(vectors, windows):
+            for factor, (hi, lo, sums) in zip(gauss * box, slices):
+                pairs = vecs[(Ellipsis,) + hi] * np.conj(vecs[(Ellipsis,) + lo])
+                total += (factor * np.sum(pairs * window[sums])).real
+    return total / (2 ** d * lat.cell_volume * rho.kgrid.size)
 
 
-def _midpoint_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    n = max(2, int(np.ceil((hi - lo) / step)))
-    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+def _offset_slices(offset: np.ndarray, m: int):
+    """Aligned slices of the pairs (G, G') with G - G' = ``offset``.
+
+    Slices of the (2m+1)^d coefficients at G and at G', and of the (4m+1)^d
+    grid of index sums at G + G'.
+    """
+    start, stop = np.maximum(0, -offset), np.minimum(2 * m + 1, 2 * m + 1 - offset)
+    return (tuple(map(slice, start + offset, stop + offset)), tuple(map(slice, start, stop)),
+            tuple(slice(2 * a + o, 2 * b + o - 1, 2) for a, b, o in zip(start, stop, offset)))
 
 
 def observe(rho: FiberedDensity, region: Region) -> float:

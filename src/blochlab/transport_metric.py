@@ -10,18 +10,17 @@ exactly the objects the theory estimates.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from scipy import fft as sfft
-
-from .bloch import KGrid, PeriodicField, g_vectors, grid_weight, position_grid, quadrature_len, \
-    values_to_coeffs
+from .bloch import KGrid, PeriodicField, coeffs_to_values, g_vectors, grid_weight, \
+    position_grid, quadrature_len, values_to_coeffs
 from .classical_dynamics import TrigPotential, flow
-from .lattice import CellGeometry, LatticeSpec, reduce_to_cell, theta_cost_weights
-from .quantization import FiberedDensity, PacketOverlaps, PhaseSpaceDensity, momentum_cost, \
-    momentum_grid, toeplitz_quantize
+from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
+from .quantization import FiberedDensity, PhaseSpaceDensity, momentum_cost, toeplitz_quantize
 from .quantum_dynamics import FiberPropagator
 
 
@@ -75,7 +74,6 @@ class CouplingEnergy:
     bound: float | None = None
     position_per_fiber: np.ndarray | None = None
     momentum_per_fiber: np.ndarray | None = None
-    momentum_identity: np.ndarray | None = None   # per-fiber closed form, pure case
 
     def __post_init__(self):
         if self.total < -1e-12:
@@ -119,22 +117,43 @@ def coupling_energy_toeplitz(f: PhaseSpaceDensity, cost: CostParams, lat: Lattic
                           position_per_fiber=pos_fiber, momentum_per_fiber=mom_fiber)
 
 
-def pair_moment(dens: np.ndarray, lat: LatticeSpec):
-    """sum_ij dens_i dens_j |P_Gamma(y_i - y_j)|^2 over the uniform n^d cell grid.
+def pair_moment(coeffs: np.ndarray, lat: LatticeSpec):
+    """int int n(y) n(y') |P_Gamma(y - y')|^2 dy dy' of a cell density n, exactly.
 
-    ``dens`` has shape (..., n, ..., n) with d trailing grid axes; the result
-    has the leading shape.  On the uniform fractional grid the summand
-    depends on i - j mod n only, so the double sum is dens . (D * dens) with
-    one circular convolution by D, the distances from the first grid point.
+    ``coeffs`` has shape (..., 2r+1, ..., 2r+1): the plane-wave coefficients of
+    n (``values_to_coeffs`` of its samples) over d trailing axes; the result
+    has the leading shape.  The integral is |cell| sum_n D_n |coeffs_n|^2 with
+    D the Fourier coefficients of |P_Gamma z|^2 = sum_ij (a_i . a_j) t_i t_j on
+    the fractional cell [-1/2, 1/2)^d: sums of products over axes of the
+    moments int t^k exp(-2 pi i n t) dt, which are delta_n0 (k = 0),
+    i (-1)^n / (2 pi n) and 0 at n = 0 (k = 1), (-1)^n / (2 pi^2 n^2) and 1/12
+    at n = 0 (k = 2).
     """
     d = lat.dimension
-    n = dens.shape[-1]
-    axes = tuple(range(-d, 0))
-    pts = position_grid(lat, n)
-    red = reduce_to_cell(pts - pts[0], lat)
-    kernel = np.sum(red * red, axis=-1).reshape((n,) * d)
-    conv = sfft.irfftn(sfft.rfftn(kernel) * sfft.rfftn(dens, axes=axes), s=(n,) * d, axes=axes)
-    return np.sum(dens * conv, axis=axes)
+    n = np.arange(coeffs.shape[-1]) - coeffs.shape[-1] // 2
+    safe, sign = np.where(n == 0, 1, n), np.where(n % 2 == 0, 1.0, -1.0)
+    moments = ((n == 0).astype(complex), np.where(n == 0, 0.0, 1j * sign / (2.0 * np.pi * safe)),
+               np.where(n == 0, 1.0 / 12.0, sign / (2.0 * np.pi ** 2 * safe ** 2)))
+    gram = lat.basis @ lat.basis.T
+    kernel = 0.0
+    for i, j in itertools.product(range(d), repeat=2):
+        powers = np.bincount([i, j], minlength=d)
+        kernel = kernel + gram[i, j] * functools.reduce(np.multiply.outer,
+                                                        [moments[k] for k in powers])
+    return lat.cell_volume * np.sum(kernel.real * (coeffs.real ** 2 + coeffs.imag ** 2),
+                                    axis=tuple(range(-d, 0)))
+
+
+def _density_coeffs(rho: FiberedDensity) -> np.ndarray:
+    """Plane-wave coefficients of |v|^2 of every vector, shape (n_k, rank) + (4m+1,)*d.
+
+    |v|^2 has frequencies up to 2m, so its samples on ``quadrature_len(2m)``
+    points per axis give its coefficients without aliasing.
+    """
+    n = quadrature_len(2 * rho.m)
+    vals = coeffs_to_values(rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape),
+                            rho.lat, n)
+    return values_to_coeffs(vals.real ** 2 + vals.imag ** 2, rho.lat, 2 * rho.m)
 
 
 def _weighted_vectors(rho: FiberedDensity) -> FiberedDensity:
@@ -160,69 +179,45 @@ def std_dev(rho: FiberedDensity) -> float:
     """Spread functional Delta of a rank-1 fibered density.
 
     Per fiber, of the weighted vector sqrt(lambda) v: half the second
-    periodized moment of the pair density plus the momentum variance
-    N Q - |P|^2 (``FiberedDensity.momentum_moments``); returns the square root
-    of the fiber average.
+    periodized moment of the pair density (``pair_moment``, exact) plus the
+    momentum variance N Q - |P|^2 (``FiberedDensity.momentum_moments``);
+    returns the square root of the fiber average.
     """
     rho = _weighted_vectors(rho)
-    lat = rho.lat
-    n = quadrature_len(rho.m)
-    w = grid_weight(lat, n)
-    dens = rho.position_density()[:, 0].reshape((rho.kgrid.size,) + (n,) * lat.dimension)
     norm_sq, mean_p, grad_sq = (a[:, 0] for a in rho.momentum_moments())
-    total = 0.5 * pair_moment(dens, lat) * w * w + norm_sq * grad_sq \
+    total = 0.5 * pair_moment(_density_coeffs(rho)[:, 0], rho.lat) + norm_sq * grad_sq \
         - np.sum(mean_p * mean_p, axis=-1)
     return float(np.sqrt(np.mean(total)))
 
 
-def coupling_energy_husimi(rho: FiberedDensity, nq: int, np_per_dim: int,
-                           p_max: float) -> CouplingEnergy:
-    """Energy of the Husimi-weighted coupling for a rank-1 fibered density.
+def coupling_energy_husimi(rho: FiberedDensity) -> CouplingEnergy:
+    """Energy of the Husimi-weighted coupling for a rank-1 fibered density, exactly.
 
-    Quadrature of the two energy pieces per fiber: the periodized-distance
-    moment against the Husimi weight, and the momentum cost against the same
-    weight.  ``bound`` carries the closed-form estimate
-    ``d hbar c_bold + 2 Delta^2`` that the quadrature total must stay under;
-    ``momentum_identity`` holds the exact per-fiber value of the momentum
-    piece derived from the momentum moments, matched by the quadrature.
+    Per fiber, of the weighted vector: the position part is the pair moment of
+    the Husimi q-marginal, |v|^2 smoothed by a Gaussian of variance hbar/2 per
+    axis (coefficients times exp(-hbar |G|^2 / 4)), against |v|^2.  The
+    momentum part, of |p - hbar G|^2 against the p-marginal (Gaussians at
+    hbar G), is (d hbar / 2) N^2 + 2 N Q - 2 |P|^2.  ``bound`` carries
+    ``d hbar c_bold + 2 Delta^2``; it holds fiber by fiber where |P_Gamma z|^2
+    is the squared distance to the nearest lattice point (rectangular cells),
+    which the smoothing raises by at most d hbar / 2.
     """
     rho = _weighted_vectors(rho)
-    lat, m, hbar = rho.lat, rho.m, rho.hbar
+    lat, hbar = rho.lat, rho.hbar
     d = lat.dimension
-    n = quadrature_len(m)
-
-    qs = position_grid(lat, nq)
-    wq = grid_weight(lat, nq)
-    ps, wp = momentum_grid(d, np_per_dim, p_max)
-
-    # second periodized moment of |psi|^2 around each husimi q node, per fiber
-    red_qy = reduce_to_cell((qs[:, None, :] - position_grid(lat, n)[None, :, :]).reshape(-1, d),
-                            lat)
-    dist_qy = np.sum(red_qy * red_qy, axis=-1).reshape(qs.shape[0], -1)
-    m2 = rho.position_density()[:, 0] @ dist_qy.T * grid_weight(lat, n)    # (n_k, Nq)
-
-    moments = tuple(a[:, 0] for a in rho.momentum_moments())
-    overlaps = PacketOverlaps(lat, m, hbar, qs)
-    # husimi weight at (q, p + hbar k): packet momentum argument is p itself
-    window = overlaps.window(ps)
-    e1 = np.zeros(rho.kgrid.size)
-    e2 = np.zeros(rho.kgrid.size)
-    for ik in range(rho.kgrid.size):
-        fk = overlaps.pref * np.abs(overlaps(rho.vectors[ik, 0], window)) ** 2    # (Np, Nq)
-        e1[ik] = float(np.einsum("pq,q->", fk, m2[ik]) * wq * wp)
-        e2[ik] = float((fk.sum(axis=1) * wq * wp)
-                       @ momentum_cost([a[ik] for a in moments], ps))
-
-    norm_sq, mean_p, grad_sq = moments
-    ident_k = (d * hbar / 2.0) * norm_sq ** 2 + 2.0 * norm_sq * grad_sq \
+    coeffs = _density_coeffs(rho)[:, 0]
+    g = g_vectors(lat, 2 * rho.m)
+    pos = pair_moment(coeffs * np.exp(-hbar * np.sum(g * g, axis=-1) / 8.0).reshape(
+        coeffs.shape[1:]), lat)
+    norm_sq, mean_p, grad_sq = (a[:, 0] for a in rho.momentum_moments())
+    mom = (d * hbar / 2.0) * norm_sq ** 2 + 2.0 * norm_sq * grad_sq \
         - 2.0 * np.sum(mean_p * mean_p, axis=-1)
-    per_fiber = e1 + e2
+    per_fiber = pos + mom
     return CouplingEnergy(total=float(np.mean(per_fiber)), per_fiber=per_fiber,
-                          position_part=float(np.mean(e1)),
-                          momentum_part=float(np.mean(e2)),
+                          position_part=float(np.mean(pos)),
+                          momentum_part=float(np.mean(mom)),
                           bound=d * hbar * c_bold(rho) + 2.0 * std_dev(rho) ** 2,
-                          position_per_fiber=e1, momentum_per_fiber=e2,
-                          momentum_identity=ident_k)
+                          position_per_fiber=pos, momentum_per_fiber=mom)
 
 
 @dataclass

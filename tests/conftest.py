@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from blochlab import LatticeSpec, gamma_bounds
+from blochlab import KGrid, LatticeSpec, gamma_bounds
+from blochlab.quantization import FiberedDensity
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +23,24 @@ def geom1(lat1):
 @pytest.fixture(scope="session")
 def geom2(lat2):
     return gamma_bounds(lat2)
+
+
+# One lattice of each kind the closed forms are checked on: the unit interval,
+# the hexagonal cell and a skew 3-D cell.
+LATTICES = {
+    "line": [[1.0]],
+    "hexagonal": [[1.0, 0.0], [0.5, np.sqrt(3) / 2]],
+    "skew": [[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.2, 0.5, 0.8]],
+}
+
+
+def random_density(lat, m: int, hbar: float, rank: int, seed: int, n_k: int = 2):
+    """Fibered density on an n_k^d k-grid with random vectors and weights (band m)."""
+    rng = np.random.default_rng(seed)
+    kg = KGrid.monkhorst_pack(lat, n_k)
+    shape = (kg.size, rank, (2 * m + 1) ** lat.dimension)
+    vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return FiberedDensity(kg, lat, m, hbar, rng.uniform(0.2, 1.0, shape[:2]), vecs)
 
 
 @pytest.fixture

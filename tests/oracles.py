@@ -2,8 +2,8 @@
 
 Each oracle computes a quantity the slow, direct way: a lattice sum on the
 position grid, a per-fiber loop over dense momentum symbols, a transform loop
-that rolls and rescales at every step, or a plain dump of arrays.  None of
-them is used by the package itself.
+that rolls and rescales at every step, a midpoint quadrature over phase-space
+grids, or a plain dump of arrays.  None of them is used by the package itself.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ from blochlab import PeriodicField
 from blochlab.bloch import _alt_sign, coeffs_to_values, g_vectors, grid_weight, position_grid, \
     quadrature_len, translate_window, values_to_coeffs
 from blochlab.classical_dynamics import flow
-from blochlab.lattice import theta_cost_weights
+from blochlab.lattice import reduce_to_cell, theta_cost_weights
+from blochlab.quantization import husimi, momentum_cost, momentum_grid
 from blochlab.states import coherent_coeff_batch, coherent_state
 
 
@@ -120,3 +121,86 @@ def diagonal_coupling_dense(f, cost, lat, kgrid, m: int, chunk: int = 512):
             pos_fiber[ik] += float(wf[sl] @ pos)
             mom_fiber[ik] += float(wf[sl] @ mom)
     return pos_fiber, mom_fiber
+
+
+def pair_moment_grid(dens, lat):
+    """sum_ij dens_i dens_j |P_Gamma(y_i - y_j)|^2 over the uniform n^d cell grid.
+
+    ``dens`` has shape (..., n, ..., n) with d trailing grid axes; the result
+    has the leading shape.  On the uniform fractional grid the summand
+    depends on i - j mod n only, so the double sum is dens . (D * dens) with
+    one circular convolution by D, the distances from the first grid point.
+    """
+    d = lat.dimension
+    n = dens.shape[-1]
+    axes = tuple(range(-d, 0))
+    pts = position_grid(lat, n)
+    red = reduce_to_cell(pts - pts[0], lat)
+    kernel = np.sum(red * red, axis=-1).reshape((n,) * d)
+    conv = sfft.irfftn(sfft.rfftn(kernel) * sfft.rfftn(dens, axes=axes), s=(n,) * d, axes=axes)
+    return np.sum(dens * conv, axis=axes)
+
+
+def husimi_mass_grid(rho, k_set, dq=None, dp=None):
+    """Husimi mass on a union of disjoint boxes by midpoint tensor grids over each box.
+
+    The spacings ``dq``/``dp`` default to sqrt(hbar)/3 and pi*sqrt(hbar)/8,
+    the packet-width scale of the density.
+    """
+    s = np.sqrt(rho.hbar)
+    dq = s / 3.0 if dq is None else dq
+    dp = np.pi * s / 8.0 if dp is None else dp
+    total = 0.0
+    for (qlo, qhi), (plo, phi) in zip(k_set.q_bounds, k_set.p_bounds):
+        q_axes = [_midpoints(qlo[i], qhi[i], dq) for i in range(qlo.shape[0])]
+        p_axes = [_midpoints(plo[i], phi[i], dp) for i in range(plo.shape[0])]
+        qs = np.stack(np.meshgrid(*q_axes, indexing="ij"), axis=-1).reshape(-1, qlo.shape[0])
+        ps = np.stack(np.meshgrid(*p_axes, indexing="ij"), axis=-1).reshape(-1, plo.shape[0])
+        w = float(np.prod([(qhi[i] - qlo[i]) / len(q_axes[i]) for i in range(len(q_axes))])
+                  * np.prod([(phi[i] - plo[i]) / len(p_axes[i]) for i in range(len(p_axes))]))
+        total += husimi(rho, qs, ps, w).mass
+    return total
+
+
+def _midpoints(lo, hi, step):
+    n = max(2, int(np.ceil((hi - lo) / step)))
+    return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
+def coupling_energy_husimi_grid(rho, nq, np_per_dim, p_max, ny=None):
+    """Per-fiber (position, momentum) energies of the Husimi coupling of a rank-1 density.
+
+    Midpoint quadrature over the nq^d cell grid and the np_per_dim^d momentum
+    grid on [-p_max, p_max]^d of the Husimi weight of each fiber (at
+    (q, p + hbar k)) against the periodized second moment of |v|^2 about q,
+    itself summed on ``ny`` points per axis (default ``quadrature_len(m)``),
+    and against the momentum cost.  The fiber weights ride on the vectors.
+    """
+    lat, m, hbar = rho.lat, rho.m, rho.hbar
+    d = lat.dimension
+    ny = quadrature_len(m) if ny is None else ny
+    vectors = np.sqrt(rho.lambdas[:, 0])[:, None] * rho.vectors[:, 0]
+    qs = position_grid(lat, nq)
+    ps, wp = momentum_grid(d, np_per_dim, p_max)
+    ys = position_grid(lat, ny)
+    vals = coeffs_to_values(vectors.reshape((-1,) + (2 * m + 1,) * d), lat, ny)
+    dens = np.abs(vals.reshape(vectors.shape[0], -1)) ** 2
+    m2 = np.empty((vectors.shape[0], qs.shape[0]))
+    for iq, q in enumerate(qs):
+        red = reduce_to_cell(q - ys, lat)
+        m2[:, iq] = dens @ np.sum(red * red, axis=-1) * grid_weight(lat, ny)
+
+    g = g_vectors(lat, m)
+    window = np.exp(-np.sum((ps[:, None, :] - hbar * g[None, :, :]) ** 2, axis=-1) / (2 * hbar))
+    phase_q = np.exp(1j * qs @ g.T)
+    pref = (2 * np.pi * hbar) ** (-d) * (4 * np.pi * hbar) ** (d / 2) / lat.cell_volume
+    weights = np.abs(vectors) ** 2
+    moments = (weights.sum(axis=-1), weights @ (hbar * g),
+               weights @ np.sum((hbar * g) ** 2, axis=-1))
+    pos, mom = np.zeros(vectors.shape[0]), np.zeros(vectors.shape[0])
+    wq = grid_weight(lat, nq)
+    for ik, v in enumerate(vectors):
+        fk = pref * np.abs((window * v) @ phase_q.T) ** 2                  # (Np, Nq)
+        pos[ik] = float(np.einsum("pq,q->", fk, m2[ik]) * wq * wp)
+        mom[ik] = float((fk.sum(axis=1) * wq * wp) @ momentum_cost([a[ik] for a in moments], ps))
+    return pos, mom

@@ -278,3 +278,40 @@ def test_cli_pure_verify(tmp_path):
     assert rows["kind"] == "pure"
     assert float(rows["std_dev"]) > 0
     assert (rows["rank"], rows["rank_evolved"], rows["rank_tail"]) == ("1", "1", "0")
+
+
+HEX_PURE = """\
+[lattice]
+basis = [[1.0, 0.0], [0.5, 0.8660254037844386]]
+
+[physics]
+hbar = 0.03
+T = 0.8
+
+[discretization]
+m = 24
+n_k = 2
+
+[scenario]
+K = [((-0.3, -0.3), (0.3, 0.3), (0.0, 1.0), (0.5, 2.0))]
+omega = [((-0.5, -0.1), (0.5, 0.1))]
+delta = 0.05
+
+[initial]
+kind = pure
+center_q = (0.0, 0.0)
+center_p = (0.25, 1.5)
+"""
+
+
+def test_cli_metric_pure_hexagonal_energy_within_bound(tmp_path):
+    # the pure coupling energy is exact, so it meets its closed-form bound, and
+    # no phase-space grid size enters it
+    rows = []
+    for i, grid in enumerate(("", "n_q = 12\nn_p = 16\np_max = 3.0\n")):
+        cfg = write_cfg(tmp_path, HEX_PURE.replace("n_k = 2\n", "n_k = 2\n" + grid), f"{i}.cfg")
+        assert main(["metric", "--config", cfg, "--out", str(tmp_path / str(i))]) == 0
+        rows.append((tmp_path / str(i) / "out_metric.csv").read_text().splitlines()[1:])
+    assert rows[0] == rows[1]
+    values = dict(line.split(",") for line in rows[0][1:])
+    assert float(values["coupling_energy_sq"]) <= float(values["bound_sq"])

@@ -95,19 +95,15 @@ def test_c_bold_toeplitz_point_mass_quadrature(lat1):
 
 
 def test_std_dev_constant_fibers(lat1):
-    # constant fibers: no momentum spread; position part is the exact cell
-    # moment 1/24 in one dimension, approached at second order in the grid
+    # constant fibers: no momentum spread; position part is the cell moment
+    # 1/24 in one dimension, exactly at every order m
     kg = KGrid.monkhorst_pack(lat1, 4)
-    errs = []
     for m in (32, 64, 128):
         n_g = 2 * m + 1
         vecs = np.zeros((4, 1, n_g), dtype=complex)
         vecs[:, 0, m] = 1.0
         rho = FiberedDensity(kg, lat1, m, 0.05, np.ones((4, 1)), vecs)
-        errs.append(abs(std_dev(rho) ** 2 - 1.0 / 24.0))
-    assert errs[2] < errs[1] < errs[0]
-    assert errs[1] / errs[2] > 3.0
-    assert errs[2] < 2e-6
+        assert abs(std_dev(rho) ** 2 - 1.0 / 24.0) < 1e-14
 
 
 def test_std_dev_packet_scaling(lat1):

@@ -7,6 +7,9 @@ from blochlab import (KGrid, LatticeSpec, PhaseBoxSet, PhaseSpaceDensity, Region
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len
 from blochlab.quantization import FiberedDensity, husimi_mass_on_boxes
 
+from conftest import LATTICES, random_density
+from oracles import husimi_mass_grid
+
 
 def gaussian_bump(q0, p0, sq, sp):
     def fn(q, p):
@@ -244,13 +247,26 @@ def test_husimi_mass_on_boxes_matches_full_grid(lat1):
     rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.5])
     box = PhaseBoxSet.single([-0.5], [0.5], [-1.0], [2.0])   # wide momentum margin
     mass = husimi_mass_on_boxes(rho, box)
-    assert mass == pytest.approx(1.0, abs=1e-6)
+    assert mass == pytest.approx(1.0, abs=1e-12)
     # narrow momentum box misses exactly the Gaussian tails (erf oracle)
     tight = PhaseBoxSet.single([-0.5], [0.5], [0.0], [1.0])
     missing = 1.0 - husimi_mass_on_boxes(rho, tight)
-    assert missing == pytest.approx(1.0 - erf(0.5 / np.sqrt(2 * hbar)), rel=0.1)
+    assert missing == pytest.approx(1.0 - erf(0.5 / np.sqrt(2 * hbar)), abs=1e-12)
     half = PhaseBoxSet.single([-0.5], [0.0], [-1.0], [2.0])
-    assert husimi_mass_on_boxes(rho, half) == pytest.approx(0.5, abs=1e-3)
+    assert husimi_mass_on_boxes(rho, half) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_husimi_mass_is_the_grid_limit(name):
+    # halving the oracle's midpoint spacings cuts its error by about 4
+    lat = LatticeSpec(LATTICES[name])
+    d = lat.dimension
+    rho = random_density(lat, 2 if d < 3 else 1, 0.3, 2, seed=d)
+    box = PhaseBoxSet.single([-0.3] * d, [0.2] * d, [-0.5] * d, [0.7] * d)
+    exact = husimi_mass_on_boxes(rho, box)
+    errs = [abs(husimi_mass_grid(rho, box, 0.1 / f, 0.2 / f) / exact - 1.0) for f in (1, 2)]
+    assert errs[0] < 3e-2
+    assert errs[0] / errs[1] > 3.0
 
 
 def test_husimi_of_toeplitz_sharpens_with_hbar(lat1):

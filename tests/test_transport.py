@@ -5,14 +5,16 @@ from blochlab import (CoherentParams, CostParams, KGrid, LatticeSpec, PeriodicFi
                       PhaseSpaceDensity, TrigPotential, apply_cost, c_bold, coherent_family,
                       coupling_energy_husimi, coupling_energy_toeplitz, gamma_bounds,
                       gronwall_rate, stability_envelope, std_dev, toeplitz_quantize)
-from blochlab.bloch import grid_weight, position_grid
+from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
+    values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab.quantization import FiberedDensity
 from blochlab.states import coherent_coeff_batch, coherent_state
 from blochlab.transport_metric import pair_moment
 from scipy.integrate import quad
 
-from oracles import diagonal_coupling_dense
+from conftest import LATTICES, random_density
+from oracles import coupling_energy_husimi_grid, diagonal_coupling_dense, pair_moment_grid
 
 
 def bump_density(lat, nq=16, np_=24, p_max=1.0, p0=0.3):
@@ -185,21 +187,20 @@ def test_husimi_coupling_bound_and_identity(lat1, geom1, hbar):
     m = max(48, int(np.ceil(4 / np.sqrt(hbar))) + 8)
     kg = KGrid.monkhorst_pack(lat1, 8)
     rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
-    p_max = 0.4 + 9 * np.sqrt(hbar)
-    ce = coupling_energy_husimi(rho, nq=64, np_per_dim=160, p_max=p_max)
-    assert ce.total <= ce.bound * (1 + 1e-3)
+    ce = coupling_energy_husimi(rho)
+    assert ce.total <= ce.bound
     assert ce.total == pytest.approx(np.mean(ce.per_fiber), rel=1e-10)
-    # momentum piece quadrature matches the closed-form moment identity
-    assert np.max(np.abs(ce.momentum_per_fiber - ce.momentum_identity)) < 1e-8
+    # the momentum piece is the quadrature of the Husimi grid oracle
+    _, mom = coupling_energy_husimi_grid(rho, 64, 160, 0.4 + 9 * np.sqrt(hbar))
+    assert np.max(np.abs(ce.momentum_per_fiber - mom)) < 1e-8
 
 
 def test_husimi_coupling_determinism(lat1, geom1):
     hbar, m = 0.02, 56
     kg = KGrid.monkhorst_pack(lat1, 8)
     rho = coherent_family(lat1, kg, m, hbar, [0.1], [0.4])
-    p_max = 0.4 + 9 * np.sqrt(hbar)
-    ce = coupling_energy_husimi(rho, nq=64, np_per_dim=160, p_max=p_max)
-    again = coupling_energy_husimi(rho, nq=64, np_per_dim=160, p_max=p_max)
+    ce = coupling_energy_husimi(rho)
+    again = coupling_energy_husimi(rho)
     np.testing.assert_allclose(again.per_fiber, ce.per_fiber, rtol=0, atol=0)
 
 
@@ -210,7 +211,7 @@ def test_husimi_coupling_scaling_and_constant_fiber(lat1, geom1):
     for hbar in (0.04, 0.02):
         m = 56
         rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.0])
-        ce = coupling_energy_husimi(rho, nq=48, np_per_dim=128, p_max=9 * np.sqrt(hbar))
+        ce = coupling_energy_husimi(rho)
         totals.append(ce.total / hbar)
     assert abs(totals[0] - totals[1]) / totals[1] < 0.15
 
@@ -219,9 +220,11 @@ def test_husimi_coupling_scaling_and_constant_fiber(lat1, geom1):
     vecs = np.zeros((kg.size, 1, n_g), dtype=complex)
     vecs[:, 0, m] = 1.0                      # constant function on the cell
     rho_c = FiberedDensity(kg, lat1, m, 0.05, np.ones((kg.size, 1)), vecs)
-    ce = coupling_energy_husimi(rho_c, nq=32, np_per_dim=96, p_max=2.0)
-    ident = ce.momentum_identity - 0.05 / 2  # subtract d*hbar/2*norm^4 term
-    assert np.max(np.abs(ident)) < 1e-12
+    ce = coupling_energy_husimi(rho_c)
+    # only the d*hbar/2*norm^4 term is left, and the grid oracle agrees
+    assert np.max(np.abs(ce.momentum_per_fiber - 0.05 / 2)) < 1e-15
+    _, mom = coupling_energy_husimi_grid(rho_c, 32, 96, 2.0)
+    assert np.max(np.abs(mom - 0.05 / 2)) < 1e-12
 
 
 @pytest.mark.parametrize("basis, n", [([[1.0]], 41), ([[1.0, 0.0], [0.5, np.sqrt(3) / 2]], 13),
@@ -230,16 +233,71 @@ def test_pair_moment_matches_dense_matrix(basis, n, rng):
     lat = LatticeSpec(basis)
     d = lat.dimension
     dens = rng.uniform(0.0, 1.0, (n,) * d)
-    # oracle: the full (n^d x n^d) matrix of periodized pair distances
+    # the grid oracle against the full (n^d x n^d) matrix of periodized pair distances
     pts = position_grid(lat, n)
     red = reduce_to_cell((pts[:, None, :] - pts[None, :, :]).reshape(-1, d), lat)
     dist = np.sum(red * red, axis=-1).reshape(pts.shape[0], pts.shape[0])
     flat = dens.reshape(-1)
     ref = flat @ dist @ flat
-    assert pair_moment(dens, lat) == pytest.approx(ref, rel=1e-12)
+    assert pair_moment_grid(dens, lat) == pytest.approx(ref, rel=1e-12)
     # batched over a leading axis
-    np.testing.assert_allclose(pair_moment(np.stack([dens, 2.0 * dens]), lat),
+    np.testing.assert_allclose(pair_moment_grid(np.stack([dens, 2.0 * dens]), lat),
                                [ref, 4.0 * ref], rtol=1e-12)
+
+
+@pytest.mark.parametrize("name, sizes", [("line", (41, 81, 161)), ("hexagonal", (41, 81, 161)),
+                                         ("skew", (11, 21, 41))])
+def test_pair_moment_is_the_grid_limit(name, sizes, rng):
+    # the grid sum converges to the closed form at second order
+    lat = LatticeSpec(LATTICES[name])
+    d, m = lat.dimension, 3
+    v = rng.standard_normal((2 * m + 1,) * d) + 1j * rng.standard_normal((2 * m + 1,) * d)
+    vals = coeffs_to_values(v, lat, quadrature_len(2 * m))
+    coeffs = values_to_coeffs(vals.real ** 2 + vals.imag ** 2, lat, 2 * m)
+    exact = pair_moment(np.stack([coeffs, 2.0 * coeffs]), lat)
+    assert exact[1] == pytest.approx(4.0 * exact[0], rel=1e-14)
+    errs = [abs(pair_moment_grid(np.abs(coeffs_to_values(v, lat, n)) ** 2, lat)
+                * grid_weight(lat, n) ** 2 - exact[0]) / exact[0] for n in sizes]
+    assert errs[0] < 3e-2
+    assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+def test_husimi_coupling_is_the_grid_limit(name):
+    # refining the oracle's |v|^2 grid by 3 cuts its position error by about 9;
+    # its momentum quadrature is spectrally accurate
+    lat = LatticeSpec(LATTICES[name])
+    d = lat.dimension
+    m = 2 if d < 3 else 1
+    hbar = 0.05
+    rho = random_density(lat, m, hbar, 1, seed=d, n_k=1)
+    ce = coupling_energy_husimi(rho)
+    p_max = hbar * m * np.max(np.sum(np.abs(lat.reciprocal), axis=0)) + 7 * np.sqrt(hbar)
+    n_p = int(np.ceil(2 * p_max / (0.6 * np.sqrt(hbar))))
+    nq = 4 * m + 1
+    errs = []
+    for ny in (nq, 3 * nq, 9 * nq):
+        pos, mom = coupling_energy_husimi_grid(rho, nq, n_p, p_max, ny)
+        errs.append(np.max(np.abs(pos / ce.position_per_fiber - 1.0)))
+        np.testing.assert_allclose(mom, ce.momentum_per_fiber, rtol=1e-10)
+    assert errs[0] < 5e-2
+    assert errs[0] / errs[1] > 6.0 and errs[1] / errs[2] > 6.0
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("hbar", [0.01, 0.1])
+def test_husimi_coupling_bound_holds_per_fiber(name, hbar):
+    # a theorem on rectangular cells (``coupling_energy_husimi``); on skew cells
+    # random densities stay below the bound as well
+    lat = LatticeSpec(LATTICES[name])
+    d = lat.dimension
+    for seed in range(4):
+        rho = random_density(lat, 4 if d < 3 else 2, hbar, 1, seed)
+        ce = coupling_energy_husimi(rho)
+        for ik, k in enumerate(rho.kgrid.points):
+            one = FiberedDensity(KGrid(k[None, :], lat), lat, rho.m, hbar,
+                                 rho.lambdas[ik:ik + 1], rho.vectors[ik:ik + 1])
+            assert ce.per_fiber[ik] <= d * hbar * c_bold(one) + 2.0 * std_dev(one) ** 2
 
 
 def test_husimi_coupling_requires_rank_one(lat1):
@@ -249,7 +307,7 @@ def test_husimi_coupling_requires_rank_one(lat1):
     vecs[:, :, m] = 1.0
     rho = FiberedDensity(kg, lat1, m, 0.05, np.ones((2, 2)), vecs)
     with pytest.raises(ValueError):
-        coupling_energy_husimi(rho, 8, 8, 1.0)
+        coupling_energy_husimi(rho)
 
 
 def test_rank_one_quantities_follow_the_fiber_weight(lat1):
@@ -258,7 +316,7 @@ def test_rank_one_quantities_follow_the_fiber_weight(lat1):
     twice = rho.scaled(2.0)
     assert c_bold(twice) == pytest.approx(4.0 * c_bold(rho), rel=1e-12)
     assert std_dev(twice) ** 2 == pytest.approx(4.0 * std_dev(rho) ** 2, rel=1e-12)
-    one, two = (coupling_energy_husimi(r, 12, 16, 1.5) for r in (rho, twice))
+    one, two = (coupling_energy_husimi(r) for r in (rho, twice))
     assert two.total == pytest.approx(4.0 * one.total, rel=1e-12)
     assert two.bound == pytest.approx(4.0 * one.bound, rel=1e-12)
 
