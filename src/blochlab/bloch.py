@@ -127,41 +127,9 @@ def values_to_coeffs(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray
     return spec
 
 
-@dataclass
-class PeriodicField:
-    """One periodic function as plane-wave coefficients of order m."""
-
-    lat: LatticeSpec
-    m: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        want = (2 * self.m + 1,) * self.lat.dimension
-        if self.coeffs.shape != want:
-            raise ValueError(f"coefficient array must have shape {want}")
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, lat: LatticeSpec, m: int) -> "PeriodicField":
-        return cls(lat, m, values_to_coeffs(np.asarray(values, dtype=complex), lat, m))
-
-    def values(self, nout: int | None = None) -> np.ndarray:
-        return coeffs_to_values(self.coeffs, self.lat, nout)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
-    def inner(self, other: "PeriodicField") -> complex:
-        return complex(np.vdot(self.coeffs, other.coeffs))
-
-    def g_vectors(self) -> np.ndarray:
-        return g_vectors(self.lat, self.m)
-
-
 @dataclass(frozen=True)
 class KGrid:
-    """Quasimomentum sample points in the reciprocal cell with uniform weights."""
+    """Quasimomentum sample points in the reciprocal cell; fiber averages are plain means."""
 
     points: np.ndarray
     lat: LatticeSpec
@@ -187,18 +155,6 @@ class KGrid:
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.size, 1.0 / self.size)
-
-
-def fiber_average(values: np.ndarray) -> np.ndarray:
-    """Normalized average over the fiber axis (axis 0), deterministic reduction."""
-    values = np.asarray(values)
-    if values.shape[0] == 0:
-        raise ValueError("fiber_average: empty grid")
-    return np.add.reduce(values, axis=0) / values.shape[0]
-
 
 @dataclass
 class FiberedState:
@@ -214,9 +170,6 @@ class FiberedState:
         want = (self.kgrid.size,) + (2 * self.m + 1,) * self.lat.dimension
         if self.coeffs.shape != want:
             raise ValueError(f"fibered coefficients must have shape {want}")
-
-    def fiber(self, i: int) -> PeriodicField:
-        return PeriodicField(self.lat, self.m, self.coeffs[i])
 
     def fiber_norms_sq(self) -> np.ndarray:
         return np.sum(np.abs(self.coeffs.reshape(self.kgrid.size, -1)) ** 2, axis=1)

@@ -1,4 +1,4 @@
-"""Hamiltonian flows, Liouville transport, and the geometric-control constant.
+"""Hamiltonian flows and the geometric-control constant.
 
 The integrator is Stoermer-Verlet (order 2, symplectic); trajectories are
 batched over initial conditions, so the geometric-control sampler and the
@@ -13,7 +13,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import LatticeSpec, Region, reduce_to_cell
-from .quantization import PhaseBoxSet, PhaseSpaceDensity
+from .quantization import PhaseBoxSet
+
+
+# Points per axis of the cell grid on which lipschitz_gradient maximizes the Hessian norm.
+_HESSIAN_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -84,15 +88,16 @@ class TrigPotential:
             h -= (c * np.cos(x @ g + phi))[:, None, None] * np.outer(g, g)[None]
         return np.linalg.norm(h, ord=2, axis=(1, 2))
 
-    def lipschitz_gradient(self, grid_per_dim: int = 512) -> "LipschitzBound":
-        """Two Lipschitz bounds for grad V: the analytic series bound and a
-        dense-grid Hessian maximum inflated by 1e-3; ``value`` is their min."""
+    def lipschitz_gradient(self) -> "LipschitzBound":
+        """Two Lipschitz bounds for grad V: the analytic series bound and the
+        Hessian maximum on a ``_HESSIAN_GRID``^d cell grid inflated by 1e-3;
+        ``value`` is their min."""
         analytic = sum(abs(c) * float(np.dot(g, g))
                        for (g, (_, c, _)) in zip(self.g_vectors(), self.terms))
         if self.is_zero:
             return LipschitzBound(0.0, 0.0, 0.0)
         d = self.lat.dimension
-        axis = np.arange(grid_per_dim) / grid_per_dim - 0.5
+        axis = np.arange(_HESSIAN_GRID) / _HESSIAN_GRID - 0.5
         t = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
         grid = float(np.max(self.hessian_norm(self.lat.from_fractional(t)))) * (1.0 + 1e-3)
         return LipschitzBound(min(analytic, grid), analytic, grid)
@@ -109,10 +114,6 @@ class PhasePoint(NamedTuple):
 
     x: np.ndarray
     xi: np.ndarray
-
-
-def hamiltonian(x: np.ndarray, xi: np.ndarray, potential: TrigPotential) -> np.ndarray:
-    return 0.5 * np.sum(np.asarray(xi) ** 2, axis=-1) + potential.value(x)
 
 
 def _verlet_step(x, xi, force, h: float, potential: TrigPotential):
@@ -139,26 +140,6 @@ def flow(x, xi, t: float, potential: TrigPotential, dt: float = 1e-3) -> PhasePo
     return PhasePoint(x, xi)
 
 
-def k_flow(x, xi, k, t: float, potential: TrigPotential, hbar: float,
-           dt: float = 1e-3) -> PhasePoint:
-    """Fiber flow: the plain flow started at momentum xi + hbar*k, shifted back."""
-    k = np.asarray(k, dtype=float)
-    shifted = flow(x, np.asarray(xi, dtype=float) + hbar * k, t, potential, dt)
-    return PhasePoint(shifted.x, shifted.xi - hbar * k)
-
-
-def transport_density(f: PhaseSpaceDensity, t: float, potential: TrigPotential,
-                      lat: LatticeSpec, dt: float = 1e-3) -> PhaseSpaceDensity:
-    """Push the quadrature nodes forward along the flow; weights and values ride along.
-
-    Measure preservation of the flow makes this the transported density; node
-    positions are reduced back to the unit cell (the density is periodic in x).
-    """
-    moved = flow(f.nodes_q, f.nodes_p, t, potential, dt)
-    return PhaseSpaceDensity(reduce_to_cell(moved.x, lat), moved.xi,
-                             f.weights.copy(), f.values.copy())
-
-
 @dataclass(frozen=True)
 class GCEstimate:
     """Sampled lower estimate of the geometric-control observability constant."""
@@ -167,9 +148,6 @@ class GCEstimate:
     satisfied: bool      # False when some sampled trajectory never meets the region
     n_samples: int
     time_step: float
-
-    def __float__(self):
-        return self.value
 
 
 def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region,

@@ -6,7 +6,7 @@ with a provenance comment, and uses exit codes
 
     0  success (for ``verify``: margin within the error budget)
     1  verify margin below the budget
-    2  config parse error
+    2  usage error (flags or their environment values) or config parse error
     3  config validation error
     4  numerical accuracy error (tail or aliasing beyond tolerance)
 
@@ -243,6 +243,16 @@ _COMMANDS = {
 }
 
 
+def _tolerance_scale(text: str) -> float:
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = float("nan")
+    if not (np.isfinite(scale) and scale >= 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return scale
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="blochlab",
@@ -252,12 +262,15 @@ def main(argv=None) -> int:
                         help="path to the experiment config (env BLOCHLAB_CONFIG)")
     parser.add_argument("--out", default=os.environ.get("BLOCHLAB_OUT", "."),
                         help="output directory for CSV artifacts (env BLOCHLAB_OUT)")
+    # string defaults go through ``type`` like the command line, so a malformed
+    # environment value is a usage error (exit 2), not a traceback
     parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("BLOCHLAB_THREADS", "1")),
+                        default=os.environ.get("BLOCHLAB_THREADS", "1"),
                         help="FFT worker threads (env BLOCHLAB_THREADS)")
-    parser.add_argument("--tolerance-scale", type=float,
-                        default=float(os.environ.get("BLOCHLAB_TOLERANCE_SCALE", "1.0")),
-                        help="scales the verify error budget (env BLOCHLAB_TOLERANCE_SCALE)")
+    parser.add_argument("--tolerance-scale", type=_tolerance_scale,
+                        default=os.environ.get("BLOCHLAB_TOLERANCE_SCALE", "1.0"),
+                        help="scales the verify error budget, finite and >= 0 "
+                             "(env BLOCHLAB_TOLERANCE_SCALE)")
     args = parser.parse_args(argv)
 
     if not args.config:
@@ -277,7 +290,8 @@ def main(argv=None) -> int:
     cfg_hash = hashlib.sha256(raw).hexdigest()[:12]
     try:
         cfg = load_config(text)
-        scn = cfg.scenario(tolerance_scale=args.tolerance_scale)
+        scn = cfg.scenario()
+        scn.tolerance_scale = args.tolerance_scale
         scn.disc.seed = int(cfg_hash, 16) % (2 ** 31)
         os.makedirs(args.out, exist_ok=True)
         # the worker count holds for this command only, not for later calls in the process

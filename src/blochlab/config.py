@@ -69,51 +69,16 @@ def parse_config(text: str) -> dict:
     return sections
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, ready to build library objects."""
+    """Validated experiment: the scenario, the Bloch translate window and the output prefix."""
 
-    basis: np.ndarray
-    terms: tuple
-    hbar: float
-    lam: float | None
-    horizon: float
-    dt: float
-    disc: Discretization
-    k_boxes: np.ndarray      # (nb, 4, d): q_lo, q_hi, p_lo, p_hi
-    omega_boxes: np.ndarray  # (nb, 2, d): lo, hi
-    delta: float
-    initial_kind: str
-    center_q: np.ndarray | None
-    center_p: np.ndarray | None
-    sigma_q: float
-    sigma_p: float
+    _scenario: ObservabilityScenario
     l_cut: int
     prefix: str = "out"
 
-    @property
-    def lattice(self) -> LatticeSpec:
-        return LatticeSpec(self.basis)
-
-    def potential(self) -> TrigPotential:
-        return TrigPotential(self.lattice, self.terms)
-
-    def omega_region(self) -> Region:
-        return Region(self.omega_boxes, self.lattice)
-
-    def k_set(self) -> PhaseBoxSet:
-        return PhaseBoxSet(self.k_boxes[:, :2], self.k_boxes[:, 2:])
-
-    def scenario(self, tolerance_scale: float = 1.0) -> ObservabilityScenario:
-        lat = self.lattice
-        return ObservabilityScenario(
-            lat=lat, geom=gamma_bounds(lat), potential=self.potential(),
-            hbar=self.hbar, horizon=self.horizon, delta=self.delta,
-            omega=self.omega_region(), k_set=self.k_set(), disc=self.disc,
-            lam=self.lam, initial_kind=self.initial_kind,
-            center_q=self.center_q, center_p=self.center_p,
-            sigma_q=self.sigma_q, sigma_p=self.sigma_p,
-            tolerance_scale=tolerance_scale)
+    def scenario(self) -> ObservabilityScenario:
+        return self._scenario
 
 
 _REQUIRED = object()
@@ -191,7 +156,8 @@ def load_config(text: str) -> ExperimentConfig:
 
     lat = _value(sections, "lattice", "basis", _lattice)
     d = lat.dimension
-    terms = _value(sections, "potential", "terms", lambda v: _terms(v, d), ())
+    potential = TrigPotential(lat, _value(sections, "potential", "terms",
+                                          lambda v: _terms(v, d), ()))
 
     hbar = _value(sections, "physics", "hbar", _real)
     if not (1e-4 <= hbar <= 1.0):
@@ -224,7 +190,7 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigValidationError(
             "discretization.m", f"m*sqrt(hbar) = {m * np.sqrt(hbar):.2f} < 4; "
             "the packet width is unresolved")
-    bw = max((max(abs(v) for v in n) for n, _, _ in terms), default=0)
+    bw = potential.bandwidth
     if bw and m < 2 * bw:
         raise ConfigValidationError(
             "discretization.m", f"m = {m} must be at least twice the potential "
@@ -268,12 +234,13 @@ def load_config(text: str) -> ExperimentConfig:
             "discretization.m", f"momentum coverage hbar*m*|b| = {reach:.3f} "
             f"is below the data's requirement {p_need:.3f}")
 
+    geom = gamma_bounds(lat)
     l_cut = _value(sections, "discretization", "l_cut", int,
-                   default_window(lat, hbar, gamma_bounds(lat).gamma_minus))
+                   default_window(lat, hbar, geom.gamma_minus))
 
-    return ExperimentConfig(
-        basis=lat.basis, terms=terms, hbar=hbar, lam=lam, horizon=horizon, dt=dt,
-        disc=disc, k_boxes=k_boxes, omega_boxes=omega_boxes, delta=delta,
-        initial_kind=kind, center_q=center_q, center_p=center_p,
-        sigma_q=sigma_q, sigma_p=sigma_p, l_cut=l_cut,
-        prefix=_value(sections, "output", "prefix", str, "out"))
+    scenario = ObservabilityScenario(
+        lat=lat, geom=geom, potential=potential, hbar=hbar, horizon=horizon, delta=delta,
+        omega=Region(omega_boxes, lat), k_set=PhaseBoxSet(k_boxes[:, :2], k_boxes[:, 2:]),
+        disc=disc, lam=lam, initial_kind=kind, center_q=center_q, center_p=center_p,
+        sigma_q=sigma_q, sigma_p=sigma_p)
+    return ExperimentConfig(scenario, l_cut, _value(sections, "output", "prefix", str, "out"))

@@ -60,9 +60,6 @@ class LatticeSpec:
     def dimension(self) -> int:
         return self.basis.shape[0]
 
-    def to_fractional(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float) @ self.inverse_basis
-
     def from_fractional(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(t, dtype=float) @ self.basis
 
@@ -70,25 +67,13 @@ class LatticeSpec:
         return np.asarray(n, dtype=float) @ self.basis
 
 
-def project_to_cell(z: np.ndarray, lat: LatticeSpec):
-    """Split ``z = p + ell`` with ``p`` in the half-open unit cell, ``ell`` in the lattice.
-
-    Accepts any batch shape ``(..., d)``.  Returns ``(p, ell)``; ``ell`` is an
-    exact integer combination of the basis rows, so ``z - p == ell`` holds to
-    roundoff.  Raises on non-finite input.
-    """
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("project_to_cell: input must be finite")
-    t = lat.to_fractional(z)
-    # floor(t + 1/2) sends t = +1/2 to the next cell, i.e. ties round half-down.
-    n = np.floor(t + 0.5)
-    p = lat.from_fractional(t - n)
-    return p, lat.lattice_vector(n)
-
-
 def reduce_to_cell(z: np.ndarray, lat: LatticeSpec) -> np.ndarray:
-    """Cell projection without the lattice-vector part (hot-loop variant)."""
+    """The point ``p`` of the half-open unit cell with ``z - p`` in the lattice.
+
+    Accepts any batch shape ``(..., d)``.  Fractional coordinates are rounded
+    with ``floor(t + 1/2)``, so t = +1/2 goes to the next cell (ties round
+    half-down).
+    """
     t = np.asarray(z, dtype=float) @ lat.inverse_basis
     return (t - np.floor(t + 0.5)) @ lat.basis
 
@@ -177,10 +162,6 @@ class Region:
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         return cls(np.stack([lo, hi])[None, :, :], lat)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.boxes.shape[0] == 0
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask over points (..., d), periodic membership.

@@ -43,37 +43,22 @@ def minimize_toeplitz_penalty(geom: CellGeometry, horizon: float,
                               lip: float) -> tuple[float, float]:
     """Quantized-density penalty constant and the cost scale that attains it.
 
-    The inner minimum over the cost scale is bracketed on a 2001-point grid in
-    log-lambda over [-8, 8] and refined by golden-section search to 1e-8.
-    Returns (constant, lambda).
+    The inner minimum over the cost scale is found in log-lambda over [-8, 8]
+    by three 2001-point scans, each on the bracket of the previous one's
+    minimum, which pins it to 8e-9.  Returns (constant, lambda).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if lip < 0:
         raise ValueError("Lipschitz bound must be nonnegative")
-    grid = np.linspace(-8.0, 8.0, 2001)
-    vals = _toeplitz_objective(grid, geom, horizon, lip)
-    i = int(np.argmin(vals))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(grid.size - 1, i + 1)]
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d_ = a + inv_phi * (b - a)
-    fc = _toeplitz_objective(np.array([c]), geom, horizon, lip)[0]
-    fd = _toeplitz_objective(np.array([d_]), geom, horizon, lip)[0]
-    while b - a > 1e-8:
-        if fc < fd:
-            b, d_, fd = d_, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _toeplitz_objective(np.array([c]), geom, horizon, lip)[0]
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + inv_phi * (b - a)
-            fd = _toeplitz_objective(np.array([d_]), geom, horizon, lip)[0]
-    best, log_lam = (fc, c) if fc <= fd else (fd, d_)
-    return (float(np.sqrt(geom.gamma_minus / (2.0 * geom.gamma_plus)) * best),
-            float(np.exp(log_lam)))
+    lo, hi = -8.0, 8.0
+    for _ in range(3):
+        grid = np.linspace(lo, hi, 2001)
+        vals = _toeplitz_objective(grid, geom, horizon, lip)
+        i = int(np.argmin(vals))
+        lo, hi = grid[max(0, i - 1)], grid[min(grid.size - 1, i + 1)]
+    return (float(np.sqrt(geom.gamma_minus / (2.0 * geom.gamma_plus)) * vals[i]),
+            float(np.exp(grid[i])))
 
 
 def constant_toeplitz(geom: CellGeometry, horizon: float, lip: float) -> float:
@@ -97,15 +82,8 @@ def hbar_threshold(c_gc: float, c_toeplitz: float, delta: float, dimension: int)
     return (delta ** 2 / dimension) * (c_gc / c_toeplitz) ** 2
 
 
-def chi_cutoff(region: Region, delta: float):
-    """Lipschitz cell cutoff (1 - dist(x, periodized region)/delta)_+ as a callable."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-
-    def chi(points):
-        return np.clip(1.0 - region.distance(points) / delta, 0.0, None)
-
-    return chi
+# Trace fraction that node pruning and rank compression of the quantized bump may drop.
+PRUNE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +105,6 @@ class Discretization:
     gc_quasi: int = 1000
     dt: float = 1e-3
     seed: int = 0
-    prune_tol: float = 1e-10
 
 
 @dataclass
@@ -237,20 +214,20 @@ def initial_density(scn: ObservabilityScenario) -> PhaseSpaceDensity:
 
     f = PhaseSpaceDensity.from_function(bump, scn.lat, scn.disc.n_q, scn.disc.n_p,
                                         default_p_max(scn))
-    return f.pruned(scn.disc.prune_tol).normalized()
+    return f.pruned(PRUNE_TOL).normalized()
 
 
 def initial_state(scn: ObservabilityScenario) -> FiberedDensity:
     """The scenario's fibered initial datum.
 
     A coherent family for pure data; for toeplitz data the quantized bump,
-    compressed to its effective rank at ``prune_tol`` (``FiberedDensity.compressed``).
+    compressed to its effective rank at ``PRUNE_TOL`` (``FiberedDensity.compressed``).
     """
     kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
     if scn.initial_kind == "pure":
         return coherent_family(scn.lat, kgrid, scn.disc.m, scn.hbar, scn.center_q, scn.center_p)
     rho = toeplitz_quantize(initial_density(scn), scn.lat, kgrid, scn.disc.m, scn.hbar)
-    return rho.compressed(scn.disc.prune_tol)[0]
+    return rho.compressed(PRUNE_TOL)[0]
 
 
 def default_p_max(scn: ObservabilityScenario) -> float:
@@ -299,7 +276,7 @@ def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
     """Run the inequality check for a quantized Gaussian-bump density.
 
     The quantized density is evolved on its effective rank: compression at
-    ``prune_tol`` drops at most that fraction of each fiber trace, the same
+    ``PRUNE_TOL`` drops at most that fraction of each fiber trace, the same
     tolerance as the node pruning of the classical density.
     """
     d = scn.lat.dimension
@@ -307,7 +284,7 @@ def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
     rho = toeplitz_quantize(f, scn.lat, KGrid.monkhorst_pack(scn.lat, scn.disc.n_k),
                             scn.disc.m, scn.hbar)
     rank = rho.rank
-    rho, tail = rho.compressed(scn.disc.prune_tol)
+    rho, tail = rho.compressed(PRUNE_TOL)
     lhs, series, times, quad_err = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)

@@ -119,7 +119,7 @@ class PhaseSpaceDensity:
         mask = region.contains(self.nodes_q, self.nodes_p)
         return float(np.sum(self.weights[mask] * self.values[mask]))
 
-    def pruned(self, tol: float = 1e-12) -> "PhaseSpaceDensity":
+    def pruned(self, tol: float) -> "PhaseSpaceDensity":
         """Drop the lightest nodes whose combined mass is below tol * mass."""
         contrib = self.weights * self.values
         order = np.argsort(contrib, kind="stable")
@@ -132,30 +132,23 @@ class PhaseSpaceDensity:
 
     @classmethod
     def from_function(cls, fn: Callable, lat: LatticeSpec, nq: int, np_per_dim: int,
-                      p_max: float, p_center=None, normalize: bool = True
-                      ) -> "PhaseSpaceDensity":
-        """Sample fn(q, p) on the tensor grid over cell x [-p_max, p_max]^d."""
-        qs, ps, w = phase_grid_nodes(lat, nq, np_per_dim, p_max, p_center)
+                      p_max: float) -> "PhaseSpaceDensity":
+        """Sample fn(q, p) on the tensor grid over cell x [-p_max, p_max]^d, normalized."""
+        qs, ps, w = phase_grid_nodes(lat, nq, np_per_dim, p_max)
         vals = np.asarray(fn(qs, ps), dtype=float)
-        dens = cls(qs, ps, np.full(qs.shape[0], w), vals)
-        return dens.normalized() if normalize else dens
+        return cls(qs, ps, np.full(qs.shape[0], w), vals).normalized()
 
 
-def phase_grid_nodes(lat: LatticeSpec, nq: int, np_per_dim: int, p_max: float,
-                     p_center=None):
+def phase_grid_nodes(lat: LatticeSpec, nq: int, np_per_dim: int, p_max: float):
     """Product nodes of the uniform cell grid and a midpoint momentum grid.
 
     Returns (q, p, weight) with q, p of shape (nq^d * np^d, d) and a scalar
-    weight; the momentum grid is midpoint on [-p_max, p_max]^d shifted by
-    p_center, so smooth decaying integrands are integrated spectrally.
+    weight; the momentum grid is midpoint on [-p_max, p_max]^d, so smooth
+    decaying integrands are integrated spectrally.
     """
     d = lat.dimension
-    if p_center is None:
-        p_center = np.zeros(d)
-    p_center = np.atleast_1d(np.asarray(p_center, dtype=float))
     qs = position_grid(lat, nq)
     pmesh, wp = momentum_grid(d, np_per_dim, p_max)
-    pmesh = pmesh + p_center
     nqt, npt = qs.shape[0], pmesh.shape[0]
     q_full = np.repeat(qs, npt, axis=0)
     p_full = np.tile(pmesh, (nqt, 1))
@@ -316,8 +309,12 @@ def coherent_family(lat: LatticeSpec, kgrid: KGrid, m: int, hbar: float, q0, p0
     return FiberedDensity(kgrid, lat, m, hbar, np.ones((kgrid.size, 1)), vecs[:, None, :])
 
 
+# How far from 1 the mass of a density that toeplitz_quantize accepts may be.
+_MASS_TOL = 1e-8
+
+
 def toeplitz_quantize(f: PhaseSpaceDensity, lat: LatticeSpec, kgrid: KGrid, m: int,
-                      hbar: float, mass_tol: float = 1e-8) -> FiberedDensity:
+                      hbar: float) -> FiberedDensity:
     """Quantize a phase-space density into a low-rank fibered operator.
 
     Fiber k collects one projector per quadrature node, onto the periodized
@@ -325,8 +322,8 @@ def toeplitz_quantize(f: PhaseSpaceDensity, lat: LatticeSpec, kgrid: KGrid, m: i
     has unit periodic trace up to the packet-normalization error, which is
     spectrally small once the plane-wave order resolves the packets.
     """
-    if abs(f.mass - 1.0) > mass_tol:
-        raise ValueError(f"density mass {f.mass:.3e} is not 1 (tol {mass_tol:g})")
+    if abs(f.mass - 1.0) > _MASS_TOL:
+        raise ValueError(f"density mass {f.mass:.3e} is not 1 (tol {_MASS_TOL:g})")
     n_k = kgrid.size
     lam = np.broadcast_to((f.weights * f.values)[None, :], (n_k, f.size)).copy()
     vecs = np.empty((n_k, f.size, (2 * m + 1) ** lat.dimension), dtype=complex)
@@ -428,13 +425,3 @@ def _offset_slices(offset: np.ndarray, m: int):
     return (tuple(map(slice, start + offset, stop + offset)), tuple(map(slice, start, stop)),
             tuple(slice(2 * a + o, 2 * b + o - 1, 2) for a, b, o in zip(start, stop, offset)))
 
-
-def observe(rho: FiberedDensity, region: Region) -> float:
-    """Fiber-averaged trace of the density masked to a cell region.
-
-    Position-grid quadrature of the fiber densities over the region; a grid
-    point contributes when its center lies in the (periodized) region.
-    """
-    if region.is_empty:
-        return 0.0
-    return rho.masked_trace(rho.region_mask(region))

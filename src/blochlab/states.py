@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PeriodicField, g_vectors
-from .errors import AccuracyError
+from .bloch import g_vectors
 from .lattice import LatticeSpec
 
 
@@ -61,45 +60,3 @@ def coherent_coeff_batch(qs: np.ndarray, ps: np.ndarray, hbar: float,
     gauss = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * hbar))
     phase = np.exp(1j * np.einsum("bgd,bd->bg", diff, qs) / hbar)
     return amp * gauss * phase
-
-
-def coherent_planewave_coeffs(params: CoherentParams, lat: LatticeSpec,
-                              k: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients of the fiber-k periodization: closed-form Gaussian transform.
-
-    Equals the inner products of the basis functions with the periodized
-    packet at momentum ``p - hbar*k``, arranged on the centered index grid.
-    """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    flat = coherent_coeff_batch(params.q[None, :], (params.p - params.hbar * k)[None, :],
-                                params.hbar, lat, m)[0]
-    return flat.reshape((2 * m + 1,) * lat.dimension)
-
-
-def periodized_coherent(params: CoherentParams, lat: LatticeSpec, m: int,
-                        edge_tol: float = 1e-6) -> PeriodicField:
-    """Periodized packet as a PeriodicField (closed-form coefficients).
-
-    Raises AccuracyError when the Gaussian momentum profile is clipped by the
-    truncation, detected by a non-negligible coefficient on the outer index
-    shell relative to the peak.
-    """
-    coeffs = coherent_planewave_coeffs(params, lat, np.zeros(lat.dimension), m)
-    peak = float(np.max(np.abs(coeffs)))
-    edge = _edge_max(np.abs(coeffs))
-    if peak > 0.0 and edge > edge_tol * peak:
-        raise AccuracyError(
-            f"plane-wave order m={m} clips the packet: edge/peak = {edge / peak:.2e}")
-    return PeriodicField(lat, m, coeffs)
-
-
-def _edge_max(a: np.ndarray) -> float:
-    mask = np.zeros(a.shape, dtype=bool)
-    for axis in range(a.ndim):
-        sl = [slice(None)] * a.ndim
-        sl[axis] = 0
-        mask[tuple(sl)] = True
-        sl[axis] = -1
-        mask[tuple(sl)] = True
-    return float(np.max(a[mask])) if a.size else 0.0
-

@@ -1,4 +1,4 @@
-"""Transport cost operator, coupling energies, and the Groenwall stability envelope.
+"""Transport-cost coupling energies and the Groenwall stability envelope.
 
 The pseudo-metric between a classical density and a fibered quantum density is
 never computed as a true infimum; every quantity here is the energy of one of
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import KGrid, PeriodicField, coeffs_to_values, g_vectors, grid_weight, \
-    position_grid, quadrature_len, values_to_coeffs
+from .bloch import KGrid, coeffs_to_values, g_vectors, grid_weight, position_grid, \
+    quadrature_len, values_to_coeffs
 from .classical_dynamics import TrigPotential, flow
 from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
 from .quantization import FiberedDensity, PhaseSpaceDensity, momentum_cost, toeplitz_quantize
@@ -42,25 +42,6 @@ class CostParams:
 def gronwall_rate(geom: CellGeometry, lam: float, lipschitz: float) -> float:
     """Exponential transport rate (2 gamma_+ / gamma_-)(lambda + Lip^2 / lambda)."""
     return (2.0 * geom.gamma_plus / geom.gamma_minus) * (lam + lipschitz ** 2 / lam)
-
-
-def apply_cost(cost: CostParams, x, xi, u):
-    """Apply the cost operator at phase-space point (x, xi) to a periodic field.
-
-    Position part: pointwise multiplication on the cell grid by
-    lambda^2 theta(|P_Gamma(x - y)|^2).  Momentum part: the spectral symbol
-    (xi - hbar G)^2 on coefficient G.
-    """
-    lat = u.lat
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    n = 2 * u.m + 1
-    grid = position_grid(lat, n)
-    w = cost.lam ** 2 * theta_cost_weights(x[None, :], grid, cost.geom)[0]
-    vals = u.values() * w.reshape((n,) * lat.dimension)
-    out = values_to_coeffs(vals, lat, u.m)
-    sym = np.sum((xi - cost.hbar * g_vectors(lat, u.m)) ** 2, axis=-1).reshape(u.coeffs.shape)
-    return PeriodicField(lat, u.m, out + sym * u.coeffs)
 
 
 @dataclass
@@ -100,14 +81,14 @@ def diagonal_coupling_parts(rho: FiberedDensity, x: np.ndarray, xi: np.ndarray,
 
 
 def coupling_energy_toeplitz(f: PhaseSpaceDensity, cost: CostParams, lat: LatticeSpec,
-                             kgrid: KGrid, m: int, mass_tol: float = 1e-8) -> CouplingEnergy:
+                             kgrid: KGrid, m: int) -> CouplingEnergy:
     """Energy of the diagonal packet coupling between f and its quantization.
 
     For each node and fiber the integrand is the cost expectation on the
     periodized packet at (q_j, p_j - hbar k); the k average of the total is an
     upper bound (squared) for the pseudo-distance, below (1+lambda^2) d hbar/2.
     """
-    rho = toeplitz_quantize(f, lat, kgrid, m, cost.hbar, mass_tol)
+    rho = toeplitz_quantize(f, lat, kgrid, m, cost.hbar)
     pos_fiber, mom_fiber = diagonal_coupling_parts(rho, f.nodes_q, f.nodes_p, cost)
     per_fiber = pos_fiber + mom_fiber
     bound = (1.0 + cost.lam ** 2) * lat.dimension * cost.hbar / 2.0

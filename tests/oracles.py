@@ -3,19 +3,46 @@
 Each oracle computes a quantity the slow, direct way: a lattice sum on the
 position grid, a per-fiber loop over dense momentum symbols, a transform loop
 that rolls and rescales at every step, a midpoint quadrature over phase-space
-grids, or a plain dump of arrays.  None of them is used by the package itself.
+grids, or a plain dump of arrays.  The proof devices of the stability
+argument live here too: a single periodic field with its own packet
+constructor, the commutator identities behind the cost transport, and the
+fiber flow.  None of them is used by the package itself.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
-from blochlab import PeriodicField
 from blochlab.bloch import _alt_sign, coeffs_to_values, g_vectors, grid_weight, position_grid, \
     quadrature_len, translate_window, values_to_coeffs
-from blochlab.classical_dynamics import flow
-from blochlab.lattice import reduce_to_cell, theta_cost_weights
+from blochlab.classical_dynamics import PhasePoint, TrigPotential, flow
+from blochlab.errors import AccuracyError
+from blochlab.lattice import CellGeometry, LatticeSpec, reduce_to_cell, theta_cost_weights
 from blochlab.quantization import husimi, momentum_cost, momentum_grid
-from blochlab.states import coherent_coeff_batch, coherent_state
+from blochlab.states import CoherentParams, coherent_coeff_batch, coherent_state
+
+
+@dataclass
+class PeriodicField:
+    """One periodic function as plane-wave coefficients of order m."""
+
+    lat: LatticeSpec
+    m: int
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        want = (2 * self.m + 1,) * self.lat.dimension
+        if self.coeffs.shape != want:
+            raise ValueError(f"coefficient array must have shape {want}")
+
+    def values(self, nout: int | None = None) -> np.ndarray:
+        return coeffs_to_values(self.coeffs, self.lat, nout)
+
+    @property
+    def norm_sq(self) -> float:
+        return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 def periodized_coherent_direct(params, lat, m: int, l_cut: int) -> PeriodicField:
@@ -204,3 +231,174 @@ def coupling_energy_husimi_grid(rho, nq, np_per_dim, p_max, ny=None):
         pos[ik] = float(np.einsum("pq,q->", fk, m2[ik]) * wq * wp)
         mom[ik] = float((fk.sum(axis=1) * wq * wp) @ momentum_cost([a[ik] for a in moments], ps))
     return pos, mom
+
+
+# ---------------------------------------------------------------------------
+# periodized packets, fiber flow and commutator identities
+# ---------------------------------------------------------------------------
+
+def coherent_planewave_coeffs(params: CoherentParams, lat: LatticeSpec,
+                              k: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients of the fiber-k periodization: closed-form Gaussian transform.
+
+    Equals the inner products of the basis functions with the periodized
+    packet at momentum ``p - hbar*k``, arranged on the centered index grid.
+    """
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    flat = coherent_coeff_batch(params.q[None, :], (params.p - params.hbar * k)[None, :],
+                                params.hbar, lat, m)[0]
+    return flat.reshape((2 * m + 1,) * lat.dimension)
+
+
+def periodized_coherent(params: CoherentParams, lat: LatticeSpec, m: int,
+                        edge_tol: float = 1e-6) -> PeriodicField:
+    """Periodized packet as a PeriodicField (closed-form coefficients).
+
+    Raises AccuracyError when the Gaussian momentum profile is clipped by the
+    truncation, detected by a non-negligible coefficient on the outer index
+    shell relative to the peak.
+    """
+    coeffs = coherent_planewave_coeffs(params, lat, np.zeros(lat.dimension), m)
+    peak = float(np.max(np.abs(coeffs)))
+    edge = _edge_max(np.abs(coeffs))
+    if peak > 0.0 and edge > edge_tol * peak:
+        raise AccuracyError(
+            f"plane-wave order m={m} clips the packet: edge/peak = {edge / peak:.2e}")
+    return PeriodicField(lat, m, coeffs)
+
+
+def _edge_max(a: np.ndarray) -> float:
+    mask = np.zeros(a.shape, dtype=bool)
+    for axis in range(a.ndim):
+        sl = [slice(None)] * a.ndim
+        sl[axis] = 0
+        mask[tuple(sl)] = True
+        sl[axis] = -1
+        mask[tuple(sl)] = True
+    return float(np.max(a[mask])) if a.size else 0.0
+
+
+def k_flow(x, xi, k, t: float, potential: TrigPotential, hbar: float,
+           dt: float = 1e-3) -> PhasePoint:
+    """Fiber flow: the plain flow started at momentum xi + hbar*k, shifted back."""
+    k = np.asarray(k, dtype=float)
+    shifted = flow(x, np.asarray(xi, dtype=float) + hbar * k, t, potential, dt)
+    return PhasePoint(shifted.x, shifted.xi - hbar * k)
+
+
+def _field_of_potential(v: TrigPotential, lat: LatticeSpec, order: int) -> np.ndarray:
+    """Coefficient array whose values() reproduce the potential exactly."""
+    n = 2 * order + 1
+    vals = v.value(position_grid(lat, n)).reshape((n,) * lat.dimension).astype(complex)
+    return values_to_coeffs(vals, lat, order)
+
+
+def _mult_exact(a: np.ndarray, order_a: int, b: np.ndarray, order_b: int,
+                lat: LatticeSpec) -> np.ndarray:
+    """Product of two trigonometric polynomials, exact to roundoff.
+
+    Result order is order_a + order_b; evaluation happens on a grid large
+    enough that no aliasing occurs.
+    """
+    order = order_a + order_b
+    n = 2 * order + 1
+    va = coeffs_to_values(a, lat, n)
+    vb = coeffs_to_values(b, lat, n)
+    # values carry a 1/sqrt(cell) factor each; one of them is spurious for a product
+    return values_to_coeffs(va * vb, lat, order) * np.sqrt(lat.cell_volume)
+
+
+@dataclass(frozen=True)
+class CommutatorResiduals:
+    """Norms of the commutator-identity defects on a test field."""
+
+    potential_gradient: float   # i/hbar [V, (xi + i hbar grad)^2] vs first-order form
+    theta_gradient: float       # same identity for the (truncated) cost multiplier
+    diagonal: float             # [V, theta-multiplier]: both diagonal, exactly zero
+    kinetic: float              # [kinetic, (xi + i hbar grad)^2]: both diagonal in G
+
+
+def commutator_residual(potential: TrigPotential, k, xi, u: PeriodicField, hbar: float,
+                        geom: CellGeometry, x_center=None, lam: float = 1.0,
+                        theta_order: int | None = None) -> CommutatorResiduals:
+    """Check the commutator identities behind the cost-transport estimate.
+
+    Both sides of each identity are assembled with exact polynomial products
+    (padded grids), so for multiplier fields given as trigonometric
+    polynomials the residuals are pure roundoff.  The cost multiplier
+    ``lam^2 * theta(|P_Gamma(x - y)|^2)`` enters through its band-limited
+    projection of order ``theta_order`` (default: the field's order).
+    """
+    lat = u.lat
+    d = lat.dimension
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if x_center is None:
+        x_center = np.zeros(d)
+    x_center = np.atleast_1d(np.asarray(x_center, dtype=float))
+
+    res_v = _gradient_identity_residual(
+        _field_of_potential(potential, lat, max(1, potential.bandwidth)),
+        max(1, potential.bandwidth), u, xi, hbar, lat)
+
+    t_ord = theta_order if theta_order is not None else u.m
+    n = 2 * t_ord + 1
+    grid = position_grid(lat, n)
+    w_vals = lam ** 2 * theta_cost_weights(x_center[None, :], grid, geom)[0]
+    w_coeffs = values_to_coeffs(w_vals.astype(complex).reshape((n,) * d), lat, t_ord)
+    # The fiber momentum operator -i hbar grad + hbar k is minus a standard-form
+    # operator with xi = -hbar k, so the kinetic/theta identity reduces to the
+    # gradient identity at that xi; the factor 1/2 restores the defect norm of
+    # the half-kinetic commutator.
+    res_t = 0.5 * _gradient_identity_residual(w_coeffs, t_ord, u, -hbar * k, hbar, lat)
+
+    # diagonal pairs commute bitwise once composed as pointwise products
+    nv = 2 * (max(1, potential.bandwidth) + t_ord) + 1
+    v_vals = potential.value(position_grid(lat, nv))
+    w_vals2 = lam ** 2 * theta_cost_weights(x_center[None, :], position_grid(lat, nv), geom)[0]
+    diff = v_vals * w_vals2 - w_vals2 * v_vals
+    u_big = np.abs(coeffs_to_values(u.coeffs, lat, nv)).reshape(-1)
+    res_diag = float(np.sqrt(np.sum(np.abs(diff * u_big) ** 2) * grid_weight(lat, nv)))
+
+    g = g_vectors(lat, u.m)
+    kin = 0.5 * hbar ** 2 * np.sum((g + k) ** 2, axis=-1)
+    mom = np.sum((xi - hbar * g) ** 2, axis=-1)
+    both = kin * mom - mom * kin
+    res_kin = float(np.sqrt(np.sum(np.abs(both * u.coeffs.reshape(-1)) ** 2)))
+
+    return CommutatorResiduals(potential_gradient=res_v, theta_gradient=res_t,
+                               diagonal=res_diag, kinetic=res_kin)
+
+
+def _gradient_identity_residual(w_coeffs: np.ndarray, w_order: int, u: PeriodicField,
+                                xi: np.ndarray, hbar: float, lat: LatticeSpec) -> float:
+    """Residual of i/hbar [W, P^2] u = (P . grad W + grad W . P) u, P = xi + i hbar grad.
+
+    P acts diagonally as xi - hbar G; products are evaluated on padded grids so
+    the comparison is exact for trigonometric-polynomial multipliers.
+    """
+    d = lat.dimension
+    out_order = w_order + u.m
+    big_shape = (2 * out_order + 1,) * d
+    g_small = g_vectors(lat, u.m)
+    g_big = g_vectors(lat, out_order)
+    p_small = xi - hbar * g_small
+    p_big = xi - hbar * g_big
+
+    p2_small = np.sum(p_small ** 2, axis=-1).reshape(u.coeffs.shape)
+    p2_big = np.sum(p_big ** 2, axis=-1).reshape(big_shape)
+
+    wu = _mult_exact(w_coeffs, w_order, u.coeffs, u.m, lat)
+    lhs = (1j / hbar) * (_mult_exact(w_coeffs, w_order, p2_small * u.coeffs, u.m, lat)
+                         - p2_big * wu)
+
+    rhs = np.zeros_like(lhs)
+    gw = g_vectors(lat, w_order)
+    for i in range(d):
+        grad_i = (1j * gw[:, i]).reshape(w_coeffs.shape) * w_coeffs
+        pi_small = p_small[:, i].reshape(u.coeffs.shape)
+        pi_big = p_big[:, i].reshape(big_shape)
+        term1 = pi_big * _mult_exact(grad_i, w_order, u.coeffs, u.m, lat)
+        term2 = _mult_exact(grad_i, w_order, pi_small * u.coeffs, u.m, lat)
+        rhs = rhs + term1 + term2
+    return float(np.linalg.norm((lhs - rhs).reshape(-1)))

@@ -10,19 +10,18 @@ import pytest
 
 from blochlab import (CoherentParams, CostParams, Discretization, KGrid,
                       ObservabilityScenario, PhaseBoxSet, PhaseSpaceDensity, Region,
-                      TrigPotential, bloch_transform, coherent_family,
-                      coherent_planewave_coeffs, coherent_state, commutator_residual,
+                      TrigPotential, bloch_transform, coherent_family, coherent_state,
                       constant_pure, constant_toeplitz, coupling_energy_husimi,
-                      coupling_energy_toeplitz, evolve_density, fiber_average, flow,
-                      hbar_threshold, husimi, periodic_trace, periodized_coherent,
+                      coupling_energy_toeplitz, flow, hbar_threshold, husimi, periodic_trace,
                       stability_envelope, verify_pure_theorem, verify_toeplitz_theorem)
 from blochlab.bloch import default_window, grid_weight, position_grid
 from blochlab.cli import main as cli_main
 from blochlab.quantization import FiberedDensity
-from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
+from blochlab.quantum_dynamics import FiberHamiltonian, FiberPropagator, propagate_batch
 
 from conftest import coherent_overlap
-from oracles import coupling_energy_husimi_grid
+from oracles import (coherent_planewave_coeffs, commutator_residual,
+                     coupling_energy_husimi_grid, periodized_coherent)
 
 
 def _report(num, ok, detail):
@@ -46,7 +45,7 @@ def test_criterion_01_bloch_isometry(lat1, lat2):
             return sum(a * coherent_state(c, pts) for a, c in zip(amps, packets))
 
         state = bloch_transform(u, lat1, kg, m, l_cut)
-        avg = fiber_average(state.fiber_norms_sq())
+        avg = np.mean(state.fiber_norms_sq())
         norm = sum((np.conj(amps[i]) * amps[j]
                     * coherent_overlap(qs[i], ps[i], qs[j], ps[j], hbar)).real
                    for i in range(3) for j in range(3))
@@ -58,7 +57,7 @@ def test_criterion_01_bloch_isometry(lat1, lat2):
     for _ in range(3):
         cp = CoherentParams(rng.uniform(-0.3, 0.3, 2), rng.uniform(-0.5, 0.5, 2), 0.1)
         state = bloch_transform(lambda pts: coherent_state(cp, pts), lat2, kg2, 12, l_cut2)
-        worst = max(worst, abs(fiber_average(state.fiber_norms_sq()) - 1.0))
+        worst = max(worst, abs(np.mean(state.fiber_norms_sq()) - 1.0))
     _report(1, worst <= 1e-10, f"isometry defect {worst:.3e} <= 1e-10")
 
 
@@ -259,7 +258,8 @@ def test_criterion_08_unitarity_trace(lat1):
     kg = KGrid.monkhorst_pack(lat1, 8)
     rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
     tr0 = periodic_trace(rho)
-    rho_t = evolve_density(rho, vpot, 1.0, 1e-3)
+    vectors = FiberPropagator(kg, lat1, m, vpot, hbar).advance(rho.vectors.copy(), 1.0, 1e-3)
+    rho_t = FiberedDensity(kg, lat1, m, hbar, rho.lambdas, vectors)
     trace_drift = abs(periodic_trace(rho_t) - tr0)
     ok = norm_drift <= 1e-9 and trace_drift <= 1e-9
     _report(8, ok, f"norm drift {norm_drift:.3e}, trace drift {trace_drift:.3e} <= 1e-9")

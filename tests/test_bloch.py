@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from blochlab import (CoherentParams, KGrid, PeriodicField, bloch_transform,
-                      coherent_state, fiber_average, inverse_bloch)
+from blochlab import CoherentParams, KGrid, bloch_transform, coherent_state, inverse_bloch
 from blochlab.bloch import (coeffs_to_values, default_window, g_vectors, grid_weight,
                             position_grid, quadrature_len, translate_window, values_to_coeffs)
 from blochlab.errors import AccuracyError
 
 from conftest import coherent_overlap, is_11_smooth
-from oracles import coeffs_to_values_rolled, dump_csv
+from oracles import PeriodicField, coeffs_to_values_rolled, dump_csv
 
 
 def random_field(rng, lat, m):
@@ -21,15 +20,9 @@ def test_kgrid_points_inside_cell(lat1, lat2):
         kg = KGrid.monkhorst_pack(lat, nk)
         frac = kg.points @ np.linalg.inv(lat.reciprocal)
         assert np.all(np.abs(frac) < 0.5)          # shifted off the boundary
-        assert kg.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(kg.weights, kg.weights[0])
-
-
-def test_fiber_average_basics():
-    assert fiber_average(np.array([3.7, 3.7, 3.7])) == pytest.approx(3.7)
-    assert fiber_average(np.array([0.0, 1.0])) == pytest.approx(0.5)
+        assert kg.size == nk ** lat.dimension
     with pytest.raises(ValueError):
-        fiber_average(np.zeros((0,)))
+        KGrid(np.zeros((0, 1)), lat1)
 
 
 def test_fiber_average_linear_in_k_convergence(lat1):
@@ -40,7 +33,7 @@ def test_fiber_average_linear_in_k_convergence(lat1):
         kg = KGrid.monkhorst_pack(lat1, nk)
         vals = np.cos(kg.points[:, 0] / 2.0)
         exact = 2 * np.sin(np.pi / 2) / np.pi
-        errs.append(abs(fiber_average(vals) - exact))
+        errs.append(abs(np.mean(vals) - exact))
     assert errs[2] < errs[1] < errs[0]
     assert errs[1] / errs[2] > 3.0                  # O(nk^-2)
 
@@ -105,7 +98,7 @@ def test_bloch_isometry_random_packets(rng, lat1):
             return sum(a * coherent_state(c, pts) for a, c in zip(amps, packets))
 
         state = bloch_transform(u, lat1, kg, m, l_cut)
-        avg = fiber_average(state.fiber_norms_sq())
+        avg = np.mean(state.fiber_norms_sq())
         norm = sum((np.conj(amps[i]) * amps[j]
                     * coherent_overlap(qs[i], ps[i], qs[j], ps[j], hbar)).real
                    for i in range(3) for j in range(3))

@@ -116,7 +116,8 @@ def test_load_config_roundtrip_objects():
     assert scn.hbar == 0.02
     assert scn.k_set.n_boxes == 1
     assert scn.omega.boxes.shape == (1, 2, 1)
-    assert cfg.potential().is_zero
+    assert scn.potential.is_zero
+    assert scn.disc.dt == 1e-3 and cfg.prefix == "out"
 
 
 def write_cfg(tmp_path, text=BASE, name="exp.cfg"):
@@ -165,7 +166,7 @@ def test_default_window_follows_the_cell():
             .replace("hbar = 0.02", "hbar = 0.003").replace("m = 48", "m = 80"))
     cfg = load_config(text)
     assert cfg.l_cut == 2
-    assert cfg.l_cut == default_window(cfg.lattice, 0.003, 0.25)
+    assert cfg.l_cut == default_window(cfg.scenario().lat, 0.003, 0.25)
 
 
 def test_cli_constants_and_metric(tmp_path):
@@ -267,6 +268,28 @@ def test_cli_env_overrides(tmp_path, monkeypatch):
     monkeypatch.setenv("BLOCHLAB_OUT", str(out))
     assert main(["constants"]) == 0
     assert (out / "out_constants.csv").exists()
+
+
+@pytest.mark.parametrize("variable, value", [("BLOCHLAB_THREADS", "abc"),
+                                             ("BLOCHLAB_TOLERANCE_SCALE", "x")])
+def test_cli_malformed_environment_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                    variable, value):
+    monkeypatch.setenv(variable, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--config", write_cfg(tmp_path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert repr(value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-0.5"])
+def test_cli_rejects_non_finite_or_negative_tolerance_scale(tmp_path, capsys, scale):
+    # a NaN scale turned a margin of +5 into FAIL, and a negative one gave a negative budget
+    cfg = write_cfg(tmp_path, BASE.replace("kind = toeplitz", "kind = pure"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", cfg, "--out", str(tmp_path), "--tolerance-scale", scale])
+    assert exc.value.code == 2
+    assert "--tolerance-scale" in capsys.readouterr().err
+    assert not (tmp_path / "out_verify.csv").exists()
 
 
 def test_cli_pure_verify(tmp_path):

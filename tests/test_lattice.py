@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blochlab import LatticeSpec, Region, gamma_bounds, project_to_cell, theta
-from blochlab.lattice import reduce_to_cell, theta_cost_weights
+from blochlab import LatticeSpec, Region, gamma_bounds, reduce_to_cell, theta
+from blochlab.lattice import theta_cost_weights
 
 
 def test_reciprocal_duality(lat1, lat2):
@@ -22,32 +22,22 @@ def test_singular_basis_rejected():
 
 
 def test_project_examples(lat1, lat2):
-    p, ell = project_to_cell(np.array([0.7]), lat1)
-    np.testing.assert_allclose(p, [-0.3])
-    np.testing.assert_allclose(ell, [1.0])
-    p, ell = project_to_cell(np.array([0.0]), lat1)
-    np.testing.assert_allclose(p, [0.0])
-    np.testing.assert_allclose(ell, [0.0])
-    p, ell = project_to_cell(np.array([0.6, -0.7]), lat2)
-    np.testing.assert_allclose(p, [-0.4, 0.3], atol=1e-15)
-    np.testing.assert_allclose(ell, [1.0, -1.0])
+    np.testing.assert_allclose(reduce_to_cell(np.array([0.7]), lat1), [-0.3])
+    np.testing.assert_allclose(reduce_to_cell(np.array([0.0]), lat1), [0.0])
+    np.testing.assert_allclose(reduce_to_cell(np.array([0.6, -0.7]), lat2), [-0.4, 0.3],
+                               atol=1e-15)
+    np.testing.assert_allclose(reduce_to_cell(np.array([[0.7], [-1.2]]), lat1), [[-0.3], [-0.2]])
 
 
 def test_project_boundary_ties(lat1):
     # +1/2 wraps down to -1/2: deterministic half-open convention
-    p, ell = project_to_cell(np.array([0.5]), lat1)
-    np.testing.assert_allclose(p, [-0.5])
-    np.testing.assert_allclose(ell, [1.0])
-
-
-def test_project_nonfinite_rejected(lat1):
-    with pytest.raises(ValueError):
-        project_to_cell(np.array([np.inf]), lat1)
+    np.testing.assert_allclose(reduce_to_cell(np.array([0.5]), lat1), [-0.5])
+    np.testing.assert_allclose(reduce_to_cell(np.array([-0.5]), lat1), [-0.5])
 
 
 def test_project_lattice_membership(rng, lat2):
     z = rng.uniform(-7, 7, size=(10_000, 2))
-    p, ell = project_to_cell(z, lat2)
+    p = reduce_to_cell(z, lat2)
     frac = (z - p) @ lat2.inverse_basis
     assert np.max(np.abs(frac - np.round(frac))) < 1e-9
     t = p @ lat2.inverse_basis
@@ -59,9 +49,7 @@ def test_project_odd_symmetry(rng, lat2):
     t = z @ lat2.inverse_basis
     off = np.min(np.abs(np.abs(t + 0.5) % 1.0), axis=1) > 1e-3  # off the boundary set
     z = z[off]
-    p_plus, _ = project_to_cell(z, lat2)
-    p_minus, _ = project_to_cell(-z, lat2)
-    np.testing.assert_allclose(p_minus, -p_plus, atol=1e-12)
+    np.testing.assert_allclose(reduce_to_cell(-z, lat2), -reduce_to_cell(z, lat2), atol=1e-12)
 
 
 def test_projection_contracts(rng, lat2):

@@ -3,12 +3,12 @@ import pytest
 import scipy.fft
 
 from blochlab import (Discretization, KGrid, ObservabilityScenario, PhaseBoxSet,
-                      Region, TrigPotential, c_bold, chi_cutoff, coherent_family, constant_pure,
+                      Region, TrigPotential, c_bold, coherent_family, constant_pure,
                       constant_toeplitz, hbar_threshold, std_dev, verify_pure_theorem,
                       verify_toeplitz_theorem)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
-from blochlab.observability import initial_density, minimize_toeplitz_penalty, \
+from blochlab.observability import PRUNE_TOL, initial_density, minimize_toeplitz_penalty, \
     observed_time_integral
 from blochlab.quantization import FiberedDensity, toeplitz_quantize
 
@@ -148,7 +148,12 @@ def test_std_dev_two_quadrature_routes(lat1):
 def test_chi_sandwich_and_lipschitz(lat1, rng):
     delta = 0.07
     region = Region.interval([-0.1], [0.1], lat1)
-    chi = chi_cutoff(region, delta)
+
+    def chi(points):
+        # the Lipschitz cutoff between the region and its dilation that the
+        # dilated observation dominates
+        return np.clip(1.0 - region.distance(points) / delta, 0.0, None)
+
     pts = rng.uniform(-0.5, 0.5, (4000, 1))
     vals = chi(pts)
     inside = region.contains(pts)
@@ -198,7 +203,7 @@ def test_compression_keeps_toeplitz_lhs(lat1, geom1):
     scn.disc = Discretization(m=64, n_k=4, n_q=10, n_p=14, n_time_obs=20, n_time_gc=200,
                               gc_per_axis=8, gc_quasi=40, dt=1e-3)
     rep = verify_toeplitz_theorem(scn)
-    assert rep.rank_evolved < rep.rank and 0.0 < rep.rank_tail <= scn.disc.prune_tol
+    assert rep.rank_evolved < rep.rank and 0.0 < rep.rank_tail <= PRUNE_TOL
     rho = toeplitz_quantize(initial_density(scn), lat1, KGrid.monkhorst_pack(lat1, 4), 64,
                             scn.hbar)
     assert rho.rank == rep.rank

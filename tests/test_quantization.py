@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erf
 
 from blochlab import (KGrid, LatticeSpec, PhaseBoxSet, PhaseSpaceDensity, Region, coherent_family,
-                      husimi, observe, periodic_trace, toeplitz_quantize)
+                      husimi, periodic_trace, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len
 from blochlab.quantization import FiberedDensity, husimi_mass_on_boxes
 
@@ -52,8 +52,8 @@ def test_toeplitz_trace_one(lat1):
 
 
 def test_toeplitz_rejects_unnormalized(lat1):
-    f = PhaseSpaceDensity.from_function(gaussian_bump(0.0, 0.3, 0.12, 0.18),
-                                        lat1, 12, 16, 1.2, normalize=False)
+    f = PhaseSpaceDensity.from_function(gaussian_bump(0.0, 0.3, 0.12, 0.18), lat1, 12, 16, 1.2)
+    f = PhaseSpaceDensity(f.nodes_q, f.nodes_p, f.weights, 1.01 * f.values)
     with pytest.raises(ValueError):
         toeplitz_quantize(f, lat1, KGrid.monkhorst_pack(lat1, 4), 32, 0.05)
 
@@ -191,14 +191,21 @@ def test_husimi_argmax_near_point_mass(lat1):
     assert abs(w.nodes_p[j, 0] - 1.0) <= dp + 1e-12
 
 
+def observe(rho, region, delta=0.0):
+    """Fiber-averaged trace of the density on the (delta-dilated) cell region."""
+    return rho.masked_trace(rho.region_mask(region, delta))
+
+
 def test_observe_cases(lat1):
     hbar, m = 0.05, 48
     kg = KGrid.monkhorst_pack(lat1, 8)
     rho = coherent_family(lat1, kg, m, hbar, [0.1], [0.4])
     full = Region.interval([-0.5], [0.5], lat1)
     assert observe(rho, full) == pytest.approx(periodic_trace(rho), abs=1e-12)
+    assert observe(rho, full, 0.1) == pytest.approx(periodic_trace(rho), abs=1e-12)
     empty = Region(np.zeros((0, 2, 1)), lat1)
     assert observe(rho, empty) == 0.0
+    assert observe(rho, empty, 0.1) == 0.0
 
 
 @pytest.mark.parametrize("basis, m", [([[1.0]], 18), ([[1.0, 0.0], [0.5, np.sqrt(3) / 2]], 6)])

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
-from blochlab import (CoherentParams, KGrid, LatticeSpec, PeriodicField, TrigPotential,
-                      bloch_transform, coherent_family, coherent_state, commutator_residual,
-                      evolve_density, gamma_bounds, periodic_trace, periodized_coherent,
-                      propagate_fiber)
+from blochlab import (CoherentParams, KGrid, LatticeSpec, TrigPotential, bloch_transform,
+                      coherent_family, coherent_state, gamma_bounds, periodic_trace)
 from blochlab.bloch import centered_indices
 from blochlab.quantization import FiberedDensity
-from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
+from blochlab.quantum_dynamics import FiberHamiltonian, FiberPropagator, propagate_batch
 
-from oracles import propagate_batch_rolled
+from oracles import commutator_residual, periodized_coherent, propagate_batch_rolled
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +92,21 @@ def test_strang_second_order(lat1, vpot):
     assert errs[0] / errs[1] >= 3.5
 
 
-def test_propagate_fiber_wrapper(lat1, vpot):
+def test_fiber_propagator_matches_propagate_batch(lat1, vpot):
+    # one block of (n_k, batch, n_G) coefficients, advanced in place, fiber by fiber;
+    # V = 0 takes the all-fiber kinetic phase instead of propagate_batch
     hbar, m = 0.05, 16
-    h = FiberHamiltonian(lat1, m, np.array([0.0]), vpot, hbar)
-    u = periodized_coherent(CoherentParams([0.0], [0.2], hbar), lat1, m)
-    out = propagate_fiber(u, h, 0.1, 1e-3)
-    assert isinstance(out, PeriodicField)
-    assert out.norm_sq == pytest.approx(u.norm_sq, abs=1e-12)
-    with pytest.raises(ValueError):
-        propagate_fiber(PeriodicField(lat1, 8, np.zeros(17, complex)), h, 0.1, 1e-3)
+    kg = KGrid.monkhorst_pack(lat1, 3)
+    rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.2])
+    for potential in (vpot, TrigPotential.zero(lat1)):
+        block = np.concatenate([rho.vectors, 1j * rho.vectors[:, :, ::-1]], axis=1)
+        ref = np.stack([propagate_batch(block[ik], FiberHamiltonian(lat1, m, k, potential, hbar),
+                                        0.1, 1e-3) for ik, k in enumerate(kg.points)])
+        norms = np.sum(np.abs(block) ** 2, axis=-1)
+        out = FiberPropagator(kg, lat1, m, potential, hbar).advance(block, 0.1, 1e-3)
+        assert out is block
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(np.sum(np.abs(out) ** 2, axis=-1), norms, rtol=1e-12)
 
 
 def test_self_adjointness_quadratic_form(rng, lat1, vpot):
@@ -127,10 +131,11 @@ def test_eigenstate_stationary(lat1, vpot):
     lam = np.ones((1, 1))
     rho = FiberedDensity(KGrid(k[None, :], lat1), lat1, m, hbar, lam,
                          ground[None, None, :])
-    out = evolve_density(rho, vpot, 0.8, 2e-4)      # splitting error ~ dt^2
+    out = FiberPropagator(rho.kgrid, lat1, m, vpot, hbar).advance(
+        rho.vectors.copy(), 0.8, 2e-4)              # splitting error ~ dt^2
     # projector comparison is phase-free
     p_in = np.outer(ground, ground.conj())
-    v_out = out.vectors[0, 0]
+    v_out = out[0, 0]
     p_out = np.outer(v_out, v_out.conj())
     assert np.max(np.abs(p_out - p_in)) < 1e-8
 
@@ -139,12 +144,13 @@ def test_evolve_density_trace_and_identity(lat1, vpot):
     hbar, m, nk = 0.05, 32, 4
     kg = KGrid.monkhorst_pack(lat1, nk)
     rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
-    same = evolve_density(rho, vpot, 0.0, 1e-3)
-    np.testing.assert_allclose(same.vectors, rho.vectors)
-    tr0 = periodic_trace(rho)
-    out = evolve_density(rho, vpot, 1.0, 1e-3)
-    assert abs(periodic_trace(out) - tr0) < 1e-9
-    np.testing.assert_allclose(out.lambdas, rho.lambdas)
+    propagator = FiberPropagator(kg, lat1, m, vpot, hbar)
+    np.testing.assert_array_equal(propagator.advance(rho.vectors.copy(), 0.0, 1e-3),
+                                  rho.vectors)
+    # the fiber weights are untouched, so the trace moves only with the vector norms
+    out = FiberedDensity(kg, lat1, m, hbar, rho.lambdas,
+                         propagator.advance(rho.vectors.copy(), 1.0, 1e-3))
+    assert abs(periodic_trace(out) - periodic_trace(rho)) < 1e-9
 
 
 def test_decomposability_whole_space_vs_fiberwise(lat1, vpot):

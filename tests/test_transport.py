@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from blochlab import (CoherentParams, CostParams, KGrid, LatticeSpec, PeriodicField,
-                      PhaseSpaceDensity, TrigPotential, apply_cost, c_bold, coherent_family,
-                      coupling_energy_husimi, coupling_energy_toeplitz, gamma_bounds,
-                      gronwall_rate, stability_envelope, std_dev, toeplitz_quantize)
+from blochlab import (CoherentParams, CostParams, KGrid, LatticeSpec, PhaseSpaceDensity,
+                      TrigPotential, c_bold, coherent_family, coupling_energy_husimi,
+                      coupling_energy_toeplitz, gamma_bounds, gronwall_rate, stability_envelope,
+                      std_dev, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
     values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
@@ -24,34 +24,6 @@ def bump_density(lat, nq=16, np_=24, p_max=1.0, p0=0.3):
     return PhaseSpaceDensity.from_function(fn, lat, nq, np_, p_max)
 
 
-def test_apply_cost_plane_wave_momentum_symbol(lat1, geom1):
-    cost = CostParams(1e-8, 0.05, geom1)       # effectively momentum part only
-    m = 12
-    coeffs = np.zeros(2 * m + 1, dtype=complex)
-    coeffs[m + 4] = 1.0
-    u = PeriodicField(lat1, m, coeffs)
-    xi = np.array([0.7])
-    out = apply_cost(cost, np.array([0.2]), xi, u)
-    g = 4 * 2 * np.pi
-    expected = (xi[0] - 0.05 * g) ** 2
-    assert out.coeffs[m + 4] == pytest.approx(expected, rel=1e-10)
-    others = np.abs(out.coeffs)
-    others[m + 4] = 0.0
-    assert others.max() < 1e-10
-
-
-def test_apply_cost_hermitian(rng, lat1, geom1):
-    cost = CostParams(1.2, 0.05, geom1)
-    m = 16
-    u = PeriodicField(lat1, m, rng.standard_normal(2 * m + 1)
-                      + 1j * rng.standard_normal(2 * m + 1))
-    v = PeriodicField(lat1, m, rng.standard_normal(2 * m + 1)
-                      + 1j * rng.standard_normal(2 * m + 1))
-    cu = apply_cost(cost, np.array([0.1]), np.array([0.4]), u)
-    cv = apply_cost(cost, np.array([0.1]), np.array([0.4]), v)
-    assert v.inner(cu) == pytest.approx(np.conj(u.inner(cv)), abs=1e-10)
-
-
 def test_cost_expectation_whole_space_identity(lat1, geom1):
     # k-averaged packet expectation of the |P|^2-cost equals the whole-space
     # Gaussian moment expression, itself below (1 + lam^2) d hbar / 2
@@ -66,8 +38,7 @@ def test_cost_expectation_whole_space_identity(lat1, geom1):
     for i in range(nk):
         c = coherent_coeff_batch(x[None, :], (xi - hbar * kg.points[i])[None, :],
                                  hbar, lat1, m)[0]
-        field = PeriodicField(lat1, m, c)
-        vals2 = np.abs(field.values()) ** 2
+        vals2 = np.abs(coeffs_to_values(c, lat1)) ** 2
         red = reduce_to_cell(x[None, :] - grid, lat1)
         pos = lam ** 2 * float(np.sum(np.sum(red ** 2, axis=-1) * vals2.reshape(-1))) * w
         g = (np.arange(-m, m + 1) * 2 * np.pi)
