@@ -181,14 +181,26 @@ def translate_window(l_cut: int, d: int) -> np.ndarray:
     return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
-def default_window(lat: LatticeSpec, hbar: float, gamma_minus: float, tol: float = 1e-14) -> int:
-    """Smallest l_cut with exp(-(l_cut*gamma_minus)^2 / (2 hbar)) below tol."""
-    l_cut = int(np.ceil(np.sqrt(2.0 * hbar * np.log(1.0 / tol)) / gamma_minus))
-    return max(1, l_cut)
+# Relative L2 mass allowed on the outer translate shell of ``bloch_transform`` is TAIL_TOL^2.
+TAIL_TOL = 1e-10
+
+
+def default_window(lat: LatticeSpec, hbar: float, gamma_minus: float) -> int:
+    """Smallest l_cut at which a packet centred anywhere in the cell passes the tail check.
+
+    |u|^2 of a coherent packet decays like exp(-|x - q|^2 / hbar).  The outer
+    shell |n|_inf = l_cut lies at least (l_cut - 1) * 2 gamma_minus from any
+    centre q in the cell (2 gamma_minus is the least distance between
+    opposite faces), and the mass beyond a plane at distance D is below
+    exp(-D^2 / hbar), which drops below ``TAIL_TOL``^2 for
+    D >= sqrt(2 hbar ln(1 / TAIL_TOL)).
+    """
+    reach = np.sqrt(2.0 * hbar * np.log(1.0 / TAIL_TOL))
+    return 1 + int(np.ceil(reach / (2.0 * gamma_minus)))
 
 
 def bloch_transform(u, lat: LatticeSpec, kgrid: KGrid, m: int, l_cut: int,
-                    tail_tol: float = 1e-10) -> FiberedState:
+                    tail_tol: float = TAIL_TOL) -> FiberedState:
     """Discrete Bloch transform of a decaying function on R^d.
 
     Parameters

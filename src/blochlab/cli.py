@@ -102,7 +102,7 @@ def _cmd_bloch_check(cfg, scn, out, cfg_hash) -> int:
 
 def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
     rho = initial_state(scn)
-    integral, series, times, quad_err = observed_time_integral(
+    integral, series, times, quad_err, drift = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)
     rows = list(zip(times, series))
@@ -110,6 +110,7 @@ def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
                ("t", "observed"), rows, cfg_hash)
     print(f"time integral = {integral:.12g}  (quad err est {quad_err:.3g})")
     print(f"initial periodic trace = {periodic_trace(rho):.12g}")
+    print(f"trace drift = {drift:.3g}")
     return 0
 
 
@@ -213,6 +214,7 @@ def _cmd_verify(cfg, scn, out, cfg_hash) -> int:
         ("gronwall_factor", report.gronwall_factor),
         ("energy_bound", report.energy_bound),
         ("lhs_quad_error", report.lhs_quad_error),
+        ("trace_drift", report.trace_drift),
         ("rank", report.rank), ("rank_evolved", report.rank_evolved),
         ("rank_tail", report.rank_tail),
     ]

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bloch import KGrid
 from .classical_dynamics import GCEstimate, TrigPotential, gc_constant
+from .errors import ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region
 from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
     husimi_mass_on_boxes, toeplitz_quantize
@@ -166,6 +167,7 @@ class TheoremReport:
     threshold: float | None
     threshold_ok: bool
     lhs_quad_error: float
+    trace_drift: float           # largest relative change of a fiber trace over [0, T]
     rank: int                    # vectors per fiber of the initial datum
     rank_evolved: int            # vectors per fiber after compression (the ones evolved)
     rank_tail: float             # largest trace fraction compression dropped in one fiber
@@ -182,8 +184,11 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
     """Trapezoid time integral of the masked fiber-average trace along the evolution.
 
     The density is evolved incrementally (no restart per sample).  Returns the
-    integral, the sample values, the times, and a quadrature-error estimate
-    from comparing with the half-resolution trapezoid rule.
+    integral, the sample values, the times, a quadrature-error estimate from
+    comparing with the half-resolution trapezoid rule, and the trace drift:
+    the largest relative change |tr_k(T) - tr_k(0)| / tr_k(0) of a fiber
+    trace (the split step projects onto the plane-wave window, so it is not
+    exactly unitary).
     """
     if n_samples % 2 == 1:
         n_samples += 1
@@ -196,11 +201,13 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
     for i in range(1, n_samples + 1):
         propagator.advance(rho_t.vectors, sample_dt, dt)
         series[i] = rho_t.masked_trace(mask)
+    traces = rho.fiber_traces()
+    drift = float(np.max(np.abs(rho_t.fiber_traces() - traces) / traces))
     times = np.linspace(0.0, horizon, n_samples + 1)
     trapz = getattr(np, "trapezoid", None) or np.trapz
     integral = float(trapz(series, times))
     halved = float(trapz(series[::2], times[::2]))
-    return integral, series, times, abs(integral - halved)
+    return integral, series, times, abs(integral - halved), drift
 
 
 def initial_density(scn: ObservabilityScenario) -> PhaseSpaceDensity:
@@ -210,6 +217,10 @@ def initial_density(scn: ObservabilityScenario) -> PhaseSpaceDensity:
         val = np.exp(-np.sum((q - scn.center_q) ** 2, axis=-1) / (2 * scn.sigma_q ** 2)
                      - np.sum((p - scn.center_p) ** 2, axis=-1) / (2 * scn.sigma_p ** 2))
         val[~scn.k_set.contains(q, p)] = 0.0    # supported in K by construction
+        if not np.any(val > 0):
+            raise ConfigValidationError(
+                "discretization.n_p", "no node of the n_q x n_p phase-space grid inside K "
+                "carries mass of the initial bump; refine the momentum grid")
         return val
 
     f = PhaseSpaceDensity.from_function(bump, scn.lat, scn.disc.n_q, scn.disc.n_p,
@@ -285,7 +296,7 @@ def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
                             scn.disc.m, scn.hbar)
     rank = rho.rank
     rho, tail = rho.compressed(PRUNE_TOL)
-    lhs, series, times, quad_err = observed_time_integral(
+    lhs, series, times, quad_err, drift = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)
     gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential, scn.lat,
@@ -299,14 +310,15 @@ def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
     energy_bound = float(np.sqrt((1.0 + lam_star ** 2) * d * scn.hbar / 2.0))
     return _assemble_report(scn, "toeplitz", lhs, series, times, quad_err, gc, mass_k, lip,
                             c_t, lam_star, float(np.sqrt(d * scn.hbar)), energy_bound,
-                            {"rank": rank, "rank_evolved": rho.rank, "rank_tail": tail})
+                            {"rank": rank, "rank_evolved": rho.rank, "rank_tail": tail,
+                             "trace_drift": drift})
 
 
 def verify_pure_theorem(scn: ObservabilityScenario) -> TheoremReport:
     """Run the inequality check for a coherent-family pure fibered density."""
     d = scn.lat.dimension
     rho = initial_state(scn)
-    lhs, series, times, quad_err = observed_time_integral(
+    lhs, series, times, quad_err, drift = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)
     gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential, scn.lat,
@@ -321,4 +333,4 @@ def verify_pure_theorem(scn: ObservabilityScenario) -> TheoremReport:
     return _assemble_report(scn, "pure", lhs, series, times, quad_err, gc, mass_k, lip,
                             c_p, 1.0, energy_bound, energy_bound,
                             {"std_dev": dev, "c_bold": cb, "rank": rho.rank,
-                             "rank_evolved": rho.rank, "rank_tail": 0.0})
+                             "rank_evolved": rho.rank, "rank_tail": 0.0, "trace_drift": drift})

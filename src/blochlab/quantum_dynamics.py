@@ -1,5 +1,8 @@
 """Fiber Hamiltonians and split-step propagation.
 
+Fiber vectors live on the plane-wave window of order m; the split step applies
+the potential on the ``quadrature_len(m)`` cell grid and projects back onto it.
+
 Sign convention: the density evolves as ``R(t) = U(t)^* R_in U(t)`` where the
 adjoint ``U(t)^*`` acts on fiber vectors as the standard forward propagator
 ``exp(-i t H_k / hbar)``; that is what ``propagate_batch`` applies.  The
@@ -14,14 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .bloch import KGrid, _alt_sign, _twisted, g_vectors, position_grid
+from .bloch import KGrid, _alt_sign, _twisted, g_vectors, position_grid, quadrature_len
 from .classical_dynamics import TrigPotential
 from .lattice import LatticeSpec
 
 
 @dataclass
 class FiberHamiltonian:
-    """Kinetic diagonal (shifted by the fiber quasimomentum) plus a periodic potential."""
+    """Kinetic diagonal (shifted by the fiber quasimomentum) plus a periodic potential.
+
+    The kinetic diagonal lives on the (2m+1)^d plane-wave window, the
+    potential values on the ``quadrature_len(m)``^d cell grid.
+    """
 
     lat: LatticeSpec
     m: int
@@ -37,7 +44,7 @@ class FiberHamiltonian:
         shifted = g_vectors(self.lat, self.m) + self.k
         diag = 0.5 * self.hbar ** 2 * np.sum(shifted * shifted, axis=-1)
         self.kinetic_diagonal = diag.reshape((2 * self.m + 1,) * d)
-        n = 2 * self.m + 1
+        n = quadrature_len(self.m)
         self.potential_values = self.potential.value(position_grid(self.lat, n)) \
             .reshape((n,) * d)
 
@@ -49,15 +56,21 @@ def kinetic_phase(h: FiberHamiltonian, t: float) -> np.ndarray:
 def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float) -> np.ndarray:
     """Strang-split propagation of a batch of coefficient arrays (leading axes free).
 
-    Kinetic half-steps act diagonally on coefficients; the potential factor
-    multiplies pointwise on the position grid.  The zero-potential case uses
-    the exact diagonal propagator.
+    Kinetic half-steps act diagonally on coefficients; the zero-potential
+    case uses the exact diagonal propagator.  Otherwise each step is
+    P e^{-i tau V / hbar} P between kinetic half-steps, with the potential
+    factor collocated on the N = ``quadrature_len(m)`` grid per axis and P
+    the projection onto the plane-wave window: for N > 2m+1 this is the
+    Galerkin step up to the Fourier tail of the factor beyond N - 2m - 1,
+    for N = 2m+1 plain collocation.  The projection makes the step not
+    exactly unitary.
 
-    The batch is moved once into twisted FFT order, x = ifftshift(c * alt),
-    in which the values on the cell grid are ifftn(x) up to a constant that
-    cancels between the two transforms of a step; each step is then
-    fftn(ifftn(x) * pot) * phase with kinetic phases in FFT order, and the
-    result is moved back once at the end.
+    The batch is moved once into padded twisted FFT order,
+    x = ifftshift(pad(c * alt)), in which the values on the N grid are
+    ifftn(x) up to a constant that cancels between the two transforms of a
+    step; each step is then fftn(ifftn(x) * pot) * phase with kinetic phases
+    in the same padded FFT order and zero outside the window, which is the
+    projection.  At the end the window is cut out and the twist undone.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if t == 0.0:
@@ -69,10 +82,12 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     n_steps = max(1, int(np.ceil(abs(t) / dt)))
     step = t / n_steps
     d = h.lat.dimension
+    n, nin = h.potential_values.shape[-1], 2 * h.m + 1
     axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
     half = kinetic_phase(h, 0.5 * step)
-    x = _twisted(coeffs * half, 2 * h.m + 1, d)
-    half = sfft.ifftshift(half)
+    x = _twisted(coeffs * half, n, d)
+    cut = (n - nin) // 2
+    half = sfft.ifftshift(np.pad(half, cut))
     full = half * half
     pot = np.exp(-1j * step * h.potential_values / h.hbar)
     for i in range(n_steps):
@@ -80,7 +95,8 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
         vals *= pot
         x = sfft.fftn(vals, axes=axes, overwrite_x=True)
         x *= half if i == n_steps - 1 else full
-    return sfft.fftshift(x, axes=axes) * _alt_sign(2 * h.m + 1, d)
+    window = (Ellipsis,) + (slice(cut, cut + nin),) * d
+    return sfft.fftshift(x, axes=axes)[window] * _alt_sign(nin, d)
 
 
 class FiberPropagator:

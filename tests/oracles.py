@@ -68,14 +68,17 @@ def coeffs_to_values_rolled(coeffs, lat, nout=None):
 
 
 def propagate_batch_rolled(coeffs, h, t: float, dt: float):
-    """Strang splitting with a full coefficient/value round trip (rolls, signs, scales) per step."""
+    """Strang splitting with a full coefficient/value round trip (rolls, signs, scales) per step.
+
+    The round trip goes through the potential's grid and truncates back to order m.
+    """
     n_steps = max(1, int(np.ceil(abs(t) / dt)))
     step = t / n_steps
     half = np.exp(-1j * 0.5 * step * h.kinetic_diagonal / h.hbar)
     pot = np.exp(-1j * step * h.potential_values / h.hbar)
     out = np.asarray(coeffs, dtype=complex) * half
     for i in range(n_steps):
-        vals = coeffs_to_values_rolled(out, h.lat)
+        vals = coeffs_to_values_rolled(out, h.lat, nout=h.potential_values.shape[-1])
         out = values_to_coeffs(vals * pot, h.lat, h.m)
         out = out * (half if i == n_steps - 1 else half * half)
     return out

@@ -159,9 +159,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert ("scenario.K" in capsys.readouterr().err) == (code == 3)
 
 
+def test_bump_without_a_node_in_k_names_n_p(tmp_path, capsys):
+    # p_max = 1 + 6 sqrt(hbar) = 2.2 puts the six momentum nodes at +-0.37, +-1.1
+    # and +-1.83, none in K's momenta [0.5, 1.0]
+    text = (BASE.replace("hbar = 0.02", "hbar = 0.04").replace("m = 48", "m = 20")
+            .replace("n_p = 14", "n_p = 6")
+            .replace("(0.5,), (1.5,))]", "(0.5,), (1.0,))]"))
+    cfg = write_cfg(tmp_path, text)
+    for sub in ("evolve", "husimi", "metric", "stability", "verify"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "discretization.n_p" in capsys.readouterr().err
+
+
 def test_default_window_follows_the_cell():
-    # gamma_minus is 0.25 on this cell, so exp(-(l gamma_minus)^2 / (2 hbar))
-    # drops below 1e-14 only from l = 2 on
+    # this cell is 0.5 wide (gamma_minus 0.25): the shell at l = 1 touches a packet
+    # at the cell's edge, the one at l = 2 is 0.5 away, past sqrt(2 hbar ln 1e10) = 0.37
     text = (BASE.replace("basis = [[1.0]]", "basis = [[0.5]]")
             .replace("hbar = 0.02", "hbar = 0.003").replace("m = 48", "m = 80"))
     cfg = load_config(text)
@@ -215,6 +227,16 @@ def test_cli_bloch_check(tmp_path):
     assert main(["bloch-check", "--config", cfg, "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "out_bloch_check.csv").read_text().splitlines()
     assert all(line.rsplit(",", 1)[1] == "True" for line in lines[2:])
+
+
+def test_cli_bloch_check_passes_at_the_default_window(tmp_path):
+    # the self-check packets sit up to 0.4 from the centre of the unit cell; at
+    # hbar = 1e-3 the shell at l_cut = 1 holds more than 1e-20 of their mass
+    text = (BASE.replace("hbar = 0.02", "hbar = 0.001").replace("m = 48", "m = 384")
+            .replace("n_k = 8", "n_k = 32"))
+    assert load_config(text).l_cut == 2
+    cfg = write_cfg(tmp_path, text)
+    assert main(["bloch-check", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_cli_determinism_bitwise(tmp_path):

@@ -212,6 +212,18 @@ def test_compression_keeps_toeplitz_lhs(lat1, geom1):
     assert rep.lhs == pytest.approx(lhs, rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["toeplitz", "pure"])
+def test_trace_drift_with_a_potential(lat1, geom1, kind):
+    # the split step projects onto the plane-wave window, so it is not exactly
+    # unitary; over 1000 steps a fiber trace still moves at round-off level only
+    scn = base_scenario(lat1, geom1, kind=kind, hbar=0.01, n_obs=20)
+    scn.potential = TrigPotential.cosine(lat1, (1,), 0.1)
+    scn.disc = Discretization(m=64, n_k=4, n_q=10, n_p=14, n_time_obs=20, n_time_gc=200,
+                              gc_per_axis=8, gc_quasi=40, dt=1e-3)
+    verify = verify_toeplitz_theorem if kind == "toeplitz" else verify_pure_theorem
+    assert verify(scn).trace_drift <= 1e-12
+
+
 def test_pure_report_structure(lat1, geom1):
     rep = verify_pure_theorem(base_scenario(lat1, geom1, kind="pure"))
     assert rep.passed and rep.margin >= 0

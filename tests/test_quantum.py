@@ -4,7 +4,7 @@ from scipy.linalg import eigh, expm
 
 from blochlab import (CoherentParams, KGrid, LatticeSpec, TrigPotential, bloch_transform,
                       coherent_family, coherent_state, gamma_bounds, periodic_trace)
-from blochlab.bloch import centered_indices
+from blochlab.bloch import centered_indices, position_grid
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, FiberPropagator, propagate_batch
 
@@ -66,6 +66,29 @@ def test_propagate_batch_matches_rolled_loop(rng, basis, terms, m):
     ref = propagate_batch_rolled(coeffs, h, 0.2, 1e-2)
     err = np.max(np.abs(propagate_batch(coeffs, h, 0.2, 1e-2) - ref))
     assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_propagate_batch_is_the_galerkin_strang_step(rng, lat1):
+    # each step is half-kinetic * P exp(-i tau V / hbar) P * half-kinetic, with the
+    # potential factor the Toeplitz matrix of its Fourier coefficients on a fine grid
+    hbar, m, t, dt = 0.05, 32, 0.2, 1e-2
+    pot = TrigPotential(lat1, (((1,), 0.3, 0.2), ((2,), 0.1, 0.0)))
+    h = FiberHamiltonian(lat1, m, np.array([0.6 * np.pi]), pot, hbar)
+    coeffs = rng.standard_normal((3, 2 * m + 1)) + 1j * rng.standard_normal((3, 2 * m + 1))
+    n_steps = int(np.ceil(t / dt))
+    tau, fine = t / n_steps, 4097
+    factor = np.exp(-1j * tau * pot.value(position_grid(lat1, fine)) / hbar)
+    # coefficient n of a function sampled at j/fine - 1/2 is (-1)^n fft_n / fine
+    idx = np.arange(-m, m + 1)
+    diff = idx[:, None] - idx[None, :]
+    toeplitz = np.fft.fft(factor)[diff % fine] / fine * (-1.0) ** diff
+    half = np.exp(-0.5j * tau * h.kinetic_diagonal / hbar)
+    step = half[:, None] * toeplitz * half[None, :]
+    ref = coeffs.T
+    for _ in range(n_steps):
+        ref = step @ ref
+    err = np.max(np.abs(propagate_batch(coeffs, h, t, dt) - ref.T))
+    assert err <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_strang_matches_dense_exponential(lat1, vpot):
