@@ -13,8 +13,8 @@ from .classical_dynamics import GCEstimate, PhasePoint, TrigPotential, flow, gc_
 from .errors import AccuracyError, ConfigParseError, ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region, gamma_bounds, reduce_to_cell, theta
 from .observability import (Discretization, ObservabilityScenario, TheoremReport,
-                            constant_pure, constant_toeplitz, hbar_threshold,
-                            observed_time_integral, verify_pure_theorem, verify_toeplitz_theorem)
+                            constant_pure, hbar_threshold, initial_state,
+                            minimize_toeplitz_penalty, observed_time_integral, verify_theorem)
 from .quantization import (FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family,
                            husimi, husimi_mass_on_boxes, periodic_trace, toeplitz_quantize)
 from .quantum_dynamics import FiberHamiltonian

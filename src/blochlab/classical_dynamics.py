@@ -42,14 +42,6 @@ class TrigPotential:
             norm.append((n, float(c), float(phi)))
         object.__setattr__(self, "terms", tuple(norm))
 
-    @classmethod
-    def zero(cls, lat: LatticeSpec) -> "TrigPotential":
-        return cls(lat, ())
-
-    @classmethod
-    def cosine(cls, lat: LatticeSpec, n, amplitude: float, phase: float = 0.0) -> "TrigPotential":
-        return cls(lat, ((n, amplitude, phase),))
-
     @property
     def is_zero(self) -> bool:
         return len(self.terms) == 0 or all(c == 0.0 for _, c, _ in self.terms)

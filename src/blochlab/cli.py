@@ -6,7 +6,8 @@ with a provenance comment, and uses exit codes
 
     0  success (for ``verify``: margin within the error budget)
     1  verify margin below the budget
-    2  usage error (flags or their environment values) or config parse error
+    2  usage error (flags or their environment values, an --out that cannot be
+       made a directory) or config parse error
     3  config validation error
     4  numerical accuracy error (tail or aliasing beyond tolerance)
 
@@ -29,9 +30,9 @@ from .bloch import KGrid, bloch_transform, grid_weight, inverse_bloch, position_
     translate_window
 from .config import load_config
 from .errors import AccuracyError, ConfigParseError, ConfigValidationError
-from .observability import (constant_pure, constant_toeplitz, default_p_max, hbar_threshold,
-                            initial_density, initial_state, observed_time_integral,
-                            verify_pure_theorem, verify_toeplitz_theorem)
+from .observability import (PRUNE_TOL, constant_pure, default_p_max, hbar_threshold,
+                            initial_density, initial_state, minimize_toeplitz_penalty,
+                            observed_time_integral, verify_theorem)
 from .quantization import husimi, momentum_grid, periodic_trace
 from .states import CoherentParams, coherent_state
 from .transport_metric import CostParams, c_bold, coupling_energy_husimi, \
@@ -101,7 +102,7 @@ def _cmd_bloch_check(cfg, scn, out, cfg_hash) -> int:
 
 
 def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
-    rho = initial_state(scn)
+    rho = initial_state(scn).compressed(PRUNE_TOL)[0]
     integral, series, times, quad_err, drift = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)
@@ -115,7 +116,7 @@ def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
 
 
 def _cmd_husimi(cfg, scn, out, cfg_hash) -> int:
-    rho = initial_state(scn)
+    rho = initial_state(scn).compressed(PRUNE_TOL)[0]
     d = scn.lat.dimension
     p_max = default_p_max(scn)
     qs = position_grid(scn.lat, scn.disc.n_q)
@@ -130,18 +131,15 @@ def _cmd_husimi(cfg, scn, out, cfg_hash) -> int:
 
 
 def _cmd_metric(cfg, scn, out, cfg_hash) -> int:
-    kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
+    rho = initial_state(scn)
     rows = []
     if scn.initial_kind == "toeplitz":
         lam = scn.lam if scn.lam is not None else 1.0
-        cost = CostParams(lam, scn.hbar, scn.geom)
-        f = initial_density(scn)
-        ce = coupling_energy_toeplitz(f, cost, scn.lat, kgrid, scn.disc.m)
+        ce = coupling_energy_toeplitz(initial_density(scn), rho, CostParams(lam, scn.geom))
         rows += [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
                  ("position_part", ce.position_part), ("momentum_part", ce.momentum_part),
                  ("lambda", lam)]
     else:
-        rho = initial_state(scn)
         ce = coupling_energy_husimi(rho)
         rows += [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
                  ("position_part", ce.position_part), ("momentum_part", ce.momentum_part),
@@ -158,11 +156,9 @@ def _cmd_stability(cfg, scn, out, cfg_hash) -> int:
         raise ConfigValidationError("initial.kind",
                                     "stability envelope requires a toeplitz datum")
     lam = scn.lam if scn.lam is not None else max(scn.potential.lipschitz_gradient().value, 1.0)
-    cost = CostParams(lam, scn.hbar, scn.geom)
-    f = initial_density(scn)
-    kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
-    env = stability_envelope(f, cost, scn.potential, scn.lat, kgrid, scn.disc.m,
-                             scn.horizon, n_times=20, dt=scn.disc.dt)
+    env = stability_envelope(initial_density(scn), initial_state(scn),
+                             CostParams(lam, scn.geom), scn.potential, scn.horizon,
+                             n_times=20, dt=scn.disc.dt)
     rows = list(zip(env.times, env.energies, env.bounds))
     _write_csv(os.path.join(out, f"{cfg.prefix}_stability.csv"),
                ("t", "energy", "bound"), rows, cfg_hash)
@@ -175,7 +171,7 @@ def _cmd_constants(cfg, scn, out, cfg_hash) -> int:
     gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential, scn.lat,
                      n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
                      n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
-    c_t = constant_toeplitz(scn.geom, scn.horizon, lip.value)
+    c_t = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip.value)[0]
     c_p = constant_pure(scn.geom, scn.horizon, lip.value)
     lam = scn.lam if scn.lam is not None else 1.0
     rows = [
@@ -199,8 +195,7 @@ def _cmd_constants(cfg, scn, out, cfg_hash) -> int:
 
 
 def _cmd_verify(cfg, scn, out, cfg_hash) -> int:
-    report = (verify_toeplitz_theorem(scn) if scn.initial_kind == "toeplitz"
-              else verify_pure_theorem(scn))
+    report = verify_theorem(scn)
     rows = [
         ("kind", report.kind), ("lhs", report.lhs),
         ("classical_term", report.classical_term), ("penalty", report.penalty),
@@ -295,7 +290,11 @@ def main(argv=None) -> int:
         scn = cfg.scenario()
         scn.tolerance_scale = args.tolerance_scale
         scn.disc.seed = int(cfg_hash, 16) % (2 ** 31)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+            return 2
         # the worker count holds for this command only, not for later calls in the process
         with sfft.set_workers(max(1, args.threads)):
             return _COMMANDS[args.subcommand](cfg, scn, args.out, cfg_hash)

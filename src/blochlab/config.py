@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,9 @@ def _boxes(value, corners: int, d: int) -> np.ndarray:
         return boxes.reshape(0, corners, d)
     if boxes.shape[1:] != (corners, d):
         raise ValueError(f"each box is {corners} corners of dimension {d}")
+    # corners alternate lo, hi: (lo, hi) for omega, (q_lo, q_hi, p_lo, p_hi) for K
+    if np.any(boxes[:, 0::2] >= boxes[:, 1::2]):
+        raise ValueError("every box needs lo < hi on every axis")
     return boxes
 
 
@@ -243,4 +247,8 @@ def load_config(text: str) -> ExperimentConfig:
         omega=Region(omega_boxes, lat), k_set=PhaseBoxSet(k_boxes[:, :2], k_boxes[:, 2:]),
         disc=disc, lam=lam, initial_kind=kind, center_q=center_q, center_p=center_p,
         sigma_q=sigma_q, sigma_p=sigma_p)
-    return ExperimentConfig(scenario, l_cut, _value(sections, "output", "prefix", str, "out"))
+    prefix = _value(sections, "output", "prefix", str, "out")
+    if not prefix or os.path.basename(prefix) != prefix:
+        raise ConfigValidationError("output.prefix",
+                                    "must be non-empty and contain no path separator")
+    return ExperimentConfig(scenario, l_cut, prefix)

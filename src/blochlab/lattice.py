@@ -52,10 +52,6 @@ class LatticeSpec:
         object.__setattr__(self, "reciprocal", reciprocal)
         object.__setattr__(self, "cell_volume", float(volume))
 
-    @classmethod
-    def cubic(cls, dimension: int, a: float = 1.0) -> "LatticeSpec":
-        return cls(a * np.eye(dimension))
-
     @property
     def dimension(self) -> int:
         return self.basis.shape[0]
@@ -156,12 +152,6 @@ class Region:
         d = self.lat.dimension
         offs = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
         object.__setattr__(self, "_shifts", self.lat.lattice_vector(offs))
-
-    @classmethod
-    def interval(cls, lo, hi, lat: LatticeSpec) -> "Region":
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        return cls(np.stack([lo, hi])[None, :, :], lat)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask over points (..., d), periodic membership.

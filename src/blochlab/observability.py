@@ -62,11 +62,6 @@ def minimize_toeplitz_penalty(geom: CellGeometry, horizon: float,
             float(np.exp(grid[i])))
 
 
-def constant_toeplitz(geom: CellGeometry, horizon: float, lip: float) -> float:
-    """Quantized-density penalty constant: prefactor times the minimized rate factor."""
-    return minimize_toeplitz_penalty(geom, horizon, lip)[0]
-
-
 def constant_pure(geom: CellGeometry, horizon: float, lip: float) -> float:
     """Pure-state penalty constant, closed form (cost scale pinned to 1)."""
     if horizon <= 0:
@@ -229,16 +224,16 @@ def initial_density(scn: ObservabilityScenario) -> PhaseSpaceDensity:
 
 
 def initial_state(scn: ObservabilityScenario) -> FiberedDensity:
-    """The scenario's fibered initial datum.
+    """The scenario's fibered initial datum; the only builder of its k-grid and datum.
 
-    A coherent family for pure data; for toeplitz data the quantized bump,
-    compressed to its effective rank at ``PRUNE_TOL`` (``FiberedDensity.compressed``).
+    A coherent family for pure data; for toeplitz data the quantized bump, one
+    vector per quadrature node.  Callers that evolve or export the datum take
+    ``.compressed(PRUNE_TOL)``, which returns a rank-1 family unchanged.
     """
     kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
     if scn.initial_kind == "pure":
         return coherent_family(scn.lat, kgrid, scn.disc.m, scn.hbar, scn.center_q, scn.center_p)
-    rho = toeplitz_quantize(initial_density(scn), scn.lat, kgrid, scn.disc.m, scn.hbar)
-    return rho.compressed(PRUNE_TOL)[0]
+    return toeplitz_quantize(initial_density(scn), scn.lat, kgrid, scn.disc.m, scn.hbar)
 
 
 def default_p_max(scn: ObservabilityScenario) -> float:
@@ -249,51 +244,18 @@ def default_p_max(scn: ObservabilityScenario) -> float:
     return max(p0, reach) + 6.0 * np.sqrt(scn.hbar)
 
 
-def _assemble_report(scn: ObservabilityScenario, kind: str, lhs: float, series, times,
-                     quad_err: float, gc: GCEstimate, mass_k: float, lip: float,
-                     c_const: float, lam_star: float, penalty_scale: float,
-                     energy_bound: float, extra: dict) -> TheoremReport:
-    penalty = c_const * penalty_scale / scn.delta
-    classical = gc.value * mass_k
-    rhs = classical - penalty
-    margin = lhs - rhs
-    budget = 5e-3 * abs(classical) * scn.tolerance_scale
-    eta = gronwall_rate(scn.geom, lam_star, lip)
-    gfac = (np.sqrt(2.0 * scn.geom.gamma_plus / scn.geom.gamma_minus)
-            / (scn.delta * lam_star) * np.expm1(eta * scn.horizon) / eta)
-    warnings = []
-    thr = None
-    thr_ok = True
-    if kind == "toeplitz":
-        thr = hbar_threshold(gc.value, c_const, scn.delta, scn.lat.dimension)
-        thr_ok = scn.hbar < thr
-        if not thr_ok:
-            warnings.append(
-                f"hbar={scn.hbar:g} exceeds the uniform-positivity threshold {thr:.3e}; "
-                "the inequality is still checked but its right side need not be positive")
-    if not gc.satisfied:
-        warnings.append("geometric-control estimate is zero at sample resolution")
-    return TheoremReport(
-        kind=kind, lhs=lhs, classical_term=classical, penalty=penalty, rhs=rhs,
-        margin=margin, error_budget=budget, passed=margin >= -budget, c_gc=gc,
-        c_constant=c_const, mass_on_k=mass_k, hbar=scn.hbar, delta=scn.delta,
-        horizon=scn.horizon, lipschitz=lip, eta=eta, lambda_star=lam_star,
-        gronwall_factor=float(gfac), energy_bound=energy_bound, threshold=thr,
-        threshold_ok=thr_ok, lhs_quad_error=quad_err,
-        observation_series=series, times=times, warnings=tuple(warnings), **extra)
+def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
+    """Run the inequality check for the scenario's initial datum, of either kind.
 
-
-def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
-    """Run the inequality check for a quantized Gaussian-bump density.
-
-    The quantized density is evolved on its effective rank: compression at
-    ``PRUNE_TOL`` drops at most that fraction of each fiber trace, the same
-    tolerance as the node pruning of the classical density.
+    The datum is evolved on its effective rank: compression at ``PRUNE_TOL``
+    drops at most that fraction of each fiber trace, the same tolerance as the
+    node pruning of the classical density.  The kinds differ only in the mass
+    on K (of the classical bump, or of the Husimi density), the penalty
+    constant with its cost scale, the initial coupling-energy bound, and the
+    hbar threshold, which only the quantized-density bound has.
     """
     d = scn.lat.dimension
-    f = initial_density(scn)
-    rho = toeplitz_quantize(f, scn.lat, KGrid.monkhorst_pack(scn.lat, scn.disc.n_k),
-                            scn.disc.m, scn.hbar)
+    rho = initial_state(scn)
     rank = rho.rank
     rho, tail = rho.compressed(PRUNE_TOL)
     lhs, series, times, quad_err, drift = observed_time_integral(
@@ -302,35 +264,42 @@ def verify_toeplitz_theorem(scn: ObservabilityScenario) -> TheoremReport:
     gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential, scn.lat,
                      n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
                      n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
-    mass_k = f.mass_in(scn.k_set)
     lip = scn.potential.lipschitz_gradient().value
-    c_t, lam_star = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip)
-    # penalty is C * sqrt(d hbar)/delta; the Groenwall assembly carries the
-    # coupling-energy bound sqrt((1+lam^2) d hbar / 2) at the minimizing scale
-    energy_bound = float(np.sqrt((1.0 + lam_star ** 2) * d * scn.hbar / 2.0))
-    return _assemble_report(scn, "toeplitz", lhs, series, times, quad_err, gc, mass_k, lip,
-                            c_t, lam_star, float(np.sqrt(d * scn.hbar)), energy_bound,
-                            {"rank": rank, "rank_evolved": rho.rank, "rank_tail": tail,
-                             "trace_drift": drift})
-
-
-def verify_pure_theorem(scn: ObservabilityScenario) -> TheoremReport:
-    """Run the inequality check for a coherent-family pure fibered density."""
-    d = scn.lat.dimension
-    rho = initial_state(scn)
-    lhs, series, times, quad_err, drift = observed_time_integral(
-        rho, scn.omega, scn.delta, scn.potential, scn.horizon,
-        scn.disc.n_time_obs, scn.disc.dt)
-    gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential, scn.lat,
-                     n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
-                     n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
-    mass_k = husimi_mass_on_boxes(rho, scn.k_set)
-    lip = scn.potential.lipschitz_gradient().value
-    c_p = constant_pure(scn.geom, scn.horizon, lip)
-    cb = c_bold(rho)
-    dev = std_dev(rho)
-    energy_bound = float(np.sqrt(d * scn.hbar * cb + 2.0 * dev ** 2))
-    return _assemble_report(scn, "pure", lhs, series, times, quad_err, gc, mass_k, lip,
-                            c_p, 1.0, energy_bound, energy_bound,
-                            {"std_dev": dev, "c_bold": cb, "rank": rho.rank,
-                             "rank_evolved": rho.rank, "rank_tail": 0.0, "trace_drift": drift})
+    warnings, thr, thr_ok, dev, cb = [], None, True, None, None
+    if scn.initial_kind == "toeplitz":
+        mass_k = initial_density(scn).mass_in(scn.k_set)
+        c_const, lam_star = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip)
+        # penalty is C * sqrt(d hbar)/delta; the Groenwall assembly carries the
+        # coupling-energy bound sqrt((1+lam^2) d hbar / 2) at the minimizing scale
+        penalty_scale = float(np.sqrt(d * scn.hbar))
+        energy_bound = float(np.sqrt((1.0 + lam_star ** 2) * d * scn.hbar / 2.0))
+        thr = hbar_threshold(gc.value, c_const, scn.delta, d)
+        thr_ok = scn.hbar < thr
+        if not thr_ok:
+            warnings.append(
+                f"hbar={scn.hbar:g} exceeds the uniform-positivity threshold {thr:.3e}; "
+                "the inequality is still checked but its right side need not be positive")
+    else:
+        mass_k = husimi_mass_on_boxes(rho, scn.k_set)
+        c_const, lam_star = constant_pure(scn.geom, scn.horizon, lip), 1.0
+        dev, cb = std_dev(rho), c_bold(rho)
+        energy_bound = penalty_scale = float(np.sqrt(d * scn.hbar * cb + 2.0 * dev ** 2))
+    if not gc.satisfied:
+        warnings.append("geometric-control estimate is zero at sample resolution")
+    penalty = c_const * penalty_scale / scn.delta
+    classical = gc.value * mass_k
+    rhs = classical - penalty
+    margin = lhs - rhs
+    budget = 5e-3 * abs(classical) * scn.tolerance_scale
+    eta = gronwall_rate(scn.geom, lam_star, lip)
+    gfac = (np.sqrt(2.0 * scn.geom.gamma_plus / scn.geom.gamma_minus)
+            / (scn.delta * lam_star) * np.expm1(eta * scn.horizon) / eta)
+    return TheoremReport(
+        kind=scn.initial_kind, lhs=lhs, classical_term=classical, penalty=penalty, rhs=rhs,
+        margin=margin, error_budget=budget, passed=margin >= -budget, c_gc=gc,
+        c_constant=c_const, mass_on_k=mass_k, hbar=scn.hbar, delta=scn.delta,
+        horizon=scn.horizon, lipschitz=lip, eta=eta, lambda_star=lam_star,
+        gronwall_factor=float(gfac), energy_bound=energy_bound, threshold=thr,
+        threshold_ok=thr_ok, lhs_quad_error=quad_err, trace_drift=drift, rank=rank,
+        rank_evolved=rho.rank, rank_tail=tail, std_dev=dev, c_bold=cb,
+        observation_series=series, times=times, warnings=tuple(warnings))

@@ -37,12 +37,6 @@ class PhaseBoxSet:
         object.__setattr__(self, "q_bounds", qb)
         object.__setattr__(self, "p_bounds", pb)
 
-    @classmethod
-    def single(cls, qlo, qhi, plo, phi) -> "PhaseBoxSet":
-        qlo, qhi = np.atleast_1d(qlo), np.atleast_1d(qhi)
-        plo, phi = np.atleast_1d(plo), np.atleast_1d(phi)
-        return cls(np.stack([qlo, qhi])[None], np.stack([plo, phi])[None])
-
     @property
     def n_boxes(self) -> int:
         return self.q_bounds.shape[0]
@@ -199,10 +193,6 @@ class FiberedDensity:
     def fiber_traces(self) -> np.ndarray:
         norms = np.sum(np.abs(self.vectors) ** 2, axis=2)
         return np.sum(self.lambdas * norms, axis=1)
-
-    def scaled(self, c: float) -> "FiberedDensity":
-        return FiberedDensity(self.kgrid, self.lat, self.m, self.hbar,
-                              c * self.lambdas, self.vectors)
 
     def compressed(self, tol: float) -> tuple["FiberedDensity", float]:
         """The same fibers on their leading eigenvectors, and the largest trace tail dropped.

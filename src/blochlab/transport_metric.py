@@ -16,27 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import KGrid, coeffs_to_values, g_vectors, grid_weight, position_grid, \
-    quadrature_len, values_to_coeffs
+from .bloch import coeffs_to_values, g_vectors, grid_weight, position_grid, quadrature_len, \
+    values_to_coeffs
 from .classical_dynamics import TrigPotential, flow
 from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
-from .quantization import FiberedDensity, PhaseSpaceDensity, momentum_cost, toeplitz_quantize
+from .quantization import FiberedDensity, PhaseSpaceDensity, momentum_cost
 from .quantum_dynamics import FiberPropagator
 
 
 @dataclass(frozen=True)
 class CostParams:
-    """Transport-cost parameters: scale lambda, hbar, and the cell geometry."""
+    """Transport-cost parameters: scale lambda and the cell geometry."""
 
     lam: float
-    hbar: float
     geom: CellGeometry
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("lambda must be positive")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
 
 
 def gronwall_rate(geom: CellGeometry, lam: float, lipschitz: float) -> float:
@@ -75,23 +72,23 @@ def diagonal_coupling_parts(rho: FiberedDensity, x: np.ndarray, xi: np.ndarray,
     w = theta_cost_weights(x, position_grid(lat, n), cost.geom)        # (n_j, n^d)
     pos = cost.lam ** 2 * np.einsum("jg,kjg->kj", w, rho.position_density()) \
         * grid_weight(lat, n)
-    xi_k = xi[None, :, :] - cost.hbar * rho.kgrid.points[:, None, :]   # (n_k, n_j, d)
+    xi_k = xi[None, :, :] - rho.hbar * rho.kgrid.points[:, None, :]   # (n_k, n_j, d)
     mom = momentum_cost(rho.momentum_moments(), xi_k)
     return np.sum(rho.lambdas * pos, axis=1), np.sum(rho.lambdas * mom, axis=1)
 
 
-def coupling_energy_toeplitz(f: PhaseSpaceDensity, cost: CostParams, lat: LatticeSpec,
-                             kgrid: KGrid, m: int) -> CouplingEnergy:
-    """Energy of the diagonal packet coupling between f and its quantization.
+def coupling_energy_toeplitz(f: PhaseSpaceDensity, rho: FiberedDensity,
+                             cost: CostParams) -> CouplingEnergy:
+    """Energy of the diagonal packet coupling between f and its quantization rho.
 
-    For each node and fiber the integrand is the cost expectation on the
-    periodized packet at (q_j, p_j - hbar k); the k average of the total is an
-    upper bound (squared) for the pseudo-distance, below (1+lambda^2) d hbar/2.
+    ``rho`` is ``toeplitz_quantize`` of ``f``, one vector per node.  For each
+    node and fiber the integrand is the cost expectation on the periodized
+    packet at (q_j, p_j - hbar k); the k average of the total is an upper
+    bound (squared) for the pseudo-distance, below (1+lambda^2) d hbar/2.
     """
-    rho = toeplitz_quantize(f, lat, kgrid, m, cost.hbar)
     pos_fiber, mom_fiber = diagonal_coupling_parts(rho, f.nodes_q, f.nodes_p, cost)
     per_fiber = pos_fiber + mom_fiber
-    bound = (1.0 + cost.lam ** 2) * lat.dimension * cost.hbar / 2.0
+    bound = (1.0 + cost.lam ** 2) * rho.lat.dimension * rho.hbar / 2.0
     return CouplingEnergy(total=float(np.mean(per_fiber)), per_fiber=per_fiber,
                           position_part=float(np.mean(pos_fiber)),
                           momentum_part=float(np.mean(mom_fiber)), bound=bound,
@@ -209,31 +206,32 @@ class StabilityEnvelope:
     energies: np.ndarray
     bounds: np.ndarray
     eta: float
-    lam: float
-    lipschitz: float
     initial_energy: float
 
     def max_ratio(self) -> float:
         return float(np.max(self.energies / self.bounds))
 
 
-def stability_envelope(f: PhaseSpaceDensity, cost: CostParams, potential: TrigPotential,
-                       lat: LatticeSpec, kgrid: KGrid, m: int, horizon: float,
-                       n_times: int = 20, dt: float = 1e-3) -> StabilityEnvelope:
+def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostParams,
+                       potential: TrigPotential, horizon: float, n_times: int = 20,
+                       dt: float = 1e-3) -> StabilityEnvelope:
     """Track the transported-coupling energy and check the Groenwall envelope.
 
-    Starting from the diagonal packet coupling of ``f`` with its quantization,
-    each packet is propagated by the fiber dynamics while its cost argument
-    rides the classical fiber flow; the energy must stay below
-    ``E(0) exp(2 eta t)`` with eta the Groenwall transport rate.  The classical
-    trajectories are fiber-independent (the fiber flow is the plain flow with
-    a shifted momentum argument), so one Verlet sweep per node serves all
-    fibers.
+    Starting from the diagonal packet coupling of ``f`` with its quantization
+    ``rho`` (``toeplitz_quantize`` of ``f``), each packet is propagated by the
+    fiber dynamics while its cost argument rides the classical fiber flow; the
+    energy must stay below ``E(0) exp(2 eta t)`` with eta the Groenwall
+    transport rate.  The classical trajectories are fiber-independent (the
+    fiber flow is the plain flow with a shifted momentum argument), so one
+    Verlet sweep per node serves all fibers.
+
+    ``rho.vectors`` are advanced in place: on return ``rho`` is the density at
+    time ``horizon``.  A copy of the vectors would add their whole size to the
+    peak memory.
     """
-    rho = toeplitz_quantize(f, lat, kgrid, m, cost.hbar)
     lip = potential.lipschitz_gradient().value
     eta = gronwall_rate(cost.geom, cost.lam, lip)
-    propagator = FiberPropagator(kgrid, lat, m, potential, cost.hbar)
+    propagator = FiberPropagator(rho.kgrid, rho.lat, rho.m, potential, rho.hbar)
 
     x, xi = f.nodes_q, f.nodes_p
     times = np.linspace(0.0, horizon, n_times + 1)
@@ -247,4 +245,4 @@ def stability_envelope(f: PhaseSpaceDensity, cost: CostParams, potential: TrigPo
         energies[i] = np.mean(pos + mom)
     bounds = energies[0] * np.exp(2.0 * eta * times)
     return StabilityEnvelope(times=times, energies=energies, bounds=bounds, eta=eta,
-                             lam=cost.lam, lipschitz=lip, initial_energy=energies[0])
+                             initial_energy=energies[0])

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from blochlab import KGrid, LatticeSpec, gamma_bounds
+from blochlab import KGrid, gamma_bounds
 from blochlab.quantization import FiberedDensity
+
+from oracles import cubic_lattice
 
 
 @pytest.fixture(scope="session")
 def lat1():
-    return LatticeSpec.cubic(1)
+    return cubic_lattice(1)
 
 
 @pytest.fixture(scope="session")
 def lat2():
-    return LatticeSpec.cubic(2)
+    return cubic_lattice(2)
 
 
 @pytest.fixture(scope="session")

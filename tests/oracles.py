@@ -6,7 +6,9 @@ that rolls and rescales at every step, a midpoint quadrature over phase-space
 grids, or a plain dump of arrays.  The proof devices of the stability
 argument live here too: a single periodic field with its own packet
 constructor, the commutator identities behind the cost transport, and the
-fiber flow.  None of them is used by the package itself.
+fiber flow.  So do the shorthand constructors the tests build their inputs
+with (a cubic lattice, one-term potentials, single boxes, a rescaled
+density).  None of them is used by the package itself.
 """
 
 from dataclasses import dataclass
@@ -18,9 +20,42 @@ from blochlab.bloch import _alt_sign, coeffs_to_values, g_vectors, grid_weight, 
     quadrature_len, translate_window, values_to_coeffs
 from blochlab.classical_dynamics import PhasePoint, TrigPotential, flow
 from blochlab.errors import AccuracyError
-from blochlab.lattice import CellGeometry, LatticeSpec, reduce_to_cell, theta_cost_weights
-from blochlab.quantization import husimi, momentum_cost, momentum_grid
+from blochlab.lattice import CellGeometry, LatticeSpec, Region, reduce_to_cell, \
+    theta_cost_weights
+from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi, momentum_cost, \
+    momentum_grid
 from blochlab.states import CoherentParams, coherent_coeff_batch, coherent_state
+
+
+def cubic_lattice(dimension: int, a: float = 1.0) -> LatticeSpec:
+    return LatticeSpec(a * np.eye(dimension))
+
+
+def zero_potential(lat: LatticeSpec) -> TrigPotential:
+    return TrigPotential(lat, ())
+
+
+def cosine_potential(lat: LatticeSpec, n, amplitude: float, phase: float = 0.0) -> TrigPotential:
+    return TrigPotential(lat, ((n, amplitude, phase),))
+
+
+def interval_region(lo, hi, lat: LatticeSpec) -> Region:
+    """The region of the one box [lo, hi)."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    return Region(np.stack([lo, hi])[None, :, :], lat)
+
+
+def single_box(qlo, qhi, plo, phi) -> PhaseBoxSet:
+    """The phase-space box set of the one box [qlo, qhi] x [plo, phi]."""
+    qlo, qhi = np.atleast_1d(qlo), np.atleast_1d(qhi)
+    plo, phi = np.atleast_1d(plo), np.atleast_1d(phi)
+    return PhaseBoxSet(np.stack([qlo, qhi])[None], np.stack([plo, phi])[None])
+
+
+def scaled_density(rho: FiberedDensity, c: float) -> FiberedDensity:
+    """The density c rho: the same vectors with every fiber weight times c."""
+    return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, c * rho.lambdas, rho.vectors)
 
 
 @dataclass
@@ -123,7 +158,7 @@ def dump_trajectory_csv(path, x, xi, horizon: float, potential, dt: float = 1e-3
             fh.write(",".join(row) + "\n")
 
 
-def diagonal_coupling_dense(f, cost, lat, kgrid, m: int, chunk: int = 512):
+def diagonal_coupling_dense(f, cost, hbar: float, lat, kgrid, m: int, chunk: int = 512):
     """Per-fiber (position, momentum) energies of the diagonal packet coupling.
 
     Fiber by fiber and in node chunks, every packet is rebuilt and its
@@ -140,13 +175,13 @@ def diagonal_coupling_dense(f, cost, lat, kgrid, m: int, chunk: int = 512):
         for lo in range(0, f.size, chunk):
             sl = slice(lo, min(lo + chunk, f.size))
             xs = f.nodes_q[sl]
-            xis = f.nodes_p[sl] - cost.hbar * k
-            coeffs = coherent_coeff_batch(xs, xis, cost.hbar, lat, m)
+            xis = f.nodes_p[sl] - hbar * k
+            coeffs = coherent_coeff_batch(xs, xis, hbar, lat, m)
             w = theta_cost_weights(xs, grid, cost.geom)
             vals = coeffs_to_values(coeffs.reshape((-1,) + (2 * m + 1,) * d), lat, n)
             pos = cost.lam ** 2 * np.einsum("bg,bg->b", w, np.abs(vals.reshape(w.shape)) ** 2) \
                 * grid_weight(lat, n)
-            sym = np.sum((xis[:, None, :] - cost.hbar * g[None, :, :]) ** 2, axis=-1)
+            sym = np.sum((xis[:, None, :] - hbar * g[None, :, :]) ** 2, axis=-1)
             mom = np.einsum("bg,bg->b", sym, np.abs(coeffs) ** 2)
             pos_fiber[ik] += float(wf[sl] @ pos)
             mom_fiber[ik] += float(wf[sl] @ mom)

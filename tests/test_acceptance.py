@@ -8,20 +8,20 @@ observability scenario at hbar = 1e-3).
 import numpy as np
 import pytest
 
-from blochlab import (CoherentParams, CostParams, Discretization, KGrid,
-                      ObservabilityScenario, PhaseBoxSet, PhaseSpaceDensity, Region,
-                      TrigPotential, bloch_transform, coherent_family, coherent_state,
-                      constant_pure, constant_toeplitz, coupling_energy_husimi,
-                      coupling_energy_toeplitz, flow, hbar_threshold, husimi, periodic_trace,
-                      stability_envelope, verify_pure_theorem, verify_toeplitz_theorem)
+from blochlab import (CoherentParams, CostParams, Discretization, KGrid, ObservabilityScenario,
+                      PhaseSpaceDensity, bloch_transform, coherent_family, coherent_state,
+                      constant_pure, coupling_energy_husimi, coupling_energy_toeplitz, flow,
+                      hbar_threshold, husimi, minimize_toeplitz_penalty, periodic_trace,
+                      stability_envelope, toeplitz_quantize, verify_theorem)
 from blochlab.bloch import default_window, grid_weight, position_grid
 from blochlab.cli import main as cli_main
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, FiberPropagator, propagate_batch
 
 from conftest import coherent_overlap
-from oracles import (coherent_planewave_coeffs, commutator_residual,
-                     coupling_energy_husimi_grid, periodized_coherent)
+from oracles import (coherent_planewave_coeffs, commutator_residual, cosine_potential,
+                     coupling_energy_husimi_grid, interval_region, periodized_coherent, single_box,
+                     zero_potential)
 
 
 def _report(num, ok, detail):
@@ -141,9 +141,10 @@ def test_criterion_04_toeplitz_bound(lat1, lat2, geom1, geom2):
             m = max(16, int(np.ceil(4.0 / np.sqrt(hbar))))
             if d == 1:
                 m = max(m, 64)
-            kg = KGrid.monkhorst_pack(lat, nk if d == 2 else 8)
+            rho = toeplitz_quantize(f, lat, KGrid.monkhorst_pack(lat, nk if d == 2 else 8), m,
+                                    hbar)
             for lam in (0.5, 1.0, 2.0):
-                ce = coupling_energy_toeplitz(f, CostParams(lam, hbar, geom), lat, kg, m)
+                ce = coupling_energy_toeplitz(f, rho, CostParams(lam, geom))
                 rows.append((d, hbar, lam, ce.total / ce.bound))
     worst = max(r[-1] for r in rows)
     _report(4, worst <= 1 + 1e-6,
@@ -174,12 +175,12 @@ def test_criterion_06_stability_envelope(lat1, geom1):
 
     f = PhaseSpaceDensity.from_function(fn, lat1, 10, 12, 1.0)
     kg = KGrid.monkhorst_pack(lat1, 4)
-    vpot = TrigPotential.cosine(lat1, (1,), 0.1)
+    vpot = cosine_potential(lat1, (1,), 0.1)
     lam = vpot.lipschitz_gradient().value
-    env_v = stability_envelope(f, CostParams(lam, hbar, geom1), vpot, lat1, kg, 64,
-                               horizon=1.0, n_times=20, dt=2e-3)
-    env_0 = stability_envelope(f, CostParams(1.0, hbar, geom1),
-                               TrigPotential.zero(lat1), lat1, kg, 64,
+    env_v = stability_envelope(f, toeplitz_quantize(f, lat1, kg, 64, hbar),
+                               CostParams(lam, geom1), vpot, horizon=1.0, n_times=20, dt=2e-3)
+    env_0 = stability_envelope(f, toeplitz_quantize(f, lat1, kg, 64, hbar),
+                               CostParams(1.0, geom1), zero_potential(lat1),
                                horizon=1.0, n_times=20, dt=1e-3)
     ok = (env_v.max_ratio() <= 1 + 1e-3 and env_0.max_ratio() <= 1 + 1e-3
           and env_0.eta == pytest.approx(2.0 * geom1.gamma_plus / geom1.gamma_minus))
@@ -192,9 +193,9 @@ def _acceptance_scenario(lat1, geom1, kind):
     # quadrature node count is kept modest (the datum is any probability
     # density supported in K)
     return ObservabilityScenario(
-        lat=lat1, geom=geom1, potential=TrigPotential.zero(lat1), hbar=1e-3,
-        horizon=1.0, delta=0.05, omega=Region.interval([-0.1], [0.1], lat1),
-        k_set=PhaseBoxSet.single([-0.5], [0.5], [1.0], [2.0]),
+        lat=lat1, geom=geom1, potential=zero_potential(lat1), hbar=1e-3,
+        horizon=1.0, delta=0.05, omega=interval_region([-0.1], [0.1], lat1),
+        k_set=single_box([-0.5], [0.5], [1.0], [2.0]),
         disc=Discretization(m=384, n_k=32, n_q=12, n_p=20, n_time_obs=200,
                             n_time_gc=2000, gc_per_axis=32, gc_quasi=1000, dt=1e-3),
         initial_kind=kind, center_q=np.array([0.0]), center_p=np.array([1.5]),
@@ -235,8 +236,8 @@ sigma_p = 0.15
 
 
 def test_criterion_07_observability_verification(lat1, geom1, tmp_path):
-    rep_t = verify_toeplitz_theorem(_acceptance_scenario(lat1, geom1, "toeplitz"))
-    rep_p = verify_pure_theorem(_acceptance_scenario(lat1, geom1, "pure"))
+    rep_t = verify_theorem(_acceptance_scenario(lat1, geom1, "toeplitz"))
+    rep_p = verify_theorem(_acceptance_scenario(lat1, geom1, "pure"))
     cfg = tmp_path / "acceptance.cfg"
     cfg.write_text(ACCEPTANCE_CONFIG)
     code = cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
@@ -249,7 +250,7 @@ def test_criterion_07_observability_verification(lat1, geom1, tmp_path):
 
 def test_criterion_08_unitarity_trace(lat1):
     hbar, m = 0.05, 64
-    vpot = TrigPotential.cosine(lat1, (1,), 0.1)
+    vpot = cosine_potential(lat1, (1,), 0.1)
     h = FiberHamiltonian(lat1, m, np.array([0.2]), vpot, hbar)
     u0 = periodized_coherent(CoherentParams([0.0], [0.4], hbar), lat1, m).coeffs
     out = propagate_batch(u0, h, 1.0, 1e-3)      # 1000 strang steps
@@ -267,7 +268,7 @@ def test_criterion_08_unitarity_trace(lat1):
 
 def test_criterion_09_commutator_identities(lat1, geom1):
     hbar = 0.05
-    vpot = TrigPotential.cosine(lat1, (1,), 0.1)
+    vpot = cosine_potential(lat1, (1,), 0.1)
     u = periodized_coherent(CoherentParams([0.05], [0.3], hbar), lat1, 64)
     res = commutator_residual(vpot, np.array([0.7]), np.array([0.3]), u, hbar, geom1,
                               x_center=np.array([0.2]), lam=1.0)
@@ -279,7 +280,7 @@ def test_criterion_09_commutator_identities(lat1, geom1):
 
 
 def test_criterion_10_change_of_variable(lat1):
-    vpot = TrigPotential.cosine(lat1, (1,), 0.1)
+    vpot = cosine_potential(lat1, (1,), 0.1)
     tests = [
         lambda x, xi: np.cos(2 * np.pi * x) * np.exp(-xi ** 2),
         lambda x, xi: (1 + 0.5 * np.sin(2 * np.pi * x)) * np.exp(-(xi - 0.5) ** 2 / 0.5),
@@ -311,7 +312,7 @@ def test_criterion_10_change_of_variable(lat1):
 def test_criterion_11_constants(geom1, geom2):
     worst_t = 0.0
     for geom, horizon, lip in ((geom1, 1.0, 0.0), (geom1, 0.5, 3.95), (geom2, 0.3, 1.0)):
-        got = constant_toeplitz(geom, horizon, lip)
+        got = minimize_toeplitz_penalty(geom, horizon, lip)[0]
         lam = np.exp(np.linspace(-8, 8, 100_001))
         a = 2 * geom.gamma_plus / geom.gamma_minus
         with np.errstate(over="ignore"):

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from blochlab import (LatticeSpec, PhaseBoxSet, PhaseSpaceDensity, Region, TrigPotential,
-                      flow, gc_constant)
+from blochlab import PhaseSpaceDensity, flow, gc_constant
 from blochlab.lattice import reduce_to_cell
 
-from oracles import k_flow
+from oracles import (cosine_potential, cubic_lattice, interval_region, k_flow, single_box,
+                     zero_potential)
 
 
 @pytest.fixture(scope="module")
 def vpot():
-    return TrigPotential.cosine(LatticeSpec.cubic(1), (1,), 0.1)
+    return cosine_potential(cubic_lattice(1), (1,), 0.1)
 
 
 def rk_oracle(x0, xi0, t, potential, rtol=1e-11):
@@ -25,7 +25,7 @@ def rk_oracle(x0, xi0, t, potential, rtol=1e-11):
 
 
 def test_free_flow_exact(lat1):
-    v0 = TrigPotential.zero(lat1)
+    v0 = zero_potential(lat1)
     out = flow(np.array([[0.3]]), np.array([[0.7]]), 2.5, v0, dt=0.1)
     np.testing.assert_allclose(out.x, [[0.3 + 2.5 * 0.7]], rtol=1e-14)
     np.testing.assert_allclose(out.xi, [[0.7]], rtol=1e-15)
@@ -81,7 +81,7 @@ def test_k_flow_zero_k_and_free(lat1, vpot):
     b = flow(x, xi, 0.7, vpot, dt=1e-3)
     np.testing.assert_allclose(a.x, b.x, atol=1e-14)
     np.testing.assert_allclose(a.xi, b.xi, atol=1e-14)
-    free = TrigPotential.zero(lat1)
+    free = zero_potential(lat1)
     hbar, k, t = 0.05, np.array([0.8]), 0.6
     out = k_flow(x, xi, k, t, free, hbar=hbar, dt=1e-2)
     np.testing.assert_allclose(out.x, x + t * (xi + hbar * k), rtol=1e-13)
@@ -152,9 +152,9 @@ def test_change_of_variable_quadrature(lat1, vpot, case):
 
 
 def test_gc_constant_free_traversal(lat1):
-    omega = Region.interval([-0.1], [0.1], lat1)
-    k_set = PhaseBoxSet.single([-0.5], [0.5], [1.0], [2.0])
-    est = gc_constant(1.0, k_set, omega, TrigPotential.zero(lat1), lat1,
+    omega = interval_region([-0.1], [0.1], lat1)
+    k_set = single_box([-0.5], [0.5], [1.0], [2.0])
+    est = gc_constant(1.0, k_set, omega, zero_potential(lat1), lat1,
                       n_time=2000, per_axis=24, n_quasi=300)
     # analytic: a speed-xi trajectory spends >= 0.2/xi >= 0.1 per full period,
     # and every start in K completes at least one period within T=1
@@ -163,32 +163,32 @@ def test_gc_constant_free_traversal(lat1):
 
 
 def test_gc_full_cell_is_horizon(lat1):
-    omega = Region.interval([-0.5], [0.5], lat1)
-    k_set = PhaseBoxSet.single([-0.2], [0.2], [0.5], [1.0])
-    est = gc_constant(0.7, k_set, omega, TrigPotential.zero(lat1), lat1,
+    omega = interval_region([-0.5], [0.5], lat1)
+    k_set = single_box([-0.2], [0.2], [0.5], [1.0])
+    est = gc_constant(0.7, k_set, omega, zero_potential(lat1), lat1,
                       n_time=500, per_axis=8, n_quasi=50)
     assert est.value == pytest.approx(0.7, abs=1e-12)
 
 
 def test_gc_stationary_point_fails(lat1):
-    omega = Region.interval([0.2], [0.4], lat1)
-    k_set = PhaseBoxSet.single([-0.1], [0.1], [0.0], [0.0])   # immobile starts
-    est = gc_constant(1.0, k_set, omega, TrigPotential.zero(lat1), lat1,
+    omega = interval_region([0.2], [0.4], lat1)
+    k_set = single_box([-0.1], [0.1], [0.0], [0.0])   # immobile starts
+    est = gc_constant(1.0, k_set, omega, zero_potential(lat1), lat1,
                       n_time=400, per_axis=6, n_quasi=20)
     assert est.value == 0.0
     assert not est.satisfied
 
 
 def test_gc_requires_samples(lat1):
-    omega = Region.interval([-0.1], [0.1], lat1)
+    omega = interval_region([-0.1], [0.1], lat1)
     with pytest.raises(ValueError):
-        gc_constant(0.0, PhaseBoxSet.single([-0.5], [0.5], [1.0], [2.0]),
-                    omega, TrigPotential.zero(lat1), lat1)
+        gc_constant(0.0, single_box([-0.5], [0.5], [1.0], [2.0]),
+                    omega, zero_potential(lat1), lat1)
 
 
 def test_indicator_invariant_under_lattice_shift(lat1, vpot):
     # the observability integrand is unchanged when the start shifts by a cell
-    omega = Region.interval([-0.1], [0.1], lat1)
+    omega = interval_region([-0.1], [0.1], lat1)
     x = np.array([[0.3], [1.3]])
     xi = np.array([[1.1], [1.1]])
     h = 1.0 / 400
@@ -206,4 +206,4 @@ def test_lipschitz_bounds(lat1, vpot):
     assert lb.analytic == pytest.approx(0.1 * (2 * np.pi) ** 2, rel=1e-12)
     assert lb.grid == pytest.approx(lb.analytic, rel=2e-3)
     assert lb.value <= lb.analytic
-    assert TrigPotential.zero(lat1).lipschitz_gradient().value == 0.0
+    assert zero_potential(lat1).lipschitz_gradient().value == 0.0

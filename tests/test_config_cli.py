@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from blochlab import LatticeSpec, bloch
+from blochlab import bloch
 from blochlab.bloch import default_window
 from blochlab.cli import main
 from blochlab.config import load_config, parse_config
 from blochlab.errors import ConfigParseError, ConfigValidationError
+
+from oracles import cubic_lattice
 
 BASE = """\
 [lattice]
@@ -103,6 +105,12 @@ def test_validator_antialiasing():
     ("K = [((-0.5,), (0.5,), (0.5,), (1.5,))]", "K = [((-0.5,), (0.5,))]", "scenario.K"),
     ("omega = [((-0.1,), (0.1,))]", "omega = 0.1", "scenario.omega"),
     ("[initial]", "[potential]\nterms = [((1, 1), 0.1, 0.0)]\n\n[initial]", "potential.terms"),
+    # inverted or degenerate boxes: np.clip with lo > hi observed a ball around one point
+    ("K = [((-0.5,), (0.5,),", "K = [((0.5,), (-0.5,),", "scenario.K"),
+    ("(0.5,), (1.5,))]", "(1.5,), (1.5,))]", "scenario.K"),
+    ("omega = [((-0.1,), (0.1,))]", "omega = [((0.1,), (-0.1,))]", "scenario.omega"),
+    ("[initial]", "[output]\nprefix = nodir/x\n\n[initial]", "output.prefix"),
+    ("[initial]", "[output]\nprefix = ''\n\n[initial]", "output.prefix"),
 ])
 def test_validator_names_malformed_values(old, new, field):
     with pytest.raises(ConfigValidationError) as err:
@@ -157,6 +165,19 @@ def test_cli_exit_codes(tmp_path, capsys):
         two = write_cfg(tmp_path, BASE.replace(k, k[:-1] + ", " + other + "]"), "two.cfg")
         assert main(["constants", "--config", two, "--out", str(tmp_path)]) == code
         assert ("scenario.K" in capsys.readouterr().err) == (code == 3)
+
+
+def test_cli_output_path_errors(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    # an --out naming a file is a usage error, not a traceback
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert main(["constants", "--config", cfg, "--out", str(not_a_dir)]) == 2
+    assert "output directory" in capsys.readouterr().err
+    # a prefix pointing into a directory that does not exist is a validation error
+    nested = write_cfg(tmp_path, BASE + "\n[output]\nprefix = nodir/x\n", "nested.cfg")
+    assert main(["constants", "--config", nested, "--out", str(tmp_path)]) == 3
+    assert "output.prefix" in capsys.readouterr().err
 
 
 def test_bump_without_a_node_in_k_names_n_p(tmp_path, capsys):
@@ -279,7 +300,7 @@ def test_cli_threads_hold_for_one_command_only(tmp_path, monkeypatch):
     assert main(["evolve", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
     assert seen and set(seen) == {2}
     seen.clear()
-    bloch.coeffs_to_values(np.ones(5, dtype=complex), LatticeSpec.cubic(1))
+    bloch.coeffs_to_values(np.ones(5, dtype=complex), cubic_lattice(1))
     assert seen == [1]
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blochlab import LatticeSpec, Region, gamma_bounds, reduce_to_cell, theta
+from blochlab import LatticeSpec, gamma_bounds, reduce_to_cell, theta
 from blochlab.lattice import theta_cost_weights
+
+from oracles import cubic_lattice, interval_region
 
 
 def test_reciprocal_duality(lat1, lat2):
@@ -67,7 +69,7 @@ def test_gamma_bounds_examples(lat1, lat2):
     g2 = gamma_bounds(lat2)
     assert g2.gamma_minus == pytest.approx(0.5, abs=1e-12)
     assert g2.gamma_plus == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
-    gs = gamma_bounds(LatticeSpec.cubic(1, 2.0))
+    gs = gamma_bounds(cubic_lattice(1, 2.0))
     assert gs.gamma_minus == pytest.approx(1.0, abs=1e-12)
     assert gs.gamma_plus == pytest.approx(1.0, abs=1e-12)
 
@@ -131,14 +133,14 @@ def test_theta_cost_weights_match_pointwise(rng, lat2, geom2):
 
 
 def test_region_membership_and_wrap(lat1):
-    reg = Region.interval([0.4], [0.6], lat1)  # spills past the cell edge
+    reg = interval_region([0.4], [0.6], lat1)  # spills past the cell edge
     assert reg.contains(np.array([[0.45]]))[0]
     assert reg.contains(np.array([[-0.45]]))[0]   # wraps to 0.55
     assert not reg.contains(np.array([[0.0]]))[0]
 
 
 def test_region_distance_periodic(lat1):
-    reg = Region.interval([-0.1], [0.1], lat1)
+    reg = interval_region([-0.1], [0.1], lat1)
     assert reg.distance(np.array([[0.05]]))[0] == 0.0
     assert reg.distance(np.array([[0.3]]))[0] == pytest.approx(0.2, abs=1e-12)
     assert reg.distance(np.array([[0.45]]))[0] == pytest.approx(0.35, abs=1e-12)

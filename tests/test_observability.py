@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from blochlab import (Discretization, KGrid, ObservabilityScenario, PhaseBoxSet,
-                      Region, TrigPotential, c_bold, coherent_family, constant_pure,
-                      constant_toeplitz, hbar_threshold, std_dev, verify_pure_theorem,
-                      verify_toeplitz_theorem)
+from blochlab import (Discretization, KGrid, ObservabilityScenario, Region, c_bold,
+                      coherent_family, constant_pure, hbar_threshold, initial_state, std_dev,
+                      verify_theorem)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
-from blochlab.observability import PRUNE_TOL, initial_density, minimize_toeplitz_penalty, \
-    observed_time_integral
-from blochlab.quantization import FiberedDensity, toeplitz_quantize
+from blochlab.observability import PRUNE_TOL, minimize_toeplitz_penalty, observed_time_integral
+from blochlab.quantization import FiberedDensity
 
 from conftest import is_11_smooth
+
+from oracles import cosine_potential, interval_region, single_box, zero_potential
 
 
 def _toeplitz_oracle(geom, horizon, lip, n=100_000):
@@ -27,19 +27,20 @@ def _toeplitz_oracle(geom, horizon, lip, n=100_000):
 @pytest.mark.parametrize("horizon,lip", [(1.0, 0.0), (0.5, 0.0), (1.0, 3.95),
                                          (0.1, 0.0), (0.25, 1.0)])
 def test_constant_toeplitz_matches_scan_oracle(geom1, horizon, lip):
-    got = constant_toeplitz(geom1, horizon, lip)
+    got = minimize_toeplitz_penalty(geom1, horizon, lip)[0]
     ref = _toeplitz_oracle(geom1, horizon, lip)
     assert got == pytest.approx(ref, rel=1e-6)
     assert got <= ref + 1e-12        # refinement can only improve on the scan
 
 
 def test_constant_toeplitz_monotone_in_horizon(geom1):
-    assert constant_toeplitz(geom1, 1.0, 0.5) > constant_toeplitz(geom1, 0.5, 0.5)
+    assert (minimize_toeplitz_penalty(geom1, 1.0, 0.5)[0]
+            > minimize_toeplitz_penalty(geom1, 0.5, 0.5)[0])
 
 
 def test_constant_toeplitz_rejects_bad_horizon(geom1):
     with pytest.raises(ValueError):
-        constant_toeplitz(geom1, 0.0, 1.0)
+        minimize_toeplitz_penalty(geom1, 0.0, 1.0)
 
 
 def test_constant_pure_closed_form(geom1, geom2):
@@ -147,7 +148,7 @@ def test_std_dev_two_quadrature_routes(lat1):
 
 def test_chi_sandwich_and_lipschitz(lat1, rng):
     delta = 0.07
-    region = Region.interval([-0.1], [0.1], lat1)
+    region = interval_region([-0.1], [0.1], lat1)
 
     def chi(points):
         # the Lipschitz cutoff between the region and its dilation that the
@@ -174,9 +175,9 @@ def test_chi_sandwich_and_lipschitz(lat1, rng):
 
 def base_scenario(lat1, geom1, kind="toeplitz", hbar=1e-3, n_obs=40):
     return ObservabilityScenario(
-        lat=lat1, geom=geom1, potential=TrigPotential.zero(lat1), hbar=hbar,
-        horizon=1.0, delta=0.05, omega=Region.interval([-0.1], [0.1], lat1),
-        k_set=PhaseBoxSet.single([-0.5], [0.5], [1.0], [2.0]),
+        lat=lat1, geom=geom1, potential=zero_potential(lat1), hbar=hbar,
+        horizon=1.0, delta=0.05, omega=interval_region([-0.1], [0.1], lat1),
+        k_set=single_box([-0.5], [0.5], [1.0], [2.0]),
         disc=Discretization(m=384, n_k=16, n_q=10, n_p=14, n_time_obs=n_obs,
                             n_time_gc=600, gc_per_axis=12, gc_quasi=100, dt=1e-3),
         initial_kind=kind, center_q=np.array([0.0]), center_p=np.array([1.5]),
@@ -184,7 +185,7 @@ def base_scenario(lat1, geom1, kind="toeplitz", hbar=1e-3, n_obs=40):
 
 
 def test_toeplitz_report_structure(lat1, geom1):
-    rep = verify_toeplitz_theorem(base_scenario(lat1, geom1))
+    rep = verify_theorem(base_scenario(lat1, geom1))
     assert rep.passed and rep.margin >= 0
     assert rep.lhs >= 0 and rep.penalty > 0 and rep.c_gc.value > 0
     assert rep.mass_on_k == pytest.approx(1.0, abs=1e-9)     # datum supported in K
@@ -199,13 +200,12 @@ def test_toeplitz_report_structure(lat1, geom1):
 def test_compression_keeps_toeplitz_lhs(lat1, geom1):
     # with a potential the quantized bump has far fewer significant eigenvectors than nodes
     scn = base_scenario(lat1, geom1, hbar=0.01, n_obs=20)
-    scn.potential = TrigPotential.cosine(lat1, (1,), 0.1)
+    scn.potential = cosine_potential(lat1, (1,), 0.1)
     scn.disc = Discretization(m=64, n_k=4, n_q=10, n_p=14, n_time_obs=20, n_time_gc=200,
                               gc_per_axis=8, gc_quasi=40, dt=1e-3)
-    rep = verify_toeplitz_theorem(scn)
+    rep = verify_theorem(scn)
     assert rep.rank_evolved < rep.rank and 0.0 < rep.rank_tail <= PRUNE_TOL
-    rho = toeplitz_quantize(initial_density(scn), lat1, KGrid.monkhorst_pack(lat1, 4), 64,
-                            scn.hbar)
+    rho = initial_state(scn)
     assert rho.rank == rep.rank
     lhs = observed_time_integral(rho, scn.omega, scn.delta, scn.potential, scn.horizon,
                                  20, scn.disc.dt)[0]
@@ -217,15 +217,14 @@ def test_trace_drift_with_a_potential(lat1, geom1, kind):
     # the split step projects onto the plane-wave window, so it is not exactly
     # unitary; over 1000 steps a fiber trace still moves at round-off level only
     scn = base_scenario(lat1, geom1, kind=kind, hbar=0.01, n_obs=20)
-    scn.potential = TrigPotential.cosine(lat1, (1,), 0.1)
+    scn.potential = cosine_potential(lat1, (1,), 0.1)
     scn.disc = Discretization(m=64, n_k=4, n_q=10, n_p=14, n_time_obs=20, n_time_gc=200,
                               gc_per_axis=8, gc_quasi=40, dt=1e-3)
-    verify = verify_toeplitz_theorem if kind == "toeplitz" else verify_pure_theorem
-    assert verify(scn).trace_drift <= 1e-12
+    assert verify_theorem(scn).trace_drift <= 1e-12
 
 
 def test_pure_report_structure(lat1, geom1):
-    rep = verify_pure_theorem(base_scenario(lat1, geom1, kind="pure"))
+    rep = verify_theorem(base_scenario(lat1, geom1, kind="pure"))
     assert rep.passed and rep.margin >= 0
     assert rep.mass_on_k == pytest.approx(1.0, abs=1e-4)
     assert rep.c_bold == pytest.approx(1.0, abs=1e-6)
@@ -237,9 +236,9 @@ def test_pure_report_structure(lat1, geom1):
 
 def test_full_cell_observation_equals_horizon(lat1, geom1):
     scn = base_scenario(lat1, geom1, n_obs=20)
-    scn.omega = Region.interval([-0.5], [0.5], lat1)
+    scn.omega = interval_region([-0.5], [0.5], lat1)
     scn.delta = 0.01
-    rep = verify_toeplitz_theorem(scn)
+    rep = verify_theorem(scn)
     assert rep.lhs == pytest.approx(scn.horizon, rel=1e-6)
     assert rep.margin >= 0
 
@@ -250,7 +249,7 @@ def test_empty_observation_region_trivial_pass(lat1, geom1):
     scn = base_scenario(lat1, geom1, n_obs=8)
     scn.disc.n_time_gc = 200
     scn.omega = Region(np.zeros((0, 2, 1)), lat1)
-    rep = verify_toeplitz_theorem(scn)
+    rep = verify_theorem(scn)
     assert rep.lhs == 0.0
     assert rep.c_gc.value == 0.0 and not rep.c_gc.satisfied
     assert rep.classical_term == 0.0
@@ -262,16 +261,16 @@ def test_empty_observation_region_trivial_pass(lat1, geom1):
 
 def test_pure_full_cell_and_short_horizon(lat1, geom1):
     scn = base_scenario(lat1, geom1, kind="pure", n_obs=16)
-    scn.omega = Region.interval([-0.5], [0.5], lat1)
+    scn.omega = interval_region([-0.5], [0.5], lat1)
     scn.delta = 0.01
-    rep = verify_pure_theorem(scn)
+    rep = verify_theorem(scn)
     assert rep.lhs == pytest.approx(scn.horizon, rel=1e-6)
     assert rep.margin >= 0
     # vanishing horizon: both sides collapse within time-quadrature error
     short = base_scenario(lat1, geom1, kind="pure", n_obs=8)
     short.horizon = 0.02
     short.disc.n_time_gc = 100
-    rep = verify_pure_theorem(short)
+    rep = verify_theorem(short)
     assert abs(rep.lhs) <= short.horizon * 1.01
     assert abs(rep.classical_term) <= short.horizon * 1.01
     assert rep.margin >= 0
@@ -282,14 +281,13 @@ def test_rhs_monotone_decreasing_in_hbar(lat1, geom1):
     for hbar in (4e-3, 2e-3, 1e-3):
         scn = base_scenario(lat1, geom1, hbar=hbar, n_obs=8)
         scn.disc.n_time_gc = 300
-        rep = verify_toeplitz_theorem(scn)
+        rep = verify_theorem(scn)
         rhs.append(rep.rhs)
     assert rhs[0] < rhs[1] < rhs[2]
 
 
 def test_argmin_lambda_consistent(geom1):
     base, lam = minimize_toeplitz_penalty(geom1, 1.0, 0.0)
-    assert base == constant_toeplitz(geom1, 1.0, 0.0)
     a = 2 * geom1.gamma_plus / geom1.gamma_minus
     val = (np.sqrt(geom1.gamma_minus / (2 * geom1.gamma_plus))
            * np.expm1(a * lam * 1.0) / lam ** 2 * np.sqrt((1 + lam ** 2) / 2))
@@ -308,7 +306,7 @@ def test_observation_transforms_have_11_smooth_lengths(lat1, monkeypatch):
 
     monkeypatch.setattr(scipy.fft, "ifftn", spy)
     rho = coherent_family(lat1, KGrid.monkhorst_pack(lat1, 2), 384, 1e-3, [0.0], [1.5])
-    observed_time_integral(rho, Region.interval([-0.1], [0.1], lat1), 0.05,
-                           TrigPotential.zero(lat1), 0.01, 2, 1e-3)
+    observed_time_integral(rho, interval_region([-0.1], [0.1], lat1), 0.05,
+                           zero_potential(lat1), 0.01, 2, 1e-3)
     assert len(lengths) == 3
     assert all(is_11_smooth(n) for n in lengths), lengths

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from blochlab import (KGrid, LatticeSpec, PhaseBoxSet, PhaseSpaceDensity, Region, coherent_family,
-                      husimi, periodic_trace, toeplitz_quantize)
+from blochlab import (KGrid, LatticeSpec, PhaseSpaceDensity, Region, coherent_family, husimi,
+                      periodic_trace, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len
 from blochlab.quantization import FiberedDensity, husimi_mass_on_boxes
 
 from conftest import LATTICES, random_density
-from oracles import husimi_mass_grid
+from oracles import cosine_potential, husimi_mass_grid, interval_region, scaled_density, single_box
 
 
 def gaussian_bump(q0, p0, sq, sp):
@@ -38,7 +38,7 @@ def test_periodic_trace_identities(lat1):
     kg = KGrid.monkhorst_pack(lat1, nk)
     rho = coherent_family(lat1, kg, m, hbar, [0.1], [0.4])
     assert periodic_trace(rho) == pytest.approx(1.0, abs=1e-8)
-    assert periodic_trace(rho.scaled(2.5)) == pytest.approx(2.5, abs=2.5e-8)
+    assert periodic_trace(scaled_density(rho, 2.5)) == pytest.approx(2.5, abs=2.5e-8)
     zero = FiberedDensity(kg, lat1, m, hbar, np.zeros((nk, 1)), rho.vectors)
     assert periodic_trace(zero) == 0.0
 
@@ -200,7 +200,7 @@ def test_observe_cases(lat1):
     hbar, m = 0.05, 48
     kg = KGrid.monkhorst_pack(lat1, 8)
     rho = coherent_family(lat1, kg, m, hbar, [0.1], [0.4])
-    full = Region.interval([-0.5], [0.5], lat1)
+    full = interval_region([-0.5], [0.5], lat1)
     assert observe(rho, full) == pytest.approx(periodic_trace(rho), abs=1e-12)
     assert observe(rho, full, 0.1) == pytest.approx(periodic_trace(rho), abs=1e-12)
     empty = Region(np.zeros((0, 2, 1)), lat1)
@@ -232,7 +232,7 @@ def test_observe_gaussian_mass_oracle(lat1):
     kg = KGrid.monkhorst_pack(lat1, 8)
     for hbar, m in ((0.01, 64), (0.001, 200)):
         rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.0])
-        got = observe(rho, Region.interval([-0.1], [0.1], lat1))
+        got = observe(rho, interval_region([-0.1], [0.1], lat1))
         n = quadrature_len(m)
         y = position_grid(lat1, n)[:, 0]
         sel = y[(y >= -0.1) & (y < 0.1)]
@@ -245,21 +245,21 @@ def test_observe_gaussian_mass_oracle(lat1):
         assert abs(got - erf(0.1 / np.sqrt(hbar))) < 2.0 * (np.pi * hbar) ** -0.5 / n
     # at hbar = 1e-3 the captured mass clears 0.99
     rho = coherent_family(lat1, kg, 200, 1e-3, [0.0], [0.0])
-    assert observe(rho, Region.interval([-0.1], [0.1], lat1)) >= 0.99
+    assert observe(rho, interval_region([-0.1], [0.1], lat1)) >= 0.99
 
 
 def test_husimi_mass_on_boxes_matches_full_grid(lat1):
     hbar, m = 0.02, 48
     kg = KGrid.monkhorst_pack(lat1, 8)
     rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.5])
-    box = PhaseBoxSet.single([-0.5], [0.5], [-1.0], [2.0])   # wide momentum margin
+    box = single_box([-0.5], [0.5], [-1.0], [2.0])   # wide momentum margin
     mass = husimi_mass_on_boxes(rho, box)
     assert mass == pytest.approx(1.0, abs=1e-12)
     # narrow momentum box misses exactly the Gaussian tails (erf oracle)
-    tight = PhaseBoxSet.single([-0.5], [0.5], [0.0], [1.0])
+    tight = single_box([-0.5], [0.5], [0.0], [1.0])
     missing = 1.0 - husimi_mass_on_boxes(rho, tight)
     assert missing == pytest.approx(1.0 - erf(0.5 / np.sqrt(2 * hbar)), abs=1e-12)
-    half = PhaseBoxSet.single([-0.5], [0.0], [-1.0], [2.0])
+    half = single_box([-0.5], [0.0], [-1.0], [2.0])
     assert husimi_mass_on_boxes(rho, half) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -269,7 +269,7 @@ def test_husimi_mass_is_the_grid_limit(name):
     lat = LatticeSpec(LATTICES[name])
     d = lat.dimension
     rho = random_density(lat, 2 if d < 3 else 1, 0.3, 2, seed=d)
-    box = PhaseBoxSet.single([-0.3] * d, [0.2] * d, [-0.5] * d, [0.7] * d)
+    box = single_box([-0.3] * d, [0.2] * d, [-0.5] * d, [0.7] * d)
     exact = husimi_mass_on_boxes(rho, box)
     errs = [abs(husimi_mass_grid(rho, box, 0.1 / f, 0.2 / f) / exact - 1.0) for f in (1, 2)]
     assert errs[0] < 3e-2
@@ -306,7 +306,7 @@ def test_husimi_of_toeplitz_sharpens_with_hbar(lat1):
 def test_trajectory_dump(tmp_path, lat1):
     from blochlab.classical_dynamics import TrigPotential
     from oracles import dump_trajectory_csv
-    v = TrigPotential.cosine(lat1, (1,), 0.1)
+    v = cosine_potential(lat1, (1,), 0.1)
     path = tmp_path / "traj.csv"
     dump_trajectory_csv(path, [0.0], [0.7], 1.0, v, dt=1e-2, n_samples=10)
     lines = path.read_text().splitlines()
@@ -317,7 +317,7 @@ def test_trajectory_dump(tmp_path, lat1):
 
 
 def test_phase_boxset_membership():
-    k = PhaseBoxSet.single([-0.5], [0.5], [1.0], [2.0])
+    k = single_box([-0.5], [0.5], [1.0], [2.0])
     assert k.contains(np.array([[0.0]]), np.array([[1.5]]))[0]
     assert not k.contains(np.array([[0.0]]), np.array([[0.5]]))[0]
     qg, pg = k.grid_samples(5)

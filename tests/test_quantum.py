@@ -8,12 +8,13 @@ from blochlab.bloch import centered_indices, position_grid
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, FiberPropagator, propagate_batch
 
-from oracles import commutator_residual, periodized_coherent, propagate_batch_rolled
+from oracles import (commutator_residual, cosine_potential, cubic_lattice, periodized_coherent,
+                     propagate_batch_rolled, zero_potential)
 
 
 @pytest.fixture(scope="module")
 def vpot():
-    return TrigPotential.cosine(LatticeSpec.cubic(1), (1,), 0.1)
+    return cosine_potential(cubic_lattice(1), (1,), 0.1)
 
 
 def dense_fiber_matrix(h):
@@ -35,7 +36,7 @@ def dense_fiber_matrix(h):
 def test_free_propagator_exact(lat1):
     hbar, m = 0.05, 24
     k = np.array([0.3])
-    h = FiberHamiltonian(lat1, m, k, TrigPotential.zero(lat1), hbar)
+    h = FiberHamiltonian(lat1, m, k, zero_potential(lat1), hbar)
     coeffs = np.zeros(2 * m + 1, dtype=complex)
     coeffs[m + 3] = 1.0                      # single plane wave G = 3 b
     out = propagate_batch(coeffs, h, 0.7, 1e-2)
@@ -121,7 +122,7 @@ def test_fiber_propagator_matches_propagate_batch(lat1, vpot):
     hbar, m = 0.05, 16
     kg = KGrid.monkhorst_pack(lat1, 3)
     rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.2])
-    for potential in (vpot, TrigPotential.zero(lat1)):
+    for potential in (vpot, zero_potential(lat1)):
         block = np.concatenate([rho.vectors, 1j * rho.vectors[:, :, ::-1]], axis=1)
         ref = np.stack([propagate_batch(block[ik], FiberHamiltonian(lat1, m, k, potential, hbar),
                                         0.1, 1e-3) for ik, k in enumerate(kg.points)])

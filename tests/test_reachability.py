@@ -1,10 +1,11 @@
-"""Every public module-level function of the package runs in some CLI subcommand.
+"""Every public function and method of the package runs in some CLI subcommand.
 
 Code that only tests call belongs in ``tests/oracles.py``; a function that
 nothing calls belongs nowhere.  The seven subcommands run in process under
 ``sys.setprofile`` on small 1-D configs, with both initial-data kinds and
 with and without a potential, and every public function of every
-``blochlab`` module must have been entered.
+``blochlab`` module, and every public method, property and classmethod of
+its classes, must have been entered.
 """
 
 import importlib
@@ -48,14 +49,22 @@ center_p = (0.7,)
 POTENTIAL = "[potential]\nterms = [((1,), 0.1, 0.0)]\n\n"
 
 
-def _public_functions():
+def _public_code():
+    """(name, code object) of every public function, method, property and classmethod."""
     modules = [importlib.import_module(f"blochlab.{info.name}")
                for info in pkgutil.iter_modules(blochlab.__path__)]
     for mod in [blochlab] + modules:
         for name, obj in vars(mod).items():
-            if (not name.startswith("_") and inspect.isfunction(obj)
-                    and obj.__module__.startswith("blochlab")):
-                yield f"{obj.__module__}.{obj.__qualname__}", obj
+            if name.startswith("_") or not getattr(obj, "__module__", "").startswith("blochlab"):
+                continue
+            if inspect.isfunction(obj):
+                yield f"{obj.__module__}.{obj.__qualname__}", obj.__code__
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = (member.fget if isinstance(member, property)
+                          else getattr(member, "__func__", member))
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        yield f"{obj.__module__}.{obj.__qualname__}.{attr}", fn.__code__
 
 
 def test_every_public_function_runs_in_a_subcommand(tmp_path):
@@ -85,5 +94,6 @@ def test_every_public_function_runs_in_a_subcommand(tmp_path):
     # stability takes a quantized datum only and rejects pure data as invalid
     assert codes == {(path, sub): 3 if (kind, sub) == ("pure", "stability") else 0
                      for kind, path in configs for sub in _COMMANDS}
-    unreached = sorted({name for name, fn in _public_functions() if fn.__code__ not in entered})
-    assert not unreached, "public functions no subcommand runs: " + ", ".join(unreached)
+    unreached = sorted({name for name, code in _public_code() if code not in entered})
+    assert not unreached, "public functions and methods no subcommand runs: " \
+        + ", ".join(unreached)

@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
-from blochlab import (CoherentParams, CostParams, KGrid, LatticeSpec, PhaseSpaceDensity,
-                      TrigPotential, c_bold, coherent_family, coupling_energy_husimi,
-                      coupling_energy_toeplitz, gamma_bounds, gronwall_rate, stability_envelope,
-                      std_dev, toeplitz_quantize)
+from blochlab import (CoherentParams, CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, c_bold,
+                      coherent_family, coupling_energy_husimi, coupling_energy_toeplitz,
+                      gamma_bounds, gronwall_rate, stability_envelope, std_dev, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
     values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab.quantization import FiberedDensity
+from blochlab.quantum_dynamics import FiberPropagator
 from blochlab.states import coherent_coeff_batch, coherent_state
 from blochlab.transport_metric import pair_moment
 from scipy.integrate import quad
 
 from conftest import LATTICES, random_density
-from oracles import coupling_energy_husimi_grid, diagonal_coupling_dense, pair_moment_grid
+from oracles import (cosine_potential, coupling_energy_husimi_grid, diagonal_coupling_dense,
+                     pair_moment_grid, scaled_density, zero_potential)
 
 
 def bump_density(lat, nq=16, np_=24, p_max=1.0, p0=0.3):
@@ -63,7 +64,8 @@ def test_toeplitz_coupling_bound_1d(lat1, geom1, lam):
     hbar, m = 0.01, 64
     kg = KGrid.monkhorst_pack(lat1, 8)
     f = bump_density(lat1)
-    ce = coupling_energy_toeplitz(f, CostParams(lam, hbar, geom1), lat1, kg, m)
+    ce = coupling_energy_toeplitz(f, toeplitz_quantize(f, lat1, kg, m, hbar),
+                                  CostParams(lam, geom1))
     assert ce.total <= ce.bound * (1 + 1e-6)
     assert ce.bound == pytest.approx((1 + lam ** 2) * hbar / 2)
     assert np.all(ce.per_fiber >= -1e-10)
@@ -87,10 +89,10 @@ def test_diagonal_coupling_matches_dense_symbol_loop(basis, m, nq, np_):
                       - np.sum((p - p0) ** 2, axis=-1) / (2 * 0.3 ** 2))
 
     f = PhaseSpaceDensity.from_function(fn, lat, nq, np_, 1.0)
-    cost = CostParams(1.3, hbar, gamma_bounds(lat))
+    cost = CostParams(1.3, gamma_bounds(lat))
     kg = KGrid.monkhorst_pack(lat, 2)
-    ce = coupling_energy_toeplitz(f, cost, lat, kg, m)
-    pos, mom = diagonal_coupling_dense(f, cost, lat, kg, m, chunk=7)
+    ce = coupling_energy_toeplitz(f, toeplitz_quantize(f, lat, kg, m, hbar), cost)
+    pos, mom = diagonal_coupling_dense(f, cost, hbar, lat, kg, m, chunk=7)
     np.testing.assert_allclose(ce.position_per_fiber, pos, rtol=1e-11, atol=0)
     np.testing.assert_allclose(ce.momentum_per_fiber, mom, rtol=1e-11, atol=0)
 
@@ -99,7 +101,8 @@ def test_toeplitz_coupling_monotone_in_lambda(lat1, geom1):
     hbar, m = 0.02, 48
     kg = KGrid.monkhorst_pack(lat1, 8)
     f = bump_density(lat1)
-    totals = [coupling_energy_toeplitz(f, CostParams(lam, hbar, geom1), lat1, kg, m).total
+    rho = toeplitz_quantize(f, lat1, kg, m, hbar)
+    totals = [coupling_energy_toeplitz(f, rho, CostParams(lam, geom1)).total
               for lam in (0.5, 1.0, 2.0)]
     assert totals[0] < totals[1] < totals[2]
 
@@ -110,7 +113,8 @@ def test_toeplitz_coupling_hbar_scaling(lat1, geom1):
     ratios = []
     for hbar in (0.04, 0.02, 0.01):
         m = max(48, int(np.ceil(4 / np.sqrt(hbar))))
-        ce = coupling_energy_toeplitz(f, CostParams(1.0, hbar, geom1), lat1, kg, m)
+        ce = coupling_energy_toeplitz(f, toeplitz_quantize(f, lat1, kg, m, hbar),
+                                      CostParams(1.0, geom1))
         ratios.append(ce.total / hbar)
     assert max(ratios) / min(ratios) < 1.10
 
@@ -118,9 +122,9 @@ def test_toeplitz_coupling_hbar_scaling(lat1, geom1):
 def test_toeplitz_coupling_rejects_unnormalized(lat1, geom1):
     f = bump_density(lat1)
     bad = PhaseSpaceDensity(f.nodes_q, f.nodes_p, f.weights, 2.0 * f.values)
+    # the quantization that every diagonal coupling starts from refuses it
     with pytest.raises(ValueError):
-        coupling_energy_toeplitz(bad, CostParams(1.0, 0.02, geom1), lat1,
-                                 KGrid.monkhorst_pack(lat1, 4), 48)
+        toeplitz_quantize(bad, lat1, KGrid.monkhorst_pack(lat1, 4), 48, 0.02)
 
 
 def test_marginals_of_diagonal_coupling(lat1, geom1):
@@ -284,7 +288,7 @@ def test_husimi_coupling_requires_rank_one(lat1):
 def test_rank_one_quantities_follow_the_fiber_weight(lat1):
     # weight 2 is the vector sqrt(2) v: every quadratic quantity doubles twice
     rho = coherent_family(lat1, KGrid.monkhorst_pack(lat1, 4), 48, 0.02, [0.0], [0.5])
-    twice = rho.scaled(2.0)
+    twice = scaled_density(rho, 2.0)
     assert c_bold(twice) == pytest.approx(4.0 * c_bold(rho), rel=1e-12)
     assert std_dev(twice) ** 2 == pytest.approx(4.0 * std_dev(rho) ** 2, rel=1e-12)
     one, two = (coupling_energy_husimi(r) for r in (rho, twice))
@@ -295,9 +299,8 @@ def test_rank_one_quantities_follow_the_fiber_weight(lat1):
 def test_stability_envelope_free(lat1, geom1):
     hbar = 0.01
     f = bump_density(lat1, nq=10, np_=12)
-    cost = CostParams(1.0, hbar, geom1)
-    kg = KGrid.monkhorst_pack(lat1, 4)
-    env = stability_envelope(f, cost, TrigPotential.zero(lat1), lat1, kg, 64,
+    rho = toeplitz_quantize(f, lat1, KGrid.monkhorst_pack(lat1, 4), 64, hbar)
+    env = stability_envelope(f, rho, CostParams(1.0, geom1), zero_potential(lat1),
                              horizon=1.0, n_times=20, dt=1e-3)
     assert env.eta == pytest.approx(gronwall_rate(geom1, 1.0, 0.0))
     assert env.eta == pytest.approx(2.0)     # (2 g+/g-) * lambda for the unit cell
@@ -308,22 +311,40 @@ def test_stability_envelope_free(lat1, geom1):
 def test_stability_envelope_initial_energy_matches_coupling(lat1, geom1):
     hbar = 0.01
     f = bump_density(lat1, nq=10, np_=12)
-    cost = CostParams(1.0, hbar, geom1)
-    kg = KGrid.monkhorst_pack(lat1, 4)
-    env = stability_envelope(f, cost, TrigPotential.zero(lat1), lat1, kg, 64,
+    cost = CostParams(1.0, geom1)
+    rho = toeplitz_quantize(f, lat1, KGrid.monkhorst_pack(lat1, 4), 64, hbar)
+    # the coupling first: the envelope advances rho's vectors in place
+    ce = coupling_energy_toeplitz(f, rho, cost)
+    env = stability_envelope(f, rho, cost, zero_potential(lat1),
                              horizon=0.2, n_times=2, dt=1e-2)
-    ce = coupling_energy_toeplitz(f, cost, lat1, kg, 64)
     assert env.initial_energy == pytest.approx(ce.total, rel=1e-12)
+
+
+def test_stability_envelope_advances_the_density_in_place(lat1, geom1):
+    # on return the quantized density is the one at the horizon, in the same
+    # array; propagating a fresh quantization to the horizon gives the same vectors
+    hbar, horizon, dt = 0.01, 0.2, 1e-2
+    vpot = cosine_potential(lat1, (1,), 0.1)
+    f = bump_density(lat1, nq=10, np_=12)
+    kg = KGrid.monkhorst_pack(lat1, 4)
+    rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
+    vectors = rho.vectors
+    stability_envelope(f, rho, CostParams(1.0, geom1), vpot, horizon=horizon, n_times=2, dt=dt)
+    assert rho.vectors is vectors
+    fresh = toeplitz_quantize(f, lat1, kg, 64, hbar).vectors
+    propagator = FiberPropagator(kg, lat1, 64, vpot, hbar)
+    for _ in range(2):
+        propagator.advance(fresh, horizon / 2, dt)
+    np.testing.assert_array_equal(rho.vectors, fresh)
 
 
 def test_stability_envelope_with_potential(lat1, geom1):
     hbar = 0.01
-    vpot = TrigPotential.cosine(lat1, (1,), 0.1)
+    vpot = cosine_potential(lat1, (1,), 0.1)
     lam = vpot.lipschitz_gradient().value
     f = bump_density(lat1, nq=10, np_=12)
-    cost = CostParams(lam, hbar, geom1)
-    kg = KGrid.monkhorst_pack(lat1, 4)
-    env = stability_envelope(f, cost, vpot, lat1, kg, 64,
+    rho = toeplitz_quantize(f, lat1, KGrid.monkhorst_pack(lat1, 4), 64, hbar)
+    env = stability_envelope(f, rho, CostParams(lam, geom1), vpot,
                              horizon=1.0, n_times=20, dt=2e-3)
     assert env.max_ratio() <= 1 + 1e-3
     assert env.eta == pytest.approx((2 * geom1.gamma_plus / geom1.gamma_minus)
