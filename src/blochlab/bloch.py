@@ -175,12 +175,6 @@ class FiberedState:
         return np.sum(np.abs(self.coeffs.reshape(self.kgrid.size, -1)) ** 2, axis=1)
 
 
-def translate_window(l_cut: int, d: int) -> np.ndarray:
-    """Integer translates n with |n|_inf <= l_cut, shape ((2l_cut+1)^d, d)."""
-    axis = np.arange(-l_cut, l_cut + 1)
-    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-
-
 # Relative L2 mass allowed on the outer translate shell of ``bloch_transform`` is TAIL_TOL^2.
 TAIL_TOL = 1e-10
 
@@ -222,7 +216,7 @@ def bloch_transform(u, lat: LatticeSpec, kgrid: KGrid, m: int, l_cut: int,
     d = lat.dimension
     n = 2 * m + 1
     x = position_grid(lat, n)
-    window = translate_window(l_cut, d)
+    window = centered_indices(l_cut, d)
     shifts = lat.lattice_vector(window)
     pts = x[None, :, :] + shifts[:, None, :]
     uvals = np.asarray(u(pts), dtype=complex)
@@ -253,7 +247,7 @@ def inverse_bloch(state: FiberedState, l_cut: int) -> np.ndarray:
     lat, m = state.lat, state.m
     n = 2 * m + 1
     x = position_grid(lat, n)
-    shifts = lat.lattice_vector(translate_window(l_cut, lat.dimension))
+    shifts = lat.lattice_vector(centered_indices(l_cut, lat.dimension))
     vals = coeffs_to_values(state.coeffs, lat, n).reshape(state.kgrid.size, -1)
     phase_x = np.exp(1j * state.kgrid.points @ x.T)              # (n_k, n_grid)
     phase_shift = np.exp(1j * state.kgrid.points @ shifts.T)     # (n_k, n_window)

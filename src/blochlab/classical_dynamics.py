@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bloch import position_grid
 from .lattice import LatticeSpec, Region, reduce_to_cell
 from .quantization import PhaseBoxSet
 
@@ -88,10 +89,8 @@ class TrigPotential:
                        for (g, (_, c, _)) in zip(self.g_vectors(), self.terms))
         if self.is_zero:
             return LipschitzBound(0.0, 0.0, 0.0)
-        d = self.lat.dimension
-        axis = np.arange(_HESSIAN_GRID) / _HESSIAN_GRID - 0.5
-        t = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        grid = float(np.max(self.hessian_norm(self.lat.from_fractional(t)))) * (1.0 + 1e-3)
+        hess = self.hessian_norm(position_grid(self.lat, _HESSIAN_GRID))
+        grid = float(np.max(hess)) * (1.0 + 1e-3)
         return LipschitzBound(min(analytic, grid), analytic, grid)
 
 

@@ -26,8 +26,8 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import __version__
-from .bloch import KGrid, bloch_transform, grid_weight, inverse_bloch, position_grid, \
-    translate_window
+from .bloch import KGrid, bloch_transform, centered_indices, grid_weight, inverse_bloch, \
+    position_grid
 from .config import load_config
 from .errors import AccuracyError, ConfigParseError, ConfigValidationError
 from .observability import (PRUNE_TOL, constant_pure, default_p_max, hbar_threshold,
@@ -88,7 +88,7 @@ def _cmd_bloch_check(cfg, scn, out, cfg_hash) -> int:
                 total += (np.conj(amps[i]) * amps[j] * ov).real
         iso_err = abs(avg - total) / total
         back = inverse_bloch(state, cfg.l_cut)
-        shifts = lat.lattice_vector(translate_window(cfg.l_cut, lat.dimension))
+        shifts = lat.lattice_vector(centered_indices(cfg.l_cut, lat.dimension))
         pts = position_grid(lat, 2 * scn.disc.m + 1)[None, :, :] + shifts[:, None, :]
         rt_err = float(np.max(np.abs(back.reshape(pts.shape[:-1]) - u(pts))))
         rows.append((trial, "isometry_rel_err", iso_err, 1e-10, iso_err <= 1e-10))
@@ -103,6 +103,7 @@ def _cmd_bloch_check(cfg, scn, out, cfg_hash) -> int:
 
 def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
     rho = initial_state(scn).compressed(PRUNE_TOL)[0]
+    trace0 = periodic_trace(rho)    # before the evolution, which advances rho in place
     integral, series, times, quad_err, drift = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)
@@ -110,7 +111,7 @@ def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
     _write_csv(os.path.join(out, f"{cfg.prefix}_evolve.csv"),
                ("t", "observed"), rows, cfg_hash)
     print(f"time integral = {integral:.12g}  (quad err est {quad_err:.3g})")
-    print(f"initial periodic trace = {periodic_trace(rho):.12g}")
+    print(f"initial periodic trace = {trace0:.12g}")
     print(f"trace drift = {drift:.3g}")
     return 0
 

@@ -94,7 +94,7 @@ def _value(sections: dict, section: str, key: str, convert, default=_REQUIRED):
     raw = sections[section][key]
     try:
         return convert(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigValidationError(f"{section}.{key}",
                                     f"invalid value {raw!r}: {exc}") from None
 
@@ -104,6 +104,14 @@ def _real(value) -> float:
     if not np.isfinite(x):
         raise ValueError("must be finite")
     return x
+
+
+def _integer(value) -> int:
+    """An integral finite number as an int; 2.5, inf and ints beyond float range fail."""
+    x = _real(value)
+    if not x.is_integer():
+        raise ValueError("must be an integer")
+    return int(value) if isinstance(value, int) else int(x)
 
 
 def _reals(value) -> np.ndarray:
@@ -123,7 +131,7 @@ def _lattice(value) -> LatticeSpec:
 def _terms(value, d: int) -> tuple:
     terms = []
     for n, c, phi in value:
-        n = tuple(int(v) for v in np.atleast_1d(n))
+        n = tuple(_integer(v) for v in np.atleast_1d(n))
         if len(n) != d:
             raise ValueError(f"reciprocal index {n} is not of dimension {d}")
         terms.append((n, _real(c), _real(phi)))
@@ -182,7 +190,7 @@ def load_config(text: str) -> ExperimentConfig:
                                 ("n_q", 16, 2), ("n_p", 24, 2),
                                 ("n_time_obs", 200, 1), ("n_time_gc", 2000, 1),
                                 ("gc_per_axis", 32, 1), ("gc_quasi", 1000, 0)):
-        sizes[key] = _value(sections, "discretization", key, int, default)
+        sizes[key] = _value(sections, "discretization", key, _integer, default)
         if sizes[key] < least:
             raise ConfigValidationError(f"discretization.{key}", f"must be at least {least}")
     m = sizes["m"]
@@ -239,7 +247,7 @@ def load_config(text: str) -> ExperimentConfig:
             f"is below the data's requirement {p_need:.3f}")
 
     geom = gamma_bounds(lat)
-    l_cut = _value(sections, "discretization", "l_cut", int,
+    l_cut = _value(sections, "discretization", "l_cut", _integer,
                    default_window(lat, hbar, geom.gamma_minus))
 
     scenario = ObservabilityScenario(

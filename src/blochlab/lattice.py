@@ -132,10 +132,11 @@ def theta_cost_weights(xs: np.ndarray, ygrid: np.ndarray, geom: CellGeometry) ->
 class Region:
     """Union of open axis-aligned boxes inside the unit cell, understood periodically.
 
-    ``boxes`` has shape ``(nb, 2, d)`` with rows ``(lo, hi)``.  Membership and
-    distance are evaluated modulo the lattice: a point belongs to the region
-    if one of its near translates falls in a box, which also handles boxes
-    that spill over the cell edge after a dilation.
+    ``boxes`` has shape ``(nb, 2, d)`` with rows ``(lo, hi)``, lo < hi on
+    every axis (the distance to an inverted box would clip to one corner).
+    Membership and distance are evaluated modulo the lattice: a point belongs
+    to the region if one of its near translates falls in a box, which also
+    handles boxes that spill over the cell edge after a dilation.
     """
 
     boxes: np.ndarray
@@ -148,6 +149,8 @@ class Region:
             boxes = boxes.reshape(0, 2, self.lat.dimension)
         if boxes.ndim != 3 or boxes.shape[1] != 2:
             raise ValueError("boxes must have shape (nb, 2, d)")
+        if not np.all(boxes[:, 0] < boxes[:, 1]):
+            raise ValueError("every box needs lo < hi on every axis")
         object.__setattr__(self, "boxes", boxes)
         d = self.lat.dimension
         offs = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)

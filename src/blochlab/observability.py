@@ -23,7 +23,7 @@ from .errors import ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region
 from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
     husimi_mass_on_boxes, toeplitz_quantize
-from .quantum_dynamics import FiberPropagator
+from .quantum_dynamics import FiberHamiltonian, propagate_batch
 from .transport_metric import c_bold, gronwall_rate, std_dev
 
 
@@ -178,26 +178,26 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
                            n_samples: int, dt: float):
     """Trapezoid time integral of the masked fiber-average trace along the evolution.
 
-    The density is evolved incrementally (no restart per sample).  Returns the
-    integral, the sample values, the times, a quadrature-error estimate from
-    comparing with the half-resolution trapezoid rule, and the trace drift:
-    the largest relative change |tr_k(T) - tr_k(0)| / tr_k(0) of a fiber
-    trace (the split step projects onto the plane-wave window, so it is not
-    exactly unitary).
+    ``rho.vectors`` are advanced in place, sample by sample (no restart per
+    sample): on return ``rho`` is the density at time ``horizon``, so callers
+    read what they need of the initial datum first.  Returns the integral,
+    the sample values, the times, a quadrature-error estimate from comparing
+    with the half-resolution trapezoid rule, and the trace drift: the largest
+    relative change |tr_k(T) - tr_k(0)| / tr_k(0) of a fiber trace (the split
+    step projects onto the plane-wave window, so it is not exactly unitary).
     """
     if n_samples % 2 == 1:
         n_samples += 1
     mask = rho.region_mask(region, delta)
-    rho_t = FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, rho.lambdas, rho.vectors.copy())
-    propagator = FiberPropagator(rho.kgrid, rho.lat, rho.m, potential, rho.hbar)
+    h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     sample_dt = horizon / n_samples
-    series = np.empty(n_samples + 1)
-    series[0] = rho_t.masked_trace(mask)
-    for i in range(1, n_samples + 1):
-        propagator.advance(rho_t.vectors, sample_dt, dt)
-        series[i] = rho_t.masked_trace(mask)
     traces = rho.fiber_traces()
-    drift = float(np.max(np.abs(rho_t.fiber_traces() - traces) / traces))
+    series = np.empty(n_samples + 1)
+    series[0] = rho.masked_trace(mask)
+    for i in range(1, n_samples + 1):
+        propagate_batch(rho.vectors, h, sample_dt, dt)
+        series[i] = rho.masked_trace(mask)
+    drift = float(np.max(np.abs(rho.fiber_traces() - traces) / traces))
     times = np.linspace(0.0, horizon, n_samples + 1)
     trapz = getattr(np, "trapezoid", None) or np.trapz
     integral = float(trapz(series, times))
@@ -252,15 +252,14 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     node pruning of the classical density.  The kinds differ only in the mass
     on K (of the classical bump, or of the Husimi density), the penalty
     constant with its cost scale, the initial coupling-energy bound, and the
-    hbar threshold, which only the quantized-density bound has.
+    hbar threshold, which only the quantized-density bound has.  Everything
+    read from the initial datum is computed before the evolution, which
+    advances the datum in place.
     """
     d = scn.lat.dimension
     rho = initial_state(scn)
     rank = rho.rank
     rho, tail = rho.compressed(PRUNE_TOL)
-    lhs, series, times, quad_err, drift = observed_time_integral(
-        rho, scn.omega, scn.delta, scn.potential, scn.horizon,
-        scn.disc.n_time_obs, scn.disc.dt)
     gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential, scn.lat,
                      n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
                      n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
@@ -286,6 +285,9 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
         energy_bound = penalty_scale = float(np.sqrt(d * scn.hbar * cb + 2.0 * dev ** 2))
     if not gc.satisfied:
         warnings.append("geometric-control estimate is zero at sample resolution")
+    lhs, series, times, quad_err, drift = observed_time_integral(
+        rho, scn.omega, scn.delta, scn.potential, scn.horizon,
+        scn.disc.n_time_obs, scn.disc.dt)
     penalty = c_const * penalty_scale / scn.delta
     classical = gc.value * mass_k
     rhs = classical - penalty

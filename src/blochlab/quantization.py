@@ -24,7 +24,10 @@ from .states import coherent_coeff_batch
 
 @dataclass(frozen=True)
 class PhaseBoxSet:
-    """Union of closed boxes in phase space Gamma x R^d (the compact set K)."""
+    """Union of closed boxes in phase space Gamma x R^d (the compact set K).
+
+    Each box needs lo <= hi on every axis; lo = hi is a closed face, not empty.
+    """
 
     q_bounds: np.ndarray   # (nb, 2, d)
     p_bounds: np.ndarray   # (nb, 2, d)
@@ -34,6 +37,8 @@ class PhaseBoxSet:
         pb = np.asarray(self.p_bounds, dtype=float)
         if qb.shape != pb.shape or qb.ndim != 3 or qb.shape[1] != 2:
             raise ValueError("q_bounds/p_bounds must both have shape (nb, 2, d)")
+        if not (np.all(qb[:, 0] <= qb[:, 1]) and np.all(pb[:, 0] <= pb[:, 1])):
+            raise ValueError("every box needs lo <= hi on every axis")
         object.__setattr__(self, "q_bounds", qb)
         object.__setattr__(self, "p_bounds", pb)
 

@@ -17,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .bloch import KGrid, _alt_sign, _twisted, g_vectors, position_grid, quadrature_len
+from .bloch import _alt_sign, _twisted, g_vectors, position_grid, quadrature_len
 from .classical_dynamics import TrigPotential
 from .lattice import LatticeSpec
 
 
 @dataclass
 class FiberHamiltonian:
-    """Kinetic diagonal (shifted by the fiber quasimomentum) plus a periodic potential.
+    """H_k = |hbar(k + G)|^2 / 2 + V for the fiber quasimomenta ``k``, shape (n_k, d).
 
-    The kinetic diagonal lives on the (2m+1)^d plane-wave window, the
-    potential values on the ``quadrature_len(m)``^d cell grid.
+    Only the kinetic diagonal, shape (n_k, (2m+1)^d), depends on k; V is
+    sampled once on the ``quadrature_len(m)``^d cell grid.
     """
 
     lat: LatticeSpec
@@ -37,89 +37,60 @@ class FiberHamiltonian:
     hbar: float
 
     def __post_init__(self):
-        self.k = np.atleast_1d(np.asarray(self.k, dtype=float))
+        d = self.lat.dimension
+        self.k = np.atleast_2d(np.asarray(self.k, dtype=float))
+        if self.k.shape[1:] != (d,):
+            raise ValueError(f"k must have shape (n_k, {d})")
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
-        d = self.lat.dimension
-        shifted = g_vectors(self.lat, self.m) + self.k
-        diag = 0.5 * self.hbar ** 2 * np.sum(shifted * shifted, axis=-1)
-        self.kinetic_diagonal = diag.reshape((2 * self.m + 1,) * d)
+        shifted = g_vectors(self.lat, self.m)[None, :, :] + self.k[:, None, :]
+        self.kinetic_diagonal = 0.5 * self.hbar ** 2 * np.sum(shifted * shifted, axis=-1)
         n = quadrature_len(self.m)
         self.potential_values = self.potential.value(position_grid(self.lat, n)) \
             .reshape((n,) * d)
 
 
-def kinetic_phase(h: FiberHamiltonian, t: float) -> np.ndarray:
-    return np.exp(-1j * t * h.kinetic_diagonal / h.hbar)
-
-
 def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float) -> np.ndarray:
-    """Strang-split propagation of a batch of coefficient arrays (leading axes free).
+    """Advance a (n_k, batch, (2m+1)^d) block of fiber i under H_{k_i} in place; returns it.
 
-    Kinetic half-steps act diagonally on coefficients; the zero-potential
-    case uses the exact diagonal propagator.  Otherwise each step is
-    P e^{-i tau V / hbar} P between kinetic half-steps, with the potential
-    factor collocated on the N = ``quadrature_len(m)`` grid per axis and P
-    the projection onto the plane-wave window: for N > 2m+1 this is the
-    Galerkin step up to the Fourier tail of the factor beyond N - 2m - 1,
-    for N = 2m+1 plain collocation.  The projection makes the step not
-    exactly unitary.
-
-    The batch is moved once into padded twisted FFT order,
-    x = ifftshift(pad(c * alt)), in which the values on the N grid are
-    ifftn(x) up to a constant that cancels between the two transforms of a
-    step; each step is then fftn(ifftn(x) * pot) * phase with kinetic phases
-    in the same padded FFT order and zero outside the window, which is the
-    projection.  At the end the window is cut out and the twist undone.
+    V = 0 is one exact phase multiply over all fibers.  Otherwise each Strang
+    step is P e^{-i tau V / hbar} P between kinetic half-steps, the factor
+    collocated on the N = ``quadrature_len(m)`` grid per axis and P the
+    projection onto the plane-wave window: the Galerkin step up to the
+    factor's Fourier tail beyond N - 2m - 1 (N = 2m+1: plain collocation),
+    not exactly unitary.  The phases and the factor are computed once per
+    call, the steps run one fiber at a time (a whole-block work array would
+    raise peak memory).  A fiber's batch moves once into padded twisted FFT
+    order, x = ifftshift(pad(c * alt)); each step is fftn(ifftn(x) * pot) *
+    phase with phases zero outside the window, which is the projection.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
     if t == 0.0:
-        return coeffs.copy()
+        return coeffs
     if h.potential.is_zero:
-        return coeffs * kinetic_phase(h, t)
+        coeffs *= np.exp(-1j * t * h.kinetic_diagonal / h.hbar)[:, None, :]
+        return coeffs
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = max(1, int(np.ceil(abs(t) / dt)))
     step = t / n_steps
     d = h.lat.dimension
     n, nin = h.potential_values.shape[-1], 2 * h.m + 1
-    axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
-    half = kinetic_phase(h, 0.5 * step)
-    x = _twisted(coeffs * half, n, d)
+    window_shape = (coeffs.shape[1],) + (nin,) * d
+    axes = tuple(range(1, d + 1))
     cut = (n - nin) // 2
-    half = sfft.ifftshift(np.pad(half, cut))
-    full = half * half
+    half = np.exp(-1j * (0.5 * step) * h.kinetic_diagonal / h.hbar) \
+        .reshape((-1,) + (nin,) * d)
+    half_fft = sfft.ifftshift(np.pad(half, [(0, 0)] + [(cut, cut)] * d), axes=axes)
+    full_fft = half_fft * half_fft
     pot = np.exp(-1j * step * h.potential_values / h.hbar)
-    for i in range(n_steps):
-        vals = sfft.ifftn(x, axes=axes, overwrite_x=True)
-        vals *= pot
-        x = sfft.fftn(vals, axes=axes, overwrite_x=True)
-        x *= half if i == n_steps - 1 else full
     window = (Ellipsis,) + (slice(cut, cut + nin),) * d
-    return sfft.fftshift(x, axes=axes)[window] * _alt_sign(nin, d)
-
-
-class FiberPropagator:
-    """One Hamiltonian per fiber of a k-grid, advancing (n_k, batch, n_G) coefficient blocks."""
-
-    def __init__(self, kgrid: KGrid, lat: LatticeSpec, m: int, potential: TrigPotential,
-                 hbar: float):
-        self.hams = [FiberHamiltonian(lat, m, k, potential, hbar) for k in kgrid.points]
-        self.free = potential.is_zero
-        self.hbar = hbar
-        self.kinetic = np.stack([h.kinetic_diagonal.reshape(-1) for h in self.hams])
-
-    def advance(self, coeffs: np.ndarray, t: float, dt: float) -> np.ndarray:
-        """Propagate every fiber of ``coeffs`` by time t in place; returns ``coeffs``.
-
-        With V = 0 the kinetic phases of all fibers are applied at once;
-        otherwise each fiber's batch goes through one ``propagate_batch`` call.
-        """
-        if self.free:
-            coeffs *= np.exp(-1j * t * self.kinetic / self.hbar)[:, None, :]
-            return coeffs
-        n_b = coeffs.shape[1]
-        for ik, h in enumerate(self.hams):
-            coeffs[ik] = propagate_batch(coeffs[ik].reshape((n_b,) + h.kinetic_diagonal.shape),
-                                         h, t, dt).reshape(n_b, -1)
-        return coeffs
+    alt = _alt_sign(nin, d)
+    for ik in range(coeffs.shape[0]):
+        x = _twisted(coeffs[ik].reshape(window_shape) * half[ik], n, d)
+        for i in range(n_steps):
+            vals = sfft.ifftn(x, axes=axes, overwrite_x=True)
+            vals *= pot
+            x = sfft.fftn(vals, axes=axes, overwrite_x=True)
+            x *= half_fft[ik] if i == n_steps - 1 else full_fft[ik]
+        coeffs[ik] = (sfft.fftshift(x, axes=axes)[window] * alt).reshape(coeffs.shape[1], -1)
+    return coeffs

@@ -21,7 +21,7 @@ from .bloch import coeffs_to_values, g_vectors, grid_weight, position_grid, quad
 from .classical_dynamics import TrigPotential, flow
 from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
 from .quantization import FiberedDensity, PhaseSpaceDensity, momentum_cost
-from .quantum_dynamics import FiberPropagator
+from .quantum_dynamics import FiberHamiltonian, propagate_batch
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
     """
     lip = potential.lipschitz_gradient().value
     eta = gronwall_rate(cost.geom, cost.lam, lip)
-    propagator = FiberPropagator(rho.kgrid, rho.lat, rho.m, potential, rho.hbar)
+    h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
 
     x, xi = f.nodes_q, f.nodes_p
     times = np.linspace(0.0, horizon, n_times + 1)
@@ -240,7 +240,7 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
     for i in range(n_times + 1):
         if i > 0:
             x, xi = flow(x, xi, sample_dt, potential, dt)
-            propagator.advance(rho.vectors, sample_dt, dt)
+            propagate_batch(rho.vectors, h, sample_dt, dt)
         pos, mom = diagonal_coupling_parts(rho, x, xi, cost)
         energies[i] = np.mean(pos + mom)
     bounds = energies[0] * np.exp(2.0 * eta * times)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from blochlab.bloch import _alt_sign, coeffs_to_values, g_vectors, grid_weight, position_grid, \
-    quadrature_len, translate_window, values_to_coeffs
+from blochlab.bloch import _alt_sign, centered_indices, coeffs_to_values, g_vectors, grid_weight, \
+    position_grid, quadrature_len, values_to_coeffs
 from blochlab.classical_dynamics import PhasePoint, TrigPotential, flow
 from blochlab.errors import AccuracyError
 from blochlab.lattice import CellGeometry, LatticeSpec, Region, reduce_to_cell, \
@@ -84,7 +84,7 @@ def periodized_coherent_direct(params, lat, m: int, l_cut: int) -> PeriodicField
     """Periodized packet as a truncated lattice sum sampled on the position grid."""
     n = 2 * m + 1
     x = position_grid(lat, n)
-    shifts = lat.lattice_vector(translate_window(l_cut, lat.dimension))
+    shifts = lat.lattice_vector(centered_indices(l_cut, lat.dimension))
     vals = np.zeros(x.shape[0], dtype=complex)
     for s in shifts:
         vals += coherent_state(params, x + s)
@@ -105,18 +105,20 @@ def coeffs_to_values_rolled(coeffs, lat, nout=None):
 def propagate_batch_rolled(coeffs, h, t: float, dt: float):
     """Strang splitting with a full coefficient/value round trip (rolls, signs, scales) per step.
 
-    The round trip goes through the potential's grid and truncates back to order m.
+    ``coeffs`` is a (n_k, batch, (2m+1)^d) block; returns a new one.  The
+    round trip goes through the potential's grid and truncates back to order m.
     """
+    window = (2 * h.m + 1,) * h.lat.dimension
     n_steps = max(1, int(np.ceil(abs(t) / dt)))
     step = t / n_steps
-    half = np.exp(-1j * 0.5 * step * h.kinetic_diagonal / h.hbar)
+    half = np.exp(-1j * 0.5 * step * h.kinetic_diagonal / h.hbar).reshape((-1, 1) + window)
     pot = np.exp(-1j * step * h.potential_values / h.hbar)
-    out = np.asarray(coeffs, dtype=complex) * half
+    out = np.asarray(coeffs, dtype=complex).reshape(coeffs.shape[:2] + window) * half
     for i in range(n_steps):
         vals = coeffs_to_values_rolled(out, h.lat, nout=h.potential_values.shape[-1])
         out = values_to_coeffs(vals * pot, h.lat, h.m)
         out = out * (half if i == n_steps - 1 else half * half)
-    return out
+    return out.reshape(coeffs.shape)
 
 
 def dump_csv(state, path) -> None:

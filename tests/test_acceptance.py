@@ -16,7 +16,7 @@ from blochlab import (CoherentParams, CostParams, Discretization, KGrid, Observa
 from blochlab.bloch import default_window, grid_weight, position_grid
 from blochlab.cli import main as cli_main
 from blochlab.quantization import FiberedDensity
-from blochlab.quantum_dynamics import FiberHamiltonian, FiberPropagator, propagate_batch
+from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
 from conftest import coherent_overlap
 from oracles import (coherent_planewave_coeffs, commutator_residual, cosine_potential,
@@ -253,13 +253,14 @@ def test_criterion_08_unitarity_trace(lat1):
     vpot = cosine_potential(lat1, (1,), 0.1)
     h = FiberHamiltonian(lat1, m, np.array([0.2]), vpot, hbar)
     u0 = periodized_coherent(CoherentParams([0.0], [0.4], hbar), lat1, m).coeffs
-    out = propagate_batch(u0, h, 1.0, 1e-3)      # 1000 strang steps
+    out = propagate_batch(u0[None, None].copy(), h, 1.0, 1e-3)     # 1000 strang steps
     norm_drift = abs(np.sqrt(np.sum(np.abs(out) ** 2)) - np.sqrt(np.sum(np.abs(u0) ** 2)))
 
     kg = KGrid.monkhorst_pack(lat1, 8)
     rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
     tr0 = periodic_trace(rho)
-    vectors = FiberPropagator(kg, lat1, m, vpot, hbar).advance(rho.vectors.copy(), 1.0, 1e-3)
+    vectors = propagate_batch(rho.vectors.copy(), FiberHamiltonian(lat1, m, kg.points, vpot, hbar),
+                              1.0, 1e-3)
     rho_t = FiberedDensity(kg, lat1, m, hbar, rho.lambdas, vectors)
     trace_drift = abs(periodic_trace(rho_t) - tr0)
     ok = norm_drift <= 1e-9 and trace_drift <= 1e-9

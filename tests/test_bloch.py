@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from blochlab import CoherentParams, KGrid, bloch_transform, coherent_state, inverse_bloch
-from blochlab.bloch import (coeffs_to_values, default_window, g_vectors, grid_weight,
-                            position_grid, quadrature_len, translate_window, values_to_coeffs)
+from blochlab.bloch import (centered_indices, coeffs_to_values, default_window, g_vectors,
+                            grid_weight, position_grid, quadrature_len, values_to_coeffs)
 from blochlab.errors import AccuracyError
 
 from conftest import coherent_overlap, is_11_smooth
@@ -120,7 +120,7 @@ def test_inverse_bloch_roundtrip_gaussian(lat1):
     kg = KGrid.monkhorst_pack(lat1, nk)
     state = bloch_transform(lambda p: coherent_state(cp, p), lat1, kg, m, l_cut)
     back = inverse_bloch(state, l_cut)
-    shifts = lat1.lattice_vector(translate_window(l_cut, 1))
+    shifts = lat1.lattice_vector(centered_indices(l_cut, 1))
     pts = position_grid(lat1, 2 * m + 1)[None, :, :] + shifts[:, None, :]
     ref = coherent_state(cp, pts)
     assert np.max(np.abs(back.reshape(ref.shape) - ref)) < 1e-8
@@ -151,7 +151,7 @@ def test_quasi_periodicity_contract(lat1):
     state1 = bloch_transform(lambda p: coherent_state(cp, p), lat1, kg1, m, l_cut)
     # k + K lies outside the cell; evaluate the transform there directly
     x = position_grid(lat1, 2 * m + 1)
-    shifts = lat1.lattice_vector(translate_window(l_cut, 1))
+    shifts = lat1.lattice_vector(centered_indices(l_cut, 1))
     pts = x[None, :, :] + shifts[:, None, :]
     uvals = coherent_state(cp, pts)
     k2 = k0[0] + big_k

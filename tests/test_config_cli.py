@@ -118,6 +118,33 @@ def test_validator_names_malformed_values(old, new, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("m = 48", "m = 1e400", "discretization.m"),
+    ("n_k = 8", "n_k = 1e400", "discretization.n_k"),
+    ("gc_quasi = 40", "gc_quasi = 40\nl_cut = 1e400", "discretization.l_cut"),
+    ("[initial]", "[potential]\nterms = [((1e400,), 0.1, 0.0)]\n\n[initial]", "potential.terms"),
+    ("hbar = 0.02", "hbar = " + "7" * 400, "physics.hbar"),
+    ("n_p = 14", "n_p = 2.9", "discretization.n_p"),
+    ("[initial]", "[potential]\nterms = [((1.5,), 0.1, 0.0)]\n\n[initial]", "potential.terms"),
+], ids=["m-inf", "n_k-inf", "l_cut-inf", "index-inf", "hbar-400-digits", "n_p-fraction",
+        "index-fraction"])
+def test_numeric_values_exit_3_naming_the_key(tmp_path, capsys, old, new, field):
+    # overflowing values once ended in a traceback with exit 1 (a FAIL verdict's
+    # code), and fractional sizes and indices were silently truncated
+    text = BASE.replace(old, new)
+    assert text != BASE
+    assert main(["constants", "--config", write_cfg(tmp_path, text), "--out",
+                 str(tmp_path)]) == 3
+    assert f"config validation error: {field}:" in capsys.readouterr().err
+
+
+def test_integral_floats_are_accepted_as_sizes():
+    cfg = load_config(BASE.replace("m = 48", "m = 48.0").replace("[initial]",
+                      "[potential]\nterms = [((1.0,), 0.1, 0.0)]\n\n[initial]"))
+    assert cfg.scenario().disc.m == 48 and type(cfg.scenario().disc.m) is int
+    assert cfg.scenario().potential.terms[0][0] == (1,)
+
+
 def test_load_config_roundtrip_objects():
     cfg = load_config(BASE)
     scn = cfg.scenario()

@@ -1,0 +1,80 @@
+"""Property test: ``load_config`` ends any text in a config error, never in another exception.
+
+Texts start from a valid 1-D or 2-D config and override a few keys of the
+known sections with arbitrary literals: huge integers, floats that overflow
+to inf, nan, strings, bare words and nested tuples and lists, both shaped
+like the key's value (a basis, boxes, potential terms) and freely nested.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from blochlab.config import _KEYS, load_config
+from blochlab.errors import ConfigParseError, ConfigValidationError
+
+from test_config_cli import BASE, HEX_PURE
+
+_ATOMS = st.one_of(
+    st.integers(min_value=-10, max_value=100).map(str),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e400", "-1e400", "nan", "inf", "0.0", "2.9", "1e-300", "True",
+                     "None", "'abc'", "''", "pure", "toeplitz", "a/b", "{1: 2}", "()", "[]"]),
+)
+
+
+def _tuple(items):
+    return "(" + "".join(f"{x}, " for x in items) + ")"
+
+
+def _list(items):
+    return "[" + ", ".join(items) + "]"
+
+
+_NESTED = st.recursive(_ATOMS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4).map(_tuple), st.lists(inner, max_size=4).map(_list)),
+    max_leaves=12)
+
+
+def _vector(d):
+    return st.lists(_ATOMS, min_size=d, max_size=d).map(_tuple)
+
+
+def _shaped(d):
+    """Literals with the shape of a basis, boxes or potential terms of dimension d."""
+    return st.one_of(
+        st.lists(st.lists(_ATOMS, min_size=d, max_size=d).map(_list),
+                 min_size=d, max_size=d).map(_list),
+        st.lists(st.lists(_vector(d), min_size=2, max_size=2).map(_tuple),
+                 min_size=1, max_size=2).map(_list),
+        st.lists(st.lists(_vector(d), min_size=4, max_size=4).map(_tuple),
+                 min_size=1, max_size=2).map(_list),
+        st.lists(st.tuples(_vector(d), _ATOMS, _ATOMS).map(_tuple),
+                 min_size=1, max_size=2).map(_list),
+    )
+
+
+_FIELDS = [(section, key) for section, keys in _KEYS.items() for key in keys]
+
+
+@st.composite
+def config_texts(draw):
+    base, d = draw(st.sampled_from([(BASE, 1), (HEX_PURE, 2)]))
+    values = st.one_of(_ATOMS, _NESTED, _shaped(d))
+    overrides = draw(st.lists(st.tuples(st.sampled_from(_FIELDS), values),
+                              min_size=1, max_size=4))
+    # a reopened section overrides the key's earlier value
+    return base + "".join(f"\n[{section}]\n{key} = {value}\n"
+                          for (section, key), value in overrides)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config_texts())
+def test_load_config_raises_only_config_errors(text):
+    try:
+        load_config(text)
+    except (ConfigParseError, ConfigValidationError):
+        pass

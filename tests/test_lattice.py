@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blochlab import LatticeSpec, gamma_bounds, reduce_to_cell, theta
+from blochlab import LatticeSpec, Region, gamma_bounds, reduce_to_cell, theta
 from blochlab.lattice import theta_cost_weights
 
 from oracles import cubic_lattice, interval_region
@@ -146,3 +146,17 @@ def test_region_distance_periodic(lat1):
     assert reg.distance(np.array([[0.45]]))[0] == pytest.approx(0.35, abs=1e-12)
     # wrap side: distance through the cell boundary
     assert reg.distance(np.array([[-0.48]]))[0] == pytest.approx(0.38, abs=1e-12)
+
+
+@pytest.mark.parametrize("boxes", [
+    [[[0.1], [-0.1]]],                        # inverted
+    [[[0.1], [0.1]]],                         # empty
+    [[[-0.1, 0.2], [0.1, -0.2]]],             # inverted on the second axis only
+    [[[-0.2], [-0.1]], [[0.3], [0.2]]],       # a good box next to an inverted one
+])
+def test_region_rejects_boxes_without_lo_below_hi(lat1, lat2, boxes):
+    # an inverted box contains no point, yet its distance clipped to one corner,
+    # so its dilation observed a ball around that corner
+    lat = lat1 if len(boxes[0][0]) == 1 else lat2
+    with pytest.raises(ValueError, match="lo < hi"):
+        Region(boxes, lat)

@@ -9,6 +9,7 @@ from blochlab.bloch import coeffs_to_values, grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
 from blochlab.observability import PRUNE_TOL, minimize_toeplitz_penalty, observed_time_integral
 from blochlab.quantization import FiberedDensity
+from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
 from conftest import is_11_smooth
 
@@ -292,6 +293,22 @@ def test_argmin_lambda_consistent(geom1):
     val = (np.sqrt(geom1.gamma_minus / (2 * geom1.gamma_plus))
            * np.expm1(a * lam * 1.0) / lam ** 2 * np.sqrt((1 + lam ** 2) / 2))
     assert val == pytest.approx(base, rel=1e-12)
+
+
+def test_observed_time_integral_advances_in_place(lat1):
+    # on return the density is the one at the horizon, in the same array, and no
+    # copy of the vectors was evolved instead
+    hbar, m, dt = 0.01, 64, 1e-2
+    vpot = cosine_potential(lat1, (1,), 0.1)
+    kg = KGrid.monkhorst_pack(lat1, 2)
+    rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
+    vectors, fresh = rho.vectors, rho.vectors.copy()
+    observed_time_integral(rho, interval_region([-0.1], [0.1], lat1), 0.05, vpot, 0.2, 2, dt)
+    assert rho.vectors is vectors
+    h = FiberHamiltonian(lat1, m, kg.points, vpot, hbar)
+    for _ in range(2):
+        propagate_batch(fresh, h, 0.1, dt)
+    np.testing.assert_array_equal(rho.vectors, fresh)
 
 
 def test_observation_transforms_have_11_smooth_lengths(lat1, monkeypatch):

@@ -5,7 +5,7 @@ from scipy.special import erf
 from blochlab import (KGrid, LatticeSpec, PhaseSpaceDensity, Region, coherent_family, husimi,
                       periodic_trace, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len
-from blochlab.quantization import FiberedDensity, husimi_mass_on_boxes
+from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi_mass_on_boxes
 
 from conftest import LATTICES, random_density
 from oracles import cosine_potential, husimi_mass_grid, interval_region, scaled_density, single_box
@@ -323,3 +323,13 @@ def test_phase_boxset_membership():
     qg, pg = k.grid_samples(5)
     assert qg.shape == (25, 1)
     assert np.all(k.contains(qg, pg))
+
+
+def test_phase_boxset_rejects_inverted_boxes():
+    with pytest.raises(ValueError, match="lo <= hi"):
+        PhaseBoxSet([[[0.5], [-0.5]]], [[[1.0], [2.0]]])
+    with pytest.raises(ValueError, match="lo <= hi"):
+        PhaseBoxSet([[[-0.5], [0.5]]], [[[2.0], [1.0]]])
+    # a closed box may be flat: lo = hi is a face, which contains its points
+    flat = PhaseBoxSet([[[-0.1], [0.1]]], [[[0.0], [0.0]]])
+    assert flat.contains(np.array([[0.0]]), np.array([[0.0]]))[0]

@@ -6,15 +6,23 @@ from blochlab import (CoherentParams, KGrid, LatticeSpec, TrigPotential, bloch_t
                       coherent_family, coherent_state, gamma_bounds, periodic_trace)
 from blochlab.bloch import centered_indices, position_grid
 from blochlab.quantization import FiberedDensity
-from blochlab.quantum_dynamics import FiberHamiltonian, FiberPropagator, propagate_batch
+from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
 from oracles import (commutator_residual, cosine_potential, cubic_lattice, periodized_coherent,
                      propagate_batch_rolled, zero_potential)
+
+LATTICES = {"line": [[1.0]], "hexagonal": [[1.0, 0.0], [0.5, 0.8660254037844386]]}
 
 
 @pytest.fixture(scope="module")
 def vpot():
     return cosine_potential(cubic_lattice(1), (1,), 0.1)
+
+
+def propagate_copy(coeffs, h, t, dt):
+    """``propagate_batch`` of a copy of one fiber's coefficients, in their own shape."""
+    block = np.array(coeffs, dtype=complex).reshape(1, -1, h.kinetic_diagonal.shape[-1])
+    return propagate_batch(block, h, t, dt).reshape(np.shape(coeffs))
 
 
 def dense_fiber_matrix(h):
@@ -39,7 +47,7 @@ def test_free_propagator_exact(lat1):
     h = FiberHamiltonian(lat1, m, k, zero_potential(lat1), hbar)
     coeffs = np.zeros(2 * m + 1, dtype=complex)
     coeffs[m + 3] = 1.0                      # single plane wave G = 3 b
-    out = propagate_batch(coeffs, h, 0.7, 1e-2)
+    out = propagate_copy(coeffs, h, 0.7, 1e-2)
     g = 3 * 2 * np.pi
     phase = np.exp(-1j * 0.7 * hbar * (g + k[0]) ** 2 / 2)
     assert out[m + 3] == pytest.approx(phase, abs=1e-14)
@@ -50,7 +58,7 @@ def test_norm_preserved_thousand_steps(lat1, vpot):
     hbar, m = 0.05, 32
     h = FiberHamiltonian(lat1, m, np.array([0.2]), vpot, hbar)
     u = periodized_coherent(CoherentParams([0.0], [0.4], hbar), lat1, m)
-    out = propagate_batch(u.coeffs, h, 1.0, 1e-3)   # 1000 strang steps
+    out = propagate_copy(u.coeffs, h, 1.0, 1e-3)    # 1000 strang steps
     assert abs(np.sqrt(np.sum(np.abs(out) ** 2)) - np.sqrt(u.norm_sq)) < 1e-9
 
 
@@ -61,8 +69,9 @@ def test_norm_preserved_thousand_steps(lat1, vpot):
 def test_propagate_batch_matches_rolled_loop(rng, basis, terms, m):
     # twisted FFT order and phases precomputed once against a full round trip per step
     lat = LatticeSpec(basis)
-    h = FiberHamiltonian(lat, m, 0.3 * lat.reciprocal[0], TrigPotential(lat, terms), 0.05)
-    shape = (3,) + (2 * m + 1,) * lat.dimension
+    h = FiberHamiltonian(lat, m, [0.3 * lat.reciprocal[0], -0.2 * lat.reciprocal[-1]],
+                         TrigPotential(lat, terms), 0.05)
+    shape = (2, 3, (2 * m + 1) ** lat.dimension)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ref = propagate_batch_rolled(coeffs, h, 0.2, 1e-2)
     err = np.max(np.abs(propagate_batch(coeffs, h, 0.2, 1e-2) - ref))
@@ -83,12 +92,12 @@ def test_propagate_batch_is_the_galerkin_strang_step(rng, lat1):
     idx = np.arange(-m, m + 1)
     diff = idx[:, None] - idx[None, :]
     toeplitz = np.fft.fft(factor)[diff % fine] / fine * (-1.0) ** diff
-    half = np.exp(-0.5j * tau * h.kinetic_diagonal / hbar)
+    half = np.exp(-0.5j * tau * h.kinetic_diagonal[0] / hbar)
     step = half[:, None] * toeplitz * half[None, :]
     ref = coeffs.T
     for _ in range(n_steps):
         ref = step @ ref
-    err = np.max(np.abs(propagate_batch(coeffs, h, t, dt) - ref.T))
+    err = np.max(np.abs(propagate_copy(coeffs, h, t, dt) - ref.T))
     assert err <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -99,7 +108,7 @@ def test_strang_matches_dense_exponential(lat1, vpot):
     np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
     u = periodized_coherent(CoherentParams([0.1], [0.2], hbar), lat1, m)
     exact = (expm(-1j * 0.5 * dense / hbar) @ u.coeffs).reshape(u.coeffs.shape)
-    approx = propagate_batch(u.coeffs, h, 0.5, 1e-3)
+    approx = propagate_copy(u.coeffs, h, 0.5, 1e-3)
     assert np.max(np.abs(approx - exact)) < 1e-6
 
 
@@ -111,26 +120,55 @@ def test_strang_second_order(lat1, vpot):
     exact = (expm(-1j * 0.4 * dense / hbar) @ u.coeffs).reshape(u.coeffs.shape)
     errs = []
     for dt in (4e-3, 2e-3):
-        approx = propagate_batch(u.coeffs, h, 0.4, dt)
+        approx = propagate_copy(u.coeffs, h, 0.4, dt)
         errs.append(np.max(np.abs(approx - exact)))
     assert errs[0] / errs[1] >= 3.5
 
 
-def test_fiber_propagator_matches_propagate_batch(lat1, vpot):
-    # one block of (n_k, batch, n_G) coefficients, advanced in place, fiber by fiber;
-    # V = 0 takes the all-fiber kinetic phase instead of propagate_batch
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+@pytest.mark.parametrize("free", [False, True])
+def test_block_matches_single_fiber_calls_bitwise(lattice, free):
+    # one (n_k, batch, n_G) block through one call equals one call per fiber, bit
+    # for bit: with V = 0 the all-fiber phase multiply, otherwise the per-fiber steps
+    lat = LatticeSpec(LATTICES[lattice])
+    d = lat.dimension
+    hbar, m = 0.05, (16 if d == 1 else 6)
+    potential = zero_potential(lat) if free else cosine_potential(lat, (1,) * d, 0.1, 0.3)
+    kg = KGrid.monkhorst_pack(lat, 3 if d == 1 else 2)
+    rho = coherent_family(lat, kg, m, hbar, np.zeros(d), np.full(d, 0.2))
+    block = np.concatenate([rho.vectors, 1j * rho.vectors[:, :, ::-1]], axis=1)
+    norms = np.sum(np.abs(block) ** 2, axis=-1)
+    ref = np.concatenate([propagate_batch(block[ik:ik + 1].copy(),
+                                          FiberHamiltonian(lat, m, k, potential, hbar), 0.1, 1e-3)
+                          for ik, k in enumerate(kg.points)])
+    out = propagate_batch(block, FiberHamiltonian(lat, m, kg.points, potential, hbar), 0.1, 1e-3)
+    assert out is block
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_allclose(np.sum(np.abs(out) ** 2, axis=-1), norms, rtol=1e-12)
+
+
+@pytest.mark.parametrize("free", [False, True])
+def test_propagate_batch_advances_in_place(lat1, vpot, free):
+    # two half-time calls on the same array equal one full-time call on a copy
     hbar, m = 0.05, 16
-    kg = KGrid.monkhorst_pack(lat1, 3)
-    rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.2])
-    for potential in (vpot, zero_potential(lat1)):
-        block = np.concatenate([rho.vectors, 1j * rho.vectors[:, :, ::-1]], axis=1)
-        ref = np.stack([propagate_batch(block[ik], FiberHamiltonian(lat1, m, k, potential, hbar),
-                                        0.1, 1e-3) for ik, k in enumerate(kg.points)])
-        norms = np.sum(np.abs(block) ** 2, axis=-1)
-        out = FiberPropagator(kg, lat1, m, potential, hbar).advance(block, 0.1, 1e-3)
-        assert out is block
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(np.sum(np.abs(out) ** 2, axis=-1), norms, rtol=1e-12)
+    kg = KGrid.monkhorst_pack(lat1, 2)
+    h = FiberHamiltonian(lat1, m, kg.points, zero_potential(lat1) if free else vpot, hbar)
+    vectors = coherent_family(lat1, kg, m, hbar, [0.0], [0.2]).vectors
+    before = vectors.copy()
+    for _ in range(2):
+        assert propagate_batch(vectors, h, 0.05, 1e-2) is vectors
+    assert not np.array_equal(vectors, before)
+    full = propagate_batch(before.copy(), h, 0.1, 1e-2)
+    np.testing.assert_allclose(vectors, full, rtol=0, atol=1e-13)
+
+
+def test_fiber_hamiltonian_holds_every_fiber(lat2):
+    kg = KGrid.monkhorst_pack(lat2, 2)
+    h = FiberHamiltonian(lat2, 4, kg.points, cosine_potential(lat2, (1, 0), 0.1), 0.05)
+    assert h.kinetic_diagonal.shape == (4, 81)
+    assert h.potential_values.shape == (9, 9)
+    with pytest.raises(ValueError):
+        FiberHamiltonian(lat2, 4, np.zeros((2, 3)), zero_potential(lat2), 0.05)
 
 
 def test_self_adjointness_quadratic_form(rng, lat1, vpot):
@@ -155,8 +193,7 @@ def test_eigenstate_stationary(lat1, vpot):
     lam = np.ones((1, 1))
     rho = FiberedDensity(KGrid(k[None, :], lat1), lat1, m, hbar, lam,
                          ground[None, None, :])
-    out = FiberPropagator(rho.kgrid, lat1, m, vpot, hbar).advance(
-        rho.vectors.copy(), 0.8, 2e-4)              # splitting error ~ dt^2
+    out = propagate_batch(rho.vectors.copy(), h, 0.8, 2e-4)   # splitting error ~ dt^2
     # projector comparison is phase-free
     p_in = np.outer(ground, ground.conj())
     v_out = out[0, 0]
@@ -168,12 +205,12 @@ def test_evolve_density_trace_and_identity(lat1, vpot):
     hbar, m, nk = 0.05, 32, 4
     kg = KGrid.monkhorst_pack(lat1, nk)
     rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.4])
-    propagator = FiberPropagator(kg, lat1, m, vpot, hbar)
-    np.testing.assert_array_equal(propagator.advance(rho.vectors.copy(), 0.0, 1e-3),
+    h = FiberHamiltonian(lat1, m, kg.points, vpot, hbar)
+    np.testing.assert_array_equal(propagate_batch(rho.vectors.copy(), h, 0.0, 1e-3),
                                   rho.vectors)
     # the fiber weights are untouched, so the trace moves only with the vector norms
     out = FiberedDensity(kg, lat1, m, hbar, rho.lambdas,
-                         propagator.advance(rho.vectors.copy(), 1.0, 1e-3))
+                         propagate_batch(rho.vectors.copy(), h, 1.0, 1e-3))
     assert abs(periodic_trace(out) - periodic_trace(rho)) < 1e-9
 
 
@@ -187,10 +224,9 @@ def test_decomposability_whole_space_vs_fiberwise(lat1, vpot):
     state0 = bloch_transform(lambda p: coherent_state(cp, p), lat1, kg, m, l_cut)
 
     # fiberwise evolution
-    evolved_fibers = np.empty_like(state0.coeffs)
-    for i in range(nk):
-        h = FiberHamiltonian(lat1, m, kg.points[i], vpot, hbar)
-        evolved_fibers[i] = propagate_batch(state0.coeffs[i], h, t, dt)
+    evolved_fibers = propagate_batch(state0.coeffs.reshape(nk, 1, -1).copy(),
+                                     FiberHamiltonian(lat1, m, kg.points, vpot, hbar),
+                                     t, dt).reshape(state0.coeffs.shape)
 
     # whole-space split-step on a torus of nk cells, grid anchored on the cell
     # grid so every transform query hits a sample exactly

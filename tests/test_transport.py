@@ -8,7 +8,7 @@ from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrat
     values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab.quantization import FiberedDensity
-from blochlab.quantum_dynamics import FiberPropagator
+from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 from blochlab.states import coherent_coeff_batch, coherent_state
 from blochlab.transport_metric import pair_moment
 from scipy.integrate import quad
@@ -332,9 +332,9 @@ def test_stability_envelope_advances_the_density_in_place(lat1, geom1):
     stability_envelope(f, rho, CostParams(1.0, geom1), vpot, horizon=horizon, n_times=2, dt=dt)
     assert rho.vectors is vectors
     fresh = toeplitz_quantize(f, lat1, kg, 64, hbar).vectors
-    propagator = FiberPropagator(kg, lat1, 64, vpot, hbar)
+    h = FiberHamiltonian(lat1, 64, kg.points, vpot, hbar)
     for _ in range(2):
-        propagator.advance(fresh, horizon / 2, dt)
+        propagate_batch(fresh, h, horizon / 2, dt)
     np.testing.assert_array_equal(rho.vectors, fresh)
 
 
