@@ -8,9 +8,9 @@ verifier for the quantitative observability inequalities they imply.
 
 __version__ = "0.1.0"
 
-from .bloch import KGrid, FiberedState, bloch_transform, inverse_bloch, position_grid
+from .bloch import KGrid, position_grid
 from .classical_dynamics import GCEstimate, PhasePoint, TrigPotential, flow, gc_constant
-from .errors import AccuracyError, ConfigParseError, ConfigValidationError
+from .errors import ConfigParseError, ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region, gamma_bounds, reduce_to_cell, theta
 from .observability import (Discretization, ObservabilityScenario, TheoremReport,
                             constant_pure, hbar_threshold, initial_state,
@@ -18,7 +18,6 @@ from .observability import (Discretization, ObservabilityScenario, TheoremReport
 from .quantization import (FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family,
                            husimi, husimi_mass_on_boxes, periodic_trace, toeplitz_quantize)
 from .quantum_dynamics import FiberHamiltonian
-from .states import CoherentParams, coherent_state
 from .transport_metric import (CostParams, CouplingEnergy, StabilityEnvelope, c_bold,
                                coupling_energy_husimi, coupling_energy_toeplitz,
                                gronwall_rate, stability_envelope, std_dev)

@@ -1,4 +1,4 @@
-"""Discrete Bloch transform between wave packets on R^d and fibered periodic fields.
+"""Plane-wave coefficients of periodic fields, their grid values, and the quasimomentum grid.
 
 A periodic field is stored by its plane-wave coefficients ``c_n`` on the
 centered index grid ``n in [-M..M]^d`` for the orthonormal basis
@@ -8,9 +8,7 @@ coefficient/value conversion is an FFT with an alternating-sign twist.
 
 The quasimomentum grid is a Monkhorst-Pack-style uniform grid shifted off the
 reciprocal-cell boundary; the normalized cell average over k becomes a plain
-mean over grid points.  With that pairing the transform is exactly unitary on
-functions supported inside the N_k-cell window (the discrete k average kills
-all cross terms between distinct translates).
+mean over grid points.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import AccuracyError
 from .lattice import LatticeSpec
 
 
@@ -154,102 +151,3 @@ class KGrid:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass
-class FiberedState:
-    """One periodic field per k-grid point, stored as a stacked coefficient array."""
-
-    kgrid: KGrid
-    lat: LatticeSpec
-    m: int
-    coeffs: np.ndarray  # shape (n_k,) + (2m+1,)*d
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        want = (self.kgrid.size,) + (2 * self.m + 1,) * self.lat.dimension
-        if self.coeffs.shape != want:
-            raise ValueError(f"fibered coefficients must have shape {want}")
-
-    def fiber_norms_sq(self) -> np.ndarray:
-        return np.sum(np.abs(self.coeffs.reshape(self.kgrid.size, -1)) ** 2, axis=1)
-
-
-# Relative L2 mass allowed on the outer translate shell of ``bloch_transform`` is TAIL_TOL^2.
-TAIL_TOL = 1e-10
-
-
-def default_window(lat: LatticeSpec, hbar: float, gamma_minus: float) -> int:
-    """Smallest l_cut at which a packet centred anywhere in the cell passes the tail check.
-
-    |u|^2 of a coherent packet decays like exp(-|x - q|^2 / hbar).  The outer
-    shell |n|_inf = l_cut lies at least (l_cut - 1) * 2 gamma_minus from any
-    centre q in the cell (2 gamma_minus is the least distance between
-    opposite faces), and the mass beyond a plane at distance D is below
-    exp(-D^2 / hbar), which drops below ``TAIL_TOL``^2 for
-    D >= sqrt(2 hbar ln(1 / TAIL_TOL)).
-    """
-    reach = np.sqrt(2.0 * hbar * np.log(1.0 / TAIL_TOL))
-    return 1 + int(np.ceil(reach / (2.0 * gamma_minus)))
-
-
-def bloch_transform(u, lat: LatticeSpec, kgrid: KGrid, m: int, l_cut: int,
-                    tail_tol: float = TAIL_TOL) -> FiberedState:
-    """Discrete Bloch transform of a decaying function on R^d.
-
-    Parameters
-    ----------
-    u : callable
-        Vectorized wave packet, maps an array of points (..., d) to complex
-        amplitudes (...,).
-    l_cut : int
-        Lattice-sum window; translates with |n|_inf <= l_cut are summed.  The
-        window should fit inside the k-grid supercell (2*l_cut+1 <= n_k per
-        axis) or cross terms between far translates alias.
-    tail_tol : float
-        Relative L2 mass allowed on the outermost translate shell; exceeding
-        it raises AccuracyError (window too small).
-
-    The fiber at k holds the coefficients of
-    ``x -> sum_ell u(x + ell) exp(-i k . (x + ell))`` on the cell grid.
-    """
-    d = lat.dimension
-    n = 2 * m + 1
-    x = position_grid(lat, n)
-    window = centered_indices(l_cut, d)
-    shifts = lat.lattice_vector(window)
-    pts = x[None, :, :] + shifts[:, None, :]
-    uvals = np.asarray(u(pts), dtype=complex)
-
-    mass = np.sum(np.abs(uvals) ** 2, axis=1)
-    shell = np.max(np.abs(window), axis=1) == l_cut
-    total = float(np.sum(mass))
-    if total > 0 and float(np.sum(mass[shell])) > tail_tol ** 2 * total:
-        raise AccuracyError(
-            f"translate window l_cut={l_cut} too small: outer-shell mass "
-            f"{np.sum(mass[shell]) / total:.3e} of total exceeds tol^2")
-
-    phase_shift = np.exp(-1j * kgrid.points @ shifts.T)          # (n_k, n_window)
-    summed = phase_shift @ uvals                                 # (n_k, n_grid)
-    fiber_vals = summed * np.exp(-1j * kgrid.points @ x.T)       # times e^{-ik.x}
-    fiber_vals = fiber_vals.reshape((kgrid.size,) + (n,) * d)
-    coeffs = values_to_coeffs(fiber_vals, lat, m)
-    return FiberedState(kgrid, lat, m, coeffs)
-
-
-def inverse_bloch(state: FiberedState, l_cut: int) -> np.ndarray:
-    """Reconstruct the wave packet on the translate-window grid.
-
-    Returns values of shape ``(n_window, n^d...)`` matching the point layout
-    ``position_grid + translate``; the average over fibers implements the
-    normalized-cell-average inversion formula.
-    """
-    lat, m = state.lat, state.m
-    n = 2 * m + 1
-    x = position_grid(lat, n)
-    shifts = lat.lattice_vector(centered_indices(l_cut, lat.dimension))
-    vals = coeffs_to_values(state.coeffs, lat, n).reshape(state.kgrid.size, -1)
-    phase_x = np.exp(1j * state.kgrid.points @ x.T)              # (n_k, n_grid)
-    phase_shift = np.exp(1j * state.kgrid.points @ shifts.T)     # (n_k, n_window)
-    out = np.einsum("kw,kg->wg", phase_shift, vals * phase_x) / state.kgrid.size
-    return out.reshape((shifts.shape[0],) + (n,) * lat.dimension)

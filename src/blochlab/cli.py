@@ -1,15 +1,17 @@
 """Configuration-driven experiment runner.
 
-Subcommands: ``bloch-check``, ``evolve``, ``husimi``, ``metric``, ``stability``,
-``constants``, ``verify``.  Each reads one config file, writes CSV artifacts
-with a provenance comment, and uses exit codes
+Subcommands: ``evolve``, ``husimi``, ``metric``, ``stability``, ``constants``,
+``verify``.  Each reads one config file, writes CSV artifacts with a
+provenance comment, and uses exit codes
 
     0  success (for ``verify``: margin within the error budget)
     1  verify margin below the budget
     2  usage error (flags or their environment values, an --out that cannot be
        made a directory) or config parse error
-    3  config validation error
-    4  numerical accuracy error (tail or aliasing beyond tolerance)
+    3  config validation error, including sizes whose smallest state block
+       exceeds the machine's physical memory
+
+Exit code 4 is not produced; it is reserved.
 
 Deterministic by construction: reductions run in fixed order and the only
 randomness (quasi-random sampling of K) is seeded from the config hash.
@@ -26,15 +28,13 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import __version__
-from .bloch import KGrid, bloch_transform, centered_indices, grid_weight, inverse_bloch, \
-    position_grid
+from .bloch import grid_weight, position_grid
 from .config import load_config
-from .errors import AccuracyError, ConfigParseError, ConfigValidationError
+from .errors import ConfigParseError, ConfigValidationError
 from .observability import (PRUNE_TOL, constant_pure, default_p_max, hbar_threshold,
                             initial_density, initial_state, minimize_toeplitz_penalty,
                             observed_time_integral, verify_theorem)
 from .quantization import husimi, momentum_grid, periodic_trace
-from .states import CoherentParams, coherent_state
 from .transport_metric import CostParams, c_bold, coupling_energy_husimi, \
     coupling_energy_toeplitz, gronwall_rate, stability_envelope, std_dev
 from .classical_dynamics import gc_constant
@@ -56,49 +56,6 @@ def _write_csv(path, header, rows, cfg_hash):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _cmd_bloch_check(cfg, scn, out, cfg_hash) -> int:
-    """Isometry and round-trip self-checks at the configured sizes."""
-    lat = scn.lat
-    kgrid = KGrid.monkhorst_pack(lat, scn.disc.n_k)
-    rng = np.random.default_rng(scn.disc.seed)
-    rows = []
-    ok = True
-    for trial in range(5):
-        n_pkts = 3
-        qs = rng.uniform(-0.4, 0.4, (n_pkts, lat.dimension))
-        ps = rng.uniform(-0.8, 0.8, (n_pkts, lat.dimension))
-        amps = rng.standard_normal(n_pkts) + 1j * rng.standard_normal(n_pkts)
-        packets = [CoherentParams(qs[i], ps[i], scn.hbar) for i in range(n_pkts)]
-
-        def u(pts):
-            return sum(a * coherent_state(c, pts) for a, c in zip(amps, packets))
-
-        state = bloch_transform(u, lat, kgrid, scn.disc.m, cfg.l_cut)
-        avg = float(np.mean(state.fiber_norms_sq()))
-        # independent norm via the packet overlap formula
-        total = 0.0
-        for i in range(n_pkts):
-            for j in range(n_pkts):
-                dq = qs[i] - qs[j]
-                dp = ps[i] - ps[j]
-                ov = np.exp(-(dq @ dq + dp @ dp) / (4 * scn.hbar)
-                            + 1j * (ps[j] - ps[i]) @ (qs[i] + qs[j]) / (2 * scn.hbar))
-                total += (np.conj(amps[i]) * amps[j] * ov).real
-        iso_err = abs(avg - total) / total
-        back = inverse_bloch(state, cfg.l_cut)
-        shifts = lat.lattice_vector(centered_indices(cfg.l_cut, lat.dimension))
-        pts = position_grid(lat, 2 * scn.disc.m + 1)[None, :, :] + shifts[:, None, :]
-        rt_err = float(np.max(np.abs(back.reshape(pts.shape[:-1]) - u(pts))))
-        rows.append((trial, "isometry_rel_err", iso_err, 1e-10, iso_err <= 1e-10))
-        rows.append((trial, "roundtrip_max_err", rt_err, 1e-8, rt_err <= 1e-8))
-        ok = ok and iso_err <= 1e-10 and rt_err <= 1e-8
-    _write_csv(os.path.join(out, f"{cfg.prefix}_bloch_check.csv"),
-               ("trial", "check", "value", "tolerance", "pass"), rows, cfg_hash)
-    if not ok:
-        raise AccuracyError("bloch transform self-checks failed at configured sizes")
-    return 0
 
 
 def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
@@ -231,7 +188,6 @@ def _cmd_verify(cfg, scn, out, cfg_hash) -> int:
 
 
 _COMMANDS = {
-    "bloch-check": _cmd_bloch_check,
     "evolve": _cmd_evolve,
     "husimi": _cmd_husimi,
     "metric": _cmd_metric,
@@ -305,9 +261,6 @@ def main(argv=None) -> int:
     except ConfigValidationError as exc:
         print(f"config validation error: {exc}", file=sys.stderr)
         return 3
-    except AccuracyError as exc:
-        print(f"accuracy error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

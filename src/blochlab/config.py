@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import default_window
 from .classical_dynamics import TrigPotential
 from .errors import ConfigParseError, ConfigValidationError
 from .lattice import LatticeSpec, Region, gamma_bounds
@@ -28,7 +27,7 @@ _KEYS = {
     "potential": ("terms",),
     "physics": ("hbar", "T", "dt", "lambda"),
     "discretization": ("m", "n_k", "n_q", "n_p", "p_max", "n_time_obs", "n_time_gc",
-                       "gc_per_axis", "gc_quasi", "l_cut"),
+                       "gc_per_axis", "gc_quasi"),
     "scenario": ("K", "omega", "delta"),
     "initial": ("kind", "center_q", "center_p", "sigma_q", "sigma_p"),
     "output": ("prefix",),
@@ -72,10 +71,9 @@ def parse_config(text: str) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment: the scenario, the Bloch translate window and the output prefix."""
+    """Validated experiment: the scenario and the output prefix."""
 
     _scenario: ObservabilityScenario
-    l_cut: int
     prefix: str = "out"
 
     def scenario(self) -> ObservabilityScenario:
@@ -158,6 +156,22 @@ def _point(value, d: int) -> np.ndarray:
     return point
 
 
+def _check_block_fits(m: int, n_k: int, d: int) -> None:
+    """Reject sizes whose smallest state block cannot fit in physical memory.
+
+    Every command that builds a state allocates at least one complex vector per
+    fiber: n_k^d (2m+1)^d values of 16 bytes.  The count is taken in Python
+    ints, so no size overflows, and the key named is the larger factor's.
+    """
+    need = n_k ** d * (2 * m + 1) ** d * 16
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        key = "n_k" if n_k > 2 * m + 1 else "m"
+        raise ConfigValidationError(
+            f"discretization.{key}", "the smallest state block, n_k^d (2m+1)^d complex "
+            f"values, exceeds the {have:.3g} bytes of physical memory")
+
+
 def load_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigParseError / ConfigValidationError."""
     sections = parse_config(text)
@@ -194,6 +208,7 @@ def load_config(text: str) -> ExperimentConfig:
         if sizes[key] < least:
             raise ConfigValidationError(f"discretization.{key}", f"must be at least {least}")
     m = sizes["m"]
+    _check_block_fits(m, sizes["n_k"], d)
     p_max = _value(sections, "discretization", "p_max", _real, None)
     if p_max is not None and p_max <= 0:
         raise ConfigValidationError("discretization.p_max", "must be positive")
@@ -247,9 +262,6 @@ def load_config(text: str) -> ExperimentConfig:
             f"is below the data's requirement {p_need:.3f}")
 
     geom = gamma_bounds(lat)
-    l_cut = _value(sections, "discretization", "l_cut", _integer,
-                   default_window(lat, hbar, geom.gamma_minus))
-
     scenario = ObservabilityScenario(
         lat=lat, geom=geom, potential=potential, hbar=hbar, horizon=horizon, delta=delta,
         omega=Region(omega_boxes, lat), k_set=PhaseBoxSet(k_boxes[:, :2], k_boxes[:, 2:]),
@@ -259,4 +271,4 @@ def load_config(text: str) -> ExperimentConfig:
     if not prefix or os.path.basename(prefix) != prefix:
         raise ConfigValidationError("output.prefix",
                                     "must be non-empty and contain no path separator")
-    return ExperimentConfig(scenario, l_cut, prefix)
+    return ExperimentConfig(scenario, prefix)

@@ -1,15 +1,6 @@
 """Exception types shared across the package."""
 
 
-class AccuracyError(RuntimeError):
-    """A numerical tolerance cannot be met with the requested discretization.
-
-    Raised when a truncation/window is too small for the requested accuracy
-    (e.g. a lattice-sum window that does not capture the Gaussian tail, or a
-    plane-wave cutoff that clips the momentum content of a state).
-    """
-
-
 class ConfigParseError(ValueError):
     """Malformed experiment configuration text."""
 

@@ -13,7 +13,7 @@ with every intermediate constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,16 +90,16 @@ PRUNE_TOL = 1e-10
 class Discretization:
     """Numerical knobs for a verification run."""
 
-    m: int = 64
-    n_k: int = 32
-    n_q: int = 16
-    n_p: int = 24
+    m: int
+    n_k: int
+    n_q: int
+    n_p: int
+    n_time_obs: int
+    n_time_gc: int
+    gc_per_axis: int
+    gc_quasi: int
+    dt: float
     p_max: float | None = None
-    n_time_obs: int = 200
-    n_time_gc: int = 2000
-    gc_per_axis: int = 32
-    gc_quasi: int = 1000
-    dt: float = 1e-3
     seed: int = 0
 
 
@@ -115,7 +115,7 @@ class ObservabilityScenario:
     delta: float
     omega: Region
     k_set: PhaseBoxSet
-    disc: Discretization = field(default_factory=Discretization)
+    disc: Discretization
     lam: float | None = None
     initial_kind: str = "toeplitz"          # "toeplitz" | "pure"
     center_q: np.ndarray | None = None      # bump / packet center (default: origin)

@@ -1,4 +1,4 @@
-"""Gaussian wave packets and their lattice periodizations.
+"""Lattice periodizations of Gaussian wave packets.
 
 The periodized packet is represented in closed form: its plane-wave
 coefficients are the continuum Fourier transform of the Gaussian evaluated at
@@ -8,39 +8,10 @@ approximation; only the basis truncation at order m is approximate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bloch import g_vectors
 from .lattice import LatticeSpec
-
-
-@dataclass(frozen=True)
-class CoherentParams:
-    """Phase-space center (q, p) and semiclassical parameter hbar of one packet."""
-
-    q: np.ndarray
-    p: np.ndarray
-    hbar: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, dtype=float)))
-        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, dtype=float)))
-        if self.q.shape != self.p.shape:
-            raise ValueError("q and p must have the same dimension")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
-
-
-def coherent_state(params: CoherentParams, y: np.ndarray) -> np.ndarray:
-    """Normalized Gaussian wave packet amplitude at points y (..., d)."""
-    y = np.asarray(y, dtype=float)
-    d = params.q.shape[0]
-    dy = y - params.q
-    norm = (np.pi * params.hbar) ** (-d / 4.0)
-    return norm * np.exp(-np.sum(dy * dy, axis=-1) / (2.0 * params.hbar)
-                         + 1j * (y @ params.p) / params.hbar)
 
 
 def coherent_coeff_batch(qs: np.ndarray, ps: np.ndarray, hbar: float,

@@ -1,7 +1,8 @@
 """Independent reference constructions that the tests compare the package against.
 
 Each oracle computes a quantity the slow, direct way: a lattice sum on the
-position grid, a per-fiber loop over dense momentum symbols, a transform loop
+position grid, the discrete Bloch transform of a wave packet on R^d and its
+inverse, a per-fiber loop over dense momentum symbols, a transform loop
 that rolls and rescales at every step, a midpoint quadrature over phase-space
 grids, or a plain dump of arrays.  The proof devices of the stability
 argument live here too: a single periodic field with its own packet
@@ -16,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from blochlab.bloch import _alt_sign, centered_indices, coeffs_to_values, g_vectors, grid_weight, \
-    position_grid, quadrature_len, values_to_coeffs
+from blochlab.bloch import KGrid, _alt_sign, centered_indices, coeffs_to_values, g_vectors, \
+    grid_weight, position_grid, quadrature_len, values_to_coeffs
 from blochlab.classical_dynamics import PhasePoint, TrigPotential, flow
-from blochlab.errors import AccuracyError
 from blochlab.lattice import CellGeometry, LatticeSpec, Region, reduce_to_cell, \
     theta_cost_weights
 from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi, momentum_cost, \
     momentum_grid
-from blochlab.states import CoherentParams, coherent_coeff_batch, coherent_state
+from blochlab.states import coherent_coeff_batch
 
 
 def cubic_lattice(dimension: int, a: float = 1.0) -> LatticeSpec:
@@ -89,6 +89,138 @@ def periodized_coherent_direct(params, lat, m: int, l_cut: int) -> PeriodicField
     for s in shifts:
         vals += coherent_state(params, x + s)
     return PeriodicField(lat, m, values_to_coeffs(vals.reshape((n,) * lat.dimension), lat, m))
+
+# ---------------------------------------------------------------------------
+# whole-space packets and the discrete Bloch transform
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CoherentParams:
+    """Phase-space center (q, p) and semiclassical parameter hbar of one packet."""
+
+    q: np.ndarray
+    p: np.ndarray
+    hbar: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, dtype=float)))
+        object.__setattr__(self, "p", np.atleast_1d(np.asarray(self.p, dtype=float)))
+        if self.q.shape != self.p.shape:
+            raise ValueError("q and p must have the same dimension")
+        if not self.hbar > 0:
+            raise ValueError("hbar must be positive")
+
+
+def coherent_state(params: CoherentParams, y: np.ndarray) -> np.ndarray:
+    """Normalized Gaussian wave packet amplitude at points y (..., d)."""
+    y = np.asarray(y, dtype=float)
+    d = params.q.shape[0]
+    dy = y - params.q
+    norm = (np.pi * params.hbar) ** (-d / 4.0)
+    return norm * np.exp(-np.sum(dy * dy, axis=-1) / (2.0 * params.hbar)
+                         + 1j * (y @ params.p) / params.hbar)
+
+
+@dataclass
+class FiberedState:
+    """One periodic field per k-grid point, stored as a stacked coefficient array."""
+
+    kgrid: KGrid
+    lat: LatticeSpec
+    m: int
+    coeffs: np.ndarray  # shape (n_k,) + (2m+1,)*d
+
+    def __post_init__(self):
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        want = (self.kgrid.size,) + (2 * self.m + 1,) * self.lat.dimension
+        if self.coeffs.shape != want:
+            raise ValueError(f"fibered coefficients must have shape {want}")
+
+    def fiber_norms_sq(self) -> np.ndarray:
+        return np.sum(np.abs(self.coeffs.reshape(self.kgrid.size, -1)) ** 2, axis=1)
+
+
+# Relative L2 mass allowed on the outer translate shell of ``bloch_transform`` is TAIL_TOL^2.
+TAIL_TOL = 1e-10
+
+
+def default_window(lat: LatticeSpec, hbar: float, gamma_minus: float) -> int:
+    """Smallest l_cut at which a packet centred anywhere in the cell passes the tail check.
+
+    |u|^2 of a coherent packet decays like exp(-|x - q|^2 / hbar).  The outer
+    shell |n|_inf = l_cut lies at least (l_cut - 1) * 2 gamma_minus from any
+    centre q in the cell (2 gamma_minus is the least distance between
+    opposite faces), and the mass beyond a plane at distance D is below
+    exp(-D^2 / hbar), which drops below ``TAIL_TOL``^2 for
+    D >= sqrt(2 hbar ln(1 / TAIL_TOL)).
+    """
+    reach = np.sqrt(2.0 * hbar * np.log(1.0 / TAIL_TOL))
+    return 1 + int(np.ceil(reach / (2.0 * gamma_minus)))
+
+
+def bloch_transform(u, lat: LatticeSpec, kgrid: KGrid, m: int, l_cut: int,
+                    tail_tol: float = TAIL_TOL) -> FiberedState:
+    """Discrete Bloch transform of a decaying function on R^d.
+
+    Parameters
+    ----------
+    u : callable
+        Vectorized wave packet, maps an array of points (..., d) to complex
+        amplitudes (...,).
+    l_cut : int
+        Lattice-sum window; translates with |n|_inf <= l_cut are summed.  The
+        window should fit inside the k-grid supercell (2*l_cut+1 <= n_k per
+        axis) or cross terms between far translates alias.
+    tail_tol : float
+        Relative L2 mass allowed on the outermost translate shell; exceeding
+        it raises ValueError (window too small).
+
+    The fiber at k holds the coefficients of
+    ``x -> sum_ell u(x + ell) exp(-i k . (x + ell))`` on the cell grid.  With
+    the shifted uniform k-grid the transform is exactly unitary on functions
+    supported inside the n_k-cell window (the discrete k average kills all
+    cross terms between distinct translates).
+    """
+    d = lat.dimension
+    n = 2 * m + 1
+    x = position_grid(lat, n)
+    window = centered_indices(l_cut, d)
+    shifts = lat.lattice_vector(window)
+    pts = x[None, :, :] + shifts[:, None, :]
+    uvals = np.asarray(u(pts), dtype=complex)
+
+    mass = np.sum(np.abs(uvals) ** 2, axis=1)
+    shell = np.max(np.abs(window), axis=1) == l_cut
+    total = float(np.sum(mass))
+    if total > 0 and float(np.sum(mass[shell])) > tail_tol ** 2 * total:
+        raise ValueError(
+            f"translate window l_cut={l_cut} too small: outer-shell mass "
+            f"{np.sum(mass[shell]) / total:.3e} of total exceeds tol^2")
+
+    phase_shift = np.exp(-1j * kgrid.points @ shifts.T)          # (n_k, n_window)
+    summed = phase_shift @ uvals                                 # (n_k, n_grid)
+    fiber_vals = summed * np.exp(-1j * kgrid.points @ x.T)       # times e^{-ik.x}
+    fiber_vals = fiber_vals.reshape((kgrid.size,) + (n,) * d)
+    coeffs = values_to_coeffs(fiber_vals, lat, m)
+    return FiberedState(kgrid, lat, m, coeffs)
+
+
+def inverse_bloch(state: FiberedState, l_cut: int) -> np.ndarray:
+    """Reconstruct the wave packet on the translate-window grid.
+
+    Returns values of shape ``(n_window, n^d...)`` matching the point layout
+    ``position_grid + translate``; the average over fibers implements the
+    normalized-cell-average inversion formula.
+    """
+    lat, m = state.lat, state.m
+    n = 2 * m + 1
+    x = position_grid(lat, n)
+    shifts = lat.lattice_vector(centered_indices(l_cut, lat.dimension))
+    vals = coeffs_to_values(state.coeffs, lat, n).reshape(state.kgrid.size, -1)
+    phase_x = np.exp(1j * state.kgrid.points @ x.T)              # (n_k, n_grid)
+    phase_shift = np.exp(1j * state.kgrid.points @ shifts.T)     # (n_k, n_window)
+    out = np.einsum("kw,kg->wg", phase_shift, vals * phase_x) / state.kgrid.size
+    return out.reshape((shifts.shape[0],) + (n,) * lat.dimension)
 
 
 def coeffs_to_values_rolled(coeffs, lat, nout=None):
@@ -294,7 +426,7 @@ def periodized_coherent(params: CoherentParams, lat: LatticeSpec, m: int,
                         edge_tol: float = 1e-6) -> PeriodicField:
     """Periodized packet as a PeriodicField (closed-form coefficients).
 
-    Raises AccuracyError when the Gaussian momentum profile is clipped by the
+    Raises ValueError when the Gaussian momentum profile is clipped by the
     truncation, detected by a non-negligible coefficient on the outer index
     shell relative to the peak.
     """
@@ -302,7 +434,7 @@ def periodized_coherent(params: CoherentParams, lat: LatticeSpec, m: int,
     peak = float(np.max(np.abs(coeffs)))
     edge = _edge_max(np.abs(coeffs))
     if peak > 0.0 and edge > edge_tol * peak:
-        raise AccuracyError(
+        raise ValueError(
             f"plane-wave order m={m} clips the packet: edge/peak = {edge / peak:.2e}")
     return PeriodicField(lat, m, coeffs)
 

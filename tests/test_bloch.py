@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from blochlab import CoherentParams, KGrid, bloch_transform, coherent_state, inverse_bloch
-from blochlab.bloch import (centered_indices, coeffs_to_values, default_window, g_vectors,
-                            grid_weight, position_grid, quadrature_len, values_to_coeffs)
-from blochlab.errors import AccuracyError
+from blochlab import KGrid
+from blochlab.bloch import (centered_indices, coeffs_to_values, g_vectors, grid_weight,
+                            position_grid, quadrature_len, values_to_coeffs)
 
 from conftest import coherent_overlap, is_11_smooth
-from oracles import PeriodicField, coeffs_to_values_rolled, dump_csv
+from oracles import (CoherentParams, FiberedState, PeriodicField, bloch_transform,
+                     coeffs_to_values_rolled, coherent_state, default_window, dump_csv,
+                     inverse_bloch)
 
 
 def random_field(rng, lat, m):
@@ -105,10 +106,38 @@ def test_bloch_isometry_random_packets(rng, lat1):
         assert abs(avg - norm) <= 1e-10 * norm
 
 
+def test_bloch_roundtrip_and_isometry_at_the_acceptance_sizes(rng, lat1):
+    # hbar = 1e-3, m = 384, n_k = 32: superpositions of packets up to 0.4 from the
+    # cell centre keep more than 1e-20 of their mass on the shell l = 1, so the
+    # default window is two shells
+    hbar, m, nk = 1e-3, 384, 32
+    kg = KGrid.monkhorst_pack(lat1, nk)
+    l_cut = default_window(lat1, hbar, 0.5)
+    assert l_cut == 2
+    shifts = lat1.lattice_vector(centered_indices(l_cut, 1))
+    pts = position_grid(lat1, 2 * m + 1)[None, :, :] + shifts[:, None, :]
+    for _ in range(5):
+        qs = rng.uniform(-0.4, 0.4, (3, 1))
+        ps = rng.uniform(-0.8, 0.8, (3, 1))
+        amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        packets = [CoherentParams(qs[i], ps[i], hbar) for i in range(3)]
+
+        def u(x):
+            return sum(a * coherent_state(c, x) for a, c in zip(amps, packets))
+
+        state = bloch_transform(u, lat1, kg, m, l_cut)
+        norm = sum((np.conj(amps[i]) * amps[j]
+                    * coherent_overlap(qs[i], ps[i], qs[j], ps[j], hbar)).real
+                   for i in range(3) for j in range(3))
+        assert abs(np.mean(state.fiber_norms_sq()) - norm) <= 1e-10 * norm
+        back = inverse_bloch(state, l_cut).reshape(pts.shape[:-1])
+        assert np.max(np.abs(back - u(pts))) <= 1e-8
+
+
 def test_bloch_tail_error(lat1):
     cp = CoherentParams([0.0], [0.0], 0.5)
     kg = KGrid.monkhorst_pack(lat1, 4)
-    with pytest.raises(AccuracyError):
+    with pytest.raises(ValueError, match="too small"):
         bloch_transform(lambda pts: coherent_state(cp, pts), lat1, kg, 16, l_cut=1)
 
 
@@ -132,7 +161,6 @@ def test_inverse_bloch_single_fiber(lat1, rng):
     m = 8
     f = random_field(rng, lat1, m)
     state_coeffs = f.coeffs[None, ...]
-    from blochlab.bloch import FiberedState
     st = FiberedState(kg, lat1, m, state_coeffs)
     vals = inverse_bloch(st, l_cut=0)[0]
     k = kg.points[0]
@@ -196,7 +224,6 @@ def test_fiber_composition_identity(rng, lat1):
 
 def test_fibered_state_csv_dump(tmp_path, rng, lat1):
     kg = KGrid.monkhorst_pack(lat1, 2)
-    from blochlab.bloch import FiberedState
     coeffs = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
     st = FiberedState(kg, lat1, 2, coeffs)
     path = tmp_path / "state.csv"

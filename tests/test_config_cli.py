@@ -1,14 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
 
-from blochlab import bloch
-from blochlab.bloch import default_window
+from blochlab import bloch, gamma_bounds
 from blochlab.cli import main
 from blochlab.config import load_config, parse_config
 from blochlab.errors import ConfigParseError, ConfigValidationError
 
-from oracles import cubic_lattice
+from oracles import cubic_lattice, default_window
 
 BASE = """\
 [lattice]
@@ -121,12 +122,12 @@ def test_validator_names_malformed_values(old, new, field):
 @pytest.mark.parametrize("old, new, field", [
     ("m = 48", "m = 1e400", "discretization.m"),
     ("n_k = 8", "n_k = 1e400", "discretization.n_k"),
-    ("gc_quasi = 40", "gc_quasi = 40\nl_cut = 1e400", "discretization.l_cut"),
+    ("gc_quasi = 40", "gc_quasi = 40\nl_cut = 2", "discretization.l_cut"),
     ("[initial]", "[potential]\nterms = [((1e400,), 0.1, 0.0)]\n\n[initial]", "potential.terms"),
     ("hbar = 0.02", "hbar = " + "7" * 400, "physics.hbar"),
     ("n_p = 14", "n_p = 2.9", "discretization.n_p"),
     ("[initial]", "[potential]\nterms = [((1.5,), 0.1, 0.0)]\n\n[initial]", "potential.terms"),
-], ids=["m-inf", "n_k-inf", "l_cut-inf", "index-inf", "hbar-400-digits", "n_p-fraction",
+], ids=["m-inf", "n_k-inf", "l_cut-unknown-key", "index-inf", "hbar-400-digits", "n_p-fraction",
         "index-fraction"])
 def test_numeric_values_exit_3_naming_the_key(tmp_path, capsys, old, new, field):
     # overflowing values once ended in a traceback with exit 1 (a FAIL verdict's
@@ -222,11 +223,11 @@ def test_bump_without_a_node_in_k_names_n_p(tmp_path, capsys):
 def test_default_window_follows_the_cell():
     # this cell is 0.5 wide (gamma_minus 0.25): the shell at l = 1 touches a packet
     # at the cell's edge, the one at l = 2 is 0.5 away, past sqrt(2 hbar ln 1e10) = 0.37
-    text = (BASE.replace("basis = [[1.0]]", "basis = [[0.5]]")
-            .replace("hbar = 0.02", "hbar = 0.003").replace("m = 48", "m = 80"))
-    cfg = load_config(text)
-    assert cfg.l_cut == 2
-    assert cfg.l_cut == default_window(cfg.scenario().lat, 0.003, 0.25)
+    lat = cubic_lattice(1, 0.5)
+    assert default_window(lat, 0.003, gamma_bounds(lat).gamma_minus) == 2
+    # at hbar = 0.01 the reach is 0.68: the window needs l = 3 on this cell, 2 on the unit cell
+    assert default_window(lat, 0.01, 0.25) == 3
+    assert default_window(cubic_lattice(1), 0.01, 0.5) == 2
 
 
 def test_cli_constants_and_metric(tmp_path):
@@ -270,21 +271,11 @@ def test_cli_stability_and_husimi(tmp_path):
     assert np.all(vals >= -1e-12)
 
 
-def test_cli_bloch_check(tmp_path):
-    cfg = write_cfg(tmp_path)
-    assert main(["bloch-check", "--config", cfg, "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "out_bloch_check.csv").read_text().splitlines()
-    assert all(line.rsplit(",", 1)[1] == "True" for line in lines[2:])
-
-
-def test_cli_bloch_check_passes_at_the_default_window(tmp_path):
-    # the self-check packets sit up to 0.4 from the centre of the unit cell; at
-    # hbar = 1e-3 the shell at l_cut = 1 holds more than 1e-20 of their mass
-    text = (BASE.replace("hbar = 0.02", "hbar = 0.001").replace("m = 48", "m = 384")
-            .replace("n_k = 8", "n_k = 32"))
-    assert load_config(text).l_cut == 2
-    cfg = write_cfg(tmp_path, text)
-    assert main(["bloch-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+def test_bloch_check_is_not_a_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bloch-check", "--config", write_cfg(tmp_path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bloch-check'" in capsys.readouterr().err
 
 
 def test_cli_determinism_bitwise(tmp_path):
@@ -408,3 +399,25 @@ def test_cli_metric_pure_hexagonal_energy_within_bound(tmp_path):
     assert rows[0] == rows[1]
     values = dict(line.split(",") for line in rows[0][1:])
     assert float(values["coupling_energy_sq"]) <= float(values["bound_sq"])
+
+
+@pytest.mark.parametrize("text, sub, field", [
+    (BASE.replace("kind = toeplitz", "kind = pure").replace("m = 48", "m = 1" + "0" * 300),
+     "evolve", "discretization.m"),
+    (BASE.replace("n_k = 8", "n_k = 1" + "0" * 300), "verify", "discretization.n_k"),
+    (HEX_PURE.replace("m = 24", "m = 200000"), "verify", "discretization.m"),
+], ids=["m-301-digits", "n_k-301-digits", "hexagonal-m-200000"])
+def test_sizes_beyond_physical_memory_exit_3_before_allocating(tmp_path, capsys, text, sub,
+                                                               field):
+    # load_config rejects these before any array of their size is built
+    cfg = write_cfg(tmp_path, text)
+    tracemalloc.start()
+    try:
+        assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 24
+    err = capsys.readouterr().err
+    assert f"config validation error: {field}:" in err
+    assert "physical memory" in err

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blochlab import CoherentParams, KGrid, bloch_transform, coherent_state
-from blochlab.bloch import default_window
-from blochlab.errors import AccuracyError
+from blochlab import KGrid
 
-from oracles import coherent_planewave_coeffs, periodized_coherent, periodized_coherent_direct
+from oracles import (CoherentParams, bloch_transform, coherent_planewave_coeffs, coherent_state,
+                     default_window, periodized_coherent, periodized_coherent_direct)
 
 
 def test_coherent_peak_value():
@@ -127,5 +126,5 @@ def test_gaussian_moment_identities():
 
 def test_truncation_clipping_raises(lat1):
     # large momentum with a small basis: the Gaussian profile hits the edge
-    with pytest.raises(AccuracyError):
+    with pytest.raises(ValueError, match="clips the packet"):
         periodized_coherent(CoherentParams([0.0], [3.0], 0.02), lat1, 16)

@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
-from blochlab import (CoherentParams, CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, c_bold,
-                      coherent_family, coupling_energy_husimi, coupling_energy_toeplitz,
-                      gamma_bounds, gronwall_rate, stability_envelope, std_dev, toeplitz_quantize)
+from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, c_bold, coherent_family,
+                      coupling_energy_husimi, coupling_energy_toeplitz, gamma_bounds,
+                      gronwall_rate, stability_envelope, std_dev, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
     values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
-from blochlab.states import coherent_coeff_batch, coherent_state
+from blochlab.states import coherent_coeff_batch
 from blochlab.transport_metric import pair_moment
 from scipy.integrate import quad
 
 from conftest import LATTICES, random_density
-from oracles import (cosine_potential, coupling_energy_husimi_grid, diagonal_coupling_dense,
-                     pair_moment_grid, scaled_density, zero_potential)
+from oracles import (CoherentParams, coherent_state, cosine_potential,
+                     coupling_energy_husimi_grid, diagonal_coupling_dense, pair_moment_grid,
+                     scaled_density, zero_potential)
 
 
 def bump_density(lat, nq=16, np_=24, p_max=1.0, p0=0.3):
