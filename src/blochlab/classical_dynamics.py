@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import position_grid
-from .lattice import LatticeSpec, Region, reduce_to_cell
+from .lattice import LatticeSpec, Region
 from .quantization import PhaseBoxSet
 
 
@@ -82,15 +82,24 @@ class TrigPotential:
         return np.linalg.norm(h, ord=2, axis=(1, 2))
 
     def lipschitz_gradient(self) -> "LipschitzBound":
-        """Two Lipschitz bounds for grad V: the analytic series bound and the
-        Hessian maximum on a ``_HESSIAN_GRID``^d cell grid inflated by 1e-3;
-        ``value`` is their min."""
+        """Two Lipschitz bounds for grad V; ``value`` is their min.
+
+        The analytic bound is sum |c_t| |G_t|^2.  The grid bound is the Hessian
+        norm's maximum on the N^d cell grid (N = ``_HESSIAN_GRID``) divided by
+        1 - d pi B / N, B the ``bandwidth``: each cell point is within pi/N of
+        the grid in every phase 2 pi t_i, so by Bernstein's inequality the grid
+        maximum misses at most d pi B / N of the true one.  If that factor is
+        <= 0 the grid bound is infinite.
+        """
         analytic = sum(abs(c) * float(np.dot(g, g))
                        for (g, (_, c, _)) in zip(self.g_vectors(), self.terms))
         if self.is_zero:
             return LipschitzBound(0.0, 0.0, 0.0)
-        hess = self.hessian_norm(position_grid(self.lat, _HESSIAN_GRID))
-        grid = float(np.max(hess)) * (1.0 + 1e-3)
+        factor = 1.0 - self.lat.dimension * np.pi * self.bandwidth / _HESSIAN_GRID
+        grid = np.inf
+        if factor > 0:
+            hess = self.hessian_norm(position_grid(self.lat, _HESSIAN_GRID))
+            grid = float(np.max(hess)) / factor
         return LipschitzBound(min(analytic, grid), analytic, grid)
 
 
@@ -141,16 +150,15 @@ class GCEstimate:
     time_step: float
 
 
-def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region,
-                potential: TrigPotential, lat: LatticeSpec,
+def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: TrigPotential,
                 n_time: int = 2000, per_axis: int = 32, n_quasi: int = 1000,
                 seed: int = 0) -> GCEstimate:
     """Minimum over sampled starts in K of the time the trajectory spends in omega.
 
-    The position is reduced to the cell before the region test, so the
-    indicator sees the periodized region.  Midpoint time sampling on a uniform
-    grid; the result is an estimate (finer-than-grid grazing passes are
-    invisible), reported with the time resolution used.
+    ``Region.contains`` is periodic, so positions that left the cell need no
+    reduction here.  Midpoint time sampling on a uniform grid; the result is
+    an estimate (finer-than-grid grazing passes are invisible), reported with
+    the time resolution used.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -165,7 +173,7 @@ def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region,
     force = -potential.gradient(x)
     for _ in range(n_time):
         x_mid = x + 0.5 * h * xi + 0.125 * h * h * force
-        inside += omega.contains(reduce_to_cell(x_mid, lat))
+        inside += omega.contains(x_mid)
         x, xi, force = _verlet_step(x, xi, force, h, potential)
     occupation = inside * h
     value = float(np.min(occupation))

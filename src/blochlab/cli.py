@@ -13,6 +13,12 @@ provenance comment, and uses exit codes
 
 Exit code 4 is not produced; it is reserved.
 
+Each ``_cmd_*`` takes the scenario and returns ``(tables, lines, exit code)``,
+with ``tables`` mapping a CSV name suffix to ``(header, rows)``.  ``main`` is
+the only writer: it writes ``<prefix>_<suffix>.csv`` into ``--out`` for each
+table, then prints the lines.  The rows of ``_verify.csv`` and the verdict
+lines come from ``verify_theorem``'s report as they are.
+
 Deterministic by construction: reductions run in fixed order and the only
 randomness (quasi-random sampling of K) is seeded from the config hash.
 """
@@ -40,10 +46,6 @@ from .transport_metric import CostParams, c_bold, coupling_energy_husimi, \
 from .classical_dynamics import gc_constant
 
 
-def _provenance(cfg_hash: str) -> str:
-    return f"# blochlab {__version__} config={cfg_hash}"
-
-
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.17g}"
@@ -52,28 +54,31 @@ def _fmt(x) -> str:
 
 def _write_csv(path, header, rows, cfg_hash):
     with open(path, "w") as fh:
-        fh.write(_provenance(cfg_hash) + "\n")
+        fh.write(f"# blochlab {__version__} config={cfg_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _cmd_evolve(cfg, scn, out, cfg_hash) -> int:
+def _assignments(rows) -> list:
+    """``name = value`` stdout lines, floats to 12 significant digits."""
+    return [f"{name} = {value:.12g}" if isinstance(value, float) else f"{name} = {value}"
+            for name, value in rows]
+
+
+def _cmd_evolve(scn):
     rho = initial_state(scn).compressed(PRUNE_TOL)[0]
     trace0 = periodic_trace(rho)    # before the evolution, which advances rho in place
     integral, series, times, quad_err, drift = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)
-    rows = list(zip(times, series))
-    _write_csv(os.path.join(out, f"{cfg.prefix}_evolve.csv"),
-               ("t", "observed"), rows, cfg_hash)
-    print(f"time integral = {integral:.12g}  (quad err est {quad_err:.3g})")
-    print(f"initial periodic trace = {trace0:.12g}")
-    print(f"trace drift = {drift:.3g}")
-    return 0
+    lines = [f"time integral = {integral:.12g}  (quad err est {quad_err:.3g})",
+             f"initial periodic trace = {trace0:.12g}",
+             f"trace drift = {drift:.3g}"]
+    return {"evolve": (("t", "observed"), list(zip(times, series)))}, lines, 0
 
 
-def _cmd_husimi(cfg, scn, out, cfg_hash) -> int:
+def _cmd_husimi(scn):
     rho = initial_state(scn).compressed(PRUNE_TOL)[0]
     d = scn.lat.dimension
     p_max = default_p_max(scn)
@@ -83,33 +88,24 @@ def _cmd_husimi(cfg, scn, out, cfg_hash) -> int:
     header = tuple(f"q{i}" for i in range(d)) + tuple(f"p{i}" for i in range(d)) + ("value",)
     rows = [tuple(q) + tuple(p) + (v,)
             for q, p, v in zip(w.nodes_q, w.nodes_p, w.values)]
-    _write_csv(os.path.join(out, f"{cfg.prefix}_husimi.csv"), header, rows, cfg_hash)
-    print(f"husimi mass = {w.mass:.12g}")
-    return 0
+    return {"husimi": (header, rows)}, [f"husimi mass = {w.mass:.12g}"], 0
 
 
-def _cmd_metric(cfg, scn, out, cfg_hash) -> int:
+def _cmd_metric(scn):
     rho = initial_state(scn)
-    rows = []
     if scn.initial_kind == "toeplitz":
         lam = scn.lam if scn.lam is not None else 1.0
         ce = coupling_energy_toeplitz(initial_density(scn), rho, CostParams(lam, scn.geom))
-        rows += [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
-                 ("position_part", ce.position_part), ("momentum_part", ce.momentum_part),
-                 ("lambda", lam)]
+        extra = [("lambda", lam)]
     else:
         ce = coupling_energy_husimi(rho)
-        rows += [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
-                 ("position_part", ce.position_part), ("momentum_part", ce.momentum_part),
-                 ("std_dev", std_dev(rho)), ("c_bold", c_bold(rho))]
-    _write_csv(os.path.join(out, f"{cfg.prefix}_metric.csv"),
-               ("quantity", "value"), rows, cfg_hash)
-    for name, value in rows:
-        print(f"{name} = {value:.12g}")
-    return 0
+        extra = [("std_dev", std_dev(rho)), ("c_bold", c_bold(rho))]
+    rows = [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
+            ("position_part", ce.position_part), ("momentum_part", ce.momentum_part), *extra]
+    return {"metric": (("quantity", "value"), rows)}, _assignments(rows), 0
 
 
-def _cmd_stability(cfg, scn, out, cfg_hash) -> int:
+def _cmd_stability(scn):
     if scn.initial_kind != "toeplitz":
         raise ConfigValidationError("initial.kind",
                                     "stability envelope requires a toeplitz datum")
@@ -118,15 +114,13 @@ def _cmd_stability(cfg, scn, out, cfg_hash) -> int:
                              CostParams(lam, scn.geom), scn.potential, scn.horizon,
                              n_times=20, dt=scn.disc.dt)
     rows = list(zip(env.times, env.energies, env.bounds))
-    _write_csv(os.path.join(out, f"{cfg.prefix}_stability.csv"),
-               ("t", "energy", "bound"), rows, cfg_hash)
-    print(f"eta = {env.eta:.12g}, max energy/bound = {env.max_ratio():.12g}")
-    return 0
+    lines = [f"eta = {env.eta:.12g}, max energy/bound = {env.max_ratio():.12g}"]
+    return {"stability": (("t", "energy", "bound"), rows)}, lines, 0
 
 
-def _cmd_constants(cfg, scn, out, cfg_hash) -> int:
+def _cmd_constants(scn):
     lip = scn.potential.lipschitz_gradient()
-    gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential, scn.lat,
+    gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential,
                      n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
                      n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
     c_t = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip.value)[0]
@@ -145,46 +139,15 @@ def _cmd_constants(cfg, scn, out, cfg_hash) -> int:
         ("eta_at_lambda", gronwall_rate(scn.geom, lam, lip.value)),
         ("hbar_threshold", hbar_threshold(gc.value, c_t, scn.delta, scn.lat.dimension)),
     ]
-    _write_csv(os.path.join(out, f"{cfg.prefix}_constants.csv"),
-               ("constant", "value"), rows, cfg_hash)
-    for name, value in rows:
-        print(f"{name} = {value:.12g}" if isinstance(value, float) else f"{name} = {value}")
-    return 0
+    return {"constants": (("constant", "value"), rows)}, _assignments(rows), 0
 
 
-def _cmd_verify(cfg, scn, out, cfg_hash) -> int:
+def _cmd_verify(scn):
     report = verify_theorem(scn)
-    rows = [
-        ("kind", report.kind), ("lhs", report.lhs),
-        ("classical_term", report.classical_term), ("penalty", report.penalty),
-        ("rhs", report.rhs), ("margin", report.margin),
-        ("error_budget", report.error_budget), ("passed", int(report.passed)),
-        ("C_GC", report.c_gc.value), ("penalty_constant", report.c_constant),
-        ("mass_on_K", report.mass_on_k), ("hbar", report.hbar),
-        ("delta", report.delta), ("T", report.horizon),
-        ("lip_grad_V", report.lipschitz), ("eta", report.eta),
-        ("lambda_star", report.lambda_star),
-        ("gronwall_factor", report.gronwall_factor),
-        ("energy_bound", report.energy_bound),
-        ("lhs_quad_error", report.lhs_quad_error),
-        ("trace_drift", report.trace_drift),
-        ("rank", report.rank), ("rank_evolved", report.rank_evolved),
-        ("rank_tail", report.rank_tail),
-    ]
-    if report.threshold is not None:
-        rows.append(("hbar_threshold", report.threshold))
-    if report.std_dev is not None:
-        rows += [("std_dev", report.std_dev), ("c_bold", report.c_bold)]
-    _write_csv(os.path.join(out, f"{cfg.prefix}_verify.csv"),
-               ("quantity", "value"), rows, cfg_hash)
-    _write_csv(os.path.join(out, f"{cfg.prefix}_observation.csv"), ("t", "observed"),
-               list(zip(report.times, report.observation_series)), cfg_hash)
-    print(f"{report.kind} case: lhs = {report.lhs:.6g}, rhs = {report.rhs:.6g}, "
-          f"margin = {report.margin:.6g} (budget {report.error_budget:.2g})")
-    for w in report.warnings:
-        print(f"warning: {w}")
-    print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    tables = {"verify": (("quantity", "value"), list(report.rows.items())),
+              "observation": (("t", "observed"),
+                              list(zip(report.times, report.observation_series)))}
+    return tables, report.summary(), 0 if report.passed else 1
 
 
 _COMMANDS = {
@@ -254,13 +217,18 @@ def main(argv=None) -> int:
             return 2
         # the worker count holds for this command only, not for later calls in the process
         with sfft.set_workers(max(1, args.threads)):
-            return _COMMANDS[args.subcommand](cfg, scn, args.out, cfg_hash)
+            tables, lines, code = _COMMANDS[args.subcommand](scn)
     except ConfigParseError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return 2
     except ConfigValidationError as exc:
         print(f"config validation error: {exc}", file=sys.stderr)
         return 3
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(args.out, f"{cfg.prefix}_{name}.csv"), header, rows, cfg_hash)
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

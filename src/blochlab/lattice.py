@@ -134,9 +134,11 @@ class Region:
 
     ``boxes`` has shape ``(nb, 2, d)`` with rows ``(lo, hi)``, lo < hi on
     every axis (the distance to an inverted box would clip to one corner).
-    Membership and distance are evaluated modulo the lattice: a point belongs
-    to the region if one of its near translates falls in a box, which also
-    handles boxes that spill over the cell edge after a dilation.
+    Membership and distance are evaluated modulo the lattice, for any point
+    of R^d: the point is reduced to the cell, and it belongs to the region if
+    its cell representative or one of that representative's neighbouring
+    translates falls in a box, which also handles boxes that spill over the
+    cell edge after a dilation.
     """
 
     boxes: np.ndarray
@@ -162,7 +164,7 @@ class Region:
         Boxes are half-open (lo <= x < hi), matching the cell convention, so a
         box equal to the whole cell contains every grid point exactly once.
         """
-        pts = np.asarray(points, dtype=float)
+        pts = reduce_to_cell(points, self.lat)
         shape = pts.shape[:-1]
         p = pts.reshape(-1, pts.shape[-1])
         out = np.zeros(p.shape[0], dtype=bool)
@@ -174,7 +176,7 @@ class Region:
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Euclidean distance to the periodized region (0 inside)."""
-        pts = np.asarray(points, dtype=float)
+        pts = reduce_to_cell(points, self.lat)
         shape = pts.shape[:-1]
         p = pts.reshape(-1, pts.shape[-1])
         best = np.full(p.shape[0], np.inf)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import KGrid
-from .classical_dynamics import GCEstimate, TrigPotential, gc_constant
+from .classical_dynamics import TrigPotential, gc_constant
 from .errors import ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region
 from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
@@ -138,39 +138,30 @@ class ObservabilityScenario:
 
 @dataclass
 class TheoremReport:
-    """Both sides of the observability inequality plus all auxiliary constants."""
+    """Both sides of the observability inequality plus all auxiliary constants.
 
-    kind: str
-    lhs: float
-    classical_term: float
-    penalty: float
-    rhs: float
-    margin: float
-    error_budget: float
-    passed: bool
-    c_gc: GCEstimate
-    c_constant: float            # penalty constant used (quantized or pure family)
-    mass_on_k: float
-    hbar: float
-    delta: float
-    horizon: float
-    lipschitz: float
-    eta: float                   # transport rate at the reporting cost scale
-    lambda_star: float           # cost scale used in the penalty assembly
-    gronwall_factor: float       # sqrt(2 g+/g-) / (delta * lambda) * (e^{eta T}-1)/eta
-    energy_bound: float          # initial coupling-energy bound entering the penalty
-    threshold: float | None
-    threshold_ok: bool
-    lhs_quad_error: float
-    trace_drift: float           # largest relative change of a fiber trace over [0, T]
-    rank: int                    # vectors per fiber of the initial datum
-    rank_evolved: int            # vectors per fiber after compression (the ones evolved)
-    rank_tail: float             # largest trace fraction compression dropped in one fiber
-    std_dev: float | None = None
-    c_bold: float | None = None
-    observation_series: np.ndarray | None = None
-    times: np.ndarray | None = None
+    ``rows`` maps each ``_verify.csv`` quantity to its value, in CSV order;
+    ``hbar_threshold`` (toeplitz data) and ``std_dev``, ``c_bold`` (pure data)
+    are present only for the kind that computes them.  A new quantity of that
+    table is one entry in ``verify_theorem``.
+    """
+
+    rows: dict
+    times: np.ndarray
+    observation_series: np.ndarray
     warnings: tuple = ()
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.rows["passed"])
+
+    def summary(self) -> list:
+        """The verdict as ``verify`` prints it: both sides, the warnings, PASS or FAIL."""
+        r = self.rows
+        return [f"{r['kind']} case: lhs = {r['lhs']:.6g}, rhs = {r['rhs']:.6g}, "
+                f"margin = {r['margin']:.6g} (budget {r['error_budget']:.2g})",
+                *(f"warning: {w}" for w in self.warnings),
+                "PASS" if self.passed else "FAIL"]
 
 
 def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
@@ -260,11 +251,11 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     rho = initial_state(scn)
     rank = rho.rank
     rho, tail = rho.compressed(PRUNE_TOL)
-    gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential, scn.lat,
+    gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential,
                      n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
                      n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
     lip = scn.potential.lipschitz_gradient().value
-    warnings, thr, thr_ok, dev, cb = [], None, True, None, None
+    warnings = []
     if scn.initial_kind == "toeplitz":
         mass_k = initial_density(scn).mass_in(scn.k_set)
         c_const, lam_star = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip)
@@ -273,16 +264,17 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
         penalty_scale = float(np.sqrt(d * scn.hbar))
         energy_bound = float(np.sqrt((1.0 + lam_star ** 2) * d * scn.hbar / 2.0))
         thr = hbar_threshold(gc.value, c_const, scn.delta, d)
-        thr_ok = scn.hbar < thr
-        if not thr_ok:
+        if scn.hbar >= thr:
             warnings.append(
                 f"hbar={scn.hbar:g} exceeds the uniform-positivity threshold {thr:.3e}; "
                 "the inequality is still checked but its right side need not be positive")
+        kind_rows = {"hbar_threshold": thr}
     else:
         mass_k = husimi_mass_on_boxes(rho, scn.k_set)
         c_const, lam_star = constant_pure(scn.geom, scn.horizon, lip), 1.0
         dev, cb = std_dev(rho), c_bold(rho)
         energy_bound = penalty_scale = float(np.sqrt(d * scn.hbar * cb + 2.0 * dev ** 2))
+        kind_rows = {"std_dev": dev, "c_bold": cb}
     if not gc.satisfied:
         warnings.append("geometric-control estimate is zero at sample resolution")
     lhs, series, times, quad_err, drift = observed_time_integral(
@@ -296,12 +288,16 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     eta = gronwall_rate(scn.geom, lam_star, lip)
     gfac = (np.sqrt(2.0 * scn.geom.gamma_plus / scn.geom.gamma_minus)
             / (scn.delta * lam_star) * np.expm1(eta * scn.horizon) / eta)
-    return TheoremReport(
-        kind=scn.initial_kind, lhs=lhs, classical_term=classical, penalty=penalty, rhs=rhs,
-        margin=margin, error_budget=budget, passed=margin >= -budget, c_gc=gc,
-        c_constant=c_const, mass_on_k=mass_k, hbar=scn.hbar, delta=scn.delta,
-        horizon=scn.horizon, lipschitz=lip, eta=eta, lambda_star=lam_star,
-        gronwall_factor=float(gfac), energy_bound=energy_bound, threshold=thr,
-        threshold_ok=thr_ok, lhs_quad_error=quad_err, trace_drift=drift, rank=rank,
-        rank_evolved=rho.rank, rank_tail=tail, std_dev=dev, c_bold=cb,
-        observation_series=series, times=times, warnings=tuple(warnings))
+    rows = {
+        "kind": scn.initial_kind, "lhs": lhs, "classical_term": classical,
+        "penalty": penalty, "rhs": rhs, "margin": margin, "error_budget": budget,
+        "passed": int(margin >= -budget), "C_GC": gc.value, "penalty_constant": c_const,
+        "mass_on_K": mass_k, "hbar": scn.hbar, "delta": scn.delta, "T": scn.horizon,
+        "lip_grad_V": lip, "eta": eta, "lambda_star": lam_star,
+        # sqrt(2 g+/g-) / (delta * lambda) * (e^{eta T}-1)/eta
+        "gronwall_factor": float(gfac), "energy_bound": energy_bound,
+        "lhs_quad_error": quad_err, "trace_drift": drift, "rank": rank,
+        "rank_evolved": rho.rank, "rank_tail": tail, **kind_rows,
+    }
+    return TheoremReport(rows=rows, times=times, observation_series=series,
+                         warnings=tuple(warnings))

@@ -206,7 +206,6 @@ class StabilityEnvelope:
     energies: np.ndarray
     bounds: np.ndarray
     eta: float
-    initial_energy: float
 
     def max_ratio(self) -> float:
         return float(np.max(self.energies / self.bounds))
@@ -244,5 +243,4 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
         pos, mom = diagonal_coupling_parts(rho, x, xi, cost)
         energies[i] = np.mean(pos + mom)
     bounds = energies[0] * np.exp(2.0 * eta * times)
-    return StabilityEnvelope(times=times, energies=energies, bounds=bounds, eta=eta,
-                             initial_energy=energies[0])
+    return StabilityEnvelope(times=times, energies=energies, bounds=bounds, eta=eta)

@@ -237,16 +237,15 @@ sigma_p = 0.15
 
 
 def test_criterion_07_observability_verification(lat1, geom1, tmp_path):
-    rep_t = verify_theorem(_acceptance_scenario(lat1, geom1, "toeplitz"))
-    rep_p = verify_theorem(_acceptance_scenario(lat1, geom1, "pure"))
+    t = verify_theorem(_acceptance_scenario(lat1, geom1, "toeplitz")).rows
+    p = verify_theorem(_acceptance_scenario(lat1, geom1, "pure")).rows
     cfg = tmp_path / "acceptance.cfg"
     cfg.write_text(ACCEPTANCE_CONFIG)
     code = cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
-    ok = (rep_t.margin >= 0 and rep_t.c_gc.value >= 0.09
-          and rep_p.margin >= 0 and code == 0)
-    _report(7, ok, f"toeplitz margin {rep_t.margin:.4f} >= 0, "
-                   f"C_GC {rep_t.c_gc.value:.4f} >= 0.09, "
-                   f"pure margin {rep_p.margin:.4f} >= 0, verify exit {code}")
+    ok = t["margin"] >= 0 and t["C_GC"] >= 0.09 and p["margin"] >= 0 and code == 0
+    _report(7, ok, f"toeplitz margin {t['margin']:.4f} >= 0, "
+                   f"C_GC {t['C_GC']:.4f} >= 0.09, "
+                   f"pure margin {p['margin']:.4f} >= 0, verify exit {code}")
 
 
 def test_criterion_08_unitarity_trace(lat1):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from blochlab import PhaseSpaceDensity, flow, gc_constant
+from blochlab import PhaseSpaceDensity, TrigPotential, flow, gc_constant
 from blochlab.lattice import reduce_to_cell
 
 from oracles import (cosine_potential, cubic_lattice, interval_region, k_flow, single_box,
@@ -154,7 +154,7 @@ def test_change_of_variable_quadrature(lat1, vpot, case):
 def test_gc_constant_free_traversal(lat1):
     omega = interval_region([-0.1], [0.1], lat1)
     k_set = single_box([-0.5], [0.5], [1.0], [2.0])
-    est = gc_constant(1.0, k_set, omega, zero_potential(lat1), lat1,
+    est = gc_constant(1.0, k_set, omega, zero_potential(lat1),
                       n_time=2000, per_axis=24, n_quasi=300)
     # analytic: a speed-xi trajectory spends >= 0.2/xi >= 0.1 per full period,
     # and every start in K completes at least one period within T=1
@@ -165,7 +165,7 @@ def test_gc_constant_free_traversal(lat1):
 def test_gc_full_cell_is_horizon(lat1):
     omega = interval_region([-0.5], [0.5], lat1)
     k_set = single_box([-0.2], [0.2], [0.5], [1.0])
-    est = gc_constant(0.7, k_set, omega, zero_potential(lat1), lat1,
+    est = gc_constant(0.7, k_set, omega, zero_potential(lat1),
                       n_time=500, per_axis=8, n_quasi=50)
     assert est.value == pytest.approx(0.7, abs=1e-12)
 
@@ -173,7 +173,7 @@ def test_gc_full_cell_is_horizon(lat1):
 def test_gc_stationary_point_fails(lat1):
     omega = interval_region([0.2], [0.4], lat1)
     k_set = single_box([-0.1], [0.1], [0.0], [0.0])   # immobile starts
-    est = gc_constant(1.0, k_set, omega, zero_potential(lat1), lat1,
+    est = gc_constant(1.0, k_set, omega, zero_potential(lat1),
                       n_time=400, per_axis=6, n_quasi=20)
     assert est.value == 0.0
     assert not est.satisfied
@@ -183,7 +183,7 @@ def test_gc_requires_samples(lat1):
     omega = interval_region([-0.1], [0.1], lat1)
     with pytest.raises(ValueError):
         gc_constant(0.0, single_box([-0.5], [0.5], [1.0], [2.0]),
-                    omega, zero_potential(lat1), lat1)
+                    omega, zero_potential(lat1))
 
 
 def test_indicator_invariant_under_lattice_shift(lat1, vpot):
@@ -204,6 +204,24 @@ def test_indicator_invariant_under_lattice_shift(lat1, vpot):
 def test_lipschitz_bounds(lat1, vpot):
     lb = vpot.lipschitz_gradient()
     assert lb.analytic == pytest.approx(0.1 * (2 * np.pi) ** 2, rel=1e-12)
-    assert lb.grid == pytest.approx(lb.analytic, rel=2e-3)
+    # the Hessian peak sits on the 512-point grid, which the Bernstein factor inflates
+    assert lb.grid == pytest.approx(lb.analytic / (1 - np.pi / 512), rel=1e-12)
     assert lb.value <= lb.analytic
     assert zero_potential(lat1).lipschitz_gradient().value == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_lipschitz_grid_bound_holds_between_grid_points(lat1, n):
+    # the phase pi n / 512 puts every Hessian peak of cos(2 pi n x + phase) halfway
+    # between two points of the 512-point grid, where the sampled maximum is
+    # cos(pi n / 512) of the true one (2 pi n)^2
+    lb = TrigPotential(lat1, [((n,), 1.0, np.pi * n / 512)]).lipschitz_gradient()
+    assert lb.grid >= (2 * np.pi * n) ** 2
+    assert lb.value == pytest.approx((2 * np.pi * n) ** 2, rel=1e-12)
+
+
+def test_lipschitz_without_a_grid_bound_is_analytic(lat1):
+    # at bandwidth 200 > 512 / pi the Bernstein factor is negative: no grid bound
+    lb = TrigPotential(lat1, [((200,), 1.0, 0.3)]).lipschitz_gradient()
+    assert lb.grid == np.inf
+    assert lb.value == lb.analytic == pytest.approx((400 * np.pi) ** 2, rel=1e-12)

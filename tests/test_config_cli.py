@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 import scipy.fft
 
 from blochlab import bloch, gamma_bounds
-from blochlab.cli import main
+from blochlab.cli import _fmt, main
 from blochlab.config import load_config, parse_config
 from blochlab.errors import ConfigParseError, ConfigValidationError
+from blochlab.observability import verify_theorem
 
 from oracles import cubic_lattice, default_window
 
@@ -256,6 +258,22 @@ def test_cli_verify_and_evolve(tmp_path):
     lines = (tmp_path / "out_evolve.csv").read_text().splitlines()
     assert lines[1] == "t,observed"
     assert len(lines) == 2 + 16 + 1
+
+
+@pytest.mark.parametrize("kind, kind_rows", [("toeplitz", ["hbar_threshold"]),
+                                              ("pure", ["std_dev", "c_bold"])])
+def test_verify_csv_is_the_report_rows(tmp_path, kind, kind_rows):
+    # main writes the report's rows as they are: the same names in the same
+    # order, each value through the one CSV formatter
+    text = BASE.replace("kind = toeplitz", f"kind = {kind}")
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path)]) == 0
+    scn = load_config(text).scenario()
+    scn.disc.seed = int(hashlib.sha256(text.encode()).hexdigest()[:12], 16) % 2 ** 31
+    rows = verify_theorem(scn).rows
+    lines = (tmp_path / "out_verify.csv").read_text().splitlines()
+    assert lines[1] == "quantity,value"
+    assert lines[2:] == [f"{name},{_fmt(value)}" for name, value in rows.items()]
+    assert list(rows)[-len(kind_rows):] == kind_rows
 
 
 def test_cli_stability_and_husimi(tmp_path):

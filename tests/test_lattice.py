@@ -148,6 +148,30 @@ def test_region_distance_periodic(lat1):
     assert reg.distance(np.array([[-0.48]]))[0] == pytest.approx(0.38, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_region_membership_of_far_translates(rng, dim):
+    # membership and distance see the cell representative of any point of R^d,
+    # however many cells away it lies
+    if dim == 1:
+        lat = cubic_lattice(1)
+        reg = interval_region([-0.1], [0.1], lat)
+        assert reg.contains(np.array([[2.0]]))[0]
+        assert reg.distance(np.array([[5.0]]))[0] == 0.0
+        assert reg.distance(np.array([[-6.7]]))[0] == pytest.approx(0.2, abs=1e-12)
+        shifts = np.array([[3], [-17], [250]])
+    else:
+        lat = LatticeSpec([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])     # hexagonal
+        reg = Region([[[-0.5, -0.1], [0.5, 0.1]]], lat)
+        shifts = np.array([[3, -2], [-17, 9], [40, 250]])
+    pts = lat.from_fractional(rng.uniform(-0.5, 0.5, size=(200, dim)))
+    inside, dist = reg.contains(pts), reg.distance(pts)
+    assert inside.any() and not inside.all()
+    for n in shifts:
+        far = pts + lat.lattice_vector(n)
+        np.testing.assert_array_equal(reg.contains(far), inside)
+        np.testing.assert_allclose(reg.distance(far), dist, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("boxes", [
     [[[0.1], [-0.1]]],                        # inverted
     [[[0.1], [0.1]]],                         # empty

@@ -187,15 +187,15 @@ def base_scenario(lat1, geom1, kind="toeplitz", hbar=1e-3, n_obs=40):
 
 def test_toeplitz_report_structure(lat1, geom1):
     rep = verify_theorem(base_scenario(lat1, geom1))
-    assert rep.passed and rep.margin >= 0
-    assert rep.lhs >= 0 and rep.penalty > 0 and rep.c_gc.value > 0
-    assert rep.mass_on_k == pytest.approx(1.0, abs=1e-9)     # datum supported in K
+    assert rep.passed and rep.rows["margin"] >= 0
+    assert rep.rows["lhs"] >= 0 and rep.rows["penalty"] > 0 and rep.rows["C_GC"] > 0
+    assert rep.rows["mass_on_K"] == pytest.approx(1.0, abs=1e-9)     # datum supported in K
     # penalty assembly: the report factors reproduce constant * sqrt(d hbar)/delta
-    assembled = rep.gronwall_factor * rep.energy_bound
-    assert assembled == pytest.approx(rep.penalty, rel=1e-6)
-    assert rep.threshold is not None and not rep.threshold_ok
-    assert rep.lhs_quad_error < 5e-3 * rep.lhs
-    assert rep.rank_evolved <= rep.rank and rep.rank_tail <= 1e-10
+    assembled = rep.rows["gronwall_factor"] * rep.rows["energy_bound"]
+    assert assembled == pytest.approx(rep.rows["penalty"], rel=1e-6)
+    assert rep.rows["hbar"] >= rep.rows["hbar_threshold"]
+    assert rep.rows["lhs_quad_error"] < 5e-3 * rep.rows["lhs"]
+    assert rep.rows["rank_evolved"] <= rep.rows["rank"] and rep.rows["rank_tail"] <= 1e-10
 
 
 def test_compression_keeps_toeplitz_lhs(lat1, geom1):
@@ -205,12 +205,13 @@ def test_compression_keeps_toeplitz_lhs(lat1, geom1):
     scn.disc = Discretization(m=64, n_k=4, n_q=10, n_p=14, n_time_obs=20, n_time_gc=200,
                               gc_per_axis=8, gc_quasi=40, dt=1e-3)
     rep = verify_theorem(scn)
-    assert rep.rank_evolved < rep.rank and 0.0 < rep.rank_tail <= PRUNE_TOL
+    assert rep.rows["rank_evolved"] < rep.rows["rank"]
+    assert 0.0 < rep.rows["rank_tail"] <= PRUNE_TOL
     rho = initial_state(scn)
-    assert rho.rank == rep.rank
+    assert rho.rank == rep.rows["rank"]
     lhs = observed_time_integral(rho, scn.omega, scn.delta, scn.potential, scn.horizon,
                                  20, scn.disc.dt)[0]
-    assert rep.lhs == pytest.approx(lhs, rel=1e-9)
+    assert rep.rows["lhs"] == pytest.approx(lhs, rel=1e-9)
 
 
 @pytest.mark.parametrize("kind", ["toeplitz", "pure"])
@@ -221,18 +222,18 @@ def test_trace_drift_with_a_potential(lat1, geom1, kind):
     scn.potential = cosine_potential(lat1, (1,), 0.1)
     scn.disc = Discretization(m=64, n_k=4, n_q=10, n_p=14, n_time_obs=20, n_time_gc=200,
                               gc_per_axis=8, gc_quasi=40, dt=1e-3)
-    assert verify_theorem(scn).trace_drift <= 1e-12
+    assert verify_theorem(scn).rows["trace_drift"] <= 1e-12
 
 
 def test_pure_report_structure(lat1, geom1):
     rep = verify_theorem(base_scenario(lat1, geom1, kind="pure"))
-    assert rep.passed and rep.margin >= 0
-    assert rep.mass_on_k == pytest.approx(1.0, abs=1e-4)
-    assert rep.c_bold == pytest.approx(1.0, abs=1e-6)
-    assert rep.std_dev ** 2 == pytest.approx(rep.hbar, rel=1e-3)
-    assert (rep.rank, rep.rank_evolved, rep.rank_tail) == (1, 1, 0.0)
-    assembled = rep.gronwall_factor * rep.energy_bound
-    assert assembled == pytest.approx(rep.penalty, rel=1e-6)
+    assert rep.passed and rep.rows["margin"] >= 0
+    assert rep.rows["mass_on_K"] == pytest.approx(1.0, abs=1e-4)
+    assert rep.rows["c_bold"] == pytest.approx(1.0, abs=1e-6)
+    assert rep.rows["std_dev"] ** 2 == pytest.approx(rep.rows["hbar"], rel=1e-3)
+    assert (rep.rows["rank"], rep.rows["rank_evolved"], rep.rows["rank_tail"]) == (1, 1, 0.0)
+    assembled = rep.rows["gronwall_factor"] * rep.rows["energy_bound"]
+    assert assembled == pytest.approx(rep.rows["penalty"], rel=1e-6)
 
 
 def test_full_cell_observation_equals_horizon(lat1, geom1):
@@ -240,8 +241,8 @@ def test_full_cell_observation_equals_horizon(lat1, geom1):
     scn.omega = interval_region([-0.5], [0.5], lat1)
     scn.delta = 0.01
     rep = verify_theorem(scn)
-    assert rep.lhs == pytest.approx(scn.horizon, rel=1e-6)
-    assert rep.margin >= 0
+    assert rep.rows["lhs"] == pytest.approx(scn.horizon, rel=1e-6)
+    assert rep.rows["margin"] >= 0
 
 
 def test_empty_observation_region_trivial_pass(lat1, geom1):
@@ -251,11 +252,11 @@ def test_empty_observation_region_trivial_pass(lat1, geom1):
     scn.disc.n_time_gc = 200
     scn.omega = Region(np.zeros((0, 2, 1)), lat1)
     rep = verify_theorem(scn)
-    assert rep.lhs == 0.0
-    assert rep.c_gc.value == 0.0 and not rep.c_gc.satisfied
-    assert rep.classical_term == 0.0
-    assert rep.rhs == pytest.approx(-rep.penalty)
-    assert rep.margin == pytest.approx(rep.penalty)
+    assert rep.rows["lhs"] == 0.0
+    assert rep.rows["C_GC"] == 0.0
+    assert rep.rows["classical_term"] == 0.0
+    assert rep.rows["rhs"] == pytest.approx(-rep.rows["penalty"])
+    assert rep.rows["margin"] == pytest.approx(rep.rows["penalty"])
     assert rep.passed
     assert any("geometric-control" in w for w in rep.warnings)
 
@@ -265,16 +266,16 @@ def test_pure_full_cell_and_short_horizon(lat1, geom1):
     scn.omega = interval_region([-0.5], [0.5], lat1)
     scn.delta = 0.01
     rep = verify_theorem(scn)
-    assert rep.lhs == pytest.approx(scn.horizon, rel=1e-6)
-    assert rep.margin >= 0
+    assert rep.rows["lhs"] == pytest.approx(scn.horizon, rel=1e-6)
+    assert rep.rows["margin"] >= 0
     # vanishing horizon: both sides collapse within time-quadrature error
     short = base_scenario(lat1, geom1, kind="pure", n_obs=8)
     short.horizon = 0.02
     short.disc.n_time_gc = 100
     rep = verify_theorem(short)
-    assert abs(rep.lhs) <= short.horizon * 1.01
-    assert abs(rep.classical_term) <= short.horizon * 1.01
-    assert rep.margin >= 0
+    assert abs(rep.rows["lhs"]) <= short.horizon * 1.01
+    assert abs(rep.rows["classical_term"]) <= short.horizon * 1.01
+    assert rep.rows["margin"] >= 0
 
 
 def test_rhs_monotone_decreasing_in_hbar(lat1, geom1):
@@ -283,7 +284,7 @@ def test_rhs_monotone_decreasing_in_hbar(lat1, geom1):
         scn = base_scenario(lat1, geom1, hbar=hbar, n_obs=8)
         scn.disc.n_time_gc = 300
         rep = verify_theorem(scn)
-        rhs.append(rep.rhs)
+        rhs.append(rep.rows["rhs"])
     assert rhs[0] < rhs[1] < rhs[2]
 
 

@@ -318,7 +318,7 @@ def test_stability_envelope_initial_energy_matches_coupling(lat1, geom1):
     ce = coupling_energy_toeplitz(f, rho, cost)
     env = stability_envelope(f, rho, cost, zero_potential(lat1),
                              horizon=0.2, n_times=2, dt=1e-2)
-    assert env.initial_energy == pytest.approx(ce.total, rel=1e-12)
+    assert env.energies[0] == pytest.approx(ce.total, rel=1e-12)
 
 
 def test_stability_envelope_advances_the_density_in_place(lat1, geom1):
