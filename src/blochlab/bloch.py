@@ -43,6 +43,18 @@ def _alt_sign(n: int, d: int) -> np.ndarray:
     return out
 
 
+def _fft_blocks(nin: int, nout: int, d: int):
+    """(centered, FFT-order) index pairs of the 2^d corner blocks of the order-m window.
+
+    Centered coefficient n (d trailing axes, -m..m of nin = 2m+1) sits at FFT
+    position n mod nout of a length-nout transform.
+    """
+    m = nin // 2
+    halves = ((slice(m, nin), slice(0, m + 1)), (slice(0, m), slice(nout - m, nout)))
+    for parts in itertools.product(halves, repeat=d):
+        yield (Ellipsis,) + tuple(p[0] for p in parts), (Ellipsis,) + tuple(p[1] for p in parts)
+
+
 def _twisted(coeffs: np.ndarray, nout: int, d: int) -> np.ndarray:
     """ifftshift of the zero-padded, sign-twisted coefficients, without a roll.
 
@@ -51,14 +63,25 @@ def _twisted(coeffs: np.ndarray, nout: int, d: int) -> np.ndarray:
     are one pass into a fresh (..., nout, ..., nout) array.
     """
     nin = coeffs.shape[-1]
-    m = nin // 2
     alt = _alt_sign(nin, d)
     out = np.zeros(coeffs.shape[:coeffs.ndim - d] + (nout,) * d, dtype=complex)
-    halves = ((slice(m, nin), slice(0, m + 1)), (slice(0, m), slice(nout - m, nout)))
-    for parts in itertools.product(halves, repeat=d):
-        src = tuple(p[0] for p in parts)
-        np.multiply(coeffs[(Ellipsis,) + src], alt[src],
-                    out=out[(Ellipsis,) + tuple(p[1] for p in parts)])
+    for src, dst in _fft_blocks(nin, nout, d):
+        np.multiply(coeffs[src], alt[src[1:]], out=out[dst])
+    return out
+
+
+def _untwisted(spec: np.ndarray, nin: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of ``_twisted``: the order-m window of an FFT-ordered array, twisted back.
+
+    FFT position n mod nout (d trailing axes) goes to centered coefficient n
+    times (-1)^(sum n_i) for n in -m..m, one pass with no fftshift of the whole
+    array; the result goes to ``out`` (shape (..., nin, ..., nin)) if given.
+    """
+    alt = _alt_sign(nin, d)
+    if out is None:
+        out = np.empty(spec.shape[:spec.ndim - d] + (nin,) * d, dtype=spec.dtype)
+    for src, dst in _fft_blocks(nin, spec.shape[-1], d):
+        np.multiply(spec[dst], alt[src[1:]], out=out[src])
     return out
 
 
@@ -115,12 +138,8 @@ def values_to_coeffs(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray
     if n % 2 == 0 or n < 2 * m + 1:
         raise ValueError("value grid must be odd and >= 2m+1")
     axes = tuple(range(values.ndim - d, values.ndim))
-    spec = sfft.fftshift(sfft.fftn(values, axes=axes), axes=axes)
-    spec = spec * (np.sqrt(lat.cell_volume) / n ** d) * _alt_sign(n, d)
-    if n > 2 * m + 1:
-        cut = (n - (2 * m + 1)) // 2
-        sl = [slice(None)] * (values.ndim - d) + [slice(cut, n - cut)] * d
-        spec = spec[tuple(sl)]
+    spec = _untwisted(sfft.fftn(values, axes=axes), 2 * m + 1, d)
+    spec *= np.sqrt(lat.cell_volume) / n ** d
     return spec
 
 

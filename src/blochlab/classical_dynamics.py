@@ -142,12 +142,15 @@ def flow(x, xi, t: float, potential: TrigPotential, dt: float = 1e-3) -> PhasePo
 
 @dataclass(frozen=True)
 class GCEstimate:
-    """Sampled lower estimate of the geometric-control observability constant."""
+    """Sampled estimate of the geometric-control observability constant.
+
+    ``value`` is the least occupation time over the sampled starts, so it lies
+    at or above the infimum over K: an upper estimate of the constant.
+    """
 
     value: float
     satisfied: bool      # False when some sampled trajectory never meets the region
     n_samples: int
-    time_step: float
 
 
 def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: TrigPotential,
@@ -156,9 +159,9 @@ def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: Tr
     """Minimum over sampled starts in K of the time the trajectory spends in omega.
 
     ``Region.contains`` is periodic, so positions that left the cell need no
-    reduction here.  Midpoint time sampling on a uniform grid; the result is
-    an estimate (finer-than-grid grazing passes are invisible), reported with
-    the time resolution used.
+    reduction here.  Midpoint time sampling on a uniform grid of step
+    horizon / n_time; the result is an estimate (finer-than-grid grazing
+    passes are invisible).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -177,5 +180,4 @@ def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: Tr
         x, xi, force = _verlet_step(x, xi, force, h, potential)
     occupation = inside * h
     value = float(np.min(occupation))
-    return GCEstimate(value=value, satisfied=value > 0.0,
-                      n_samples=x.shape[0], time_step=h)
+    return GCEstimate(value=value, satisfied=value > 0.0, n_samples=x.shape[0])

@@ -18,6 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Relative widening of the cell's bounding box when Region picks the translates
+# that can hold a cell point; far above the rounding of ``reduce_to_cell``.
+_CELL_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -139,11 +143,20 @@ class Region:
     its cell representative or one of that representative's neighbouring
     translates falls in a box, which also handles boxes that spill over the
     cell edge after a dilation.
+
+    Membership tests only the (box, translate) pairs that can hold a cell
+    point: those whose box, moved back by the translate, meets the cell's
+    bounding box widened by ``_CELL_MARGIN`` (relative to the cell's size)
+    against rounding in the cell reduction.  No other pair can contain a
+    reduced point, so the answer is that of all 3^d translates.  ``distance``
+    keeps every translate: one whose box lies outside the cell can still be
+    the nearest to a point near a cell face.
     """
 
     boxes: np.ndarray
     lat: LatticeSpec
     _shifts: np.ndarray = field(init=False, repr=False, compare=False)
+    _member_pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         boxes = np.asarray(self.boxes, dtype=float)
@@ -156,7 +169,14 @@ class Region:
         object.__setattr__(self, "boxes", boxes)
         d = self.lat.dimension
         offs = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        object.__setattr__(self, "_shifts", self.lat.lattice_vector(offs))
+        shifts = self.lat.lattice_vector(offs)
+        object.__setattr__(self, "_shifts", shifts)
+        corners = self.lat.from_fractional(0.5 * offs[np.all(offs != 0, axis=1)])
+        margin = _CELL_MARGIN * (1.0 + np.abs(corners).max())
+        cell_lo, cell_hi = corners.min(axis=0) - margin, corners.max(axis=0) + margin
+        pairs = tuple((lo, hi, s) for lo, hi in boxes for s in shifts
+                      if np.all(lo - s < cell_hi) and np.all(hi - s > cell_lo))
+        object.__setattr__(self, "_member_pairs", pairs)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask over points (..., d), periodic membership.
@@ -168,10 +188,9 @@ class Region:
         shape = pts.shape[:-1]
         p = pts.reshape(-1, pts.shape[-1])
         out = np.zeros(p.shape[0], dtype=bool)
-        for lo, hi in self.boxes:
-            for s in self._shifts:
-                q = p + s
-                out |= np.all((q >= lo) & (q < hi), axis=-1)
+        for lo, hi, s in self._member_pairs:
+            q = p + s
+            out |= np.all((q >= lo) & (q < hi), axis=-1)
         return out.reshape(shape)
 
     def distance(self, points: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 Fiber vectors live on the plane-wave window of order m; the split step applies
 the potential on the ``quadrature_len(m)`` cell grid and projects back onto it.
+Its factors are set up once per (t, dt), and each step transforms the whole
+(n_k, batch) block at once in one padded work array.
 
 Sign convention: the density evolves as ``R(t) = U(t)^* R_in U(t)`` where the
 adjoint ``U(t)^*`` acts on fiber vectors as the standard forward propagator
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .bloch import _alt_sign, _twisted, g_vectors, position_grid, quadrature_len
+from .bloch import _fft_blocks, _twisted, _untwisted, g_vectors, position_grid, quadrature_len
 from .classical_dynamics import TrigPotential
 from .lattice import LatticeSpec
 
@@ -27,7 +29,9 @@ class FiberHamiltonian:
     """H_k = |hbar(k + G)|^2 / 2 + V for the fiber quasimomenta ``k``, shape (n_k, d).
 
     Only the kinetic diagonal, shape (n_k, (2m+1)^d), depends on k; V is
-    sampled once on the ``quadrature_len(m)``^d cell grid.
+    sampled once on the ``quadrature_len(m)``^d cell grid.  The propagation
+    factors of the last (t, dt) that ``propagate_batch`` was called with are
+    kept, since an observation loop advances by the same (t, dt) each sample.
     """
 
     lat: LatticeSpec
@@ -48,6 +52,34 @@ class FiberHamiltonian:
         n = quadrature_len(self.m)
         self.potential_values = self.potential.value(position_grid(self.lat, n)) \
             .reshape((n,) * d)
+        self._factors = (None, None)
+
+    def _step_factors(self, t: float, dt: float):
+        """The factors of ``propagate_batch`` for (t, dt), computed once per (t, dt).
+
+        V = 0: the exact phase exp(-i t H_k / hbar), shape (n_k, 1, (2m+1)^d).
+        Otherwise (n_steps, half, full, pot): the Strang step count, the half
+        and full kinetic phases of step tau = t / n_steps in zero-padded FFT
+        order, shape (n_k, 1, N, ..., N), and exp(-i tau V / hbar) on the grid.
+        """
+        key, factors = self._factors
+        if key == (t, dt):
+            return factors
+        if self.potential.is_zero:
+            factors = np.exp(-1j * t * self.kinetic_diagonal / self.hbar)[:, None, :]
+        else:
+            d, nin = self.lat.dimension, 2 * self.m + 1
+            n_steps = max(1, int(np.ceil(abs(t) / dt)))
+            step = t / n_steps
+            half_c = np.exp(-1j * (0.5 * step) * self.kinetic_diagonal / self.hbar) \
+                .reshape((-1, 1) + (nin,) * d)
+            half = np.zeros(half_c.shape[:2] + self.potential_values.shape, dtype=complex)
+            for src, dst in _fft_blocks(nin, self.potential_values.shape[-1], d):
+                half[dst] = half_c[src]
+            pot = np.exp(-1j * step * self.potential_values / self.hbar)
+            factors = (n_steps, half, half * half, pot)
+        self._factors = ((t, dt), factors)
+        return factors
 
 
 def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float) -> np.ndarray:
@@ -58,39 +90,31 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     collocated on the N = ``quadrature_len(m)`` grid per axis and P the
     projection onto the plane-wave window: the Galerkin step up to the
     factor's Fourier tail beyond N - 2m - 1 (N = 2m+1: plain collocation),
-    not exactly unitary.  The phases and the factor are computed once per
-    call, the steps run one fiber at a time (a whole-block work array would
-    raise peak memory).  A fiber's batch moves once into padded twisted FFT
-    order, x = ifftshift(pad(c * alt)); each step is fftn(ifftn(x) * pot) *
-    phase with phases zero outside the window, which is the projection.
+    not exactly unitary.  The phases and the factor are set up once per
+    (t, dt) (``FiberHamiltonian._step_factors``).  The whole block moves once
+    into padded twisted FFT order, x = ifftshift(pad(c * alt)) * half, the
+    one padded work array of the call; each step is one fftn(ifftn(x) * pot)
+    over the d trailing axes of all fibers and vectors, times a phase that is
+    zero outside the window, which is the projection.  The window is gathered
+    back into ``coeffs`` at the end.
     """
     if t == 0.0:
         return coeffs
     if h.potential.is_zero:
-        coeffs *= np.exp(-1j * t * h.kinetic_diagonal / h.hbar)[:, None, :]
+        coeffs *= h._step_factors(t, dt)
         return coeffs
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n_steps = max(1, int(np.ceil(abs(t) / dt)))
-    step = t / n_steps
-    d = h.lat.dimension
-    n, nin = h.potential_values.shape[-1], 2 * h.m + 1
-    window_shape = (coeffs.shape[1],) + (nin,) * d
-    axes = tuple(range(1, d + 1))
-    cut = (n - nin) // 2
-    half = np.exp(-1j * (0.5 * step) * h.kinetic_diagonal / h.hbar) \
-        .reshape((-1,) + (nin,) * d)
-    half_fft = sfft.ifftshift(np.pad(half, [(0, 0)] + [(cut, cut)] * d), axes=axes)
-    full_fft = half_fft * half_fft
-    pot = np.exp(-1j * step * h.potential_values / h.hbar)
-    window = (Ellipsis,) + (slice(cut, cut + nin),) * d
-    alt = _alt_sign(nin, d)
-    for ik in range(coeffs.shape[0]):
-        x = _twisted(coeffs[ik].reshape(window_shape) * half[ik], n, d)
-        for i in range(n_steps):
-            vals = sfft.ifftn(x, axes=axes, overwrite_x=True)
-            vals *= pot
-            x = sfft.fftn(vals, axes=axes, overwrite_x=True)
-            x *= half_fft[ik] if i == n_steps - 1 else full_fft[ik]
-        coeffs[ik] = (sfft.fftshift(x, axes=axes)[window] * alt).reshape(coeffs.shape[1], -1)
+    n_steps, half, full, pot = h._step_factors(t, dt)
+    d, nin = h.lat.dimension, 2 * h.m + 1
+    axes = tuple(range(2, d + 2))
+    window = coeffs.reshape(coeffs.shape[:2] + (nin,) * d)     # a view: only splits an axis
+    x = _twisted(window, pot.shape[-1], d)
+    x *= half
+    for i in range(n_steps):
+        x = sfft.ifftn(x, axes=axes, overwrite_x=True)
+        x *= pot
+        x = sfft.fftn(x, axes=axes, overwrite_x=True)
+        x *= half if i == n_steps - 1 else full
+    _untwisted(x, nin, d, out=window)
     return coeffs

@@ -3,7 +3,8 @@
 Each oracle computes a quantity the slow, direct way: a lattice sum on the
 position grid, the discrete Bloch transform of a wave packet on R^d and its
 inverse, a per-fiber loop over dense momentum symbols, a transform loop
-that rolls and rescales at every step, a midpoint quadrature over phase-space
+that rolls and rescales at every step, region membership against every
+neighbouring translate, a midpoint quadrature over phase-space
 grids, or a plain dump of arrays.  The proof devices of the stability
 argument live here too: a single periodic field with its own packet
 constructor, the commutator identities behind the cost transport, and the
@@ -234,6 +235,17 @@ def coeffs_to_values_rolled(coeffs, lat, nout=None):
     return vals * (nout ** d / np.sqrt(lat.cell_volume))
 
 
+def values_to_coeffs_rolled(values, lat, m: int):
+    """Grid values to order-m coefficients by fftn, fftshift roll, scale, twist and crop."""
+    d = lat.dimension
+    n = values.shape[-1]
+    axes = tuple(range(values.ndim - d, values.ndim))
+    spec = sfft.fftshift(sfft.fftn(values, axes=axes), axes=axes)
+    spec = spec * (np.sqrt(lat.cell_volume) / n ** d) * _alt_sign(n, d)
+    cut = (n - (2 * m + 1)) // 2
+    return spec[(Ellipsis,) + (slice(cut, n - cut),) * d]
+
+
 def propagate_batch_rolled(coeffs, h, t: float, dt: float):
     """Strang splitting with a full coefficient/value round trip (rolls, signs, scales) per step.
 
@@ -251,6 +263,20 @@ def propagate_batch_rolled(coeffs, h, t: float, dt: float):
         out = values_to_coeffs(vals * pot, h.lat, h.m)
         out = out * (half if i == n_steps - 1 else half * half)
     return out.reshape(coeffs.shape)
+
+
+def region_contains_unpruned(region: Region, points) -> np.ndarray:
+    """Periodic membership tested against every box at all 3^d neighbouring translates."""
+    pts = reduce_to_cell(points, region.lat)
+    p = pts.reshape(-1, pts.shape[-1])
+    d = region.lat.dimension
+    offs = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    out = np.zeros(p.shape[0], dtype=bool)
+    for lo, hi in region.boxes:
+        for s in region.lat.lattice_vector(offs):
+            q = p + s
+            out |= np.all((q >= lo) & (q < hi), axis=-1)
+    return out.reshape(pts.shape[:-1])
 
 
 def dump_csv(state, path) -> None:

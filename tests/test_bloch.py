@@ -8,7 +8,7 @@ from blochlab.bloch import (centered_indices, coeffs_to_values, g_vectors, grid_
 from conftest import coherent_overlap, is_11_smooth
 from oracles import (CoherentParams, FiberedState, PeriodicField, bloch_transform,
                      coeffs_to_values_rolled, coherent_state, default_window, dump_csv,
-                     inverse_bloch)
+                     inverse_bloch, values_to_coeffs_rolled)
 
 
 def random_field(rng, lat, m):
@@ -58,6 +58,18 @@ def test_coeff_value_roundtrip(rng, lat1, lat2):
             ref = coeffs_to_values_rolled(batch, lat, nout)
             err = np.max(np.abs(coeffs_to_values(batch, lat, nout) - ref))
             assert err <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_values_to_coeffs_gathers_the_window_bitwise(rng, lat1, lat2):
+    # the window gathered straight from FFT order equals fftshift, twist and crop, bit for bit
+    for lat, m in ((lat1, 17), (lat2, 5)):
+        for n in (2 * m + 1, 2 * m + 3, 2 * m + 10 + 1):
+            shape = (2, 3) + (n,) * lat.dimension
+            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            np.testing.assert_array_equal(values_to_coeffs(vals, lat, m),
+                                          values_to_coeffs_rolled(vals, lat, m))
+            np.testing.assert_array_equal(values_to_coeffs(vals.real, lat, m),
+                                          values_to_coeffs_rolled(vals.real, lat, m))
 
 
 def test_parseval_on_grid(rng, lat1):

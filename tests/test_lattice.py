@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from blochlab import LatticeSpec, Region, gamma_bounds, reduce_to_cell, theta
 from blochlab.lattice import theta_cost_weights
 
-from oracles import cubic_lattice, interval_region
+from oracles import cubic_lattice, interval_region, region_contains_unpruned
 
 
 def test_reciprocal_duality(lat1, lat2):
@@ -170,6 +170,64 @@ def test_region_membership_of_far_translates(rng, dim):
         far = pts + lat.lattice_vector(n)
         np.testing.assert_array_equal(reg.contains(far), inside)
         np.testing.assert_allclose(reg.distance(far), dist, rtol=0, atol=1e-12)
+
+
+SQRT3_2 = np.sqrt(3.0) / 2.0
+CELLS = {
+    # a box inside the cell, one that spills over a cell face, and one on a
+    # cell face (1-D) or as wide as the cell along one axis (2-D)
+    "line": ([[1.0]], [[[-0.1], [0.1]], [[0.4], [0.62]], [[-0.5], [-0.35]]]),
+    "square": (np.eye(2), [[[-0.1, -0.2], [0.1, 0.2]], [[0.35, -0.55], [0.6, -0.3]],
+                           [[-0.5, -0.05], [0.5, 0.05]]]),
+    "hexagonal": ([[1.0, 0.0], [0.5, SQRT3_2]], [[[-0.5, -0.1], [0.5, 0.1]],
+                                                 [[0.1, 0.3], [0.5, 0.5]],
+                                                 [[-0.8, -0.05], [-0.6, 0.05]]]),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_region_membership_equals_the_all_translates_loop(rng, cell):
+    # only the translates whose box can meet the cell are tested, with the
+    # answer of all 3^d, at random points, on box edges and on cell faces
+    basis, boxes = CELLS[cell]
+    lat = LatticeSpec(basis)
+    d = lat.dimension
+    reg = Region(boxes, lat)
+    pts = [lat.from_fractional(rng.uniform(-0.5, 0.5, size=(400, d)))]
+    for lo, hi in reg.boxes:
+        inner = rng.uniform(lo, hi, size=(20, d))
+        for axis in range(d):
+            for edge in (lo[axis], hi[axis]):
+                p = inner.copy()
+                p[:, axis] = edge
+                pts.append(p)
+        corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, d)
+        pts.append(corners)
+    for axis in range(d):
+        for face in (-0.5, 0.5):
+            t = rng.uniform(-0.5, 0.5, size=(20, d))
+            t[:, axis] = face
+            pts.append(lat.from_fractional(t))
+    pts = np.concatenate(pts)
+    pts = np.concatenate([pts, pts + lat.lattice_vector(rng.integers(-3, 4, size=pts.shape))])
+    inside = reg.contains(pts)
+    assert inside.any() and not inside.all()
+    np.testing.assert_array_equal(inside, region_contains_unpruned(reg, pts))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_region_distance_sees_translates_outside_the_cell(dim):
+    # the box [0.3, 0.45) moved back by one lattice vector lies wholly outside the
+    # cell, yet it is the nearest translate to a point near the face x = -1/2
+    lat = cubic_lattice(dim)
+    lo, hi = np.full(dim, -0.1), np.full(dim, 0.1)
+    lo[0], hi[0] = 0.3, 0.45
+    reg = Region([[lo, hi]], lat)
+    point = np.zeros((1, dim))
+    point[0, 0] = -0.45
+    assert not reg.contains(point)[0]
+    assert reg.distance(point)[0] == pytest.approx(0.1, abs=1e-12)
+    assert reg.contains_dilated(point, 0.11)[0]
 
 
 @pytest.mark.parametrize("boxes", [

@@ -163,6 +163,22 @@ def test_propagate_batch_advances_in_place(lat1, vpot, free):
     np.testing.assert_allclose(vectors, full, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("free", [False, True])
+def test_reused_hamiltonian_matches_a_fresh_one_bitwise(rng, lat1, vpot, free):
+    # the factors kept for the last (t, dt) never leak into a call with another t or dt
+    hbar, m = 0.05, 16
+    kg = KGrid.monkhorst_pack(lat1, 2)
+    potential = zero_potential(lat1) if free else vpot
+    h = FiberHamiltonian(lat1, m, kg.points, potential, hbar)
+    shape = (kg.size, 2, 2 * m + 1)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for t, dt in ((0.05, 1e-2), (0.05, 1e-2), (0.03, 1e-2), (0.05, 1e-2), (0.05, 1e-3),
+                  (-0.05, 1e-3), (-0.05, 1e-2), (0.05, 1e-2)):
+        fresh = FiberHamiltonian(lat1, m, kg.points, potential, hbar)
+        np.testing.assert_array_equal(propagate_batch(coeffs.copy(), h, t, dt),
+                                      propagate_batch(coeffs.copy(), fresh, t, dt))
+
+
 def test_fiber_hamiltonian_holds_every_fiber(lat2):
     kg = KGrid.monkhorst_pack(lat2, 2)
     h = FiberHamiltonian(lat2, 4, kg.points, cosine_potential(lat2, (1, 0), 0.1), 0.05)
