@@ -6,6 +6,15 @@ centered index grid ``n in [-M..M]^d`` for the orthonormal basis
 values live on the uniform fractional grid ``t_j = j/N - 1/2`` (N odd), so
 coefficient/value conversion is an FFT with an alternating-sign twist.
 
+``coeffs_to_values``, ``values_to_coeffs`` and the split step keep the
+coefficients in FFT order (coefficient n at position n mod N), which gives
+the values themselves, phase included.  A quadrature against |v|^2 needs only
+the modulus: ``squared_values`` writes the twisted coefficients contiguously
+at the head of each axis (n at position n + m) of a reused work block and
+clears only the tail.  That transform is the FFT-ordered one times
+exp(2 pi i m j / N) per axis, a unimodular factor, so |.|^2 is the same, up
+to the constant N^(2d) / |cell| that the FFT normalization leaves out.
+
 The quasimomentum grid is a Monkhorst-Pack-style uniform grid shifted off the
 reciprocal-cell boundary; the normalized cell average over k becomes a plain
 mean over grid points.
@@ -129,6 +138,32 @@ def coeffs_to_values(coeffs: np.ndarray, lat: LatticeSpec, nout: int | None = No
     vals = sfft.ifftn(_twisted(coeffs, nout, d), axes=axes, overwrite_x=True)
     vals *= nout ** d / np.sqrt(lat.cell_volume)
     return vals
+
+
+def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
+    """|v|^2 on the N-point grid per axis, times |cell| / N^(2d), squared in place in ``work``.
+
+    ``coeffs`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes and
+    ``work`` is a complex block ``(..., N, ..., N)`` with N >= 2m+1, whose
+    contents are overwritten.  The twisted coefficients c_n (-1)^(sum n) go to
+    the head of each axis (n + m at 0..2m), only the tail 2m+1..N-1 is zeroed,
+    and the inverse FFT runs in place; the result differs from
+    ``coeffs_to_values`` by the phase exp(2 pi i m j / N) per axis and the
+    scale N^d / sqrt(|cell|), so its squared modulus is that of the values
+    divided by N^(2d) / |cell|.  Returns the float view of the block, shape
+    ``(..., 2 N^d)``: re^2 and im^2 of each grid value, interleaved.
+    """
+    nin, nout = coeffs.shape[-1], work.shape[-1]
+    if nout < nin:
+        raise ValueError("work block must have at least 2m+1 points per axis")
+    head = slice(0, nin)
+    np.multiply(coeffs, _alt_sign(nin, d), out=work[(Ellipsis,) + (head,) * d])
+    for i in range(d):
+        # past the head on axis i, inside it on the axes before i
+        work[(Ellipsis,) + (head,) * i + (slice(nin, nout),) + (slice(None),) * (d - 1 - i)] = 0
+    vals = sfft.ifftn(work, axes=tuple(range(work.ndim - d, work.ndim)), overwrite_x=True)
+    sq = vals.reshape(vals.shape[:vals.ndim - d] + (-1,)).view(float)
+    return np.multiply(sq, sq, out=sq)
 
 
 def values_to_coeffs(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray:

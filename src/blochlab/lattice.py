@@ -116,19 +116,41 @@ def theta(r, geom: CellGeometry):
     if np.any(r < 0):
         raise ValueError("theta: argument must be nonnegative")
     g = geom.gamma_minus
-    out = np.where(r <= g, r - r * r / (2.0 * g), g / 2.0)
+    out = np.multiply(r, r, out=np.empty_like(r))
+    out /= 2.0 * g
+    np.subtract(r, out, out=out)
+    np.copyto(out, g / 2.0, where=r > g)
     return out if out.ndim else float(out)
 
 
 def theta_cost_weights(xs: np.ndarray, ygrid: np.ndarray, geom: CellGeometry) -> np.ndarray:
     """theta(|P_Gamma(x - y)|^2) for every pair of a batch of x's and grid y's.
 
-    Returns shape ``(len(xs), len(ygrid))``.
+    Returns shape ``(len(xs), len(ygrid))``.  The difference is taken in
+    fractional coordinates, t(x) - t(y) per axis, and reduced there with
+    ``reduce_to_cell``'s rule s = t - floor(t + 1/2); |P_Gamma z|^2 is the
+    quadratic form of the basis Gram matrix in s.  No Cartesian difference is
+    formed, so a pair exactly half a cell apart on some axis follows the
+    floor rule exactly.  The (len(xs), len(ygrid)) arrays are d + 2 buffers
+    reused in place, and the one ``theta`` returns.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    diff = xs[:, None, :] - ygrid[None, :, :]
-    red = reduce_to_cell(diff.reshape(-1, xs.shape[-1]), geom.parent)
-    r2 = np.sum(red * red, axis=-1).reshape(xs.shape[0], ygrid.shape[0])
+    lat = geom.parent
+    d = lat.dimension
+    tx = np.atleast_2d(np.asarray(xs, dtype=float)) @ lat.inverse_basis
+    ty = np.asarray(ygrid, dtype=float) @ lat.inverse_basis
+    gram = lat.basis @ lat.basis.T
+    r2 = np.zeros((tx.shape[0], ty.shape[0]))
+    buf = np.empty_like(r2)
+    s = [np.subtract.outer(tx[:, i], ty[:, i]) for i in range(d)]
+    for si in s:
+        np.add(si, 0.5, out=buf)
+        np.floor(buf, out=buf)
+        si -= buf
+    for i in range(d):
+        for j in range(i, d):
+            np.multiply(s[i], s[j], out=buf)
+            buf *= gram[i, j] if i == j else 2.0 * gram[i, j]
+            r2 += buf
     return theta(r2, geom)
 
 

@@ -9,15 +9,15 @@ only ever appear inside small test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from scipy.special import erf
 
-from .bloch import KGrid, centered_indices, coeffs_to_values, g_vectors, grid_weight, \
-    position_grid, quadrature_len
+from .bloch import KGrid, centered_indices, g_vectors, grid_weight, position_grid, \
+    quadrature_len, squared_values
 from .lattice import LatticeSpec, Region
 from .states import coherent_coeff_batch
 
@@ -165,7 +165,15 @@ def momentum_grid(d: int, np_per_dim: int, p_max: float):
 
 @dataclass
 class FiberedDensity:
-    """Low-rank fibered density operator: per fiber sum_m lambda_m |v_m><v_m|."""
+    """Low-rank fibered density operator: per fiber sum_m lambda_m |v_m><v_m|.
+
+    Quadratures against |v|^2 (``grid_expectations``) run in one complex work
+    block of shape (n_k, rank, n, ..., n), n = ``quadrature_len(m)``, made on
+    first use and reused by every later call, since an evolution loop holds
+    one density and evaluates it at every sample.  The block holds the
+    head-placed transform of ``bloch.squared_values``, whose squared modulus
+    is that of the grid values: the phase ramp of the head layout drops out.
+    """
 
     kgrid: KGrid
     lat: LatticeSpec
@@ -173,6 +181,7 @@ class FiberedDensity:
     hbar: float
     lambdas: np.ndarray   # (n_k, rank) nonnegative
     vectors: np.ndarray   # (n_k, rank, (2m+1)^d) flat coefficients
+    _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -233,33 +242,26 @@ class FiberedDensity:
         return (FiberedDensity(self.kgrid, self.lat, self.m, self.hbar, lambdas, vectors),
                 float(np.max(dropped)))
 
-    def _squared_values(self) -> np.ndarray:
-        """Every vector on the quadrature grid, squared in place on its float view.
-
-        Shape (n_k, rank, 2 n^d) with n = ``quadrature_len(m)``: re^2 and im^2
-        of each grid value, interleaved.  Every fiber and rank is evaluated by
-        one batched transform.
-        """
-        vals = coeffs_to_values(self.vectors.reshape(self.lambdas.shape + self.coeff_shape),
-                                self.lat, quadrature_len(self.m))
-        sq = vals.reshape(self.lambdas.shape + (-1,)).view(float)
-        return np.multiply(sq, sq, out=sq)
-
-    def position_density(self) -> np.ndarray:
-        """|v(y)|^2 of every vector on the quadrature grid, shape (n_k, rank, n^d)."""
-        sq = self._squared_values()
-        return sq[..., 0::2] + sq[..., 1::2]
-
     def momentum_moments(self):
         """Moments of |c_G|^2 of every vector: N (n_k, rank), P (n_k, rank, d), Q (n_k, rank).
 
         N = sum |c_G|^2, P = sum hbar G |c_G|^2, Q = sum |hbar G|^2 |c_G|^2, so the
         momentum cost sum_G |xi - hbar G|^2 |c_G|^2 is N|xi|^2 - 2 xi.P + Q
         (``momentum_cost``).
+
+        The squares re^2 and im^2 are formed one fiber at a time, and one
+        product with the interleaved symbols (1, hbar G, |hbar G|^2) gives all
+        three moments of the fiber.
         """
+        d = self.lat.dimension
         hg = self.hbar * g_vectors(self.lat, self.m)
-        weights = np.abs(self.vectors) ** 2
-        return np.sum(weights, axis=-1), weights @ hg, weights @ np.sum(hg * hg, axis=-1)
+        symbols = np.repeat(np.column_stack([np.ones(len(hg)), hg, np.sum(hg * hg, axis=-1)]).T,
+                            2, axis=1)                                  # (d+2, 2 n_G)
+        moments = np.empty((self.kgrid.size, d + 2, self.rank))
+        for fiber, vectors in zip(moments, self.vectors):
+            sq = vectors.view(float)
+            np.matmul(symbols, (sq * sq).T, out=fiber)
+        return moments[:, 0], np.swapaxes(moments[:, 1:d + 1], 1, 2), moments[:, d + 1]
 
     def region_mask(self, region: Region, delta: float = 0.0) -> np.ndarray:
         """Indicator of a cell region on the quadrature grid, times the grid weight.
@@ -272,15 +274,34 @@ class FiberedDensity:
         inside = region.contains_dilated(pts, delta) if delta > 0 else region.contains(pts)
         return inside.astype(float) * grid_weight(self.lat, n)
 
+    def grid_expectations(self, weights: np.ndarray) -> np.ndarray:
+        """sum_y w(y) |v(y)|^2 over the quadrature grid for every vector, shape (n_k, rank).
+
+        ``weights`` is one grid function, shape (n^d,), or one per vector,
+        shape (rank, n^d), with n = ``quadrature_len(m)``.  |v|^2 comes from
+        the head-placed transform in the density's work block, which equals
+        the grid values up to a unimodular phase per point; the squares
+        re^2, im^2 are contracted with the weights, repeated for each pair,
+        and the constant n^(2d) / |cell| the transform leaves out is applied
+        to the (n_k, rank) result.
+        """
+        d, n = self.lat.dimension, quadrature_len(self.m)
+        if self._work is None:
+            self._work = np.empty(self.lambdas.shape + (n,) * d, dtype=complex)
+        sq = squared_values(self.vectors.reshape(self.lambdas.shape + self.coeff_shape),
+                            self._work, d)
+        per_vector = (sq[..., None, :] @ np.repeat(weights, 2, axis=-1)[..., None])[..., 0, 0]
+        return per_vector * (n ** (2 * d) / self.lat.cell_volume)
+
     def masked_trace(self, mask: np.ndarray) -> float:
         """Fiber average of sum_r lambda_r <v_r| mask |v_r>, mask on the quadrature grid.
 
         ``mask`` carries the grid weight, as the one ``region_mask`` returns.
-        The squared grid values are contracted with the mask, repeated for the
-        re^2, im^2 pairs, in one matrix-vector product.
+        |v|^2 is that of the head-placed transform (``grid_expectations``),
+        which differs from the grid values only by a phase per point.
         """
-        per_vector = self._squared_values().reshape(self.lambdas.size, -1) @ np.repeat(mask, 2)
-        return float(self.lambdas.reshape(-1) @ per_vector) / self.kgrid.size
+        per_vector = self.grid_expectations(mask)
+        return float(self.lambdas.reshape(-1) @ per_vector.reshape(-1)) / self.kgrid.size
 
 
 def momentum_cost(moments, xi: np.ndarray) -> np.ndarray:

@@ -100,11 +100,11 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     """
     if t == 0.0:
         return coeffs
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     if h.potential.is_zero:
         coeffs *= h._step_factors(t, dt)
         return coeffs
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     n_steps, half, full, pot = h._step_factors(t, dt)
     d, nin = h.lat.dimension, 2 * h.m + 1
     axes = tuple(range(2, d + 2))

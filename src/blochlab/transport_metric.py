@@ -64,14 +64,14 @@ def diagonal_coupling_parts(rho: FiberedDensity, x: np.ndarray, xi: np.ndarray,
 
     Vector j of fiber k, weighted by lambda_kj, is coupled to the phase-space
     point (x_j, xi_j - hbar k).  The position part is the cell-grid
-    quadrature of lambda^2 theta(|P_Gamma(x_j - y)|^2) against its density;
+    quadrature of lambda^2 theta(|P_Gamma(x_j - y)|^2) against its density,
+    one weight function per vector (``FiberedDensity.grid_expectations``);
     the momentum part is exact in coefficients.  Returns two (n_k,) arrays.
     """
     lat = rho.lat
     n = quadrature_len(rho.m)
     w = theta_cost_weights(x, position_grid(lat, n), cost.geom)        # (n_j, n^d)
-    pos = cost.lam ** 2 * np.einsum("jg,kjg->kj", w, rho.position_density()) \
-        * grid_weight(lat, n)
+    pos = cost.lam ** 2 * grid_weight(lat, n) * rho.grid_expectations(w)
     xi_k = xi[None, :, :] - rho.hbar * rho.kgrid.points[:, None, :]   # (n_k, n_j, d)
     mom = momentum_cost(rho.momentum_moments(), xi_k)
     return np.sum(rho.lambdas * pos, axis=1), np.sum(rho.lambdas * mom, axis=1)

@@ -1,16 +1,16 @@
 """Independent reference constructions that the tests compare the package against.
 
 Each oracle computes a quantity the slow, direct way: a lattice sum on the
-position grid, the discrete Bloch transform of a wave packet on R^d and its
-inverse, a per-fiber loop over dense momentum symbols, a transform loop
-that rolls and rescales at every step, region membership against every
-neighbouring translate, a midpoint quadrature over phase-space
-grids, or a plain dump of arrays.  The proof devices of the stability
-argument live here too: a single periodic field with its own packet
-constructor, the commutator identities behind the cost transport, and the
-fiber flow.  So do the shorthand constructors the tests build their inputs
-with (a cubic lattice, one-term potentials, single boxes, a rescaled
-density).  None of them is used by the package itself.
+position grid, the squared grid values of a density's vectors, the discrete
+Bloch transform of a wave packet on R^d and its inverse, a per-fiber loop
+over dense momentum symbols, a transform loop that rolls and rescales at
+every step, region membership against every neighbouring translate, a
+midpoint quadrature over phase-space grids, or a plain dump of arrays.  The
+proof devices of the stability argument live here too: a single periodic
+field with its own packet constructor, the commutator identities behind the
+cost transport, and the fiber flow.  So do the shorthand constructors the
+tests build their inputs with (a cubic lattice, one-term potentials, single
+boxes, a rescaled density).  None of them is used by the package itself.
 """
 
 from dataclasses import dataclass
@@ -233,6 +233,13 @@ def coeffs_to_values_rolled(coeffs, lat, nout=None):
     axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
     vals = sfft.ifftn(sfft.ifftshift(coeffs * _alt_sign(nout, d), axes=axes), axes=axes)
     return vals * (nout ** d / np.sqrt(lat.cell_volume))
+
+
+def position_density(rho: FiberedDensity) -> np.ndarray:
+    """|v(y)|^2 of every vector on the quadrature grid, shape (n_k, rank, n^d), from its values."""
+    vals = coeffs_to_values(rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape), rho.lat,
+                            quadrature_len(rho.m))
+    return np.abs(vals.reshape(rho.lambdas.shape + (-1,))) ** 2
 
 
 def values_to_coeffs_rolled(values, lat, m: int):

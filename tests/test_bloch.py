@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from blochlab import KGrid
+from blochlab import KGrid, LatticeSpec
 from blochlab.bloch import (centered_indices, coeffs_to_values, g_vectors, grid_weight,
-                            position_grid, quadrature_len, values_to_coeffs)
+                            position_grid, quadrature_len, squared_values, values_to_coeffs)
 
-from conftest import coherent_overlap, is_11_smooth
+from conftest import LATTICES, coherent_overlap, is_11_smooth
 from oracles import (CoherentParams, FiberedState, PeriodicField, bloch_transform,
                      coeffs_to_values_rolled, coherent_state, default_window, dump_csv,
                      inverse_bloch, values_to_coeffs_rolled)
@@ -14,6 +14,25 @@ from oracles import (CoherentParams, FiberedState, PeriodicField, bloch_transfor
 def random_field(rng, lat, m):
     shape = (2 * m + 1,) * lat.dimension
     return PeriodicField(lat, m, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("name, m, batch", [("line", 384, (3, 2)), ("hexagonal", 24, (2, 2)),
+                                            ("hexagonal", 8, (3,)), ("skew", 6, (2,))])
+def test_squared_values_match_the_squared_grid_values(rng, name, m, batch):
+    # padded 1-D (825 points), unpadded hexagonal (49), padded hexagonal (21), padded 3-D (15)
+    lat = LatticeSpec(LATTICES[name])
+    d, n = lat.dimension, quadrature_len(m)
+    shape = batch + (2 * m + 1,) * d
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = np.abs(coeffs_to_values(coeffs, lat, n)) ** 2
+    work = np.full(batch + (n,) * d, np.nan, dtype=complex)     # stale contents are ignored
+    sq = squared_values(coeffs, work, d)
+    assert sq.shape == batch + (2 * n ** d,)
+    got = (sq[..., 0::2] + sq[..., 1::2]) * (n ** (2 * d) / lat.cell_volume)
+    np.testing.assert_allclose(got, ref.reshape(batch + (-1,)), rtol=1e-13,
+                               atol=1e-13 * np.max(ref))
+    with pytest.raises(ValueError):
+        squared_values(coeffs, np.empty(batch + (2 * m,) * d, dtype=complex), d)
 
 
 def test_kgrid_points_inside_cell(lat1, lat2):

@@ -3,8 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from blochlab import LatticeSpec, Region, gamma_bounds, reduce_to_cell, theta
+from blochlab.bloch import position_grid
 from blochlab.lattice import theta_cost_weights
 
+from conftest import LATTICES
 from oracles import cubic_lattice, interval_region, region_contains_unpruned
 
 
@@ -130,6 +132,53 @@ def test_theta_cost_weights_match_pointwise(rng, lat2, geom2):
         for j in range(7):
             r2 = float(np.sum(reduce_to_cell(xs[i] - ys[j], lat2) ** 2))
             assert w[i, j] == pytest.approx(float(theta(r2, geom2)), abs=1e-14)
+
+
+@pytest.mark.parametrize("name", ["hexagonal", "skew"])
+def test_theta_cost_weights_match_the_cell_reduction(rng, name):
+    lat = LatticeSpec(LATTICES[name])
+    geom = gamma_bounds(lat)
+    xs = rng.uniform(-1.5, 1.5, size=(9, lat.dimension))
+    ys = rng.uniform(-1.5, 1.5, size=(40, lat.dimension))
+    red = reduce_to_cell(xs[:, None, :] - ys[None, :, :], lat)
+    ref = theta(np.sum(red * red, axis=-1), geom)
+    np.testing.assert_allclose(theta_cost_weights(xs, ys, geom), ref, rtol=0, atol=1e-15)
+
+
+def test_theta_cost_weights_on_the_line_equal_the_cartesian_form_bitwise(rng, lat1, geom1):
+    xs = rng.uniform(-2.0, 2.0, size=(7, 1))
+    ys = position_grid(lat1, 45)
+    red = reduce_to_cell(xs[:, None, :] - ys[None, :, :], lat1)
+    np.testing.assert_array_equal(theta_cost_weights(xs, ys, geom1),
+                                  theta(np.sum(red * red, axis=-1), geom1))
+
+
+def test_theta_cost_weights_follow_the_floor_rule_at_half_cell_ties():
+    # x = y + (1/2, 0.085) in fractional coordinates, each coordinate of x nudged by up
+    # to 2 ulps; at every exact tie the representative is s = t - floor(t + 1/2) = -1/2,
+    # whichever way a Cartesian difference x - y would have rounded
+    lat = LatticeSpec(LATTICES["hexagonal"])
+    geom = gamma_bounds(lat)
+    ys = position_grid(lat, 9)
+    ty = ys @ lat.inverse_basis
+    nudge = np.arange(-2, 3)
+    steps = np.stack(np.meshgrid(nudge, nudge, indexing="ij"), axis=-1).reshape(-1, 2)
+    base = lat.from_fractional(ty + np.array([0.5, 0.085]))
+    xs = (base[:, None, :] + steps[None] * np.spacing(base)[:, None, :]).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(ys)), len(steps))
+    frac = xs @ lat.inverse_basis - ty[owner]
+    tie = np.flatnonzero(frac[:, 0] == 0.5)
+    assert np.all(np.abs(frac[tie, 1] - 0.085) < 1e-15)
+    # ties that the Cartesian round trip breaks towards +1/2 are among them
+    cartesian = reduce_to_cell(xs[tie] - ys[owner[tie]], lat) @ lat.inverse_basis
+    assert np.any(cartesian[:, 0] > 0.0)
+    rep = frac[tie] - np.array([1.0, 0.0])
+    ref = theta(np.einsum("ni,ij,nj->n", rep, lat.basis @ lat.basis.T, rep), geom)
+    got = theta_cost_weights(xs, ys, geom)[tie, owner[tie]]
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+    other = rep + np.array([1.0, 0.0])
+    assert np.all(np.abs(got - theta(np.einsum("ni,ij,nj->n", other, lat.basis @ lat.basis.T,
+                                                    other), geom)) > 0.03)
 
 
 def test_region_membership_and_wrap(lat1):

@@ -8,7 +8,8 @@ from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrat
 from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi_mass_on_boxes
 
 from conftest import LATTICES, random_density
-from oracles import cosine_potential, husimi_mass_grid, interval_region, scaled_density, single_box
+from oracles import cosine_potential, husimi_mass_grid, interval_region, position_density, \
+    scaled_density, single_box
 
 
 def gaussian_bump(q0, p0, sq, sp):
@@ -215,15 +216,44 @@ def test_masked_trace_matches_einsum_of_squared_values(rng, basis, m):
     d = lat.dimension
     kg = KGrid.monkhorst_pack(lat, 2)
     n = quadrature_len(m)
-    shape = (kg.size, 3) + (2 * m + 1,) * d
+    shape = (kg.size, 3, (2 * m + 1) ** d)
     vecs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     lam = rng.uniform(0.1, 1.0, (kg.size, 3))
-    rho = FiberedDensity(kg, lat, m, 0.05, lam, vecs.reshape(kg.size, 3, -1))
+    rho = FiberedDensity(kg, lat, m, 0.05, lam, vecs)
     mask = rng.uniform(0.0, 1.0, n ** d) * grid_weight(lat, n)
-    dens = np.abs(coeffs_to_values(vecs, lat, n).reshape(kg.size, 3, -1)) ** 2
+    dens = position_density(rho)
     ref = float(np.mean(np.einsum("kr,krg,g->k", lam, dens, mask)))
     assert rho.masked_trace(mask) == pytest.approx(ref, rel=1e-13)
-    np.testing.assert_allclose(rho.position_density(), dens, rtol=1e-13)
+
+
+@pytest.mark.parametrize("name, m", [("line", 18), ("hexagonal", 6), ("hexagonal", 8),
+                                     ("skew", 6)])
+def test_grid_expectations_match_einsum_of_oracle_densities(rng, name, m):
+    # one weight function for all vectors (a mask) and one per vector (cost weights)
+    lat = LatticeSpec(LATTICES[name])
+    rho = random_density(lat, m, 0.05, 3, seed=m)
+    dens = position_density(rho)
+    shared = rng.uniform(0.0, 1.0, dens.shape[-1])
+    per_vector = rng.uniform(0.0, 1.0, (rho.rank, dens.shape[-1]))
+    np.testing.assert_allclose(rho.grid_expectations(shared),
+                               np.einsum("krg,g->kr", dens, shared), rtol=1e-13)
+    np.testing.assert_allclose(rho.grid_expectations(per_vector),
+                               np.einsum("krg,rg->kr", dens, per_vector), rtol=1e-13)
+
+
+@pytest.mark.parametrize("name, m", [("line", 384), ("hexagonal", 8), ("skew", 6)])
+def test_grid_expectations_repeat_bitwise_on_one_density(rng, name, m):
+    # the work block is reused: its tail must be cleared again after each in-place FFT
+    lat = LatticeSpec(LATTICES[name])
+    rho = random_density(lat, m, 0.05, 2, seed=1)
+    assert quadrature_len(m) > 2 * m + 1            # padded, so the block has a tail
+    w = rng.uniform(0.0, 1.0, quadrature_len(m) ** lat.dimension)
+    first = rho.grid_expectations(w)
+    block = rho._work
+    np.testing.assert_array_equal(rho.grid_expectations(w), first)
+    assert rho._work is block
+    np.testing.assert_allclose(first, np.einsum("krg,g->kr", position_density(rho), w),
+                               rtol=1e-13)
 
 
 def test_observe_gaussian_mass_oracle(lat1):

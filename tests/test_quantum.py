@@ -179,6 +179,18 @@ def test_reused_hamiltonian_matches_a_fresh_one_bitwise(rng, lat1, vpot, free):
                                       propagate_batch(coeffs.copy(), fresh, t, dt))
 
 
+@pytest.mark.parametrize("free", [False, True])
+def test_propagate_batch_rejects_a_nonpositive_step(rng, lat1, vpot, free):
+    # the same check, in the same order as ``flow``, with and without a potential
+    kg = KGrid.monkhorst_pack(lat1, 2)
+    h = FiberHamiltonian(lat1, 8, kg.points, zero_potential(lat1) if free else vpot, 0.05)
+    coeffs = rng.standard_normal((kg.size, 1, 17)) + 0j
+    for dt in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            propagate_batch(coeffs.copy(), h, 0.1, dt)
+    assert propagate_batch(coeffs, h, 0.0, -1.0) is coeffs
+
+
 def test_fiber_hamiltonian_holds_every_fiber(lat2):
     kg = KGrid.monkhorst_pack(lat2, 2)
     h = FiberHamiltonian(lat2, 4, kg.points, cosine_potential(lat2, (1, 0), 0.1), 0.05)
