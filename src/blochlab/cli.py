@@ -37,13 +37,11 @@ from . import __version__
 from .bloch import grid_weight, position_grid
 from .config import load_config
 from .errors import ConfigParseError, ConfigValidationError
-from .observability import (PRUNE_TOL, constant_pure, default_p_max, hbar_threshold,
-                            initial_density, initial_state, minimize_toeplitz_penalty,
-                            observed_time_integral, verify_theorem)
+from .observability import (PRUNE_TOL, default_p_max, initial_density, initial_state,
+                            observed_time_integral, theorem_constants, verify_theorem)
 from .quantization import husimi, momentum_grid, periodic_trace
 from .transport_metric import CostParams, c_bold, coupling_energy_husimi, \
     coupling_energy_toeplitz, gronwall_rate, stability_envelope, std_dev
-from .classical_dynamics import gc_constant
 
 
 def _fmt(x) -> str:
@@ -119,25 +117,20 @@ def _cmd_stability(scn):
 
 
 def _cmd_constants(scn):
-    lip = scn.potential.lipschitz_gradient()
-    gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential,
-                     n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
-                     n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
-    c_t = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip.value)[0]
-    c_p = constant_pure(scn.geom, scn.horizon, lip.value)
+    c = theorem_constants(scn)
     lam = scn.lam if scn.lam is not None else 1.0
     rows = [
         ("gamma_minus", scn.geom.gamma_minus),
         ("gamma_plus", scn.geom.gamma_plus),
-        ("lip_grad_V", lip.value),
-        ("lip_grad_V_analytic", lip.analytic),
-        ("lip_grad_V_grid", lip.grid),
-        ("C_GC", gc.value),
-        ("GC_satisfied", int(gc.satisfied)),
-        ("C_toeplitz", c_t),
-        ("C_pure", c_p),
-        ("eta_at_lambda", gronwall_rate(scn.geom, lam, lip.value)),
-        ("hbar_threshold", hbar_threshold(gc.value, c_t, scn.delta, scn.lat.dimension)),
+        ("lip_grad_V", c.lip.value),
+        ("lip_grad_V_analytic", c.lip.analytic),
+        ("lip_grad_V_grid", c.lip.grid),
+        ("C_GC", c.gc.value),
+        ("GC_satisfied", int(c.gc.satisfied)),
+        ("C_toeplitz", c.c_toeplitz),
+        ("C_pure", c.c_pure),
+        ("eta_at_lambda", gronwall_rate(scn.geom, lam, c.lip.value)),
+        ("hbar_threshold", c.hbar_threshold),
     ]
     return {"constants": (("constant", "value"), rows)}, _assignments(rows), 0
 

@@ -14,11 +14,12 @@ with every intermediate constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bloch import KGrid
-from .classical_dynamics import TrigPotential, gc_constant
+from .classical_dynamics import GCEstimate, LipschitzBound, TrigPotential, gc_constant
 from .errors import ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region
 from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
@@ -235,6 +236,28 @@ def default_p_max(scn: ObservabilityScenario) -> float:
     return max(p0, reach) + 6.0 * np.sqrt(scn.hbar)
 
 
+class TheoremConstants(NamedTuple):
+    """The constants both inequalities are assembled from (``constants`` writes them all)."""
+
+    lip: LipschitzBound
+    gc: GCEstimate
+    c_toeplitz: float
+    lambda_toeplitz: float
+    c_pure: float
+    hbar_threshold: float
+
+
+def theorem_constants(scn: ObservabilityScenario) -> TheoremConstants:
+    """Lipschitz bound of grad V, C_GC, both penalty constants and the hbar threshold."""
+    lip = scn.potential.lipschitz_gradient()
+    gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential,
+                     n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
+                     n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
+    c_t, lam_t = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip.value)
+    return TheoremConstants(lip, gc, c_t, lam_t, constant_pure(scn.geom, scn.horizon, lip.value),
+                            hbar_threshold(gc.value, c_t, scn.delta, scn.lat.dimension))
+
+
 def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     """Run the inequality check for the scenario's initial datum, of either kind.
 
@@ -251,19 +274,17 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     rho = initial_state(scn)
     rank = rho.rank
     rho, tail = rho.compressed(PRUNE_TOL)
-    gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential,
-                     n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
-                     n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
-    lip = scn.potential.lipschitz_gradient().value
+    constants = theorem_constants(scn)
+    gc, lip = constants.gc, constants.lip.value
     warnings = []
     if scn.initial_kind == "toeplitz":
         mass_k = initial_density(scn).mass_in(scn.k_set)
-        c_const, lam_star = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip)
+        c_const, lam_star = constants.c_toeplitz, constants.lambda_toeplitz
         # penalty is C * sqrt(d hbar)/delta; the Groenwall assembly carries the
         # coupling-energy bound sqrt((1+lam^2) d hbar / 2) at the minimizing scale
         penalty_scale = float(np.sqrt(d * scn.hbar))
         energy_bound = float(np.sqrt((1.0 + lam_star ** 2) * d * scn.hbar / 2.0))
-        thr = hbar_threshold(gc.value, c_const, scn.delta, d)
+        thr = constants.hbar_threshold
         if scn.hbar >= thr:
             warnings.append(
                 f"hbar={scn.hbar:g} exceeds the uniform-positivity threshold {thr:.3e}; "
@@ -271,7 +292,7 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
         kind_rows = {"hbar_threshold": thr}
     else:
         mass_k = husimi_mass_on_boxes(rho, scn.k_set)
-        c_const, lam_star = constant_pure(scn.geom, scn.horizon, lip), 1.0
+        c_const, lam_star = constants.c_pure, 1.0
         dev, cb = std_dev(rho), c_bold(rho)
         energy_bound = penalty_scale = float(np.sqrt(d * scn.hbar * cb + 2.0 * dev ** 2))
         kind_rows = {"std_dev": dev, "c_bold": cb}

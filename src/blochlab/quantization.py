@@ -19,7 +19,7 @@ from scipy.special import erf
 from .bloch import KGrid, centered_indices, g_vectors, grid_weight, position_grid, \
     quadrature_len, squared_values
 from .lattice import LatticeSpec, Region
-from .states import coherent_coeff_batch
+from .states import _floored_gaussian, coherent_coeff_batch
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,8 @@ def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
     at all product nodes (qs x ps); the scalar ``weight`` is the per-node
     quadrature weight of that product grid.  A packet overlap is the
     coefficients times the momentum window exp(-|p - hbar k - hbar G|^2 / (2 hbar))
-    against the phases exp(i q.G).
+    against the phases exp(i q.G).  The window is the packet Gaussian of
+    ``states`` at q = 0 with unit amplitude, zero below the packets' floor.
     """
     qs = np.atleast_2d(qs)
     ps = np.atleast_2d(ps)
@@ -368,12 +369,7 @@ def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
     phase_q = np.exp(1j * qs @ g.T)                                     # (Nq, nG)
     acc = np.zeros((ps.shape[0], qs.shape[0]))
     for k, lambdas, vectors in zip(rho.kgrid.points, rho.lambdas, rho.vectors):
-        shifted = ps - hbar * k
-        dist = np.zeros((ps.shape[0], g.shape[0]))
-        for i in range(d):
-            diff = shifted[:, i, None] - hbar * g[None, :, i]
-            dist += diff * diff
-        window = np.exp(-dist / (2.0 * hbar))                           # (Np, nG)
+        window = _floored_gaussian(np.zeros_like(ps), ps - hbar * k, hbar * g, hbar, 1.0)
         fiber = np.zeros_like(acc)
         for w, vector in zip(lambdas, vectors):
             t = (window * vector) @ phase_q.T

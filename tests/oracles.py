@@ -3,9 +3,10 @@
 Each oracle computes a quantity the slow, direct way: a lattice sum on the
 position grid, the squared grid values of a density's vectors, the discrete
 Bloch transform of a wave packet on R^d and its inverse, a per-fiber loop
-over dense momentum symbols, a transform loop that rolls and rescales at
-every step, region membership against every neighbouring translate, a
-midpoint quadrature over phase-space grids, or a plain dump of arrays.  The
+over dense momentum symbols, the Gaussian packet and Husimi window without
+their floor, a transform loop that rolls and rescales at every step, region
+membership against every neighbouring translate, a midpoint quadrature over
+phase-space grids, or a plain dump of arrays.  The
 proof devices of the stability argument live here too: a single periodic
 field with its own packet constructor, the commutator identities behind the
 cost transport, and the fiber flow.  So do the shorthand constructors the
@@ -394,6 +395,25 @@ def husimi_mass_grid(rho, k_set, dq=None, dp=None):
     return total
 
 
+def husimi_unfloored(rho, qs, ps, weight):
+    """``husimi`` with the unfloored momentum window exp(-|p - hbar k - hbar G|^2 / (2 hbar))."""
+    qs = np.atleast_2d(qs)
+    ps = np.atleast_2d(ps)
+    lat, hbar = rho.lat, rho.hbar
+    d = lat.dimension
+    g = g_vectors(lat, rho.m)
+    phase_q = np.exp(1j * qs @ g.T)
+    acc = np.zeros((ps.shape[0], qs.shape[0]))
+    for k, lambdas, vectors in zip(rho.kgrid.points, rho.lambdas, rho.vectors):
+        diff = (ps - hbar * k)[:, None, :] - hbar * g[None, :, :]
+        window = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * hbar))
+        for w, vector in zip(lambdas, vectors):
+            t = (window * vector) @ phase_q.T
+            acc += w * (t.real ** 2 + t.imag ** 2)
+    pref = (2.0 * np.pi * hbar) ** (-d) * ((4.0 * np.pi * hbar) ** (d / 2.0) / lat.cell_volume)
+    return pref * acc.T.reshape(-1) / rho.kgrid.size
+
+
 def _midpoints(lo, hi, step):
     n = max(2, int(np.ceil((hi - lo) / step)))
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
@@ -441,6 +461,23 @@ def coupling_energy_husimi_grid(rho, nq, np_per_dim, p_max, ny=None):
 # ---------------------------------------------------------------------------
 # periodized packets, fiber flow and commutator identities
 # ---------------------------------------------------------------------------
+
+def coherent_coeff_unfloored(qs, ps, hbar: float, lat: LatticeSpec, m: int) -> np.ndarray:
+    """``coherent_coeff_batch`` without its floor: the Gaussian on the whole window.
+
+    Forms the (B, n_G, d) difference tensor p - hbar G and evaluates both
+    exponentials everywhere, so the far tail underflows to subnormals and zeros.
+    """
+    qs = np.atleast_2d(np.asarray(qs, dtype=float))
+    ps = np.atleast_2d(np.asarray(ps, dtype=float))
+    d = lat.dimension
+    hg = hbar * g_vectors(lat, m)
+    amp = (4.0 * np.pi * hbar) ** (d / 4.0) / np.sqrt(lat.cell_volume)
+    diff = ps[:, None, :] - hg[None, :, :]
+    gauss = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * hbar))
+    phase = np.exp(1j * np.einsum("bgd,bd->bg", diff, qs) / hbar)
+    return amp * gauss * phase
+
 
 def coherent_planewave_coeffs(params: CoherentParams, lat: LatticeSpec,
                               k: np.ndarray, m: int) -> np.ndarray:

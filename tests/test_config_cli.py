@@ -1,10 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
+import blochlab
 from blochlab import bloch, gamma_bounds
 from blochlab.cli import _fmt, main
 from blochlab.config import load_config, parse_config
@@ -195,6 +199,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         two = write_cfg(tmp_path, BASE.replace(k, k[:-1] + ", " + other + "]"), "two.cfg")
         assert main(["constants", "--config", two, "--out", str(tmp_path)]) == code
         assert ("scenario.K" in capsys.readouterr().err) == (code == 3)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    typo = write_cfg(tmp_path, BASE.replace("n_time_obs = 16", "n_time_ob = 7"), "typo.cfg")
+    src = os.path.dirname(os.path.dirname(blochlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-m", "blochlab", "constants", "--config", typo,
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 3
+    assert "discretization.n_time_ob" in done.stderr
 
 
 def test_cli_output_path_errors(tmp_path, capsys):

@@ -2,10 +2,77 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from blochlab import KGrid
+from blochlab import KGrid, LatticeSpec, PhaseSpaceDensity, TrigPotential, position_grid, \
+    toeplitz_quantize
+from blochlab.bloch import g_vectors
+from blochlab.quantization import husimi, momentum_grid
+from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
+from blochlab.states import _FLOOR, coherent_coeff_batch
 
-from oracles import (CoherentParams, bloch_transform, coherent_planewave_coeffs, coherent_state,
-                     default_window, periodized_coherent, periodized_coherent_direct)
+from conftest import LATTICES
+from oracles import (CoherentParams, bloch_transform, coherent_coeff_unfloored,
+                     coherent_planewave_coeffs, coherent_state, default_window,
+                     husimi_unfloored, periodized_coherent, periodized_coherent_direct,
+                     zero_potential)
+
+# (lattice, hbar, m): the 1-D acceptance scale, a hexagonal cell as in the 2-D
+# benchmark and a skew 3-D cell; each leaves part of the window below the floor.
+FLOOR_CASES = [("line", 1e-3, 384), ("hexagonal", 0.03, 24), ("skew", 0.003, 24)]
+
+
+def _centres(d: int, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-0.5, 0.5, (n, d)), rng.uniform(-1.0, 1.0, (n, d))
+
+
+def _subnormal_count(a: np.ndarray) -> int:
+    x = a.view(float)
+    return int(np.sum((x != 0.0) & (np.abs(x) < np.finfo(float).tiny)))
+
+
+@pytest.mark.parametrize("name, hbar, m", FLOOR_CASES)
+def test_packet_coefficients_are_zero_or_above_the_floor(name, hbar, m):
+    lat = LatticeSpec(np.array(LATTICES[name]))
+    qs, ps = _centres(lat.dimension, 10, seed=3)
+    c = coherent_coeff_batch(qs, ps, hbar, lat, m)
+    ref = coherent_coeff_unfloored(qs, ps, hbar, lat, m)
+    kept = c != 0.0
+    assert 0 < np.count_nonzero(kept) < kept.size
+    assert np.all(np.abs(c[kept]) >= _FLOOR)
+    assert np.all(np.abs(ref[~kept]) < _FLOOR)
+    # the phase argument (p - hbar G).q / hbar is a sum of d products; summed
+    # in another order it may move by an ulp of its largest term
+    terms = np.abs(ps[:, None, :] - hbar * g_vectors(lat, m)) * np.abs(qs)[:, None, :] / hbar
+    err = np.abs(c[kept] - ref[kept]) / np.abs(ref[kept])
+    assert np.all(err <= 1e-15 * (1.0 + np.sum(terms, axis=-1)[kept]))
+
+
+def _hexagonal_toeplitz(seed: int):
+    lat = LatticeSpec(np.array(LATTICES["hexagonal"]))
+    qs, ps = _centres(2, 30, seed)
+    weights = np.full(30, 1.0 / 30)
+    f = PhaseSpaceDensity(qs, ps, weights, np.ones(30))
+    return toeplitz_quantize(f, lat, KGrid.monkhorst_pack(lat, 2), 24, 0.03)
+
+
+def test_compressed_and_evolved_vectors_hold_no_subnormal():
+    rho, _ = _hexagonal_toeplitz(seed=5).compressed(1e-10)
+    assert _subnormal_count(rho.vectors) == 0
+    cosine = TrigPotential(rho.lat, [((1, 0), 0.1, 0.0), ((0, 1), 0.05, 0.3)])
+    for potential in (zero_potential(rho.lat), cosine):
+        h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
+        vectors = rho.vectors.copy()
+        for _ in range(20):
+            propagate_batch(vectors, h, 0.05, 0.01)
+        assert _subnormal_count(vectors) == 0
+
+
+def test_husimi_matches_the_unfloored_window():
+    rho = _hexagonal_toeplitz(seed=7)
+    qs, (ps, _) = position_grid(rho.lat, 6), momentum_grid(2, 7, 1.2)
+    values = husimi(rho, qs, ps, 1.0).values
+    ref = husimi_unfloored(rho, qs, ps, 1.0)
+    np.testing.assert_allclose(values, ref, rtol=1e-14, atol=0.0)
 
 
 def test_coherent_peak_value():
