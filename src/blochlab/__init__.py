@@ -17,7 +17,7 @@ from .observability import (Discretization, ObservabilityScenario, TheoremReport
                             minimize_toeplitz_penalty, observed_time_integral, verify_theorem)
 from .quantization import (FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family,
                            husimi, husimi_mass_on_boxes, periodic_trace, toeplitz_quantize)
-from .quantum_dynamics import FiberHamiltonian
+from .quantum_dynamics import FiberHamiltonian, evolution
 from .transport_metric import (CostParams, CouplingEnergy, StabilityEnvelope, c_bold,
                                coupling_energy_husimi, coupling_energy_toeplitz,
                                gronwall_rate, stability_envelope, std_dev)

@@ -1,8 +1,8 @@
 """Configuration-driven experiment runner.
 
-Subcommands: ``evolve``, ``husimi``, ``metric``, ``stability``, ``constants``,
-``verify``.  Each reads one config file, writes CSV artifacts with a
-provenance comment, and uses exit codes
+Subcommands: ``husimi``, ``metric``, ``stability``, ``constants``, ``verify``.
+Each reads one config file, writes CSV artifacts with a provenance comment,
+and uses exit codes
 
     0  success (for ``verify``: margin within the error budget)
     1  verify margin below the budget
@@ -38,8 +38,8 @@ from .bloch import grid_weight, position_grid
 from .config import load_config
 from .errors import ConfigParseError, ConfigValidationError
 from .observability import (PRUNE_TOL, default_p_max, initial_density, initial_state,
-                            observed_time_integral, theorem_constants, verify_theorem)
-from .quantization import husimi, momentum_grid, periodic_trace
+                            theorem_constants, verify_theorem)
+from .quantization import husimi, momentum_grid
 from .transport_metric import CostParams, c_bold, coupling_energy_husimi, \
     coupling_energy_toeplitz, gronwall_rate, stability_envelope, std_dev
 
@@ -62,18 +62,6 @@ def _assignments(rows) -> list:
     """``name = value`` stdout lines, floats to 12 significant digits."""
     return [f"{name} = {value:.12g}" if isinstance(value, float) else f"{name} = {value}"
             for name, value in rows]
-
-
-def _cmd_evolve(scn):
-    rho = initial_state(scn).compressed(PRUNE_TOL)[0]
-    trace0 = periodic_trace(rho)    # before the evolution, which advances rho in place
-    integral, series, times, quad_err, drift = observed_time_integral(
-        rho, scn.omega, scn.delta, scn.potential, scn.horizon,
-        scn.disc.n_time_obs, scn.disc.dt)
-    lines = [f"time integral = {integral:.12g}  (quad err est {quad_err:.3g})",
-             f"initial periodic trace = {trace0:.12g}",
-             f"trace drift = {drift:.3g}"]
-    return {"evolve": (("t", "observed"), list(zip(times, series)))}, lines, 0
 
 
 def _cmd_husimi(scn):
@@ -144,7 +132,6 @@ def _cmd_verify(scn):
 
 
 _COMMANDS = {
-    "evolve": _cmd_evolve,
     "husimi": _cmd_husimi,
     "metric": _cmd_metric,
     "stability": _cmd_stability,

@@ -23,8 +23,8 @@ from .classical_dynamics import GCEstimate, LipschitzBound, TrigPotential, gc_co
 from .errors import ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region
 from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
-    husimi_mass_on_boxes, toeplitz_quantize
-from .quantum_dynamics import FiberHamiltonian, propagate_batch
+    husimi_mass_on_boxes, periodic_trace, toeplitz_quantize
+from .quantum_dynamics import evolution
 from .transport_metric import c_bold, gronwall_rate, std_dev
 
 
@@ -170,25 +170,20 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
                            n_samples: int, dt: float):
     """Trapezoid time integral of the masked fiber-average trace along the evolution.
 
-    ``rho.vectors`` are advanced in place, sample by sample (no restart per
-    sample): on return ``rho`` is the density at time ``horizon``, so callers
-    read what they need of the initial datum first.  Returns the integral,
-    the sample values, the times, a quadrature-error estimate from comparing
-    with the half-resolution trapezoid rule, and the trace drift: the largest
-    relative change |tr_k(T) - tr_k(0)| / tr_k(0) of a fiber trace (the split
-    step projects onto the plane-wave window, so it is not exactly unitary).
+    An odd ``n_samples`` is rounded up to even, because the error estimate
+    takes every other sample: the series then has ``n_samples + 2`` values.
+    ``rho.vectors`` are advanced in place by ``evolution``: on return ``rho``
+    is the density at time ``horizon``.  Returns the integral, the sample
+    values, the times, a quadrature-error estimate from comparing with the
+    half-resolution trapezoid rule, and the trace drift: the largest relative
+    change |tr_k(T) - tr_k(0)| / tr_k(0) of a fiber trace (the split step
+    projects onto the plane-wave window, so it is not exactly unitary).
     """
-    if n_samples % 2 == 1:
-        n_samples += 1
+    n_samples += n_samples % 2
     mask = rho.region_mask(region, delta)
-    h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
-    sample_dt = horizon / n_samples
     traces = rho.fiber_traces()
-    series = np.empty(n_samples + 1)
-    series[0] = rho.masked_trace(mask)
-    for i in range(1, n_samples + 1):
-        propagate_batch(rho.vectors, h, sample_dt, dt)
-        series[i] = rho.masked_trace(mask)
+    series = np.array([rho.masked_trace(mask)
+                       for _ in evolution(rho, potential, horizon, n_samples, dt)])
     drift = float(np.max(np.abs(rho.fiber_traces() - traces) / traces))
     times = np.linspace(0.0, horizon, n_samples + 1)
     trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -298,6 +293,7 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
         kind_rows = {"std_dev": dev, "c_bold": cb}
     if not gc.satisfied:
         warnings.append("geometric-control estimate is zero at sample resolution")
+    trace0 = periodic_trace(rho)
     lhs, series, times, quad_err, drift = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
         scn.disc.n_time_obs, scn.disc.dt)
@@ -317,8 +313,8 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
         "lip_grad_V": lip, "eta": eta, "lambda_star": lam_star,
         # sqrt(2 g+/g-) / (delta * lambda) * (e^{eta T}-1)/eta
         "gronwall_factor": float(gfac), "energy_bound": energy_bound,
-        "lhs_quad_error": quad_err, "trace_drift": drift, "rank": rank,
-        "rank_evolved": rho.rank, "rank_tail": tail, **kind_rows,
+        "lhs_quad_error": quad_err, "initial_periodic_trace": trace0, "trace_drift": drift,
+        "rank": rank, "rank_evolved": rho.rank, "rank_tail": tail, **kind_rows,
     }
     return TheoremReport(rows=rows, times=times, observation_series=series,
                          warnings=tuple(warnings))

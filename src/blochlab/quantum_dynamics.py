@@ -1,4 +1,4 @@
-"""Fiber Hamiltonians and split-step propagation.
+"""Fiber Hamiltonians, split-step propagation and the one evolution loop.
 
 Fiber vectors live on the plane-wave window of order m; the split step applies
 the potential on the ``quadrature_len(m)`` cell grid and projects back onto it.
@@ -20,8 +20,9 @@ import numpy as np
 from scipy import fft as sfft
 
 from .bloch import _fft_blocks, _twisted, _untwisted, g_vectors, position_grid, quadrature_len
-from .classical_dynamics import TrigPotential
+from .classical_dynamics import TrigPotential, flow
 from .lattice import LatticeSpec
+from .quantization import FiberedDensity
 
 
 @dataclass
@@ -118,3 +119,23 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
         x *= half if i == n_steps - 1 else full
     _untwisted(x, nin, d, out=window)
     return coeffs
+
+
+def evolution(rho: FiberedDensity, potential: TrigPotential, horizon: float, n_samples: int,
+              dt: float, nodes=None):
+    """Yield once at each of the times i horizon / n_samples, i = 0..n_samples, in order.
+
+    At each yield ``rho`` holds the density at that time: between samples
+    ``propagate_batch`` advances ``rho.vectors`` in place under the run's one
+    ``FiberHamiltonian``, so callers read what they need of the initial datum
+    first.  Given ``nodes = (x, xi)``, each yield is the nodes at that time,
+    moved by ``flow`` with the same step; otherwise it is None.
+    """
+    h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
+    sample_dt = horizon / n_samples
+    yield nodes
+    for _ in range(n_samples):
+        if nodes is not None:
+            nodes = flow(*nodes, sample_dt, potential, dt)
+        propagate_batch(rho.vectors, h, sample_dt, dt)
+        yield nodes

@@ -18,10 +18,10 @@ import numpy as np
 
 from .bloch import coeffs_to_values, g_vectors, grid_weight, position_grid, quadrature_len, \
     values_to_coeffs
-from .classical_dynamics import TrigPotential, flow
+from .classical_dynamics import TrigPotential
 from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
 from .quantization import FiberedDensity, PhaseSpaceDensity, momentum_cost
-from .quantum_dynamics import FiberHamiltonian, propagate_batch
+from .quantum_dynamics import evolution
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,8 @@ class StabilityEnvelope:
 
 
 def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostParams,
-                       potential: TrigPotential, horizon: float, n_times: int = 20,
-                       dt: float = 1e-3) -> StabilityEnvelope:
+                       potential: TrigPotential, horizon: float, n_times: int,
+                       dt: float) -> StabilityEnvelope:
     """Track the transported-coupling energy and check the Groenwall envelope.
 
     Starting from the diagonal packet coupling of ``f`` with its quantization
@@ -221,8 +221,8 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
     fiber dynamics while its cost argument rides the classical fiber flow; the
     energy must stay below ``E(0) exp(2 eta t)`` with eta the Groenwall
     transport rate.  The classical trajectories are fiber-independent (the
-    fiber flow is the plain flow with a shifted momentum argument), so one
-    Verlet sweep per node serves all fibers.
+    fiber flow is the plain flow with a shifted momentum argument), so
+    ``evolution`` moves the nodes once for all fibers.
 
     ``rho.vectors`` are advanced in place: on return ``rho`` is the density at
     time ``horizon``.  A copy of the vectors would add their whole size to the
@@ -230,17 +230,9 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
     """
     lip = potential.lipschitz_gradient().value
     eta = gronwall_rate(cost.geom, cost.lam, lip)
-    h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
-
-    x, xi = f.nodes_q, f.nodes_p
+    nodes = (f.nodes_q, f.nodes_p)
+    energies = np.array([np.mean(np.add(*diagonal_coupling_parts(rho, x, xi, cost)))
+                         for x, xi in evolution(rho, potential, horizon, n_times, dt, nodes)])
     times = np.linspace(0.0, horizon, n_times + 1)
-    energies = np.empty(n_times + 1)
-    sample_dt = horizon / n_times
-    for i in range(n_times + 1):
-        if i > 0:
-            x, xi = flow(x, xi, sample_dt, potential, dt)
-            propagate_batch(rho.vectors, h, sample_dt, dt)
-        pos, mom = diagonal_coupling_parts(rho, x, xi, cost)
-        energies[i] = np.mean(pos + mom)
     bounds = energies[0] * np.exp(2.0 * eta * times)
     return StabilityEnvelope(times=times, energies=energies, bounds=bounds, eta=eta)

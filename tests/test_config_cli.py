@@ -10,7 +10,7 @@ import scipy.fft
 
 import blochlab
 from blochlab import bloch, gamma_bounds
-from blochlab.cli import _fmt, main
+from blochlab.cli import _COMMANDS, _fmt, main
 from blochlab.config import load_config, parse_config
 from blochlab.errors import ConfigParseError, ConfigValidationError
 from blochlab.observability import verify_theorem
@@ -233,7 +233,7 @@ def test_bump_without_a_node_in_k_names_n_p(tmp_path, capsys):
             .replace("n_p = 14", "n_p = 6")
             .replace("(0.5,), (1.5,))]", "(0.5,), (1.0,))]"))
     cfg = write_cfg(tmp_path, text)
-    for sub in ("evolve", "husimi", "metric", "stability", "verify"):
+    for sub in ("husimi", "metric", "stability", "verify"):
         assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "discretization.n_p" in capsys.readouterr().err
 
@@ -262,7 +262,7 @@ def test_cli_constants_and_metric(tmp_path):
     assert float(rows["coupling_energy_sq"]) <= float(rows["bound_sq"]) * (1 + 1e-6)
 
 
-def test_cli_verify_and_evolve(tmp_path):
+def test_cli_verify_writes_report_and_observation(tmp_path):
     cfg = write_cfg(tmp_path)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
     rows = dict(line.split(",") for line in
@@ -270,8 +270,8 @@ def test_cli_verify_and_evolve(tmp_path):
     assert float(rows["margin"]) >= -float(rows["error_budget"])
     assert int(rows["rank_evolved"]) <= int(rows["rank"])
     assert float(rows["rank_tail"]) <= 1e-10
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "out_evolve.csv").read_text().splitlines()
+    assert float(rows["initial_periodic_trace"]) == pytest.approx(1.0, rel=1e-12)
+    lines = (tmp_path / "out_observation.csv").read_text().splitlines()
     assert lines[1] == "t,observed"
     assert len(lines) == 2 + 16 + 1
 
@@ -305,11 +305,27 @@ def test_cli_stability_and_husimi(tmp_path):
     assert np.all(vals >= -1e-12)
 
 
-def test_bloch_check_is_not_a_subcommand(tmp_path, capsys):
+@pytest.mark.parametrize("sub", ["bloch-check", "evolve"])
+def test_bloch_check_is_not_a_subcommand(tmp_path, capsys, sub):
+    # removed subcommands: the Bloch checks are tests against an oracle, and
+    # verify writes evolve's series as _observation.csv
     with pytest.raises(SystemExit) as exc:
-        main(["bloch-check", "--config", write_cfg(tmp_path), "--out", str(tmp_path)])
+        main([sub, "--config", write_cfg(tmp_path), "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "invalid choice: 'bloch-check'" in capsys.readouterr().err
+    assert f"invalid choice: '{sub}'" in capsys.readouterr().err
+
+
+def test_readme_subcommand_table_lists_every_subcommand():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| subcommand"))
+    listed = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        listed.append(line.split("|")[1].strip().strip("`"))
+    assert sorted(listed) == sorted(_COMMANDS)
 
 
 def test_cli_determinism_bitwise(tmp_path):
@@ -349,7 +365,7 @@ def test_cli_threads_hold_for_one_command_only(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bloch, "sfft", Recorder())
     cfg = write_cfg(tmp_path)
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
     assert seen and set(seen) == {2}
     seen.clear()
     bloch.coeffs_to_values(np.ones(5, dtype=complex), cubic_lattice(1))
@@ -437,7 +453,7 @@ def test_cli_metric_pure_hexagonal_energy_within_bound(tmp_path):
 
 @pytest.mark.parametrize("text, sub, field", [
     (BASE.replace("kind = toeplitz", "kind = pure").replace("m = 48", "m = 1" + "0" * 300),
-     "evolve", "discretization.m"),
+     "verify", "discretization.m"),
     (BASE.replace("n_k = 8", "n_k = 1" + "0" * 300), "verify", "discretization.n_k"),
     (HEX_PURE.replace("m = 24", "m = 200000"), "verify", "discretization.m"),
 ], ids=["m-301-digits", "n_k-301-digits", "hexagonal-m-200000"])

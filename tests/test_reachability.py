@@ -1,7 +1,7 @@
 """Every public function and method of the package runs in some CLI subcommand.
 
 Code that only tests call belongs in ``tests/oracles.py``; a function that
-nothing calls belongs nowhere.  The six subcommands run in process under
+nothing calls belongs nowhere.  The five subcommands run in process under
 ``sys.setprofile`` on small 1-D configs, with both initial-data kinds and
 with and without a potential, and every public function of every
 ``blochlab`` module, and every public method, property and classmethod of
@@ -90,7 +90,7 @@ def test_every_public_function_runs_in_a_subcommand(tmp_path):
     finally:
         sys.setprofile(previous)
 
-    assert len(_COMMANDS) == 6
+    assert len(_COMMANDS) == 5
     # stability takes a quantized datum only and rejects pure data as invalid
     assert codes == {(path, sub): 3 if (kind, sub) == ("pure", "stability") else 0
                      for kind, path in configs for sub in _COMMANDS}

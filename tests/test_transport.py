@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, c_bold, coherent_family,
-                      coupling_energy_husimi, coupling_energy_toeplitz, gamma_bounds,
-                      gronwall_rate, stability_envelope, std_dev, toeplitz_quantize)
+from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, Region, c_bold,
+                      coherent_family, coupling_energy_husimi, coupling_energy_toeplitz,
+                      evolution, gamma_bounds, gronwall_rate, observed_time_integral,
+                      stability_envelope, std_dev, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
     values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 from blochlab.states import coherent_coeff_batch
-from blochlab.transport_metric import pair_moment
+from blochlab.transport_metric import diagonal_coupling_parts, pair_moment
 from scipy.integrate import quad
 
 from conftest import LATTICES, random_density
@@ -337,6 +338,32 @@ def test_stability_envelope_advances_the_density_in_place(lat1, geom1):
     for _ in range(2):
         propagate_batch(fresh, h, horizon / 2, dt)
     np.testing.assert_array_equal(rho.vectors, fresh)
+
+
+def test_one_evolution_pass_feeds_observation_and_stability(lat1, geom1):
+    # one pass with nodes gives, at every sample, the masked trace and the
+    # coupling energies that the two consumers compute on fresh copies of the datum
+    hbar, horizon, n_samples, dt, delta = 0.01, 0.2, 4, 1e-2, 0.05
+    vpot = cosine_potential(lat1, (1,), 0.1)
+    f = bump_density(lat1, nq=10, np_=12)
+    kg = KGrid.monkhorst_pack(lat1, 4)
+    cost = CostParams(1.0, geom1)
+    omega = Region([[[-0.1], [0.1]]], lat1)
+    rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
+    mask = rho.region_mask(omega, delta)
+    series, energies = [], []
+    for x, xi in evolution(rho, vpot, horizon, n_samples, dt, nodes=(f.nodes_q, f.nodes_p)):
+        series.append(rho.masked_trace(mask))
+        pos, mom = diagonal_coupling_parts(rho, x, xi, cost)
+        energies.append(np.mean(pos + mom))
+    observed = observed_time_integral(toeplitz_quantize(f, lat1, kg, 64, hbar), omega, delta,
+                                      vpot, horizon, n_samples, dt)[1]
+    env = stability_envelope(f, toeplitz_quantize(f, lat1, kg, 64, hbar), cost, vpot,
+                             horizon, n_samples, dt)
+    assert len(series) == n_samples + 1
+    np.testing.assert_array_equal(series, observed)
+    np.testing.assert_array_equal(energies, env.energies)
+    assert energies[-1] != energies[0] and series[-1] != series[0]
 
 
 def test_stability_envelope_with_potential(lat1, geom1):
