@@ -124,7 +124,7 @@ def _verlet_step(x, xi, force, h: float, potential: TrigPotential):
     return x, xi, new_force
 
 
-def flow(x, xi, t: float, potential: TrigPotential, dt: float = 1e-3) -> PhasePoint:
+def flow(x, xi, t: float, potential: TrigPotential, dt: float) -> PhasePoint:
     """Stoermer-Verlet approximation of the Hamiltonian flow; negative t reverses."""
     x = np.array(x, dtype=float, copy=True)
     xi = np.array(xi, dtype=float, copy=True)

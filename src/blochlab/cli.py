@@ -95,10 +95,11 @@ def _cmd_stability(scn):
     if scn.initial_kind != "toeplitz":
         raise ConfigValidationError("initial.kind",
                                     "stability envelope requires a toeplitz datum")
-    lam = scn.lam if scn.lam is not None else max(scn.potential.lipschitz_gradient().value, 1.0)
+    lip = scn.potential.lipschitz_gradient().value
+    lam = scn.lam if scn.lam is not None else max(lip, 1.0)
     env = stability_envelope(initial_density(scn), initial_state(scn),
                              CostParams(lam, scn.geom), scn.potential, scn.horizon,
-                             n_times=20, dt=scn.disc.dt)
+                             n_times=20, dt=scn.disc.dt, lipschitz=lip)
     rows = list(zip(env.times, env.energies, env.bounds))
     lines = [f"eta = {env.eta:.12g}, max energy/bound = {env.max_ratio():.12g}"]
     return {"stability": (("t", "energy", "bound"), rows)}, lines, 0

@@ -163,14 +163,25 @@ def momentum_grid(d: int, np_per_dim: int, p_max: float):
     return ps, dp ** d
 
 
+# Bytes of one chunk's complex work block in ``FiberedDensity.grid_expectations``:
+# one core's L2 cache (2 MiB per core on the 2-core Xeon VM of the benchmark).
+_CHUNK_BYTES = 2 ** 21
+
+
 @dataclass
 class FiberedDensity:
     """Low-rank fibered density operator: per fiber sum_m lambda_m |v_m><v_m|.
 
-    Quadratures against |v|^2 (``grid_expectations``) run in one complex work
-    block of shape (n_k, rank, n, ..., n), n = ``quadrature_len(m)``, made on
-    first use and reused by every later call, since an evolution loop holds
-    one density and evaluates it at every sample.  The block holds the
+    Quadratures against |v|^2 (``grid_expectations``) sweep the vectors in
+    chunks of nodes (``node_chunks``): slices of the rank axis, all fibers
+    each, whose complex work block (n_k, c, n, ..., n), n =
+    ``quadrature_len(m)``, fits in ``_CHUNK_BYTES``.  A chunk's transform,
+    squares and weights then stay in cache, where the whole block (20 MB on a
+    2-D cell with 134 nodes) would be streamed through memory several times
+    per sample.  ``_work`` is one flat buffer sized for a full chunk, made on
+    first use; every chunk, the short last one too, fills a contiguous prefix
+    of it, and every later call reuses it, since an evolution loop holds one
+    density and evaluates it at every sample.  The block holds the
     head-placed transform of ``bloch.squared_values``, whose squared modulus
     is that of the grid values: the phase ramp of the head layout drops out.
     """
@@ -274,22 +285,41 @@ class FiberedDensity:
         inside = region.contains_dilated(pts, delta) if delta > 0 else region.contains(pts)
         return inside.astype(float) * grid_weight(self.lat, n)
 
-    def grid_expectations(self, weights: np.ndarray) -> np.ndarray:
-        """sum_y w(y) |v(y)|^2 over the quadrature grid for every vector, shape (n_k, rank).
+    def node_chunks(self) -> list:
+        """Slices of the rank axis, in order, of c nodes each but a shorter last one.
 
-        ``weights`` is one grid function, shape (n^d,), or one per vector,
-        shape (rank, n^d), with n = ``quadrature_len(m)``.  |v|^2 comes from
-        the head-placed transform in the density's work block, which equals
-        the grid values up to a unimodular phase per point; the squares
-        re^2, im^2 are contracted with the weights, repeated for each pair,
-        and the constant n^(2d) / |cell| the transform leaves out is applied
-        to the (n_k, rank) result.
+        c is the most nodes whose complex work block (n_k, c, n^d) stays within
+        ``_CHUNK_BYTES``, and at least one.
         """
-        d, n = self.lat.dimension, quadrature_len(self.m)
-        if self._work is None:
-            self._work = np.empty(self.lambdas.shape + (n,) * d, dtype=complex)
-        sq = squared_values(self.vectors.reshape(self.lambdas.shape + self.coeff_shape),
-                            self._work, d)
+        node_bytes = 16 * self.kgrid.size * quadrature_len(self.m) ** self.lat.dimension
+        c = max(1, _CHUNK_BYTES // node_bytes)
+        return [slice(i, min(i + c, self.rank)) for i in range(0, self.rank, c)]
+
+    def grid_expectations(self, weights: np.ndarray, nodes: slice | None = None) -> np.ndarray:
+        """sum_y w(y) |v(y)|^2 over the quadrature grid for every vector of a chunk.
+
+        ``nodes`` is one of ``node_chunks``; the result has shape (n_k, c) and
+        ``weights`` is one grid function, shape (n^d,), or the chunk's rows,
+        shape (c, n^d), with n = ``quadrature_len(m)``.  Without ``nodes`` the
+        chunks are swept in turn: the result is (n_k, rank) and per-vector
+        weights have shape (rank, n^d).  |v|^2 comes from the head-placed
+        transform in the density's work block, which equals the grid values up
+        to a unimodular phase per point; the squares re^2, im^2 are contracted
+        with the weights, repeated for each pair, and the constant
+        n^(2d) / |cell| the transform leaves out is applied to the result.
+        """
+        if nodes is None:
+            out = np.empty(self.lambdas.shape)
+            for chunk in self.node_chunks():
+                out[:, chunk] = self.grid_expectations(
+                    weights if weights.ndim == 1 else weights[chunk], chunk)
+            return out
+        d, n, n_k = self.lat.dimension, quadrature_len(self.m), self.kgrid.size
+        if self._work is None:                                  # the first chunk is a full one
+            self._work = np.empty(n_k * self.node_chunks()[0].stop * n ** d, dtype=complex)
+        c = nodes.stop - nodes.start
+        work = self._work[:n_k * c * n ** d].reshape((n_k, c) + (n,) * d)
+        sq = squared_values(self.vectors[:, nodes].reshape((n_k, c) + self.coeff_shape), work, d)
         per_vector = (sq[..., None, :] @ np.repeat(weights, 2, axis=-1)[..., None])[..., 0, 0]
         return per_vector * (n ** (2 * d) / self.lat.cell_volume)
 
@@ -297,8 +327,9 @@ class FiberedDensity:
         """Fiber average of sum_r lambda_r <v_r| mask |v_r>, mask on the quadrature grid.
 
         ``mask`` carries the grid weight, as the one ``region_mask`` returns.
-        |v|^2 is that of the head-placed transform (``grid_expectations``),
-        which differs from the grid values only by a phase per point.
+        |v|^2 is that of the head-placed transform, swept chunk by chunk
+        (``grid_expectations``); it differs from the grid values only by a
+        phase per point.
         """
         per_vector = self.grid_expectations(mask)
         return float(self.lambdas.reshape(-1) @ per_vector.reshape(-1)) / self.kgrid.size

@@ -65,13 +65,21 @@ def diagonal_coupling_parts(rho: FiberedDensity, x: np.ndarray, xi: np.ndarray,
     Vector j of fiber k, weighted by lambda_kj, is coupled to the phase-space
     point (x_j, xi_j - hbar k).  The position part is the cell-grid
     quadrature of lambda^2 theta(|P_Gamma(x_j - y)|^2) against its density,
-    one weight function per vector (``FiberedDensity.grid_expectations``);
-    the momentum part is exact in coefficients.  Returns two (n_k,) arrays.
+    one weight function per vector (``FiberedDensity.grid_expectations``).
+    It sweeps the density's node chunks: each chunk's theta weights are formed
+    right before its quadrature, once for all fibers, so the weights, like the
+    chunk's work block, stay within the cache-sized ``_CHUNK_BYTES`` budget
+    instead of a (rank, n^d) array per sample.  The momentum part is exact in
+    coefficients.  Returns two (n_k,) arrays.
     """
     lat = rho.lat
     n = quadrature_len(rho.m)
-    w = theta_cost_weights(x, position_grid(lat, n), cost.geom)        # (n_j, n^d)
-    pos = cost.lam ** 2 * grid_weight(lat, n) * rho.grid_expectations(w)
+    grid = position_grid(lat, n)
+    pos = np.empty(rho.lambdas.shape)
+    for nodes in rho.node_chunks():
+        pos[:, nodes] = rho.grid_expectations(theta_cost_weights(x[nodes], grid, cost.geom),
+                                              nodes)
+    pos = cost.lam ** 2 * grid_weight(lat, n) * pos
     xi_k = xi[None, :, :] - rho.hbar * rho.kgrid.points[:, None, :]   # (n_k, n_j, d)
     mom = momentum_cost(rho.momentum_moments(), xi_k)
     return np.sum(rho.lambdas * pos, axis=1), np.sum(rho.lambdas * mom, axis=1)
@@ -213,7 +221,7 @@ class StabilityEnvelope:
 
 def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostParams,
                        potential: TrigPotential, horizon: float, n_times: int,
-                       dt: float) -> StabilityEnvelope:
+                       dt: float, lipschitz: float | None = None) -> StabilityEnvelope:
     """Track the transported-coupling energy and check the Groenwall envelope.
 
     Starting from the diagonal packet coupling of ``f`` with its quantization
@@ -224,12 +232,16 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
     fiber flow is the plain flow with a shifted momentum argument), so
     ``evolution`` moves the nodes once for all fibers.
 
+    ``lipschitz`` is ``potential.lipschitz_gradient().value`` when the caller
+    already has it; otherwise it is computed here.
+
     ``rho.vectors`` are advanced in place: on return ``rho`` is the density at
     time ``horizon``.  A copy of the vectors would add their whole size to the
     peak memory.
     """
-    lip = potential.lipschitz_gradient().value
-    eta = gronwall_rate(cost.geom, cost.lam, lip)
+    if lipschitz is None:
+        lipschitz = potential.lipschitz_gradient().value
+    eta = gronwall_rate(cost.geom, cost.lam, lipschitz)
     nodes = (f.nodes_q, f.nodes_p)
     energies = np.array([np.mean(np.add(*diagonal_coupling_parts(rho, x, xi, cost)))
                          for x, xi in evolution(rho, potential, horizon, n_times, dt, nodes)])

@@ -118,7 +118,7 @@ def test_transport_identity_and_mass(lat1, vpot):
     # Liouville transport: the nodes ride the flow (reduced to the cell) and keep
     # their weights and values, so t = 0 is the identity and the mass is kept
     f = PhaseSpaceDensity.from_function(bump, lat1, 14, 20, 1.2)
-    same = flow(f.nodes_q, f.nodes_p, 0.0, vpot)
+    same = flow(f.nodes_q, f.nodes_p, 0.0, vpot, dt=1e-3)
     np.testing.assert_array_equal(same.x, f.nodes_q)
     np.testing.assert_array_equal(same.xi, f.nodes_p)
     moved = flow(f.nodes_q, f.nodes_p, 1.0, vpot, dt=1e-3)

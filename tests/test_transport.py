@@ -8,6 +8,7 @@ from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, Region,
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
     values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
+from blochlab import quantization
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 from blochlab.states import coherent_coeff_batch
@@ -308,6 +309,58 @@ def test_stability_envelope_free(lat1, geom1):
     assert env.eta == pytest.approx(2.0)     # (2 g+/g-) * lambda for the unit cell
     assert env.max_ratio() <= 1 + 1e-3
     assert np.all(np.isfinite(env.energies))
+
+
+def _copy(rho):
+    return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, rho.lambdas, rho.vectors.copy())
+
+
+@pytest.mark.parametrize("name, m", [("line", 384), ("hexagonal", 8), ("skew", 6)])
+def test_node_chunks_are_bitwise_invisible(monkeypatch, rng, name, m):
+    # rank 7 in chunks of 3, 3 and 1 against one chunk of 7: every kernel that
+    # sweeps the chunks gives the same bits
+    lat = LatticeSpec(LATTICES[name])
+    d, n = lat.dimension, quadrature_len(m)
+    assert n > 2 * m + 1                              # padded, so the block has a tail
+    rho = random_density(lat, m, 0.05, 7, seed=3)
+    shared = rng.uniform(0.0, 1.0, n ** d)
+    per_vector = rng.uniform(0.0, 1.0, (rho.rank, n ** d))
+    x = rng.uniform(-1.5, 1.5, (rho.rank, d)) @ lat.basis
+    xi = rng.normal(0.0, 1.0, (rho.rank, d))
+    cost = CostParams(0.7, gamma_bounds(lat))
+
+    def run(chunk_bytes):
+        monkeypatch.setattr(quantization, "_CHUNK_BYTES", chunk_bytes)
+        r = _copy(rho)
+        chunks = [(c.start, c.stop) for c in r.node_chunks()]
+        return chunks, (r.grid_expectations(shared), r.grid_expectations(per_vector),
+                        r.masked_trace(shared), *diagonal_coupling_parts(r, x, xi, cost))
+
+    node_bytes = 16 * rho.kgrid.size * n ** d
+    whole, one = run(2 ** 62)
+    split, chunked = run(3 * node_bytes + 1)
+    assert whole == [(0, 7)]
+    assert split == [(0, 3), (3, 6), (6, 7)]
+    for a, b in zip(one, chunked):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1])
+def test_stability_pass_keeps_one_chunk_sized_work_block(monkeypatch, lat1, geom1, chunk_bytes):
+    # the work block holds one chunk, at least one node, and every chunk of
+    # every sample reuses it
+    if chunk_bytes is not None:
+        monkeypatch.setattr(quantization, "_CHUNK_BYTES", chunk_bytes)
+    f = bump_density(lat1, nq=10, np_=12)
+    rho = toeplitz_quantize(f, lat1, KGrid.monkhorst_pack(lat1, 4), 384, 1e-3)
+    cost = CostParams(1.0, geom1)
+    assert len(rho.node_chunks()) >= 3
+    coupling_energy_toeplitz(f, rho, cost)
+    block = rho._work
+    stability_envelope(f, rho, cost, zero_potential(lat1), horizon=0.1, n_times=2, dt=1e-2)
+    assert rho._work is block
+    node_bytes = 16 * rho.kgrid.size * quadrature_len(rho.m)
+    assert block.nbytes <= max(quantization._CHUNK_BYTES, node_bytes)
 
 
 def test_stability_envelope_initial_energy_matches_coupling(lat1, geom1):
