@@ -19,6 +19,23 @@ from .quantization import PhaseBoxSet
 
 # Points per axis of the cell grid on which lipschitz_gradient maximizes the Hessian norm.
 _HESSIAN_GRID = 512
+# Relative slack, in units of the machine epsilon, by which |t| / dt may exceed
+# an integer and still count as that many steps.
+_STEP_ULPS = 4
+
+
+def _step_count(t: float, dt: float) -> int:
+    """Steps of at most dt that cover |t|: ceil(|t| / dt), and at least one.
+
+    A quotient within ``_STEP_ULPS`` ulps above an integer counts as that
+    integer, so a horizon that is a whole number of steps up to rounding
+    (1.1 / 20 / 1e-3 = 55.00000000000001) takes that number of steps of dt,
+    not one more of a slightly shorter step.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    ratio = abs(t) / dt
+    return max(1, int(np.ceil(ratio * (1.0 - _STEP_ULPS * np.finfo(float).eps))))
 
 
 @dataclass(frozen=True)
@@ -130,9 +147,7 @@ def flow(x, xi, t: float, potential: TrigPotential, dt: float) -> PhasePoint:
     xi = np.array(xi, dtype=float, copy=True)
     if t == 0.0:
         return PhasePoint(x, xi)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = max(1, int(np.ceil(abs(t) / dt)))
+    n_steps = _step_count(t, dt)
     h = t / n_steps
     force = -potential.gradient(x)
     for _ in range(n_steps):

@@ -217,10 +217,18 @@ def initial_state(scn: ObservabilityScenario) -> FiberedDensity:
     vector per quadrature node.  Callers that evolve or export the datum take
     ``.compressed(PRUNE_TOL)``, which returns a rank-1 family unchanged.
     """
+    return _initial_state(scn, initial_density(scn) if scn.initial_kind == "toeplitz" else None)
+
+
+def _initial_state(scn: ObservabilityScenario, f: PhaseSpaceDensity | None) -> FiberedDensity:
+    """``initial_state`` given the bump ``f`` = ``initial_density(scn)`` (None for pure data).
+
+    Callers that also read the bump build it once and pass it here.
+    """
     kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
-    if scn.initial_kind == "pure":
+    if f is None:
         return coherent_family(scn.lat, kgrid, scn.disc.m, scn.hbar, scn.center_q, scn.center_p)
-    return toeplitz_quantize(initial_density(scn), scn.lat, kgrid, scn.disc.m, scn.hbar)
+    return toeplitz_quantize(f, scn.lat, kgrid, scn.disc.m, scn.hbar)
 
 
 def default_p_max(scn: ObservabilityScenario) -> float:
@@ -266,14 +274,15 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     advances the datum in place.
     """
     d = scn.lat.dimension
-    rho = initial_state(scn)
+    f = initial_density(scn) if scn.initial_kind == "toeplitz" else None
+    rho = _initial_state(scn, f)
     rank = rho.rank
     rho, tail = rho.compressed(PRUNE_TOL)
     constants = theorem_constants(scn)
     gc, lip = constants.gc, constants.lip.value
     warnings = []
     if scn.initial_kind == "toeplitz":
-        mass_k = initial_density(scn).mass_in(scn.k_set)
+        mass_k = f.mass_in(scn.k_set)
         c_const, lam_star = constants.c_toeplitz, constants.lambda_toeplitz
         # penalty is C * sqrt(d hbar)/delta; the Groenwall assembly carries the
         # coupling-energy bound sqrt((1+lam^2) d hbar / 2) at the minimizing scale

@@ -3,7 +3,9 @@
 Fiber vectors live on the plane-wave window of order m; the split step applies
 the potential on the ``quadrature_len(m)`` cell grid and projects back onto it.
 Its factors are set up once per (t, dt), and each step transforms the whole
-(n_k, batch) block at once in one padded work array.
+(n_k, batch) block at once in one padded work array.  ``evolution`` applies
+it at every sample, or, where that costs fewer flops, once to an identity
+block, and then multiplies by the one-sample matrix it returns.
 
 Sign convention: the density evolves as ``R(t) = U(t)^* R_in U(t)`` where the
 adjoint ``U(t)^*`` acts on fiber vectors as the standard forward propagator
@@ -20,9 +22,9 @@ import numpy as np
 from scipy import fft as sfft
 
 from .bloch import _fft_blocks, _twisted, _untwisted, g_vectors, position_grid, quadrature_len
-from .classical_dynamics import TrigPotential, flow
+from .classical_dynamics import TrigPotential, _step_count, flow
 from .lattice import LatticeSpec
-from .quantization import FiberedDensity
+from .quantization import _CHUNK_BYTES, FiberedDensity
 
 
 @dataclass
@@ -70,7 +72,7 @@ class FiberHamiltonian:
             factors = np.exp(-1j * t * self.kinetic_diagonal / self.hbar)[:, None, :]
         else:
             d, nin = self.lat.dimension, 2 * self.m + 1
-            n_steps = max(1, int(np.ceil(abs(t) / dt)))
+            n_steps = _step_count(t, dt)
             step = t / n_steps
             half_c = np.exp(-1j * (0.5 * step) * self.kinetic_diagonal / self.hbar) \
                 .reshape((-1, 1) + (nin,) * d)
@@ -121,21 +123,62 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     return coeffs
 
 
+def _caches_propagator(h: FiberHamiltonian, n_steps: int, n_samples: int, rank: int) -> bool:
+    """Whether ``evolution`` applies a cached one-sample propagator instead of stepping.
+
+    Only at V != 0, and only if one fiber's (n_G, n_G) complex matrix fits in
+    ``_CHUNK_BYTES`` (n_G <= 362) and the cache costs fewer flops per fiber:
+    building it, n_G vectors through ``n_steps`` Strang steps, plus one
+    (rank, n_G) x (n_G, n_G) product per sample (8 n_G^2 flops per vector),
+    against ``n_steps`` steps of every vector at every sample.  A step of one
+    vector costs c = 10 P log2 P + 12 P flops, an FFT pair and two complex
+    multiplies at P = ``quadrature_len(m)``^d grid points.
+    """
+    n_g = h.kinetic_diagonal.shape[1]
+    if h.potential.is_zero or 16 * n_g ** 2 > _CHUNK_BYTES:
+        return False
+    p = quadrature_len(h.m) ** h.lat.dimension
+    c = 10 * p * np.log2(p) + 12 * p
+    return n_g * n_steps * c + n_samples * rank * 8 * n_g ** 2 < n_samples * rank * n_steps * c
+
+
 def evolution(rho: FiberedDensity, potential: TrigPotential, horizon: float, n_samples: int,
               dt: float, nodes=None):
     """Yield once at each of the times i horizon / n_samples, i = 0..n_samples, in order.
 
     At each yield ``rho`` holds the density at that time: between samples
-    ``propagate_batch`` advances ``rho.vectors`` in place under the run's one
+    ``rho.vectors`` are advanced in place under the run's one
     ``FiberHamiltonian``, so callers read what they need of the initial datum
     first.  Given ``nodes = (x, xi)``, each yield is the nodes at that time,
     moved by ``flow`` with the same step; otherwise it is None.
+
+    Every sample applies the same linear map S, ``propagate_batch`` over one
+    sample interval.  When ``_caches_propagator`` says it costs fewer flops
+    (V != 0, many Strang steps per sample, many vectors, a small window), S
+    is formed once per fiber: ``propagate_batch`` runs in place on an
+    (n_k, n_G, n_G) identity block, whose row G comes back as S e_G, so the
+    block is the matrix R with v R = S v for a row vector v, and each sample
+    is one product ``rho.vectors @ R``.  R is the stepped map itself, built
+    by the same kernel with the same factors; the two differ only in the
+    order of the rounding (the FFTs act on e_G rather than on v, and the sum
+    over G is a matrix product), so the samples agree with the stepped ones
+    up to rounding.  Otherwise, and always at V = 0 (one phase multiply per
+    sample), ``propagate_batch`` advances the vectors at every sample.
     """
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     sample_dt = horizon / n_samples
+    propagator = None
+    if _caches_propagator(h, _step_count(sample_dt, dt), n_samples, rho.rank):
+        n_g = rho.vectors.shape[-1]
+        propagator = np.zeros((rho.kgrid.size, n_g, n_g), dtype=complex)
+        propagator.reshape(rho.kgrid.size, -1)[:, ::n_g + 1] = 1.0
+        propagate_batch(propagator, h, sample_dt, dt)
     yield nodes
     for _ in range(n_samples):
         if nodes is not None:
             nodes = flow(*nodes, sample_dt, potential, dt)
-        propagate_batch(rho.vectors, h, sample_dt, dt)
+        if propagator is None:
+            propagate_batch(rho.vectors, h, sample_dt, dt)
+        else:
+            np.matmul(rho.vectors, propagator, out=rho.vectors)
         yield nodes

@@ -5,6 +5,7 @@ from scipy.linalg import eigh, expm
 from blochlab import (KGrid, LatticeSpec, TrigPotential, coherent_family, gamma_bounds,
                       periodic_trace)
 from blochlab.bloch import centered_indices, position_grid
+from blochlab.classical_dynamics import _step_count, _verlet_step, flow
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
@@ -325,3 +326,24 @@ def test_dense_commutator_assembly_oracle(lat1, vpot):
     # compare on the interior block (the product spills one bandwidth at the edge)
     inner = slice(2, big - 2)
     assert np.max(np.abs((lhs - rhs)[inner, inner])) < 1e-10
+
+
+def test_step_count_takes_a_whole_quotient_up_to_rounding(lat1, vpot):
+    # stability's 20 samples of T = 1.1 at dt = 1e-3: 0.055 / 1e-3 rounds to
+    # 55.00000000000001, which is 55 steps of dt, not 56 shorter ones
+    t, dt = 1.1 / 20, 1e-3
+    assert t / dt > 55
+    assert _step_count(t, dt) == 55
+    assert _step_count(0.0551, dt) == 56
+    assert _step_count(-t, dt) == 55
+    assert _step_count(1e-9, dt) == 1
+    with pytest.raises(ValueError):
+        _step_count(t, 0.0)
+    assert FiberHamiltonian(lat1, 8, [[0.1]], vpot, 0.05)._step_factors(t, dt)[0] == 55
+    x, xi = np.array([[0.1]]), np.array([[0.7]])
+    state = (x, xi, -vpot.gradient(x))
+    for _ in range(55):
+        state = _verlet_step(*state, t / 55, vpot)
+    out = flow(x, xi, t, vpot, dt)
+    np.testing.assert_array_equal(out.x, state[0])
+    np.testing.assert_array_equal(out.xi, state[1])

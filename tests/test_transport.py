@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, Region, c_bold,
-                      coherent_family, coupling_energy_husimi, coupling_energy_toeplitz,
+from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, Region, TrigPotential,
+                      c_bold, coherent_family, coupling_energy_husimi, coupling_energy_toeplitz,
                       evolution, gamma_bounds, gronwall_rate, observed_time_integral,
                       stability_envelope, std_dev, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
     values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
-from blochlab import quantization
+from blochlab import quantization, quantum_dynamics
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 from blochlab.states import coherent_coeff_batch
@@ -432,3 +432,77 @@ def test_stability_envelope_with_potential(lat1, geom1):
                                     * (lam + lam ** 2 / lam))
     # the energy genuinely moves (the check is not vacuous at t > 0)
     assert env.energies[-1] > env.energies[0]
+
+
+def _stepped(monkeypatch, run):
+    """``run()`` with ``evolution`` forced onto the per-sample Strang steps."""
+    with monkeypatch.context() as patch:
+        patch.setattr(quantum_dynamics, "_caches_propagator", lambda *args: False)
+        return run()
+
+
+@pytest.mark.parametrize("basis, terms, m, hbar, nq, np_, n_k", [
+    ([[1.0]], (((1,), 0.1, 0.0),), 64, 0.01, 10, 12, 4),
+    (LATTICES["hexagonal"], (((1, 0), 0.3, 0.2), ((1, -1), 0.2, 0.0)), 3, 0.05, 4, 4, 2),
+])
+def test_cached_propagator_matches_the_stepped_evolution(monkeypatch, basis, terms, m, hbar,
+                                                         nq, np_, n_k):
+    # the one-sample matrix is the Strang map built by the same kernel, so both
+    # consumers see the stepped results up to rounding
+    lat = LatticeSpec(basis)
+    vpot = TrigPotential(lat, terms)
+    horizon, n_samples, dt, delta = 0.4, 4, 1e-2 / 2, 0.05
+    f = bump_density(lat, nq=nq, np_=np_)
+    kg = KGrid.monkhorst_pack(lat, n_k)
+    cost = CostParams(1.0, gamma_bounds(lat))
+    omega = Region([[[-0.1] * lat.dimension, [0.1] * lat.dimension]], lat)
+
+    def run():
+        observed = observed_time_integral(toeplitz_quantize(f, lat, kg, m, hbar), omega, delta,
+                                          vpot, horizon, n_samples, dt)
+        env = stability_envelope(f, toeplitz_quantize(f, lat, kg, m, hbar), cost, vpot,
+                                 horizon, n_samples, dt, lipschitz=0.0)
+        return observed[1], observed[4], env.energies
+
+    h = FiberHamiltonian(lat, m, kg.points, vpot, hbar)
+    assert quantum_dynamics._caches_propagator(h, 20, n_samples, f.size)
+    series, drift, energies = run()
+    series_s, drift_s, energies_s = _stepped(monkeypatch, run)
+    np.testing.assert_allclose(series, series_s, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(energies, energies_s, rtol=1e-13, atol=0)
+    assert abs(drift - drift_s) <= 1e-13
+    assert energies[-1] != energies[0] and series[-1] != series[0]
+
+
+def test_propagator_cache_rule_follows_the_flop_count(lat1):
+    vpot = cosine_potential(lat1, (1,), 0.1)
+    kg = KGrid.monkhorst_pack(lat1, 4)
+    rule = quantum_dynamics._caches_propagator
+    h = FiberHamiltonian(lat1, 64, kg.points, vpot, 0.01)
+    # stability on a cosine at m = 64: 20 samples of 50 steps, 48 vectors per fiber
+    assert rule(h, 50, 20, 48)
+    # verify there: 200 samples of 5 steps, 25 vectors after compression
+    assert not rule(h, 5, 200, 25)
+    assert not rule(FiberHamiltonian(lat1, 64, kg.points, zero_potential(lat1), 0.01),
+                    50, 20, 48)
+    # one fiber's matrix fits the chunk budget up to n_G = 362
+    assert rule(FiberHamiltonian(lat1, 180, kg.points, vpot, 0.01), 1000, 1000, 1000)
+    assert not rule(FiberHamiltonian(lat1, 181, kg.points, vpot, 0.01), 1000, 1000, 1000)
+
+
+def test_cached_stability_pass_propagates_once(monkeypatch, lat1, geom1):
+    # stability sizes on a cosine at m = 64: the build is the only Strang call
+    calls = []
+
+    def counted(coeffs, h, t, dt):
+        calls.append(coeffs.shape)
+        return propagate_batch(coeffs, h, t, dt)
+
+    monkeypatch.setattr(quantum_dynamics, "propagate_batch", counted)
+    vpot = cosine_potential(lat1, (1,), 0.1)
+    f = bump_density(lat1, nq=10, np_=12)
+    rho = toeplitz_quantize(f, lat1, KGrid.monkhorst_pack(lat1, 4), 64, 0.01)
+    vectors = rho.vectors
+    stability_envelope(f, rho, CostParams(1.0, geom1), vpot, horizon=1.0, n_times=20, dt=1e-3)
+    assert calls == [(4, 129, 129)]
+    assert rho.vectors is vectors
