@@ -166,6 +166,23 @@ def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
     return np.multiply(sq, sq, out=sq)
 
 
+def _offset_coefficients(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray:
+    """X(D) = sum_y values(y) exp(i G_D . y) / |cell| at every offset D of two order-m indices.
+
+    ``values`` is a grid function on the N = ``quadrature_len(m)`` grid, flat
+    (N^d,), like the masks of ``FiberedDensity.region_mask``; D runs over
+    -2m..2m per axis, in the C order of ``centered_indices(2m, d)``.  On the
+    grid t = j/N - 1/2, exp(i G_D . y) = (-1)^(sum D) exp(2 pi i D.j / N), so
+    X(D) is one inverse FFT of the grid read at D mod N, times that sign: for
+    N < 4m+1 the offsets alias, as the grid sums they stand for do.
+    """
+    d = lat.dimension
+    n = quadrature_len(m)
+    spec = sfft.ifftn(values.reshape((n,) * d)) * (n ** d / lat.cell_volume)
+    offsets = centered_indices(2 * m, d)
+    return spec[tuple((offsets % n).T)] * _alt_sign(4 * m + 1, d).reshape(-1)
+
+
 def values_to_coeffs(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray:
     """Inverse of coeffs_to_values; truncates to order m (exact for band-limited data)."""
     d = lat.dimension

@@ -24,7 +24,7 @@ from .errors import ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region
 from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
     husimi_mass_on_boxes, periodic_trace, toeplitz_quantize
-from .quantum_dynamics import evolution
+from .quantum_dynamics import observation_series
 from .transport_metric import c_bold, gronwall_rate, std_dev
 
 
@@ -172,8 +172,11 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
 
     An odd ``n_samples`` is rounded up to even, because the error estimate
     takes every other sample: the series then has ``n_samples + 2`` values.
-    ``rho.vectors`` are advanced in place by ``evolution``: on return ``rho``
-    is the density at time ``horizon``.  Returns the integral, the sample
+    The series is ``quantum_dynamics.observation_series``: the masked trace
+    at every sample of ``evolution``, or, at V = 0 where that costs fewer
+    flops, one Hermitian form per fiber evaluated at every sample.  Either way
+    ``rho.vectors`` are advanced in place: on return ``rho`` is the density
+    at time ``horizon``.  Returns the integral, the sample
     values, the times, a quadrature-error estimate from comparing with the
     half-resolution trapezoid rule, and the trace drift: the largest relative
     change |tr_k(T) - tr_k(0)| / tr_k(0) of a fiber trace (the split step
@@ -182,8 +185,7 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
     n_samples += n_samples % 2
     mask = rho.region_mask(region, delta)
     traces = rho.fiber_traces()
-    series = np.array([rho.masked_trace(mask)
-                       for _ in evolution(rho, potential, horizon, n_samples, dt)])
+    series = observation_series(rho, mask, potential, horizon, n_samples, dt)
     drift = float(np.max(np.abs(rho.fiber_traces() - traces) / traces))
     times = np.linspace(0.0, horizon, n_samples + 1)
     trapz = getattr(np, "trapezoid", None) or np.trapz

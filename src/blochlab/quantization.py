@@ -4,7 +4,9 @@ Quantum densities are kept in low-rank form throughout: each fiber is a
 nonnegative combination of projectors onto periodic fields.  Toeplitz
 quantization produces exactly that shape (one projector per phase-space
 quadrature node) and unitary evolution preserves it, so dense fiber matrices
-only ever appear inside small test oracles.
+only ever appear inside small test oracles.  The one exception is the V = 0
+observation's Hermitian form on the support of the vectors, one fiber at a
+time and at most ``_CHUNK_BYTES`` (``FiberedDensity._masked_forms``).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import numpy as np
 
 from scipy.special import erf
 
-from .bloch import KGrid, centered_indices, g_vectors, grid_weight, position_grid, \
-    quadrature_len, squared_values
+from .bloch import KGrid, _offset_coefficients, centered_indices, g_vectors, grid_weight, \
+    position_grid, quadrature_len, squared_values
 from .lattice import LatticeSpec, Region
 from .states import _floored_gaussian, coherent_coeff_batch
 
@@ -166,6 +168,9 @@ def momentum_grid(d: int, np_per_dim: int, p_max: float):
 # Bytes of one chunk's complex work block in ``FiberedDensity.grid_expectations``:
 # one core's L2 cache (2 MiB per core on the 2-core Xeon VM of the benchmark).
 _CHUNK_BYTES = 2 ** 21
+# Rows of a block of ``FiberedDensity._masked_forms``, and samples of a block of
+# ``quantum_dynamics.observation_series``: at most 32 x 362 x 16 B = 185 KB per block.
+_FORM_ROWS = 32
 
 
 @dataclass
@@ -333,6 +338,33 @@ class FiberedDensity:
         """
         per_vector = self.grid_expectations(mask)
         return float(self.lambdas.reshape(-1) @ per_vector.reshape(-1)) / self.kgrid.size
+
+    def _masked_forms(self, mask: np.ndarray, support: np.ndarray):
+        """Yield, fiber by fiber, the Hermitian form of ``masked_trace`` on ``support``.
+
+        ``support`` holds the W flat coefficient indices off which every vector
+        vanishes.  The fiber's form is the (W, W) matrix
+        A_nn' = X(n' - n) sum_r lambda_r conj(c_rn) c_rn', with X the mask's
+        ``bloch._offset_coefficients``, so sum_nn' conj(u_n) A_nn' u_n' is the
+        fiber's sum_r lambda_r <v_r| mask |v_r> of the vectors c_rn u_n, for any
+        phases u.  One buffer holds every fiber's form in turn, each overwritten
+        by the next; it is filled and multiplied by X in blocks of ``_FORM_ROWS``
+        rows, so it is the one (W, W) array made.
+        """
+        x = _offset_coefficients(mask, self.lat, self.m)
+        d, w = self.lat.dimension, support.size
+        # offset n' - n sits at position pos(n') - pos(n) + x.size // 2 of x
+        pos = centered_indices(self.m, d)[support] @ (4 * self.m + 1) ** np.arange(d - 1, -1, -1)
+        cols = pos + x.size // 2
+        form = np.empty((w, w), dtype=complex)
+        for lambdas, vectors in zip(self.lambdas, self.vectors):
+            c = vectors[:, support]
+            for start in range(0, w, _FORM_ROWS):
+                rows = slice(start, start + _FORM_ROWS)
+                np.matmul((np.conj(c[:, rows]) * lambdas[:, None]).T, c, out=form[rows])
+                form[rows] *= x[cols[None, :] - pos[rows, None]]
+            del c                                   # before the next fiber's copy is made
+            yield form
 
 
 def momentum_cost(moments, xi: np.ndarray) -> np.ndarray:

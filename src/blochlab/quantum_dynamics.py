@@ -1,4 +1,4 @@
-"""Fiber Hamiltonians, split-step propagation and the one evolution loop.
+"""Fiber Hamiltonians, split-step propagation, the one evolution loop and its observation.
 
 Fiber vectors live on the plane-wave window of order m; the split step applies
 the potential on the ``quadrature_len(m)`` cell grid and projects back onto it.
@@ -6,6 +6,10 @@ Its factors are set up once per (t, dt), and each step transforms the whole
 (n_k, batch) block at once in one padded work array.  ``evolution`` applies
 it at every sample, or, where that costs fewer flops, once to an identity
 block, and then multiplies by the one-sample matrix it returns.
+``observation_series`` reads the masked trace at every sample of
+``evolution``, or, at V = 0 where that costs fewer flops, evaluates every
+sample as a Hermitian form per fiber and moves the vectors to the horizon in
+one exact phase multiply.
 
 Sign convention: the density evolves as ``R(t) = U(t)^* R_in U(t)`` where the
 adjoint ``U(t)^*`` acts on fiber vectors as the standard forward propagator
@@ -24,7 +28,7 @@ from scipy import fft as sfft
 from .bloch import _fft_blocks, _twisted, _untwisted, g_vectors, position_grid, quadrature_len
 from .classical_dynamics import TrigPotential, _step_count, flow
 from .lattice import LatticeSpec
-from .quantization import _CHUNK_BYTES, FiberedDensity
+from .quantization import _CHUNK_BYTES, _FORM_ROWS, FiberedDensity
 
 
 @dataclass
@@ -142,6 +146,57 @@ def _caches_propagator(h: FiberHamiltonian, n_steps: int, n_samples: int, rank: 
     return n_g * n_steps * c + n_samples * rank * 8 * n_g ** 2 < n_samples * rank * n_steps * c
 
 
+def _observes_by_form(h: FiberHamiltonian, n_support: int, n_samples: int, rank: int) -> bool:
+    """Whether ``observation_series`` evaluates every sample as one Hermitian form per fiber.
+
+    Only at V = 0, and only if one fiber's (W, W) complex form, W =
+    ``n_support``, fits in ``_CHUNK_BYTES`` (W <= 362) and costs fewer flops
+    per fiber: building it, 8 rank W^2, plus one (W,) x (W, W) product per
+    sample, 8 W^2, against the masked trace of every vector at every sample.
+    One vector's masked trace costs c = 5 P log2 P + 8 P flops, an inverse FFT
+    and the squares and weights at P = ``quadrature_len(m)``^d grid points.
+    """
+    if not h.potential.is_zero or 16 * n_support ** 2 > _CHUNK_BYTES:
+        return False
+    p = quadrature_len(h.m) ** h.lat.dimension
+    c = 5 * p * np.log2(p) + 8 * p
+    return n_samples * 8 * n_support ** 2 + 8 * rank * n_support ** 2 < n_samples * rank * c
+
+
+def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPotential,
+                       horizon: float, n_samples: int, dt: float) -> np.ndarray:
+    """``rho.masked_trace(mask)`` at the times i horizon / n_samples, i = 0..n_samples.
+
+    On return ``rho.vectors``, the same array, hold the density at
+    ``horizon``.  Unless ``_observes_by_form`` says otherwise, the trace is
+    read at every yield of ``evolution``.  At V = 0 each fiber evolves by the
+    phases u_n(t) = exp(-i t E_n / hbar) of its kinetic diagonal E, so every
+    sample is u(t)^H A u(t) with the fiber's form A on the support W of the
+    vectors (``FiberedDensity._masked_forms``): the coefficients that vanish
+    in every vector stay zero under the phases.  The form path evaluates it
+    for ``_FORM_ROWS`` samples at a time as one (samples, W) x (W, W) product
+    and, after the last fiber, moves the vectors to ``horizon`` by one exact
+    ``propagate_batch``.
+    """
+    h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
+    support = np.flatnonzero(np.any(rho.vectors, axis=(0, 1)))
+    if not _observes_by_form(h, support.size, n_samples + 1, rho.rank):
+        return np.array([rho.masked_trace(mask)
+                         for _ in evolution(rho, potential, horizon, n_samples, dt)])
+    times = np.arange(n_samples + 1) * (horizon / n_samples)
+    series = np.zeros(n_samples + 1)
+    for energies, form in zip(h.kinetic_diagonal[:, support] / h.hbar,
+                              rho._masked_forms(mask, support)):
+        for start in range(0, times.size, _FORM_ROWS):
+            block = slice(start, start + _FORM_ROWS)
+            conj_u = np.exp(1j * np.multiply.outer(times[block], energies))
+            # Re(p u) = Re(p) Re(conj u) + Im(p) Im(conj u), with p = conj(u) A
+            p = (conj_u @ form).view(float)
+            series[block] += (p[:, None, :] @ conj_u.view(float)[:, :, None])[:, 0, 0]
+    propagate_batch(rho.vectors, h, horizon, dt)
+    return series / rho.kgrid.size
+
+
 def evolution(rho: FiberedDensity, potential: TrigPotential, horizon: float, n_samples: int,
               dt: float, nodes=None):
     """Yield once at each of the times i horizon / n_samples, i = 0..n_samples, in order.
@@ -163,7 +218,8 @@ def evolution(rho: FiberedDensity, potential: TrigPotential, horizon: float, n_s
     order of the rounding (the FFTs act on e_G rather than on v, and the sum
     over G is a matrix product), so the samples agree with the stepped ones
     up to rounding.  Otherwise, and always at V = 0 (one phase multiply per
-    sample), ``propagate_batch`` advances the vectors at every sample.
+    sample), ``propagate_batch`` advances the vectors at every sample; at
+    V = 0 ``observation_series`` may skip this loop altogether.
     """
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     sample_dt = horizon / n_samples

@@ -9,7 +9,7 @@ import pytest
 import scipy.fft
 
 import blochlab
-from blochlab import bloch, gamma_bounds
+from blochlab import bloch, gamma_bounds, quantum_dynamics
 from blochlab.cli import _COMMANDS, _fmt, main
 from blochlab.config import load_config, parse_config
 from blochlab.errors import ConfigParseError, ConfigValidationError
@@ -349,6 +349,26 @@ def test_cli_determinism_bitwise(tmp_path):
             assert main([sub, "--config", path, "--out", str(out), "--threads", str(t)]) == 0
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_free_observation_form_is_bitwise_deterministic(tmp_path, monkeypatch):
+    # with 40 samples the V = 0 toeplitz config observes by one form per fiber;
+    # its bytes do not depend on the FFT worker count either
+    chosen = []
+    rule = quantum_dynamics._observes_by_form
+
+    def recorded(*args):
+        chosen.append(rule(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(quantum_dynamics, "_observes_by_form", recorded)
+    cfg = write_cfg(tmp_path, BASE.replace("n_time_obs = 16", "n_time_obs = 40"), "form.cfg")
+    outs = [tmp_path / f"threads{t}" for t in (1, 2)]
+    for t, out in zip((1, 2), outs):
+        assert main(["verify", "--config", cfg, "--out", str(out), "--threads", str(t)]) == 0
+    assert chosen == [True, True]
+    for name in ("out_verify.csv", "out_observation.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_cli_threads_hold_for_one_command_only(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -506,3 +508,103 @@ def test_cached_stability_pass_propagates_once(monkeypatch, lat1, geom1):
     stability_envelope(f, rho, CostParams(1.0, geom1), vpot, horizon=1.0, n_times=20, dt=1e-3)
     assert calls == [(4, 129, 129)]
     assert rho.vectors is vectors
+
+
+def _observed(monkeypatch, form, run):
+    """``run()`` with ``observation_series`` forced onto the form path or the loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(quantum_dynamics, "_observes_by_form", lambda *args: form)
+        return run()
+
+
+_FREE_DATA = pytest.mark.parametrize("basis, m, hbar, nq, np_, n_k, n_support", [
+    ([[1.0]], 64, 0.01, 10, 12, 4, 115),
+    (LATTICES["hexagonal"], 6, 0.05, 4, 4, 2, 169),
+])
+
+
+def _free_observation(basis, m, hbar, nq, np_, n_k):
+    """A V = 0 quantized bump and ``run(rho)``, its observed time integral up to T = 0.4.
+
+    The region is not symmetric about the origin, so the mask's Fourier
+    coefficients are not real.
+    """
+    lat = LatticeSpec(basis)
+    f = bump_density(lat, nq=nq, np_=np_)
+    kg = KGrid.monkhorst_pack(lat, n_k)
+    omega = Region([[[-0.1] * lat.dimension, [0.15] * lat.dimension]], lat)
+
+    def datum():
+        return toeplitz_quantize(f, lat, kg, m, hbar)
+
+    def run(rho):
+        return observed_time_integral(rho, omega, 0.05, zero_potential(lat), 0.4, 8, 1e-2)
+    return datum, run
+
+
+@_FREE_DATA
+def test_free_observation_form_matches_the_loop(monkeypatch, basis, m, hbar, nq, np_, n_k,
+                                                n_support):
+    # at V = 0 a sample is u^H A u per fiber, A the fiber's masked form on the
+    # support of the vectors and u the phases of the kinetic diagonal; the loop
+    # transforms every vector at every sample instead
+    datum, run = _free_observation(basis, m, hbar, nq, np_, n_k)
+    rho, rho_loop = datum(), datum()
+    # on the line the floored packets vanish on 14 of the 129 coefficients
+    assert np.count_nonzero(np.any(rho.vectors, axis=(0, 1))) == n_support
+    vectors = rho.vectors
+    lhs, series, _, quad, drift = _observed(monkeypatch, True, lambda: run(rho))
+    lhs_l, series_l, _, quad_l, drift_l = _observed(monkeypatch, False, lambda: run(rho_loop))
+    assert rho._work is None and rho_loop._work is not None
+    np.testing.assert_allclose(series, series_l, rtol=1e-13, atol=0)
+    assert lhs == pytest.approx(lhs_l, rel=1e-13, abs=0)
+    # the quadrature error is the difference of two trapezoid sums of size lhs,
+    # so it carries their rounding, not its own
+    assert abs(quad - quad_l) <= 1e-13 * lhs
+    assert abs(drift - drift_l) <= 1e-13
+    assert series[-1] != series[0]
+    # the vectors end at T, in the same array, by one exact phase
+    assert rho.vectors is vectors
+    fresh = datum()
+    h = FiberHamiltonian(fresh.lat, m, fresh.kgrid.points, zero_potential(fresh.lat), hbar)
+    np.testing.assert_allclose(rho.vectors, propagate_batch(fresh.vectors, h, 0.4, 1e-2),
+                               rtol=0, atol=1e-13)
+
+
+def test_free_observation_form_holds_no_more_memory_than_the_loop(monkeypatch):
+    # the largest form the rule admits, W = 361 of a hexagonal m = 9 window: the
+    # one (W, W) buffer and one fiber's vectors on W, against the loop's work block
+    datum, run = _free_observation(LATTICES["hexagonal"], 9, 0.02, 4, 4, 2)
+    peaks = {}
+    for form in (True, False):
+        rho = datum()
+        tracemalloc.start()
+        _observed(monkeypatch, form, lambda: run(rho))
+        peaks[form] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (rho._work is None) == form
+    assert np.count_nonzero(np.any(rho.vectors, axis=(0, 1))) == 361
+    assert peaks[True] <= peaks[False]
+
+
+def test_observation_form_rule_follows_the_flop_count(lat1):
+    rule = quantum_dynamics._observes_by_form
+    free = FiberHamiltonian(lat1, 384, KGrid.monkhorst_pack(lat1, 8).points,
+                            zero_potential(lat1), 1e-3)
+    # free-1d verify toeplitz: 201 samples of 48 vectors on 327 coefficients,
+    # 213 M against 449 M flops
+    assert rule(free, 327, 201, 48)
+    # free-1d verify pure: one vector on 268 or 269 coefficients
+    assert not rule(free, 268, 201, 1) and not rule(free, 269, 201, 1)
+    # potential-1d: V != 0
+    kg = KGrid.monkhorst_pack(lat1, 4)
+    assert not rule(FiberHamiltonian(lat1, 64, kg.points, cosine_potential(lat1, (1,), 0.1), 0.01),
+                    89, 201, 25)
+    # cell-2d: a form of 1555^2 x 16 B = 39 MB exceeds the chunk budget
+    hexagonal = LatticeSpec(LATTICES["hexagonal"])
+    cell = FiberHamiltonian(hexagonal, 24, KGrid.monkhorst_pack(hexagonal, 2).points,
+                            zero_potential(hexagonal), 0.03)
+    assert not rule(cell, 1555, 21, 57)
+    # one fiber's form fits the chunk budget up to W = 362
+    assert rule(free, 362, 1000, 1000)
+    assert not rule(free, 363, 1000, 1000)
