@@ -15,8 +15,8 @@ from .lattice import CellGeometry, LatticeSpec, Region, gamma_bounds, reduce_to_
 from .observability import (Discretization, ObservabilityScenario, TheoremReport,
                             constant_pure, hbar_threshold, initial_state,
                             minimize_toeplitz_penalty, observed_time_integral, verify_theorem)
-from .quantization import (FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family,
-                           husimi, husimi_mass_on_boxes, periodic_trace, toeplitz_quantize)
+from .quantization import (FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, husimi,
+                           husimi_mass_on_boxes, periodic_trace, toeplitz_quantize)
 from .quantum_dynamics import FiberHamiltonian, evolution
 from .transport_metric import (CostParams, CouplingEnergy, StabilityEnvelope, c_bold,
                                coupling_energy_husimi, coupling_energy_toeplitz,

@@ -37,8 +37,8 @@ from . import __version__
 from .bloch import grid_weight, position_grid
 from .config import load_config
 from .errors import ConfigParseError, ConfigValidationError
-from .observability import (PRUNE_TOL, _initial_state, default_p_max, initial_density,
-                            initial_state, theorem_constants, verify_theorem)
+from .observability import PRUNE_TOL, default_p_max, initial_state, theorem_constants, \
+    verify_theorem
 from .quantization import husimi, momentum_grid
 from .transport_metric import CostParams, c_bold, coupling_energy_husimi, \
     coupling_energy_toeplitz, gronwall_rate, stability_envelope, std_dev
@@ -65,7 +65,8 @@ def _assignments(rows) -> list:
 
 
 def _cmd_husimi(scn):
-    rho = initial_state(scn).compressed(PRUNE_TOL)[0]
+    _, rho = initial_state(scn)
+    rho = rho.compressed(PRUNE_TOL)[0]
     d = scn.lat.dimension
     p_max = default_p_max(scn)
     qs = position_grid(scn.lat, scn.disc.n_q)
@@ -78,13 +79,12 @@ def _cmd_husimi(scn):
 
 
 def _cmd_metric(scn):
+    f, rho = initial_state(scn)
     if scn.initial_kind == "toeplitz":
         lam = scn.lam if scn.lam is not None else 1.0
-        f = initial_density(scn)
-        ce = coupling_energy_toeplitz(f, _initial_state(scn, f), CostParams(lam, scn.geom))
+        ce = coupling_energy_toeplitz(f, rho, CostParams(lam, scn.geom))
         extra = [("lambda", lam)]
     else:
-        rho = initial_state(scn)
         ce = coupling_energy_husimi(rho)
         extra = [("std_dev", std_dev(rho)), ("c_bold", c_bold(rho))]
     rows = [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
@@ -98,10 +98,9 @@ def _cmd_stability(scn):
                                     "stability envelope requires a toeplitz datum")
     lip = scn.potential.lipschitz_gradient().value
     lam = scn.lam if scn.lam is not None else max(lip, 1.0)
-    f = initial_density(scn)
-    env = stability_envelope(f, _initial_state(scn, f), CostParams(lam, scn.geom),
-                             scn.potential, scn.horizon, n_times=20, dt=scn.disc.dt,
-                             lipschitz=lip)
+    f, rho = initial_state(scn)
+    env = stability_envelope(f, rho, CostParams(lam, scn.geom), scn.potential, scn.horizon,
+                             n_times=20, dt=scn.disc.dt, lipschitz=lip)
     rows = list(zip(env.times, env.energies, env.bounds))
     lines = [f"eta = {env.eta:.12g}, max energy/bound = {env.max_ratio():.12g}"]
     return {"stability": (("t", "energy", "bound"), rows)}, lines, 0

@@ -104,6 +104,13 @@ def _real(value) -> float:
     return x
 
 
+def _positive(value) -> float:
+    x = _real(value)
+    if x <= 0:
+        raise ValueError("must be positive")
+    return x
+
+
 def _integer(value) -> int:
     """An integral finite number as an int; 2.5, inf and ints beyond float range fail."""
     x = _real(value)
@@ -188,15 +195,9 @@ def load_config(text: str) -> ExperimentConfig:
     hbar = _value(sections, "physics", "hbar", _real)
     if not (1e-4 <= hbar <= 1.0):
         raise ConfigValidationError("physics.hbar", "supported range is [1e-4, 1]")
-    horizon = _value(sections, "physics", "T", _real)
-    if horizon <= 0:
-        raise ConfigValidationError("physics.T", "must be positive")
-    dt = _value(sections, "physics", "dt", _real, 1e-3)
-    if dt <= 0:
-        raise ConfigValidationError("physics.dt", "must be positive")
-    lam = _value(sections, "physics", "lambda", _real, None)
-    if lam is not None and lam <= 0:
-        raise ConfigValidationError("physics.lambda", "must be positive")
+    horizon = _value(sections, "physics", "T", _positive)
+    dt = _value(sections, "physics", "dt", _positive, 1e-3)
+    lam = _value(sections, "physics", "lambda", _positive, None)
 
     sizes = {}
     for key, default, least in (("m", 64 if d == 1 else 24, 2),
@@ -209,9 +210,7 @@ def load_config(text: str) -> ExperimentConfig:
             raise ConfigValidationError(f"discretization.{key}", f"must be at least {least}")
     m = sizes["m"]
     _check_block_fits(m, sizes["n_k"], d)
-    p_max = _value(sections, "discretization", "p_max", _real, None)
-    if p_max is not None and p_max <= 0:
-        raise ConfigValidationError("discretization.p_max", "must be positive")
+    p_max = _value(sections, "discretization", "p_max", _positive, None)
     disc = Discretization(p_max=p_max, dt=dt, **sizes)
     if m * np.sqrt(hbar) < 4.0:
         raise ConfigValidationError(
@@ -223,9 +222,7 @@ def load_config(text: str) -> ExperimentConfig:
             "discretization.m", f"m = {m} must be at least twice the potential "
             f"bandwidth {bw} (anti-aliasing)")
 
-    delta = _value(sections, "scenario", "delta", _real)
-    if delta <= 0:
-        raise ConfigValidationError("scenario.delta", "must be positive")
+    delta = _value(sections, "scenario", "delta", _positive)
     k_boxes = _value(sections, "scenario", "K", lambda v: _boxes(v, 4, d))
     if not k_boxes.size:
         raise ConfigValidationError("scenario.K", "must be nonempty")
@@ -242,11 +239,8 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigValidationError("initial.kind", "must be 'toeplitz' or 'pure'")
     center_q = _value(sections, "initial", "center_q", lambda v: _point(v, d), None)
     center_p = _value(sections, "initial", "center_p", lambda v: _point(v, d), None)
-    sigma_q = _value(sections, "initial", "sigma_q", _real, 0.1)
-    sigma_p = _value(sections, "initial", "sigma_p", _real, 0.15)
-    for key, val in (("sigma_q", sigma_q), ("sigma_p", sigma_p)):
-        if val <= 0:
-            raise ConfigValidationError(f"initial.{key}", "must be positive")
+    sigma_q = _value(sections, "initial", "sigma_q", _positive, 0.1)
+    sigma_p = _value(sections, "initial", "sigma_p", _positive, 0.15)
 
     # momentum coverage: the plane-wave band must reach the data's momenta
     b_min = float(np.min(np.linalg.norm(lat.reciprocal, axis=1)))

@@ -22,8 +22,8 @@ from .bloch import KGrid
 from .classical_dynamics import GCEstimate, LipschitzBound, TrigPotential, gc_constant
 from .errors import ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region
-from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, coherent_family, \
-    husimi_mass_on_boxes, periodic_trace, toeplitz_quantize
+from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, husimi_mass_on_boxes, \
+    periodic_trace, toeplitz_quantize
 from .quantum_dynamics import observation_series
 from .transport_metric import c_bold, gronwall_rate, std_dev
 
@@ -212,25 +212,23 @@ def initial_density(scn: ObservabilityScenario) -> PhaseSpaceDensity:
     return f.pruned(PRUNE_TOL).normalized()
 
 
-def initial_state(scn: ObservabilityScenario) -> FiberedDensity:
-    """The scenario's fibered initial datum; the only builder of its k-grid and datum.
+def initial_state(scn: ObservabilityScenario) -> tuple[PhaseSpaceDensity, FiberedDensity]:
+    """The scenario's classical datum f and its quantization rho, for either kind.
 
-    A coherent family for pure data; for toeplitz data the quantized bump, one
-    vector per quadrature node.  Callers that evolve or export the datum take
-    ``.compressed(PRUNE_TOL)``, which returns a rank-1 family unchanged.
+    f is the pruned bump of ``initial_density`` for toeplitz data and the
+    unit point mass at (center_q, center_p) for pure data, whose quantization
+    is the coherent family: fiber k holds the one packet at
+    (center_q, center_p - hbar k).  Either way rho = ``toeplitz_quantize`` of f
+    on the scenario's k-grid, one vector per node; this is the only builder of
+    that k-grid and of the datum.  Callers that evolve or export the datum take
+    ``rho.compressed(PRUNE_TOL)``, which returns a rank-1 family unchanged.
     """
-    return _initial_state(scn, initial_density(scn) if scn.initial_kind == "toeplitz" else None)
-
-
-def _initial_state(scn: ObservabilityScenario, f: PhaseSpaceDensity | None) -> FiberedDensity:
-    """``initial_state`` given the bump ``f`` = ``initial_density(scn)`` (None for pure data).
-
-    Callers that also read the bump build it once and pass it here.
-    """
+    if scn.initial_kind == "toeplitz":
+        f = initial_density(scn)
+    else:
+        f = PhaseSpaceDensity(scn.center_q[None], scn.center_p[None], [1.0], [1.0])
     kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
-    if f is None:
-        return coherent_family(scn.lat, kgrid, scn.disc.m, scn.hbar, scn.center_q, scn.center_p)
-    return toeplitz_quantize(f, scn.lat, kgrid, scn.disc.m, scn.hbar)
+    return f, toeplitz_quantize(f, scn.lat, kgrid, scn.disc.m, scn.hbar)
 
 
 def default_p_max(scn: ObservabilityScenario) -> float:
@@ -276,8 +274,7 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     advances the datum in place.
     """
     d = scn.lat.dimension
-    f = initial_density(scn) if scn.initial_kind == "toeplitz" else None
-    rho = _initial_state(scn, f)
+    f, rho = initial_state(scn)
     rank = rho.rank
     rho, tail = rho.compressed(PRUNE_TOL)
     constants = theorem_constants(scn)

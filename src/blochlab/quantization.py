@@ -378,16 +378,6 @@ def periodic_trace(rho: FiberedDensity) -> float:
     return float(np.mean(rho.fiber_traces()))
 
 
-def coherent_family(lat: LatticeSpec, kgrid: KGrid, m: int, hbar: float, q0, p0
-                    ) -> FiberedDensity:
-    """Rank-1 fibered density whose fiber k is the periodized packet at (q0, p0 - hbar*k)."""
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    vecs = coherent_coeff_batch(np.broadcast_to(q0, kgrid.points.shape),
-                                p0 - hbar * kgrid.points, hbar, lat, m)
-    return FiberedDensity(kgrid, lat, m, hbar, np.ones((kgrid.size, 1)), vecs[:, None, :])
-
-
 # How far from 1 the mass of a density that toeplitz_quantize accepts may be.
 _MASS_TOL = 1e-8
 
@@ -399,7 +389,9 @@ def toeplitz_quantize(f: PhaseSpaceDensity, lat: LatticeSpec, kgrid: KGrid, m: i
     Fiber k collects one projector per quadrature node, onto the periodized
     packet centered at (q_j, p_j - hbar*k), weighted by w_j f_j.  The result
     has unit periodic trace up to the packet-normalization error, which is
-    spectrally small once the plane-wave order resolves the packets.
+    spectrally small once the plane-wave order resolves the packets.  A unit
+    point mass at (q, p) gives the coherent family: one packet per fiber, at
+    (q, p - hbar*k), with weight 1.
     """
     if abs(f.mass - 1.0) > _MASS_TOL:
         raise ValueError(f"density mass {f.mass:.3e} is not 1 (tol {_MASS_TOL:g})")

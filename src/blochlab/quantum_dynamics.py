@@ -146,21 +146,22 @@ def _caches_propagator(h: FiberHamiltonian, n_steps: int, n_samples: int, rank: 
     return n_g * n_steps * c + n_samples * rank * 8 * n_g ** 2 < n_samples * rank * n_steps * c
 
 
-def _observes_by_form(h: FiberHamiltonian, n_support: int, n_samples: int, rank: int) -> bool:
-    """Whether ``observation_series`` evaluates every sample as one Hermitian form per fiber.
+def _observes_by_form(rho: FiberedDensity, n_support: int, n_samples: int) -> bool:
+    """Whether ``observation_series`` evaluates every sample of V = 0 data as a form per fiber.
 
-    Only at V = 0, and only if one fiber's (W, W) complex form, W =
-    ``n_support``, fits in ``_CHUNK_BYTES`` (W <= 362) and costs fewer flops
-    per fiber: building it, 8 rank W^2, plus one (W,) x (W, W) product per
-    sample, 8 W^2, against the masked trace of every vector at every sample.
-    One vector's masked trace costs c = 5 P log2 P + 8 P flops, an inverse FFT
-    and the squares and weights at P = ``quadrature_len(m)``^d grid points.
+    Only if one fiber's (W, W) complex form, W = ``n_support``, fits in
+    ``_CHUNK_BYTES`` (W <= 362) and costs fewer flops per fiber: building it,
+    8 rank W^2, plus one (W,) x (W, W) product per sample, 8 W^2, against the
+    masked trace of every vector at every sample.  One vector's masked trace
+    costs c = 5 P log2 P + 8 P flops, an inverse FFT and the squares and
+    weights at P = ``quadrature_len(m)``^d grid points.
     """
-    if not h.potential.is_zero or 16 * n_support ** 2 > _CHUNK_BYTES:
+    if 16 * n_support ** 2 > _CHUNK_BYTES:
         return False
-    p = quadrature_len(h.m) ** h.lat.dimension
+    p = quadrature_len(rho.m) ** rho.lat.dimension
     c = 5 * p * np.log2(p) + 8 * p
-    return n_samples * 8 * n_support ** 2 + 8 * rank * n_support ** 2 < n_samples * rank * c
+    w2, rank = n_support ** 2, rho.rank
+    return n_samples * 8 * w2 + 8 * rank * w2 < n_samples * rank * c
 
 
 def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPotential,
@@ -168,21 +169,22 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
     """``rho.masked_trace(mask)`` at the times i horizon / n_samples, i = 0..n_samples.
 
     On return ``rho.vectors``, the same array, hold the density at
-    ``horizon``.  Unless ``_observes_by_form`` says otherwise, the trace is
-    read at every yield of ``evolution``.  At V = 0 each fiber evolves by the
-    phases u_n(t) = exp(-i t E_n / hbar) of its kinetic diagonal E, so every
-    sample is u(t)^H A u(t) with the fiber's form A on the support W of the
-    vectors (``FiberedDensity._masked_forms``): the coefficients that vanish
-    in every vector stay zero under the phases.  The form path evaluates it
-    for ``_FORM_ROWS`` samples at a time as one (samples, W) x (W, W) product
-    and, after the last fiber, moves the vectors to ``horizon`` by one exact
-    ``propagate_batch``.
+    ``horizon``.  At V != 0, and at V = 0 unless ``_observes_by_form`` says
+    otherwise, the trace is read at every yield of ``evolution``.  At V = 0
+    each fiber evolves by the phases u_n(t) = exp(-i t E_n / hbar) of its
+    kinetic diagonal E, so every sample is u(t)^H A u(t) with the fiber's form
+    A on the support W of the vectors (``FiberedDensity._masked_forms``): the
+    coefficients that vanish in every vector stay zero under the phases.  The
+    form path evaluates it for ``_FORM_ROWS`` samples at a time as one
+    (samples, W) x (W, W) product and, after the last fiber, moves the vectors
+    to ``horizon`` by one exact ``propagate_batch``.  Either path builds the
+    run's one ``FiberHamiltonian``.
     """
-    h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
-    support = np.flatnonzero(np.any(rho.vectors, axis=(0, 1)))
-    if not _observes_by_form(h, support.size, n_samples + 1, rho.rank):
+    support = np.flatnonzero(np.any(rho.vectors, axis=(0, 1))) if potential.is_zero else None
+    if support is None or not _observes_by_form(rho, support.size, n_samples + 1):
         return np.array([rho.masked_trace(mask)
                          for _ in evolution(rho, potential, horizon, n_samples, dt)])
+    h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     times = np.arange(n_samples + 1) * (horizon / n_samples)
     series = np.zeros(n_samples + 1)
     for energies, form in zip(h.kinetic_diagonal[:, support] / h.hbar,

@@ -170,10 +170,14 @@ def std_dev(rho: FiberedDensity) -> float:
     returns the square root of the fiber average.
     """
     rho = _weighted_vectors(rho)
-    norm_sq, mean_p, grad_sq = (a[:, 0] for a in rho.momentum_moments())
-    total = 0.5 * pair_moment(_density_coeffs(rho)[:, 0], rho.lat) + norm_sq * grad_sq \
-        - np.sum(mean_p * mean_p, axis=-1)
-    return float(np.sqrt(np.mean(total)))
+    moments = [a[:, 0] for a in rho.momentum_moments()]
+    return float(np.sqrt(np.mean(_spread(_density_coeffs(rho)[:, 0], moments, rho.lat))))
+
+
+def _spread(coeffs: np.ndarray, moments, lat: LatticeSpec) -> np.ndarray:
+    """Per-fiber Delta^2 of weighted vectors, from their ``_density_coeffs`` and (N, P, Q)."""
+    norm_sq, mean_p, grad_sq = moments
+    return 0.5 * pair_moment(coeffs, lat) + norm_sq * grad_sq - np.sum(mean_p * mean_p, axis=-1)
 
 
 def coupling_energy_husimi(rho: FiberedDensity) -> CouplingEnergy:
@@ -184,9 +188,10 @@ def coupling_energy_husimi(rho: FiberedDensity) -> CouplingEnergy:
     axis (coefficients times exp(-hbar |G|^2 / 4)), against |v|^2.  The
     momentum part, of |p - hbar G|^2 against the p-marginal (Gaussians at
     hbar G), is (d hbar / 2) N^2 + 2 N Q - 2 |P|^2.  ``bound`` carries
-    ``d hbar c_bold + 2 Delta^2``; it holds fiber by fiber where |P_Gamma z|^2
-    is the squared distance to the nearest lattice point (rectangular cells),
-    which the smoothing raises by at most d hbar / 2.
+    ``d hbar c_bold + 2 Delta^2``, from the same coefficients and moments; it
+    holds fiber by fiber where |P_Gamma z|^2 is the squared distance to the
+    nearest lattice point (rectangular cells), which the smoothing raises by
+    at most d hbar / 2.
     """
     rho = _weighted_vectors(rho)
     lat, hbar = rho.lat, rho.hbar
@@ -195,14 +200,15 @@ def coupling_energy_husimi(rho: FiberedDensity) -> CouplingEnergy:
     g = g_vectors(lat, 2 * rho.m)
     pos = pair_moment(coeffs * np.exp(-hbar * np.sum(g * g, axis=-1) / 8.0).reshape(
         coeffs.shape[1:]), lat)
-    norm_sq, mean_p, grad_sq = (a[:, 0] for a in rho.momentum_moments())
+    norm_sq, mean_p, grad_sq = moments = [a[:, 0] for a in rho.momentum_moments()]
     mom = (d * hbar / 2.0) * norm_sq ** 2 + 2.0 * norm_sq * grad_sq \
         - 2.0 * np.sum(mean_p * mean_p, axis=-1)
     per_fiber = pos + mom
+    bound = d * hbar * float(np.mean(norm_sq ** 2)) \
+        + 2.0 * float(np.sqrt(np.mean(_spread(coeffs, moments, lat)))) ** 2
     return CouplingEnergy(total=float(np.mean(per_fiber)), per_fiber=per_fiber,
                           position_part=float(np.mean(pos)),
-                          momentum_part=float(np.mean(mom)),
-                          bound=d * hbar * c_bold(rho) + 2.0 * std_dev(rho) ** 2,
+                          momentum_part=float(np.mean(mom)), bound=bound,
                           position_per_fiber=pos, momentum_per_fiber=mom)
 
 

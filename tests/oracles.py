@@ -11,7 +11,8 @@ proof devices of the stability argument live here too: a single periodic
 field with its own packet constructor, the commutator identities behind the
 cost transport, and the fiber flow.  So do the shorthand constructors the
 tests build their inputs with (a cubic lattice, one-term potentials, single
-boxes, a rescaled density).  None of them is used by the package itself.
+boxes, a rescaled density, the coherent family of one packet per fiber).
+None of them is used by the package itself.
 """
 
 from dataclasses import dataclass
@@ -58,6 +59,19 @@ def single_box(qlo, qhi, plo, phi) -> PhaseBoxSet:
 def scaled_density(rho: FiberedDensity, c: float) -> FiberedDensity:
     """The density c rho: the same vectors with every fiber weight times c."""
     return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, c * rho.lambdas, rho.vectors)
+
+
+def coherent_family(lat: LatticeSpec, kgrid: KGrid, m: int, hbar: float, q0, p0
+                    ) -> FiberedDensity:
+    """Rank-1 fibered density whose fiber k is the periodized packet at (q0, p0 - hbar*k).
+
+    All fibers' packets in one ``coherent_coeff_batch`` call, with unit weights.
+    """
+    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
+    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
+    vecs = coherent_coeff_batch(np.broadcast_to(q0, kgrid.points.shape),
+                                p0 - hbar * kgrid.points, hbar, lat, m)
+    return FiberedDensity(kgrid, lat, m, hbar, np.ones((kgrid.size, 1)), vecs[:, None, :])
 
 
 @dataclass

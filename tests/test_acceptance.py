@@ -9,20 +9,19 @@ import numpy as np
 import pytest
 
 from blochlab import (CostParams, Discretization, KGrid, ObservabilityScenario, PhaseSpaceDensity,
-                      coherent_family, constant_pure, coupling_energy_husimi,
-                      coupling_energy_toeplitz, flow, hbar_threshold, husimi,
-                      minimize_toeplitz_penalty, periodic_trace, stability_envelope,
-                      toeplitz_quantize, verify_theorem)
+                      constant_pure, coupling_energy_husimi, coupling_energy_toeplitz, flow,
+                      hbar_threshold, husimi, minimize_toeplitz_penalty, periodic_trace,
+                      stability_envelope, toeplitz_quantize, verify_theorem)
 from blochlab.bloch import grid_weight, position_grid
 from blochlab.cli import main as cli_main
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
 from conftest import coherent_overlap
-from oracles import (CoherentParams, bloch_transform, coherent_planewave_coeffs, coherent_state,
-                     commutator_residual, cosine_potential, coupling_energy_husimi_grid,
-                     default_window, interval_region, periodized_coherent, single_box,
-                     zero_potential)
+from oracles import (CoherentParams, bloch_transform, coherent_family, coherent_planewave_coeffs,
+                     coherent_state, commutator_residual, cosine_potential,
+                     coupling_energy_husimi_grid, default_window, interval_region,
+                     periodized_coherent, single_box, zero_potential)
 
 
 def _report(num, ok, detail):

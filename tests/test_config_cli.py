@@ -145,6 +145,21 @@ def test_numeric_values_exit_3_naming_the_key(tmp_path, capsys, old, new, field)
     assert f"config validation error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("field", ["physics.T", "physics.dt", "physics.lambda",
+                                   "discretization.p_max", "scenario.delta", "initial.sigma_q",
+                                   "initial.sigma_p"])
+def test_nonpositive_values_exit_3_naming_the_key(tmp_path, capsys, field, value):
+    section, key = field.split(".")
+    lines = [line for line in BASE.splitlines() if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    text = "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+    assert main(["constants", "--config", write_cfg(tmp_path, text), "--out",
+                 str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"config validation error: {field}:" in err and "must be positive" in err
+
+
 def test_integral_floats_are_accepted_as_sizes():
     cfg = load_config(BASE.replace("m = 48", "m = 48.0").replace("[initial]",
                       "[potential]\nterms = [((1.0,), 0.1, 0.0)]\n\n[initial]"))

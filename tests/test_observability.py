@@ -2,18 +2,21 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from blochlab import (Discretization, KGrid, ObservabilityScenario, Region, c_bold,
-                      coherent_family, constant_pure, hbar_threshold, initial_state, std_dev,
-                      verify_theorem)
+from blochlab import (Discretization, KGrid, LatticeSpec, ObservabilityScenario, Region, c_bold,
+                      constant_pure, gamma_bounds, hbar_threshold, initial_state, std_dev,
+                      toeplitz_quantize, verify_theorem)
+from blochlab import quantum_dynamics
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
-from blochlab.observability import PRUNE_TOL, minimize_toeplitz_penalty, observed_time_integral
+from blochlab.observability import PRUNE_TOL, initial_density, minimize_toeplitz_penalty, \
+    observed_time_integral
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
-from conftest import is_11_smooth
+from conftest import LATTICES, is_11_smooth
 
-from oracles import cosine_potential, interval_region, single_box, zero_potential
+from oracles import coherent_family, cosine_potential, interval_region, single_box, \
+    zero_potential
 
 
 def _toeplitz_oracle(geom, horizon, lip, n=100_000):
@@ -198,16 +201,92 @@ def test_toeplitz_report_structure(lat1, geom1):
     assert rep.rows["rank_evolved"] <= rep.rows["rank"] and rep.rows["rank_tail"] <= 1e-10
 
 
-def test_compression_keeps_toeplitz_lhs(lat1, geom1):
-    # with a potential the quantized bump has far fewer significant eigenvectors than nodes
+def _hexagonal_pure_scenario():
+    lat = LatticeSpec(LATTICES["hexagonal"])
+    return ObservabilityScenario(
+        lat=lat, geom=gamma_bounds(lat), potential=zero_potential(lat), hbar=0.03,
+        horizon=0.5, delta=0.05, omega=interval_region([-0.1, -0.1], [0.1, 0.1], lat),
+        k_set=single_box([-0.5, -0.5], [0.5, 0.5], [0.0, -0.5], [1.0, 0.5]),
+        disc=Discretization(m=24, n_k=2, n_q=6, n_p=6, n_time_obs=4, n_time_gc=50,
+                            gc_per_axis=4, gc_quasi=10, dt=1e-3),
+        initial_kind="pure", center_q=np.array([0.1, -0.05]), center_p=np.array([0.4, 0.2]))
+
+
+def test_initial_state_quantizes_the_toeplitz_bump(lat1, geom1):
+    scn = base_scenario(lat1, geom1)
+    f, rho = initial_state(scn)
+    bump = initial_density(scn)
+    for got, want in zip((f.nodes_q, f.nodes_p, f.weights, f.values),
+                         (bump.nodes_q, bump.nodes_p, bump.weights, bump.values)):
+        np.testing.assert_array_equal(got, want)
+    want = toeplitz_quantize(bump, lat1, KGrid.monkhorst_pack(lat1, 16), 384, 1e-3)
+    np.testing.assert_array_equal(rho.kgrid.points, want.kgrid.points)
+    np.testing.assert_array_equal(rho.lambdas, want.lambdas)
+    np.testing.assert_array_equal(rho.vectors, want.vectors)
+    assert rho.rank == f.size > 1
+
+
+@pytest.mark.parametrize("lattice", ["line", "hexagonal"])
+def test_initial_state_of_pure_data_is_the_quantized_point_mass(lat1, geom1, lattice):
+    # the coherent family is the Toeplitz quantization of a unit point mass at
+    # (center_q, center_p): one packet per fiber, at center_p - hbar k, weight 1
+    scn = base_scenario(lat1, geom1, kind="pure") if lattice == "line" \
+        else _hexagonal_pure_scenario()
+    f, rho = initial_state(scn)
+    np.testing.assert_array_equal(f.nodes_q, scn.center_q[None])
+    np.testing.assert_array_equal(f.nodes_p, scn.center_p[None])
+    np.testing.assert_array_equal(f.weights, [1.0])
+    np.testing.assert_array_equal(f.values, [1.0])
+    want = coherent_family(scn.lat, KGrid.monkhorst_pack(scn.lat, scn.disc.n_k), scn.disc.m,
+                           scn.hbar, scn.center_q, scn.center_p)
+    np.testing.assert_array_equal(rho.kgrid.points, want.kgrid.points)
+    np.testing.assert_array_equal(rho.lambdas, want.lambdas)
+    np.testing.assert_array_equal(rho.vectors, want.vectors)
+    assert rho.rank == 1 and rho.kgrid.size > 1
+
+
+def _potential_scenario(lat1, geom1):
     scn = base_scenario(lat1, geom1, hbar=0.01, n_obs=20)
     scn.potential = cosine_potential(lat1, (1,), 0.1)
     scn.disc = Discretization(m=64, n_k=4, n_q=10, n_p=14, n_time_obs=20, n_time_gc=200,
                               gc_per_axis=8, gc_quasi=40, dt=1e-3)
+    return scn
+
+
+@pytest.mark.parametrize("case, path", [("potential", "loop"), ("pure", "loop"),
+                                        ("toeplitz", "form")])
+def test_one_verify_builds_one_fiber_hamiltonian(monkeypatch, lat1, geom1, case, path):
+    # V != 0, where the form rule is never consulted; V = 0 with one vector per
+    # fiber (the masked-trace loop); V = 0 with the 1-D toeplitz datum at 81
+    # samples (one Hermitian form per fiber: rank 30 on W = 344 coefficients)
+    built, chosen = [], []
+    rule = quantum_dynamics._observes_by_form
+
+    class Counted(quantum_dynamics.FiberHamiltonian):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    def recorded(*args):
+        chosen.append(rule(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(quantum_dynamics, "FiberHamiltonian", Counted)
+    monkeypatch.setattr(quantum_dynamics, "_observes_by_form", recorded)
+    scn = _potential_scenario(lat1, geom1) if case == "potential" \
+        else base_scenario(lat1, geom1, kind=case, n_obs=80)
+    verify_theorem(scn)
+    assert len(built) == 1
+    assert chosen == ([] if case == "potential" else [path == "form"])
+
+
+def test_compression_keeps_toeplitz_lhs(lat1, geom1):
+    # with a potential the quantized bump has far fewer significant eigenvectors than nodes
+    scn = _potential_scenario(lat1, geom1)
     rep = verify_theorem(scn)
     assert rep.rows["rank_evolved"] < rep.rows["rank"]
     assert 0.0 < rep.rows["rank_tail"] <= PRUNE_TOL
-    rho = initial_state(scn)
+    _, rho = initial_state(scn)
     assert rho.rank == rep.rows["rank"]
     lhs = observed_time_integral(rho, scn.omega, scn.delta, scn.potential, scn.horizon,
                                  20, scn.disc.dt)[0]

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from blochlab import (KGrid, LatticeSpec, PhaseSpaceDensity, Region, coherent_family, husimi,
-                      periodic_trace, toeplitz_quantize)
+from blochlab import (KGrid, LatticeSpec, PhaseSpaceDensity, Region, husimi, periodic_trace,
+                      toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len
 from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi_mass_on_boxes
 
 from conftest import LATTICES, random_density
-from oracles import cosine_potential, husimi_mass_grid, interval_region, position_density, \
-    scaled_density, single_box
+from oracles import coherent_family, cosine_potential, husimi_mass_grid, interval_region, \
+    position_density, scaled_density, single_box
 
 
 def gaussian_bump(q0, p0, sq, sp):

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
-from blochlab import (KGrid, LatticeSpec, TrigPotential, coherent_family, gamma_bounds,
-                      periodic_trace)
+from blochlab import KGrid, LatticeSpec, TrigPotential, gamma_bounds, periodic_trace
 from blochlab.bloch import centered_indices, position_grid
 from blochlab.classical_dynamics import _step_count, _verlet_step, flow
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
-from oracles import (CoherentParams, bloch_transform, coherent_state, commutator_residual,
-                     cosine_potential, cubic_lattice, periodized_coherent, propagate_batch_rolled,
-                     zero_potential)
+from oracles import (CoherentParams, bloch_transform, coherent_family, coherent_state,
+                     commutator_residual, cosine_potential, cubic_lattice, periodized_coherent,
+                     propagate_batch_rolled, zero_potential)
 
 LATTICES = {"line": [[1.0]], "hexagonal": [[1.0, 0.0], [0.5, 0.8660254037844386]]}
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, Region, TrigPotential,
-                      c_bold, coherent_family, coupling_energy_husimi, coupling_energy_toeplitz,
+                      c_bold, coupling_energy_husimi, coupling_energy_toeplitz,
                       evolution, gamma_bounds, gronwall_rate, observed_time_integral,
                       stability_envelope, std_dev, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
@@ -18,7 +18,7 @@ from blochlab.transport_metric import diagonal_coupling_parts, pair_moment
 from scipy.integrate import quad
 
 from conftest import LATTICES, random_density
-from oracles import (CoherentParams, coherent_state, cosine_potential,
+from oracles import (CoherentParams, coherent_family, coherent_state, cosine_potential,
                      coupling_energy_husimi_grid, diagonal_coupling_dense, pair_moment_grid,
                      scaled_density, zero_potential)
 
@@ -587,24 +587,25 @@ def test_free_observation_form_holds_no_more_memory_than_the_loop(monkeypatch):
     assert peaks[True] <= peaks[False]
 
 
+def _sized(lat, m, n_k, rank):
+    """A density of the given sizes whose weights and vectors are zero blocks of no memory."""
+    kg = KGrid.monkhorst_pack(lat, n_k)
+    n_g = (2 * m + 1) ** lat.dimension
+    return FiberedDensity(kg, lat, m, 1e-3, np.broadcast_to(0.0, (kg.size, rank)),
+                          np.broadcast_to(0j, (kg.size, rank, n_g)))
+
+
 def test_observation_form_rule_follows_the_flop_count(lat1):
     rule = quantum_dynamics._observes_by_form
-    free = FiberHamiltonian(lat1, 384, KGrid.monkhorst_pack(lat1, 8).points,
-                            zero_potential(lat1), 1e-3)
     # free-1d verify toeplitz: 201 samples of 48 vectors on 327 coefficients,
     # 213 M against 449 M flops
-    assert rule(free, 327, 201, 48)
+    assert rule(_sized(lat1, 384, 8, 48), 327, 201)
     # free-1d verify pure: one vector on 268 or 269 coefficients
-    assert not rule(free, 268, 201, 1) and not rule(free, 269, 201, 1)
-    # potential-1d: V != 0
-    kg = KGrid.monkhorst_pack(lat1, 4)
-    assert not rule(FiberHamiltonian(lat1, 64, kg.points, cosine_potential(lat1, (1,), 0.1), 0.01),
-                    89, 201, 25)
+    pure = _sized(lat1, 384, 8, 1)
+    assert not rule(pure, 268, 201) and not rule(pure, 269, 201)
     # cell-2d: a form of 1555^2 x 16 B = 39 MB exceeds the chunk budget
-    hexagonal = LatticeSpec(LATTICES["hexagonal"])
-    cell = FiberHamiltonian(hexagonal, 24, KGrid.monkhorst_pack(hexagonal, 2).points,
-                            zero_potential(hexagonal), 0.03)
-    assert not rule(cell, 1555, 21, 57)
+    assert not rule(_sized(LatticeSpec(LATTICES["hexagonal"]), 24, 2, 57), 1555, 21)
     # one fiber's form fits the chunk budget up to W = 362
-    assert rule(free, 362, 1000, 1000)
-    assert not rule(free, 363, 1000, 1000)
+    many = _sized(lat1, 384, 8, 1000)
+    assert rule(many, 362, 1000)
+    assert not rule(many, 363, 1000)
