@@ -18,6 +18,6 @@ from .observability import (Discretization, ObservabilityScenario, TheoremReport
 from .quantization import (FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, husimi,
                            husimi_mass_on_boxes, periodic_trace, toeplitz_quantize)
 from .quantum_dynamics import FiberHamiltonian, evolution
-from .transport_metric import (CostParams, CouplingEnergy, StabilityEnvelope, c_bold,
+from .transport_metric import (CostParams, CouplingEnergy, StabilityEnvelope,
                                coupling_energy_husimi, coupling_energy_toeplitz,
-                               gronwall_rate, stability_envelope, std_dev)
+                               gronwall_rate, stability_envelope)

@@ -17,8 +17,10 @@ from .lattice import LatticeSpec, Region
 from .quantization import PhaseBoxSet
 
 
-# Points per axis of the cell grid on which lipschitz_gradient maximizes the Hessian norm.
+# Points per axis of the cell grid on which lipschitz_gradient maximizes the Hessian
+# norm, and the most points of that grid (512^3 points and Hessians would take 13 GB).
 _HESSIAN_GRID = 512
+_HESSIAN_POINTS = _HESSIAN_GRID ** 2
 # Relative slack, in units of the machine epsilon, by which |t| / dt may exceed
 # an integer and still count as that many steps.
 _STEP_ULPS = 4
@@ -102,20 +104,23 @@ class TrigPotential:
         """Two Lipschitz bounds for grad V; ``value`` is their min.
 
         The analytic bound is sum |c_t| |G_t|^2.  The grid bound is the Hessian
-        norm's maximum on the N^d cell grid (N = ``_HESSIAN_GRID``) divided by
-        1 - d pi B / N, B the ``bandwidth``: each cell point is within pi/N of
-        the grid in every phase 2 pi t_i, so by Bernstein's inequality the grid
-        maximum misses at most d pi B / N of the true one.  If that factor is
-        <= 0 the grid bound is infinite.
+        norm's maximum on the N^d cell grid divided by 1 - d pi B / N, B the
+        ``bandwidth``: each cell point is within pi/N of the grid in every
+        phase 2 pi t_i, so by Bernstein's inequality the grid maximum misses at
+        most d pi B / N of the true one.  If that factor is <= 0 the grid bound
+        is infinite.  N is ``_HESSIAN_GRID`` in one and two dimensions and the
+        largest N with N^d <= ``_HESSIAN_POINTS`` above (64 in three).
         """
         analytic = sum(abs(c) * float(np.dot(g, g))
                        for (g, (_, c, _)) in zip(self.g_vectors(), self.terms))
         if self.is_zero:
             return LipschitzBound(0.0, 0.0, 0.0)
-        factor = 1.0 - self.lat.dimension * np.pi * self.bandwidth / _HESSIAN_GRID
+        d = self.lat.dimension
+        n = next(k for k in range(_HESSIAN_GRID, 0, -1) if k ** d <= _HESSIAN_POINTS)
+        factor = 1.0 - d * np.pi * self.bandwidth / n
         grid = np.inf
         if factor > 0:
-            hess = self.hessian_norm(position_grid(self.lat, _HESSIAN_GRID))
+            hess = self.hessian_norm(position_grid(self.lat, n))
             grid = float(np.max(hess)) / factor
         return LipschitzBound(min(analytic, grid), analytic, grid)
 

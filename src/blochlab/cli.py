@@ -7,7 +7,8 @@ and uses exit codes
     0  success (for ``verify``: margin within the error budget)
     1  verify margin below the budget
     2  usage error (flags or their environment values, an --out that cannot be
-       made a directory) or config parse error
+       made a directory, a CSV that cannot be written there) or config parse
+       error
     3  config validation error, including sizes whose smallest state block
        exceeds the machine's physical memory
 
@@ -40,8 +41,8 @@ from .errors import ConfigParseError, ConfigValidationError
 from .observability import PRUNE_TOL, default_p_max, initial_state, theorem_constants, \
     verify_theorem
 from .quantization import husimi, momentum_grid
-from .transport_metric import CostParams, c_bold, coupling_energy_husimi, \
-    coupling_energy_toeplitz, gronwall_rate, stability_envelope, std_dev
+from .transport_metric import CostParams, coupling_energy_husimi, coupling_energy_toeplitz, \
+    gronwall_rate, stability_envelope
 
 
 def _fmt(x) -> str:
@@ -86,7 +87,7 @@ def _cmd_metric(scn):
         extra = [("lambda", lam)]
     else:
         ce = coupling_energy_husimi(rho)
-        extra = [("std_dev", std_dev(rho)), ("c_bold", c_bold(rho))]
+        extra = [("std_dev", ce.std_dev), ("c_bold", ce.c_bold)]
     rows = [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
             ("position_part", ce.position_part), ("momentum_part", ce.momentum_part), *extra]
     return {"metric": (("quantity", "value"), rows)}, _assignments(rows), 0
@@ -207,7 +208,12 @@ def main(argv=None) -> int:
         print(f"config validation error: {exc}", file=sys.stderr)
         return 3
     for name, (header, rows) in tables.items():
-        _write_csv(os.path.join(args.out, f"{cfg.prefix}_{name}.csv"), header, rows, cfg_hash)
+        path = os.path.join(args.out, f"{cfg.prefix}_{name}.csv")
+        try:
+            _write_csv(path, header, rows, cfg_hash)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return 2
     for line in lines:
         print(line)
     return code

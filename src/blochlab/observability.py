@@ -25,7 +25,7 @@ from .lattice import CellGeometry, LatticeSpec, Region
 from .quantization import FiberedDensity, PhaseBoxSet, PhaseSpaceDensity, husimi_mass_on_boxes, \
     periodic_trace, toeplitz_quantize
 from .quantum_dynamics import observation_series
-from .transport_metric import c_bold, gronwall_rate, std_dev
+from .transport_metric import coupling_energy_husimi, gronwall_rate
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +296,9 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     else:
         mass_k = husimi_mass_on_boxes(rho, scn.k_set)
         c_const, lam_star = constants.c_pure, 1.0
-        dev, cb = std_dev(rho), c_bold(rho)
-        energy_bound = penalty_scale = float(np.sqrt(d * scn.hbar * cb + 2.0 * dev ** 2))
-        kind_rows = {"std_dev": dev, "c_bold": cb}
+        ce = coupling_energy_husimi(rho)
+        energy_bound = penalty_scale = float(np.sqrt(ce.bound))
+        kind_rows = {"std_dev": ce.std_dev, "c_bold": ce.c_bold}
     if not gc.satisfied:
         warnings.append("geometric-control estimate is zero at sample resolution")
     trace0 = periodic_trace(rho)

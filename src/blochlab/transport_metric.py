@@ -52,6 +52,8 @@ class CouplingEnergy:
     bound: float | None = None
     position_per_fiber: np.ndarray | None = None
     momentum_per_fiber: np.ndarray | None = None
+    std_dev: float | None = None        # the Husimi coupling's spread Delta and c_bold,
+    c_bold: float | None = None         # from which its bound is assembled
 
     def __post_init__(self):
         if self.total < -1e-12:
@@ -145,39 +147,14 @@ def _density_coeffs(rho: FiberedDensity) -> np.ndarray:
 def _weighted_vectors(rho: FiberedDensity) -> FiberedDensity:
     """A rank-1 density as its weighted vectors sqrt(lambda) v, with unit weights.
 
-    ``c_bold``, ``std_dev`` and ``coupling_energy_husimi`` work on these, so
-    scaling the density by c scales each of them (std_dev squared) by c^2.
+    ``coupling_energy_husimi`` works on these, so scaling the density by c
+    scales its energy, bound, c_bold and squared std_dev by c^2.
     """
     if rho.rank != 1:
         raise ValueError("requires rank-1 fibers")
     root = np.sqrt(np.clip(rho.lambdas, 0.0, None))
     return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, np.ones_like(root),
                           root[:, :, None] * rho.vectors)
-
-
-def c_bold(rho: FiberedDensity) -> float:
-    """Fiber average of the fourth power of the weighted fiber norms (rank-1 densities)."""
-    norms = _weighted_vectors(rho).momentum_moments()[0][:, 0]
-    return float(np.mean(norms ** 2))
-
-
-def std_dev(rho: FiberedDensity) -> float:
-    """Spread functional Delta of a rank-1 fibered density.
-
-    Per fiber, of the weighted vector sqrt(lambda) v: half the second
-    periodized moment of the pair density (``pair_moment``, exact) plus the
-    momentum variance N Q - |P|^2 (``FiberedDensity.momentum_moments``);
-    returns the square root of the fiber average.
-    """
-    rho = _weighted_vectors(rho)
-    moments = [a[:, 0] for a in rho.momentum_moments()]
-    return float(np.sqrt(np.mean(_spread(_density_coeffs(rho)[:, 0], moments, rho.lat))))
-
-
-def _spread(coeffs: np.ndarray, moments, lat: LatticeSpec) -> np.ndarray:
-    """Per-fiber Delta^2 of weighted vectors, from their ``_density_coeffs`` and (N, P, Q)."""
-    norm_sq, mean_p, grad_sq = moments
-    return 0.5 * pair_moment(coeffs, lat) + norm_sq * grad_sq - np.sum(mean_p * mean_p, axis=-1)
 
 
 def coupling_energy_husimi(rho: FiberedDensity) -> CouplingEnergy:
@@ -187,9 +164,13 @@ def coupling_energy_husimi(rho: FiberedDensity) -> CouplingEnergy:
     the Husimi q-marginal, |v|^2 smoothed by a Gaussian of variance hbar/2 per
     axis (coefficients times exp(-hbar |G|^2 / 4)), against |v|^2.  The
     momentum part, of |p - hbar G|^2 against the p-marginal (Gaussians at
-    hbar G), is (d hbar / 2) N^2 + 2 N Q - 2 |P|^2.  ``bound`` carries
-    ``d hbar c_bold + 2 Delta^2``, from the same coefficients and moments; it
-    holds fiber by fiber where |P_Gamma z|^2 is the squared distance to the
+    hbar G), is (d hbar / 2) N^2 + 2 N Q - 2 |P|^2.
+
+    The same coefficients and moments give ``c_bold``, the fiber average of
+    N^2, and the spread ``std_dev`` Delta: the square root of the fiber
+    average of half the pair moment of |v|^2 (``pair_moment``, exact) plus the
+    momentum variance N Q - |P|^2.  ``bound`` is ``d hbar c_bold + 2 Delta^2``;
+    it holds fiber by fiber where |P_Gamma z|^2 is the squared distance to the
     nearest lattice point (rectangular cells), which the smoothing raises by
     at most d hbar / 2.
     """
@@ -200,16 +181,18 @@ def coupling_energy_husimi(rho: FiberedDensity) -> CouplingEnergy:
     g = g_vectors(lat, 2 * rho.m)
     pos = pair_moment(coeffs * np.exp(-hbar * np.sum(g * g, axis=-1) / 8.0).reshape(
         coeffs.shape[1:]), lat)
-    norm_sq, mean_p, grad_sq = moments = [a[:, 0] for a in rho.momentum_moments()]
-    mom = (d * hbar / 2.0) * norm_sq ** 2 + 2.0 * norm_sq * grad_sq \
-        - 2.0 * np.sum(mean_p * mean_p, axis=-1)
+    norm_sq, mean_p, grad_sq = [a[:, 0] for a in rho.momentum_moments()]
+    mean_p_sq = np.sum(mean_p * mean_p, axis=-1)
+    mom = (d * hbar / 2.0) * norm_sq ** 2 + 2.0 * norm_sq * grad_sq - 2.0 * mean_p_sq
     per_fiber = pos + mom
-    bound = d * hbar * float(np.mean(norm_sq ** 2)) \
-        + 2.0 * float(np.sqrt(np.mean(_spread(coeffs, moments, lat)))) ** 2
+    spread = 0.5 * pair_moment(coeffs, lat) + norm_sq * grad_sq - mean_p_sq
+    std_dev, c_bold = float(np.sqrt(np.mean(spread))), float(np.mean(norm_sq ** 2))
     return CouplingEnergy(total=float(np.mean(per_fiber)), per_fiber=per_fiber,
                           position_part=float(np.mean(pos)),
-                          momentum_part=float(np.mean(mom)), bound=bound,
-                          position_per_fiber=pos, momentum_per_fiber=mom)
+                          momentum_part=float(np.mean(mom)),
+                          bound=d * hbar * c_bold + 2.0 * std_dev ** 2,
+                          position_per_fiber=pos, momentum_per_fiber=mom,
+                          std_dev=std_dev, c_bold=c_bold)
 
 
 @dataclass

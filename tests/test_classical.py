@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from blochlab import PhaseSpaceDensity, TrigPotential, flow, gc_constant
+from blochlab import PhaseSpaceDensity, TrigPotential, classical_dynamics, flow, gc_constant
+from blochlab.bloch import position_grid
 from blochlab.lattice import reduce_to_cell
 
 from oracles import (cosine_potential, cubic_lattice, interval_region, k_flow, single_box,
@@ -218,6 +219,24 @@ def test_lipschitz_grid_bound_holds_between_grid_points(lat1, n):
     lb = TrigPotential(lat1, [((n,), 1.0, np.pi * n / 512)]).lipschitz_gradient()
     assert lb.grid >= (2 * np.pi * n) ** 2
     assert lb.value == pytest.approx((2 * np.pi * n) ** 2, rel=1e-12)
+
+
+def test_lipschitz_hessian_grid_is_bounded_in_three_dimensions(monkeypatch):
+    # 512^3 positions and Hessians would not fit in memory; the size is checked
+    # before the grid is built
+    def bounded(lat, n):
+        assert n ** lat.dimension <= 512 ** 2, f"{n}^{lat.dimension} Hessian grid points"
+        return position_grid(lat, n)
+
+    monkeypatch.setattr(classical_dynamics, "position_grid", bounded)
+    c = 0.1
+    lb = TrigPotential(cubic_lattice(3), [((1, 0, 0), c, 0.0),
+                                          ((0, 1, 0), c, 0.0)]).lipschitz_gradient()
+    # the Hessian diag(c (2 pi)^2 cos, c (2 pi)^2 cos, 0) peaks at half the analytic
+    # bound, on the 64-point grid, whose Bernstein factor is 1 - 3 pi / 64
+    assert lb.analytic == pytest.approx(2 * c * (2 * np.pi) ** 2, rel=1e-12)
+    assert lb.grid == pytest.approx(c * (2 * np.pi) ** 2 / (1 - 3 * np.pi / 64), rel=1e-12)
+    assert lb.value == lb.grid <= lb.analytic
 
 
 def test_lipschitz_without_a_grid_bound_is_analytic(lat1):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 import scipy.fft
 
 import blochlab
-from blochlab import bloch, gamma_bounds, quantum_dynamics
+from blochlab import bloch, gamma_bounds, quantum_dynamics, transport_metric
 from blochlab.cli import _COMMANDS, _fmt, main
 from blochlab.config import load_config, parse_config
 from blochlab.errors import ConfigParseError, ConfigValidationError
@@ -241,6 +242,34 @@ def test_cli_output_path_errors(tmp_path, capsys):
     assert "output.prefix" in capsys.readouterr().err
 
 
+def test_cli_unwritable_csv_is_a_usage_error(tmp_path, capsys):
+    # a CSV that cannot be written is a usage error naming its path, not a traceback
+    cfg = write_cfg(tmp_path)
+    csv = tmp_path / "out" / "out_constants.csv"
+    csv.mkdir(parents=True)
+    assert main(["constants", "--config", cfg, "--out", str(csv.parent)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {csv}: " in err
+    assert "Traceback" not in err
+
+
+def test_benchmark_configs_are_valid(monkeypatch):
+    # the benchmark's generated configs, every workload, kind and seed variant,
+    # load into a scenario; a key they set that the loader rejects fails here
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look the defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for workload in workloads.WORKLOADS.values():
+        for kind in ("toeplitz", "pure"):
+            for seed in range(workloads.JITTER_VARIANTS):
+                scn = load_config(workloads.config_text(workload, seed, kind)).scenario()
+                assert scn.initial_kind == kind
+
+
 def test_bump_without_a_node_in_k_names_n_p(tmp_path, capsys):
     # p_max = 1 + 6 sqrt(hbar) = 2.2 puts the six momentum nodes at +-0.37, +-1.1
     # and +-1.83, none in K's momenta [0.5, 1.0]
@@ -447,6 +476,21 @@ def test_cli_pure_verify(tmp_path):
     assert rows["kind"] == "pure"
     assert float(rows["std_dev"]) > 0
     assert (rows["rank"], rows["rank_evolved"], rows["rank_tail"]) == ("1", "1", "0")
+
+
+@pytest.mark.parametrize("sub", ["metric", "verify"])
+def test_pure_coupling_quantities_take_one_pass(tmp_path, monkeypatch, sub):
+    # Delta, c_bold and the Husimi coupling energy are read off one copy of the
+    # weighted vectors and one transform of their densities
+    calls = dict.fromkeys(("_weighted_vectors", "_density_coeffs"), 0)
+    for name in calls:
+        def counted(rho, _fn=getattr(transport_metric, name), _name=name):
+            calls[_name] += 1
+            return _fn(rho)
+        monkeypatch.setattr(transport_metric, name, counted)
+    cfg = write_cfg(tmp_path, BASE.replace("kind = toeplitz", "kind = pure"))
+    assert main([sub, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert calls == {"_weighted_vectors": 1, "_density_coeffs": 1}
 
 
 HEX_PURE = """\

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from blochlab import (Discretization, KGrid, LatticeSpec, ObservabilityScenario, Region, c_bold,
-                      constant_pure, gamma_bounds, hbar_threshold, initial_state, std_dev,
-                      toeplitz_quantize, verify_theorem)
+from blochlab import (Discretization, KGrid, LatticeSpec, ObservabilityScenario, Region,
+                      constant_pure, coupling_energy_husimi, gamma_bounds, hbar_threshold,
+                      initial_state, toeplitz_quantize, verify_theorem)
 from blochlab import quantum_dynamics
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
@@ -81,13 +81,14 @@ def test_hbar_threshold_arithmetic():
 def test_c_bold_values(lat1):
     kg = KGrid.monkhorst_pack(lat1, 8)
     rho = coherent_family(lat1, kg, 48, 0.05, [0.1], [0.3])
-    assert c_bold(rho) == pytest.approx(1.0, abs=1e-4)      # norms fluctuate O(e^{-c/h})
+    c_bold = coupling_energy_husimi(rho).c_bold
+    assert c_bold == pytest.approx(1.0, abs=1e-4)      # norms fluctuate O(e^{-c/h})
     scaled = FiberedDensity(kg, lat1, 48, 0.05, rho.lambdas, 2.0 * rho.vectors)
-    assert c_bold(scaled) == pytest.approx(16.0 * c_bold(rho), rel=1e-12)
+    assert coupling_energy_husimi(scaled).c_bold == pytest.approx(16.0 * c_bold, rel=1e-12)
     # normalized fibers give exactly one
     vecs = rho.vectors / np.sqrt(np.sum(np.abs(rho.vectors) ** 2, axis=2))[:, :, None]
     unit = FiberedDensity(kg, lat1, 48, 0.05, rho.lambdas, vecs)
-    assert c_bold(unit) == pytest.approx(1.0, abs=1e-14)
+    assert coupling_energy_husimi(unit).c_bold == pytest.approx(1.0, abs=1e-14)
 
 
 def test_c_bold_toeplitz_point_mass_quadrature(lat1):
@@ -96,7 +97,7 @@ def test_c_bold_toeplitz_point_mass_quadrature(lat1):
     rho = coherent_family(lat1, kg, m, hbar, [0.2], [0.5])
     norms4 = np.array([np.sum(np.abs(rho.vectors[i, 0]) ** 2) ** 2
                        for i in range(kg.size)])
-    assert c_bold(rho) == pytest.approx(float(np.mean(norms4)), abs=1e-8)
+    assert coupling_energy_husimi(rho).c_bold == pytest.approx(float(np.mean(norms4)), abs=1e-8)
 
 
 def test_std_dev_constant_fibers(lat1):
@@ -108,7 +109,7 @@ def test_std_dev_constant_fibers(lat1):
         vecs = np.zeros((4, 1, n_g), dtype=complex)
         vecs[:, 0, m] = 1.0
         rho = FiberedDensity(kg, lat1, m, 0.05, np.ones((4, 1)), vecs)
-        assert abs(std_dev(rho) ** 2 - 1.0 / 24.0) < 1e-14
+        assert abs(coupling_energy_husimi(rho).std_dev ** 2 - 1.0 / 24.0) < 1e-14
 
 
 def test_std_dev_packet_scaling(lat1):
@@ -117,7 +118,7 @@ def test_std_dev_packet_scaling(lat1):
     for hbar in (0.04, 0.02, 0.01):
         m = max(48, int(np.ceil(4 / np.sqrt(hbar))) + 8)
         rho = coherent_family(lat1, kg, m, hbar, [0.0], [0.3])
-        ratios.append(std_dev(rho) ** 2 / hbar)
+        ratios.append(coupling_energy_husimi(rho).std_dev ** 2 / hbar)
     assert max(ratios) / min(ratios) < 1.15
 
 
@@ -126,7 +127,7 @@ def test_std_dev_two_quadrature_routes(lat1):
     hbar, m = 0.02, 56
     kg = KGrid.monkhorst_pack(lat1, 4)
     rho = coherent_family(lat1, kg, m, hbar, [0.1], [0.4])
-    spectral = std_dev(rho) ** 2
+    spectral = coupling_energy_husimi(rho).std_dev ** 2
 
     n = 4 * m + 1
     pts = position_grid(lat1, n)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, Region, TrigPotential,
-                      c_bold, coupling_energy_husimi, coupling_energy_toeplitz,
+                      coupling_energy_husimi, coupling_energy_toeplitz,
                       evolution, gamma_bounds, gronwall_rate, observed_time_integral,
-                      stability_envelope, std_dev, toeplitz_quantize)
+                      stability_envelope, toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
     values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
@@ -277,7 +277,9 @@ def test_husimi_coupling_bound_holds_per_fiber(name, hbar):
         for ik, k in enumerate(rho.kgrid.points):
             one = FiberedDensity(KGrid(k[None, :], lat), lat, rho.m, hbar,
                                  rho.lambdas[ik:ik + 1], rho.vectors[ik:ik + 1])
-            assert ce.per_fiber[ik] <= d * hbar * c_bold(one) + 2.0 * std_dev(one) ** 2
+            alone = coupling_energy_husimi(one)
+            assert alone.bound == d * hbar * alone.c_bold + 2.0 * alone.std_dev ** 2
+            assert ce.per_fiber[ik] <= alone.bound
 
 
 def test_husimi_coupling_requires_rank_one(lat1):
@@ -294,9 +296,9 @@ def test_rank_one_quantities_follow_the_fiber_weight(lat1):
     # weight 2 is the vector sqrt(2) v: every quadratic quantity doubles twice
     rho = coherent_family(lat1, KGrid.monkhorst_pack(lat1, 4), 48, 0.02, [0.0], [0.5])
     twice = scaled_density(rho, 2.0)
-    assert c_bold(twice) == pytest.approx(4.0 * c_bold(rho), rel=1e-12)
-    assert std_dev(twice) ** 2 == pytest.approx(4.0 * std_dev(rho) ** 2, rel=1e-12)
     one, two = (coupling_energy_husimi(r) for r in (rho, twice))
+    assert two.c_bold == pytest.approx(4.0 * one.c_bold, rel=1e-12)
+    assert two.std_dev ** 2 == pytest.approx(4.0 * one.std_dev ** 2, rel=1e-12)
     assert two.total == pytest.approx(4.0 * one.total, rel=1e-12)
     assert two.bound == pytest.approx(4.0 * one.bound, rel=1e-12)
 
