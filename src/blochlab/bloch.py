@@ -183,6 +183,16 @@ def _offset_coefficients(values: np.ndarray, lat: LatticeSpec, m: int) -> np.nda
     return spec[tuple((offsets % n).T)] * _alt_sign(4 * m + 1, d).reshape(-1)
 
 
+def _offset_positions(m: int, d: int) -> np.ndarray:
+    """Flat position of each order-m index in the (4m+1)^d offset grid, less that of 0.
+
+    For order-m indices n, n' (C order of ``centered_indices(m, d)``),
+    pos(n') - pos(n) + (4m+1)^d // 2 is the index of the offset n' - n in the
+    C order of ``centered_indices(2m, d)``, the order of ``_offset_coefficients``.
+    """
+    return centered_indices(m, d) @ (4 * m + 1) ** np.arange(d - 1, -1, -1)
+
+
 def values_to_coeffs(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray:
     """Inverse of coeffs_to_values; truncates to order m (exact for band-limited data)."""
     d = lat.dimension

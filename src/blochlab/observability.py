@@ -172,15 +172,16 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
 
     An odd ``n_samples`` is rounded up to even, because the error estimate
     takes every other sample: the series then has ``n_samples + 2`` values.
-    The series is ``quantum_dynamics.observation_series``: the masked trace
-    at every sample of ``evolution``, or, at V = 0 where that costs fewer
-    flops, one Hermitian form per fiber evaluated at every sample.  Either way
-    ``rho.vectors`` are advanced in place: on return ``rho`` is the density
-    at time ``horizon``.  Returns the integral, the sample
-    values, the times, a quadrature-error estimate from comparing with the
-    half-resolution trapezoid rule, and the trace drift: the largest relative
-    change |tr_k(T) - tr_k(0)| / tr_k(0) of a fiber trace (the split step
-    projects onto the plane-wave window, so it is not exactly unitary).
+    The series is ``quantum_dynamics.observation_series``: one Hermitian form
+    per fiber in its band basis evaluated at every sample, or, where
+    ``_band_path`` says that costs more, the masked trace at every sample of
+    ``evolution``.  Either way ``rho.vectors`` are advanced in place: on
+    return ``rho`` is the density at time ``horizon``.  Returns the integral,
+    the sample values, the times, a quadrature-error estimate from comparing
+    with the half-resolution trapezoid rule, and the trace drift: the largest
+    relative change |tr_k(T) - tr_k(0)| / tr_k(0) of a fiber trace.  The band
+    path's propagator is unitary to rounding; the Strang split step projects
+    onto the plane-wave window, so it is not exactly unitary.
     """
     n_samples += n_samples % 2
     mask = rho.region_mask(region, delta)

@@ -4,9 +4,10 @@ Quantum densities are kept in low-rank form throughout: each fiber is a
 nonnegative combination of projectors onto periodic fields.  Toeplitz
 quantization produces exactly that shape (one projector per phase-space
 quadrature node) and unitary evolution preserves it, so dense fiber matrices
-only ever appear inside small test oracles.  The one exception is the V = 0
-observation's Hermitian form on the support of the vectors, one fiber at a
-time and at most ``_CHUNK_BYTES`` (``FiberedDensity._masked_forms``).
+only ever appear inside small test oracles.  The one exception is the band
+path of ``quantum_dynamics``: the observation's Hermitian form per fiber (at
+V = 0 on the support of the vectors, ``FiberedDensity._masked_forms``) and
+each fiber's eigenvectors, one fiber at a time and at most ``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from scipy.special import erf
 
-from .bloch import KGrid, _offset_coefficients, centered_indices, g_vectors, grid_weight, \
-    position_grid, quadrature_len, squared_values
+from .bloch import KGrid, _offset_coefficients, _offset_positions, centered_indices, g_vectors, \
+    grid_weight, position_grid, quadrature_len, squared_values
 from .lattice import LatticeSpec, Region
 from .states import _floored_gaussian, coherent_coeff_batch
 
@@ -354,7 +355,7 @@ class FiberedDensity:
         x = _offset_coefficients(mask, self.lat, self.m)
         d, w = self.lat.dimension, support.size
         # offset n' - n sits at position pos(n') - pos(n) + x.size // 2 of x
-        pos = centered_indices(self.m, d)[support] @ (4 * self.m + 1) ** np.arange(d - 1, -1, -1)
+        pos = _offset_positions(self.m, d)[support]
         cols = pos + x.size // 2
         form = np.empty((w, w), dtype=complex)
         for lambdas, vectors in zip(self.lambdas, self.vectors):

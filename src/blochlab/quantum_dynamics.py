@@ -1,21 +1,27 @@
-"""Fiber Hamiltonians, split-step propagation, the one evolution loop and its observation.
+"""Fiber Hamiltonians, their band basis, split-step propagation, and the one evolution loop.
 
-Fiber vectors live on the plane-wave window of order m; the split step applies
-the potential on the ``quadrature_len(m)`` cell grid and projects back onto it.
-Its factors are set up once per (t, dt), and each step transforms the whole
-(n_k, batch) block at once in one padded work array.  ``evolution`` applies
-it at every sample, or, where that costs fewer flops, once to an identity
-block, and then multiplies by the one-sample matrix it returns.
-``observation_series`` reads the masked trace at every sample of
-``evolution``, or, at V = 0 where that costs fewer flops, evaluates every
-sample as a Hermitian form per fiber and moves the vectors to the horizon in
-one exact phase multiply.
+Fiber vectors live on the plane-wave window of order m.  There the fiber
+Hamiltonian is the Galerkin matrix H_k = diag(E_k) + V, with V's matrix in
+closed form from the potential's cosine series, and one eigendecomposition
+H_k = U diag(e) U^* per fiber gives the exact flow v(t) = U exp(-i t e / hbar) U^* v:
+the band path, with no time step and unitary to rounding.  At V = 0 the band
+basis is the plane waves themselves.  The Strang split step is the fallback:
+it applies the potential on the ``quadrature_len(m)`` cell grid, projects back
+onto the window, and transforms the whole (n_k, batch) block at once in one
+padded work array.
+
+``evolution`` advances the vectors at every sample, either by one product with
+each fiber's cached one-sample matrix built from its eigenpairs, or by
+``propagate_batch``.  ``observation_series`` evaluates every sample as one
+Hermitian form per fiber in its band basis and moves the vectors to the
+horizon exactly, or reads the masked trace at every sample of ``evolution``.
+One cost rule, ``_band_path``, picks the path of both.
 
 Sign convention: the density evolves as ``R(t) = U(t)^* R_in U(t)`` where the
 adjoint ``U(t)^*`` acts on fiber vectors as the standard forward propagator
-``exp(-i t H_k / hbar)``; that is what ``propagate_batch`` applies.  The
-stability estimates downstream depend on this pairing of quantum forward
-propagation with the forward classical flow.
+``exp(-i t H_k / hbar)``; that is what ``propagate_batch`` and the band path
+apply.  The stability estimates downstream depend on this pairing of quantum
+forward propagation with the forward classical flow.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .bloch import _fft_blocks, _twisted, _untwisted, g_vectors, position_grid, quadrature_len
+from .bloch import _fft_blocks, _offset_coefficients, _offset_positions, _twisted, _untwisted, \
+    g_vectors, position_grid, quadrature_len
 from .classical_dynamics import TrigPotential, _step_count, flow
 from .lattice import LatticeSpec
 from .quantization import _CHUNK_BYTES, _FORM_ROWS, FiberedDensity
@@ -35,10 +42,12 @@ from .quantization import _CHUNK_BYTES, _FORM_ROWS, FiberedDensity
 class FiberHamiltonian:
     """H_k = |hbar(k + G)|^2 / 2 + V for the fiber quasimomenta ``k``, shape (n_k, d).
 
-    Only the kinetic diagonal, shape (n_k, (2m+1)^d), depends on k; V is
-    sampled once on the ``quadrature_len(m)``^d cell grid.  The propagation
-    factors of the last (t, dt) that ``propagate_batch`` was called with are
-    kept, since an observation loop advances by the same (t, dt) each sample.
+    Only the kinetic diagonal, shape (n_k, (2m+1)^d), depends on k.  The split
+    step samples V once on the ``quadrature_len(m)``^d cell grid; the band
+    basis reads V's Galerkin matrix on the window (``potential_matrix``).  The
+    propagation factors of the last (t, dt) that ``propagate_batch`` was called
+    with are kept, since an observation loop advances by the same (t, dt) each
+    sample.
     """
 
     lat: LatticeSpec
@@ -60,6 +69,53 @@ class FiberHamiltonian:
         self.potential_values = self.potential.value(position_grid(self.lat, n)) \
             .reshape((n,) * d)
         self._factors = (None, None)
+
+    def potential_matrix(self) -> np.ndarray:
+        """V's Galerkin matrix <e_n|V|e_n'> on the window, shape (n_G, n_G), in closed form.
+
+        A term c cos(G_t . x + phi) puts c/2 exp(+i phi) at n - n' = n_t and
+        c/2 exp(-i phi) at n - n' = -n_t, so a term with n_t = 0 puts c cos(phi)
+        on the diagonal; no grid is sampled.  The entries are read from a table
+        over the offsets n' - n (-2m..2m per axis), as the mask's are in
+        ``FiberedDensity._masked_forms``; a term beyond 2m on some axis meets
+        no pair of the window.
+        """
+        d, m = self.lat.dimension, self.m
+        table = np.zeros((4 * m + 1,) * d, dtype=complex)
+        for n, c, phi in self.potential.terms:
+            if max(map(abs, n)) <= 2 * m:
+                table[tuple(2 * m - v for v in n)] += 0.5 * c * np.exp(1j * phi)
+                table[tuple(2 * m + v for v in n)] += 0.5 * c * np.exp(-1j * phi)
+        pos = _offset_positions(m, d)
+        return table.reshape(-1)[pos[None, :] - pos[:, None] + table.size // 2]
+
+    def eigenpairs(self):
+        """Yield (e, U) fiber by fiber, with H_k = U diag(e) U^* (``numpy.linalg.eigh``).
+
+        e ascends and the columns of U are orthonormal eigenvectors.  A
+        fiber's matrix lives only while it is diagonalized, so the generator
+        holds no (n_G, n_G) array between fibers: that kept 0.3 MB off the
+        peak RSS of potential-1d ``verify``, against one buffer updated in
+        place.
+        """
+        for kinetic in self.kinetic_diagonal:
+            h = self.potential_matrix()
+            h[np.diag_indices_from(h)] += kinetic
+            pair = np.linalg.eigh(h)
+            del h
+            yield pair
+
+    def propagator(self, t: float) -> np.ndarray:
+        """R_k = conj(U) diag(exp(-i t e / hbar)) U^T of every fiber, shape (n_k, n_G, n_G).
+
+        For a row vector v of coefficients, v @ R_k is exp(-i t H_k / hbar) v:
+        the exact flow of the Galerkin matrix over t, unitary to rounding.
+        """
+        n_g = self.kinetic_diagonal.shape[1]
+        out = np.empty((self.k.shape[0], n_g, n_g), dtype=complex)
+        for r, (e, u) in zip(out, self.eigenpairs()):
+            np.matmul(np.conj(u) * np.exp(-1j * t / self.hbar * e), u.T, out=r)
+        return out
 
     def _step_factors(self, t: float, dt: float):
         """The factors of ``propagate_batch`` for (t, dt), computed once per (t, dt).
@@ -127,41 +183,76 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     return coeffs
 
 
-def _caches_propagator(h: FiberHamiltonian, n_steps: int, n_samples: int, rank: int) -> bool:
-    """Whether ``evolution`` applies a cached one-sample propagator instead of stepping.
-
-    Only at V != 0, and only if one fiber's (n_G, n_G) complex matrix fits in
-    ``_CHUNK_BYTES`` (n_G <= 362) and the cache costs fewer flops per fiber:
-    building it, n_G vectors through ``n_steps`` Strang steps, plus one
-    (rank, n_G) x (n_G, n_G) product per sample (8 n_G^2 flops per vector),
-    against ``n_steps`` steps of every vector at every sample.  A step of one
-    vector costs c = 10 P log2 P + 12 P flops, an FFT pair and two complex
-    multiplies at P = ``quadrature_len(m)``^d grid points.
-    """
-    n_g = h.kinetic_diagonal.shape[1]
-    if h.potential.is_zero or 16 * n_g ** 2 > _CHUNK_BYTES:
-        return False
-    p = quadrature_len(h.m) ** h.lat.dimension
-    c = 10 * p * np.log2(p) + 12 * p
-    return n_g * n_steps * c + n_samples * rank * 8 * n_g ** 2 < n_samples * rank * n_steps * c
+# Price of one flop of a complex matrix product, in flops of an FFT: at the
+# window sizes of the band path, products ran at 0.01 ns per flop and Strang
+# steps at 0.10-0.11 ns per flop (one thread, n_G = 129 and 353).
+_PRODUCT_FLOP = 0.1
+# Price of one Hermitian eigendecomposition with vectors, per n_G^3, in flops of
+# an FFT: ``numpy.linalg.eigh`` took 0.6-0.9 ns per n_G^3 at n_G = 129 and 353.
+_EIGH_FLOPS = 9.0
 
 
-def _observes_by_form(rho: FiberedDensity, n_support: int, n_samples: int) -> bool:
-    """Whether ``observation_series`` evaluates every sample of V = 0 data as a form per fiber.
+def _band_path(rho: FiberedDensity, n_support: int, n_samples: int, n_steps: int,
+               observed: bool) -> bool:
+    """Whether ``observation_series`` (``observed``) or ``evolution`` takes the band path.
 
-    Only if one fiber's (W, W) complex form, W = ``n_support``, fits in
-    ``_CHUNK_BYTES`` (W <= 362) and costs fewer flops per fiber: building it,
-    8 rank W^2, plus one (W,) x (W, W) product per sample, 8 W^2, against the
-    masked trace of every vector at every sample.  One vector's masked trace
-    costs c = 5 P log2 P + 8 P flops, an inverse FFT and the squares and
-    weights at P = ``quadrature_len(m)``^d grid points.
+    The one path rule: per fiber, the band path must cost less than the loop,
+    and its (W, W) matrix, W = ``n_support``, must fit ``_CHUNK_BYTES``
+    (W <= 362).  W is the support of the vectors at V = 0 and n_G otherwise;
+    ``n_steps`` is the Strang steps per sample, 0 at V = 0.
+
+    - The loop costs, per vector and sample, ``n_steps`` Strang steps of
+      10 P log2 P + 12 P flops (an FFT pair and two complex multiplies) and,
+      when ``observed``, one masked trace of 5 P log2 P + 8 P flops (an inverse
+      FFT, the squares and the weights), at P = ``quadrature_len(m)``^d points.
+      At V = 0 an unobserved loop costs nothing: a sample is one phase multiply.
+    - The band path costs matrix products, at ``_PRODUCT_FLOP`` per flop.
+      Observed, it builds the form (8 rank W^2) and evaluates each sample as
+      one row times it (8 W^2); otherwise it multiplies every vector by the
+      one-sample matrix at each sample (8 rank W^2).  At V != 0 it first
+      diagonalizes the fiber (``_EIGH_FLOPS`` W^3) and builds the mask's form
+      in the eigenbasis (16 W^3) or the one-sample matrix (8 W^3).
     """
     if 16 * n_support ** 2 > _CHUNK_BYTES:
         return False
     p = quadrature_len(rho.m) ** rho.lat.dimension
-    c = 5 * p * np.log2(p) + 8 * p
-    w2, rank = n_support ** 2, rho.rank
-    return n_samples * 8 * w2 + 8 * rank * w2 < n_samples * rank * c
+    log_p, w2, rank = np.log2(p), n_support ** 2, rho.rank
+    loop = n_samples * rank * (n_steps * (10 * p * log_p + 12 * p)
+                               + observed * (5 * p * log_p + 8 * p))
+    band = _PRODUCT_FLOP * 8 * w2 * (n_samples * (1 if observed else rank) + rank)
+    if n_steps:
+        band += (_EIGH_FLOPS + _PRODUCT_FLOP * 8 * (1 + observed)) * n_support ** 3
+    return band < loop
+
+
+def _band_forms(rho: FiberedDensity, h: FiberHamiltonian, mask: np.ndarray, horizon: float):
+    """Yield each fiber's rates e / hbar and masked form in its band basis, at V != 0.
+
+    With a_r = U^* v_r the vectors in the fiber's eigenbasis and
+    p(t) = exp(-i t e / hbar), <v_r(t)| mask |v_r(t)> is
+    sum_ab conj(p_a a_ra) K_ab p_b a_rb with K = U^* M U, M_nn' = X(n' - n) the
+    mask's matrix (X from ``bloch._offset_coefficients``).  So the fiber's form
+    is K o sum_r lambda_r conj(a_r) a_r^T, the V = 0 form of
+    ``FiberedDensity._masked_forms`` in the band basis.  Once the caller has
+    read it, the fiber's vectors move to ``horizon`` in place, exactly:
+    v_r = U p(horizon) a_r.  One fiber's eigenvectors are held at a time, and
+    each (n_G, n_G) array is released as soon as it is used, before the next
+    fiber's: that took 0.35 MB off the harness's peak RSS of potential-1d
+    ``verify`` toeplitz.
+    """
+    x = _offset_coefficients(mask, rho.lat, rho.m)
+    pos = _offset_positions(rho.m, rho.lat.dimension)
+    toeplitz = x[pos[None, :] - pos[:, None] + x.size // 2]
+    for (e, u), lambdas, vectors in zip(h.eigenpairs(), rho.lambdas, rho.vectors):
+        conj_u = np.conj(u)
+        a = vectors @ conj_u
+        form = conj_u.T @ (toeplitz @ u)
+        form *= (np.conj(a).T * lambdas) @ a
+        del conj_u
+        yield e / h.hbar, form
+        del form
+        np.matmul(a * np.exp(-1j * horizon / h.hbar * e), u.T, out=vectors)
+        del u
 
 
 def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPotential,
@@ -169,33 +260,42 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
     """``rho.masked_trace(mask)`` at the times i horizon / n_samples, i = 0..n_samples.
 
     On return ``rho.vectors``, the same array, hold the density at
-    ``horizon``.  At V != 0, and at V = 0 unless ``_observes_by_form`` says
-    otherwise, the trace is read at every yield of ``evolution``.  At V = 0
-    each fiber evolves by the phases u_n(t) = exp(-i t E_n / hbar) of its
-    kinetic diagonal E, so every sample is u(t)^H A u(t) with the fiber's form
-    A on the support W of the vectors (``FiberedDensity._masked_forms``): the
-    coefficients that vanish in every vector stay zero under the phases.  The
-    form path evaluates it for ``_FORM_ROWS`` samples at a time as one
-    (samples, W) x (W, W) product and, after the last fiber, moves the vectors
-    to ``horizon`` by one exact ``propagate_batch``.  Either path builds the
-    run's one ``FiberHamiltonian``.
+    ``horizon``.  Where ``_band_path`` says so, every sample is u(t)^H A u(t)
+    per fiber, A the fiber's Hermitian form in its eigenbasis and
+    u(t) = exp(-i t e / hbar) the phases of its eigenvalues e.  At V = 0 the
+    eigenbasis is the plane waves and A lives on the support W of the vectors
+    (``FiberedDensity._masked_forms``), since coefficients that vanish in every
+    vector stay zero under the phases; one exact ``propagate_batch`` then
+    moves the vectors to ``horizon``.  At V != 0 ``_band_forms`` gives A on
+    all n_G coefficients and moves each fiber to ``horizon``.  The samples
+    are evaluated ``_FORM_ROWS`` at a time as one (samples, W) x (W, W)
+    product.  Otherwise the trace is read at every yield of ``evolution``.
+    Either path builds the run's one ``FiberHamiltonian``.
     """
-    support = np.flatnonzero(np.any(rho.vectors, axis=(0, 1))) if potential.is_zero else None
-    if support is None or not _observes_by_form(rho, support.size, n_samples + 1):
+    if potential.is_zero:
+        support = np.flatnonzero(np.any(rho.vectors, axis=(0, 1)))
+        n_support, n_steps = support.size, 0
+    else:
+        n_support, n_steps = rho.vectors.shape[-1], _step_count(horizon / n_samples, dt)
+    if not _band_path(rho, n_support, n_samples + 1, n_steps, True):
         return np.array([rho.masked_trace(mask)
                          for _ in evolution(rho, potential, horizon, n_samples, dt)])
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
+    if potential.is_zero:
+        fibers = zip(h.kinetic_diagonal[:, support] / h.hbar, rho._masked_forms(mask, support))
+    else:
+        fibers = _band_forms(rho, h, mask, horizon)
     times = np.arange(n_samples + 1) * (horizon / n_samples)
     series = np.zeros(n_samples + 1)
-    for energies, form in zip(h.kinetic_diagonal[:, support] / h.hbar,
-                              rho._masked_forms(mask, support)):
+    for rates, form in fibers:
         for start in range(0, times.size, _FORM_ROWS):
             block = slice(start, start + _FORM_ROWS)
-            conj_u = np.exp(1j * np.multiply.outer(times[block], energies))
+            conj_u = np.exp(1j * np.multiply.outer(times[block], rates))
             # Re(p u) = Re(p) Re(conj u) + Im(p) Im(conj u), with p = conj(u) A
             p = (conj_u @ form).view(float)
             series[block] += (p[:, None, :] @ conj_u.view(float)[:, :, None])[:, 0, 0]
-    propagate_batch(rho.vectors, h, horizon, dt)
+    if potential.is_zero:
+        propagate_batch(rho.vectors, h, horizon, dt)
     return series / rho.kgrid.size
 
 
@@ -209,28 +309,20 @@ def evolution(rho: FiberedDensity, potential: TrigPotential, horizon: float, n_s
     first.  Given ``nodes = (x, xi)``, each yield is the nodes at that time,
     moved by ``flow`` with the same step; otherwise it is None.
 
-    Every sample applies the same linear map S, ``propagate_batch`` over one
-    sample interval.  When ``_caches_propagator`` says it costs fewer flops
-    (V != 0, many Strang steps per sample, many vectors, a small window), S
-    is formed once per fiber: ``propagate_batch`` runs in place on an
-    (n_k, n_G, n_G) identity block, whose row G comes back as S e_G, so the
-    block is the matrix R with v R = S v for a row vector v, and each sample
-    is one product ``rho.vectors @ R``.  R is the stepped map itself, built
-    by the same kernel with the same factors; the two differ only in the
-    order of the rounding (the FFTs act on e_G rather than on v, and the sum
-    over G is a matrix product), so the samples agree with the stepped ones
-    up to rounding.  Otherwise, and always at V = 0 (one phase multiply per
-    sample), ``propagate_batch`` advances the vectors at every sample; at
-    V = 0 ``observation_series`` may skip this loop altogether.
+    Where ``_band_path`` says so (V != 0, many Strang steps per sample, many
+    vectors, a small window), each fiber's exact one-sample map is formed once
+    from its eigenpairs, the matrix R = ``FiberHamiltonian.propagator`` with
+    v R = exp(-i t H_k / hbar) v for a row vector v, and each sample is one
+    product ``rho.vectors @ R``.  Otherwise, and always at V = 0 (one exact
+    phase multiply per sample), ``propagate_batch`` advances the vectors at
+    every sample: by Strang steps of at most ``dt`` at V != 0.
     """
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     sample_dt = horizon / n_samples
+    n_steps = 0 if potential.is_zero else _step_count(sample_dt, dt)
     propagator = None
-    if _caches_propagator(h, _step_count(sample_dt, dt), n_samples, rho.rank):
-        n_g = rho.vectors.shape[-1]
-        propagator = np.zeros((rho.kgrid.size, n_g, n_g), dtype=complex)
-        propagator.reshape(rho.kgrid.size, -1)[:, ::n_g + 1] = 1.0
-        propagate_batch(propagator, h, sample_dt, dt)
+    if _band_path(rho, rho.vectors.shape[-1], n_samples, n_steps, False):
+        propagator = h.propagator(sample_dt)
     yield nodes
     for _ in range(n_samples):
         if nodes is not None:

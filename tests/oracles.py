@@ -4,7 +4,8 @@ Each oracle computes a quantity the slow, direct way: a lattice sum on the
 position grid, the squared grid values of a density's vectors, the discrete
 Bloch transform of a wave packet on R^d and its inverse, a per-fiber loop
 over dense momentum symbols, the Gaussian packet and Husimi window without
-their floor, a transform loop that rolls and rescales at every step, region
+their floor, a transform loop that rolls and rescales at every step, the dense
+Galerkin matrix of a fiber and its matrix exponential, region
 membership against every neighbouring translate, a midpoint quadrature over
 phase-space grids, or a plain dump of arrays.  The
 proof devices of the stability argument live here too: a single periodic
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.linalg import expm
 
 from blochlab.bloch import KGrid, _alt_sign, centered_indices, coeffs_to_values, g_vectors, \
     grid_weight, position_grid, quadrature_len, values_to_coeffs
@@ -285,6 +287,45 @@ def propagate_batch_rolled(coeffs, h, t: float, dt: float):
         out = values_to_coeffs(vals * pot, h.lat, h.m)
         out = out * (half if i == n_steps - 1 else half * half)
     return out.reshape(coeffs.shape)
+
+
+def galerkin_matrices(h) -> np.ndarray:
+    """Every fiber's Galerkin matrix diag(E_k) + V on the window, shape (n_k, n_G, n_G).
+
+    Assembled entry by entry from the potential's terms: c/2 exp(+i phi) at
+    n - n' = n_t and c/2 exp(-i phi) at n - n' = -n_t, looked up by index.
+    """
+    idx = centered_indices(h.m, h.lat.dimension)
+    key = {tuple(v): i for i, v in enumerate(idx)}
+    vmat = np.zeros((len(idx), len(idx)), dtype=complex)
+    for n, c, phi in h.potential.terms:
+        for row, nv in enumerate(idx):
+            up = tuple(nv - np.array(n))
+            if up in key:
+                vmat[row, key[up]] += 0.5 * c * np.exp(1j * phi)
+            dn = tuple(nv + np.array(n))
+            if dn in key:
+                vmat[row, key[dn]] += 0.5 * c * np.exp(-1j * phi)
+    return np.stack([vmat + np.diag(e) for e in h.kinetic_diagonal])
+
+
+def galerkin_propagators(h, t: float) -> np.ndarray:
+    """exp(-i t H_k / hbar) of every fiber by ``scipy.linalg.expm``, transposed.
+
+    Shape (n_k, n_G, n_G); a row vector v of fiber k's coefficients moves to
+    ``v @ R[k]``.
+    """
+    return np.stack([expm(-1j * t / h.hbar * mat).T for mat in galerkin_matrices(h)])
+
+
+def exact_observation_series(rho: FiberedDensity, mask, h, times) -> np.ndarray:
+    """``rho.masked_trace(mask)`` of the density moved to each time by the dense exponential."""
+    out = []
+    for t in times:
+        moved = np.matmul(rho.vectors, galerkin_propagators(h, t))
+        out.append(FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, rho.lambdas, moved)
+                   .masked_trace(mask))
+    return np.array(out)
 
 
 def region_contains_unpruned(region: Region, points) -> np.ndarray:

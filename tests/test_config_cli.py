@@ -399,19 +399,46 @@ def test_cli_free_observation_form_is_bitwise_deterministic(tmp_path, monkeypatc
     # with 40 samples the V = 0 toeplitz config observes by one form per fiber;
     # its bytes do not depend on the FFT worker count either
     chosen = []
-    rule = quantum_dynamics._observes_by_form
+    rule = quantum_dynamics._band_path
 
     def recorded(*args):
         chosen.append(rule(*args))
         return chosen[-1]
 
-    monkeypatch.setattr(quantum_dynamics, "_observes_by_form", recorded)
+    monkeypatch.setattr(quantum_dynamics, "_band_path", recorded)
     cfg = write_cfg(tmp_path, BASE.replace("n_time_obs = 16", "n_time_obs = 40"), "form.cfg")
     outs = [tmp_path / f"threads{t}" for t in (1, 2)]
     for t, out in zip((1, 2), outs):
         assert main(["verify", "--config", cfg, "--out", str(out), "--threads", str(t)]) == 0
     assert chosen == [True, True]
     for name in ("out_verify.csv", "out_observation.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_cli_potential_band_path_is_exact_and_bitwise_deterministic(tmp_path, monkeypatch):
+    # with a cosine potential the quantized bump takes the band path in verify
+    # (the form in each fiber's eigenbasis) and in stability (the one-sample
+    # matrix): the trace drift is at rounding level, and the bytes do not
+    # depend on the FFT worker count
+    chosen = []
+    rule = quantum_dynamics._band_path
+
+    def recorded(*args):
+        chosen.append(rule(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(quantum_dynamics, "_band_path", recorded)
+    text = BASE.replace("[physics]", "[potential]\nterms = [((1,), 0.1, 0.0)]\n\n[physics]")
+    cfg = write_cfg(tmp_path, text, "potential.cfg")
+    outs = [tmp_path / f"threads{t}" for t in (1, 2)]
+    for t, out in zip((1, 2), outs):
+        for sub in ("verify", "stability"):
+            assert main([sub, "--config", cfg, "--out", str(out), "--threads", str(t)]) == 0
+    assert chosen == [True] * 4
+    rows = dict(line.split(",") for line in
+                (outs[0] / "out_verify.csv").read_text().splitlines()[2:])
+    assert float(rows["trace_drift"]) <= 1e-13
+    for name in ("out_verify.csv", "out_observation.csv", "out_stability.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 

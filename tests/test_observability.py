@@ -254,14 +254,17 @@ def _potential_scenario(lat1, geom1):
     return scn
 
 
-@pytest.mark.parametrize("case, path", [("potential", "loop"), ("pure", "loop"),
-                                        ("toeplitz", "form")])
+@pytest.mark.parametrize("case, path", [("potential", "loop"), ("potential", "band"),
+                                        ("pure", "loop"), ("toeplitz", "form")])
 def test_one_verify_builds_one_fiber_hamiltonian(monkeypatch, lat1, geom1, case, path):
-    # V != 0, where the form rule is never consulted; V = 0 with one vector per
-    # fiber (the masked-trace loop); V = 0 with the 1-D toeplitz datum at 81
-    # samples (one Hermitian form per fiber: rank 30 on W = 344 coefficients)
+    # V != 0 with one vector per fiber (the rule keeps both the observation and
+    # evolution on the Strang loop) and with the quantized bump (the band path's
+    # form, one eigendecomposition per fiber); V = 0 with one vector per fiber
+    # (the masked-trace loop, whose evolution the rule asks too); V = 0 with the
+    # 1-D toeplitz datum at 81 samples (one Hermitian form per fiber: rank 30 on
+    # W = 344 coefficients)
     built, chosen = [], []
-    rule = quantum_dynamics._observes_by_form
+    rule = quantum_dynamics._band_path
 
     class Counted(quantum_dynamics.FiberHamiltonian):
         def __post_init__(self):
@@ -273,12 +276,15 @@ def test_one_verify_builds_one_fiber_hamiltonian(monkeypatch, lat1, geom1, case,
         return chosen[-1]
 
     monkeypatch.setattr(quantum_dynamics, "FiberHamiltonian", Counted)
-    monkeypatch.setattr(quantum_dynamics, "_observes_by_form", recorded)
-    scn = _potential_scenario(lat1, geom1) if case == "potential" \
-        else base_scenario(lat1, geom1, kind=case, n_obs=80)
+    monkeypatch.setattr(quantum_dynamics, "_band_path", recorded)
+    if case == "potential":
+        scn = _potential_scenario(lat1, geom1)
+        scn.initial_kind = "pure" if path == "loop" else "toeplitz"
+    else:
+        scn = base_scenario(lat1, geom1, kind=case, n_obs=80)
     verify_theorem(scn)
     assert len(built) == 1
-    assert chosen == ([] if case == "potential" else [path == "form"])
+    assert chosen == ([False, False] if path == "loop" else [True])
 
 
 def test_compression_keeps_toeplitz_lhs(lat1, geom1):
@@ -296,8 +302,10 @@ def test_compression_keeps_toeplitz_lhs(lat1, geom1):
 
 @pytest.mark.parametrize("kind", ["toeplitz", "pure"])
 def test_trace_drift_with_a_potential(lat1, geom1, kind):
-    # the split step projects onto the plane-wave window, so it is not exactly
-    # unitary; over 1000 steps a fiber trace still moves at round-off level only
+    # pure data steps: the split step projects onto the plane-wave window, so it
+    # is not exactly unitary, yet over 1000 steps a fiber trace moves at
+    # round-off level only; the quantized bump moves by the band path's exact,
+    # unitary propagator
     scn = base_scenario(lat1, geom1, kind=kind, hbar=0.01, n_obs=20)
     scn.potential = cosine_potential(lat1, (1,), 0.1)
     scn.disc = Discretization(m=64, n_k=4, n_q=10, n_p=14, n_time_obs=20, n_time_gc=200,

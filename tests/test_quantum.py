@@ -3,14 +3,16 @@ import pytest
 from scipy.linalg import eigh, expm
 
 from blochlab import KGrid, LatticeSpec, TrigPotential, gamma_bounds, periodic_trace
-from blochlab.bloch import centered_indices, position_grid
+from blochlab.bloch import _offset_coefficients, _offset_positions, grid_weight, position_grid, \
+    quadrature_len
 from blochlab.classical_dynamics import _step_count, _verlet_step, flow
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
 from oracles import (CoherentParams, bloch_transform, coherent_family, coherent_state,
-                     commutator_residual, cosine_potential, cubic_lattice, periodized_coherent,
-                     propagate_batch_rolled, zero_potential)
+                     commutator_residual, cosine_potential, cubic_lattice, galerkin_matrices,
+                     galerkin_propagators, periodized_coherent, propagate_batch_rolled,
+                     zero_potential)
 
 LATTICES = {"line": [[1.0]], "hexagonal": [[1.0, 0.0], [0.5, 0.8660254037844386]]}
 
@@ -24,22 +26,6 @@ def propagate_copy(coeffs, h, t, dt):
     """``propagate_batch`` of a copy of one fiber's coefficients, in their own shape."""
     block = np.array(coeffs, dtype=complex).reshape(1, -1, h.kinetic_diagonal.shape[-1])
     return propagate_batch(block, h, t, dt).reshape(np.shape(coeffs))
-
-
-def dense_fiber_matrix(h):
-    """Assembled fiber Hamiltonian in the plane-wave basis (small-m oracle)."""
-    idx = centered_indices(h.m, h.lat.dimension)
-    mat = np.diag(h.kinetic_diagonal.reshape(-1)).astype(complex)
-    key = {tuple(v): i for i, v in enumerate(idx)}
-    for n, c, phi in h.potential.terms:
-        for row, nv in enumerate(idx):
-            up = tuple(nv - np.array(n))
-            if up in key:
-                mat[row, key[up]] += 0.5 * c * np.exp(1j * phi)
-            dn = tuple(nv + np.array(n))
-            if dn in key:
-                mat[row, key[dn]] += 0.5 * c * np.exp(-1j * phi)
-    return mat
 
 
 def test_free_propagator_exact(lat1):
@@ -105,7 +91,7 @@ def test_propagate_batch_is_the_galerkin_strang_step(rng, lat1):
 def test_strang_matches_dense_exponential(lat1, vpot):
     hbar, m = 0.05, 24
     h = FiberHamiltonian(lat1, m, np.array([0.3]), vpot, hbar)
-    dense = dense_fiber_matrix(h)
+    dense = galerkin_matrices(h)[0]
     np.testing.assert_allclose(dense, dense.conj().T, atol=1e-14)
     u = periodized_coherent(CoherentParams([0.1], [0.2], hbar), lat1, m)
     exact = (expm(-1j * 0.5 * dense / hbar) @ u.coeffs).reshape(u.coeffs.shape)
@@ -116,7 +102,7 @@ def test_strang_matches_dense_exponential(lat1, vpot):
 def test_strang_second_order(lat1, vpot):
     hbar, m = 0.05, 24
     h = FiberHamiltonian(lat1, m, np.array([0.1]), vpot, hbar)
-    dense = dense_fiber_matrix(h)
+    dense = galerkin_matrices(h)[0]
     u = periodized_coherent(CoherentParams([0.0], [0.3], hbar), lat1, m)
     exact = (expm(-1j * 0.4 * dense / hbar) @ u.coeffs).reshape(u.coeffs.shape)
     errs = []
@@ -203,7 +189,7 @@ def test_fiber_hamiltonian_holds_every_fiber(lat2):
 def test_self_adjointness_quadratic_form(rng, lat1, vpot):
     hbar, m = 0.05, 20
     h = FiberHamiltonian(lat1, m, np.array([0.4]), vpot, hbar)
-    dense = dense_fiber_matrix(h)
+    dense = galerkin_matrices(h)[0]
     for _ in range(5):
         u = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
         v = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
@@ -217,7 +203,7 @@ def test_eigenstate_stationary(lat1, vpot):
     kg = KGrid.monkhorst_pack(lat1, 2)
     k = kg.points[0]
     h = FiberHamiltonian(lat1, m, k, vpot, hbar)
-    w, vecs = eigh(dense_fiber_matrix(h))
+    w, vecs = eigh(galerkin_matrices(h)[0])
     ground = vecs[:, 0]
     lam = np.ones((1, 1))
     rho = FiberedDensity(KGrid(k[None, :], lat1), lat1, m, hbar, lam,
@@ -314,12 +300,12 @@ def test_dense_commutator_assembly_oracle(lat1, vpot):
     idx = np.arange(-m, m + 1)
     g = 2 * np.pi * idx
     p2 = np.diag((xi - hbar * g) ** 2).astype(complex)
-    vmat = dense_fiber_matrix(h) - np.diag(h.kinetic_diagonal.reshape(-1))
+    vmat = galerkin_matrices(h)[0] - np.diag(h.kinetic_diagonal.reshape(-1))
     lhs = (1j / hbar) * (vmat @ p2 - p2 @ vmat)
     # gradient of V as a dense multiplication operator
     gv = TrigPotential(lat1, (((1,), 0.1 * 2 * np.pi, np.pi / 2),))  # -c G sin = c G cos(+pi/2)
     h2 = FiberHamiltonian(lat1, m, np.zeros(1), gv, hbar)
-    gmat = dense_fiber_matrix(h2) - np.diag(h2.kinetic_diagonal.reshape(-1))
+    gmat = galerkin_matrices(h2)[0] - np.diag(h2.kinetic_diagonal.reshape(-1))
     pdiag = np.diag(xi - hbar * g).astype(complex)
     rhs = pdiag @ gmat + gmat @ pdiag
     # compare on the interior block (the product spills one bandwidth at the edge)
@@ -346,3 +332,49 @@ def test_step_count_takes_a_whole_quotient_up_to_rounding(lat1, vpot):
     out = flow(x, xi, t, vpot, dt)
     np.testing.assert_array_equal(out.x, state[0])
     np.testing.assert_array_equal(out.xi, state[1])
+
+
+# One window per case whose quadrature grid resolves the potential: the grid
+# sum gives the exact coefficients when quadrature_len(m) > 2m + bandwidth.
+_POTENTIALS = pytest.mark.parametrize("basis, terms, m, hbar", [
+    ([[1.0]], (((1,), 0.3, 0.7),), 64, 0.01),                                   # with a phase
+    (LATTICES["hexagonal"], (((1, 0), 0.3, 0.2), ((1, -1), 0.2, 0.0)), 6, 0.05),   # two terms
+    ([[1.0]], (((0,), 0.25, 0.4), ((2,), 0.1, 0.0)), 32, 0.02),                  # a constant
+])
+
+
+@_POTENTIALS
+def test_potential_matrix_is_the_grid_sampled_one(basis, terms, m, hbar):
+    # the closed form from the terms equals the Fourier coefficients of V on the
+    # quadrature grid, V_nn' = X(n' - n) times the grid weight, and is Hermitian
+    lat = LatticeSpec(basis)
+    d, n = lat.dimension, quadrature_len(m)
+    assert n > 2 * m + max(max(map(abs, t[0])) for t in terms)
+    h = FiberHamiltonian(lat, m, np.zeros((1, d)), TrigPotential(lat, terms), hbar)
+    x = _offset_coefficients(h.potential_values.reshape(-1), lat, m) * grid_weight(lat, n)
+    pos = _offset_positions(m, d)
+    sampled = x[pos[None, :] - pos[:, None] + x.size // 2]
+    closed = h.potential_matrix()
+    assert np.max(np.abs(closed - sampled)) <= 1e-14
+    np.testing.assert_array_equal(closed, closed.conj().T)
+    np.testing.assert_array_equal(closed + np.diag(h.kinetic_diagonal[0]), galerkin_matrices(h)[0])
+
+
+@_POTENTIALS
+def test_band_propagator_is_the_exact_galerkin_flow(basis, terms, m, hbar):
+    # one eigendecomposition per fiber: R = conj(U) diag(exp(-i t e / hbar)) U^T is
+    # the dense exponential of the Galerkin matrix, unitary to rounding; the
+    # phases t e / hbar reach 8.2e2 at t = 1 (line, m = 64)
+    lat = LatticeSpec(basis)
+    kg = KGrid.monkhorst_pack(lat, 3)
+    h = FiberHamiltonian(lat, m, kg.points, TrigPotential(lat, terms), hbar)
+    pairs = list(h.eigenpairs())
+    assert len(pairs) == kg.size
+    for (e, u), mat in zip(pairs, galerkin_matrices(h)):
+        np.testing.assert_allclose((u * e) @ u.conj().T, mat, rtol=0, atol=1e-12)
+    for t in (0.05, 1.0):
+        r = h.propagator(t)
+        assert r.shape == (kg.size,) + (h.kinetic_diagonal.shape[1],) * 2
+        assert np.max(np.abs(r - galerkin_propagators(h, t))) <= 1e-12
+        eye = np.eye(r.shape[-1])
+        assert np.max(np.abs(r @ np.conj(np.swapaxes(r, 1, 2)) - eye)) <= 1e-13

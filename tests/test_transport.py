@@ -19,7 +19,8 @@ from scipy.integrate import quad
 
 from conftest import LATTICES, random_density
 from oracles import (CoherentParams, coherent_family, coherent_state, cosine_potential,
-                     coupling_energy_husimi_grid, diagonal_coupling_dense, pair_moment_grid,
+                     coupling_energy_husimi_grid, diagonal_coupling_dense,
+                     exact_observation_series, galerkin_propagators, pair_moment_grid,
                      scaled_density, zero_potential)
 
 
@@ -379,48 +380,80 @@ def test_stability_envelope_initial_energy_matches_coupling(lat1, geom1):
     assert env.energies[0] == pytest.approx(ce.total, rel=1e-12)
 
 
-def test_stability_envelope_advances_the_density_in_place(lat1, geom1):
+def _forced(monkeypatch, band, run):
+    """``run()`` with the path rule forced: ``band(observed)`` says which path each consumer takes.
+
+    A forced loop at V != 0 steps by Strang steps.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(quantum_dynamics, "_band_path", lambda *args: band(args[-1]))
+        return run()
+
+
+def test_stability_envelope_advances_the_density_in_place(monkeypatch, lat1, geom1):
     # on return the quantized density is the one at the horizon, in the same
-    # array; propagating a fresh quantization to the horizon gives the same vectors
+    # array; moving a fresh quantization to the horizon the way the path does
+    # (the one-sample propagator or the Strang steps) gives the same vectors
     hbar, horizon, dt = 0.01, 0.2, 1e-2
     vpot = cosine_potential(lat1, (1,), 0.1)
     f = bump_density(lat1, nq=10, np_=12)
     kg = KGrid.monkhorst_pack(lat1, 4)
-    rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
-    vectors = rho.vectors
-    stability_envelope(f, rho, CostParams(1.0, geom1), vpot, horizon=horizon, n_times=2, dt=dt)
-    assert rho.vectors is vectors
-    fresh = toeplitz_quantize(f, lat1, kg, 64, hbar).vectors
     h = FiberHamiltonian(lat1, 64, kg.points, vpot, hbar)
-    for _ in range(2):
-        propagate_batch(fresh, h, horizon / 2, dt)
-    np.testing.assert_array_equal(rho.vectors, fresh)
+    for band in (True, False):
+        rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
+        vectors = rho.vectors
+        _forced(monkeypatch, lambda observed: band, lambda: stability_envelope(
+            f, rho, CostParams(1.0, geom1), vpot, horizon=horizon, n_times=2, dt=dt))
+        assert rho.vectors is vectors
+        fresh = toeplitz_quantize(f, lat1, kg, 64, hbar).vectors
+        for _ in range(2):
+            if band:
+                fresh = fresh @ h.propagator(horizon / 2)
+            else:
+                propagate_batch(fresh, h, horizon / 2, dt)
+        np.testing.assert_array_equal(rho.vectors, fresh)
 
 
-def test_one_evolution_pass_feeds_observation_and_stability(lat1, geom1):
+def test_one_evolution_pass_feeds_observation_and_stability(monkeypatch, lat1, geom1):
     # one pass with nodes gives, at every sample, the masked trace and the
-    # coupling energies that the two consumers compute on fresh copies of the datum
+    # coupling energies that the two consumers compute on fresh copies of the
+    # datum, on either path of the pass (observed_time_integral held to the
+    # loop, which reads the masked trace at every yield); on the band path the
+    # series is the dense exponential's
     hbar, horizon, n_samples, dt, delta = 0.01, 0.2, 4, 1e-2, 0.05
     vpot = cosine_potential(lat1, (1,), 0.1)
     f = bump_density(lat1, nq=10, np_=12)
     kg = KGrid.monkhorst_pack(lat1, 4)
     cost = CostParams(1.0, geom1)
     omega = Region([[[-0.1], [0.1]]], lat1)
-    rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
-    mask = rho.region_mask(omega, delta)
-    series, energies = [], []
-    for x, xi in evolution(rho, vpot, horizon, n_samples, dt, nodes=(f.nodes_q, f.nodes_p)):
-        series.append(rho.masked_trace(mask))
-        pos, mom = diagonal_coupling_parts(rho, x, xi, cost)
-        energies.append(np.mean(pos + mom))
-    observed = observed_time_integral(toeplitz_quantize(f, lat1, kg, 64, hbar), omega, delta,
-                                      vpot, horizon, n_samples, dt)[1]
-    env = stability_envelope(f, toeplitz_quantize(f, lat1, kg, 64, hbar), cost, vpot,
-                             horizon, n_samples, dt)
-    assert len(series) == n_samples + 1
-    np.testing.assert_array_equal(series, observed)
-    np.testing.assert_array_equal(energies, env.energies)
-    assert energies[-1] != energies[0] and series[-1] != series[0]
+
+    def run():
+        rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
+        mask = rho.region_mask(omega, delta)
+        series, energies = [], []
+        for x, xi in evolution(rho, vpot, horizon, n_samples, dt, nodes=(f.nodes_q, f.nodes_p)):
+            series.append(rho.masked_trace(mask))
+            pos, mom = diagonal_coupling_parts(rho, x, xi, cost)
+            energies.append(np.mean(pos + mom))
+        observed = observed_time_integral(toeplitz_quantize(f, lat1, kg, 64, hbar), omega, delta,
+                                          vpot, horizon, n_samples, dt)[1]
+        env = stability_envelope(f, toeplitz_quantize(f, lat1, kg, 64, hbar), cost, vpot,
+                                 horizon, n_samples, dt)
+        return series, energies, observed, env.energies
+
+    for band in (True, False):
+        series, energies, observed, env_energies = _forced(
+            monkeypatch, lambda observed: band and not observed, run)
+        assert len(series) == n_samples + 1
+        np.testing.assert_array_equal(series, observed)
+        np.testing.assert_array_equal(energies, env_energies)
+        assert energies[-1] != energies[0] and series[-1] != series[0]
+        if band:
+            rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
+            h = FiberHamiltonian(lat1, 64, kg.points, vpot, hbar)
+            exact = exact_observation_series(rho, rho.region_mask(omega, delta), h,
+                                             np.linspace(0.0, horizon, n_samples + 1))
+            assert np.max(np.abs(np.array(series) - exact)) <= 1e-12
 
 
 def test_stability_envelope_with_potential(lat1, geom1):
@@ -438,21 +471,20 @@ def test_stability_envelope_with_potential(lat1, geom1):
     assert env.energies[-1] > env.energies[0]
 
 
-def _stepped(monkeypatch, run):
-    """``run()`` with ``evolution`` forced onto the per-sample Strang steps."""
-    with monkeypatch.context() as patch:
-        patch.setattr(quantum_dynamics, "_caches_propagator", lambda *args: False)
-        return run()
-
-
 @pytest.mark.parametrize("basis, terms, m, hbar, nq, np_, n_k", [
     ([[1.0]], (((1,), 0.1, 0.0),), 64, 0.01, 10, 12, 4),
-    (LATTICES["hexagonal"], (((1, 0), 0.3, 0.2), ((1, -1), 0.2, 0.0)), 3, 0.05, 4, 4, 2),
+    (LATTICES["hexagonal"], (((1, 0), 0.3, 0.2), ((1, -1), 0.2, 0.0)), 6, 0.05, 4, 4, 2),
 ])
 def test_cached_propagator_matches_the_stepped_evolution(monkeypatch, basis, terms, m, hbar,
                                                          nq, np_, n_k):
-    # the one-sample matrix is the Strang map built by the same kernel, so both
-    # consumers see the stepped results up to rounding
+    # the band path is the exact Galerkin flow: the observation series and the
+    # stability energies match the dense exponential to 1e-12, and the stepped
+    # (Strang) series agrees with it within the step-doubling estimate of the
+    # split-step error, 2 |s(dt) - s(dt/2)|: the error of a method of order p
+    # is 2^p / (2^p - 1) times that difference, 2 for p = 1 and 4/3 for p = 2.
+    # Both windows resolve the potential on the quadrature grid (15 > 13 + 1
+    # points per axis on the hexagonal cell), where the split step converges
+    # to the Galerkin flow.
     lat = LatticeSpec(basis)
     vpot = TrigPotential(lat, terms)
     horizon, n_samples, dt, delta = 0.4, 4, 1e-2 / 2, 0.05
@@ -460,63 +492,91 @@ def test_cached_propagator_matches_the_stepped_evolution(monkeypatch, basis, ter
     kg = KGrid.monkhorst_pack(lat, n_k)
     cost = CostParams(1.0, gamma_bounds(lat))
     omega = Region([[[-0.1] * lat.dimension, [0.1] * lat.dimension]], lat)
+    h = FiberHamiltonian(lat, m, kg.points, vpot, hbar)
 
-    def run():
+    def run(step):
         observed = observed_time_integral(toeplitz_quantize(f, lat, kg, m, hbar), omega, delta,
-                                          vpot, horizon, n_samples, dt)
+                                          vpot, horizon, n_samples, step)
         env = stability_envelope(f, toeplitz_quantize(f, lat, kg, m, hbar), cost, vpot,
-                                 horizon, n_samples, dt, lipschitz=0.0)
+                                 horizon, n_samples, step, lipschitz=0.0)
         return observed[1], observed[4], env.energies
 
-    h = FiberHamiltonian(lat, m, kg.points, vpot, hbar)
-    assert quantum_dynamics._caches_propagator(h, 20, n_samples, f.size)
-    series, drift, energies = run()
-    series_s, drift_s, energies_s = _stepped(monkeypatch, run)
-    np.testing.assert_allclose(series, series_s, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(energies, energies_s, rtol=1e-13, atol=0)
-    assert abs(drift - drift_s) <= 1e-13
+    rho = toeplitz_quantize(f, lat, kg, m, hbar)
+    n_g = rho.vectors.shape[-1]
+    assert quantum_dynamics._band_path(rho, n_g, n_samples + 1, 10, True)
+    assert quantum_dynamics._band_path(rho, n_g, n_samples, 10, False)
+    series, drift, energies = run(dt)
+    exact = exact_observation_series(rho, rho.region_mask(omega, delta), h,
+                                     np.linspace(0.0, horizon, n_samples + 1))
+    assert np.max(np.abs(series - exact)) <= 1e-12
+    assert drift <= 1e-13
+    with monkeypatch.context() as patch:
+        patch.setattr(FiberHamiltonian, "propagator",
+                      lambda self, t: galerkin_propagators(self, t))
+        energies_exact = run(dt)[2]
+    np.testing.assert_allclose(energies, energies_exact, rtol=1e-12, atol=0)
+    coarse, fine = (_forced(monkeypatch, lambda observed: False, lambda: run(step))[0]
+                    for step in (dt, dt / 2))
+    assert np.all(np.abs(series - coarse) <= 2 * np.abs(coarse - fine) + 1e-13)
     assert energies[-1] != energies[0] and series[-1] != series[0]
 
 
+def _sized(lat, m, n_k, rank):
+    """A density of the given sizes whose weights and vectors are zero blocks of no memory."""
+    kg = KGrid.monkhorst_pack(lat, n_k)
+    n_g = (2 * m + 1) ** lat.dimension
+    return FiberedDensity(kg, lat, m, 1e-3, np.broadcast_to(0.0, (kg.size, rank)),
+                          np.broadcast_to(0j, (kg.size, rank, n_g)))
+
+
 def test_propagator_cache_rule_follows_the_flop_count(lat1):
-    vpot = cosine_potential(lat1, (1,), 0.1)
-    kg = KGrid.monkhorst_pack(lat1, 4)
-    rule = quantum_dynamics._caches_propagator
-    h = FiberHamiltonian(lat1, 64, kg.points, vpot, 0.01)
-    # stability on a cosine at m = 64: 20 samples of 50 steps, 48 vectors per fiber
-    assert rule(h, 50, 20, 48)
-    # verify there: 200 samples of 5 steps, 25 vectors after compression
-    assert not rule(h, 5, 200, 25)
-    assert not rule(FiberHamiltonian(lat1, 64, kg.points, zero_potential(lat1), 0.01),
-                    50, 20, 48)
+    # the one path rule at V != 0: evolution's one-sample matrix (observed False)
+    # and the observation form (observed True) pay one eigendecomposition per fiber
+    rule = quantum_dynamics._band_path
+    # potential-1d: 200 samples of 5 Strang steps at n_G = 129; verify with 25
+    # vectors per fiber after compression, stability 20 samples of 50 steps and 48
+    assert rule(_sized(lat1, 64, 4, 25), 129, 201, 5, True)
+    assert rule(_sized(lat1, 64, 4, 48), 129, 20, 50, False)
+    # rank-1 pure data stays on the loop, both as observation and as evolution
+    pure = _sized(lat1, 64, 4, 1)
+    assert not rule(pure, 129, 201, 5, True) and not rule(pure, 129, 200, 5, False)
+    # m = 176 (n_G = 353) with 32 fibers, pure: the eigendecompositions cost more
+    # than every step they replace
+    wide = _sized(lat1, 176, 32, 1)
+    assert not rule(wide, 353, 201, 5, True) and not rule(wide, 353, 200, 5, False)
+    # at V = 0 (no Strang steps) evolution never forms the matrix
+    assert not rule(_sized(lat1, 64, 4, 48), 129, 20, 0, False)
     # one fiber's matrix fits the chunk budget up to n_G = 362
-    assert rule(FiberHamiltonian(lat1, 180, kg.points, vpot, 0.01), 1000, 1000, 1000)
-    assert not rule(FiberHamiltonian(lat1, 181, kg.points, vpot, 0.01), 1000, 1000, 1000)
+    many = _sized(lat1, 180, 4, 1000)
+    assert rule(many, 361, 1000, 1000, False) and rule(many, 361, 1000, 1000, True)
+    many = _sized(lat1, 181, 4, 1000)
+    assert not rule(many, 363, 1000, 1000, False) and not rule(many, 363, 1000, 1000, True)
 
 
 def test_cached_stability_pass_propagates_once(monkeypatch, lat1, geom1):
-    # stability sizes on a cosine at m = 64: the build is the only Strang call
-    calls = []
+    # stability sizes on a cosine at m = 64: one eigendecomposition per fiber
+    # and one one-sample matrix, no Strang step
+    calls, eigh = [], []
+    real_eigh = np.linalg.eigh
 
     def counted(coeffs, h, t, dt):
         calls.append(coeffs.shape)
         return propagate_batch(coeffs, h, t, dt)
 
+    def counted_eigh(a):
+        eigh.append(a.shape)
+        return real_eigh(a)
+
     monkeypatch.setattr(quantum_dynamics, "propagate_batch", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     vpot = cosine_potential(lat1, (1,), 0.1)
     f = bump_density(lat1, nq=10, np_=12)
     rho = toeplitz_quantize(f, lat1, KGrid.monkhorst_pack(lat1, 4), 64, 0.01)
     vectors = rho.vectors
     stability_envelope(f, rho, CostParams(1.0, geom1), vpot, horizon=1.0, n_times=20, dt=1e-3)
-    assert calls == [(4, 129, 129)]
+    assert calls == []
+    assert eigh == [(129, 129)] * 4
     assert rho.vectors is vectors
-
-
-def _observed(monkeypatch, form, run):
-    """``run()`` with ``observation_series`` forced onto the form path or the loop."""
-    with monkeypatch.context() as patch:
-        patch.setattr(quantum_dynamics, "_observes_by_form", lambda *args: form)
-        return run()
 
 
 _FREE_DATA = pytest.mark.parametrize("basis, m, hbar, nq, np_, n_k, n_support", [
@@ -555,8 +615,9 @@ def test_free_observation_form_matches_the_loop(monkeypatch, basis, m, hbar, nq,
     # on the line the floored packets vanish on 14 of the 129 coefficients
     assert np.count_nonzero(np.any(rho.vectors, axis=(0, 1))) == n_support
     vectors = rho.vectors
-    lhs, series, _, quad, drift = _observed(monkeypatch, True, lambda: run(rho))
-    lhs_l, series_l, _, quad_l, drift_l = _observed(monkeypatch, False, lambda: run(rho_loop))
+    lhs, series, _, quad, drift = _forced(monkeypatch, lambda observed: True, lambda: run(rho))
+    lhs_l, series_l, _, quad_l, drift_l = _forced(monkeypatch, lambda observed: False,
+                                                  lambda: run(rho_loop))
     assert rho._work is None and rho_loop._work is not None
     np.testing.assert_allclose(series, series_l, rtol=1e-13, atol=0)
     assert lhs == pytest.approx(lhs_l, rel=1e-13, abs=0)
@@ -581,7 +642,7 @@ def test_free_observation_form_holds_no_more_memory_than_the_loop(monkeypatch):
     for form in (True, False):
         rho = datum()
         tracemalloc.start()
-        _observed(monkeypatch, form, lambda: run(rho))
+        _forced(monkeypatch, lambda observed: form, lambda: run(rho))
         peaks[form] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert (rho._work is None) == form
@@ -589,20 +650,15 @@ def test_free_observation_form_holds_no_more_memory_than_the_loop(monkeypatch):
     assert peaks[True] <= peaks[False]
 
 
-def _sized(lat, m, n_k, rank):
-    """A density of the given sizes whose weights and vectors are zero blocks of no memory."""
-    kg = KGrid.monkhorst_pack(lat, n_k)
-    n_g = (2 * m + 1) ** lat.dimension
-    return FiberedDensity(kg, lat, m, 1e-3, np.broadcast_to(0.0, (kg.size, rank)),
-                          np.broadcast_to(0j, (kg.size, rank, n_g)))
-
-
 def test_observation_form_rule_follows_the_flop_count(lat1):
-    rule = quantum_dynamics._observes_by_form
+    # the one path rule at V = 0 (no Strang steps): the form's products at a
+    # tenth of an FFT flop against the masked trace of every vector
+    def rule(rho, n_support, n_samples):
+        return quantum_dynamics._band_path(rho, n_support, n_samples, 0, True)
     # free-1d verify toeplitz: 201 samples of 48 vectors on 327 coefficients,
-    # 213 M against 449 M flops
+    # 21 M against 449 M flops
     assert rule(_sized(lat1, 384, 8, 48), 327, 201)
-    # free-1d verify pure: one vector on 268 or 269 coefficients
+    # free-1d verify pure: one vector on 268 or 269 coefficients, 11.6 M against 9.4 M
     pure = _sized(lat1, 384, 8, 1)
     assert not rule(pure, 268, 201) and not rule(pure, 269, 201)
     # cell-2d: a form of 1555^2 x 16 B = 39 MB exceeds the chunk budget
