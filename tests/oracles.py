@@ -248,7 +248,7 @@ def coeffs_to_values_rolled(coeffs, lat, nout=None):
     pad = (nout - coeffs.shape[-1]) // 2
     coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - d) + [(pad, pad)] * d)
     axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
-    vals = sfft.ifftn(sfft.ifftshift(coeffs * _alt_sign(nout, d), axes=axes), axes=axes)
+    vals = np.fft.ifftn(np.fft.ifftshift(coeffs * _alt_sign(nout, d), axes=axes), axes=axes)
     return vals * (nout ** d / np.sqrt(lat.cell_volume))
 
 
@@ -264,7 +264,7 @@ def values_to_coeffs_rolled(values, lat, m: int):
     d = lat.dimension
     n = values.shape[-1]
     axes = tuple(range(values.ndim - d, values.ndim))
-    spec = sfft.fftshift(sfft.fftn(values, axes=axes), axes=axes)
+    spec = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
     spec = spec * (np.sqrt(lat.cell_volume) / n ** d) * _alt_sign(n, d)
     cut = (n - (2 * m + 1)) // 2
     return spec[(Ellipsis,) + (slice(cut, n - cut),) * d]

@@ -3,11 +3,11 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import blochlab
 from blochlab import bloch, gamma_bounds, quantum_dynamics, transport_metric
@@ -229,6 +229,34 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "discretization.n_time_ob" in done.stderr
 
 
+GUARD = """\
+import sys
+import blochlab.cli
+from blochlab.config import load_config
+
+cfg, out = sys.argv[1:]
+with open(cfg) as fh:
+    load_config(fh.read()).scenario()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+loaded = set(sys.modules)
+code = blochlab.cli.main(["verify", "--config", cfg, "--out", out])
+print(code, sorted(set(sys.modules) - loaded))
+"""
+
+
+def test_set_up_loads_every_module_and_no_scipy(tmp_path):
+    # the import and config -> scenario load every module a command uses, so
+    # none is loaded inside a timed command; scipy is a test dependency only
+    src = os.path.dirname(os.path.dirname(blochlab.__file__))
+    done = subprocess.run([sys.executable, "-c", GUARD, write_cfg(tmp_path), str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+
+
 def test_cli_output_path_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     # an --out naming a file is a usage error, not a traceback
@@ -382,17 +410,33 @@ def test_cli_determinism_bitwise(tmp_path):
         assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
     for name in ("out_verify.csv", "out_observation.csv", "out_constants.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    # the same bytes with one and with two FFT workers
+    # the same bytes with one, two and three FFT threads; on the hexagonal cell
+    # three threads split its 2 x 2 fibers unevenly (1 + 1 + 2), in the 2-D
+    # head-pruned transforms of the pure datum at V = 0 and in the Strang
+    # steps of a quantized bump under a potential
+    hex_pure = HEX_PURE.replace("n_k = 2\n", "n_k = 2\nn_time_obs = 8\nn_time_gc = 20\n"
+                                              "gc_per_axis = 3\ngc_quasi = 8\n")
+    hex_toeplitz = hex_pure.replace("kind = pure", "kind = toeplitz") \
+        .replace("m = 24", "m = 8").replace("hbar = 0.03", "hbar = 0.25") \
+        .replace("T = 0.8", "T = 0.2\ndt = 0.01") \
+        .replace("[physics]", "[potential]\nterms = [((1, 0), 0.1, 0.0)]\n\n[physics]")
+    hex_pure = write_cfg(tmp_path, hex_pure, "hex_pure.cfg")
+    hex_toeplitz = write_cfg(tmp_path, hex_toeplitz, "hex_toeplitz.cfg")
     runs = (("verify", cfg, ("out_verify.csv", "out_observation.csv")),
             ("stability", cfg, ("out_stability.csv",)),
             ("metric", cfg, ("out_metric.csv",)),
-            ("metric", pure, ("out_metric.csv",)))
+            ("metric", pure, ("out_metric.csv",)),
+            ("verify", hex_pure, ("out_verify.csv", "out_observation.csv")),
+            ("metric", hex_pure, ("out_metric.csv",)),
+            ("verify", hex_toeplitz, ("out_verify.csv", "out_observation.csv")),
+            ("stability", hex_toeplitz, ("out_stability.csv",)))
     for i, (sub, path, names) in enumerate(runs):
-        outs = [tmp_path / f"run{i}-threads{t}" for t in (1, 2)]
-        for t, out in zip((1, 2), outs):
+        outs = [tmp_path / f"run{i}-threads{t}" for t in (1, 2, 3)]
+        for t, out in zip((1, 2, 3), outs):
             assert main([sub, "--config", path, "--out", str(out), "--threads", str(t)]) == 0
         for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            first = (outs[0] / name).read_bytes()
+            assert all((out / name).read_bytes() == first for out in outs[1:])
 
 
 def test_cli_free_observation_form_is_bitwise_deterministic(tmp_path, monkeypatch):
@@ -443,24 +487,29 @@ def test_cli_potential_band_path_is_exact_and_bitwise_deterministic(tmp_path, mo
 
 
 def test_cli_threads_hold_for_one_command_only(tmp_path, monkeypatch):
-    # record the FFT worker count of every transform coeffs_to_values runs
-    seen = []
+    # record the thread count of every transform and the threads its parts ran on
+    counts, idents = [], set()
+    fft, lines = bloch._fft, bloch._fft_lines
 
-    class Recorder:
-        def __getattr__(self, name):
-            return getattr(scipy.fft, name)
+    def counted(*args, **kwargs):
+        counts.append(bloch._threads)
+        return fft(*args, **kwargs)
 
-        def ifftn(self, *args, workers=None, **kwargs):
-            seen.append(scipy.fft.get_workers() if workers is None else workers)
-            return scipy.fft.ifftn(*args, workers=workers, **kwargs)
+    def traced(*args):
+        idents.add(threading.get_ident())
+        return lines(*args)
 
-    monkeypatch.setattr(bloch, "sfft", Recorder())
-    cfg = write_cfg(tmp_path)
+    monkeypatch.setattr(bloch, "_fft", counted)
+    monkeypatch.setattr(bloch, "_fft_lines", traced)
+    cfg = write_cfg(tmp_path, BASE.replace("kind = toeplitz", "kind = pure"))
     assert main(["verify", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
-    assert seen and set(seen) == {2}
-    seen.clear()
-    bloch.coeffs_to_values(np.ones(5, dtype=complex), cubic_lattice(1))
-    assert seen == [1]
+    assert counts and set(counts) == {2}
+    assert len(idents) == 2 and threading.get_ident() in idents
+    counts.clear()
+    idents.clear()
+    bloch.coeffs_to_values(np.ones((8, 5), dtype=complex), cubic_lattice(1))
+    assert counts == [1] and idents == {threading.get_ident()}
+    assert bloch._pool is None
 
 
 def test_cli_env_overrides(tmp_path, monkeypatch):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 from blochlab import (Discretization, KGrid, LatticeSpec, ObservabilityScenario, Region,
                       constant_pure, coupling_energy_husimi, gamma_bounds, hbar_threshold,
                       initial_state, toeplitz_quantize, verify_theorem)
-from blochlab import quantum_dynamics
+from blochlab import bloch, quantum_dynamics
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
 from blochlab.observability import PRUNE_TOL, initial_density, minimize_toeplitz_penalty, \
@@ -403,14 +402,13 @@ def test_observed_time_integral_advances_in_place(lat1):
 def test_observation_transforms_have_11_smooth_lengths(lat1, monkeypatch):
     # at m = 384 the plane-wave grid 2m+1 = 769 is prime; observation must not use it
     lengths = []
-    ifftn = scipy.fft.ifftn
+    lines = bloch._fft_lines
 
-    def spy(x, *args, **kwargs):
-        axes = kwargs.get("axes") or range(x.ndim)
-        lengths.extend(x.shape[a] for a in axes)
-        return ifftn(x, *args, **kwargs)
+    def spy(x, d, *args):
+        lengths.extend(x.shape[-d:])
+        return lines(x, d, *args)
 
-    monkeypatch.setattr(scipy.fft, "ifftn", spy)
+    monkeypatch.setattr(bloch, "_fft_lines", spy)
     rho = coherent_family(lat1, KGrid.monkhorst_pack(lat1, 2), 384, 1e-3, [0.0], [1.5])
     observed_time_integral(rho, interval_region([-0.1], [0.1], lat1), 0.05,
                            zero_potential(lat1), 0.01, 2, 1e-3)

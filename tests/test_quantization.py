@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from blochlab import quantization
 from blochlab import (KGrid, LatticeSpec, PhaseSpaceDensity, Region, husimi, periodic_trace,
                       toeplitz_quantize)
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len
@@ -291,6 +292,28 @@ def test_husimi_mass_on_boxes_matches_full_grid(lat1):
     assert missing == pytest.approx(1.0 - erf(0.5 / np.sqrt(2 * hbar)), abs=1e-12)
     half = single_box([-0.5], [0.0], [-1.0], [2.0])
     assert husimi_mass_on_boxes(rho, half) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_erf_matches_scipy_to_one_ulp():
+    x = np.linspace(-12.0, 12.0, 2_000_000)
+    got, want = quantization.erf(x), erf(x)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    # the ends, where the erfc ratio would be inf / inf at |x| = inf
+    ends = np.array([40.0, -40.0, np.inf, -np.inf, 0.0])
+    with np.errstate(all="raise"):
+        np.testing.assert_array_equal(quantization.erf(ends), [1.0, -1.0, 1.0, -1.0, 0.0])
+    assert np.isnan(quantization.erf(np.array([np.nan, 1.0]))[0])
+
+
+@pytest.mark.parametrize("name", ["line", "hexagonal"])
+def test_husimi_mass_on_boxes_with_scipy_erf(monkeypatch, name):
+    lat = LatticeSpec(LATTICES[name])
+    d = lat.dimension
+    rho = random_density(lat, 2, 0.3, 2, seed=d)
+    box = single_box([-0.3] * d, [0.2] * d, [-0.5] * d, [0.7] * d)
+    mass = husimi_mass_on_boxes(rho, box)
+    monkeypatch.setattr(quantization, "erf", erf)
+    assert mass == pytest.approx(husimi_mass_on_boxes(rho, box), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
