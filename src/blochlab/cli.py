@@ -144,6 +144,16 @@ _COMMANDS = {
 }
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return count
+
+
 def _tolerance_scale(text: str) -> float:
     try:
         scale = float(text)
@@ -165,10 +175,10 @@ def main(argv=None) -> int:
                         help="output directory for CSV artifacts (env BLOCHLAB_OUT)")
     # string defaults go through ``type`` like the command line, so a malformed
     # environment value is a usage error (exit 2), not a traceback
-    parser.add_argument("--threads", type=int,
+    parser.add_argument("--threads", type=_thread_count,
                         default=os.environ.get("BLOCHLAB_THREADS", "1"),
-                        help="FFT threads; the fibers are split among them and the "
-                             "output does not depend on the count (env BLOCHLAB_THREADS)")
+                        help="FFT threads, an integer >= 1; the fibers are split among them and "
+                             "the output does not depend on the count (env BLOCHLAB_THREADS)")
     parser.add_argument("--tolerance-scale", type=_tolerance_scale,
                         default=os.environ.get("BLOCHLAB_TOLERANCE_SCALE", "1.0"),
                         help="scales the verify error budget, finite and >= 0 "

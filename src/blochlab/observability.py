@@ -180,8 +180,8 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
     the sample values, the times, a quadrature-error estimate from comparing
     with the half-resolution trapezoid rule, and the trace drift: the largest
     relative change |tr_k(T) - tr_k(0)| / tr_k(0) of a fiber trace.  The band
-    path's propagator is unitary to rounding; the Strang split step projects
-    onto the plane-wave window, so it is not exactly unitary.
+    basis moves the vectors unitarily to rounding; the Strang split step
+    projects onto the plane-wave window, so it is not exactly unitary.
     """
     n_samples += n_samples % 2
     mask = rho.region_mask(region, delta)
@@ -189,9 +189,8 @@ def observed_time_integral(rho: FiberedDensity, region: Region, delta: float,
     series = observation_series(rho, mask, potential, horizon, n_samples, dt)
     drift = float(np.max(np.abs(rho.fiber_traces() - traces) / traces))
     times = np.linspace(0.0, horizon, n_samples + 1)
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    integral = float(trapz(series, times))
-    halved = float(trapz(series[::2], times[::2]))
+    integral = float(np.trapezoid(series, times))
+    halved = float(np.trapezoid(series[::2], times[::2]))
     return integral, series, times, abs(integral - halved), drift
 
 

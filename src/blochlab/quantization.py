@@ -5,9 +5,9 @@ nonnegative combination of projectors onto periodic fields.  Toeplitz
 quantization produces exactly that shape (one projector per phase-space
 quadrature node) and unitary evolution preserves it, so dense fiber matrices
 only ever appear inside small test oracles.  The one exception is the band
-path of ``quantum_dynamics``: the observation's Hermitian form per fiber (at
-V = 0 on the support of the vectors, ``FiberedDensity._masked_forms``) and
-each fiber's eigenvectors, one fiber at a time and at most ``_CHUNK_BYTES``.
+path of ``quantum_dynamics``: each fiber's band basis and the observation's
+Hermitian form in it (``quantum_dynamics._band_forms``, at V = 0 on the
+support of the vectors), one fiber at a time and at most ``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 import numpy.random  # numpy loads it lazily: here the load is part of the import
 
-from .bloch import KGrid, _offset_coefficients, _offset_positions, centered_indices, g_vectors, \
-    grid_weight, position_grid, quadrature_len, squared_values
+from .bloch import KGrid, centered_indices, g_vectors, grid_weight, position_grid, \
+    quadrature_len, squared_values
 from .lattice import LatticeSpec, Region
 from .states import _floored_gaussian, coherent_coeff_batch
 
@@ -168,9 +168,6 @@ def momentum_grid(d: int, np_per_dim: int, p_max: float):
 # Bytes of one chunk's complex work block in ``FiberedDensity.grid_expectations``:
 # one core's L2 cache (2 MiB per core on the 2-core Xeon VM of the benchmark).
 _CHUNK_BYTES = 2 ** 21
-# Rows of a block of ``FiberedDensity._masked_forms``, and samples of a block of
-# ``quantum_dynamics.observation_series``: at most 32 x 362 x 16 B = 185 KB per block.
-_FORM_ROWS = 32
 
 
 @dataclass
@@ -338,33 +335,6 @@ class FiberedDensity:
         """
         per_vector = self.grid_expectations(mask)
         return float(self.lambdas.reshape(-1) @ per_vector.reshape(-1)) / self.kgrid.size
-
-    def _masked_forms(self, mask: np.ndarray, support: np.ndarray):
-        """Yield, fiber by fiber, the Hermitian form of ``masked_trace`` on ``support``.
-
-        ``support`` holds the W flat coefficient indices off which every vector
-        vanishes.  The fiber's form is the (W, W) matrix
-        A_nn' = X(n' - n) sum_r lambda_r conj(c_rn) c_rn', with X the mask's
-        ``bloch._offset_coefficients``, so sum_nn' conj(u_n) A_nn' u_n' is the
-        fiber's sum_r lambda_r <v_r| mask |v_r> of the vectors c_rn u_n, for any
-        phases u.  One buffer holds every fiber's form in turn, each overwritten
-        by the next; it is filled and multiplied by X in blocks of ``_FORM_ROWS``
-        rows, so it is the one (W, W) array made.
-        """
-        x = _offset_coefficients(mask, self.lat, self.m)
-        d, w = self.lat.dimension, support.size
-        # offset n' - n sits at position pos(n') - pos(n) + x.size // 2 of x
-        pos = _offset_positions(self.m, d)[support]
-        cols = pos + x.size // 2
-        form = np.empty((w, w), dtype=complex)
-        for lambdas, vectors in zip(self.lambdas, self.vectors):
-            c = vectors[:, support]
-            for start in range(0, w, _FORM_ROWS):
-                rows = slice(start, start + _FORM_ROWS)
-                np.matmul((np.conj(c[:, rows]) * lambdas[:, None]).T, c, out=form[rows])
-                form[rows] *= x[cols[None, :] - pos[rows, None]]
-            del c                                   # before the next fiber's copy is made
-            yield form
 
 
 def momentum_cost(moments, xi: np.ndarray) -> np.ndarray:

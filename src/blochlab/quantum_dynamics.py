@@ -10,12 +10,11 @@ it applies the potential on the ``quadrature_len(m)`` cell grid, projects back
 onto the window, and transforms the whole (n_k, batch) block at once in one
 padded work array.
 
-``evolution`` advances the vectors at every sample, either by one product with
-each fiber's cached one-sample matrix built from its eigenpairs, or by
-``propagate_batch``.  ``observation_series`` evaluates every sample as one
-Hermitian form per fiber in its band basis and moves the vectors to the
-horizon exactly, or reads the masked trace at every sample of ``evolution``.
-One cost rule, ``_band_path``, picks the path of both.
+``evolution`` advances the vectors at every sample, in each fiber's band basis
+or by ``propagate_batch``.  ``observation_series`` evaluates every sample as
+one Hermitian form per fiber in its band basis (``_band_forms``) and moves the
+vectors to the horizon exactly, or reads the masked trace at every sample of
+``evolution``.  One cost rule, ``_band_path``, picks the path of both.
 
 Sign convention: the density evolves as ``R(t) = U(t)^* R_in U(t)`` where the
 adjoint ``U(t)^*`` acts on fiber vectors as the standard forward propagator
@@ -34,7 +33,7 @@ from .bloch import _fft, _fft_blocks, _offset_coefficients, _offset_positions, _
     _untwisted, g_vectors, position_grid, quadrature_len
 from .classical_dynamics import TrigPotential, _step_count, flow
 from .lattice import LatticeSpec
-from .quantization import _CHUNK_BYTES, _FORM_ROWS, FiberedDensity
+from .quantization import _CHUNK_BYTES, FiberedDensity
 
 
 @dataclass
@@ -76,8 +75,8 @@ class FiberHamiltonian:
         c/2 exp(-i phi) at n - n' = -n_t, so a term with n_t = 0 puts c cos(phi)
         on the diagonal; no grid is sampled.  The entries are read from a table
         over the offsets n' - n (-2m..2m per axis), as the mask's are in
-        ``FiberedDensity._masked_forms``; a term beyond 2m on some axis meets
-        no pair of the window.
+        ``_band_forms``; a term beyond 2m on some axis meets no pair of the
+        window.
         """
         d, m = self.lat.dimension, self.m
         table = np.zeros((4 * m + 1,) * d, dtype=complex)
@@ -91,57 +90,43 @@ class FiberHamiltonian:
     def eigenpairs(self):
         """Yield (e, U) fiber by fiber, with H_k = U diag(e) U^* (``numpy.linalg.eigh``).
 
-        e ascends and the columns of U are orthonormal eigenvectors.  A
-        fiber's matrix lives only while it is diagonalized, so the generator
+        At V = 0, U is None, the identity, and e is the kinetic diagonal.
+        Otherwise e ascends and the columns of U are orthonormal eigenvectors.
+        A fiber's matrix lives only while it is diagonalized, so the generator
         holds no (n_G, n_G) array between fibers: that kept 0.3 MB off the
-        peak RSS of potential-1d ``verify``, against one buffer updated in
-        place.
+        peak RSS of potential-1d ``verify``, against one buffer updated in place.
         """
         for kinetic in self.kinetic_diagonal:
+            if self.potential.is_zero:
+                yield kinetic, None
+                continue
             h = self.potential_matrix()
             h[np.diag_indices_from(h)] += kinetic
             pair = np.linalg.eigh(h)
             del h
             yield pair
 
-    def propagator(self, t: float) -> np.ndarray:
-        """R_k = conj(U) diag(exp(-i t e / hbar)) U^T of every fiber, shape (n_k, n_G, n_G).
-
-        For a row vector v of coefficients, v @ R_k is exp(-i t H_k / hbar) v:
-        the exact flow of the Galerkin matrix over t, unitary to rounding.
-        """
-        n_g = self.kinetic_diagonal.shape[1]
-        out = np.empty((self.k.shape[0], n_g, n_g), dtype=complex)
-        for r, (e, u) in zip(out, self.eigenpairs()):
-            np.matmul(np.conj(u) * np.exp(-1j * t / self.hbar * e), u.T, out=r)
-        return out
-
     def _step_factors(self, t: float, dt: float):
         """The factors of ``propagate_batch`` for (t, dt), computed once per (t, dt).
 
-        V = 0: the exact phase exp(-i t H_k / hbar), shape (n_k, 1, (2m+1)^d).
-        Otherwise (n_steps, half, full, pot): the Strang step count, the half
-        and full kinetic phases of step tau = t / n_steps in zero-padded FFT
-        order, shape (n_k, 1, N, ..., N), and exp(-i tau V / hbar) / N^d on the
-        grid: the 1/N^d carries the normalization that the inverse FFT leaves out.
+        (n_steps, half, full, pot): the Strang step count, the half and full
+        kinetic phases of step tau = t / n_steps in zero-padded FFT order,
+        shape (n_k, 1, N, ..., N), and exp(-i tau V / hbar) / N^d on the grid:
+        the 1/N^d carries the normalization that the inverse FFT leaves out.
         """
         key, factors = self._factors
         if key == (t, dt):
             return factors
-        if self.potential.is_zero:
-            factors = np.exp(-1j * t * self.kinetic_diagonal / self.hbar)[:, None, :]
-        else:
-            d, nin = self.lat.dimension, 2 * self.m + 1
-            n_steps = _step_count(t, dt)
-            step = t / n_steps
-            half_c = np.exp(-1j * (0.5 * step) * self.kinetic_diagonal / self.hbar) \
-                .reshape((-1, 1) + (nin,) * d)
-            half = np.zeros(half_c.shape[:2] + self.potential_values.shape, dtype=complex)
-            for src, dst in _fft_blocks(nin, self.potential_values.shape[-1], d):
-                half[dst] = half_c[src]
-            pot = np.exp(-1j * step * self.potential_values / self.hbar) \
-                / self.potential_values.size
-            factors = (n_steps, half, half * half, pot)
+        d, nin = self.lat.dimension, 2 * self.m + 1
+        n_steps = _step_count(t, dt)
+        step = t / n_steps
+        half_c = np.exp(-1j * (0.5 * step) * self.kinetic_diagonal / self.hbar) \
+            .reshape((-1, 1) + (nin,) * d)
+        half = np.zeros(half_c.shape[:2] + self.potential_values.shape, dtype=complex)
+        for src, dst in _fft_blocks(nin, self.potential_values.shape[-1], d):
+            half[dst] = half_c[src]
+        pot = np.exp(-1j * step * self.potential_values / self.hbar) / self.potential_values.size
+        factors = (n_steps, half, half * half, pot)
         self._factors = ((t, dt), factors)
         return factors
 
@@ -149,10 +134,9 @@ class FiberHamiltonian:
 def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float) -> np.ndarray:
     """Advance a (n_k, batch, (2m+1)^d) block of fiber i under H_{k_i} in place; returns it.
 
-    V = 0 is one exact phase multiply over all fibers.  Otherwise each Strang
-    step is P e^{-i tau V / hbar} P between kinetic half-steps, the factor
-    collocated on the N = ``quadrature_len(m)`` grid per axis and P the
-    projection onto the plane-wave window: the Galerkin step up to the
+    Each Strang step is P e^{-i tau V / hbar} P between kinetic half-steps,
+    the factor collocated on the N = ``quadrature_len(m)`` grid per axis and P
+    the projection onto the plane-wave window: the Galerkin step up to the
     factor's Fourier tail beyond N - 2m - 1 (N = 2m+1: plain collocation),
     not exactly unitary.  The phases and the factor are set up once per
     (t, dt) (``FiberHamiltonian._step_factors``).  The whole block moves once
@@ -166,9 +150,6 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
         return coeffs
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if h.potential.is_zero:
-        coeffs *= h._step_factors(t, dt)
-        return coeffs
     n_steps, half, full, pot = h._step_factors(t, dt)
     d, nin = h.lat.dimension, 2 * h.m + 1
     window = coeffs.reshape(coeffs.shape[:2] + (nin,) * d)     # a view: only splits an axis
@@ -190,6 +171,9 @@ _PRODUCT_FLOP = 0.1
 # Price of one Hermitian eigendecomposition with vectors, per n_G^3, in flops of
 # an FFT: ``numpy.linalg.eigh`` took 0.6-0.9 ns per n_G^3 at n_G = 129 and 353.
 _EIGH_FLOPS = 9.0
+# Rows of a block of ``_band_forms``, and samples of a block of
+# ``observation_series``: at most 32 x 362 x 16 B = 185 KB per block.
+_FORM_ROWS = 32
 
 
 def _band_path(rho: FiberedDensity, n_support: int, n_samples: int, n_steps: int,
@@ -198,20 +182,20 @@ def _band_path(rho: FiberedDensity, n_support: int, n_samples: int, n_steps: int
 
     The one path rule: per fiber, the band path must cost less than the loop,
     and its (W, W) matrix, W = ``n_support``, must fit ``_CHUNK_BYTES``
-    (W <= 362).  W is the support of the vectors at V = 0 and n_G otherwise;
-    ``n_steps`` is the Strang steps per sample, 0 at V = 0.
+    (W <= 362).  W is the support of the vectors at V = 0, where only the
+    observation asks, and n_G otherwise; ``n_steps`` is the Strang steps per
+    sample, 0 at V = 0.
 
     - The loop costs, per vector and sample, ``n_steps`` Strang steps of
       10 P log2 P + 12 P flops (an FFT pair and two complex multiplies) and,
       when ``observed``, one masked trace of 5 P log2 P + 8 P flops (an inverse
       FFT, the squares and the weights), at P = ``quadrature_len(m)``^d points.
-      At V = 0 an unobserved loop costs nothing: a sample is one phase multiply.
     - The band path costs matrix products, at ``_PRODUCT_FLOP`` per flop.
       Observed, it builds the form (8 rank W^2) and evaluates each sample as
-      one row times it (8 W^2); otherwise it multiplies every vector by the
-      one-sample matrix at each sample (8 rank W^2).  At V != 0 it first
-      diagonalizes the fiber (``_EIGH_FLOPS`` W^3) and builds the mask's form
-      in the eigenbasis (16 W^3) or the one-sample matrix (8 W^3).
+      one row times it (8 W^2); otherwise it moves every vector into the band
+      basis once (8 rank W^2) and back at each sample (8 rank W^2).  At
+      V != 0 it first diagonalizes the fiber (``_EIGH_FLOPS`` W^3) and,
+      observed, reads the mask's matrix in the band basis (16 W^3).
     """
     if 16 * n_support ** 2 > _CHUNK_BYTES:
         return False
@@ -221,38 +205,46 @@ def _band_path(rho: FiberedDensity, n_support: int, n_samples: int, n_steps: int
                                + observed * (5 * p * log_p + 8 * p))
     band = _PRODUCT_FLOP * 8 * w2 * (n_samples * (1 if observed else rank) + rank)
     if n_steps:
-        band += (_EIGH_FLOPS + _PRODUCT_FLOP * 8 * (1 + observed)) * n_support ** 3
+        band += (_EIGH_FLOPS + _PRODUCT_FLOP * 16 * observed) * n_support ** 3
     return band < loop
 
 
-def _band_forms(rho: FiberedDensity, h: FiberHamiltonian, mask: np.ndarray, horizon: float):
-    """Yield each fiber's rates e / hbar and masked form in its band basis, at V != 0.
+def _band_forms(rho: FiberedDensity, h: FiberHamiltonian, mask: np.ndarray, horizon: float,
+                support: np.ndarray):
+    """Yield each fiber's rates e / hbar and masked form in its band basis, on ``support``.
 
-    With a_r = U^* v_r the vectors in the fiber's eigenbasis and
+    With (e, U) from ``FiberHamiltonian.eigenpairs``, a_r = U^* v_r and
     p(t) = exp(-i t e / hbar), <v_r(t)| mask |v_r(t)> is
     sum_ab conj(p_a a_ra) K_ab p_b a_rb with K = U^* M U, M_nn' = X(n' - n) the
     mask's matrix (X from ``bloch._offset_coefficients``).  So the fiber's form
-    is K o sum_r lambda_r conj(a_r) a_r^T, the V = 0 form of
-    ``FiberedDensity._masked_forms`` in the band basis.  Once the caller has
-    read it, the fiber's vectors move to ``horizon`` in place, exactly:
-    v_r = U p(horizon) a_r.  One fiber's eigenvectors are held at a time, and
-    each (n_G, n_G) array is released as soon as it is used, before the next
-    fiber's: that took 0.35 MB off the harness's peak RSS of potential-1d
-    ``verify`` toeplitz.
+    is K o sum_r lambda_r conj(a_r) a_r^T on the W coefficients of ``support``:
+    all n_G at V != 0; at V = 0, where U is the identity and K is read from X,
+    those nonzero in some vector, since the others stay zero under the phases.
+    It is built in blocks of ``_FORM_ROWS`` rows into one (W, W) buffer that
+    every fiber reuses.  Once the caller has read it, the fiber's vectors move
+    to ``horizon`` in place, exactly: v_r = U (p(horizon) o a_r).  One fiber's
+    eigenvectors are held at a time, and K only until the form is built.
     """
     x = _offset_coefficients(mask, rho.lat, rho.m)
-    pos = _offset_positions(rho.m, rho.lat.dimension)
-    toeplitz = x[pos[None, :] - pos[:, None] + x.size // 2]
+    # offset n' - n sits at position pos(n') - pos(n) + x.size // 2 of x
+    pos = _offset_positions(rho.m, rho.lat.dimension)[support]
+    cols = pos + x.size // 2
+    form = np.empty((support.size,) * 2, dtype=complex)
     for (e, u), lambdas, vectors in zip(h.eigenpairs(), rho.lambdas, rho.vectors):
-        conj_u = np.conj(u)
-        a = vectors @ conj_u
-        form = conj_u.T @ (toeplitz @ u)
-        form *= (np.conj(a).T * lambdas) @ a
-        del conj_u
+        if u is None:
+            e, a, k = e[support], vectors[:, support], None
+        else:
+            a = vectors @ np.conj(u)
+            k = np.conj(u).T @ (x[cols[None, :] - pos[:, None]] @ u)
+        for start in range(0, support.size, _FORM_ROWS):
+            rows = slice(start, start + _FORM_ROWS)
+            np.matmul((np.conj(a[:, rows]) * lambdas[:, None]).T, a, out=form[rows])
+            form[rows] *= x[cols[None, :] - pos[rows, None]] if k is None else k[rows]
+        del k
         yield e / h.hbar, form
-        del form
-        np.matmul(a * np.exp(-1j * horizon / h.hbar * e), u.T, out=vectors)
-        del u
+        a *= np.exp(-1j * horizon * e / h.hbar)
+        vectors[:, support] = a if u is None else a @ u.T
+        del a, u  # before the next fiber's are made
 
 
 def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPotential,
@@ -261,41 +253,32 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
 
     On return ``rho.vectors``, the same array, hold the density at
     ``horizon``.  Where ``_band_path`` says so, every sample is u(t)^H A u(t)
-    per fiber, A the fiber's Hermitian form in its eigenbasis and
-    u(t) = exp(-i t e / hbar) the phases of its eigenvalues e.  At V = 0 the
-    eigenbasis is the plane waves and A lives on the support W of the vectors
-    (``FiberedDensity._masked_forms``), since coefficients that vanish in every
-    vector stay zero under the phases; one exact ``propagate_batch`` then
-    moves the vectors to ``horizon``.  At V != 0 ``_band_forms`` gives A on
-    all n_G coefficients and moves each fiber to ``horizon``.  The samples
-    are evaluated ``_FORM_ROWS`` at a time as one (samples, W) x (W, W)
-    product.  Otherwise the trace is read at every yield of ``evolution``.
-    Either path builds the run's one ``FiberHamiltonian``.
+    per fiber, A the fiber's Hermitian form in its band basis from
+    ``_band_forms`` and u(t) = exp(-i t e / hbar) the phases of its band
+    energies e; A lives on the support W of the vectors at V = 0 and on all
+    n_G coefficients otherwise.  The samples are evaluated ``_FORM_ROWS`` at a
+    time as one (samples, W) x (W, W) product.  Otherwise the trace is read at
+    every yield of ``evolution``.  Either path builds the run's one
+    ``FiberHamiltonian``.
     """
+    n_steps = _step_count(horizon / n_samples, dt)  # rejects dt <= 0 at every V
     if potential.is_zero:
-        support = np.flatnonzero(np.any(rho.vectors, axis=(0, 1)))
-        n_support, n_steps = support.size, 0
+        support, n_steps = np.flatnonzero(np.any(rho.vectors, axis=(0, 1))), 0
     else:
-        n_support, n_steps = rho.vectors.shape[-1], _step_count(horizon / n_samples, dt)
-    if not _band_path(rho, n_support, n_samples + 1, n_steps, True):
+        support = np.arange(rho.vectors.shape[-1])
+    if not _band_path(rho, support.size, n_samples + 1, n_steps, True):
         return np.array([rho.masked_trace(mask)
                          for _ in evolution(rho, potential, horizon, n_samples, dt)])
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
-    if potential.is_zero:
-        fibers = zip(h.kinetic_diagonal[:, support] / h.hbar, rho._masked_forms(mask, support))
-    else:
-        fibers = _band_forms(rho, h, mask, horizon)
     times = np.arange(n_samples + 1) * (horizon / n_samples)
     series = np.zeros(n_samples + 1)
-    for rates, form in fibers:
+    for rates, form in _band_forms(rho, h, mask, horizon, support):
         for start in range(0, times.size, _FORM_ROWS):
             block = slice(start, start + _FORM_ROWS)
             conj_u = np.exp(1j * np.multiply.outer(times[block], rates))
             # Re(p u) = Re(p) Re(conj u) + Im(p) Im(conj u), with p = conj(u) A
             p = (conj_u @ form).view(float)
             series[block] += (p[:, None, :] @ conj_u.view(float)[:, :, None])[:, 0, 0]
-    if potential.is_zero:
-        propagate_batch(rho.vectors, h, horizon, dt)
     return series / rho.kgrid.size
 
 
@@ -309,26 +292,33 @@ def evolution(rho: FiberedDensity, potential: TrigPotential, horizon: float, n_s
     first.  Given ``nodes = (x, xi)``, each yield is the nodes at that time,
     moved by ``flow`` with the same step; otherwise it is None.
 
-    Where ``_band_path`` says so (V != 0, many Strang steps per sample, many
-    vectors, a small window), each fiber's exact one-sample map is formed once
-    from its eigenpairs, the matrix R = ``FiberHamiltonian.propagator`` with
-    v R = exp(-i t H_k / hbar) v for a row vector v, and each sample is one
-    product ``rho.vectors @ R``.  Otherwise, and always at V = 0 (one exact
-    phase multiply per sample), ``propagate_batch`` advances the vectors at
-    every sample: by Strang steps of at most ``dt`` at V != 0.
+    Each fiber moves in its band basis (``FiberHamiltonian.eigenpairs``): it
+    holds a = U^* v, and each sample multiplies a by the one-sample phases
+    exp(-i t e / hbar), in one multiply over all fibers, and writes v = U a
+    back.  At V = 0, a is ``rho.vectors`` itself, so a sample is one phase
+    multiply in place.  At V != 0 that holds where ``_band_path`` says so
+    (many Strang steps per sample, many vectors, a small window); otherwise
+    ``propagate_batch`` advances the vectors at every sample by Strang steps
+    of at most ``dt``.
     """
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     sample_dt = horizon / n_samples
-    n_steps = 0 if potential.is_zero else _step_count(sample_dt, dt)
-    propagator = None
-    if _band_path(rho, rho.vectors.shape[-1], n_samples, n_steps, False):
-        propagator = h.propagator(sample_dt)
+    n_steps = _step_count(sample_dt, dt)  # rejects dt <= 0 at every V
+    band = potential.is_zero or _band_path(rho, rho.vectors.shape[-1], n_samples, n_steps, False)
+    if band:
+        e, u = zip(*h.eigenpairs())
+        phases = np.exp(-1j * sample_dt * np.stack(e) / h.hbar)[:, None, :]
+        a = rho.vectors if potential.is_zero else \
+            np.stack([vectors @ np.conj(ui) for vectors, ui in zip(rho.vectors, u)])
     yield nodes
     for _ in range(n_samples):
         if nodes is not None:
             nodes = flow(*nodes, sample_dt, potential, dt)
-        if propagator is None:
+        if not band:
             propagate_batch(rho.vectors, h, sample_dt, dt)
         else:
-            np.matmul(rho.vectors, propagator, out=rho.vectors)
+            a *= phases
+            if not potential.is_zero:
+                for ai, ui, vectors in zip(a, u, rho.vectors):
+                    np.matmul(ai, ui.T, out=vectors)
         yield nodes

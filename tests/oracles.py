@@ -5,7 +5,8 @@ position grid, the squared grid values of a density's vectors, the discrete
 Bloch transform of a wave packet on R^d and its inverse, a per-fiber loop
 over dense momentum symbols, the Gaussian packet and Husimi window without
 their floor, a transform loop that rolls and rescales at every step, the dense
-Galerkin matrix of a fiber and its matrix exponential, region
+Galerkin matrix of a fiber and its matrix exponential, the evolution by that
+exponential, region
 membership against every neighbouring translate, a midpoint quadrature over
 phase-space grids, or a plain dump of arrays.  The
 proof devices of the stability argument live here too: a single periodic
@@ -29,6 +30,7 @@ from blochlab.lattice import CellGeometry, LatticeSpec, Region, reduce_to_cell, 
     theta_cost_weights
 from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi, momentum_cost, \
     momentum_grid
+from blochlab.quantum_dynamics import FiberHamiltonian
 from blochlab.states import coherent_coeff_batch
 
 
@@ -316,6 +318,24 @@ def galerkin_propagators(h, t: float) -> np.ndarray:
     ``v @ R[k]``.
     """
     return np.stack([expm(-1j * t / h.hbar * mat).T for mat in galerkin_matrices(h)])
+
+
+def exact_evolution(rho: FiberedDensity, potential, horizon: float, n_samples: int, dt: float,
+                    nodes=None):
+    """``quantum_dynamics.evolution`` by the dense exponential.
+
+    At sample i the vectors, in place, are the initial ones times
+    ``galerkin_propagators`` of i horizon / n_samples; the nodes move by
+    ``flow`` as in ``evolution``.
+    """
+    h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
+    start = rho.vectors.copy()
+    yield nodes
+    for i in range(1, n_samples + 1):
+        if nodes is not None:
+            nodes = flow(*nodes, horizon / n_samples, potential, dt)
+        np.matmul(start, galerkin_propagators(h, i * horizon / n_samples), out=rho.vectors)
+        yield nodes
 
 
 def exact_observation_series(rho: FiberedDensity, mask, h, times) -> np.ndarray:

@@ -459,11 +459,33 @@ def test_cli_free_observation_form_is_bitwise_deterministic(tmp_path, monkeypatc
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_free_commands_make_no_split_step(tmp_path, monkeypatch):
+    # at V = 0 the plane waves are the band basis: verify of either kind, on
+    # the masked-trace loop (16 samples) and on the form (40 samples), and
+    # stability move every fiber by phases and never call the Strang step
+    calls = []
+    step = quantum_dynamics.propagate_batch
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return step(*args)
+
+    monkeypatch.setattr(quantum_dynamics, "propagate_batch", counted)
+    for kind, samples, subs in (("toeplitz", 16, ("verify", "stability")),
+                                ("toeplitz", 40, ("verify",)), ("pure", 16, ("verify",))):
+        text = BASE.replace("kind = toeplitz", f"kind = {kind}") \
+            .replace("n_time_obs = 16", f"n_time_obs = {samples}")
+        cfg = write_cfg(tmp_path, text, f"{kind}{samples}.cfg")
+        for sub in subs:
+            assert main([sub, "--config", cfg, "--out", str(tmp_path / f"{kind}{samples}")]) == 0
+    assert calls == []
+
+
 def test_cli_potential_band_path_is_exact_and_bitwise_deterministic(tmp_path, monkeypatch):
     # with a cosine potential the quantized bump takes the band path in verify
-    # (the form in each fiber's eigenbasis) and in stability (the one-sample
-    # matrix): the trace drift is at rounding level, and the bytes do not
-    # depend on the FFT worker count
+    # (the form in each fiber's eigenbasis) and in stability (the vectors
+    # moved in each fiber's eigenbasis): the trace drift is at rounding level,
+    # and the bytes do not depend on the FFT worker count
     chosen = []
     rule = quantum_dynamics._band_path
 
@@ -522,6 +544,8 @@ def test_cli_env_overrides(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("variable, value", [("BLOCHLAB_THREADS", "abc"),
+                                             ("BLOCHLAB_THREADS", "0"),
+                                             ("BLOCHLAB_THREADS", "-1"),
                                              ("BLOCHLAB_TOLERANCE_SCALE", "x")])
 def test_cli_malformed_environment_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                                     variable, value):
@@ -540,6 +564,17 @@ def test_cli_rejects_non_finite_or_negative_tolerance_scale(tmp_path, capsys, sc
         main(["verify", "--config", cfg, "--out", str(tmp_path), "--tolerance-scale", scale])
     assert exc.value.code == 2
     assert "--tolerance-scale" in capsys.readouterr().err
+    assert not (tmp_path / "out_verify.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_cli_rejects_a_thread_count_below_one(tmp_path, capsys, threads):
+    # a count below 1 used to run quietly on one thread
+    cfg = write_cfg(tmp_path, BASE.replace("kind = toeplitz", "kind = pure"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", cfg, "--out", str(tmp_path), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "out_verify.csv").exists()
 
 

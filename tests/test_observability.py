@@ -259,9 +259,9 @@ def test_one_verify_builds_one_fiber_hamiltonian(monkeypatch, lat1, geom1, case,
     # V != 0 with one vector per fiber (the rule keeps both the observation and
     # evolution on the Strang loop) and with the quantized bump (the band path's
     # form, one eigendecomposition per fiber); V = 0 with one vector per fiber
-    # (the masked-trace loop, whose evolution the rule asks too); V = 0 with the
-    # 1-D toeplitz datum at 81 samples (one Hermitian form per fiber: rank 30 on
-    # W = 344 coefficients)
+    # (the masked-trace loop, whose evolution moves in the plane waves without
+    # asking the rule); V = 0 with the 1-D toeplitz datum at 81 samples (one
+    # Hermitian form per fiber: rank 30 on W = 344 coefficients)
     built, chosen = [], []
     rule = quantum_dynamics._band_path
 
@@ -283,7 +283,10 @@ def test_one_verify_builds_one_fiber_hamiltonian(monkeypatch, lat1, geom1, case,
         scn = base_scenario(lat1, geom1, kind=case, n_obs=80)
     verify_theorem(scn)
     assert len(built) == 1
-    assert chosen == ([False, False] if path == "loop" else [True])
+    if path == "loop":
+        assert chosen == ([False, False] if case == "potential" else [False])
+    else:
+        assert chosen == [True]
 
 
 def test_compression_keeps_toeplitz_lhs(lat1, geom1):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
-from blochlab import KGrid, LatticeSpec, TrigPotential, gamma_bounds, periodic_trace
+from blochlab import KGrid, LatticeSpec, Region, TrigPotential, gamma_bounds, periodic_trace
 from blochlab.bloch import _offset_coefficients, _offset_positions, grid_weight, position_grid, \
     quadrature_len
 from blochlab.classical_dynamics import _step_count, _verlet_step, flow
 from blochlab.quantization import FiberedDensity
-from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
+from blochlab import quantum_dynamics
+from blochlab.quantum_dynamics import FiberHamiltonian, evolution, observation_series, \
+    propagate_batch
 
 from oracles import (CoherentParams, bloch_transform, coherent_family, coherent_state,
                      commutator_residual, cosine_potential, cubic_lattice, galerkin_matrices,
@@ -29,12 +31,16 @@ def propagate_copy(coeffs, h, t, dt):
 
 
 def test_free_propagator_exact(lat1):
+    # at V = 0 evolution multiplies the plane-wave coefficients by their exact phases
     hbar, m = 0.05, 24
     k = np.array([0.3])
-    h = FiberHamiltonian(lat1, m, k, zero_potential(lat1), hbar)
     coeffs = np.zeros(2 * m + 1, dtype=complex)
     coeffs[m + 3] = 1.0                      # single plane wave G = 3 b
-    out = propagate_copy(coeffs, h, 0.7, 1e-2)
+    rho = FiberedDensity(KGrid(k[None, :], lat1), lat1, m, hbar, np.ones((1, 1)),
+                         coeffs[None, None, :])
+    for _ in evolution(rho, zero_potential(lat1), 0.7, 1, 1e-2):
+        pass
+    out = rho.vectors[0, 0]
     g = 3 * 2 * np.pi
     phase = np.exp(-1j * 0.7 * hbar * (g + k[0]) ** 2 / 2)
     assert out[m + 3] == pytest.approx(phase, abs=1e-14)
@@ -116,7 +122,7 @@ def test_strang_second_order(lat1, vpot):
 @pytest.mark.parametrize("free", [False, True])
 def test_block_matches_single_fiber_calls_bitwise(lattice, free):
     # one (n_k, batch, n_G) block through one call equals one call per fiber, bit
-    # for bit: with V = 0 the all-fiber phase multiply, otherwise the per-fiber steps
+    # for bit, with and without a potential
     lat = LatticeSpec(LATTICES[lattice])
     d = lat.dimension
     hbar, m = 0.05, (16 if d == 1 else 6)
@@ -175,6 +181,24 @@ def test_propagate_batch_rejects_a_nonpositive_step(rng, lat1, vpot, free):
         with pytest.raises(ValueError, match="dt must be positive"):
             propagate_batch(coeffs.copy(), h, 0.1, dt)
     assert propagate_batch(coeffs, h, 0.0, -1.0) is coeffs
+
+
+@pytest.mark.parametrize("band", [False, True])
+@pytest.mark.parametrize("free", [False, True])
+def test_evolution_and_observation_reject_a_nonpositive_step(monkeypatch, lat1, vpot, free,
+                                                             band):
+    # the same check as ``propagate_batch`` on either path, also at V = 0,
+    # where the vectors move by phases and dt moves nothing
+    monkeypatch.setattr(quantum_dynamics, "_band_path", lambda *args: band)
+    kg = KGrid.monkhorst_pack(lat1, 2)
+    rho = coherent_family(lat1, kg, 8, 0.05, [0.0], [0.2])
+    potential = zero_potential(lat1) if free else vpot
+    mask = rho.region_mask(Region([[[-0.1], [0.1]]], lat1))
+    for dt in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            next(evolution(rho, potential, 0.1, 2, dt))
+        with pytest.raises(ValueError, match="dt must be positive"):
+            observation_series(rho, mask, potential, 0.1, 2, dt)
 
 
 def test_fiber_hamiltonian_holds_every_fiber(lat2):
@@ -336,11 +360,12 @@ def test_step_count_takes_a_whole_quotient_up_to_rounding(lat1, vpot):
 
 # One window per case whose quadrature grid resolves the potential: the grid
 # sum gives the exact coefficients when quadrature_len(m) > 2m + bandwidth.
-_POTENTIALS = pytest.mark.parametrize("basis, terms, m, hbar", [
+_POTENTIAL_CASES = [
     ([[1.0]], (((1,), 0.3, 0.7),), 64, 0.01),                                   # with a phase
     (LATTICES["hexagonal"], (((1, 0), 0.3, 0.2), ((1, -1), 0.2, 0.0)), 6, 0.05),   # two terms
     ([[1.0]], (((0,), 0.25, 0.4), ((2,), 0.1, 0.0)), 32, 0.02),                  # a constant
-])
+]
+_POTENTIALS = pytest.mark.parametrize("basis, terms, m, hbar", _POTENTIAL_CASES)
 
 
 @_POTENTIALS
@@ -360,21 +385,35 @@ def test_potential_matrix_is_the_grid_sampled_one(basis, terms, m, hbar):
     np.testing.assert_array_equal(closed + np.diag(h.kinetic_diagonal[0]), galerkin_matrices(h)[0])
 
 
-@_POTENTIALS
-def test_band_propagator_is_the_exact_galerkin_flow(basis, terms, m, hbar):
-    # one eigendecomposition per fiber: R = conj(U) diag(exp(-i t e / hbar)) U^T is
-    # the dense exponential of the Galerkin matrix, unitary to rounding; the
-    # phases t e / hbar reach 8.2e2 at t = 1 (line, m = 64)
+@pytest.mark.parametrize("basis, terms, m, hbar", _POTENTIAL_CASES + [
+    ([[1.0]], (), 64, 0.01),                                                     # V = 0
+    (LATTICES["hexagonal"], (), 6, 0.05),
+])
+def test_band_propagator_is_the_exact_galerkin_flow(monkeypatch, rng, basis, terms, m, hbar):
+    # one eigendecomposition per fiber, H_k = U diag(e) U^* (at V = 0 U is the
+    # identity and e the kinetic diagonal), and evolution in that basis is the
+    # dense exponential of the Galerkin matrix at every sample, unitary to
+    # rounding; the phases t e / hbar reach 8.2e2 at t = 1 (line, m = 64)
     lat = LatticeSpec(basis)
     kg = KGrid.monkhorst_pack(lat, 3)
-    h = FiberHamiltonian(lat, m, kg.points, TrigPotential(lat, terms), hbar)
+    potential = TrigPotential(lat, terms)
+    h = FiberHamiltonian(lat, m, kg.points, potential, hbar)
     pairs = list(h.eigenpairs())
     assert len(pairs) == kg.size
-    for (e, u), mat in zip(pairs, galerkin_matrices(h)):
-        np.testing.assert_allclose((u * e) @ u.conj().T, mat, rtol=0, atol=1e-12)
-    for t in (0.05, 1.0):
-        r = h.propagator(t)
-        assert r.shape == (kg.size,) + (h.kinetic_diagonal.shape[1],) * 2
-        assert np.max(np.abs(r - galerkin_propagators(h, t))) <= 1e-12
-        eye = np.eye(r.shape[-1])
-        assert np.max(np.abs(r @ np.conj(np.swapaxes(r, 1, 2)) - eye)) <= 1e-13
+    for (e, u), mat, kinetic in zip(pairs, galerkin_matrices(h), h.kinetic_diagonal):
+        if potential.is_zero:
+            assert u is None
+            np.testing.assert_array_equal(e, kinetic)
+        else:
+            np.testing.assert_allclose((u * e) @ u.conj().T, mat, rtol=0, atol=1e-12)
+    shape = (kg.size, 2, h.kinetic_diagonal.shape[1])
+    vectors = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    monkeypatch.setattr(quantum_dynamics, "_band_path", lambda *args: True)
+    for horizon in (0.05, 1.0):
+        rho = FiberedDensity(kg, lat, m, hbar, np.ones(shape[:2]), vectors.copy())
+        samples = evolution(rho, potential, horizon, 2, 1e-2)
+        for t, _ in zip((0.0, horizon / 2, horizon), samples):
+            exact = vectors @ galerkin_propagators(h, t)
+            assert np.max(np.abs(rho.vectors - exact)) <= 1e-12
+            assert np.max(np.abs(np.linalg.norm(rho.vectors, axis=-1) - 1.0)) <= 1e-13

@@ -10,7 +10,7 @@ from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, Region,
 from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
     values_to_coeffs
 from blochlab.lattice import reduce_to_cell, theta
-from blochlab import quantization, quantum_dynamics
+from blochlab import quantization, quantum_dynamics, transport_metric
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 from blochlab.states import coherent_coeff_batch
@@ -20,8 +20,8 @@ from scipy.integrate import quad
 from conftest import LATTICES, random_density
 from oracles import (CoherentParams, coherent_family, coherent_state, cosine_potential,
                      coupling_energy_husimi_grid, diagonal_coupling_dense,
-                     exact_observation_series, galerkin_propagators, pair_moment_grid,
-                     scaled_density, zero_potential)
+                     exact_evolution, exact_observation_series, galerkin_propagators,
+                     pair_moment_grid, scaled_density, zero_potential)
 
 
 def bump_density(lat, nq=16, np_=24, p_max=1.0, p0=0.3):
@@ -392,26 +392,29 @@ def _forced(monkeypatch, band, run):
 
 def test_stability_envelope_advances_the_density_in_place(monkeypatch, lat1, geom1):
     # on return the quantized density is the one at the horizon, in the same
-    # array; moving a fresh quantization to the horizon the way the path does
-    # (the one-sample propagator or the Strang steps) gives the same vectors
+    # array: on the band path, and always at V = 0, a fresh quantization moved
+    # by the dense exponential gives the same vectors to 1e-12; on the loop,
+    # the same Strang steps give them bit for bit
     hbar, horizon, dt = 0.01, 0.2, 1e-2
-    vpot = cosine_potential(lat1, (1,), 0.1)
     f = bump_density(lat1, nq=10, np_=12)
     kg = KGrid.monkhorst_pack(lat1, 4)
-    h = FiberHamiltonian(lat1, 64, kg.points, vpot, hbar)
-    for band in (True, False):
-        rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
-        vectors = rho.vectors
-        _forced(monkeypatch, lambda observed: band, lambda: stability_envelope(
-            f, rho, CostParams(1.0, geom1), vpot, horizon=horizon, n_times=2, dt=dt))
-        assert rho.vectors is vectors
-        fresh = toeplitz_quantize(f, lat1, kg, 64, hbar).vectors
-        for _ in range(2):
+    for potential, paths in ((cosine_potential(lat1, (1,), 0.1), (True, False)),
+                             (zero_potential(lat1), (True,))):
+        h = FiberHamiltonian(lat1, 64, kg.points, potential, hbar)
+        for band in paths:
+            rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
+            vectors = rho.vectors
+            _forced(monkeypatch, lambda observed: band, lambda: stability_envelope(
+                f, rho, CostParams(1.0, geom1), potential, horizon=horizon, n_times=2, dt=dt))
+            assert rho.vectors is vectors
+            fresh = toeplitz_quantize(f, lat1, kg, 64, hbar).vectors
             if band:
-                fresh = fresh @ h.propagator(horizon / 2)
+                exact = fresh @ galerkin_propagators(h, horizon)
+                assert np.max(np.abs(rho.vectors - exact)) <= 1e-12
             else:
-                propagate_batch(fresh, h, horizon / 2, dt)
-        np.testing.assert_array_equal(rho.vectors, fresh)
+                for _ in range(2):
+                    propagate_batch(fresh, h, horizon / 2, dt)
+                np.testing.assert_array_equal(rho.vectors, fresh)
 
 
 def test_one_evolution_pass_feeds_observation_and_stability(monkeypatch, lat1, geom1):
@@ -475,8 +478,8 @@ def test_stability_envelope_with_potential(lat1, geom1):
     ([[1.0]], (((1,), 0.1, 0.0),), 64, 0.01, 10, 12, 4),
     (LATTICES["hexagonal"], (((1, 0), 0.3, 0.2), ((1, -1), 0.2, 0.0)), 6, 0.05, 4, 4, 2),
 ])
-def test_cached_propagator_matches_the_stepped_evolution(monkeypatch, basis, terms, m, hbar,
-                                                         nq, np_, n_k):
+def test_band_evolution_matches_the_stepped_evolution(monkeypatch, basis, terms, m, hbar,
+                                                      nq, np_, n_k):
     # the band path is the exact Galerkin flow: the observation series and the
     # stability energies match the dense exponential to 1e-12, and the stepped
     # (Strang) series agrees with it within the step-doubling estimate of the
@@ -511,8 +514,7 @@ def test_cached_propagator_matches_the_stepped_evolution(monkeypatch, basis, ter
     assert np.max(np.abs(series - exact)) <= 1e-12
     assert drift <= 1e-13
     with monkeypatch.context() as patch:
-        patch.setattr(FiberHamiltonian, "propagator",
-                      lambda self, t: galerkin_propagators(self, t))
+        patch.setattr(transport_metric, "evolution", exact_evolution)
         energies_exact = run(dt)[2]
     np.testing.assert_allclose(energies, energies_exact, rtol=1e-12, atol=0)
     coarse, fine = (_forced(monkeypatch, lambda observed: False, lambda: run(step))[0]
@@ -530,7 +532,7 @@ def _sized(lat, m, n_k, rank):
 
 
 def test_propagator_cache_rule_follows_the_flop_count(lat1):
-    # the one path rule at V != 0: evolution's one-sample matrix (observed False)
+    # the one path rule at V != 0: evolution in the band basis (observed False)
     # and the observation form (observed True) pay one eigendecomposition per fiber
     rule = quantum_dynamics._band_path
     # potential-1d: 200 samples of 5 Strang steps at n_G = 129; verify with 25
@@ -544,7 +546,7 @@ def test_propagator_cache_rule_follows_the_flop_count(lat1):
     # than every step they replace
     wide = _sized(lat1, 176, 32, 1)
     assert not rule(wide, 353, 201, 5, True) and not rule(wide, 353, 200, 5, False)
-    # at V = 0 (no Strang steps) evolution never forms the matrix
+    # without Strang steps an unobserved loop costs nothing
     assert not rule(_sized(lat1, 64, 4, 48), 129, 20, 0, False)
     # one fiber's matrix fits the chunk budget up to n_G = 362
     many = _sized(lat1, 180, 4, 1000)
@@ -554,8 +556,8 @@ def test_propagator_cache_rule_follows_the_flop_count(lat1):
 
 
 def test_cached_stability_pass_propagates_once(monkeypatch, lat1, geom1):
-    # stability sizes on a cosine at m = 64: one eigendecomposition per fiber
-    # and one one-sample matrix, no Strang step
+    # stability sizes on a cosine at m = 64: one eigendecomposition per fiber,
+    # no Strang step
     calls, eigh = [], []
     real_eigh = np.linalg.eigh
 
@@ -626,11 +628,11 @@ def test_free_observation_form_matches_the_loop(monkeypatch, basis, m, hbar, nq,
     assert abs(quad - quad_l) <= 1e-13 * lhs
     assert abs(drift - drift_l) <= 1e-13
     assert series[-1] != series[0]
-    # the vectors end at T, in the same array, by one exact phase
+    # the vectors end at T, in the same array, by the exact flow
     assert rho.vectors is vectors
     fresh = datum()
     h = FiberHamiltonian(fresh.lat, m, fresh.kgrid.points, zero_potential(fresh.lat), hbar)
-    np.testing.assert_allclose(rho.vectors, propagate_batch(fresh.vectors, h, 0.4, 1e-2),
+    np.testing.assert_allclose(rho.vectors, fresh.vectors @ galerkin_propagators(h, 0.4),
                                rtol=0, atol=1e-13)
 
 
