@@ -7,7 +7,7 @@ transport of quadrature nodes run as single vectorized sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,10 +47,12 @@ class TrigPotential:
     ``terms`` is a sequence of ``(n, amplitude, phase)`` with ``n`` the integer
     lattice coordinates of a reciprocal vector; the potential is
     ``V(x) = sum_t c_t cos(G_t . x + phi_t)``, periodic by construction.
+    ``is_zero`` (no terms, or every amplitude 0) is computed once.
     """
 
     lat: LatticeSpec
     terms: tuple
+    is_zero: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         norm = []
@@ -61,10 +63,7 @@ class TrigPotential:
                 raise ValueError("reciprocal index has wrong dimension")
             norm.append((n, float(c), float(phi)))
         object.__setattr__(self, "terms", tuple(norm))
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.terms) == 0 or all(c == 0.0 for _, c, _ in self.terms)
+        object.__setattr__(self, "is_zero", all(c == 0.0 for _, c, _ in norm))
 
     @property
     def bandwidth(self) -> int:
@@ -139,7 +138,15 @@ class PhasePoint(NamedTuple):
 
 
 def _verlet_step(x, xi, force, h: float, potential: TrigPotential):
-    """One Stoermer-Verlet step of size h; returns the new (x, xi, force)."""
+    """One Stoermer-Verlet step of size h; returns the new (x, xi, force).
+
+    At V = 0 the step is the free motion (x + h xi, xi, force), with no force
+    evaluated: the force is a signed zero, so the full formula adds only
+    zeros to x + h xi and to xi, and rounds to the same values (a momentum
+    of -0.0 may come back as +0.0 from it when h < 0).
+    """
+    if potential.is_zero:
+        return x + h * xi, xi, force
     x = x + h * xi + 0.5 * h * h * force
     new_force = -potential.gradient(x)
     xi = xi + 0.5 * h * (force + new_force)
@@ -147,7 +154,13 @@ def _verlet_step(x, xi, force, h: float, potential: TrigPotential):
 
 
 def flow(x, xi, t: float, potential: TrigPotential, dt: float) -> PhasePoint:
-    """Stoermer-Verlet approximation of the Hamiltonian flow; negative t reverses."""
+    """Stoermer-Verlet approximation of the Hamiltonian flow; negative t reverses.
+
+    ``_step_count`` steps of equal size cover t.  The force is evaluated once
+    for the start and once after each step, except at V = 0, where it is
+    evaluated only for the start and each step is the free motion
+    (``_verlet_step``).
+    """
     x = np.array(x, dtype=float, copy=True)
     xi = np.array(xi, dtype=float, copy=True)
     if t == 0.0:

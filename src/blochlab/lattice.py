@@ -132,22 +132,25 @@ def theta_cost_weights(xs: np.ndarray, ygrid: np.ndarray, geom: CellGeometry) ->
     quadratic form of the basis Gram matrix in s.  No Cartesian difference is
     formed, so a pair exactly half a cell apart on some axis follows the
     floor rule exactly.  The (len(xs), len(ygrid)) arrays are d + 2 buffers
-    reused in place, and the one ``theta`` returns.
+    reused in place, and the one ``theta`` returns.  The quadratic form
+    starts from its (0, 0) term, so no zero array is filled.
     """
     lat = geom.parent
     d = lat.dimension
     tx = np.atleast_2d(np.asarray(xs, dtype=float)) @ lat.inverse_basis
     ty = np.asarray(ygrid, dtype=float) @ lat.inverse_basis
     gram = lat.basis @ lat.basis.T
-    r2 = np.zeros((tx.shape[0], ty.shape[0]))
+    r2 = np.empty((tx.shape[0], ty.shape[0]))
     buf = np.empty_like(r2)
     s = [np.subtract.outer(tx[:, i], ty[:, i]) for i in range(d)]
     for si in s:
         np.add(si, 0.5, out=buf)
         np.floor(buf, out=buf)
         si -= buf
+    np.multiply(s[0], s[0], out=r2)
+    r2 *= gram[0, 0]
     for i in range(d):
-        for j in range(i, d):
+        for j in range(max(i, 1), d):
             np.multiply(s[i], s[j], out=buf)
             buf *= gram[i, j] if i == j else 2.0 * gram[i, j]
             r2 += buf

@@ -60,6 +60,26 @@ class CouplingEnergy:
             raise ValueError("coupling energy must be nonnegative")
 
 
+def _position_parts(rho: FiberedDensity, x: np.ndarray, cost: CostParams) -> np.ndarray:
+    """Per-fiber position energies of the diagonal packet coupling at nodes x, shape (n_k,)."""
+    lat = rho.lat
+    n = quadrature_len(rho.m)
+    grid = position_grid(lat, n)
+    pos = np.empty(rho.lambdas.shape)
+    for nodes in rho.node_chunks():
+        pos[:, nodes] = rho.grid_expectations(theta_cost_weights(x[nodes], grid, cost.geom),
+                                              nodes)
+    pos = cost.lam ** 2 * grid_weight(lat, n) * pos
+    return np.sum(rho.lambdas * pos, axis=1)
+
+
+def _momentum_parts(rho: FiberedDensity, xi: np.ndarray) -> np.ndarray:
+    """Per-fiber momentum energies of the diagonal packet coupling at momenta xi, shape (n_k,)."""
+    xi_k = xi[None, :, :] - rho.hbar * rho.kgrid.points[:, None, :]   # (n_k, n_j, d)
+    mom = momentum_cost(rho.momentum_moments(), xi_k)
+    return np.sum(rho.lambdas * mom, axis=1)
+
+
 def diagonal_coupling_parts(rho: FiberedDensity, x: np.ndarray, xi: np.ndarray,
                             cost: CostParams):
     """Per-fiber position and momentum energies of a diagonal packet coupling.
@@ -74,17 +94,7 @@ def diagonal_coupling_parts(rho: FiberedDensity, x: np.ndarray, xi: np.ndarray,
     instead of a (rank, n^d) array per sample.  The momentum part is exact in
     coefficients.  Returns two (n_k,) arrays.
     """
-    lat = rho.lat
-    n = quadrature_len(rho.m)
-    grid = position_grid(lat, n)
-    pos = np.empty(rho.lambdas.shape)
-    for nodes in rho.node_chunks():
-        pos[:, nodes] = rho.grid_expectations(theta_cost_weights(x[nodes], grid, cost.geom),
-                                              nodes)
-    pos = cost.lam ** 2 * grid_weight(lat, n) * pos
-    xi_k = xi[None, :, :] - rho.hbar * rho.kgrid.points[:, None, :]   # (n_k, n_j, d)
-    mom = momentum_cost(rho.momentum_moments(), xi_k)
-    return np.sum(rho.lambdas * pos, axis=1), np.sum(rho.lambdas * mom, axis=1)
+    return _position_parts(rho, x, cost), _momentum_parts(rho, xi)
 
 
 def coupling_energy_toeplitz(f: PhaseSpaceDensity, rho: FiberedDensity,
@@ -221,6 +231,11 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
     fiber flow is the plain flow with a shifted momentum argument), so
     ``evolution`` moves the nodes once for all fibers.
 
+    At V = 0 the flows are free: xi and every |c_G| are conserved, so the
+    momentum part is computed once, at t = 0, and added to each sample's
+    position part.  Later energies then differ from a per-sample
+    recomputation only by the rounding of the phase multiplies.
+
     ``lipschitz`` is ``potential.lipschitz_gradient().value`` when the caller
     already has it; otherwise it is computed here.
 
@@ -231,9 +246,12 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
     if lipschitz is None:
         lipschitz = potential.lipschitz_gradient().value
     eta = gronwall_rate(cost.geom, cost.lam, lipschitz)
-    nodes = (f.nodes_q, f.nodes_p)
-    energies = np.array([np.mean(np.add(*diagonal_coupling_parts(rho, x, xi, cost)))
-                         for x, xi in evolution(rho, potential, horizon, n_times, dt, nodes)])
+    energies, mom = [], None
+    for x, xi in evolution(rho, potential, horizon, n_times, dt, (f.nodes_q, f.nodes_p)):
+        if mom is None or not potential.is_zero:
+            mom = _momentum_parts(rho, xi)
+        energies.append(np.mean(_position_parts(rho, x, cost) + mom))
+    energies = np.array(energies)
     times = np.linspace(0.0, horizon, n_times + 1)
     bounds = energies[0] * np.exp(2.0 * eta * times)
     return StabilityEnvelope(times=times, energies=energies, bounds=bounds, eta=eta)

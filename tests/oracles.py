@@ -6,7 +6,9 @@ Bloch transform of a wave packet on R^d and its inverse, a per-fiber loop
 over dense momentum symbols, the Gaussian packet and Husimi window without
 their floor, a transform loop that rolls and rescales at every step, the dense
 Galerkin matrix of a fiber and its matrix exponential, the evolution by that
-exponential, region
+exponential, the full Stoermer-Verlet formula at every step, the stability
+energies with both coupling parts recomputed at every sample, the theta cost
+weights summed from a zero array, region
 membership against every neighbouring translate, a midpoint quadrature over
 phase-space grids, or a plain dump of arrays.  The
 proof devices of the stability argument live here too: a single periodic
@@ -25,13 +27,14 @@ from scipy.linalg import expm
 
 from blochlab.bloch import KGrid, _alt_sign, centered_indices, coeffs_to_values, g_vectors, \
     grid_weight, position_grid, quadrature_len, values_to_coeffs
-from blochlab.classical_dynamics import PhasePoint, TrigPotential, flow
-from blochlab.lattice import CellGeometry, LatticeSpec, Region, reduce_to_cell, \
+from blochlab.classical_dynamics import PhasePoint, TrigPotential, _step_count, flow
+from blochlab.lattice import CellGeometry, LatticeSpec, Region, reduce_to_cell, theta, \
     theta_cost_weights
 from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi, momentum_cost, \
     momentum_grid
-from blochlab.quantum_dynamics import FiberHamiltonian
+from blochlab.quantum_dynamics import FiberHamiltonian, evolution
 from blochlab.states import coherent_coeff_batch
+from blochlab.transport_metric import diagonal_coupling_parts
 
 
 def cubic_lattice(dimension: int, a: float = 1.0) -> LatticeSpec:
@@ -346,6 +349,50 @@ def exact_observation_series(rho: FiberedDensity, mask, h, times) -> np.ndarray:
         out.append(FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, rho.lambdas, moved)
                    .masked_trace(mask))
     return np.array(out)
+
+
+def verlet_flow(x, xi, t: float, potential: TrigPotential, dt: float) -> PhasePoint:
+    """``flow`` by the full Stoermer-Verlet formula, the force evaluated after every step."""
+    x = np.array(x, dtype=float, copy=True)
+    xi = np.array(xi, dtype=float, copy=True)
+    if t == 0.0:
+        return PhasePoint(x, xi)
+    n_steps = _step_count(t, dt)
+    h = t / n_steps
+    force = -potential.gradient(x)
+    for _ in range(n_steps):
+        x = x + h * xi + 0.5 * h * h * force
+        new_force = -potential.gradient(x)
+        xi = xi + 0.5 * h * (force + new_force)
+        force = new_force
+    return PhasePoint(x, xi)
+
+
+def recomputed_stability_energies(f, rho: FiberedDensity, cost, potential, horizon: float,
+                                  n_times: int, dt: float) -> np.ndarray:
+    """``stability_envelope``'s energies with ``diagonal_coupling_parts`` called at every sample.
+
+    Advances ``rho.vectors`` in place, as the envelope does.
+    """
+    return np.array([np.mean(np.add(*diagonal_coupling_parts(rho, x, xi, cost)))
+                     for x, xi in evolution(rho, potential, horizon, n_times, dt,
+                                            (f.nodes_q, f.nodes_p))])
+
+
+def theta_cost_weights_zero_started(xs, ygrid, geom: CellGeometry) -> np.ndarray:
+    """``theta_cost_weights`` with every Gram term of |P_Gamma z|^2 added to a zero array."""
+    lat = geom.parent
+    d = lat.dimension
+    tx = np.atleast_2d(np.asarray(xs, dtype=float)) @ lat.inverse_basis
+    ty = np.asarray(ygrid, dtype=float) @ lat.inverse_basis
+    gram = lat.basis @ lat.basis.T
+    s = [np.subtract.outer(tx[:, i], ty[:, i]) for i in range(d)]
+    s = [si - np.floor(si + 0.5) for si in s]
+    r2 = np.zeros((tx.shape[0], ty.shape[0]))
+    for i in range(d):
+        for j in range(i, d):
+            r2 += s[i] * s[j] * (gram[i, j] if i == j else 2.0 * gram[i, j])
+    return theta(r2, geom)
 
 
 def region_contains_unpruned(region: Region, points) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blochlab import KGrid, LatticeSpec
 from blochlab.bloch import (centered_indices, coeffs_to_values, g_vectors, grid_weight,
@@ -77,6 +78,37 @@ def test_coeff_value_roundtrip(rng, lat1, lat2):
             ref = coeffs_to_values_rolled(batch, lat, nout)
             err = np.max(np.abs(coeffs_to_values(batch, lat, nout) - ref))
             assert err <= 1e-14 * np.max(np.abs(ref))
+
+
+@st.composite
+def skew_transforms(draw):
+    """A random skew lattice of dimension 1 to 3, a small order m, an odd grid and a seed."""
+    d = draw(st.integers(1, 3))
+    diag = draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d))
+    off = draw(st.lists(st.floats(-0.8, 0.8), min_size=d * d, max_size=d * d))
+    basis = np.tril(np.reshape(off, (d, d)), -1) + np.diag(diag)
+    m = draw(st.integers(0, (6, 4, 2)[d - 1]))
+    nout = 2 * m + 1 + 2 * draw(st.integers(0, 3))
+    batch = tuple(draw(st.lists(st.integers(1, 2), max_size=2)))
+    return LatticeSpec(basis), m, nout, batch, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(skew_transforms())
+def test_transform_invariants_on_random_skew_lattices(case):
+    # the round trip through any grid of at least 2m+1 points returns the
+    # coefficients, and squared_values is |coeffs_to_values|^2 |cell| on it
+    lat, m, nout, batch, seed = case
+    rng = np.random.default_rng(seed)
+    shape = batch + (2 * m + 1,) * lat.dimension
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals = coeffs_to_values(coeffs, lat, nout)
+    np.testing.assert_allclose(values_to_coeffs(vals, lat, m), coeffs, rtol=0, atol=1e-12)
+    sq = squared_values(coeffs, np.empty(batch + (nout,) * lat.dimension, dtype=complex),
+                        lat.dimension)
+    ref = (vals.real ** 2 + vals.imag ** 2).reshape(batch + (-1,)) * lat.cell_volume
+    np.testing.assert_allclose(sq[..., 0::2] + sq[..., 1::2], ref, rtol=1e-12,
+                               atol=1e-12 * np.max(ref))
 
 
 def test_values_to_coeffs_gathers_the_window_bitwise(rng, lat1, lat2):

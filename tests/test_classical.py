@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from blochlab import PhaseSpaceDensity, TrigPotential, classical_dynamics, flow, gc_constant
+from blochlab import (LatticeSpec, PhaseSpaceDensity, TrigPotential, classical_dynamics, flow,
+                      gc_constant)
 from blochlab.bloch import position_grid
 from blochlab.lattice import reduce_to_cell
 
+from conftest import LATTICES
 from oracles import (cosine_potential, cubic_lattice, interval_region, k_flow, single_box,
-                     zero_potential)
+                     verlet_flow, zero_potential)
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +32,55 @@ def test_free_flow_exact(lat1):
     out = flow(np.array([[0.3]]), np.array([[0.7]]), 2.5, v0, dt=0.1)
     np.testing.assert_allclose(out.x, [[0.3 + 2.5 * 0.7]], rtol=1e-14)
     np.testing.assert_allclose(out.xi, [[0.7]], rtol=1e-15)
+
+
+def _potentials(lat):
+    """No terms, terms of amplitude 0 (both V = 0), and a cosine pair (V != 0)."""
+    d = lat.dimension
+    unit = tuple(int(i == 0) for i in range(d))
+    diag = (1,) * d
+    return {"no terms": TrigPotential(lat, ()),
+            "zero amplitudes": TrigPotential(lat, ((unit, 0.0, 0.3), (diag, -0.0, 1.1))),
+            "cosine": TrigPotential(lat, ((unit, 0.2, 0.3), (diag, 0.1, 1.1)))}
+
+
+@pytest.mark.parametrize("kind", ["no terms", "zero amplitudes", "cosine"])
+@pytest.mark.parametrize("t", [2.3, -2.3])
+@pytest.mark.parametrize("name", ["line", "hexagonal"])
+def test_flow_equals_the_full_verlet_formula_bitwise(rng, name, t, kind):
+    # at V = 0 each step is x + h xi with no force evaluated; the full formula
+    # adds only signed zeros and gives the same bits, forwards and backwards
+    lat = LatticeSpec(LATTICES[name])
+    potential = _potentials(lat)[kind]
+    assert potential.is_zero == (kind != "cosine")
+    x = rng.uniform(-1.5, 1.5, (30, lat.dimension))
+    xi = rng.uniform(-2.0, 2.0, (30, lat.dimension))
+    xi[0] = 0.0
+    out, ref = flow(x, xi, t, potential, 0.05), verlet_flow(x, xi, t, potential, 0.05)
+    assert out.x.tobytes() == ref.x.tobytes() and out.xi.tobytes() == ref.xi.tobytes()
+    assert not np.array_equal(out.x, x)
+
+
+@pytest.mark.parametrize("kind, calls", [("no terms", 1), ("zero amplitudes", 1),
+                                         ("cosine", 21)])
+def test_free_flow_evaluates_the_force_once(monkeypatch, rng, kind, calls):
+    # V = 0: one force for the start and none per step; V != 0: the start and
+    # each of the 20 steps
+    lat = LatticeSpec(LATTICES["hexagonal"])
+    potential = _potentials(lat)[kind]
+    seen = []
+    gradient = TrigPotential.gradient
+
+    def spy(self, x):
+        seen.append(x.shape)
+        return gradient(self, x)
+
+    monkeypatch.setattr(TrigPotential, "gradient", spy)
+    x, xi = rng.uniform(-0.5, 0.5, (2, 7, 2))
+    for t in (1.0, -1.0):
+        seen.clear()
+        flow(x, xi, t, potential, dt=0.05)
+        assert seen == [(7, 2)] * calls
 
 
 def test_flow_matches_rk_oracle(vpot):

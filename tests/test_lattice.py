@@ -7,7 +7,8 @@ from blochlab.bloch import position_grid
 from blochlab.lattice import theta_cost_weights
 
 from conftest import LATTICES
-from oracles import cubic_lattice, interval_region, region_contains_unpruned
+from oracles import cubic_lattice, interval_region, region_contains_unpruned, \
+    theta_cost_weights_zero_started
 
 
 def test_reciprocal_duality(lat1, lat2):
@@ -179,6 +180,35 @@ def test_theta_cost_weights_follow_the_floor_rule_at_half_cell_ties():
     other = rep + np.array([1.0, 0.0])
     assert np.all(np.abs(got - theta(np.einsum("ni,ij,nj->n", other, lat.basis @ lat.basis.T,
                                                     other), geom)) > 0.03)
+
+
+@pytest.mark.parametrize("name", ["line", "hexagonal", "skew"])
+def test_theta_cost_weights_equal_the_zero_started_sum_bitwise(rng, name):
+    lat = LatticeSpec(1.3 * np.array(LATTICES[name]))     # a Gram matrix without unit entries
+    geom = gamma_bounds(lat)
+    xs = rng.uniform(-1.5, 1.5, size=(11, lat.dimension)) @ lat.basis
+    ys = position_grid(lat, 9)
+    assert theta_cost_weights(xs, ys, geom).tobytes() == \
+        theta_cost_weights_zero_started(xs, ys, geom).tobytes()
+
+
+def test_theta_cost_weights_equal_the_zero_started_sum_at_half_cell_ties():
+    # the cell-2d pairs at t = 0: its 12^2 position nodes against its 49^2
+    # quadrature grid on the hexagonal cell, among them exact half-cell ties at
+    # which theta depends on the floor rule
+    lat = LatticeSpec(LATTICES["hexagonal"])
+    geom = gamma_bounds(lat)
+    xs, ys = position_grid(lat, 12), position_grid(lat, 49)
+    frac = np.subtract.outer(xs @ lat.inverse_basis, ys @ lat.inverse_basis)
+    frac = np.stack([frac[:, 0, :, 0], frac[:, 1, :, 1]], axis=-1)
+    tie = np.any(np.abs(frac) == 0.5, axis=-1)
+    assert np.count_nonzero(tie) > 1000
+    got = theta_cost_weights(xs, ys, geom)
+    assert got.tobytes() == theta_cost_weights_zero_started(xs, ys, geom).tobytes()
+    # the other rule, s = t - ceil(t - 1/2), moves theta at those ties
+    other = frac - np.ceil(frac - 0.5)
+    r2 = np.einsum("xyi,ij,xyj->xy", other, lat.basis @ lat.basis.T, other)
+    assert np.max(np.abs(theta(r2, geom) - got)[tie]) > 0.06
 
 
 def test_region_membership_and_wrap(lat1):

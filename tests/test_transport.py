@@ -21,7 +21,8 @@ from conftest import LATTICES, random_density
 from oracles import (CoherentParams, coherent_family, coherent_state, cosine_potential,
                      coupling_energy_husimi_grid, diagonal_coupling_dense,
                      exact_evolution, exact_observation_series, galerkin_propagators,
-                     pair_moment_grid, scaled_density, zero_potential)
+                     pair_moment_grid, recomputed_stability_energies, scaled_density,
+                     zero_potential)
 
 
 def bump_density(lat, nq=16, np_=24, p_max=1.0, p0=0.3):
@@ -378,6 +379,62 @@ def test_stability_envelope_initial_energy_matches_coupling(lat1, geom1):
     env = stability_envelope(f, rho, cost, zero_potential(lat1),
                              horizon=0.2, n_times=2, dt=1e-2)
     assert env.energies[0] == pytest.approx(ce.total, rel=1e-12)
+
+
+_ENVELOPE_CASES = pytest.mark.parametrize("basis, terms, m, hbar, nq, np_, n_k", [
+    ([[1.0]], (), 64, 0.01, 10, 12, 4),
+    ([[1.0]], (((1,), 0.0, 0.4),), 64, 0.01, 10, 12, 4),
+    ([[1.0]], (((1,), 0.1, 0.0),), 64, 0.01, 10, 12, 4),
+    (LATTICES["hexagonal"], (), 6, 0.05, 4, 4, 2),
+    (LATTICES["hexagonal"], (((1, 0), 0.3, 0.2),), 6, 0.05, 4, 4, 2),
+])
+
+
+@_ENVELOPE_CASES
+def test_stability_envelope_reads_the_momentum_moments_once_at_v0(monkeypatch, basis, terms, m,
+                                                                   hbar, nq, np_, n_k):
+    # V = 0: |c_G| and xi are conserved, so the momentum part is read once;
+    # V != 0: at every sample
+    lat = LatticeSpec(basis)
+    potential = TrigPotential(lat, terms)
+    f = bump_density(lat, nq=nq, np_=np_)
+    rho = toeplitz_quantize(f, lat, KGrid.monkhorst_pack(lat, n_k), m, hbar)
+    calls = []
+    moments = FiberedDensity.momentum_moments
+
+    def spy(self):
+        calls.append(self.rank)
+        return moments(self)
+
+    monkeypatch.setattr(FiberedDensity, "momentum_moments", spy)
+    stability_envelope(f, rho, CostParams(1.0, gamma_bounds(lat)), potential, horizon=0.4,
+                       n_times=5, dt=1e-2, lipschitz=1.0)
+    assert len(calls) == (1 if potential.is_zero else 6)
+
+
+@_ENVELOPE_CASES
+def test_stability_envelope_matches_the_per_sample_recomputation(basis, terms, m, hbar, nq, np_,
+                                                                 n_k):
+    # t, bound and the t = 0 energy are bitwise those of recomputing both
+    # coupling parts at every sample; later energies agree to 1e-12 relative
+    # (bitwise at V != 0), and the energy moves
+    lat = LatticeSpec(basis)
+    potential = TrigPotential(lat, terms)
+    f = bump_density(lat, nq=nq, np_=np_)
+    kg = KGrid.monkhorst_pack(lat, n_k)
+    cost = CostParams(1.0, gamma_bounds(lat))
+    horizon, n_times, dt = 0.4, 5, 1e-2
+    env = stability_envelope(f, toeplitz_quantize(f, lat, kg, m, hbar), cost, potential,
+                             horizon, n_times, dt, lipschitz=1.0)
+    ref = recomputed_stability_energies(f, toeplitz_quantize(f, lat, kg, m, hbar), cost,
+                                        potential, horizon, n_times, dt)
+    assert env.times.tobytes() == np.linspace(0.0, horizon, n_times + 1).tobytes()
+    assert env.energies[0] == ref[0]
+    assert env.bounds.tobytes() == (ref[0] * np.exp(2.0 * env.eta * env.times)).tobytes()
+    np.testing.assert_allclose(env.energies, ref, rtol=1e-12, atol=0)
+    if not potential.is_zero:
+        np.testing.assert_array_equal(env.energies, ref)
+    assert env.energies[-1] != env.energies[0]
 
 
 def _forced(monkeypatch, band, run):
