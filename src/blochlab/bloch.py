@@ -12,14 +12,19 @@ unnormalized, so callers fold 1/N^d into a scale they apply anyway.  Within
 ``fft_threads(n)`` the leading axis of a block is split over n threads, so
 the result does not depend on n, bit for bit.
 
-``coeffs_to_values``, ``values_to_coeffs`` and the split step keep the
-coefficients in FFT order (coefficient n at position n mod N), which gives
-the values themselves, phase included.  A quadrature against |v|^2 needs only
-the modulus: ``squared_values`` writes the twisted coefficients contiguously
-at the head of each axis (n at position n + m) of a reused work block and
-clears only the tail.  That transform is the FFT-ordered one times
-exp(2 pi i m j / N) per axis, a unimodular factor, so |.|^2 is the same, up
-to the constant |cell| that the coefficient normalization leaves in.
+Coefficients meet the grid in one layout, the head layout of ``_to_head``:
+the twisted coefficients c_n (-1)^(sum n) sit at the head of each axis (n at
+position n + m) of a work block whose tail is zero, and the inverse FFT runs
+each axis only within the head of the axes before it.  That transform is the
+grid values times the ramp exp(2 pi i m j / N) per axis, a unimodular
+factor, and times the constant sqrt(|cell|) that the coefficient
+normalization leaves in.  A quadrature against |v|^2 (``squared_values``)
+needs only the modulus, where the ramp drops out.  The split step
+multiplies the values by a potential factor, which commutes with the ramp,
+so the forward FFT gives the window back at the head
+(``quantum_dynamics.propagate_batch``).  Grid functions go to coefficients
+by the offset read of ``_offset_coefficients``: one inverse FFT read at each
+offset D mod N.
 
 The quasimomentum grid is a Monkhorst-Pack-style uniform grid shifted off the
 reciprocal-cell boundary; the normalized cell average over k becomes a plain
@@ -29,7 +34,6 @@ mean over grid points.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -109,48 +113,6 @@ def _alt_sign(n: int, d: int) -> np.ndarray:
     return out
 
 
-def _fft_blocks(nin: int, nout: int, d: int):
-    """(centered, FFT-order) index pairs of the 2^d corner blocks of the order-m window.
-
-    Centered coefficient n (d trailing axes, -m..m of nin = 2m+1) sits at FFT
-    position n mod nout of a length-nout transform.
-    """
-    m = nin // 2
-    halves = ((slice(m, nin), slice(0, m + 1)), (slice(0, m), slice(nout - m, nout)))
-    for parts in itertools.product(halves, repeat=d):
-        yield (Ellipsis,) + tuple(p[0] for p in parts), (Ellipsis,) + tuple(p[1] for p in parts)
-
-
-def _twisted(coeffs: np.ndarray, nout: int, d: int) -> np.ndarray:
-    """ifftshift of the zero-padded, sign-twisted coefficients, without a roll.
-
-    Centered coefficient n (d trailing axes, -m..m) times (-1)^(sum n_i) is
-    written straight to FFT position n mod nout, so padding, twist and shift
-    are one pass into a fresh (..., nout, ..., nout) array.
-    """
-    nin = coeffs.shape[-1]
-    alt = _alt_sign(nin, d)
-    out = np.zeros(coeffs.shape[:coeffs.ndim - d] + (nout,) * d, dtype=complex)
-    for src, dst in _fft_blocks(nin, nout, d):
-        np.multiply(coeffs[src], alt[src[1:]], out=out[dst])
-    return out
-
-
-def _untwisted(spec: np.ndarray, nin: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of ``_twisted``: the order-m window of an FFT-ordered array, twisted back.
-
-    FFT position n mod nout (d trailing axes) goes to centered coefficient n
-    times (-1)^(sum n_i) for n in -m..m, one pass with no fftshift of the whole
-    array; the result goes to ``out`` (shape (..., nin, ..., nin)) if given.
-    """
-    alt = _alt_sign(nin, d)
-    if out is None:
-        out = np.empty(spec.shape[:spec.ndim - d] + (nin,) * d, dtype=spec.dtype)
-    for src, dst in _fft_blocks(nin, spec.shape[-1], d):
-        np.multiply(spec[dst], alt[src[1:]], out=out[src])
-    return out
-
-
 def position_grid(lat: LatticeSpec, n: int) -> np.ndarray:
     """Uniform grid of n^d points on the half-open cell, fractional t = j/n - 1/2."""
     d = lat.dimension
@@ -183,37 +145,15 @@ def quadrature_len(m: int) -> int:
         n += 2
 
 
-def coeffs_to_values(coeffs: np.ndarray, lat: LatticeSpec, nout: int | None = None) -> np.ndarray:
-    """Evaluate plane-wave coefficients on the position grid (batched over leading axes).
-
-    ``coeffs`` has shape ``(..., 2M+1, ..., 2M+1)`` with d trailing axes; the
-    result replaces them with ``(nout,)*d``.  ``nout`` must be odd and at
-    least ``2M+1`` (zero padding gives anti-aliased evaluation).
-    """
-    d = lat.dimension
-    nin = coeffs.shape[-1]
-    if nout is None:
-        nout = nin
-    if nout % 2 == 0 or nout < nin:
-        raise ValueError("nout must be odd and >= 2M+1")
-    vals = _fft(_twisted(coeffs, nout, d), d, inverse=True)
-    vals /= np.sqrt(lat.cell_volume)
-    return vals
-
-
-def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
-    """|v|^2 on the N-point grid per axis, times |cell|, squared in place in ``work``.
+def _to_head(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
+    """The head layout: twisted coefficients at the head of ``work``, zeros elsewhere.
 
     ``coeffs`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes and
     ``work`` is a complex block ``(..., N, ..., N)`` with N >= 2m+1, whose
-    contents are overwritten.  The twisted coefficients c_n (-1)^(sum n) go to
-    the head of each axis (n + m at 0..2m), only the tail 2m+1..N-1 is zeroed,
-    and the inverse FFT runs in place, each axis only within the head of the
-    axes before it; the result differs from
-    ``coeffs_to_values`` by the phase exp(2 pi i m j / N) per axis and the
-    scale sqrt(|cell|), so its squared modulus is that of the values times
-    |cell|.  Returns the float view of the block, shape
-    ``(..., 2 N^d)``: re^2 and im^2 of each grid value, interleaved.
+    contents are overwritten: c_n (-1)^(sum n) goes to position n + m of each
+    axis (the head 0..2m) and only the tail 2m+1..N-1 is zeroed.  Then
+    ``_fft(work, d, inverse=True, head=2m+1)`` gives the grid values times
+    sqrt(|cell|) and the ramp exp(2 pi i m j / N) per axis.  Returns ``work``.
     """
     nin, nout = coeffs.shape[-1], work.shape[-1]
     if nout < nin:
@@ -223,7 +163,31 @@ def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
     for i in range(d):
         # past the head on axis i, inside it on the axes before i
         work[(Ellipsis,) + (head,) * i + (slice(nin, nout),) + (slice(None),) * (d - 1 - i)] = 0
-    _fft(work, d, inverse=True, head=nin)
+    return work
+
+
+def _from_head(work: np.ndarray, out: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of ``_to_head``: the head of ``work`` twisted back into ``out``; returns ``out``.
+
+    ``out`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes.
+    """
+    nin = out.shape[-1]
+    return np.multiply(work[(Ellipsis,) + (slice(0, nin),) * d], _alt_sign(nin, d), out=out)
+
+
+def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
+    """|v|^2 on the N-point grid per axis, times |cell|, squared in place in ``work``.
+
+    ``coeffs`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes and
+    ``work`` is a complex block ``(..., N, ..., N)`` with N >= 2m+1, whose
+    contents are overwritten.  The coefficients go to the head of ``work``
+    (``_to_head``) and the inverse FFT runs in place, each axis only within
+    the head of the axes before it; the result is the grid values times the
+    unimodular ramp exp(2 pi i m j / N) per axis and sqrt(|cell|), so its
+    squared modulus is |v|^2 |cell|.  Returns the float view of the block,
+    shape ``(..., 2 N^d)``: re^2 and im^2 of each grid value, interleaved.
+    """
+    _fft(_to_head(coeffs, work, d), d, inverse=True, head=coeffs.shape[-1])
     sq = work.reshape(work.shape[:work.ndim - d] + (-1,)).view(float)
     return np.multiply(sq, sq, out=sq)
 
@@ -231,19 +195,20 @@ def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
 def _offset_coefficients(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray:
     """X(D) = sum_y values(y) exp(i G_D . y) / |cell| at every offset D of two order-m indices.
 
-    ``values`` is a grid function on the N = ``quadrature_len(m)`` grid, flat
-    (N^d,), like the masks of ``FiberedDensity.region_mask``; D runs over
-    -2m..2m per axis, in the C order of ``centered_indices(2m, d)``.  On the
-    grid t = j/N - 1/2, exp(i G_D . y) = (-1)^(sum D) exp(2 pi i D.j / N), so
-    X(D) is one inverse FFT of the grid read at D mod N, times that sign: for
-    N < 4m+1 the offsets alias, as the grid sums they stand for do.
+    ``values`` holds grid functions on an N-point grid per axis, shape
+    ``(..., N, ..., N)`` with d trailing axes, like a region mask of
+    ``FiberedDensity.region_mask`` on its ``quadrature_len(m)`` grid; the
+    result has shape ``(..., (4m+1)^d)``, D running over -2m..2m per axis in
+    the C order of ``centered_indices(2m, d)``.  On the grid t = j/N - 1/2,
+    exp(i G_D . y) = (-1)^(sum D) exp(2 pi i D.j / N), so X(D) is one inverse
+    FFT of the grid read at D mod N, times that sign: for N < 4m+1 the offsets
+    alias, as the grid sums they stand for do, and for N >= 4m+1 they do not.
     """
     d = lat.dimension
-    n = quadrature_len(m)
-    spec = _fft(values.reshape((n,) * d).astype(complex), d, inverse=True)
+    spec = _fft(values.astype(complex), d, inverse=True)
     spec /= lat.cell_volume
-    offsets = centered_indices(2 * m, d)
-    return spec[tuple((offsets % n).T)] * _alt_sign(4 * m + 1, d).reshape(-1)
+    offsets = centered_indices(2 * m, d) % values.shape[-1]
+    return spec[(Ellipsis,) + tuple(offsets.T)] * _alt_sign(4 * m + 1, d).reshape(-1)
 
 
 def _offset_positions(m: int, d: int) -> np.ndarray:
@@ -254,17 +219,6 @@ def _offset_positions(m: int, d: int) -> np.ndarray:
     C order of ``centered_indices(2m, d)``, the order of ``_offset_coefficients``.
     """
     return centered_indices(m, d) @ (4 * m + 1) ** np.arange(d - 1, -1, -1)
-
-
-def values_to_coeffs(values: np.ndarray, lat: LatticeSpec, m: int) -> np.ndarray:
-    """Inverse of coeffs_to_values; truncates to order m (exact for band-limited data)."""
-    d = lat.dimension
-    n = values.shape[-1]
-    if n % 2 == 0 or n < 2 * m + 1:
-        raise ValueError("value grid must be odd and >= 2m+1")
-    spec = _untwisted(_fft(values.astype(complex), d), 2 * m + 1, d)
-    spec *= np.sqrt(lat.cell_volume) / n ** d
-    return spec
 
 
 @dataclass(frozen=True)

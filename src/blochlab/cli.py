@@ -9,8 +9,9 @@ and uses exit codes
     2  usage error (flags or their environment values, an --out that cannot be
        made a directory, a CSV that cannot be written there) or config parse
        error
-    3  config validation error, including sizes whose smallest state block
-       exceeds the machine's physical memory
+    3  config validation error, including sizes whose smallest array (the
+       state block, the phase-space grid, ...) exceeds the machine's physical
+       memory
 
 Exit code 4 is not produced; it is reserved.
 

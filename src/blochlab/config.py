@@ -163,20 +163,34 @@ def _point(value, d: int) -> np.ndarray:
     return point
 
 
-def _check_block_fits(m: int, n_k: int, d: int) -> None:
-    """Reject sizes whose smallest state block cannot fit in physical memory.
+def _check_sizes_fit(sizes: dict, d: int) -> None:
+    """Reject sizes whose smallest array cannot fit in physical memory.
 
-    Every command that builds a state allocates at least one complex vector per
-    fiber: n_k^d (2m+1)^d values of 16 bytes.  The count is taken in Python
-    ints, so no size overflows, and the key named is the larger factor's.
+    Each array is one that some command builds from the sizes alone: the
+    state block, at least one complex vector per fiber; the n_q^d n_p^d
+    phase-space grid; the gc_per_axis^(2d) and gc_quasi starts of the
+    geometric-control sweep, 2d reals each; the n_time_obs + 1 observation
+    times.  The counts are taken in Python ints, so no size overflows, and of
+    two factors the larger one's key is named.
     """
-    need = n_k ** d * (2 * m + 1) ** d * 16
+    m, n_k, n_q, n_p = sizes["m"], sizes["n_k"], sizes["n_q"], sizes["n_p"]
+    arrays = (
+        ("n_k" if n_k > 2 * m + 1 else "m", (n_k * (2 * m + 1)) ** d * 16,
+         "the smallest state block, n_k^d (2m+1)^d complex values,"),
+        ("n_q" if n_q > n_p else "n_p", (n_q * n_p) ** d * 8,
+         "the phase-space grid, n_q^d n_p^d reals,"),
+        ("gc_per_axis", sizes["gc_per_axis"] ** (2 * d) * 16 * d,
+         "the geometric-control grid, gc_per_axis^(2d) points of 2d reals,"),
+        ("gc_quasi", sizes["gc_quasi"] * 16 * d,
+         "the geometric-control quasi-random sample, gc_quasi points of 2d reals,"),
+        ("n_time_obs", (sizes["n_time_obs"] + 1) * 8,
+         "the observation time grid, n_time_obs + 1 reals,"),
+    )
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        key = "n_k" if n_k > 2 * m + 1 else "m"
-        raise ConfigValidationError(
-            f"discretization.{key}", "the smallest state block, n_k^d (2m+1)^d complex "
-            f"values, exceeds the {have:.3g} bytes of physical memory")
+    for key, need, what in arrays:
+        if need > have:
+            raise ConfigValidationError(
+                f"discretization.{key}", f"{what} exceeds the {have:.3g} bytes of physical memory")
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -209,7 +223,7 @@ def load_config(text: str) -> ExperimentConfig:
         if sizes[key] < least:
             raise ConfigValidationError(f"discretization.{key}", f"must be at least {least}")
     m = sizes["m"]
-    _check_block_fits(m, sizes["n_k"], d)
+    _check_sizes_fit(sizes, d)
     p_max = _value(sections, "discretization", "p_max", _positive, None)
     disc = Discretization(p_max=p_max, dt=dt, **sizes)
     if m * np.sqrt(hbar) < 4.0:

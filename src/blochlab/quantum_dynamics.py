@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _fft, _fft_blocks, _offset_coefficients, _offset_positions, _twisted, \
-    _untwisted, g_vectors, position_grid, quadrature_len
+from .bloch import _fft, _from_head, _offset_coefficients, _offset_positions, _to_head, \
+    g_vectors, position_grid, quadrature_len
 from .classical_dynamics import TrigPotential, _step_count, flow
 from .lattice import LatticeSpec
 from .quantization import _CHUNK_BYTES, FiberedDensity
@@ -110,9 +110,11 @@ class FiberHamiltonian:
         """The factors of ``propagate_batch`` for (t, dt), computed once per (t, dt).
 
         (n_steps, half, full, pot): the Strang step count, the half and full
-        kinetic phases of step tau = t / n_steps in zero-padded FFT order,
-        shape (n_k, 1, N, ..., N), and exp(-i tau V / hbar) / N^d on the grid:
-        the 1/N^d carries the normalization that the inverse FFT leaves out.
+        kinetic phases of step tau = t / n_steps at the head of each axis
+        (index n at position n + m, as ``bloch._to_head`` places the
+        coefficients) and zero elsewhere, shape (n_k, 1, N, ..., N), and
+        exp(-i tau V / hbar) / N^d on the grid: the 1/N^d carries the
+        normalization that the inverse FFT leaves out.
         """
         key, factors = self._factors
         if key == (t, dt):
@@ -120,11 +122,9 @@ class FiberHamiltonian:
         d, nin = self.lat.dimension, 2 * self.m + 1
         n_steps = _step_count(t, dt)
         step = t / n_steps
-        half_c = np.exp(-1j * (0.5 * step) * self.kinetic_diagonal / self.hbar) \
-            .reshape((-1, 1) + (nin,) * d)
-        half = np.zeros(half_c.shape[:2] + self.potential_values.shape, dtype=complex)
-        for src, dst in _fft_blocks(nin, self.potential_values.shape[-1], d):
-            half[dst] = half_c[src]
+        half = np.zeros((self.k.shape[0], 1) + self.potential_values.shape, dtype=complex)
+        half[(Ellipsis,) + (slice(0, nin),) * d] = np.exp(
+            -1j * (0.5 * step) * self.kinetic_diagonal / self.hbar).reshape((-1, 1) + (nin,) * d)
         pot = np.exp(-1j * step * self.potential_values / self.hbar) / self.potential_values.size
         factors = (n_steps, half, half * half, pot)
         self._factors = ((t, dt), factors)
@@ -140,11 +140,14 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     factor's Fourier tail beyond N - 2m - 1 (N = 2m+1: plain collocation),
     not exactly unitary.  The phases and the factor are set up once per
     (t, dt) (``FiberHamiltonian._step_factors``).  The whole block moves once
-    into padded twisted FFT order, x = ifftshift(pad(c * alt)) * half, the
-    one padded work array of the call; each step is one fftn(ifftn(x) * pot)
-    over the d trailing axes of all fibers and vectors, times a phase that is
-    zero outside the window, which is the projection.  The window is gathered
-    back into ``coeffs`` at the end.
+    into the head layout of ``bloch._to_head``, the one padded work array of
+    the call.  Each step is an inverse FFT within the head, the factor, and a
+    forward FFT over the d trailing axes of all fibers and vectors: the ramp
+    exp(2 pi i m j / N) of the head layout commutes with the factor, so the
+    forward FFT returns the window at the head and aliased content in the
+    tail.  The phase multiply that ends the step is zero outside the head,
+    which is the projection.  The window is gathered back into ``coeffs`` at
+    the end.
     """
     if t == 0.0:
         return coeffs
@@ -153,14 +156,14 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     n_steps, half, full, pot = h._step_factors(t, dt)
     d, nin = h.lat.dimension, 2 * h.m + 1
     window = coeffs.reshape(coeffs.shape[:2] + (nin,) * d)     # a view: only splits an axis
-    x = _twisted(window, pot.shape[-1], d)
+    x = _to_head(window, np.empty(window.shape[:2] + pot.shape, dtype=complex), d)
     x *= half
     for i in range(n_steps):
-        _fft(x, d, inverse=True)
+        _fft(x, d, inverse=True, head=nin)
         x *= pot
         _fft(x, d)
         x *= half if i == n_steps - 1 else full
-    _untwisted(x, nin, d, out=window)
+    _from_head(x, window, d)
     return coeffs
 
 
@@ -225,7 +228,8 @@ def _band_forms(rho: FiberedDensity, h: FiberHamiltonian, mask: np.ndarray, hori
     to ``horizon`` in place, exactly: v_r = U (p(horizon) o a_r).  One fiber's
     eigenvectors are held at a time, and K only until the form is built.
     """
-    x = _offset_coefficients(mask, rho.lat, rho.m)
+    x = _offset_coefficients(mask.reshape((quadrature_len(rho.m),) * rho.lat.dimension),
+                             rho.lat, rho.m)
     # offset n' - n sits at position pos(n') - pos(n) + x.size // 2 of x
     pos = _offset_positions(rho.m, rho.lat.dimension)[support]
     cols = pos + x.size // 2

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import coeffs_to_values, g_vectors, grid_weight, position_grid, quadrature_len, \
-    values_to_coeffs
+from .bloch import _offset_coefficients, g_vectors, grid_weight, position_grid, quadrature_len, \
+    squared_values
 from .classical_dynamics import TrigPotential
 from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
 from .quantization import FiberedDensity, PhaseSpaceDensity, momentum_cost
@@ -119,8 +119,8 @@ def pair_moment(coeffs: np.ndarray, lat: LatticeSpec):
     """int int n(y) n(y') |P_Gamma(y - y')|^2 dy dy' of a cell density n, exactly.
 
     ``coeffs`` has shape (..., 2r+1, ..., 2r+1): the plane-wave coefficients of
-    n (``values_to_coeffs`` of its samples) over d trailing axes; the result
-    has the leading shape.  The integral is |cell| sum_n D_n |coeffs_n|^2 with
+    n over d trailing axes (``_density_coeffs`` for n = |v|^2); the result has
+    the leading shape.  The integral is |cell| sum_n D_n |coeffs_n|^2 with
     D the Fourier coefficients of |P_Gamma z|^2 = sum_ij (a_i . a_j) t_i t_j on
     the fractional cell [-1/2, 1/2)^d: sums of products over axes of the
     moments int t^k exp(-2 pi i n t) dt, which are delta_n0 (k = 0),
@@ -145,13 +145,21 @@ def pair_moment(coeffs: np.ndarray, lat: LatticeSpec):
 def _density_coeffs(rho: FiberedDensity) -> np.ndarray:
     """Plane-wave coefficients of |v|^2 of every vector, shape (n_k, rank) + (4m+1,)*d.
 
-    |v|^2 has frequencies up to 2m, so its samples on ``quadrature_len(2m)``
-    points per axis give its coefficients without aliasing.
+    |v|^2 has frequencies up to 2m, so on the N = ``quadrature_len(2m)`` grid,
+    N >= 4m+1, grid sums give its coefficients without aliasing: the one at
+    G_D is |cell| / N^d sum_y |v|^2 exp(-i G_D . y) / sqrt(|cell|).  Since
+    |v|^2 is real, that is sqrt(|cell|) / N^d times conj X(D), X the offset
+    read (``bloch._offset_coefficients``) of |v|^2 |cell| from
+    ``squared_values``.
     """
-    n = quadrature_len(2 * rho.m)
-    vals = coeffs_to_values(rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape),
-                            rho.lat, n)
-    return values_to_coeffs(vals.real ** 2 + vals.imag ** 2, rho.lat, 2 * rho.m)
+    d, n = rho.lat.dimension, quadrature_len(2 * rho.m)
+    shape = rho.lambdas.shape
+    sq = squared_values(rho.vectors.reshape(shape + rho.coeff_shape),
+                        np.empty(shape + (n,) * d, dtype=complex), d)
+    x = _offset_coefficients((sq[..., 0::2] + sq[..., 1::2]).reshape(shape + (n,) * d),
+                             rho.lat, rho.m)
+    scale = np.sqrt(rho.lat.cell_volume) / n ** d
+    return np.conj(x).reshape(shape + (4 * rho.m + 1,) * d) * scale
 
 
 def _weighted_vectors(rho: FiberedDensity) -> FiberedDensity:

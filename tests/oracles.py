@@ -25,8 +25,8 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.linalg import expm
 
-from blochlab.bloch import KGrid, _alt_sign, centered_indices, coeffs_to_values, g_vectors, \
-    grid_weight, position_grid, quadrature_len, values_to_coeffs
+from blochlab.bloch import KGrid, _alt_sign, centered_indices, g_vectors, grid_weight, \
+    position_grid, quadrature_len
 from blochlab.classical_dynamics import PhasePoint, TrigPotential, _step_count, flow
 from blochlab.lattice import CellGeometry, LatticeSpec, Region, reduce_to_cell, theta, \
     theta_cost_weights
@@ -96,7 +96,7 @@ class PeriodicField:
             raise ValueError(f"coefficient array must have shape {want}")
 
     def values(self, nout: int | None = None) -> np.ndarray:
-        return coeffs_to_values(self.coeffs, self.lat, nout)
+        return coeffs_to_values_rolled(self.coeffs, self.lat, nout)
 
     @property
     def norm_sq(self) -> float:
@@ -111,7 +111,8 @@ def periodized_coherent_direct(params, lat, m: int, l_cut: int) -> PeriodicField
     vals = np.zeros(x.shape[0], dtype=complex)
     for s in shifts:
         vals += coherent_state(params, x + s)
-    return PeriodicField(lat, m, values_to_coeffs(vals.reshape((n,) * lat.dimension), lat, m))
+    return PeriodicField(lat, m,
+                         values_to_coeffs_rolled(vals.reshape((n,) * lat.dimension), lat, m))
 
 # ---------------------------------------------------------------------------
 # whole-space packets and the discrete Bloch transform
@@ -224,7 +225,7 @@ def bloch_transform(u, lat: LatticeSpec, kgrid: KGrid, m: int, l_cut: int,
     summed = phase_shift @ uvals                                 # (n_k, n_grid)
     fiber_vals = summed * np.exp(-1j * kgrid.points @ x.T)       # times e^{-ik.x}
     fiber_vals = fiber_vals.reshape((kgrid.size,) + (n,) * d)
-    coeffs = values_to_coeffs(fiber_vals, lat, m)
+    coeffs = values_to_coeffs_rolled(fiber_vals, lat, m)
     return FiberedState(kgrid, lat, m, coeffs)
 
 
@@ -239,7 +240,7 @@ def inverse_bloch(state: FiberedState, l_cut: int) -> np.ndarray:
     n = 2 * m + 1
     x = position_grid(lat, n)
     shifts = lat.lattice_vector(centered_indices(l_cut, lat.dimension))
-    vals = coeffs_to_values(state.coeffs, lat, n).reshape(state.kgrid.size, -1)
+    vals = coeffs_to_values_rolled(state.coeffs, lat, n).reshape(state.kgrid.size, -1)
     phase_x = np.exp(1j * state.kgrid.points @ x.T)              # (n_k, n_grid)
     phase_shift = np.exp(1j * state.kgrid.points @ shifts.T)     # (n_k, n_window)
     out = np.einsum("kw,kg->wg", phase_shift, vals * phase_x) / state.kgrid.size
@@ -259,8 +260,8 @@ def coeffs_to_values_rolled(coeffs, lat, nout=None):
 
 def position_density(rho: FiberedDensity) -> np.ndarray:
     """|v(y)|^2 of every vector on the quadrature grid, shape (n_k, rank, n^d), from its values."""
-    vals = coeffs_to_values(rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape), rho.lat,
-                            quadrature_len(rho.m))
+    vals = coeffs_to_values_rolled(rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape),
+                                   rho.lat, quadrature_len(rho.m))
     return np.abs(vals.reshape(rho.lambdas.shape + (-1,))) ** 2
 
 
@@ -289,7 +290,7 @@ def propagate_batch_rolled(coeffs, h, t: float, dt: float):
     out = np.asarray(coeffs, dtype=complex).reshape(coeffs.shape[:2] + window) * half
     for i in range(n_steps):
         vals = coeffs_to_values_rolled(out, h.lat, nout=h.potential_values.shape[-1])
-        out = values_to_coeffs(vals * pot, h.lat, h.m)
+        out = values_to_coeffs_rolled(vals * pot, h.lat, h.m)
         out = out * (half if i == n_steps - 1 else half * half)
     return out.reshape(coeffs.shape)
 
@@ -468,7 +469,7 @@ def diagonal_coupling_dense(f, cost, hbar: float, lat, kgrid, m: int, chunk: int
             xis = f.nodes_p[sl] - hbar * k
             coeffs = coherent_coeff_batch(xs, xis, hbar, lat, m)
             w = theta_cost_weights(xs, grid, cost.geom)
-            vals = coeffs_to_values(coeffs.reshape((-1,) + (2 * m + 1,) * d), lat, n)
+            vals = coeffs_to_values_rolled(coeffs.reshape((-1,) + (2 * m + 1,) * d), lat, n)
             pos = cost.lam ** 2 * np.einsum("bg,bg->b", w, np.abs(vals.reshape(w.shape)) ** 2) \
                 * grid_weight(lat, n)
             sym = np.sum((xis[:, None, :] - hbar * g[None, :, :]) ** 2, axis=-1)
@@ -557,7 +558,7 @@ def coupling_energy_husimi_grid(rho, nq, np_per_dim, p_max, ny=None):
     qs = position_grid(lat, nq)
     ps, wp = momentum_grid(d, np_per_dim, p_max)
     ys = position_grid(lat, ny)
-    vals = coeffs_to_values(vectors.reshape((-1,) + (2 * m + 1,) * d), lat, ny)
+    vals = coeffs_to_values_rolled(vectors.reshape((-1,) + (2 * m + 1,) * d), lat, ny)
     dens = np.abs(vals.reshape(vectors.shape[0], -1)) ** 2
     m2 = np.empty((vectors.shape[0], qs.shape[0]))
     for iq, q in enumerate(qs):
@@ -654,7 +655,7 @@ def _field_of_potential(v: TrigPotential, lat: LatticeSpec, order: int) -> np.nd
     """Coefficient array whose values() reproduce the potential exactly."""
     n = 2 * order + 1
     vals = v.value(position_grid(lat, n)).reshape((n,) * lat.dimension).astype(complex)
-    return values_to_coeffs(vals, lat, order)
+    return values_to_coeffs_rolled(vals, lat, order)
 
 
 def _mult_exact(a: np.ndarray, order_a: int, b: np.ndarray, order_b: int,
@@ -666,10 +667,10 @@ def _mult_exact(a: np.ndarray, order_a: int, b: np.ndarray, order_b: int,
     """
     order = order_a + order_b
     n = 2 * order + 1
-    va = coeffs_to_values(a, lat, n)
-    vb = coeffs_to_values(b, lat, n)
+    va = coeffs_to_values_rolled(a, lat, n)
+    vb = coeffs_to_values_rolled(b, lat, n)
     # values carry a 1/sqrt(cell) factor each; one of them is spurious for a product
-    return values_to_coeffs(va * vb, lat, order) * np.sqrt(lat.cell_volume)
+    return values_to_coeffs_rolled(va * vb, lat, order) * np.sqrt(lat.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -709,7 +710,7 @@ def commutator_residual(potential: TrigPotential, k, xi, u: PeriodicField, hbar:
     n = 2 * t_ord + 1
     grid = position_grid(lat, n)
     w_vals = lam ** 2 * theta_cost_weights(x_center[None, :], grid, geom)[0]
-    w_coeffs = values_to_coeffs(w_vals.astype(complex).reshape((n,) * d), lat, t_ord)
+    w_coeffs = values_to_coeffs_rolled(w_vals.astype(complex).reshape((n,) * d), lat, t_ord)
     # The fiber momentum operator -i hbar grad + hbar k is minus a standard-form
     # operator with xi = -hbar k, so the kinetic/theta identity reduces to the
     # gradient identity at that xi; the factor 1/2 restores the defect norm of
@@ -721,7 +722,7 @@ def commutator_residual(potential: TrigPotential, k, xi, u: PeriodicField, hbar:
     v_vals = potential.value(position_grid(lat, nv))
     w_vals2 = lam ** 2 * theta_cost_weights(x_center[None, :], position_grid(lat, nv), geom)[0]
     diff = v_vals * w_vals2 - w_vals2 * v_vals
-    u_big = np.abs(coeffs_to_values(u.coeffs, lat, nv)).reshape(-1)
+    u_big = np.abs(coeffs_to_values_rolled(u.coeffs, lat, nv)).reshape(-1)
     res_diag = float(np.sqrt(np.sum(np.abs(diff * u_big) ** 2) * grid_weight(lat, nv)))
 
     g = g_vectors(lat, u.m)

@@ -18,10 +18,10 @@ from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
 from conftest import coherent_overlap
-from oracles import (CoherentParams, bloch_transform, coherent_family, coherent_planewave_coeffs,
-                     coherent_state, commutator_residual, cosine_potential,
-                     coupling_energy_husimi_grid, default_window, interval_region,
-                     periodized_coherent, single_box, zero_potential)
+from oracles import (CoherentParams, bloch_transform, coeffs_to_values_rolled, coherent_family,
+                     coherent_planewave_coeffs, coherent_state, commutator_residual,
+                     cosine_potential, coupling_energy_husimi_grid, default_window,
+                     interval_region, periodized_coherent, single_box, zero_potential)
 
 
 def _report(num, ok, detail):
@@ -113,10 +113,9 @@ def test_criterion_03_husimi_normalization(lat1):
     ps = (-p_max + (np.arange(n_p) + 0.5) * dp).reshape(-1, 1)
     q0 = np.array([[0.11]])
     lhs = husimi(single, q0, ps, dp).mass
-    from blochlab.bloch import coeffs_to_values
     n_fine = n_g
     yg = position_grid(lat1, n_fine)
-    dens = np.abs(coeffs_to_values(vec, lat1, n_fine)) ** 2
+    dens = np.abs(coeffs_to_values_rolled(vec, lat1, n_fine)) ** 2
     rhs = sum(float(np.sum(np.exp(-(yg[:, 0] + ell - q0[0, 0]) ** 2 / hbar) * dens))
               for ell in range(-8, 9)) * grid_weight(lat1, n_fine) * (np.pi * hbar) ** -0.5
     marg_err = abs(lhs - rhs)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochlab import KGrid, LatticeSpec
-from blochlab.bloch import (centered_indices, coeffs_to_values, g_vectors, grid_weight,
-                            position_grid, quadrature_len, squared_values, values_to_coeffs)
+from blochlab.bloch import (_offset_coefficients, centered_indices, g_vectors, grid_weight,
+                            position_grid, quadrature_len, squared_values)
 
 from conftest import LATTICES, coherent_overlap, is_11_smooth
 from oracles import (CoherentParams, FiberedState, PeriodicField, bloch_transform,
@@ -25,7 +25,7 @@ def test_squared_values_match_the_squared_grid_values(rng, name, m, batch):
     d, n = lat.dimension, quadrature_len(m)
     shape = batch + (2 * m + 1,) * d
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    ref = np.abs(coeffs_to_values(coeffs, lat, n)) ** 2
+    ref = np.abs(coeffs_to_values_rolled(coeffs, lat, n)) ** 2
     work = np.full(batch + (n,) * d, np.nan, dtype=complex)     # stale contents are ignored
     sq = squared_values(coeffs, work, d)
     assert sq.shape == batch + (2 * n ** d,)
@@ -63,21 +63,15 @@ def test_coeff_value_roundtrip(rng, lat1, lat2):
     for lat, m in ((lat1, 17), (lat2, 5)):
         f = random_field(rng, lat, m)
         v = f.values()
-        back = values_to_coeffs(v, lat, m)
+        back = values_to_coeffs_rolled(v, lat, m)
         np.testing.assert_allclose(back, f.coeffs, atol=1e-12)
         # padded evaluation agrees with direct plane-wave summation
         n = 2 * m + 3
         pts = position_grid(lat, n)
         direct = (np.exp(1j * pts @ g_vectors(lat, m).T) @ f.coeffs.reshape(-1)
                   / np.sqrt(lat.cell_volume))
-        np.testing.assert_allclose(coeffs_to_values(f.coeffs, lat, n).reshape(-1),
+        np.testing.assert_allclose(coeffs_to_values_rolled(f.coeffs, lat, n).reshape(-1),
                                    direct, atol=1e-11)
-        # the roll-free transform against pad, twist, ifftshift roll and ifftn, batched
-        batch = np.stack([f.coeffs, 1j * f.coeffs[::-1]])
-        for nout in (None, n, 2 * m + 9):
-            ref = coeffs_to_values_rolled(batch, lat, nout)
-            err = np.max(np.abs(coeffs_to_values(batch, lat, nout) - ref))
-            assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 @st.composite
@@ -97,13 +91,13 @@ def skew_transforms(draw):
 @given(skew_transforms())
 def test_transform_invariants_on_random_skew_lattices(case):
     # the round trip through any grid of at least 2m+1 points returns the
-    # coefficients, and squared_values is |coeffs_to_values|^2 |cell| on it
+    # coefficients, and squared_values is |v|^2 |cell| on it
     lat, m, nout, batch, seed = case
     rng = np.random.default_rng(seed)
     shape = batch + (2 * m + 1,) * lat.dimension
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    vals = coeffs_to_values(coeffs, lat, nout)
-    np.testing.assert_allclose(values_to_coeffs(vals, lat, m), coeffs, rtol=0, atol=1e-12)
+    vals = coeffs_to_values_rolled(coeffs, lat, nout)
+    np.testing.assert_allclose(values_to_coeffs_rolled(vals, lat, m), coeffs, rtol=0, atol=1e-12)
     sq = squared_values(coeffs, np.empty(batch + (nout,) * lat.dimension, dtype=complex),
                         lat.dimension)
     ref = (vals.real ** 2 + vals.imag ** 2).reshape(batch + (-1,)) * lat.cell_volume
@@ -111,16 +105,19 @@ def test_transform_invariants_on_random_skew_lattices(case):
                                atol=1e-12 * np.max(ref))
 
 
-def test_values_to_coeffs_gathers_the_window_bitwise(rng, lat1, lat2):
-    # the window gathered straight from FFT order equals fftshift, twist and crop, bit for bit
-    for lat, m in ((lat1, 17), (lat2, 5)):
-        for n in (2 * m + 1, 2 * m + 3, 2 * m + 10 + 1):
-            shape = (2, 3) + (n,) * lat.dimension
-            vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            np.testing.assert_array_equal(values_to_coeffs(vals, lat, m),
-                                          values_to_coeffs_rolled(vals, lat, m))
-            np.testing.assert_array_equal(values_to_coeffs(vals.real, lat, m),
-                                          values_to_coeffs_rolled(vals.real, lat, m))
+@pytest.mark.parametrize("name, m, n", [("line", 5, 21), ("line", 5, 27), ("hexagonal", 2, 9),
+                                        ("skew", 1, 7)])
+def test_offset_coefficients_are_the_offset_sums(rng, name, m, n):
+    # batched grid functions on any N >= 4m+1 points per axis: X(D) is the
+    # direct sum over the grid of values(y) exp(i G_D . y) / |cell|
+    lat = LatticeSpec(LATTICES[name])
+    d = lat.dimension
+    values = rng.standard_normal((2, 3) + (n,) * d) + 1j * rng.standard_normal((2, 3) + (n,) * d)
+    got = _offset_coefficients(values, lat, m)
+    phases = np.exp(1j * position_grid(lat, n) @ g_vectors(lat, 2 * m).T)   # (N^d, (4m+1)^d)
+    ref = values.reshape(2, 3, -1) @ phases / lat.cell_volume
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
 
 def test_parseval_on_grid(rng, lat1):
@@ -143,7 +140,7 @@ def test_bloch_single_cell_support(lat1):
     pts = position_grid(lat1, 2 * m + 1)
     for i in range(nk):
         expected = u(pts) * np.exp(-1j * pts[:, 0] * kg.points[i, 0])
-        got = coeffs_to_values(state.coeffs[i], lat1, 2 * m + 1)
+        got = coeffs_to_values_rolled(state.coeffs[i], lat1, 2 * m + 1)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -228,7 +225,7 @@ def test_inverse_bloch_single_fiber(lat1, rng):
     vals = inverse_bloch(st, l_cut=0)[0]
     k = kg.points[0]
     pts = position_grid(lat1, 2 * m + 1)
-    expected = coeffs_to_values(f.coeffs, lat1, 2 * m + 1) * np.exp(1j * pts[:, 0] * k[0])
+    expected = coeffs_to_values_rolled(f.coeffs, lat1, 2 * m + 1) * np.exp(1j * pts[:, 0] * k[0])
     np.testing.assert_allclose(vals, expected, atol=1e-12)
 
 
@@ -248,7 +245,7 @@ def test_quasi_periodicity_contract(lat1):
     k2 = k0[0] + big_k
     fiber2 = np.einsum("w,wg->g", np.exp(-1j * shifts @ k2), uvals) \
         * np.exp(-1j * x @ k2)
-    fiber1_vals = coeffs_to_values(state1.coeffs[0], lat1, 2 * m + 1)
+    fiber1_vals = coeffs_to_values_rolled(state1.coeffs[0], lat1, 2 * m + 1)
     twist = np.exp(-1j * x @ big_k)
     np.testing.assert_allclose(fiber2, twist * fiber1_vals, atol=1e-10)
 
@@ -266,8 +263,8 @@ def test_periodic_multiplication_commutes(rng, lat1):
     s_before = bloch_transform(lambda p: coherent_state(cp, p), lat1, kg, m, l_cut)
     pts = position_grid(lat1, 2 * m + 1)
     for i in range(nk):
-        lhs = coeffs_to_values(s_after.coeffs[i], lat1, 2 * m + 1)
-        rhs = w(pts) * coeffs_to_values(s_before.coeffs[i], lat1, 2 * m + 1)
+        lhs = coeffs_to_values_rolled(s_after.coeffs[i], lat1, 2 * m + 1)
+        rhs = w(pts) * coeffs_to_values_rolled(s_before.coeffs[i], lat1, 2 * m + 1)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 

@@ -529,7 +529,7 @@ def test_cli_threads_hold_for_one_command_only(tmp_path, monkeypatch):
     assert len(idents) == 2 and threading.get_ident() in idents
     counts.clear()
     idents.clear()
-    bloch.coeffs_to_values(np.ones((8, 5), dtype=complex), cubic_lattice(1))
+    bloch._fft(np.ones((8, 5), dtype=complex), 1)
     assert counts == [1] and idents == {threading.get_ident()}
     assert bloch._pool is None
 
@@ -646,7 +646,15 @@ def test_cli_metric_pure_hexagonal_energy_within_bound(tmp_path):
      "verify", "discretization.m"),
     (BASE.replace("n_k = 8", "n_k = 1" + "0" * 300), "verify", "discretization.n_k"),
     (HEX_PURE.replace("m = 24", "m = 200000"), "verify", "discretization.m"),
-], ids=["m-301-digits", "n_k-301-digits", "hexagonal-m-200000"])
+    # found by test_config_fuzz: an integral float n_q escaped main as a numpy ValueError
+    (BASE.replace("n_q = 10", "n_q = 1.6108436293376755e+188"), "husimi", "discretization.n_q"),
+    (HEX_PURE.replace("n_k = 2\n", "n_k = 2\nn_p = 100000\n"), "metric", "discretization.n_p"),
+    (BASE.replace("gc_per_axis = 8", "gc_per_axis = 10000000"), "constants",
+     "discretization.gc_per_axis"),
+    (BASE.replace("gc_quasi = 40", "gc_quasi = 1e30"), "verify", "discretization.gc_quasi"),
+    (BASE.replace("n_time_obs = 16", "n_time_obs = 1e30"), "verify", "discretization.n_time_obs"),
+], ids=["m-301-digits", "n_k-301-digits", "hexagonal-m-200000", "n_q-1.6e188",
+        "hexagonal-n_p-100000", "gc_per_axis-1e7", "gc_quasi-1e30", "n_time_obs-1e30"])
 def test_sizes_beyond_physical_memory_exit_3_before_allocating(tmp_path, capsys, text, sub,
                                                                field):
     # load_config rejects these before any array of their size is built

@@ -1,4 +1,5 @@
-"""Property test: ``load_config`` ends any text in a config error, never in another exception.
+"""Property tests: ``load_config`` ends any text in a config error, never in another
+exception, and ``cli.main`` ends any text in a documented exit code.
 
 Texts start from a valid 1-D or 2-D config and override a few keys of the
 known sections with arbitrary literals: huge integers, floats that overflow
@@ -9,8 +10,9 @@ like the key's value (a basis, boxes, potential terms) and freely nested.
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+from blochlab.cli import _COMMANDS, main
 from blochlab.config import _KEYS, load_config
 from blochlab.errors import ConfigParseError, ConfigValidationError
 
@@ -78,3 +80,58 @@ def test_load_config_raises_only_config_errors(text):
         load_config(text)
     except (ConfigParseError, ConfigValidationError):
         pass
+
+
+# A valid 1-D config small enough that every subcommand runs in milliseconds.
+TINY = """\
+[lattice]
+basis = [[1.0]]
+
+[physics]
+hbar = 0.1
+T = 0.1
+dt = 0.01
+
+[discretization]
+m = 16
+n_k = 2
+n_q = 4
+n_p = 4
+n_time_obs = 2
+n_time_gc = 4
+gc_per_axis = 2
+gc_quasi = 4
+
+[scenario]
+K = [((-0.5,), (0.5,), (0.5,), (1.5,))]
+omega = [((-0.1,), (0.1,))]
+delta = 0.05
+
+[initial]
+kind = toeplitz
+center_q = (0.0,)
+center_p = (1.0,)
+"""
+
+
+@st.composite
+def tiny_config_texts(draw):
+    overrides = draw(st.lists(st.tuples(st.sampled_from(_FIELDS),
+                                        st.one_of(_ATOMS, _NESTED, _shaped(1))), max_size=3))
+    return TINY + "".join(f"\n[{section}]\n{key} = {value}\n"
+                          for (section, key), value in overrides)
+
+
+# No shrinking: from a failing text it could reach sizes that pass the
+# physical-memory checks of ``load_config`` and still take most of the machine.
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tiny_config_texts())
+def test_cli_ends_any_text_in_an_exit_code(tmp_path_factory, text):
+    # every subcommand returns a documented exit code; no exception escapes main
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = tmp / "fuzz.cfg"
+    cfg.write_text(text)
+    for subcommand in sorted(_COMMANDS):
+        assert main([subcommand, "--config", str(cfg), "--out", str(tmp / "out")]) in (0, 1, 2, 3)

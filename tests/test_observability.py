@@ -5,7 +5,7 @@ from blochlab import (Discretization, KGrid, LatticeSpec, ObservabilityScenario,
                       constant_pure, coupling_energy_husimi, gamma_bounds, hbar_threshold,
                       initial_state, toeplitz_quantize, verify_theorem)
 from blochlab import bloch, quantum_dynamics
-from blochlab.bloch import coeffs_to_values, grid_weight, position_grid
+from blochlab.bloch import grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
 from blochlab.observability import PRUNE_TOL, initial_density, minimize_toeplitz_penalty, \
     observed_time_integral
@@ -14,8 +14,8 @@ from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
 from conftest import LATTICES, is_11_smooth
 
-from oracles import coherent_family, cosine_potential, interval_region, single_box, \
-    zero_potential
+from oracles import coeffs_to_values_rolled, coherent_family, cosine_potential, interval_region, \
+    single_box, zero_potential
 
 
 def _toeplitz_oracle(geom, horizon, lip, n=100_000):
@@ -136,12 +136,12 @@ def test_std_dev_two_quadrature_routes(lat1):
     total = 0.0
     for i in range(kg.size):
         psi = rho.vectors[i, 0].reshape(2 * m + 1)
-        vals = coeffs_to_values(psi, lat1, n)
+        vals = coeffs_to_values_rolled(psi, lat1, n)
         dens = np.abs(vals) ** 2
         pos = 0.5 * float(dens @ dist2 @ dens) * w * w
         # gradient by spectral differentiation evaluated in position space
         g = np.arange(-m, m + 1) * 2 * np.pi
-        dvals = coeffs_to_values(1j * g * psi, lat1, n)
+        dvals = coeffs_to_values_rolled(1j * g * psi, lat1, n)
         norm_sq = float(np.sum(dens) * w)
         grad_sq = hbar ** 2 * float(np.sum(np.abs(dvals) ** 2) * w)
         mean_p = hbar * float(np.sum(np.conj(vals) * -1j * dvals).real * w)

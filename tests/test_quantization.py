@@ -5,12 +5,12 @@ from scipy.special import erf
 from blochlab import quantization
 from blochlab import (KGrid, LatticeSpec, PhaseSpaceDensity, Region, husimi, periodic_trace,
                       toeplitz_quantize)
-from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len
+from blochlab.bloch import grid_weight, position_grid, quadrature_len
 from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi_mass_on_boxes
 
 from conftest import LATTICES, random_density
-from oracles import coherent_family, cosine_potential, husimi_mass_grid, interval_region, \
-    position_density, scaled_density, single_box
+from oracles import coeffs_to_values_rolled, coherent_family, cosine_potential, husimi_mass_grid, \
+    interval_region, position_density, scaled_density, single_box
 
 
 def gaussian_bump(q0, p0, sq, sp):
@@ -167,8 +167,7 @@ def test_husimi_p_marginal_identity(rng, lat1):
 
     n_fine = 2 * m + 1
     yg = position_grid(lat1, n_fine)
-    from blochlab.bloch import coeffs_to_values
-    dens = np.abs(coeffs_to_values(vec.reshape(n_g), lat1, n_fine)) ** 2
+    dens = np.abs(coeffs_to_values_rolled(vec.reshape(n_g), lat1, n_fine)) ** 2
     rhs = 0.0
     for ell in range(-8, 9):
         rhs += float(np.sum(np.exp(-(yg[:, 0] + ell - q0[0, 0]) ** 2 / hbar) * dens)) \

@@ -58,9 +58,12 @@ def test_norm_preserved_thousand_steps(lat1, vpot):
 @pytest.mark.parametrize("basis, terms, m", [
     ([[1.0]], (((1,), 0.1, 0.0),), 32),
     ([[1.0, 0.0], [0.5, 0.8660254037844386]], (((1, 0), 0.3, 0.2), ((1, -1), 0.2, 0.0)), 8),
+    ([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.2, 0.5, 0.8]],
+     (((1, 0, 0), 0.3, 0.2), ((0, 1, -1), 0.2, 0.0), ((1, 1, 1), 0.1, 0.5)), 6),
 ])
 def test_propagate_batch_matches_rolled_loop(rng, basis, terms, m):
-    # twisted FFT order and phases precomputed once against a full round trip per step
+    # the head layout, pruned inverse and phases precomputed once against a full
+    # round trip per step
     lat = LatticeSpec(basis)
     h = FiberHamiltonian(lat, m, [0.3 * lat.reciprocal[0], -0.2 * lat.reciprocal[-1]],
                          TrigPotential(lat, terms), 0.05)
@@ -376,7 +379,7 @@ def test_potential_matrix_is_the_grid_sampled_one(basis, terms, m, hbar):
     d, n = lat.dimension, quadrature_len(m)
     assert n > 2 * m + max(max(map(abs, t[0])) for t in terms)
     h = FiberHamiltonian(lat, m, np.zeros((1, d)), TrigPotential(lat, terms), hbar)
-    x = _offset_coefficients(h.potential_values.reshape(-1), lat, m) * grid_weight(lat, n)
+    x = _offset_coefficients(h.potential_values, lat, m) * grid_weight(lat, n)
     pos = _offset_positions(m, d)
     sampled = x[pos[None, :] - pos[:, None] + x.size // 2]
     closed = h.potential_matrix()

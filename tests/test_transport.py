@@ -7,22 +7,21 @@ from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, Region,
                       coupling_energy_husimi, coupling_energy_toeplitz,
                       evolution, gamma_bounds, gronwall_rate, observed_time_integral,
                       stability_envelope, toeplitz_quantize)
-from blochlab.bloch import coeffs_to_values, grid_weight, position_grid, quadrature_len, \
-    values_to_coeffs
+from blochlab.bloch import grid_weight, position_grid, quadrature_len
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab import quantization, quantum_dynamics, transport_metric
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 from blochlab.states import coherent_coeff_batch
-from blochlab.transport_metric import diagonal_coupling_parts, pair_moment
+from blochlab.transport_metric import _density_coeffs, diagonal_coupling_parts, pair_moment
 from scipy.integrate import quad
 
 from conftest import LATTICES, random_density
-from oracles import (CoherentParams, coherent_family, coherent_state, cosine_potential,
-                     coupling_energy_husimi_grid, diagonal_coupling_dense,
+from oracles import (CoherentParams, coeffs_to_values_rolled, coherent_family, coherent_state,
+                     cosine_potential, coupling_energy_husimi_grid, diagonal_coupling_dense,
                      exact_evolution, exact_observation_series, galerkin_propagators,
                      pair_moment_grid, recomputed_stability_energies, scaled_density,
-                     zero_potential)
+                     values_to_coeffs_rolled, zero_potential)
 
 
 def bump_density(lat, nq=16, np_=24, p_max=1.0, p0=0.3):
@@ -46,7 +45,7 @@ def test_cost_expectation_whole_space_identity(lat1, geom1):
     for i in range(nk):
         c = coherent_coeff_batch(x[None, :], (xi - hbar * kg.points[i])[None, :],
                                  hbar, lat1, m)[0]
-        vals2 = np.abs(coeffs_to_values(c, lat1)) ** 2
+        vals2 = np.abs(coeffs_to_values_rolled(c, lat1)) ** 2
         red = reduce_to_cell(x[None, :] - grid, lat1)
         pos = lam ** 2 * float(np.sum(np.sum(red ** 2, axis=-1) * vals2.reshape(-1))) * w
         g = (np.arange(-m, m + 1) * 2 * np.pi)
@@ -227,6 +226,19 @@ def test_pair_moment_matches_dense_matrix(basis, n, rng):
                                [ref, 4.0 * ref], rtol=1e-12)
 
 
+@pytest.mark.parametrize("name, m", [("line", 7), ("hexagonal", 4), ("skew", 2)])
+def test_density_coeffs_are_those_of_the_squared_values(name, m):
+    # the coefficients of |v|^2 of every vector, on the quadrature_len(2m) grid
+    lat = LatticeSpec(LATTICES[name])
+    rho = random_density(lat, m, 0.05, 2, seed=11)
+    vals = coeffs_to_values_rolled(rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape),
+                                   lat, quadrature_len(2 * m))
+    ref = values_to_coeffs_rolled(vals.real ** 2 + vals.imag ** 2, lat, 2 * m)
+    got = _density_coeffs(rho)
+    assert got.shape == rho.lambdas.shape + (4 * m + 1,) * lat.dimension
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
 @pytest.mark.parametrize("name, sizes", [("line", (41, 81, 161)), ("hexagonal", (41, 81, 161)),
                                          ("skew", (11, 21, 41))])
 def test_pair_moment_is_the_grid_limit(name, sizes, rng):
@@ -234,11 +246,11 @@ def test_pair_moment_is_the_grid_limit(name, sizes, rng):
     lat = LatticeSpec(LATTICES[name])
     d, m = lat.dimension, 3
     v = rng.standard_normal((2 * m + 1,) * d) + 1j * rng.standard_normal((2 * m + 1,) * d)
-    vals = coeffs_to_values(v, lat, quadrature_len(2 * m))
-    coeffs = values_to_coeffs(vals.real ** 2 + vals.imag ** 2, lat, 2 * m)
+    vals = coeffs_to_values_rolled(v, lat, quadrature_len(2 * m))
+    coeffs = values_to_coeffs_rolled(vals.real ** 2 + vals.imag ** 2, lat, 2 * m)
     exact = pair_moment(np.stack([coeffs, 2.0 * coeffs]), lat)
     assert exact[1] == pytest.approx(4.0 * exact[0], rel=1e-14)
-    errs = [abs(pair_moment_grid(np.abs(coeffs_to_values(v, lat, n)) ** 2, lat)
+    errs = [abs(pair_moment_grid(np.abs(coeffs_to_values_rolled(v, lat, n)) ** 2, lat)
                 * grid_weight(lat, n) ** 2 - exact[0]) / exact[0] for n in sizes]
     assert errs[0] < 3e-2
     assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0
