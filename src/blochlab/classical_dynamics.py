@@ -3,6 +3,12 @@
 The integrator is Stoermer-Verlet (order 2, symplectic); trajectories are
 batched over initial conditions, so the geometric-control sampler and the
 transport of quadrature nodes run as single vectorized sweeps.
+
+In one dimension, when no start in K can turn, the geometric-control
+constant needs no trajectory: H = p^2/2 + V(q) is integrable, every
+occupation time of omega is a finite sum of differences of the energy
+integral Q_E(x) = int_0^x dq / sqrt(2 (E - V(q))), and a branch and bound
+over K brackets the constant (Golse & Paul 2022, carried to the cell).
 """
 
 from __future__ import annotations
@@ -24,6 +30,17 @@ _HESSIAN_POINTS = _HESSIAN_GRID ** 2
 # Relative slack, in units of the machine epsilon, by which |t| / dt may exceed
 # an integer and still count as that many steps.
 _STEP_ULPS = 4
+# Width of the exact 1-D bracket [C_GC_lo, C_GC_hi].
+_GC_TOL = 1e-3
+# Gauss-Legendre node counts of Q_E, fewest first: the first whose a-priori error
+# bound on an occupation time is at most _GC_TOL / 8 is used.
+_GC_NODES = (32, 64, 128, 256)
+# Elements of the largest temporary of one branch-and-bound chunk (256 kB of
+# reals); the exact route needs one sub-box's crossings of omega to fit.
+_GC_CHUNK = 32768
+# Full chunks' worth of sub-boxes after which the branch and bound stops
+# refining and reports the (valid, wider) bracket it has.
+_GC_MAX_CHUNKS = 1024
 
 
 def _step_count(t: float, dt: float) -> int:
@@ -175,29 +192,269 @@ def flow(x, xi, t: float, potential: TrigPotential, dt: float) -> PhasePoint:
 
 @dataclass(frozen=True)
 class GCEstimate:
-    """Sampled estimate of the geometric-control observability constant.
+    """The geometric-control constant: the least time a trajectory from K spends in omega.
 
-    ``value`` is the least occupation time over the sampled starts, so it lies
-    at or above the infimum over K: an upper estimate of the constant.
+    ``value`` is, up to the quadrature error bound, the occupation time of
+    some start in K, so it lies at or above the infimum over K: an upper
+    estimate.  On the exact 1-D route ``[lower, value]`` is a bracket of the
+    constant, with the quadrature error bound in both ends, at most
+    ``_GC_TOL`` wide unless ``_GC_MAX_CHUNKS`` stopped the refinement, and
+    ``n_samples`` is 0.  On the sampler ``value`` is the least
+    occupation of the sampled trajectories, ``n_samples`` their number, and
+    ``lower`` is 0.0, the only lower bound sampling proves.
     """
 
     value: float
-    satisfied: bool      # False when some sampled trajectory never meets the region
+    # the constant is shown positive: every sampled trajectory meets the region
+    # (sampler), or the bracket's lower end is above 0 (exact route)
+    satisfied: bool
     n_samples: int
+    lower: float = 0.0
+
+
+def _omega_intervals(omega: Region, period: float) -> np.ndarray:
+    """omega's part of the 1-D cell as disjoint sorted rows (A, B), 0 <= A < B <= a.
+
+    Positions are measured from the cell's left edge.  The part is the one
+    ``Region.contains`` tests: each box moved by -a, 0 and a and clipped to
+    the cell; overlapping pieces are merged, so no time is counted twice.
+    """
+    half = 0.5 * period
+    pieces = sorted((max(lo - s, -half) + half, min(hi - s, half) + half)
+                    for (lo,), (hi,) in omega.boxes for s in (-period, 0.0, period)
+                    if lo - s < half and hi - s > -half)
+    merged = []
+    for a, b in pieces:
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return np.array(merged, dtype=float).reshape(-1, 2)
+
+
+def _quadrature_error(potential: TrigPotential, nodes: int, period: float,
+                      energy: float) -> float:
+    """Bound on the n-node Gauss-Legendre error of F_E(r), for 0 <= r <= a and E >= energy.
+
+    On [0, r] the error is at most (r/2)(64/15) M rho^(-2n) / (rho^2 - 1) when
+    the integrand is analytic with |f| <= M on the Bernstein ellipse of
+    parameter rho (Trefethen 2013, ATAP, Thm 19.3).  That ellipse lies within
+    b = r (rho - 1/rho) / 4 of the real axis, where
+    |V(x + iy)| <= sum |c_t| cosh(|G_t| b), so
+    M = 1 / sqrt(2 (E - sum |c_t| cosh(|G_t| b))) while that is positive.  The
+    bound at r = a holds for every r; it is minimized over a grid of rho.  At
+    V = 0 the integrand is constant and the rule exact.
+    """
+    if potential.is_zero:
+        return 0.0
+    amplitudes = np.abs([c for _, c, _ in potential.terms])
+    g = np.abs(potential.g_vectors()[:, 0])
+    rho = 1.0 + np.geomspace(1e-3, 1e2, 256)
+    with np.errstate(over="ignore"):
+        margin = energy - amplitudes @ np.cosh(np.outer(g, 0.25 * period * (rho - 1.0 / rho)))
+    rho, margin = rho[margin > 0], margin[margin > 0]
+    bound = (32.0 / 15.0) * period * rho ** (-2.0 * nodes) / ((rho ** 2 - 1.0)
+                                                               * np.sqrt(2.0 * margin))
+    return float(bound.min()) if bound.size else np.inf
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on the Legendre polynomial P_n from the nodes' asymptotic
+    positions, which converges in three steps for every n of ``_GC_NODES``;
+    ``numpy.polynomial``'s rule would load LAPACK's eigensolver for it.
+    """
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+
+
+class _Occupation1D:
+    """Occupation times of omega along 1-D orbits that never turn, from the energy integral.
+
+    Positions u are measured from the cell's left edge, so the cell is [0, a)
+    and Q_E(u) = floor(u/a) tau(E) + F_E(u mod a), with
+    F_E(r) = int_0^r du / sqrt(2 (E - V)) by one Gauss-Legendre rule on
+    [0, r] and tau(E) = F_E(a), the time to cross a cell.  A start u0 moving
+    right is in the copy [A + n a, B + n a] of an omega interval for
+    t in [Q_E(A + n a) - Q_E(u0), Q_E(B + n a) - Q_E(u0)]; one moving left
+    for t in [Q_E(u0) - Q_E(B + n a), Q_E(u0) - Q_E(A + n a)].
+    """
+
+    def __init__(self, horizon: float, ends: np.ndarray, potential: TrigPotential,
+                 period: float, nodes: int, copies: np.ndarray):
+        x, w = _gauss_legendre(nodes)
+        self.potential, self.horizon, self.period, self.copies = potential, horizon, period, copies
+        self.frac, self.weights = 0.5 * (1.0 + x), 0.5 * w
+        amplitudes = np.abs([c for _, c, _ in potential.terms])
+        self.v_bound = float(np.sum(amplitudes))
+        self.lipschitz = float(amplitudes @ np.abs(potential.g_vectors()[:, 0]))
+        j = ends.shape[0]
+        self.at_a, self.at_b = slice(0, j), slice(j, 2 * j)
+        # the fixed upper limits of F: every A, every B, and a for tau
+        self.limits = np.concatenate([ends[:, 0], ends[:, 1], [period]])
+        self.v_limits = self._v(self.limits[:, None] * self.frac)
+        self.rows = _GC_CHUNK // max(nodes * self.limits.size, j * copies.size)
+
+    def _v(self, u):
+        """V at positions u measured from the cell's left edge."""
+        return self.potential.value((u - 0.5 * self.period)[..., None])
+
+    def _start(self, u, energies):
+        """Cell index k of each u, and F_E(u - k a) at each energy array of ``energies``."""
+        k = np.floor(u / self.period)
+        r = u - k * self.period
+        v = self._v(r[:, None] * self.frac)
+        return k, [r * (1.0 / np.sqrt(2.0 * (e[:, None] - v)) @ self.weights) for e in energies]
+
+    def _at_limits(self, e):
+        """F_E at every A, every B and at a, shape (rows, 2J + 1)."""
+        return self.limits * (1.0 / np.sqrt(2.0 * (e[:, None, None] - self.v_limits))
+                              @ self.weights)
+
+    def _gap(self, f_limits, cols, k, f_start):
+        """Q_E(A + n a) - Q_E(u) (cols ``at_a``) or with B (``at_b``), shape (rows, J, copies)."""
+        cells = (self.copies - k[:, None])[:, None, :] * f_limits[:, -1, None, None]
+        return cells + (f_limits[:, cols] - f_start[:, None])[..., None]
+
+    def _occupied(self, t_in, t_out):
+        span = np.minimum(t_out, self.horizon) - np.maximum(t_in, 0.0)
+        return np.maximum(span, 0.0).sum(axis=(1, 2))
+
+    def bounds(self, boxes: np.ndarray):
+        """Lower bound over each sub-box (u1, u2, p1, p2) and the occupation from its centre."""
+        lower, centre = np.empty(boxes.shape[0]), np.empty(boxes.shape[0])
+        for i in range(0, boxes.shape[0], self.rows):
+            part = slice(i, i + self.rows)
+            lower[part], centre[part] = self._chunk(*boxes[part].T)
+        return lower, centre
+
+    def _chunk(self, u1, u2, p1, p2):
+        """``bounds`` of one chunk.
+
+        The energies of a sub-box lie in [e1, e2], from a Lipschitz bound on V
+        about its centre.  1/sqrt(2(E - V)) falls as E grows, so moving right
+        every start enters a copy no later than the later entry from u1 at e1
+        or e2, and leaves it no earlier than the earlier exit from u2; moving
+        left, the same with the roles of u1 and u2 and of A and B swapped.
+        """
+        uc, pc = 0.5 * (u1 + u2), 0.5 * (p1 + p2)
+        vc = self._v(uc)
+        spread = 0.5 * self.lipschitz * (u2 - u1)
+        e1 = 0.5 * np.minimum(p1 * p1, p2 * p2) + np.maximum(vc - spread, -self.v_bound)
+        e2 = 0.5 * np.maximum(p1 * p1, p2 * p2) + np.minimum(vc + spread, self.v_bound)
+        ec = 0.5 * pc * pc + vc
+        lim1, lim2, limc = self._at_limits(e1), self._at_limits(e2), self._at_limits(ec)
+        k1, (f11, f12) = self._start(u1, (e1, e2))
+        k2, (f21, f22) = self._start(u2, (e1, e2))
+        kc, (fc,) = self._start(uc, (ec,))
+        late = np.maximum(self._gap(lim1, self.at_a, k1, f11), self._gap(lim2, self.at_a, k1, f12))
+        early = np.minimum(self._gap(lim1, self.at_b, k2, f21),
+                           self._gap(lim2, self.at_b, k2, f22))
+        at_a, at_b = self._gap(limc, self.at_a, kc, fc), self._gap(limc, self.at_b, kc, fc)
+        right = (pc > 0)[:, None, None]
+        return (self._occupied(np.where(right, late, -early), np.where(right, early, -late)),
+                self._occupied(np.where(right, at_a, -at_b), np.where(right, at_b, -at_a)))
+
+
+def _quartered(boxes: np.ndarray) -> np.ndarray:
+    """The four halves-by-halves of each (u1, u2, p1, p2) row."""
+    u1, u2, p1, p2 = boxes.T
+    um, pm = 0.5 * (u1 + u2), 0.5 * (p1 + p2)
+    return np.concatenate([np.stack(c, axis=1) for c in
+                           ((u1, um, p1, pm), (um, u2, p1, pm), (u1, um, pm, p2), (um, u2, pm, p2))])
+
+
+def _exact_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region,
+                   potential: TrigPotential):
+    """(C_GC_lo, C_GC_hi) in one dimension when no start in K can turn, else None.
+
+    No start can turn when every K box has (min |p|)^2 / 2 > 2 sum |c_t|:
+    then E - V >= p0^2/2 - 2 sum |c_t| > 0 along the whole orbit.  Branch and
+    bound over (q, p) sub-boxes of K: hi is the least centre occupation, and
+    a sub-box is quartered while its lower bound is below hi by more than
+    _GC_TOL less twice the quadrature error, which then widens both ends.
+    An empty omega gives (0, 0) and one that covers the cell (T, T).  None
+    also when one start's crossings of omega's copies within T outnumber
+    ``_GC_CHUNK``, and when no rule of ``_GC_NODES`` brings the error below
+    _GC_TOL / 8.
+    """
+    if k_set.q_bounds.shape[2] != 1 or k_set.n_boxes == 0:
+        return None
+    v_bound = sum(abs(c) for _, c, _ in potential.terms)
+    p = k_set.p_bounds[:, :, 0]
+    p_min = np.where(p[:, 0] > 0, p[:, 0], np.where(p[:, 1] < 0, -p[:, 1], 0.0))
+    if not np.all(0.5 * p_min ** 2 > 2.0 * v_bound):
+        return None
+    period = abs(float(potential.lat.basis[0, 0]))
+    ends = _omega_intervals(omega, period)
+    if not ends.size:
+        return 0.0, 0.0
+    if ends.tolist() == [[0.0, period]]:
+        return float(horizon), float(horizon)
+    u = k_set.q_bounds[:, :, 0] + 0.5 * period
+    # speed^2 = p0^2 + 2 (V(q0) - V(q)) <= max p^2 + 4 sum |c_t|
+    reach = horizon * np.sqrt(np.max(p * p) + 4.0 * v_bound)
+    first, last = np.floor(u.min() / period), np.floor(u.max() / period)
+    n_lo = np.floor((u.min() - reach * np.any(p < 0)) / period)
+    n_hi = np.floor((u.max() + reach * np.any(p > 0)) / period)
+    if ends.shape[0] * (n_hi - n_lo + 1) > _GC_CHUNK:
+        return None
+    copies = np.arange(n_lo, n_hi + 1)
+    # each entry or exit time is (n - k) tau + F - F, |n - k| at most this many cells
+    cells = max(n_hi - first, last - n_lo) + 2
+    energy = 0.5 * float(p_min.min()) ** 2 - v_bound
+    for nodes in _GC_NODES:
+        err = 2 * ends.shape[0] * copies.size * cells \
+            * _quadrature_error(potential, nodes, period, energy)
+        if err <= _GC_TOL / 8:
+            break
+    else:
+        return None
+    occupation = _Occupation1D(horizon, ends, potential, period, nodes, copies)
+    tol = _GC_TOL - 2.0 * err
+    boxes = np.concatenate([u, p], axis=1)
+    lo = hi = np.inf
+    evaluated = 0
+    while boxes.size:
+        lower, centre = occupation.bounds(boxes)
+        evaluated += boxes.shape[0]
+        hi = min(hi, float(centre.min()))
+        refine = lower < hi - tol
+        if evaluated >= _GC_MAX_CHUNKS * occupation.rows:
+            refine[:] = False
+        lo = min(lo, float(lower[~refine].min(initial=np.inf)))
+        boxes = _quartered(boxes[refine])
+    hi = float(min(hi + err, horizon))
+    return float(min(max(lo - err, 0.0), hi)), hi
 
 
 def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: TrigPotential,
                 n_time: int = 2000, per_axis: int = 32, n_quasi: int = 1000,
                 seed: int = 0) -> GCEstimate:
-    """Minimum over sampled starts in K of the time the trajectory spends in omega.
+    """Minimum over starts in K of the time the trajectory spends in omega over [0, T].
 
-    ``Region.contains`` is periodic, so positions that left the cell need no
-    reduction here.  Midpoint time sampling on a uniform grid of step
-    horizon / n_time; the result is an estimate (finer-than-grid grazing
-    passes are invisible).
+    Where the exact route applies (``_exact_bracket``: one dimension, no
+    start in K can turn) it returns a bracket and reads none of ``n_time``,
+    ``per_axis``, ``n_quasi`` and ``seed``.  Otherwise the sampler runs:
+    midpoint time sampling on a uniform grid of step horizon / n_time along
+    Verlet trajectories from the ``per_axis`` grid and ``n_quasi`` seeded
+    quasi-random starts of each box.  ``Region.contains`` is periodic, so
+    positions that left the cell need no reduction.  The result is an
+    estimate (finer-than-grid grazing passes are invisible).
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    bracket = _exact_bracket(horizon, k_set, omega, potential)
+    if bracket is not None:
+        lower, value = bracket
+        return GCEstimate(value=value, satisfied=lower > 0.0, n_samples=0, lower=lower)
     qg, pg = k_set.grid_samples(per_axis)
     qq, pq = k_set.quasi_samples(n_quasi, seed)
     x = np.concatenate([qg, qq])
@@ -208,7 +465,9 @@ def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: Tr
     inside = np.zeros(x.shape[0])
     force = -potential.gradient(x)
     for _ in range(n_time):
-        x_mid = x + 0.5 * h * xi + 0.125 * h * h * force
+        x_mid = x + 0.5 * h * xi
+        if not potential.is_zero:
+            x_mid += 0.125 * h * h * force
         inside += omega.contains(x_mid)
         x, xi, force = _verlet_step(x, xi, force, h, potential)
     occupation = inside * h

@@ -119,6 +119,7 @@ def _cmd_constants(scn):
         ("lip_grad_V_analytic", c.lip.analytic),
         ("lip_grad_V_grid", c.lip.grid),
         ("C_GC", c.gc.value),
+        ("C_GC_lo", c.gc.lower),
         ("GC_satisfied", int(c.gc.satisfied)),
         ("C_toeplitz", c.c_toeplitz),
         ("C_pure", c.c_pure),

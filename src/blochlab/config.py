@@ -111,6 +111,14 @@ def _positive(value) -> float:
     return x
 
 
+def _width(value) -> float:
+    """A positive Gaussian width sigma whose 2 sigma^2 is finite."""
+    x = _positive(value)
+    if not np.isfinite(2.0 * x * x):
+        raise ValueError("2 sigma^2 overflows")
+    return x
+
+
 def _integer(value) -> int:
     """An integral finite number as an int; 2.5, inf and ints beyond float range fail."""
     x = _real(value)
@@ -253,8 +261,8 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigValidationError("initial.kind", "must be 'toeplitz' or 'pure'")
     center_q = _value(sections, "initial", "center_q", lambda v: _point(v, d), None)
     center_p = _value(sections, "initial", "center_p", lambda v: _point(v, d), None)
-    sigma_q = _value(sections, "initial", "sigma_q", _positive, 0.1)
-    sigma_p = _value(sections, "initial", "sigma_p", _positive, 0.15)
+    sigma_q = _value(sections, "initial", "sigma_q", _width, 0.1)
+    sigma_p = _value(sections, "initial", "sigma_p", _width, 0.15)
 
     # momentum coverage: the plane-wave band must reach the data's momenta
     b_min = float(np.min(np.linalg.norm(lat.reciprocal, axis=1)))

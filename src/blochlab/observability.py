@@ -300,7 +300,7 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
         energy_bound = penalty_scale = float(np.sqrt(ce.bound))
         kind_rows = {"std_dev": ce.std_dev, "c_bold": ce.c_bold}
     if not gc.satisfied:
-        warnings.append("geometric-control estimate is zero at sample resolution")
+        warnings.append("geometric-control constant is not shown positive")
     trace0 = periodic_trace(rho)
     lhs, series, times, quad_err, drift = observed_time_integral(
         rho, scn.omega, scn.delta, scn.potential, scn.horizon,
@@ -316,7 +316,8 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     rows = {
         "kind": scn.initial_kind, "lhs": lhs, "classical_term": classical,
         "penalty": penalty, "rhs": rhs, "margin": margin, "error_budget": budget,
-        "passed": int(margin >= -budget), "C_GC": gc.value, "penalty_constant": c_const,
+        "passed": int(margin >= -budget), "C_GC": gc.value, "C_GC_lo": gc.lower,
+        "penalty_constant": c_const,
         "mass_on_K": mass_k, "hbar": scn.hbar, "delta": scn.delta, "T": scn.horizon,
         "lip_grad_V": lip, "eta": eta, "lambda_star": lam_star,
         # sqrt(2 g+/g-) / (delta * lambda) * (e^{eta T}-1)/eta

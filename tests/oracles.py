@@ -6,7 +6,8 @@ Bloch transform of a wave packet on R^d and its inverse, a per-fiber loop
 over dense momentum symbols, the Gaussian packet and Husimi window without
 their floor, a transform loop that rolls and rescales at every step, the dense
 Galerkin matrix of a fiber and its matrix exponential, the evolution by that
-exponential, the full Stoermer-Verlet formula at every step, the stability
+exponential, the full Stoermer-Verlet formula at every step, occupation times by
+midpoint sampling of fine Verlet steps, the stability
 energies with both coupling parts recomputed at every sample, the theta cost
 weights summed from a zero array, region
 membership against every neighbouring translate, a midpoint quadrature over
@@ -367,6 +368,34 @@ def verlet_flow(x, xi, t: float, potential: TrigPotential, dt: float) -> PhasePo
         xi = xi + 0.5 * h * (force + new_force)
         force = new_force
     return PhasePoint(x, xi)
+
+
+def verlet_occupation(x, xi, horizon: float, potential: TrigPotential, regions,
+                      dt: float) -> np.ndarray:
+    """Time each 1-D start (x, xi) spends in each region over [0, horizon], shape (regions, starts).
+
+    Midpoint time sampling along the full Stoermer-Verlet formula: each of the
+    ``_step_count`` steps of size h <= dt counts h when its midpoint
+    x + h xi / 2 + h^2 F / 8 lies in the region.
+    """
+    terms = [(g, c, phi) for g, (_, c, phi) in zip(potential.g_vectors()[:, 0], potential.terms)]
+
+    def force(x):     # -V'(x) = sum c_t G_t sin(G_t x + phi_t)
+        return sum(c * g * np.sin(g * x + phi) for g, c, phi in terms) + np.zeros_like(x)
+
+    x = np.array(x, dtype=float)
+    xi = np.array(xi, dtype=float)
+    n_steps = _step_count(horizon, dt)
+    h = horizon / n_steps
+    mids = np.empty((n_steps, x.size, 1))
+    f = force(x)
+    for k in range(n_steps):
+        mids[k, :, 0] = x + 0.5 * h * xi + 0.125 * h * h * f
+        x = x + h * xi + 0.5 * h * h * f
+        new_f = force(x)
+        xi = xi + 0.5 * h * (f + new_f)
+        f = new_f
+    return np.array([h * np.count_nonzero(region.contains(mids), axis=0) for region in regions])
 
 
 def recomputed_stability_energies(f, rho: FiberedDensity, cost, potential, horizon: float,

@@ -4,12 +4,14 @@ from scipy.integrate import solve_ivp
 
 from blochlab import (LatticeSpec, PhaseSpaceDensity, TrigPotential, classical_dynamics, flow,
                       gc_constant)
+from blochlab.lattice import Region
+from blochlab.quantization import PhaseBoxSet
 from blochlab.bloch import position_grid
 from blochlab.lattice import reduce_to_cell
 
 from conftest import LATTICES
 from oracles import (cosine_potential, cubic_lattice, interval_region, k_flow, single_box,
-                     verlet_flow, zero_potential)
+                     verlet_flow, verlet_occupation, zero_potential)
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +214,111 @@ def test_gc_constant_free_traversal(lat1):
     # and every start in K completes at least one period within T=1
     assert est.satisfied
     assert est.value >= 0.1 - 2 * (1.0 / 2000) * 2.0
+    # the free-1d scenario: the exact route brackets the constant 1/9 (the
+    # start at the edge of omega with p = 1.8 crosses it once more at t = 1)
+    assert est.n_samples == 0
+    assert est.lower <= 1.0 / 9.0 <= est.value <= est.lower + 1e-3
+
+
+def test_gc_bracket_on_the_cosine_workload(lat1, vpot, monkeypatch):
+    # the potential-1d scenario: the least occupation over a 2001^2 grid of K is
+    # 0.1147943, and a bracket at tolerance 1e-4 attains 0.1147795 (at the
+    # edge of omega, p about 1.75), so the lower end lies below 0.11478
+    omega = interval_region([-0.1], [0.1], lat1)
+    k_set = single_box([-0.5], [0.5], [1.0], [2.0])
+    est = gc_constant(1.0, k_set, omega, vpot)
+    assert est.n_samples == 0 and est.satisfied
+    assert est.lower <= 0.11478 and est.value - est.lower <= 1e-3
+    monkeypatch.setattr(classical_dynamics, "_GC_TOL", 1e-4)
+    fine = gc_constant(1.0, k_set, omega, vpot)
+    assert fine.value - fine.lower <= 1e-4
+    # both brackets hold the constant, so they meet, and the finer one attains
+    # an occupation below 0.11478
+    assert max(est.lower, fine.lower) <= min(est.value, fine.value)
+    assert fine.value <= 0.11478
+
+
+def test_gc_bracket_stays_valid_when_refinement_stops(lat1, monkeypatch):
+    # past _GC_MAX_CHUNKS chunks of sub-boxes the branch and bound reports the
+    # wider bracket it has, which still holds the constant 1/9
+    monkeypatch.setattr(classical_dynamics, "_GC_MAX_CHUNKS", 1)
+    est = gc_constant(1.0, single_box([-0.5], [0.5], [1.0], [2.0]),
+                      interval_region([-0.1], [0.1], lat1), zero_potential(lat1))
+    assert est.lower <= 1.0 / 9.0 <= est.value
+    assert est.value - est.lower > 1e-3
+
+
+@pytest.mark.parametrize("period", [1.0, 2.0])
+def test_exact_occupation_matches_fine_verlet(period):
+    # a two-term cosine with phases on cells of length 1 and 2; starts moving
+    # either way; omega one box, a box straddling the cell edge, and two
+    # overlapping boxes.  A point box of K brackets its start's occupation.
+    lat = cubic_lattice(1, period)
+    potential = TrigPotential(lat, (((1,), 0.08, 0.3), ((2,), 0.03, -1.1)))
+    regions = [Region(period * np.array(boxes)[:, :, None], lat) for boxes in
+               ([(-0.1, 0.1)], [(0.4, 0.6)], [(-0.2, 0.05), (0.0, 0.15)])]
+    q = period * np.array([0.05, 0.37, -0.42, 0.2, -0.3])
+    p = np.array([1.3, 0.9, 1.8, -1.1, -1.7])
+    expected = verlet_occupation(q, p, 1.0, potential, regions, dt=1e-5)
+    for region, occupation in zip(regions, expected):
+        for q0, p0, want in zip(q, p, occupation):
+            est = gc_constant(1.0, single_box([q0], [q0], [p0], [p0]), region, potential)
+            assert est.n_samples == 0
+            assert abs(est.value - want) <= 2e-5
+            assert est.lower <= est.value <= est.lower + 1e-6
+        # two K boxes, one moving right and one left: the least of the two
+        both = PhaseBoxSet(np.array([[[q[0]], [q[0]]], [[q[3]], [q[3]]]]),
+                           np.array([[[p[0]], [p[0]]], [[p[3]], [p[3]]]]))
+        est = gc_constant(1.0, both, region, potential)
+        assert abs(est.value - min(occupation[0], occupation[3])) <= 2e-5
+
+
+def test_sub_box_lower_bounds_hold_at_every_start():
+    # the branch and bound's lower bound over a sub-box of starts, against the
+    # exact occupation of a 9 x 9 grid of its starts (centres of point boxes);
+    # at T = 0.3 many starts are still in omega at T, so the bound rests on
+    # the entry time alone, which needs the sub-box's whole energy range
+    lat = cubic_lattice(1)
+    potential = TrigPotential(lat, (((1,), 0.08, 0.3), ((2,), 0.03, -1.1)))
+    ends = classical_dynamics._omega_intervals(Region(np.array([[[-0.3], [0.3]]]), lat), 1.0)
+    occupation = classical_dynamics._Occupation1D(0.3, ends, potential, 1.0, 32,
+                                                  np.arange(-4.0, 5.0))
+    rng = np.random.default_rng(1)
+    grid = np.linspace(0.0, 1.0, 9)
+    for _ in range(100):
+        u1, width, p1, height = rng.uniform([0.0, 0.01, 0.9, 0.01], [1.0, 0.3, 2.0, 0.3])
+        if rng.random() < 0.5:
+            p1 = -p1 - height
+        lower, _ = occupation.bounds(np.array([[u1, u1 + width, p1, p1 + height]]))
+        u, p = np.meshgrid(u1 + width * grid, p1 + height * grid)
+        _, exact = occupation.bounds(np.stack([u.ravel(), u.ravel(), p.ravel(), p.ravel()], 1))
+        assert lower[0] <= exact.min() + 1e-12
+
+
+@pytest.mark.parametrize("period, terms, energy", [
+    (1.0, (((1,), 0.1, 0.0),), 0.25),
+    (2.0, (((1,), 0.08, 0.3), ((2,), 0.03, -1.1)), 0.3)])
+def test_quadrature_error_bounds_the_rule(period, terms, energy):
+    # F_E(r) = int_0^r dq / sqrt(2 (E - V)) from the cell's left edge, by n
+    # nodes against 256: the a-priori bound holds at every r <= a and is
+    # within 1e4 of the error the short rules make
+    potential = TrigPotential(cubic_lattice(1, period), terms)
+
+    def integral(n, r):
+        x, w = classical_dynamics._gauss_legendre(n)
+        q = -0.5 * period + 0.5 * r * (1.0 + x)
+        return 0.5 * r * np.sum(w / np.sqrt(2.0 * (energy - potential.value(q[:, None]))))
+
+    for n in (4, 8, 16):
+        error = max(abs(integral(n, r) - integral(256, r))
+                    for r in np.linspace(0.05, 1.0, 20) * period)
+        bound = classical_dynamics._quadrature_error(potential, n, period, energy)
+        assert error <= bound <= 1e4 * error
+    x, w = classical_dynamics._gauss_legendre(64)
+    order = np.argsort(x)
+    reference = np.polynomial.legendre.leggauss(64)
+    np.testing.assert_allclose(x[order], reference[0], atol=1e-15)
+    np.testing.assert_allclose(w[order], reference[1], rtol=1e-11)
 
 
 def test_gc_full_cell_is_horizon(lat1):
@@ -220,6 +327,20 @@ def test_gc_full_cell_is_horizon(lat1):
     est = gc_constant(0.7, k_set, omega, zero_potential(lat1),
                       n_time=500, per_axis=8, n_quasi=50)
     assert est.value == pytest.approx(0.7, abs=1e-12)
+    assert est.n_samples == 0 and est.value - 1e-3 <= est.lower <= est.value
+
+
+def test_gc_full_cell_under_a_cosine_is_horizon(lat1, vpot):
+    est = gc_constant(0.7, single_box([-0.2], [0.2], [1.0], [1.5]),
+                      interval_region([-0.5], [0.5], lat1), vpot)
+    assert est.value == pytest.approx(0.7, abs=1e-12)
+    assert est.n_samples == 0 and est.value - 1e-3 <= est.lower <= est.value
+
+
+def test_gc_empty_region_brackets_zero(lat1, vpot):
+    est = gc_constant(1.0, single_box([-0.5], [0.5], [1.0], [2.0]),
+                      Region(np.zeros((0, 2, 1)), lat1), vpot)
+    assert (est.lower, est.value, est.n_samples, est.satisfied) == (0.0, 0.0, 0, False)
 
 
 def test_gc_stationary_point_fails(lat1):
@@ -229,6 +350,8 @@ def test_gc_stationary_point_fails(lat1):
                       n_time=400, per_axis=6, n_quasi=20)
     assert est.value == 0.0
     assert not est.satisfied
+    # momenta that reach 0 take the sampler, which proves no lower bound
+    assert est.n_samples == 6 * 6 + 20 and est.lower == 0.0
 
 
 def test_gc_requires_samples(lat1):
@@ -236,6 +359,27 @@ def test_gc_requires_samples(lat1):
     with pytest.raises(ValueError):
         gc_constant(0.0, single_box([-0.5], [0.5], [1.0], [2.0]),
                     omega, zero_potential(lat1))
+
+
+def test_gc_sampler_takes_turning_starts_2d_and_long_horizons(lat1, vpot):
+    # under 0.1 cos(2 pi q) a start can turn unless p^2/2 > 2 * 0.1
+    omega = interval_region([-0.1], [0.1], lat1)
+    turning = gc_constant(1.0, single_box([-0.5], [0.5], [0.3], [0.63]), omega, vpot,
+                          n_time=200, per_axis=4, n_quasi=10)
+    assert turning.n_samples == 4 * 4 + 10 and turning.lower == 0.0
+    rotating = gc_constant(3.0, single_box([-0.5], [0.5], [0.64], [1.0]), omega, vpot)
+    assert rotating.n_samples == 0 and rotating.lower > 0.0
+    # every d >= 2 takes the sampler
+    lat2 = cubic_lattice(2)
+    est = gc_constant(0.5, PhaseBoxSet(np.array([[[-0.1, -0.1], [0.1, 0.1]]]),
+                                       np.array([[[1.0, 0.0], [1.5, 0.5]]])),
+                      Region(np.array([[[-0.2, -0.5], [0.2, 0.5]]]), lat2),
+                      zero_potential(lat2), n_time=50, per_axis=2, n_quasi=4)
+    assert est.n_samples == 2 ** 4 + 4 and est.lower == 0.0
+    # so does a horizon whose orbits cross more copies of omega than a chunk holds
+    est = gc_constant(1e5, single_box([-0.5], [0.5], [1.0], [2.0]), omega, vpot,
+                      n_time=20, per_axis=2, n_quasi=2)
+    assert est.n_samples == 2 * 2 + 2 and est.lower == 0.0
 
 
 def test_indicator_invariant_under_lattice_shift(lat1, vpot):

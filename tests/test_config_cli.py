@@ -105,6 +105,9 @@ def test_validator_antialiasing():
 @pytest.mark.parametrize("old, new, field", [
     ("basis = [[1.0]]", "basis = [[0.0]]", "lattice.basis"),
     ("sigma_q = 0.1", "sigma_q = 0.0", "initial.sigma_q"),
+    # 2 sigma^2 overflowed in the bump's exponent and ended in a traceback
+    ("sigma_p = 0.15", "sigma_p = 1.6108436293376755e+188", "initial.sigma_p"),
+    ("sigma_q = 0.1", "sigma_q = 1e155", "initial.sigma_q"),
     ("T = 0.5", "T = nan", "physics.T"),
     ("center_q = (0.0,)", "center_q = (1e999,)", "initial.center_q"),
     ("n_time_gc = 200", "n_time_gc = 0", "discretization.n_time_gc"),
@@ -229,6 +232,37 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "discretization.n_time_ob" in done.stderr
 
 
+def test_huge_n_time_gc_ends_on_the_exact_route(tmp_path):
+    # in 1-D, with no start of K that can turn, the control constant is
+    # bracketed without a time grid, so n_time_gc = 1e30, a loop the sampler
+    # would never finish, costs nothing
+    cfg = write_cfg(tmp_path, BASE.replace("n_time_gc = 200", "n_time_gc = 1e30"), "huge.cfg")
+    src = os.path.dirname(os.path.dirname(blochlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "blochlab", "constants", "--config", cfg,
+                           "--out", str(tmp_path)], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert "C_GC_lo = " in done.stdout
+
+
+def test_benchmark_verify_is_bitwise_the_same_on_one_two_and_three_threads(tmp_path,
+                                                                         monkeypatch):
+    # the seed-0 benchmark configs, whose control constant is bracketed in 1-D
+    # and sampled in 2-D
+    workloads = _benchmark_workloads(monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        for kind in ("toeplitz", "pure"):
+            cfg = write_cfg(tmp_path, workloads.config_text(workload, 0, kind), f"{name}.cfg")
+            outs = [tmp_path / f"{name}-{kind}-threads{t}" for t in (1, 2, 3)]
+            for t, out in zip((1, 2, 3), outs):
+                assert main(["verify", "--config", cfg, "--out", str(out),
+                             "--threads", str(t)]) == 0
+            first = (outs[0] / "out_verify.csv").read_bytes()
+            assert b"\nC_GC_lo," in first
+            assert all((out / "out_verify.csv").read_bytes() == first for out in outs[1:])
+
+
 GUARD = """\
 import sys
 import blochlab.cli
@@ -281,15 +315,21 @@ def test_cli_unwritable_csv_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_benchmark_configs_are_valid(monkeypatch):
-    # the benchmark's generated configs, every workload, kind and seed variant,
-    # load into a scenario; a key they set that the loader rejects fails here
+def _benchmark_workloads(monkeypatch):
+    """The benchmark's ``workloads`` module, loaded from its file."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses look the defining module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_configs_are_valid(monkeypatch):
+    # the benchmark's generated configs, every workload, kind and seed variant,
+    # load into a scenario; a key they set that the loader rejects fails here
+    workloads = _benchmark_workloads(monkeypatch)
     assert workloads.WORKLOADS
     for workload in workloads.WORKLOADS.values():
         for kind in ("toeplitz", "pure"):
