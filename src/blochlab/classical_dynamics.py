@@ -4,11 +4,17 @@ The integrator is Stoermer-Verlet (order 2, symplectic); trajectories are
 batched over initial conditions, so the geometric-control sampler and the
 transport of quadrature nodes run as single vectorized sweeps.
 
-In one dimension, when no start in K can turn, the geometric-control
-constant needs no trajectory: H = p^2/2 + V(q) is integrable, every
-occupation time of omega is a finite sum of differences of the energy
-integral Q_E(x) = int_0^x dq / sqrt(2 (E - V(q))), and a branch and bound
-over K brackets the constant (Golse & Paul 2022, carried to the cell).
+Two routes bracket the geometric-control constant without a trajectory
+(Golse & Paul 2022, carried to the cell).  In one dimension, when no start
+in K can turn, H = p^2/2 + V(q) is integrable, every occupation time of
+omega is a finite sum of differences of the energy integral
+Q_E(x) = int_0^x dq / sqrt(2 (E - V(q))), and a branch and bound over K
+brackets the constant.  At V = 0, in any dimension, the orbits are
+q + t p, the image of a box of starts is an interval box, and the times it
+lies wholly in a translate of omega are linear; a branch and bound over K
+brackets the constant from them (interval analysis: Moore, Kearfott &
+Cloud 2009).  Elsewhere, at V != 0 in d >= 2 or from 1-D starts that can
+turn, the constant is sampled.
 """
 
 from __future__ import annotations
@@ -30,17 +36,21 @@ _HESSIAN_POINTS = _HESSIAN_GRID ** 2
 # Relative slack, in units of the machine epsilon, by which |t| / dt may exceed
 # an integer and still count as that many steps.
 _STEP_ULPS = 4
-# Width of the exact 1-D bracket [C_GC_lo, C_GC_hi].
+# Width of the exact brackets [C_GC_lo, C_GC_hi].
 _GC_TOL = 1e-3
 # Gauss-Legendre node counts of Q_E, fewest first: the first whose a-priori error
 # bound on an occupation time is at most _GC_TOL / 8 is used.
 _GC_NODES = (32, 64, 128, 256)
 # Elements of the largest temporary of one branch-and-bound chunk (256 kB of
-# reals); the exact route needs one sub-box's crossings of omega to fit.
+# reals); the exact routes need one sub-box's crossings of omega, or omega's
+# translates, to fit.
 _GC_CHUNK = 32768
 # Full chunks' worth of sub-boxes after which the branch and bound stops
 # refining and reports the (valid, wider) bracket it has.
 _GC_MAX_CHUNKS = 1024
+# Rounding slack, in machine epsilons of the free route's largest coordinate,
+# within which two of omega's translates touch or share an extent.
+_MERGE_ULPS = 16
 
 
 def _step_count(t: float, dt: float) -> int:
@@ -196,12 +206,13 @@ class GCEstimate:
 
     ``value`` is, up to the quadrature error bound, the occupation time of
     some start in K, so it lies at or above the infimum over K: an upper
-    estimate.  On the exact 1-D route ``[lower, value]`` is a bracket of the
-    constant, with the quadrature error bound in both ends, at most
+    estimate.  On the exact routes (1-D without turning starts, and V = 0 in
+    any dimension) ``[lower, value]`` is a bracket of the constant, at most
     ``_GC_TOL`` wide unless ``_GC_MAX_CHUNKS`` stopped the refinement, and
-    ``n_samples`` is 0.  On the sampler ``value`` is the least
-    occupation of the sampled trajectories, ``n_samples`` their number, and
-    ``lower`` is 0.0, the only lower bound sampling proves.
+    ``n_samples`` is 0; the 1-D route's quadrature error bound is in both
+    ends.  On the sampler ``value`` is the least occupation of the sampled
+    trajectories, ``n_samples`` their number, and ``lower`` is 0.0, the only
+    lower bound sampling proves.
     """
 
     value: float
@@ -435,14 +446,210 @@ def _exact_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region,
     return float(min(max(lo - err, 0.0), hi)), hi
 
 
+def _unit_corners(d: int) -> np.ndarray:
+    """The 2^d vertices of the unit cube, as rows of 0s and 1s."""
+    return np.stack(np.meshgrid(*([[0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _clusters(values: np.ndarray, tol: float) -> np.ndarray:
+    """Per column, each value's cluster index: the sorted values part where a gap exceeds tol."""
+    order = np.argsort(values, axis=0)
+    gaps = np.diff(np.take_along_axis(values, order, axis=0), axis=0, prepend=-np.inf) > tol
+    ids = np.empty(values.shape, dtype=int)
+    np.put_along_axis(ids, order, np.cumsum(gaps, axis=0), axis=0)
+    return ids
+
+
+def _merged(lo: np.ndarray, hi: np.ndarray, tol: float):
+    """The boxes (lo, hi) with any two that touch or overlap along one axis and
+    share their extents on the others, up to tol, joined, until no two do.
+
+    A joined box spans both along the axis and keeps the common part of the
+    other extents, so it holds no point that neither box holds beyond tol.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    count = None
+    while count != lo.shape[0]:
+        count = lo.shape[0]
+        for k in range(lo.shape[1]):
+            other = np.arange(lo.shape[1]) != k
+            ids = _clusters(np.concatenate([lo[:, other], hi[:, other]], axis=1), tol)
+            # along axis k, each box joins the last kept box with its other extents
+            last, keep = {}, []
+            for r in np.argsort(lo[:, k]):
+                s = last.get(key := tuple(ids[r]))
+                if s is not None and lo[r, k] <= hi[s, k] + tol:
+                    hi[s, k] = max(hi[s, k], hi[r, k])
+                    lo[s, other] = np.maximum(lo[s, other], lo[r, other])
+                    hi[s, other] = np.minimum(hi[s, other], hi[r, other])
+                else:
+                    last[key] = r
+                    keep.append(r)
+            lo, hi = lo[keep], hi[keep]
+    return lo, hi
+
+
+def _free_translates(horizon: float, k_set: PhaseBoxSet, omega: Region):
+    """omega's lattice translates that a free orbit from K meets within T, merged, as (lo, hi).
+
+    While every box of omega lies in the 3^d cells around the unit cell,
+    ``Region.contains`` tests the union of all the boxes' lattice translates
+    (a point of a box in the cell n is found from the reduced point by the
+    shift n).  Free orbits from K stay in the bounding box of K's q boxes
+    and their moves by T p, so only the translates meeting it count.  They
+    are merged (``_merged``, up to ``_MERGE_ULPS`` of rounding), so a box
+    that tiles a lattice direction becomes one strip along it.  None when a
+    box reaches beyond those cells, or the candidate lattice vectors
+    outnumber ``_GC_CHUNK``.
+    """
+    lat, boxes = omega.lat, omega.boxes
+    corners = _unit_corners(lat.dimension)
+    t = np.where(corners, boxes[:, None, 1], boxes[:, None, 0]) @ lat.inverse_basis
+    if np.any(np.abs(t) > 1.5):
+        return None
+    q, p = k_set.q_bounds, k_set.p_bounds
+    reach_lo = np.minimum(q[:, 0], q[:, 0] + horizon * p[:, 0]).min(axis=0)
+    reach_hi = np.maximum(q[:, 1], q[:, 1] + horizon * p[:, 1]).max(axis=0)
+    # lattice vectors v with box + v meeting the reach: v in [reach_lo - hi, reach_hi - lo]
+    spans = []
+    for lo, hi in boxes:
+        n = np.where(corners, reach_hi - lo, reach_lo - hi) @ lat.inverse_basis
+        spans.append((np.floor(n.min(axis=0)), np.ceil(n.max(axis=0))))
+    if sum(float(np.prod(b - a + 1.0)) for a, b in spans) > _GC_CHUNK:
+        return None
+    found_lo, found_hi = [], []
+    for (lo, hi), (a, b) in zip(boxes, spans):
+        n = np.meshgrid(*map(np.arange, a, b + 1.0), indexing="ij")
+        shifts = lat.lattice_vector(np.stack(n, axis=-1).reshape(-1, a.size))
+        meets = np.all((lo + shifts <= reach_hi) & (hi + shifts >= reach_lo), axis=1)
+        found_lo.append(lo + shifts[meets])
+        found_hi.append(hi + shifts[meets])
+    lo, hi = np.concatenate(found_lo), np.concatenate(found_hi)
+    scale = 1.0 + max(np.abs(reach_lo).max(), np.abs(reach_hi).max(), np.abs(boxes).max())
+    return _merged(lo, hi, _MERGE_ULPS * np.finfo(float).eps * scale)
+
+
+class _FreeOccupation:
+    """Lower bound of the time in [0, T] that free orbits from a sub-box spend in omega.
+
+    A sub-box is a (4, d) row (q1, q2, p1, p2).  At time t its image under
+    the free flow is the interval box [q1 + t p1, q2 + t p2] (t >= 0), which
+    lies wholly in the translate [lo, hi) for the times of one interval, cut
+    out by linear inequalities per axis.  The measure in [0, T] of the union
+    of these intervals over the translates bounds every start's occupation
+    from below; for a point box it is that start's occupation.
+    """
+
+    def __init__(self, horizon: float, lo: np.ndarray, hi: np.ndarray):
+        self.horizon, self.lo, self.hi = horizon, lo, hi
+        self.rows = _GC_CHUNK // lo.shape[0]
+
+    def __call__(self, boxes: np.ndarray) -> np.ndarray:
+        out = np.empty(boxes.shape[0])
+        for i in range(0, boxes.shape[0], self.rows):
+            out[i:i + self.rows] = self._chunk(boxes[i:i + self.rows])
+        return out
+
+    def _chunk(self, boxes: np.ndarray) -> np.ndarray:
+        """Per axis, q1 + t p1 >= lo holds from (or until) one time, and
+        hi - q2 - t p2 > 0 likewise; with a zero momentum it holds always or never."""
+        start = np.zeros((boxes.shape[0], self.lo.shape[0]))
+        end = np.full_like(start, self.horizon)
+        for i in range(self.lo.shape[1]):
+            for a, b, closed in ((boxes[:, 0, i, None] - self.lo[:, i], boxes[:, 2, i, None], True),
+                                 (self.hi[:, i] - boxes[:, 1, i, None], -boxes[:, 3, i, None], False)):
+                root = np.divide(-a, b, out=np.zeros_like(a), where=b != 0.0)
+                np.maximum(start, root, out=start, where=b > 0.0)
+                np.minimum(end, root, out=end, where=b < 0.0)
+                end[(b == 0.0) & ((a < 0.0) if closed else (a <= 0.0))] = 0.0
+        # the union's measure: by start, each interval adds what lies past the
+        # latest end before it (an empty one, end <= start, adds nothing and
+        # ends before every later start)
+        order = np.argsort(start, axis=1)
+        start = np.take_along_axis(start, order, axis=1)
+        end = np.take_along_axis(end, order, axis=1)
+        before = np.zeros_like(end)
+        np.maximum.accumulate(end[:, :-1], axis=1, out=before[:, 1:])
+        return np.maximum(end - np.maximum(start, before), 0.0).sum(axis=1)
+
+
+def _bisected(boxes: np.ndarray, occupation: _FreeOccupation) -> np.ndarray:
+    """Both halves of each (q1, q2, p1, p2) sub-box, across one axis pair i.
+
+    The pair is the one whose collapse (q_i and p_i both set to their
+    midpoints) raises the lower bound most, the widest on a tie; the half is
+    taken across the wider of q_i and T p_i.  Splitting the widest axis
+    alone would also split axes along which omega never binds.
+    """
+    n, _, d = boxes.shape
+    q_mid, p_mid = 0.5 * (boxes[:, 0] + boxes[:, 1]), 0.5 * (boxes[:, 2] + boxes[:, 3])
+    collapsed = np.repeat(boxes[:, None], d, axis=1)
+    axes = np.arange(d)
+    collapsed[:, axes, :2, axes] = q_mid.T[:, :, None]
+    collapsed[:, axes, 2:, axes] = p_mid.T[:, :, None]
+    gain = occupation(collapsed.reshape(n * d, 4, d)).reshape(n, d)
+    q_width = boxes[:, 1] - boxes[:, 0]
+    p_width = occupation.horizon * (boxes[:, 3] - boxes[:, 2])
+    width = np.maximum(q_width, p_width)
+    axis = np.argmax(np.where(gain >= gain.max(axis=1, keepdims=True), width, -1.0), axis=1)
+    rows = np.arange(n)
+    in_q = q_width[rows, axis] >= p_width[rows, axis]
+    col = np.where(in_q, 0, 2)
+    mid = np.where(in_q, q_mid[rows, axis], p_mid[rows, axis])
+    first, second = boxes.copy(), boxes.copy()
+    first[rows, col + 1, axis] = mid
+    second[rows, col, axis] = mid
+    return np.concatenate([first, second])
+
+
+def _free_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region):
+    """(C_GC_lo, C_GC_hi) at V = 0 in any dimension, or None (``_free_translates``).
+
+    The orbits are q + t p, so ``_FreeOccupation`` bounds each (q, p)
+    sub-box of K from below, and its value at the sub-box's centre is an
+    attained occupation.  Branch and bound: hi is the least centre
+    occupation, and a sub-box is halved (``_bisected``) while its lower
+    bound is below hi - ``_GC_TOL``, until ``_GC_MAX_CHUNKS`` chunks of
+    sub-boxes have been evaluated.
+    """
+    if k_set.n_boxes == 0:
+        return None
+    translates = _free_translates(horizon, k_set, omega)
+    if translates is None:
+        return None
+    if not translates[0].size:
+        return 0.0, 0.0
+    occupation = _FreeOccupation(horizon, *translates)
+    boxes = np.stack([k_set.q_bounds[:, 0], k_set.q_bounds[:, 1],
+                      k_set.p_bounds[:, 0], k_set.p_bounds[:, 1]], axis=1)
+    lo = hi = np.inf
+    evaluated = 0
+    while boxes.size:
+        centre = np.repeat(0.5 * (boxes[:, 0::2] + boxes[:, 1::2]), 2, axis=1)
+        lower, attained = np.split(occupation(np.concatenate([boxes, centre])), 2)
+        hi = min(hi, float(attained.min()))
+        evaluated += 2 * boxes.shape[0]
+        refine = lower < hi - _GC_TOL
+        if evaluated >= _GC_MAX_CHUNKS * occupation.rows:
+            refine[:] = False
+        lo = min(lo, float(lower[~refine].min(initial=np.inf)))
+        boxes = boxes[refine]
+        if boxes.size:
+            evaluated += boxes.shape[0] * boxes.shape[2]
+            boxes = _bisected(boxes, occupation)
+    return min(lo, hi), hi
+
+
 def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: TrigPotential,
                 n_time: int = 2000, per_axis: int = 32, n_quasi: int = 1000,
                 seed: int = 0) -> GCEstimate:
     """Minimum over starts in K of the time the trajectory spends in omega over [0, T].
 
-    Where the exact route applies (``_exact_bracket``: one dimension, no
-    start in K can turn) it returns a bracket and reads none of ``n_time``,
-    ``per_axis``, ``n_quasi`` and ``seed``.  Otherwise the sampler runs:
+    The routes, in order: ``_exact_bracket`` (one dimension, no start in K
+    can turn), then ``_free_bracket`` at V = 0 in any dimension.  Either
+    returns a bracket and reads none of ``n_time``, ``per_axis``, ``n_quasi``
+    and ``seed``.  Otherwise (V != 0 with d >= 2, a 1-D start that can turn,
+    or a route's guard) the sampler runs:
     midpoint time sampling on a uniform grid of step horizon / n_time along
     Verlet trajectories from the ``per_axis`` grid and ``n_quasi`` seeded
     quasi-random starts of each box.  ``Region.contains`` is periodic, so
@@ -452,6 +659,8 @@ def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: Tr
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     bracket = _exact_bracket(horizon, k_set, omega, potential)
+    if bracket is None and potential.is_zero:
+        bracket = _free_bracket(horizon, k_set, omega)
     if bracket is not None:
         lower, value = bracket
         return GCEstimate(value=value, satisfied=lower > 0.0, n_samples=0, lower=lower)

@@ -7,7 +7,7 @@ over dense momentum symbols, the Gaussian packet and Husimi window without
 their floor, a transform loop that rolls and rescales at every step, the dense
 Galerkin matrix of a fiber and its matrix exponential, the evolution by that
 exponential, the full Stoermer-Verlet formula at every step, occupation times by
-midpoint sampling of fine Verlet steps, the stability
+midpoint sampling of fine Verlet steps or of the free motion in d dimensions, the stability
 energies with both coupling parts recomputed at every sample, the theta cost
 weights summed from a zero array, region
 membership against every neighbouring translate, a midpoint quadrature over
@@ -396,6 +396,20 @@ def verlet_occupation(x, xi, horizon: float, potential: TrigPotential, regions,
         xi = xi + 0.5 * h * (f + new_f)
         f = new_f
     return np.array([h * np.count_nonzero(region.contains(mids), axis=0) for region in regions])
+
+
+def free_occupation(q, p, horizon: float, region: Region, dt: float) -> np.ndarray:
+    """Time each free orbit q + t p of a batch (n, d) spends in the region over [0, horizon].
+
+    Midpoint time sampling: each of the ``_step_count`` steps of size h <= dt
+    counts h when its midpoint q + (k + 1/2) h p lies in the region
+    (``Region.contains``).
+    """
+    n_steps = _step_count(horizon, dt)
+    h = horizon / n_steps
+    mids = (np.arange(n_steps) + 0.5)[:, None] * h
+    return np.array([h * np.count_nonzero(region.contains(q0 + mids * p0))
+                     for q0, p0 in zip(np.atleast_2d(q), np.atleast_2d(p))])
 
 
 def recomputed_stability_energies(f, rho: FiberedDensity, cost, potential, horizon: float,

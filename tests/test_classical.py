@@ -10,8 +10,8 @@ from blochlab.bloch import position_grid
 from blochlab.lattice import reduce_to_cell
 
 from conftest import LATTICES
-from oracles import (cosine_potential, cubic_lattice, interval_region, k_flow, single_box,
-                     verlet_flow, verlet_occupation, zero_potential)
+from oracles import (cosine_potential, cubic_lattice, free_occupation, interval_region, k_flow,
+                     single_box, verlet_flow, verlet_occupation, zero_potential)
 
 
 @pytest.fixture(scope="module")
@@ -348,10 +348,10 @@ def test_gc_stationary_point_fails(lat1):
     k_set = single_box([-0.1], [0.1], [0.0], [0.0])   # immobile starts
     est = gc_constant(1.0, k_set, omega, zero_potential(lat1),
                       n_time=400, per_axis=6, n_quasi=20)
-    assert est.value == 0.0
-    assert not est.satisfied
-    # momenta that reach 0 take the sampler, which proves no lower bound
-    assert est.n_samples == 6 * 6 + 20 and est.lower == 0.0
+    # momenta that reach 0 take the free-flow route at V = 0, which proves the
+    # constant is 0: no start ever meets omega
+    assert est.value == est.lower == 0.0
+    assert est.n_samples == 0 and not est.satisfied
 
 
 def test_gc_requires_samples(lat1):
@@ -369,17 +369,152 @@ def test_gc_sampler_takes_turning_starts_2d_and_long_horizons(lat1, vpot):
     assert turning.n_samples == 4 * 4 + 10 and turning.lower == 0.0
     rotating = gc_constant(3.0, single_box([-0.5], [0.5], [0.64], [1.0]), omega, vpot)
     assert rotating.n_samples == 0 and rotating.lower > 0.0
-    # every d >= 2 takes the sampler
+    # d >= 2 with a potential takes the sampler, and at V = 0 the free-flow route
     lat2 = cubic_lattice(2)
-    est = gc_constant(0.5, PhaseBoxSet(np.array([[[-0.1, -0.1], [0.1, 0.1]]]),
-                                       np.array([[[1.0, 0.0], [1.5, 0.5]]])),
-                      Region(np.array([[[-0.2, -0.5], [0.2, 0.5]]]), lat2),
-                      zero_potential(lat2), n_time=50, per_axis=2, n_quasi=4)
+    k2 = PhaseBoxSet(np.array([[[-0.1, -0.1], [0.1, 0.1]]]), np.array([[[1.0, 0.0], [1.5, 0.5]]]))
+    strip = Region(np.array([[[-0.2, -0.5], [0.2, 0.5]]]), lat2)
+    est = gc_constant(0.5, k2, strip, cosine_potential(lat2, (1, 0), 0.1),
+                      n_time=50, per_axis=2, n_quasi=4)
     assert est.n_samples == 2 ** 4 + 4 and est.lower == 0.0
+    # the start x = 0.1, p_x = 1.4 leaves the strip at t = 1/14 and meets the next one at T
+    est = gc_constant(0.5, k2, strip, zero_potential(lat2), n_time=50, per_axis=2, n_quasi=4)
+    assert est.n_samples == 0 and 0.0 < est.lower <= 1.0 / 14.0 <= est.value
+    # at V = 0 the sampler still takes a box of omega that reaches past the 3^d
+    # cells around the cell, and a horizon whose free orbits meet more
+    # translates of omega than a chunk holds
+    for horizon, region in ((0.5, Region(np.array([[[0.2, -0.1], [1.8, 0.1]]]), lat2)),
+                            (1e5, Region(np.array([[[-0.2, -0.2], [0.2, 0.2]]]), lat2))):
+        est = gc_constant(horizon, k2, region, zero_potential(lat2), n_time=20, per_axis=2,
+                          n_quasi=2)
+        assert est.n_samples == 2 ** 4 + 2 and est.lower == 0.0
     # so does a horizon whose orbits cross more copies of omega than a chunk holds
     est = gc_constant(1e5, single_box([-0.5], [0.5], [1.0], [2.0]), omega, vpot,
                       n_time=20, per_axis=2, n_quasi=2)
     assert est.n_samples == 2 * 2 + 2 and est.lower == 0.0
+
+
+def test_gc_sampler_is_the_least_verlet_occupation_of_its_starts(lat1, vpot):
+    # starts near rest just left of omega under 0.1 cos(2 pi q) can turn, so they
+    # take the sampler; at h = T / n_time its value is the least midpoint
+    # occupation of full Verlet steps from the same grid and quasi-random
+    # starts, bit for bit.  The first midpoints lie in omega only by their
+    # h^2 F / 8 term.
+    k_set = single_box([0.398], [0.3995], [-0.002], [0.002])
+    omega = interval_region([0.4], [0.6], lat1)
+    est = gc_constant(1.0, k_set, omega, vpot, n_time=4, per_axis=4, n_quasi=10, seed=3)
+    (qg, pg), (qq, pq) = k_set.grid_samples(4), k_set.quasi_samples(10, 3)
+    want = verlet_occupation(np.concatenate([qg, qq])[:, 0], np.concatenate([pg, pq])[:, 0],
+                             1.0, vpot, [omega], dt=1.0 / 4)[0]
+    assert est.n_samples == want.size == 4 * 4 + 10
+    assert est.value == want.min() == 1.0
+
+
+HEXAGONAL = LatticeSpec(np.array(LATTICES["hexagonal"]))
+SKEW_2D = LatticeSpec(np.array([[1.0, 0.0], [0.3, 0.9]]))
+# a box straddling the cell face t_1 = 1/2, two overlapping boxes, and a strip
+# that tiles a_1
+FREE_REGIONS = ([[[0.35, -0.2], [0.65, 0.1]]],
+                [[[-0.2, -0.2], [0.1, 0.1]], [[0.0, -0.1], [0.25, 0.3]]],
+                [[[-0.5, -0.1], [0.5, 0.1]]])
+
+
+def point_boxes(q, p) -> PhaseBoxSet:
+    """One closed point box of K per start."""
+    return PhaseBoxSet(np.stack([q, q], axis=1), np.stack([p, p], axis=1))
+
+
+@pytest.mark.parametrize("lat", [HEXAGONAL, SKEW_2D], ids=["hexagonal", "skew"])
+def test_free_occupation_matches_midpoint_sampling(lat):
+    # a point box of K at V = 0 brackets its start's occupation exactly, against
+    # midpoint sampling of q + t p through Region.contains at h = 3e-6; starts
+    # with a zero momentum component lie on no face of a translate
+    q = np.array([[0.05, 0.02], [-0.3137, 0.27], [0.41, -0.1317], [0.2, -0.05], [-0.11, 0.33]])
+    p = np.array([[1.3, 0.7], [0.0, -1.6], [-1.2, 0.0], [0.9, -2.1], [-0.4, 1.9]])
+    for boxes in FREE_REGIONS:
+        region = Region(np.array(boxes), lat)
+        want = free_occupation(q, p, 0.6, region, dt=3e-6)
+        assert want.min() < 0.6 and want.max() > 0.0
+        for q0, p0, occupation in zip(q, p, want):
+            est = gc_constant(0.6, point_boxes(q0[None], p0[None]), region, zero_potential(lat))
+            assert est.n_samples == 0 and est.value == est.lower
+            assert abs(est.value - occupation) <= 2e-5
+        # several K boxes: the least of their starts
+        est = gc_constant(0.6, point_boxes(q, p), region, zero_potential(lat))
+        assert abs(est.value - want.min()) <= 2e-5
+
+
+def test_free_route_follows_the_half_open_boxes(lat2):
+    # orbits gliding along a face of omega: Region.contains counts lo <= y < hi,
+    # so the orbit on y = lo stays in the strip and the one on y = hi never enters
+    strip = Region(np.array([[[-0.5, -0.1], [0.5, 0.1]]]), lat2)
+    q = np.array([[0.2, -0.1], [0.2, 0.1]])
+    p = np.array([[1.3, 0.0], [1.3, 0.0]])
+    assert free_occupation(q, p, 0.5, strip, dt=1e-3) == pytest.approx([0.5, 0.0], abs=1e-12)
+    for q0, p0, want in zip(q, p, (0.5, 0.0)):
+        est = gc_constant(0.5, point_boxes(q0[None], p0[None]), strip, zero_potential(lat2))
+        assert est.value == est.lower == want
+
+
+def test_free_sub_box_lower_bounds_hold_at_every_start():
+    # the free route's lower bound over a random sub-box of starts, against the
+    # exact occupation of its 16 corners and 200 random starts in it
+    region = Region(np.array(FREE_REGIONS[0] + FREE_REGIONS[2]), HEXAGONAL)
+    k_set = PhaseBoxSet(np.array([[[-0.5, -0.5], [0.5, 0.5]]]),
+                        np.array([[[-2.0, -2.0], [2.0, 2.0]]]))
+    occupation = classical_dynamics._FreeOccupation(
+        0.5, *classical_dynamics._free_translates(0.5, k_set, region))
+    corners = classical_dynamics._unit_corners(4)
+    rng = np.random.default_rng(2)
+    positive = 0
+    for _ in range(100):
+        lo = rng.uniform([-0.5, -0.5, -2.0, -2.0], [0.4, 0.4, 1.8, 1.8])
+        hi = lo + rng.uniform(0.0, [0.1, 0.1, 0.2, 0.2])
+        starts = np.concatenate([np.where(corners == 1, hi, lo), rng.uniform(lo, hi, (200, 4))])
+        exact = occupation(np.stack([starts[:, :2], starts[:, :2], starts[:, 2:], starts[:, 2:]],
+                                    axis=1))
+        lower = occupation(np.stack([lo[:2], hi[:2], lo[2:], hi[2:]])[None])[0]
+        assert lower <= exact.min() + 1e-12
+        positive += lower > 0.0
+    assert positive >= 50
+
+
+def test_gc_free_bracket_on_the_cell_workload():
+    # the cell-2d scenario: omega's translates are the strips |y - n sqrt(3)/2| < 0.1;
+    # the start y0 = 0.1, p_y = (sqrt(3) - 0.2) / T crosses one full strip and
+    # reaches the next at t = T, for 0.2 / p_y
+    k_set = PhaseBoxSet(np.array([[[-0.3, -0.3], [0.3, 0.3]]]),
+                        np.array([[[0.0, 1.0], [0.5, 2.0]]]))
+    omega = Region(np.array(FREE_REGIONS[2]), HEXAGONAL)
+    est = gc_constant(0.8, k_set, omega, zero_potential(HEXAGONAL))
+    assert est.n_samples == 0 and est.satisfied
+    assert 0.0 < est.lower <= 0.16 / (np.sqrt(3) - 0.2) <= est.value <= est.lower + 1e-3
+    occupation = classical_dynamics._FreeOccupation(
+        0.8, *classical_dynamics._free_translates(0.8, k_set, omega))
+    rng = np.random.default_rng(0)
+    q = rng.uniform(-0.3, 0.3, (20000, 2))
+    p = rng.uniform([0.0, 1.0], [0.5, 2.0], (20000, 2))
+    assert occupation(np.stack([q, q, p, p], axis=1)).min() >= est.lower
+
+
+def test_free_route_in_three_dimensions_builds_no_sample_grid(monkeypatch):
+    # the sampler's default grid would be 32^6 starts; the free route reads no
+    # sampler setting.  The slab |z| < 0.1 tiles x and y, so the constant is
+    # that of the motion along z alone, which the 1-D route brackets.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler's starts were built")
+
+    monkeypatch.setattr(PhaseBoxSet, "grid_samples", refuse)
+    monkeypatch.setattr(PhaseBoxSet, "quasi_samples", refuse)
+    lat3 = cubic_lattice(3)
+    k_set = PhaseBoxSet(np.array([[[-0.2, -0.2, -0.2], [0.2, 0.2, 0.2]]]),
+                        np.array([[[0.0, -0.3, 1.0], [0.3, 0.0, 2.0]]]))
+    slab = Region(np.array([[[-0.5, -0.5, -0.1], [0.5, 0.5, 0.1]]]), lat3)
+    est = gc_constant(1.0, k_set, slab, zero_potential(lat3))
+    lat1 = cubic_lattice(1)
+    line = gc_constant(1.0, single_box([-0.2], [0.2], [1.0], [2.0]),
+                       interval_region([-0.1], [0.1], lat1), zero_potential(lat1))
+    assert est.n_samples == 0 and 0.0 < est.lower and est.value - est.lower <= 1e-3
+    assert max(est.lower, line.lower) <= min(est.value, line.value)
 
 
 def test_indicator_invariant_under_lattice_shift(lat1, vpot):

@@ -232,24 +232,39 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "discretization.n_time_ob" in done.stderr
 
 
-def test_huge_n_time_gc_ends_on_the_exact_route(tmp_path):
-    # in 1-D, with no start of K that can turn, the control constant is
-    # bracketed without a time grid, so n_time_gc = 1e30, a loop the sampler
-    # would never finish, costs nothing
-    cfg = write_cfg(tmp_path, BASE.replace("n_time_gc = 200", "n_time_gc = 1e30"), "huge.cfg")
+def _constants_in_subprocess(cfg, out, timeout):
     src = os.path.dirname(os.path.dirname(blochlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "blochlab", "constants", "--config", cfg,
-                           "--out", str(tmp_path)], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=30)
+    return subprocess.run([sys.executable, "-m", "blochlab", "constants", "--config", cfg,
+                           "--out", str(out)], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_huge_n_time_gc_ends_on_the_exact_route(tmp_path):
+    # in 1-D with no start of K that can turn, and at V = 0 in any dimension, the
+    # control constant is bracketed without a time grid, so n_time_gc = 1e30, a
+    # loop the sampler would never finish, costs nothing
+    huge = "n_k = 2\nn_time_gc = 1e30\n"
+    for name, text in (("line", BASE.replace("n_time_gc = 200", "n_time_gc = 1e30")),
+                       ("hexagonal", HEX_PURE.replace("n_k = 2\n", huge))):
+        done = _constants_in_subprocess(write_cfg(tmp_path, text, f"{name}.cfg"), tmp_path, 30)
+        assert done.returncode == 0, done.stderr
+        assert "C_GC_lo = " in done.stdout
+
+
+def test_constants_at_the_2d_sampler_defaults_ends_in_seconds(tmp_path):
+    # a 2-D config at V = 0 with the sampler's defaults (gc_per_axis 32, n_time_gc
+    # 2000, gc_quasi 1000), whose sampling would take minutes; the free route
+    # reads none of them
+    done = _constants_in_subprocess(write_cfg(tmp_path, HEX_PURE, "hex.cfg"), tmp_path, 10)
     assert done.returncode == 0, done.stderr
-    assert "C_GC_lo = " in done.stdout
+    assert "C_GC_lo = " in done.stdout and "GC_satisfied = 1" in done.stdout
 
 
 def test_benchmark_verify_is_bitwise_the_same_on_one_two_and_three_threads(tmp_path,
                                                                          monkeypatch):
     # the seed-0 benchmark configs, whose control constant is bracketed in 1-D
-    # and sampled in 2-D
+    # and, at V = 0, in 2-D
     workloads = _benchmark_workloads(monkeypatch)
     for name, workload in workloads.WORKLOADS.items():
         for kind in ("toeplitz", "pure"):
