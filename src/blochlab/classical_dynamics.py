@@ -374,6 +374,29 @@ class _Occupation1D:
                 self._occupied(np.where(right, at_a, -at_b), np.where(right, at_b, -at_a)))
 
 
+def _branch_and_bound(bounds, split, boxes: np.ndarray, tol: float, cap: int):
+    """(lo, hi) of the least occupation over the sub-boxes ``boxes`` of K.
+
+    ``bounds(boxes)`` gives each sub-box's lower bound and its centre's
+    occupation, and ``split(boxes)`` the sub-boxes' parts.  hi is the least
+    centre occupation; a sub-box is split while its lower bound is below
+    hi - tol, until ``cap`` sub-boxes have been bounded, after which the
+    bracket is the wider, still valid, one reached.
+    """
+    lo = hi = np.inf
+    evaluated = 0
+    while boxes.size:
+        lower, centre = bounds(boxes)
+        evaluated += boxes.shape[0]
+        hi = min(hi, float(centre.min()))
+        refine = lower < hi - tol
+        if evaluated >= cap:
+            refine[:] = False
+        lo = min(lo, float(lower[~refine].min(initial=np.inf)))
+        boxes = split(boxes[refine])
+    return lo, hi
+
+
 def _quartered(boxes: np.ndarray) -> np.ndarray:
     """The four halves-by-halves of each (u1, u2, p1, p2) row."""
     u1, u2, p1, p2 = boxes.T
@@ -429,19 +452,8 @@ def _exact_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region,
     else:
         return None
     occupation = _Occupation1D(horizon, ends, potential, period, nodes, copies)
-    tol = _GC_TOL - 2.0 * err
-    boxes = np.concatenate([u, p], axis=1)
-    lo = hi = np.inf
-    evaluated = 0
-    while boxes.size:
-        lower, centre = occupation.bounds(boxes)
-        evaluated += boxes.shape[0]
-        hi = min(hi, float(centre.min()))
-        refine = lower < hi - tol
-        if evaluated >= _GC_MAX_CHUNKS * occupation.rows:
-            refine[:] = False
-        lo = min(lo, float(lower[~refine].min(initial=np.inf)))
-        boxes = _quartered(boxes[refine])
+    lo, hi = _branch_and_bound(occupation.bounds, _quartered, np.concatenate([u, p], axis=1),
+                               _GC_TOL - 2.0 * err, _GC_MAX_CHUNKS * occupation.rows)
     hi = float(min(hi + err, horizon))
     return float(min(max(lo - err, 0.0), hi)), hi
 
@@ -544,7 +556,13 @@ class _FreeOccupation:
         self.horizon, self.lo, self.hi = horizon, lo, hi
         self.rows = _GC_CHUNK // lo.shape[0]
 
-    def __call__(self, boxes: np.ndarray) -> np.ndarray:
+    def bounds(self, boxes: np.ndarray):
+        """Lower bound over each sub-box and the occupation from its centre."""
+        centre = np.repeat(0.5 * (boxes[:, 0::2] + boxes[:, 1::2]), 2, axis=1)
+        return np.split(self.lower(np.concatenate([boxes, centre])), 2)
+
+    def lower(self, boxes: np.ndarray) -> np.ndarray:
+        """Lower bound over each sub-box, in chunks of ``rows``."""
         out = np.empty(boxes.shape[0])
         for i in range(0, boxes.shape[0], self.rows):
             out[i:i + self.rows] = self._chunk(boxes[i:i + self.rows])
@@ -587,7 +605,7 @@ def _bisected(boxes: np.ndarray, occupation: _FreeOccupation) -> np.ndarray:
     axes = np.arange(d)
     collapsed[:, axes, :2, axes] = q_mid.T[:, :, None]
     collapsed[:, axes, 2:, axes] = p_mid.T[:, :, None]
-    gain = occupation(collapsed.reshape(n * d, 4, d)).reshape(n, d)
+    gain = occupation.lower(collapsed.reshape(n * d, 4, d)).reshape(n, d)
     q_width = boxes[:, 1] - boxes[:, 0]
     p_width = occupation.horizon * (boxes[:, 3] - boxes[:, 2])
     width = np.maximum(q_width, p_width)
@@ -606,14 +624,16 @@ def _free_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region):
     """(C_GC_lo, C_GC_hi) at V = 0 in any dimension, or None (``_free_translates``).
 
     The orbits are q + t p, so ``_FreeOccupation`` bounds each (q, p)
-    sub-box of K from below, and its value at the sub-box's centre is an
-    attained occupation.  Branch and bound: hi is the least centre
-    occupation, and a sub-box is halved (``_bisected``) while its lower
-    bound is below hi - ``_GC_TOL``, until ``_GC_MAX_CHUNKS`` chunks of
-    sub-boxes have been evaluated.
+    sub-box of K, and ``_branch_and_bound`` halves sub-boxes
+    (``_bisected``).  A bounded sub-box costs two rows of
+    ``_FreeOccupation.lower``, and d more when it is halved, so the
+    refinement stops after ``_GC_MAX_CHUNKS`` chunks' worth of them.  An
+    empty omega gives (0, 0).
     """
     if k_set.n_boxes == 0:
         return None
+    if omega.boxes.shape[0] == 0:
+        return 0.0, 0.0
     translates = _free_translates(horizon, k_set, omega)
     if translates is None:
         return None
@@ -622,21 +642,8 @@ def _free_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region):
     occupation = _FreeOccupation(horizon, *translates)
     boxes = np.stack([k_set.q_bounds[:, 0], k_set.q_bounds[:, 1],
                       k_set.p_bounds[:, 0], k_set.p_bounds[:, 1]], axis=1)
-    lo = hi = np.inf
-    evaluated = 0
-    while boxes.size:
-        centre = np.repeat(0.5 * (boxes[:, 0::2] + boxes[:, 1::2]), 2, axis=1)
-        lower, attained = np.split(occupation(np.concatenate([boxes, centre])), 2)
-        hi = min(hi, float(attained.min()))
-        evaluated += 2 * boxes.shape[0]
-        refine = lower < hi - _GC_TOL
-        if evaluated >= _GC_MAX_CHUNKS * occupation.rows:
-            refine[:] = False
-        lo = min(lo, float(lower[~refine].min(initial=np.inf)))
-        boxes = boxes[refine]
-        if boxes.size:
-            evaluated += boxes.shape[0] * boxes.shape[2]
-            boxes = _bisected(boxes, occupation)
+    lo, hi = _branch_and_bound(occupation.bounds, lambda b: _bisected(b, occupation), boxes,
+                               _GC_TOL, _GC_MAX_CHUNKS * occupation.rows // (2 + boxes.shape[2]))
     return min(lo, hi), hi
 
 

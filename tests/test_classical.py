@@ -343,6 +343,17 @@ def test_gc_empty_region_brackets_zero(lat1, vpot):
     assert (est.lower, est.value, est.n_samples, est.satisfied) == (0.0, 0.0, 0, False)
 
 
+def test_gc_free_route_on_an_empty_region_brackets_zero(lat1):
+    # at V = 0 a 2-D K, and a 1-D K whose momenta reach 0 (no exact 1-D bracket),
+    # take the free-flow route; with no box of omega the constant is 0
+    lat2 = cubic_lattice(2)
+    k2 = PhaseBoxSet(np.array([[[-0.1, -0.1], [0.1, 0.1]]]), np.array([[[1.0, 0.0], [1.5, 0.5]]]))
+    for k_set, lat in ((k2, lat2), (single_box([-0.5], [0.5], [-1.0], [1.0]), lat1)):
+        est = gc_constant(0.5, k_set, Region(np.zeros((0, 2, lat.dimension)), lat),
+                          zero_potential(lat))
+        assert (est.lower, est.value, est.n_samples, est.satisfied) == (0.0, 0.0, 0, False)
+
+
 def test_gc_stationary_point_fails(lat1):
     omega = interval_region([0.2], [0.4], lat1)
     k_set = single_box([-0.1], [0.1], [0.0], [0.0])   # immobile starts
@@ -470,9 +481,9 @@ def test_free_sub_box_lower_bounds_hold_at_every_start():
         lo = rng.uniform([-0.5, -0.5, -2.0, -2.0], [0.4, 0.4, 1.8, 1.8])
         hi = lo + rng.uniform(0.0, [0.1, 0.1, 0.2, 0.2])
         starts = np.concatenate([np.where(corners == 1, hi, lo), rng.uniform(lo, hi, (200, 4))])
-        exact = occupation(np.stack([starts[:, :2], starts[:, :2], starts[:, 2:], starts[:, 2:]],
-                                    axis=1))
-        lower = occupation(np.stack([lo[:2], hi[:2], lo[2:], hi[2:]])[None])[0]
+        exact = occupation.lower(np.stack([starts[:, :2], starts[:, :2], starts[:, 2:],
+                                           starts[:, 2:]], axis=1))
+        lower = occupation.lower(np.stack([lo[:2], hi[:2], lo[2:], hi[2:]])[None])[0]
         assert lower <= exact.min() + 1e-12
         positive += lower > 0.0
     assert positive >= 50
@@ -493,7 +504,21 @@ def test_gc_free_bracket_on_the_cell_workload():
     rng = np.random.default_rng(0)
     q = rng.uniform(-0.3, 0.3, (20000, 2))
     p = rng.uniform([0.0, 1.0], [0.5, 2.0], (20000, 2))
-    assert occupation(np.stack([q, q, p, p], axis=1)).min() >= est.lower
+    assert occupation.lower(np.stack([q, q, p, p], axis=1)).min() >= est.lower
+
+
+def test_free_bracket_stays_valid_when_refinement_stops(monkeypatch):
+    # past _GC_MAX_CHUNKS chunks' worth of sub-boxes the free route reports the
+    # wider bracket it has, which still holds the cell workload's constant
+    monkeypatch.setattr(classical_dynamics, "_GC_CHUNK", 1024)
+    monkeypatch.setattr(classical_dynamics, "_GC_MAX_CHUNKS", 1)
+    k_set = PhaseBoxSet(np.array([[[-0.3, -0.3], [0.3, 0.3]]]),
+                        np.array([[[0.0, 1.0], [0.5, 2.0]]]))
+    est = gc_constant(0.8, k_set, Region(np.array(FREE_REGIONS[2]), HEXAGONAL),
+                      zero_potential(HEXAGONAL))
+    assert est.n_samples == 0
+    assert est.lower <= 0.16 / (np.sqrt(3) - 0.2) <= est.value
+    assert est.value - est.lower > 1e-3
 
 
 def test_free_route_in_three_dimensions_builds_no_sample_grid(monkeypatch):

@@ -261,6 +261,15 @@ def test_constants_at_the_2d_sampler_defaults_ends_in_seconds(tmp_path):
     assert "C_GC_lo = " in done.stdout and "GC_satisfied = 1" in done.stdout
 
 
+def test_constants_on_a_2d_config_without_omega(tmp_path, capsys):
+    # omega defaults to no box; the free route brackets the constant at 0
+    text = HEX_PURE.replace("omega = [((-0.5, -0.1), (0.5, 0.1))]\n", "")
+    assert main(["constants", "--config", write_cfg(tmp_path, text, "hex.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "C_GC = 0\n" in out and "C_GC_lo = 0\n" in out and "GC_satisfied = 0" in out
+
+
 def test_benchmark_verify_is_bitwise_the_same_on_one_two_and_three_threads(tmp_path,
                                                                          monkeypatch):
     # the seed-0 benchmark configs, whose control constant is bracketed in 1-D
