@@ -34,6 +34,7 @@ mean over grid points.
 from __future__ import annotations
 
 import contextlib
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -103,13 +104,18 @@ def g_vectors(lat: LatticeSpec, m: int) -> np.ndarray:
     return centered_indices(m, lat.dimension) @ lat.reciprocal
 
 
+@functools.cache
 def _alt_sign(n: int, d: int) -> np.ndarray:
-    """(-1)^(sum n_i) over the centered index grid -m..m, outer product over d axes."""
+    """(-1)^(sum n_i) over the centered index grid -m..m, outer product over d axes.
+
+    Built once per (n, d) and read-only, since every transform reads it.
+    """
     m = (n - 1) // 2
     one = np.where(np.arange(-m, m + 1) % 2 == 0, 1.0, -1.0)
     out = one
     for _ in range(d - 1):
         out = np.multiply.outer(out, one)
+    out.flags.writeable = False
     return out
 
 

@@ -255,6 +255,15 @@ def load_config(text: str) -> ExperimentConfig:
             raise ConfigValidationError("scenario.K", f"boxes {i} and {j} overlap")
     omega_boxes = _value(sections, "scenario", "omega", lambda v: _boxes(v, 2, d),
                          np.zeros((0, 2, d)))
+    # Region periodizes through the 3^d translates next to the cell, so a box
+    # must lie in those cells: fractional coordinates within [-3/2, 3/2]
+    corners = np.stack([omega_boxes[:, c, range(d)] for c in itertools.product((0, 1), repeat=d)],
+                       axis=1)
+    outside = np.any(np.abs(corners @ lat.inverse_basis) > 1.5 + 1e-12, axis=(1, 2))
+    if np.any(outside):
+        raise ConfigValidationError(
+            "scenario.omega", f"box {int(np.argmax(outside))} reaches beyond the 3^d cells "
+            "around the unit cell; move it by a lattice vector")
 
     kind = _value(sections, "initial", "kind", str, "toeplitz")
     if kind not in ("toeplitz", "pure"):

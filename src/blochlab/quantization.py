@@ -21,7 +21,7 @@ import numpy.random  # numpy loads it lazily: here the load is part of the impor
 from .bloch import KGrid, centered_indices, g_vectors, grid_weight, position_grid, \
     quadrature_len, squared_values
 from .lattice import LatticeSpec, Region
-from .states import _floored_gaussian, coherent_coeff_batch
+from .states import _ROUNDOFF, _floored_gaussian, coherent_coeff_batch
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,8 @@ class FiberedDensity:
         return (2 * self.m + 1,) * self.lat.dimension
 
     def fiber_traces(self) -> np.ndarray:
-        norms = np.sum(np.abs(self.vectors) ** 2, axis=2)
-        return np.sum(self.lambdas * norms, axis=1)
+        sq = self.vectors.view(float)
+        return np.sum(self.lambdas * np.sum(sq * sq, axis=2), axis=1)
 
     def compressed(self, tol: float) -> tuple["FiberedDensity", float]:
         """The same fibers on their leading eigenvectors, and the largest trace tail dropped.
@@ -230,12 +230,16 @@ class FiberedDensity:
         sum_j u_j s_j v_j / sqrt(w).  The kept rank r is the smallest one, common
         to all fibers, whose discarded eigenvalues sum to at most tol times the
         fiber trace in every fiber; the kept eigenvalues are rescaled so that
-        each fiber trace is unchanged.  Returns (density, largest discarded
-        trace fraction over fibers); when nothing can be dropped the density
-        itself is returned.
+        each fiber trace is unchanged.  The Gram matrices and the mixing
+        product run on the coefficients that are nonzero in some vector, and
+        the others stay zero.  Returns (density, largest discarded trace
+        fraction over fibers); when nothing can be dropped the density itself
+        is returned.
         """
         s = np.sqrt(np.clip(self.lambdas, 0.0, None))
-        gram = np.stack([np.conj(v) @ v.T for v in self.vectors]) * s[:, :, None] * s[:, None, :]
+        support = np.flatnonzero(np.any(self.vectors, axis=(0, 1)))
+        on_support = self.vectors[:, :, support]
+        gram = np.conj(on_support) @ np.swapaxes(on_support, 1, 2) * s[:, :, None] * s[:, None, :]
         w, u = np.linalg.eigh(gram)                         # ascending, per fiber
         w = np.clip(w, 0.0, None)
         traces = self.fiber_traces()
@@ -247,7 +251,9 @@ class FiberedDensity:
             return self, 0.0
         w, u = w[:, n_drop:], u[:, :, n_drop:]
         inv_root = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > 0.0)
-        vectors = (np.swapaxes(u, 1, 2) * s[:, None, :] * inv_root[:, :, None]) @ self.vectors
+        vectors = np.zeros(w.shape + self.vectors.shape[-1:], dtype=complex)
+        vectors[:, :, support] = (np.swapaxes(u, 1, 2) * s[:, None, :] * inv_root[:, :, None]
+                                  ) @ on_support
         lambdas = w * np.divide(traces, np.sum(w, axis=1), out=np.zeros_like(traces),
                                 where=traces > 0.0)[:, None]
         dropped = np.divide(tails[:, n_drop], traces, out=np.zeros_like(traces),
@@ -406,10 +412,6 @@ def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
                              np.full(acc.size, weight), acc.reshape(-1))
 
 
-# Offsets G - G' whose Gaussian factor is below the double-precision unit
-# roundoff leave every Husimi mass unchanged.
-_GAUSS_FLOOR = 2.0 ** -53
-
 # Cephes' rational approximations, highest power first, the denominators with
 # an implicit leading 1: erf on |x| <= 1 (in x^2), erfc on 1 < |x| < 8.
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
@@ -466,44 +468,59 @@ def husimi_mass_on_boxes(rho: FiberedDensity, k_set: PhaseBoxSet) -> float:
                                                 - erf((P_lo - hbar k - hbar S)_i / sqrt(hbar))]
 
     (an erf for the p-integral of two Gaussian momentum windows, a box
-    transform for the q-integral).  The erf factor is evaluated once per fiber
-    and box on the grid of index sums; the sum runs over the offsets G - G'
-    whose Gaussian factor is at least ``_GAUSS_FLOOR``.  Fibers are weighted
-    by lambda and averaged.
+    transform for the q-integral).  The sum runs over the support box of the
+    vectors, the smallest index box that holds every nonzero coefficient of
+    every fiber: the erf factor is evaluated once per fiber and box on its
+    grid of index sums, and the offsets G - G' are those of two indices in
+    it whose Gaussian factor is at least the unit roundoff.  Each offset is
+    one product over all fibers and vectors.  Fibers are weighted by lambda
+    and averaged.
     """
-    lat, m, hbar = rho.lat, rho.m, rho.hbar
+    lat, hbar = rho.lat, rho.hbar
     d = lat.dimension
-    offsets = centered_indices(2 * m, d)
-    dg = offsets @ lat.reciprocal
-    gauss = np.exp(-hbar * np.sum(dg * dg, axis=-1) / 4.0)
-    keep = gauss >= _GAUSS_FLOOR
-    dg, gauss = dg[keep], gauss[keep]
-    slices = [_offset_slices(off, m) for off in offsets[keep]]
     vectors = (np.sqrt(np.clip(rho.lambdas, 0.0, None))[:, :, None] * rho.vectors
                ).reshape(rho.lambdas.shape + rho.coeff_shape)
-    centres = hbar * (rho.kgrid.points[:, None, :] + g_vectors(lat, 2 * m) / 2.0)
+    nonzero = np.any(vectors, axis=(0, 1))
+    if not nonzero.any():
+        return 0.0
+    ends = [np.flatnonzero(np.any(nonzero, axis=tuple(j for j in range(d) if j != i)))[[0, -1]]
+            for i in range(d)]
+    vectors = vectors[(Ellipsis,) + tuple(slice(lo, hi + 1) for lo, hi in ends)]
+    conj = np.conj(vectors)
+    sizes = np.array(vectors.shape[2:])
+    offsets = np.stack(np.meshgrid(*(np.arange(1 - n, n) for n in sizes), indexing="ij"),
+                       axis=-1).reshape(-1, d)
+    dg = offsets @ lat.reciprocal
+    gauss = np.exp(-hbar * np.sum(dg * dg, axis=-1) / 4.0)
+    keep = gauss >= _ROUNDOFF
+    dg, gauss = dg[keep], gauss[keep]
+    slices = [_offset_slices(off, sizes) for off in offsets[keep]]
+    # index sums n + n' of the box, 2 (first index) + 0 .. 2 (size - 1) per axis
+    first = np.array([lo for lo, _ in ends]) - rho.m
+    sums = np.stack(np.meshgrid(*(np.arange(2 * n - 1) for n in sizes), indexing="ij"),
+                    axis=-1).reshape(-1, d) + 2 * first
+    centres = hbar * (rho.kgrid.points[:, None, :] + (sums @ lat.reciprocal) / 2.0)
     root = np.sqrt(hbar)
     total = 0.0
     for (qlo, qhi), (plo, phi) in zip(k_set.q_bounds, k_set.p_bounds):
         width = qhi - qlo
         box = np.prod(width * np.exp(0.5j * dg * (qhi + qlo)) * np.sinc(dg * width / (2 * np.pi)),
                       axis=-1)
-        windows = np.prod(erf((phi - centres) / root) - erf((plo - centres) / root),
-                          axis=-1).reshape((rho.kgrid.size,) + (4 * m + 1,) * d)
-        for vecs, window in zip(vectors, windows):
-            for factor, (hi, lo, sums) in zip(gauss * box, slices):
-                pairs = vecs[(Ellipsis,) + hi] * np.conj(vecs[(Ellipsis,) + lo])
-                total += (factor * np.sum(pairs * window[sums])).real
+        windows = np.prod(erf((phi - centres) / root) - erf((plo - centres) / root), axis=-1
+                          ).reshape((rho.kgrid.size, 1) + tuple(2 * sizes - 1))
+        for factor, (hi, lo, at) in zip(gauss * box, slices):
+            pairs = vectors[(Ellipsis,) + hi] * conj[(Ellipsis,) + lo]
+            pairs *= windows[(Ellipsis,) + at]
+            total += (factor * np.sum(pairs)).real
     return total / (2 ** d * lat.cell_volume * rho.kgrid.size)
 
 
-def _offset_slices(offset: np.ndarray, m: int):
-    """Aligned slices of the pairs (G, G') with G - G' = ``offset``.
+def _offset_slices(offset: np.ndarray, sizes: np.ndarray):
+    """Aligned slices of the pairs (G, G') with G - G' = ``offset`` in a box of ``sizes``.
 
-    Slices of the (2m+1)^d coefficients at G and at G', and of the (4m+1)^d
-    grid of index sums at G + G'.
+    Slices of the box's coefficients at G and at G', and of its grid of index
+    sums, 2 sizes - 1 per axis, at G + G'.
     """
-    start, stop = np.maximum(0, -offset), np.minimum(2 * m + 1, 2 * m + 1 - offset)
+    start, stop = np.maximum(0, -offset), np.minimum(sizes, sizes - offset)
     return (tuple(map(slice, start + offset, stop + offset)), tuple(map(slice, start, stop)),
             tuple(slice(2 * a + o, 2 * b + o - 1, 2) for a, b, o in zip(start, stop, offset)))
-

@@ -22,7 +22,9 @@ import numpy as np
 from .bloch import g_vectors
 from .lattice import LatticeSpec
 
-# Smallest packet coefficient kept: the square root of the smallest normal double.
+# Smallest packet coefficient kept, relative to the Gaussian's peak: the unit roundoff.
+_ROUNDOFF = 2.0 ** -53
+# Smallest packet coefficient kept at all: the square root of the smallest normal double.
 _FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
@@ -33,7 +35,8 @@ def coherent_coeff_batch(qs: np.ndarray, ps: np.ndarray, hbar: float,
     ``qs, ps`` have shape (B, d); the result is (B, (2m+1)^d) complex, flat in
     C order over the centered index grid.  The momentum argument is taken as
     given (callers pass p - hbar*k to address fiber k).  Coefficients below
-    ``_FLOOR`` in modulus are exact zeros (``_floored_gaussian``).
+    ``_packet_floor(amp)`` in modulus, amp the Gaussian's peak, are exact zeros
+    (``_floored_gaussian``).
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     ps = np.atleast_2d(np.asarray(ps, dtype=float))
@@ -41,15 +44,22 @@ def coherent_coeff_batch(qs: np.ndarray, ps: np.ndarray, hbar: float,
     return _floored_gaussian(qs, ps, hbar * g_vectors(lat, m), hbar, amp)
 
 
+def _packet_floor(amp: float) -> float:
+    """Smallest coefficient kept of a Gaussian of peak ``amp``: u amp, and at least ``_FLOOR``."""
+    return max(_ROUNDOFF * amp, _FLOOR)
+
+
 def _floored_gaussian(qs: np.ndarray, ps: np.ndarray, hg: np.ndarray, hbar: float,
                       amp: float) -> np.ndarray:
     """amp exp(-|p - hg|^2 / (2 hbar)) exp(i (p - hg).q / hbar) on its support, 0 elsewhere.
 
     ``qs, ps`` are (B, d) and ``hg`` is (n_G, d); the result is (B, n_G)
-    complex.  The support is where amp exp(...) >= ``_FLOOR``.  The squared
-    distance and the phase argument are accumulated one axis at a time in
-    (B, n_G) buffers, and both exponentials are evaluated on the support only.
+    complex.  The support is where amp exp(...) >= ``_packet_floor(amp)``.  The
+    squared distance and the phase argument are accumulated one axis at a
+    time in (B, n_G) buffers, and both exponentials are evaluated on the
+    support only.
     """
+    floor = _packet_floor(amp)
     r2 = np.zeros((ps.shape[0], hg.shape[0]))
     arg = np.zeros_like(r2)
     diff = np.empty_like(r2)
@@ -60,12 +70,12 @@ def _floored_gaussian(qs: np.ndarray, ps: np.ndarray, hg: np.ndarray, hbar: floa
         r2 += diff
     # each (B, n_G) buffer is dropped once read, so the peak stays near two output blocks
     del diff
-    # amp exp(-r2 / 2hbar) >= _FLOOR  <=>  r2 <= 2 hbar log(amp / _FLOOR); the
+    # amp exp(-r2 / 2hbar) >= floor  <=>  r2 <= 2 hbar log(amp / floor); the
     # relative margin admits every entry whose rounded value clears the floor
-    support = r2 <= 2.0 * hbar * np.log(amp / _FLOOR) * (1.0 + 1e-12)
+    support = r2 <= 2.0 * hbar * np.log(amp / floor) * (1.0 + 1e-12)
     gauss = amp * np.exp(-r2[support] / (2.0 * hbar))
     del r2
-    keep = gauss >= _FLOOR
+    keep = gauss >= floor
     support[support] = keep
     phase = 1j * arg[support]
     del arg

@@ -261,6 +261,19 @@ def test_constants_at_the_2d_sampler_defaults_ends_in_seconds(tmp_path):
     assert "C_GC_lo = " in done.stdout and "GC_satisfied = 1" in done.stdout
 
 
+def test_omega_box_beyond_the_neighbouring_cells_is_rejected(tmp_path, capsys):
+    # [1.6, 1.8) lies past the cells next to the unit line, where the region's
+    # membership and distance never look: its mask was empty and lhs silently 0;
+    # the same set moved by a lattice vector loads
+    text = BASE.replace("omega = [((-0.1,), (0.1,))]", "omega = [((1.6,), (1.8,))]")
+    assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "scenario.omega" in err and "Traceback" not in err
+    moved = BASE.replace("omega = [((-0.1,), (0.1,))]", "omega = [((-0.4,), (-0.2,))]")
+    omega = load_config(moved).scenario().omega
+    assert omega.contains(np.array([[-0.3], [0.7], [1.7]])).all()
+
+
 def test_constants_on_a_2d_config_without_omega(tmp_path, capsys):
     # omega defaults to no box; the free route brackets the constant at 0
     text = HEX_PURE.replace("omega = [((-0.5, -0.1), (0.5, 0.1))]\n", "")
@@ -360,6 +373,29 @@ def test_benchmark_configs_are_valid(monkeypatch):
             for seed in range(workloads.JITTER_VARIANTS):
                 scn = load_config(workloads.config_text(workload, seed, kind)).scenario()
                 assert scn.initial_kind == kind
+
+
+def test_benchmark_verify_observes_through_the_form_at_v0(monkeypatch):
+    # the seed-0 benchmark configs: packets end at the unit roundoff of their
+    # peak, so at V = 0 both kinds observe through the band form (W = 191 and 87
+    # on free-1d, 215 and 186 on cell-2d); potential-1d pure keeps the Strang
+    # loop for the observation and the evolution
+    workloads = _benchmark_workloads(monkeypatch)
+    rule = quantum_dynamics._band_path
+    expected = {("free-1d", "toeplitz"): [True], ("free-1d", "pure"): [True],
+                ("cell-2d", "toeplitz"): [True], ("cell-2d", "pure"): [True],
+                ("potential-1d", "pure"): [False, False]}
+    for (name, kind), want in expected.items():
+        chosen = []
+
+        def recorded(*args):
+            chosen.append(rule(*args))
+            return chosen[-1]
+
+        monkeypatch.setattr(quantum_dynamics, "_band_path", recorded)
+        text = workloads.config_text(workloads.WORKLOADS[name], 0, kind)
+        verify_theorem(load_config(text).scenario())
+        assert chosen == want, (name, kind)
 
 
 def test_bump_without_a_node_in_k_names_n_p(tmp_path, capsys):

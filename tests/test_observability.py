@@ -259,9 +259,11 @@ def test_one_verify_builds_one_fiber_hamiltonian(monkeypatch, lat1, geom1, case,
     # V != 0 with one vector per fiber (the rule keeps both the observation and
     # evolution on the Strang loop) and with the quantized bump (the band path's
     # form, one eigendecomposition per fiber); V = 0 with one vector per fiber
-    # (the masked-trace loop, whose evolution moves in the plane waves without
-    # asking the rule); V = 0 with the 1-D toeplitz datum at 81 samples (one
-    # Hermitian form per fiber: rank 30 on W = 344 coefficients)
+    # on the hexagonal cell at hbar = 0.01 (the masked-trace loop, since the
+    # packet's W = 533 coefficients exceed the form's chunk budget, whose
+    # evolution moves in the plane waves without asking the rule); V = 0 with
+    # the 1-D toeplitz datum at 81 samples (one Hermitian form per fiber: rank
+    # 30 on W = 187 coefficients)
     built, chosen = [], []
     rule = quantum_dynamics._band_path
 
@@ -279,6 +281,9 @@ def test_one_verify_builds_one_fiber_hamiltonian(monkeypatch, lat1, geom1, case,
     if case == "potential":
         scn = _potential_scenario(lat1, geom1)
         scn.initial_kind = "pure" if path == "loop" else "toeplitz"
+    elif case == "pure":
+        scn = _hexagonal_pure_scenario()
+        scn.hbar, scn.disc.m = 0.01, 20
     else:
         scn = base_scenario(lat1, geom1, kind=case, n_obs=80)
     verify_theorem(scn)
@@ -403,17 +408,25 @@ def test_observed_time_integral_advances_in_place(lat1):
 
 
 def test_observation_transforms_have_11_smooth_lengths(lat1, monkeypatch):
-    # at m = 384 the plane-wave grid 2m+1 = 769 is prime; observation must not use it
+    # at m = 384 the plane-wave grid 2m+1 = 769 is prime; observation must not
+    # use it, neither in the form the rule picks for this packet (one transform,
+    # of the mask) nor in the loop (one transform per sample)
     lengths = []
     lines = bloch._fft_lines
 
     def spy(x, d, *args):
-        lengths.extend(x.shape[-d:])
+        lengths.append(x.shape[-d:])
         return lines(x, d, *args)
 
+    def observe():
+        lengths.clear()
+        rho = coherent_family(lat1, KGrid.monkhorst_pack(lat1, 2), 384, 1e-3, [0.0], [1.5])
+        observed_time_integral(rho, interval_region([-0.1], [0.1], lat1), 0.05,
+                               zero_potential(lat1), 0.01, 2, 1e-3)
+        assert all(is_11_smooth(n) for shape in lengths for n in shape), lengths
+        return len(lengths)
+
     monkeypatch.setattr(bloch, "_fft_lines", spy)
-    rho = coherent_family(lat1, KGrid.monkhorst_pack(lat1, 2), 384, 1e-3, [0.0], [1.5])
-    observed_time_integral(rho, interval_region([-0.1], [0.1], lat1), 0.05,
-                           zero_potential(lat1), 0.01, 2, 1e-3)
-    assert len(lengths) == 3
-    assert all(is_11_smooth(n) for n in lengths), lengths
+    assert observe() == 1
+    monkeypatch.setattr(quantum_dynamics, "_band_path", lambda *args: False)
+    assert observe() == 3

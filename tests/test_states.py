@@ -7,7 +7,7 @@ from blochlab import KGrid, LatticeSpec, PhaseSpaceDensity, TrigPotential, posit
 from blochlab.bloch import g_vectors
 from blochlab.quantization import husimi, momentum_grid
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
-from blochlab.states import _FLOOR, coherent_coeff_batch
+from blochlab.states import _ROUNDOFF, _packet_floor, coherent_coeff_batch
 
 from conftest import LATTICES
 from oracles import (CoherentParams, bloch_transform, coherent_coeff_unfloored,
@@ -30,21 +30,37 @@ def _subnormal_count(a: np.ndarray) -> int:
     return int(np.sum((x != 0.0) & (np.abs(x) < np.finfo(float).tiny)))
 
 
-@pytest.mark.parametrize("name, hbar, m", FLOOR_CASES)
-def test_packet_coefficients_are_zero_or_above_the_floor(name, hbar, m):
+def _floor_case(name, hbar, m):
+    """Ten packets of a ``FLOOR_CASES`` entry, their unfloored oracle and their floor."""
     lat = LatticeSpec(np.array(LATTICES[name]))
     qs, ps = _centres(lat.dimension, 10, seed=3)
     c = coherent_coeff_batch(qs, ps, hbar, lat, m)
     ref = coherent_coeff_unfloored(qs, ps, hbar, lat, m)
+    amp = (4.0 * np.pi * hbar) ** (lat.dimension / 4.0) / np.sqrt(lat.cell_volume)
+    return lat, qs, ps, c, ref, _packet_floor(amp)
+
+
+@pytest.mark.parametrize("name, hbar, m", FLOOR_CASES)
+def test_packet_coefficients_are_zero_or_above_the_floor(name, hbar, m):
+    lat, qs, ps, c, ref, floor = _floor_case(name, hbar, m)
     kept = c != 0.0
     assert 0 < np.count_nonzero(kept) < kept.size
-    assert np.all(np.abs(c[kept]) >= _FLOOR)
-    assert np.all(np.abs(ref[~kept]) < _FLOOR)
+    assert np.all(np.abs(c[kept]) >= floor)
+    assert np.all(np.abs(ref[~kept]) < floor)
     # the phase argument (p - hbar G).q / hbar is a sum of d products; summed
     # in another order it may move by an ulp of its largest term
     terms = np.abs(ps[:, None, :] - hbar * g_vectors(lat, m)) * np.abs(qs)[:, None, :] / hbar
     err = np.abs(c[kept] - ref[kept]) / np.abs(ref[kept])
     assert np.all(err <= 1e-15 * (1.0 + np.sum(terms, axis=-1)[kept]))
+
+
+@pytest.mark.parametrize("name, hbar, m", FLOOR_CASES)
+def test_dropped_packet_tail_is_within_eight_roundoffs(name, hbar, m):
+    # the floor is u times the Gaussian's peak, so the dropped tail of a packet
+    # of norm about 1 is a few u in norm (6.0u at worst, on the skew cell); the
+    # bound is absolute, since packets far outside the window have norm ~4e-15
+    *_, c, ref, _ = _floor_case(name, hbar, m)
+    assert np.all(np.linalg.norm(c - ref, axis=-1) <= 8.0 * _ROUNDOFF)
 
 
 def _hexagonal_toeplitz(seed: int):
