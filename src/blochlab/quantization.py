@@ -218,8 +218,9 @@ class FiberedDensity:
         return (2 * self.m + 1,) * self.lat.dimension
 
     def fiber_traces(self) -> np.ndarray:
-        sq = self.vectors.view(float)
-        return np.sum(self.lambdas * np.sum(sq * sq, axis=2), axis=1)
+        """sum_r lambda_r |v_r|^2 per fiber, the squared norms read from the float view."""
+        x = self.vectors.view(float)
+        return np.sum(self.lambdas * (x[..., None, :] @ x[..., :, None])[..., 0, 0], axis=1)
 
     def compressed(self, tol: float) -> tuple["FiberedDensity", float]:
         """The same fibers on their leading eigenvectors, and the largest trace tail dropped.
@@ -480,12 +481,11 @@ def husimi_mass_on_boxes(rho: FiberedDensity, k_set: PhaseBoxSet) -> float:
     d = lat.dimension
     vectors = (np.sqrt(np.clip(rho.lambdas, 0.0, None))[:, :, None] * rho.vectors
                ).reshape(rho.lambdas.shape + rho.coeff_shape)
-    nonzero = np.any(vectors, axis=(0, 1))
-    if not nonzero.any():
+    index = np.nonzero(np.any(vectors, axis=(0, 1)))
+    if not index[0].size:
         return 0.0
-    ends = [np.flatnonzero(np.any(nonzero, axis=tuple(j for j in range(d) if j != i)))[[0, -1]]
-            for i in range(d)]
-    vectors = vectors[(Ellipsis,) + tuple(slice(lo, hi + 1) for lo, hi in ends)]
+    first = np.array([i.min() for i in index])
+    vectors = vectors[(Ellipsis,) + tuple(slice(i.min(), i.max() + 1) for i in index)]
     conj = np.conj(vectors)
     sizes = np.array(vectors.shape[2:])
     offsets = np.stack(np.meshgrid(*(np.arange(1 - n, n) for n in sizes), indexing="ij"),
@@ -495,10 +495,9 @@ def husimi_mass_on_boxes(rho: FiberedDensity, k_set: PhaseBoxSet) -> float:
     keep = gauss >= _ROUNDOFF
     dg, gauss = dg[keep], gauss[keep]
     slices = [_offset_slices(off, sizes) for off in offsets[keep]]
-    # index sums n + n' of the box, 2 (first index) + 0 .. 2 (size - 1) per axis
-    first = np.array([lo for lo, _ in ends]) - rho.m
+    # index sums n + n' of the box: 2 (first - m) + 0 .. 2 (size - 1) per axis
     sums = np.stack(np.meshgrid(*(np.arange(2 * n - 1) for n in sizes), indexing="ij"),
-                    axis=-1).reshape(-1, d) + 2 * first
+                    axis=-1).reshape(-1, d) + 2 * (first - rho.m)
     centres = hbar * (rho.kgrid.points[:, None, :] + (sums @ lat.reciprocal) / 2.0)
     root = np.sqrt(hbar)
     total = 0.0

@@ -5,7 +5,7 @@ from scipy.special import erf
 from blochlab import quantization
 from blochlab import (KGrid, LatticeSpec, PhaseSpaceDensity, Region, husimi, periodic_trace,
                       toeplitz_quantize)
-from blochlab.bloch import grid_weight, position_grid, quadrature_len
+from blochlab.bloch import g_vectors, grid_weight, position_grid, quadrature_len
 from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi_mass_on_boxes
 
 from conftest import LATTICES, random_density
@@ -101,6 +101,9 @@ def test_compressed_matches_dense_fiber_operator(rng, basis, m, nq, npd, hbar):
     tol = 1e-6
     small, tail = rho.compressed(tol)
     assert small.rank < rho.rank and 0.0 < tail <= tol
+    # the floored packets vanish on some coefficients, and so do their eigenvectors
+    off = ~np.any(rho.vectors, axis=(0, 1))
+    assert off.any() and not np.any(small.vectors[..., off])
     traces = rho.fiber_traces()
     np.testing.assert_allclose(small.fiber_traces(), traces, rtol=1e-13)
     # the tail is dropped and its trace put back on the kept part: trace norm 2 tail
@@ -291,6 +294,42 @@ def test_husimi_mass_on_boxes_matches_full_grid(lat1):
     assert missing == pytest.approx(1.0 - erf(0.5 / np.sqrt(2 * hbar)), abs=1e-12)
     half = single_box([-0.5], [0.0], [-1.0], [2.0])
     assert husimi_mass_on_boxes(rho, half) == pytest.approx(0.5, abs=1e-12)
+
+
+def _husimi_mass_of_pairs(rho, k_set):
+    """``husimi_mass_on_boxes`` as its double sum over every pair (G, G') of the window."""
+    lat, hbar, d = rho.lat, rho.hbar, rho.lat.dimension
+    g = g_vectors(lat, rho.m)
+    dg, centre = g[:, None] - g[None, :], (g[:, None] + g[None, :]) / 2.0
+    gauss = np.exp(-hbar * np.sum(dg * dg, axis=-1) / 4.0)
+    total = 0.0
+    for (qlo, qhi), (plo, phi) in zip(k_set.q_bounds, k_set.p_bounds):
+        width = qhi - qlo
+        box = np.prod(width * np.exp(0.5j * dg * (qhi + qlo)) * np.sinc(dg * width / (2 * np.pi)),
+                      axis=-1)
+        for k, lambdas, vectors in zip(rho.kgrid.points, rho.lambdas, rho.vectors):
+            p = hbar * (k + centre)
+            window = np.prod(erf((phi - p) / np.sqrt(hbar)) - erf((plo - p) / np.sqrt(hbar)),
+                             axis=-1)
+            dense = (vectors.T * lambdas) @ vectors.conj()
+            total += np.sum(dense * gauss * box * window).real
+    return total / (2 ** d * lat.cell_volume * rho.kgrid.size)
+
+
+@pytest.mark.parametrize("name", ["line", "hexagonal"])
+def test_husimi_mass_on_the_support_box_is_the_pair_sum(name):
+    # vectors of rank 3 on 4 fibers that vanish outside an off-centre index box:
+    # the sum over the box's offsets is the double sum over the whole window
+    lat = LatticeSpec(LATTICES[name])
+    d = lat.dimension
+    rho = random_density(lat, 7, 0.05, 3, seed=11)
+    vectors = rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape)
+    inside = np.zeros(rho.coeff_shape, dtype=bool)
+    inside[(slice(3, 9), slice(8, 13))[:d]] = True
+    vectors[..., ~inside] = 0.0
+    box = single_box([-0.3] * d, [0.2] * d, [-0.2] * d, [0.4] * d)
+    want = _husimi_mass_of_pairs(rho, box)
+    assert husimi_mass_on_boxes(rho, box) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_erf_matches_scipy_to_one_ulp():
