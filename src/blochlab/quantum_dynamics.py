@@ -174,9 +174,16 @@ _PRODUCT_FLOP = 0.1
 # Price of one Hermitian eigendecomposition with vectors, per n_G^3, in flops of
 # an FFT: ``numpy.linalg.eigh`` took 0.6-0.9 ns per n_G^3 at n_G = 129 and 353.
 _EIGH_FLOPS = 9.0
-# Rows of a block of ``_band_forms``, and samples of a block of
-# ``observation_series``: at most 32 x 362 x 16 B = 185 KB per block.
-_FORM_ROWS = 32
+# Bytes of one complex (rows, W) block of ``_band_forms`` and of the samples
+# of ``observation_series``: 16 rows at the largest W, 362, and 32 at W = 191.
+# The form path then holds its (W, W) form and at most two such blocks, no
+# more than the loop holds in its work block and the transients around it.
+_FORM_BLOCK_BYTES = 96 * 1024
+
+
+def _form_rows(w: int) -> int:
+    """Rows of a (rows, ``w``) complex block of ``_FORM_BLOCK_BYTES``, and at least one."""
+    return max(1, _FORM_BLOCK_BYTES // (16 * w))
 
 
 def _band_path(rho: FiberedDensity, n_support: int, n_samples: int, n_steps: int,
@@ -222,27 +229,34 @@ def _band_forms(rho: FiberedDensity, h: FiberHamiltonian, mask: np.ndarray, hori
     mask's matrix (X from ``bloch._offset_coefficients``).  So the fiber's form
     is K o sum_r lambda_r conj(a_r) a_r^T on the W coefficients of ``support``:
     all n_G at V != 0; at V = 0, where U is the identity and K is read from X,
-    those nonzero in some vector, since the others stay zero under the phases.
-    It is built in blocks of ``_FORM_ROWS`` rows into one (W, W) buffer that
+    those nonzero in some vector, since the others stay zero under the phases;
+    when they are one run, the form reads the vectors in place.  It is built
+    in blocks of ``_form_rows(W)`` rows into one (W, W) buffer that
     every fiber reuses.  Once the caller has read it, the fiber's vectors move
     to ``horizon`` in place, exactly: v_r = U (p(horizon) o a_r).  One fiber's
     eigenvectors are held at a time, and K only until the form is built.
     """
     x = _offset_coefficients(mask.reshape((quadrature_len(rho.m),) * rho.lat.dimension),
                              rho.lat, rho.m)
+    w = support.size
+    if w and support[-1] - support[0] + 1 == w:
+        # one run of coefficients: at V = 0, a is a view of the vectors, not a copy
+        support = slice(support[0], support[0] + w)
     # offset n' - n sits at position pos(n') - pos(n) + x.size // 2 of x
     pos = _offset_positions(rho.m, rho.lat.dimension)[support]
     cols = pos + x.size // 2
-    form = np.empty((support.size,) * 2, dtype=complex)
+    form, step = np.empty((w, w), dtype=complex), _form_rows(w)
     for (e, u), lambdas, vectors in zip(h.eigenpairs(), rho.lambdas, rho.vectors):
         if u is None:
             e, a, k = e[support], vectors[:, support], None
         else:
             a = vectors @ np.conj(u)
             k = np.conj(u).T @ (x[cols[None, :] - pos[:, None]] @ u)
-        for start in range(0, support.size, _FORM_ROWS):
-            rows = slice(start, start + _FORM_ROWS)
-            np.matmul((np.conj(a[:, rows]) * lambdas[:, None]).T, a, out=form[rows])
+        for start in range(0, w, step):
+            rows = slice(start, start + step)
+            left = np.conj(a[:, rows])
+            left *= lambdas[:, None]
+            np.matmul(left.T, a, out=form[rows])
             form[rows] *= x[cols[None, :] - pos[rows, None]] if k is None else k[rows]
         del k
         yield e / h.hbar, form
@@ -260,8 +274,8 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
     per fiber, A the fiber's Hermitian form in its band basis from
     ``_band_forms`` and u(t) = exp(-i t e / hbar) the phases of its band
     energies e; A lives on the support W of the vectors at V = 0 and on all
-    n_G coefficients otherwise.  The samples are evaluated ``_FORM_ROWS`` at a
-    time as one (samples, W) x (W, W) product.  Otherwise the trace is read at
+    n_G coefficients otherwise.  The samples are evaluated ``_form_rows(W)``
+    at a time as one (samples, W) x (W, W) product.  Otherwise the trace is read at
     every yield of ``evolution``.  Either path builds the run's one
     ``FiberHamiltonian``.
     """
@@ -277,12 +291,15 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
     times = np.arange(n_samples + 1) * (horizon / n_samples)
     series = np.zeros(n_samples + 1)
     for rates, form in _band_forms(rho, h, mask, horizon, support):
-        for start in range(0, times.size, _FORM_ROWS):
-            block = slice(start, start + _FORM_ROWS)
-            conj_u = np.exp(1j * np.multiply.outer(times[block], rates))
+        step = _form_rows(rates.size)
+        for start in range(0, times.size, step):
+            block = slice(start, start + step)
+            conj_u = np.multiply.outer(times[block], 1j * rates)
+            np.exp(conj_u, out=conj_u)
             # Re(p u) = Re(p) Re(conj u) + Im(p) Im(conj u), with p = conj(u) A
             p = (conj_u @ form).view(float)
             series[block] += (p[:, None, :] @ conj_u.view(float)[:, :, None])[:, 0, 0]
+        del conj_u, p  # before the next fiber's form is built
     return series / rho.kgrid.size
 
 
