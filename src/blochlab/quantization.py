@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 import numpy.random  # numpy loads it lazily: here the load is part of the import
 
-from .bloch import KGrid, centered_indices, g_vectors, grid_weight, position_grid, \
-    quadrature_len, squared_values
+from .bloch import KGrid, g_vectors, grid_weight, position_grid, quadrature_len, \
+    squared_values
 from .lattice import LatticeSpec, Region
 from .states import _ROUNDOFF, _floored_gaussian, coherent_coeff_batch
 
@@ -391,7 +391,8 @@ def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
     quadrature weight of that product grid.  A packet overlap is the
     coefficients times the momentum window exp(-|p - hbar k - hbar G|^2 / (2 hbar))
     against the phases exp(i q.G).  The window is the packet Gaussian of
-    ``states`` at q = 0 with unit amplitude, zero below the packets' floor.
+    ``states`` at q = 0 with unit amplitude, zero below the unit roundoff, the
+    packets' floor at a unit peak.
     """
     qs = np.atleast_2d(qs)
     ps = np.atleast_2d(ps)

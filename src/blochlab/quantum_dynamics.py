@@ -176,8 +176,8 @@ _PRODUCT_FLOP = 0.1
 _EIGH_FLOPS = 9.0
 # Bytes of one complex (rows, W) block of ``_band_forms`` and of the samples
 # of ``observation_series``: 16 rows at the largest W, 362, and 32 at W = 191.
-# The form path then holds its (W, W) form and at most two such blocks, no
-# more than the loop holds in its work block and the transients around it.
+# On a support of one run the form path then holds its (W, W) form and at most
+# two such blocks, no more than the loop's work block and its transients.
 _FORM_BLOCK_BYTES = 96 * 1024
 
 
@@ -275,8 +275,8 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
     ``_band_forms`` and u(t) = exp(-i t e / hbar) the phases of its band
     energies e; A lives on the support W of the vectors at V = 0 and on all
     n_G coefficients otherwise.  The samples are evaluated ``_form_rows(W)``
-    at a time as one (samples, W) x (W, W) product.  Otherwise the trace is read at
-    every yield of ``evolution``.  Either path builds the run's one
+    at a time as one (samples, W) x (W, W) product.  Otherwise the trace is
+    read at every yield of ``evolution``.  Either path builds the run's one
     ``FiberHamiltonian``.
     """
     n_steps = _step_count(horizon / n_samples, dt)  # rejects dt <= 0 at every V

@@ -6,13 +6,16 @@ the reciprocal vectors (Poisson summation makes this exact, not an
 approximation; only the basis truncation at order m is approximate).
 
 At semiclassical hbar most of the plane-wave window is far Gaussian tail.
-Coefficients below ``_FLOOR`` = sqrt(smallest normal double) in modulus are
-exact zeros: the square of a smaller value is subnormal, and every kernel
-downstream (Gram matrices, transforms, phase multiplies, moment squares)
-takes the processor's slow path on subnormal operands.  A unit vector of up
-to 10^6 coefficients has one of modulus at least 1e-3, so a dropped
-coefficient lies some 150 orders of magnitude below it and is lost to
-rounding in any sum that holds both.
+Coefficients below u = 2^-53 times the Gaussian's peak amp are exact zeros
+(``_packet_floor``): a coefficient that small is lost in the rounding of
+every transform and sum that also holds the peak, so dropping it moves no
+result by more than rounding does, and a packet's dropped tail is a few u in
+norm.  The floor is never below ``_FLOOR`` = sqrt(smallest normal double):
+the square of a smaller value is subnormal, and every kernel downstream
+(Gram matrices, transforms, phase multiplies, moment squares) would take the
+processor's slow path on subnormal operands.  The kernels that read the
+packets then work on their support, the coefficients nonzero in some
+vector.
 """
 
 from __future__ import annotations
