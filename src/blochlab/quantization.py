@@ -217,6 +217,10 @@ class FiberedDensity:
     def coeff_shape(self) -> tuple:
         return (2 * self.m + 1,) * self.lat.dimension
 
+    def support(self) -> np.ndarray:
+        """Flat indices, ascending, of the coefficients that are nonzero in some vector."""
+        return np.flatnonzero(np.any(self.vectors, axis=(0, 1)))
+
     def fiber_traces(self) -> np.ndarray:
         """sum_r lambda_r |v_r|^2 per fiber, the squared norms read from the float view."""
         x = self.vectors.view(float)
@@ -238,7 +242,7 @@ class FiberedDensity:
         is returned.
         """
         s = np.sqrt(np.clip(self.lambdas, 0.0, None))
-        support = np.flatnonzero(np.any(self.vectors, axis=(0, 1)))
+        support = self.support()
         on_support = self.vectors[:, :, support]
         gram = np.conj(on_support) @ np.swapaxes(on_support, 1, 2) * s[:, :, None] * s[:, None, :]
         w, u = np.linalg.eigh(gram)                         # ascending, per fiber
@@ -480,13 +484,13 @@ def husimi_mass_on_boxes(rho: FiberedDensity, k_set: PhaseBoxSet) -> float:
     """
     lat, hbar = rho.lat, rho.hbar
     d = lat.dimension
-    vectors = (np.sqrt(np.clip(rho.lambdas, 0.0, None))[:, :, None] * rho.vectors
-               ).reshape(rho.lambdas.shape + rho.coeff_shape)
-    index = np.nonzero(np.any(vectors, axis=(0, 1)))
+    index = np.unravel_index(rho.support(), rho.coeff_shape)
     if not index[0].size:
         return 0.0
     first = np.array([i.min() for i in index])
-    vectors = vectors[(Ellipsis,) + tuple(slice(i.min(), i.max() + 1) for i in index)]
+    within = (Ellipsis,) + tuple(slice(i.min(), i.max() + 1) for i in index)
+    vectors = (np.sqrt(np.clip(rho.lambdas, 0.0, None)).reshape(rho.lambdas.shape + (1,) * d)
+               * rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape)[within])
     conj = np.conj(vectors)
     sizes = np.array(vectors.shape[2:])
     offsets = np.stack(np.meshgrid(*(np.arange(1 - n, n) for n in sizes), indexing="ij"),

@@ -281,7 +281,7 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
     """
     n_steps = _step_count(horizon / n_samples, dt)  # rejects dt <= 0 at every V
     if potential.is_zero:
-        support, n_steps = np.flatnonzero(np.any(rho.vectors, axis=(0, 1))), 0
+        support, n_steps = rho.support(), 0
     else:
         support = np.arange(rho.vectors.shape[-1])
     if not _band_path(rho, support.size, n_samples + 1, n_steps, True):
