@@ -289,9 +289,8 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
                          for _ in evolution(rho, potential, horizon, n_samples, dt)])
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     times = np.arange(n_samples + 1) * (horizon / n_samples)
-    series = np.zeros(n_samples + 1)
+    series, step = np.zeros(n_samples + 1), _form_rows(support.size)
     for rates, form in _band_forms(rho, h, mask, horizon, support):
-        step = _form_rows(rates.size)
         for start in range(0, times.size, step):
             block = slice(start, start + step)
             conj_u = np.multiply.outer(times[block], 1j * rates)
