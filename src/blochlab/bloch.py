@@ -15,7 +15,12 @@ the result does not depend on n, bit for bit.
 Coefficients meet the grid in one layout, the head layout of ``_to_head``:
 the twisted coefficients c_n (-1)^(sum n) sit at the head of each axis (n at
 position n + m) of a work block whose tail is zero, and the inverse FFT runs
-each axis only within the head of the axes before it.  That transform is the
+each axis only within the head of the axes before it.  A caller that knows
+an index box holding every nonzero coefficient passes it instead of the
+head: only the box is copied in, and each axis is transformed only on the
+lines inside the box on the axes before it (FFT pruning: the lines left out
+are zero).  Each line that is transformed holds the same values either way,
+so the result is the same bit for bit.  That transform is the
 grid values times the ramp exp(2 pi i m j / N) per axis, a unimodular
 factor, and times the constant sqrt(|cell|) that the coefficient
 normalization leaves in.  A quadrature against |v|^2 (``squared_values``)
@@ -62,32 +67,34 @@ def fft_threads(n: int):
             _threads, _pool = 1, None
 
 
-def _fft_lines(x: np.ndarray, d: int, inverse: bool, head: int | None) -> None:
+def _fft_lines(x: np.ndarray, d: int, inverse: bool, box: tuple | None) -> None:
     # norm="forward" leaves the inverse unscaled, as "backward" leaves the forward one
     transform, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
+    lines = (slice(None),) * d if box is None else box
     for i in reversed(range(d)):
-        part = x[(Ellipsis,) + (slice(head),) * i + (slice(None),) * (d - i)]
+        part = x[(Ellipsis,) + lines[:i] + (slice(None),) * (d - i)]
         transform(part, axis=i - d, norm=norm, out=part)
 
 
-def _fft(x: np.ndarray, d: int, inverse: bool = False, head: int | None = None) -> np.ndarray:
+def _fft(x: np.ndarray, d: int, inverse: bool = False, box: tuple | None = None) -> np.ndarray:
     """FFT (``inverse``: inverse FFT) of the complex block ``x`` over its d trailing axes.
 
     In place, the axes last first, as in ``numpy.fft.fftn``; the inverse is
-    unnormalized, N^d times ``numpy.fft.ifftn``.  Given ``head``, ``x`` must
-    vanish outside the first ``head`` entries of every trailing axis, and each
-    axis is transformed only within the head of the axes before it: the lines
-    outside are zero and stay zero.  Inside ``fft_threads`` the leading axis
+    unnormalized, N^d times ``numpy.fft.ifftn``.  Given ``box``, one slice
+    per trailing axis, ``x`` must vanish outside the box, and each axis is
+    transformed only on the lines that lie inside the box on the axes before
+    it: the lines outside are zero and stay zero.  The head of ``_to_head``
+    is the box of the whole window.  Inside ``fft_threads`` the leading axis
     is cut into that many near-equal parts, one per thread.  Returns ``x``.
     """
     parts = min(_threads, x.shape[0]) if x.ndim > d else 1
     if parts <= 1:
-        _fft_lines(x, d, inverse, head)
+        _fft_lines(x, d, inverse, box)
         return x
     cuts = [x.shape[0] * i // parts for i in range(parts + 1)]
-    jobs = [_pool.submit(_fft_lines, x[a:b], d, inverse, head)
+    jobs = [_pool.submit(_fft_lines, x[a:b], d, inverse, box)
             for a, b in zip(cuts[1:-1], cuts[2:])]
-    _fft_lines(x[:cuts[1]], d, inverse, head)
+    _fft_lines(x[:cuts[1]], d, inverse, box)
     for job in jobs:
         job.result()
     return x
@@ -151,24 +158,29 @@ def quadrature_len(m: int) -> int:
         n += 2
 
 
-def _to_head(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
+def window_box(n: int, d: int) -> tuple:
+    """The index box of the whole order-m window, n = 2m+1 points on each of d axes."""
+    return (slice(0, n),) * d
+
+
+def _to_head(coeffs: np.ndarray, work: np.ndarray, d: int, box: tuple) -> np.ndarray:
     """The head layout: twisted coefficients at the head of ``work``, zeros elsewhere.
 
     ``coeffs`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes and
     ``work`` is a complex block ``(..., N, ..., N)`` with N >= 2m+1, whose
     contents are overwritten: c_n (-1)^(sum n) goes to position n + m of each
-    axis (the head 0..2m) and only the tail 2m+1..N-1 is zeroed.  Then
-    ``_fft(work, d, inverse=True, head=2m+1)`` gives the grid values times
+    axis (the head 0..2m).  ``box``, one slice per axis of the window
+    (``window_box`` for the whole window), must hold every nonzero
+    coefficient: only the box is copied, and the rest of ``work`` is zeroed.
+    Then ``_fft(work, d, inverse=True, box=box)`` gives the grid values times
     sqrt(|cell|) and the ramp exp(2 pi i m j / N) per axis.  Returns ``work``.
     """
     nin, nout = coeffs.shape[-1], work.shape[-1]
     if nout < nin:
         raise ValueError("work block must have at least 2m+1 points per axis")
-    head = slice(0, nin)
-    np.multiply(coeffs, _alt_sign(nin, d), out=work[(Ellipsis,) + (head,) * d])
-    for i in range(d):
-        # past the head on axis i, inside it on the axes before i
-        work[(Ellipsis,) + (head,) * i + (slice(nin, nout),) + (slice(None),) * (d - 1 - i)] = 0
+    work.fill(0)
+    np.multiply(coeffs[(Ellipsis,) + box], _alt_sign(nin, d)[box],
+                out=work[(Ellipsis,) + box])
     return work
 
 
@@ -181,19 +193,24 @@ def _from_head(work: np.ndarray, out: np.ndarray, d: int) -> np.ndarray:
     return np.multiply(work[(Ellipsis,) + (slice(0, nin),) * d], _alt_sign(nin, d), out=out)
 
 
-def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int) -> np.ndarray:
+def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int, box: tuple | None = None
+                   ) -> np.ndarray:
     """|v|^2 on the N-point grid per axis, times |cell|, squared in place in ``work``.
 
     ``coeffs`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes and
     ``work`` is a complex block ``(..., N, ..., N)`` with N >= 2m+1, whose
-    contents are overwritten.  The coefficients go to the head of ``work``
-    (``_to_head``) and the inverse FFT runs in place, each axis only within
-    the head of the axes before it; the result is the grid values times the
+    contents are overwritten.  ``box`` is an index box that holds every
+    nonzero coefficient, one slice per axis of the window, and the whole
+    window when None.  The box goes to the head of ``work`` (``_to_head``)
+    and the inverse FFT runs in place, each axis only on the lines inside the
+    box on the axes before it; the result is the grid values times the
     unimodular ramp exp(2 pi i m j / N) per axis and sqrt(|cell|), so its
-    squared modulus is |v|^2 |cell|.  Returns the float view of the block,
+    squared modulus is |v|^2 |cell|, the same bit for bit for every box that
+    holds the nonzero coefficients.  Returns the float view of the block,
     shape ``(..., 2 N^d)``: re^2 and im^2 of each grid value, interleaved.
     """
-    _fft(_to_head(coeffs, work, d), d, inverse=True, head=coeffs.shape[-1])
+    box = window_box(coeffs.shape[-1], d) if box is None else box
+    _fft(_to_head(coeffs, work, d, box), d, inverse=True, box=box)
     sq = work.reshape(work.shape[:work.ndim - d] + (-1,)).view(float)
     return np.multiply(sq, sq, out=sq)
 

@@ -174,14 +174,18 @@ class Region:
     bounding box widened by ``_CELL_MARGIN`` (relative to the cell's size)
     against rounding in the cell reduction.  No other pair can contain a
     reduced point, so the answer is that of all 3^d translates.  ``distance``
-    keeps every translate: one whose box lies outside the cell can still be
-    the nearest to a point near a cell face.
+    measures to each box moved by the lattice vector that brings its centre
+    into the unit cell (``_near_boxes``), so that the 3^d translates of the
+    reduced point hold the nearest; it keeps every translate: one whose box
+    lies outside the cell can still be the nearest to a point near a cell
+    face.
     """
 
     boxes: np.ndarray
     lat: LatticeSpec
     _shifts: np.ndarray = field(init=False, repr=False, compare=False)
     _member_pairs: tuple = field(init=False, repr=False, compare=False)
+    _near_boxes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         boxes = np.asarray(self.boxes, dtype=float)
@@ -202,6 +206,9 @@ class Region:
         pairs = tuple((lo, hi, s) for lo, hi in boxes for s in shifts
                       if np.all(lo - s < cell_hi) and np.all(hi - s > cell_lo))
         object.__setattr__(self, "_member_pairs", pairs)
+        centres = 0.5 * (boxes[:, 0] + boxes[:, 1]) @ self.lat.inverse_basis
+        near = boxes - self.lat.lattice_vector(np.floor(centres + 0.5))[:, None, :]
+        object.__setattr__(self, "_near_boxes", near)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask over points (..., d), periodic membership.
@@ -224,7 +231,7 @@ class Region:
         shape = pts.shape[:-1]
         p = pts.reshape(-1, pts.shape[-1])
         best = np.full(p.shape[0], np.inf)
-        for lo, hi in self.boxes:
+        for lo, hi in self._near_boxes:
             for s in self._shifts:
                 q = p + s
                 delta = q - np.clip(q, lo, hi)

@@ -186,6 +186,8 @@ class FiberedDensity:
     density and evaluates it at every sample.  The block holds the
     head-placed transform of ``bloch.squared_values``, whose squared modulus
     is that of the grid values: the phase ramp of the head layout drops out.
+    The vectors are kept C-contiguous, so that ``quantum_dynamics.evolution``
+    can advance their support box in place through a reshaped view.
     """
 
     kgrid: KGrid
@@ -198,7 +200,7 @@ class FiberedDensity:
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
-        self.vectors = np.asarray(self.vectors, dtype=complex)
+        self.vectors = np.ascontiguousarray(self.vectors, dtype=complex)
         n_g = (2 * self.m + 1) ** self.lat.dimension
         if self.lambdas.ndim != 2 or self.lambdas.shape[0] != self.kgrid.size:
             raise ValueError("lambdas must have shape (n_k, rank)")
@@ -220,6 +222,18 @@ class FiberedDensity:
     def support(self) -> np.ndarray:
         """Flat indices, ascending, of the coefficients that are nonzero in some vector."""
         return np.flatnonzero(np.any(self.vectors, axis=(0, 1)))
+
+    def support_box(self) -> tuple:
+        """The smallest index box that holds every coefficient ``support()`` finds.
+
+        One slice per axis of ``coeff_shape``, as ``bloch.squared_values``
+        takes it.  A density whose vectors are all zero has the empty box,
+        ``slice(0, 0)`` on every axis.
+        """
+        index = np.unravel_index(self.support(), self.coeff_shape)
+        if not index[0].size:
+            return (slice(0, 0),) * self.lat.dimension
+        return tuple(slice(int(i.min()), int(i.max()) + 1) for i in index)
 
     def fiber_traces(self) -> np.ndarray:
         """sum_r lambda_r |v_r|^2 per fiber, the squared norms read from the float view."""
@@ -308,7 +322,8 @@ class FiberedDensity:
         c = max(1, _CHUNK_BYTES // node_bytes)
         return [slice(i, min(i + c, self.rank)) for i in range(0, self.rank, c)]
 
-    def grid_expectations(self, weights: np.ndarray, nodes: slice | None = None) -> np.ndarray:
+    def grid_expectations(self, weights: np.ndarray, nodes: slice | None = None,
+                          box: tuple | None = None) -> np.ndarray:
         """sum_y w(y) |v(y)|^2 over the quadrature grid for every vector of a chunk.
 
         ``nodes`` is one of ``node_chunks``; the result has shape (n_k, c) and
@@ -320,31 +335,35 @@ class FiberedDensity:
         to a unimodular phase per point; the squares re^2, im^2 are contracted
         with the weights, repeated for each pair, and the constant
         |cell| the transform leaves in is divided out of the result.
+        ``box`` is an index box that holds every nonzero coefficient, such as
+        ``support_box()``: only the box is transformed (``squared_values``),
+        with the same result bit for bit; None transforms the whole window.
         """
         if nodes is None:
             out = np.empty(self.lambdas.shape)
             for chunk in self.node_chunks():
                 out[:, chunk] = self.grid_expectations(
-                    weights if weights.ndim == 1 else weights[chunk], chunk)
+                    weights if weights.ndim == 1 else weights[chunk], chunk, box)
             return out
         d, n, n_k = self.lat.dimension, quadrature_len(self.m), self.kgrid.size
         if self._work is None:                                  # the first chunk is a full one
             self._work = np.empty(n_k * self.node_chunks()[0].stop * n ** d, dtype=complex)
         c = nodes.stop - nodes.start
         work = self._work[:n_k * c * n ** d].reshape((n_k, c) + (n,) * d)
-        sq = squared_values(self.vectors[:, nodes].reshape((n_k, c) + self.coeff_shape), work, d)
+        sq = squared_values(self.vectors[:, nodes].reshape((n_k, c) + self.coeff_shape), work, d,
+                            box)
         per_vector = (sq[..., None, :] @ np.repeat(weights, 2, axis=-1)[..., None])[..., 0, 0]
         return per_vector / self.lat.cell_volume
 
-    def masked_trace(self, mask: np.ndarray) -> float:
+    def masked_trace(self, mask: np.ndarray, box: tuple | None = None) -> float:
         """Fiber average of sum_r lambda_r <v_r| mask |v_r>, mask on the quadrature grid.
 
         ``mask`` carries the grid weight, as the one ``region_mask`` returns.
         |v|^2 is that of the head-placed transform, swept chunk by chunk
-        (``grid_expectations``); it differs from the grid values only by a
-        phase per point.
+        (``grid_expectations``, which takes ``box``); it differs from the grid
+        values only by a phase per point.
         """
-        per_vector = self.grid_expectations(mask)
+        per_vector = self.grid_expectations(mask, box=box)
         return float(self.lambdas.reshape(-1) @ per_vector.reshape(-1)) / self.kgrid.size
 
 
@@ -475,22 +494,22 @@ def husimi_mass_on_boxes(rho: FiberedDensity, k_set: PhaseBoxSet) -> float:
 
     (an erf for the p-integral of two Gaussian momentum windows, a box
     transform for the q-integral).  The sum runs over the support box of the
-    vectors, the smallest index box that holds every nonzero coefficient of
-    every fiber: the erf factor is evaluated once per fiber and box on its
-    grid of index sums, and the offsets G - G' are those of two indices in
-    it whose Gaussian factor is at least the unit roundoff.  Each offset is
-    one product over all fibers and vectors.  Fibers are weighted by lambda
-    and averaged.
+    vectors (``FiberedDensity.support_box``), the smallest index box that
+    holds every nonzero coefficient of every fiber: the erf factor is
+    evaluated once per fiber and box on its grid of index sums, and the
+    offsets G - G' are those of two indices in it whose Gaussian factor is
+    at least the unit roundoff.  Each offset is one product over all fibers
+    and vectors.  Fibers are weighted by lambda and averaged.  A density
+    whose vectors are all zero has the empty box and mass 0.0.
     """
     lat, hbar = rho.lat, rho.hbar
     d = lat.dimension
-    index = np.unravel_index(rho.support(), rho.coeff_shape)
-    if not index[0].size:
+    box = rho.support_box()
+    if box[0].start == box[0].stop:
         return 0.0
-    first = np.array([i.min() for i in index])
-    within = (Ellipsis,) + tuple(slice(i.min(), i.max() + 1) for i in index)
+    first = np.array([s.start for s in box])
     vectors = (np.sqrt(np.clip(rho.lambdas, 0.0, None)).reshape(rho.lambdas.shape + (1,) * d)
-               * rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape)[within])
+               * rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape)[(Ellipsis,) + box])
     conj = np.conj(vectors)
     sizes = np.array(vectors.shape[2:])
     offsets = np.stack(np.meshgrid(*(np.arange(1 - n, n) for n in sizes), indexing="ij"),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _fft, _from_head, _offset_coefficients, _offset_positions, _to_head, \
-    g_vectors, position_grid, quadrature_len
+    g_vectors, position_grid, quadrature_len, window_box
 from .classical_dynamics import TrigPotential, _step_count, flow
 from .lattice import LatticeSpec
 from .quantization import _CHUNK_BYTES, FiberedDensity
@@ -156,10 +156,11 @@ def propagate_batch(coeffs: np.ndarray, h: FiberHamiltonian, t: float, dt: float
     n_steps, half, full, pot = h._step_factors(t, dt)
     d, nin = h.lat.dimension, 2 * h.m + 1
     window = coeffs.reshape(coeffs.shape[:2] + (nin,) * d)     # a view: only splits an axis
-    x = _to_head(window, np.empty(window.shape[:2] + pot.shape, dtype=complex), d)
+    head = window_box(nin, d)
+    x = _to_head(window, np.empty(window.shape[:2] + pot.shape, dtype=complex), d, head)
     x *= half
     for i in range(n_steps):
-        _fft(x, d, inverse=True, head=nin)
+        _fft(x, d, inverse=True, box=head)
         x *= pot
         _fft(x, d)
         x *= half if i == n_steps - 1 else full
@@ -276,7 +277,8 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
     energies e; A lives on the support W of the vectors at V = 0 and on all
     n_G coefficients otherwise.  The samples are evaluated ``_form_rows(W)``
     at a time as one (samples, W) x (W, W) product.  Otherwise the trace is
-    read at every yield of ``evolution``.  Either path builds the run's one
+    read at every yield of ``evolution``, at V = 0 on the support box of the
+    vectors, which the phases keep.  Either path builds the run's one
     ``FiberHamiltonian``.
     """
     n_steps = _step_count(horizon / n_samples, dt)  # rejects dt <= 0 at every V
@@ -285,7 +287,8 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
     else:
         support = np.arange(rho.vectors.shape[-1])
     if not _band_path(rho, support.size, n_samples + 1, n_steps, True):
-        return np.array([rho.masked_trace(mask)
+        box = rho.support_box() if potential.is_zero else None
+        return np.array([rho.masked_trace(mask, box)
                          for _ in evolution(rho, potential, horizon, n_samples, dt)])
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     times = np.arange(n_samples + 1) * (horizon / n_samples)
@@ -316,10 +319,13 @@ def evolution(rho: FiberedDensity, potential: TrigPotential, horizon: float, n_s
     holds a = U^* v, and each sample multiplies a by the one-sample phases
     exp(-i t e / hbar), in one multiply over all fibers, and writes v = U a
     back.  At V = 0, a is ``rho.vectors`` itself, so a sample is one phase
-    multiply in place.  At V != 0 that holds where ``_band_path`` says so
-    (many Strang steps per sample, many vectors, a small window); otherwise
-    ``propagate_batch`` advances the vectors at every sample by Strang steps
-    of at most ``dt``.
+    multiply in place, on the support box of the vectors only
+    (``FiberedDensity.support_box``, found once): the phases keep zeros at
+    zero, so the box holds at every sample, and the vectors are C-contiguous
+    (``FiberedDensity``), so the box is a view of them.  At V != 0 the band
+    basis is taken where ``_band_path`` says so (many Strang steps per
+    sample, many vectors, a small window); otherwise ``propagate_batch``
+    advances the vectors at every sample by Strang steps of at most ``dt``.
     """
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     sample_dt = horizon / n_samples
@@ -328,8 +334,12 @@ def evolution(rho: FiberedDensity, potential: TrigPotential, horizon: float, n_s
     if band:
         e, u = zip(*h.eigenpairs())
         phases = np.exp(-1j * sample_dt * np.stack(e) / h.hbar)[:, None, :]
-        a = rho.vectors if potential.is_zero else \
-            np.stack([vectors @ np.conj(ui) for vectors, ui in zip(rho.vectors, u)])
+        if potential.is_zero:
+            within = (Ellipsis,) + rho.support_box()
+            a = rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape)[within]
+            phases = phases.reshape(phases.shape[:2] + rho.coeff_shape)[within]
+        else:
+            a = np.stack([vectors @ np.conj(ui) for vectors, ui in zip(rho.vectors, u)])
     yield nodes
     for _ in range(n_samples):
         if nodes is not None:

@@ -39,12 +39,40 @@ def coherent_coeff_batch(qs: np.ndarray, ps: np.ndarray, hbar: float,
     C order over the centered index grid.  The momentum argument is taken as
     given (callers pass p - hbar*k to address fiber k).  Coefficients below
     ``_packet_floor(amp)`` in modulus, amp the Gaussian's peak, are exact zeros
-    (``_floored_gaussian``).
+    (``_floored_gaussian``).  They are evaluated on the batch's index box
+    (``_packet_box``) only and written into a zeroed block: every coefficient
+    outside the box is below the floor.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     ps = np.atleast_2d(np.asarray(ps, dtype=float))
-    amp = (4.0 * np.pi * hbar) ** (lat.dimension / 4.0) / np.sqrt(lat.cell_volume)
-    return _floored_gaussian(qs, ps, hbar * g_vectors(lat, m), hbar, amp)
+    d = lat.dimension
+    amp = (4.0 * np.pi * hbar) ** (d / 4.0) / np.sqrt(lat.cell_volume)
+    shape = (2 * m + 1,) * d
+    within = (slice(None),) + _packet_box(ps, hbar, lat, m, amp)
+    g = g_vectors(lat, m).reshape(shape + (d,))[within[1:]]
+    out = np.zeros((ps.shape[0],) + shape, dtype=complex)
+    out[within] = _floored_gaussian(qs, ps, hbar * g.reshape(-1, d), hbar, amp).reshape(
+        (ps.shape[0],) + g.shape[:-1])
+    return out.reshape(ps.shape[0], -1)
+
+
+def _packet_box(ps: np.ndarray, hbar: float, lat: LatticeSpec, m: int, amp: float) -> tuple:
+    """An index box, one slice per axis of the order-m window, holding every packet's support.
+
+    The support of the packet at momentum p is the ball |G - p / hbar| <= R,
+    R = sqrt(2 hbar log(amp / floor) (1 + 1e-12)) / hbar, the radius of
+    ``_floored_gaussian``'s support test.  In index coordinates n = G B^-1 it
+    is centred at n_i = (p / hbar) . a_i / (2 pi), a_i the basis rows, and
+    spans R |a_i| / (2 pi) on axis i.  The box of a batch is the union of
+    those spans, widened by one index against rounding and clipped to the
+    window; it holds at least one index on every axis.
+    """
+    radius = np.sqrt(2.0 * hbar * np.log(amp / _packet_floor(amp)) * (1.0 + 1e-12)) / hbar
+    centre = (ps / hbar) @ lat.basis.T / (2.0 * np.pi)
+    half = radius * np.linalg.norm(lat.basis, axis=1) / (2.0 * np.pi)
+    lo = np.clip(np.floor(np.min(centre, axis=0, initial=np.inf) - half) - 1, -m, m)
+    hi = np.clip(np.ceil(np.max(centre, axis=0, initial=-np.inf) + half) + 1, lo, m)
+    return tuple(slice(int(a) + m, int(b) + m + 1) for a, b in zip(lo, hi))
 
 
 def _packet_floor(amp: float) -> float:

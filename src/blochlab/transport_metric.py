@@ -60,15 +60,19 @@ class CouplingEnergy:
             raise ValueError("coupling energy must be nonnegative")
 
 
-def _position_parts(rho: FiberedDensity, x: np.ndarray, cost: CostParams) -> np.ndarray:
-    """Per-fiber position energies of the diagonal packet coupling at nodes x, shape (n_k,)."""
+def _position_parts(rho: FiberedDensity, x: np.ndarray, cost: CostParams,
+                    box: tuple | None = None) -> np.ndarray:
+    """Per-fiber position energies of the diagonal packet coupling at nodes x, shape (n_k,).
+
+    ``box`` holds every nonzero coefficient, as ``FiberedDensity.grid_expectations`` takes it.
+    """
     lat = rho.lat
     n = quadrature_len(rho.m)
     grid = position_grid(lat, n)
     pos = np.empty(rho.lambdas.shape)
     for nodes in rho.node_chunks():
         pos[:, nodes] = rho.grid_expectations(theta_cost_weights(x[nodes], grid, cost.geom),
-                                              nodes)
+                                              nodes, box)
     pos = cost.lam ** 2 * grid_weight(lat, n) * pos
     return np.sum(rho.lambdas * pos, axis=1)
 
@@ -242,7 +246,11 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
     At V = 0 the flows are free: xi and every |c_G| are conserved, so the
     momentum part is computed once, at t = 0, and added to each sample's
     position part.  Later energies then differ from a per-sample
-    recomputation only by the rounding of the phase multiplies.
+    recomputation only by the rounding of the phase multiplies.  The phases
+    also keep zeros at zero, so the support box of the vectors
+    (``FiberedDensity.support_box``) is found once, at t = 0, and every
+    sample transforms only that box, with the energies of the whole window
+    bit for bit.
 
     ``lipschitz`` is ``potential.lipschitz_gradient().value`` when the caller
     already has it; otherwise it is computed here.
@@ -255,10 +263,11 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
         lipschitz = potential.lipschitz_gradient().value
     eta = gronwall_rate(cost.geom, cost.lam, lipschitz)
     energies, mom = [], None
+    box = rho.support_box() if potential.is_zero else None
     for x, xi in evolution(rho, potential, horizon, n_times, dt, (f.nodes_q, f.nodes_p)):
         if mom is None or not potential.is_zero:
             mom = _momentum_parts(rho, xi)
-        energies.append(np.mean(_position_parts(rho, x, cost) + mom))
+        energies.append(np.mean(_position_parts(rho, x, cost, box) + mom))
     energies = np.array(energies)
     times = np.linspace(0.0, horizon, n_times + 1)
     bounds = energies[0] * np.exp(2.0 * eta * times)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blochlab import KGrid, LatticeSpec
-from blochlab.bloch import (_offset_coefficients, centered_indices, g_vectors, grid_weight,
-                            position_grid, quadrature_len, squared_values)
+from blochlab.bloch import (_offset_coefficients, centered_indices, fft_threads, g_vectors,
+                            grid_weight, position_grid, quadrature_len, squared_values)
 
 from conftest import LATTICES, coherent_overlap, is_11_smooth
 from oracles import (CoherentParams, FiberedState, PeriodicField, bloch_transform,
@@ -34,6 +34,32 @@ def test_squared_values_match_the_squared_grid_values(rng, name, m, batch):
                                atol=1e-13 * np.max(ref))
     with pytest.raises(ValueError):
         squared_values(coeffs, np.empty(batch + (2 * m,) * d, dtype=complex), d)
+
+
+@pytest.mark.parametrize("name, m, box", [
+    ("line", 384, ((300, 420),)),                               # padded: 825 > 769 points
+    ("hexagonal", 24, ((5, 22), (30, 48))),                     # unpadded, 17 x 18 off centre
+    ("hexagonal", 24, ((0, 49), (48, 49))),                     # one line at the window edge
+    ("skew", 6, ((1, 5), (0, 13), (7, 12))),                    # padded 3-D (15 > 13)
+    ("skew", 6, ((0, 0),) * 3),                                 # empty: every vector zero
+])
+def test_squared_values_on_a_box_are_bitwise_those_of_the_window(rng, name, m, box):
+    # coefficients that vanish outside the box: transforming only the box's
+    # lines gives the whole-window result bit for bit, on any thread count
+    lat = LatticeSpec(LATTICES[name])
+    d, n, batch = lat.dimension, quadrature_len(m), (3, 2)
+    box = tuple(slice(a, b) for a, b in box)
+    shape = batch + (2 * m + 1,) * d
+    coeffs = np.zeros(shape, dtype=complex)
+    inside = coeffs[(Ellipsis,) + box].shape
+    coeffs[(Ellipsis,) + box] = rng.standard_normal(inside) + 1j * rng.standard_normal(inside)
+    whole = squared_values(coeffs, np.empty(batch + (n,) * d, dtype=complex), d).copy()
+    for threads in (1, 2):
+        work = np.full(batch + (n,) * d, np.nan, dtype=complex)  # stale contents are ignored
+        with fft_threads(threads):
+            sq = squared_values(coeffs, work, d, box)
+        assert sq.tobytes() == whole.tobytes()
+    assert np.any(whole) == np.any(coeffs)
 
 
 def test_kgrid_points_inside_cell(lat1, lat2):

@@ -286,18 +286,20 @@ def test_constants_on_a_2d_config_without_omega(tmp_path, capsys):
 def test_benchmark_verify_is_bitwise_the_same_on_one_two_and_three_threads(tmp_path,
                                                                          monkeypatch):
     # the seed-0 benchmark configs, whose control constant is bracketed in 1-D
-    # and, at V = 0, in 2-D
+    # and, at V = 0, in 2-D; and their stability envelopes, whose support-boxed
+    # transforms split the fibers over the threads
     workloads = _benchmark_workloads(monkeypatch)
     for name, workload in workloads.WORKLOADS.items():
-        for kind in ("toeplitz", "pure"):
+        for command, kind in (("verify", "toeplitz"), ("verify", "pure"),
+                              ("stability", "toeplitz")):
             cfg = write_cfg(tmp_path, workloads.config_text(workload, 0, kind), f"{name}.cfg")
-            outs = [tmp_path / f"{name}-{kind}-threads{t}" for t in (1, 2, 3)]
+            outs = [tmp_path / f"{name}-{command}-{kind}-threads{t}" for t in (1, 2, 3)]
             for t, out in zip((1, 2, 3), outs):
-                assert main(["verify", "--config", cfg, "--out", str(out),
+                assert main([command, "--config", cfg, "--out", str(out),
                              "--threads", str(t)]) == 0
-            first = (outs[0] / "out_verify.csv").read_bytes()
-            assert b"\nC_GC_lo," in first
-            assert all((out / "out_verify.csv").read_bytes() == first for out in outs[1:])
+            first = (outs[0] / f"out_{command}.csv").read_bytes()
+            assert (b"\nC_GC_lo," if command == "verify" else b"\nt,energy,bound\n") in first
+            assert all((out / f"out_{command}.csv").read_bytes() == first for out in outs[1:])
 
 
 GUARD = """\

@@ -309,6 +309,19 @@ def test_region_distance_sees_translates_outside_the_cell(dim):
     assert reg.contains_dilated(point, 0.11)[0]
 
 
+def test_region_distance_reads_a_box_outside_the_cell_as_its_cell_translate():
+    # [1.4, 1.5) is [0.4, 0.5) + 1, the same periodic region: -0.45 is 0.05 from
+    # it (at 0.55 - 1), not 0.85, and its dilated mask on a grid is the same
+    lat = cubic_lattice(1)
+    far, near = Region([[[1.4], [1.5]]], lat), Region([[[0.4], [0.5]]], lat)
+    point = np.array([[-0.45]])
+    assert far.distance(point)[0] == near.distance(point)[0] == pytest.approx(0.05, abs=1e-12)
+    grid = position_grid(lat, 101)
+    np.testing.assert_array_equal(far.contains_dilated(grid, 0.07),
+                                  near.contains_dilated(grid, 0.07))
+    assert far.contains_dilated(point, 0.07)[0]
+
+
 @pytest.mark.parametrize("boxes", [
     [[[0.1], [-0.1]]],                        # inverted
     [[[0.1], [0.1]]],                         # empty

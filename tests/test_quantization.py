@@ -296,6 +296,25 @@ def test_husimi_mass_on_boxes_matches_full_grid(lat1):
     assert husimi_mass_on_boxes(rho, half) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["line", "hexagonal", "skew"])
+def test_support_box_is_the_box_of_the_support(name):
+    # the smallest box holding every coefficient that is nonzero in some
+    # vector; an all-zero density has the empty box and Husimi mass 0.0
+    lat = LatticeSpec(LATTICES[name])
+    d = lat.dimension
+    rho = coherent_family(lat, KGrid.monkhorst_pack(lat, 2), 12, 0.01, [0.1] * d, [0.3] * d)
+    box = rho.support_box()
+    index = np.unravel_index(rho.support(), rho.coeff_shape)
+    assert box == tuple(slice(i.min(), i.max() + 1) for i in index)
+    assert 0 < np.prod([s.stop - s.start for s in box]) < rho.vectors.shape[-1]
+    inside = rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape)[(Ellipsis,) + box]
+    assert np.count_nonzero(inside) == np.count_nonzero(rho.vectors)
+    rho.vectors[:] = 0.0
+    assert rho.support_box() == (slice(0, 0),) * d
+    assert husimi_mass_on_boxes(rho, single_box([-0.5] * d, [0.5] * d, [-1.0] * d,
+                                                [1.0] * d)) == 0.0
+
+
 def _husimi_mass_of_pairs(rho, k_set):
     """``husimi_mass_on_boxes`` as its double sum over every pair (G, G') of the window."""
     lat, hbar, d = rho.lat, rho.hbar, rho.lat.dimension

@@ -10,6 +10,7 @@ from blochlab.quantization import FiberedDensity
 from blochlab import quantum_dynamics
 from blochlab.quantum_dynamics import FiberHamiltonian, evolution, observation_series, \
     propagate_batch
+from blochlab.states import coherent_coeff_batch
 
 from oracles import (CoherentParams, bloch_transform, coherent_family, coherent_state,
                      commutator_residual, cosine_potential, cubic_lattice, galerkin_matrices,
@@ -202,6 +203,35 @@ def test_evolution_and_observation_reject_a_nonpositive_step(monkeypatch, lat1, 
             next(evolution(rho, potential, 0.1, 2, dt))
         with pytest.raises(ValueError, match="dt must be positive"):
             observation_series(rho, mask, potential, 0.1, 2, dt)
+
+
+def packet_density(lat, m: int, hbar: float, n_k: int, qs, ps) -> FiberedDensity:
+    """Fibered density of one packet per node (qs, ps - hbar k) in fiber k, unit weights."""
+    kg = KGrid.monkhorst_pack(lat, n_k)
+    qs, ps = np.atleast_2d(qs), np.atleast_2d(ps)
+    vecs = np.stack([coherent_coeff_batch(qs, ps - hbar * k, hbar, lat, m) for k in kg.points])
+    return FiberedDensity(kg, lat, m, hbar, np.ones(vecs.shape[:2]), vecs)
+
+
+@pytest.mark.parametrize("name, m, hbar", [("line", 64, 0.01), ("hexagonal", 24, 0.03)])
+def test_free_evolution_moves_the_support_box_as_the_whole_window(name, m, hbar):
+    # at V = 0 each sample multiplies the phases on the support box only: the
+    # vectors equal those of the whole-window multiply at every sample (a zero
+    # may differ in sign), and the box does not grow
+    lat = LatticeSpec(LATTICES[name])
+    d = lat.dimension
+    rho = packet_density(lat, m, hbar, 2, np.full((3, d), 0.1), [[0.2] * d, [0.5] * d, [-0.3] * d])
+    box = rho.support_box()
+    assert np.prod([s.stop - s.start for s in box]) < (2 * m + 1) ** d
+    vectors, ref = rho.vectors, rho.vectors.copy()
+    h = FiberHamiltonian(lat, m, rho.kgrid.points, zero_potential(lat), hbar)
+    phases = np.exp(-1j * 0.05 * h.kinetic_diagonal / hbar)[:, None, :]
+    for i, _ in enumerate(evolution(rho, zero_potential(lat), 0.2, 4, 1e-2)):
+        if i:
+            ref *= phases
+        assert rho.vectors is vectors
+        np.testing.assert_array_equal(rho.vectors, ref)
+        assert rho.support_box() == box
 
 
 def test_fiber_hamiltonian_holds_every_fiber(lat2):

@@ -7,7 +7,8 @@ from blochlab import KGrid, LatticeSpec, PhaseSpaceDensity, TrigPotential, posit
 from blochlab.bloch import g_vectors
 from blochlab.quantization import husimi, momentum_grid
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
-from blochlab.states import _ROUNDOFF, _packet_floor, coherent_coeff_batch
+from blochlab.states import _ROUNDOFF, _floored_gaussian, _packet_box, _packet_floor, \
+    coherent_coeff_batch
 
 from conftest import LATTICES
 from oracles import (CoherentParams, bloch_transform, coherent_coeff_unfloored,
@@ -61,6 +62,32 @@ def test_dropped_packet_tail_is_within_eight_roundoffs(name, hbar, m):
     # bound is absolute, since packets far outside the window have norm ~4e-15
     *_, c, ref, _ = _floor_case(name, hbar, m)
     assert np.all(np.linalg.norm(c - ref, axis=-1) <= 8.0 * _ROUNDOFF)
+
+
+@pytest.mark.parametrize("name, hbar, m", FLOOR_CASES)
+def test_packets_on_their_index_box_are_bitwise_those_of_the_window(name, hbar, m):
+    # the builder evaluates the Gaussian on the batch's index box only; the
+    # window-wide kernel gives the same bits, also for momenta whose box the
+    # window edge clips (index centre m - 1 and -m - 2 on some axis) and for
+    # one whose support lies outside the window (it is all zero)
+    lat, qs, ps, c, *_, floor = _floor_case(name, hbar, m)
+    d = lat.dimension
+    amp = (4.0 * np.pi * hbar) ** (d / 4.0) / np.sqrt(lat.cell_volume)
+    n = 2 * m + 1
+    # the box of these packets is smaller than the window, but on the skew
+    # cell, where one packet's support is wider than the window
+    sizes = [s.stop - s.start for s in _packet_box(ps, hbar, lat, m, amp)]
+    assert name == "skew" or np.prod(sizes) < n ** d
+    edge = np.zeros((3, d))
+    edge[0, 0], edge[1, -1], edge[2, 0] = m - 1, -m - 2, 3 * m
+    edge_ps = hbar * edge @ lat.reciprocal
+    clipped = _packet_box(edge_ps[:2], hbar, lat, m, amp)
+    assert clipped[0].stop == n and clipped[-1].start == 0
+    for q, p in ((qs, ps), (qs[:3], edge_ps)):
+        boxed = coherent_coeff_batch(q, p, hbar, lat, m)
+        whole = _floored_gaussian(q, p, hbar * g_vectors(lat, m), hbar, amp)
+        assert boxed.tobytes() == whole.tobytes()
+    assert np.any(boxed[:2]) and not np.any(boxed[2])
 
 
 def _hexagonal_toeplitz(seed: int):

@@ -7,7 +7,7 @@ from blochlab import (CostParams, KGrid, LatticeSpec, PhaseSpaceDensity, Region,
                       coupling_energy_husimi, coupling_energy_toeplitz,
                       evolution, gamma_bounds, gronwall_rate, observed_time_integral,
                       stability_envelope, toeplitz_quantize)
-from blochlab.bloch import grid_weight, position_grid, quadrature_len
+from blochlab.bloch import grid_weight, position_grid, quadrature_len, window_box
 from blochlab.lattice import reduce_to_cell, theta
 from blochlab import quantization, quantum_dynamics, transport_metric
 from blochlab.quantization import FiberedDensity
@@ -447,6 +447,41 @@ def test_stability_envelope_matches_the_per_sample_recomputation(basis, terms, m
     if not potential.is_zero:
         np.testing.assert_array_equal(env.energies, ref)
     assert env.energies[-1] != env.energies[0]
+
+
+@pytest.mark.parametrize("basis, m, hbar, nq, np_, n_k", [
+    ([[1.0]], 64, 0.01, 10, 12, 4),
+    (LATTICES["hexagonal"], 24, 0.03, 4, 4, 2),
+])
+def test_free_stability_envelope_on_the_support_box_is_that_of_the_window(
+        monkeypatch, basis, m, hbar, nq, np_, n_k):
+    # at V = 0 the evolution and every sample's transforms run on the support
+    # box, found once; with the box forced to the whole window the energies and
+    # bounds are the same bits, and so is the all-zero density's envelope,
+    # whose box is empty: zero energies under zero bounds
+    lat = LatticeSpec(basis)
+    d = lat.dimension
+    f = bump_density(lat, nq=nq, np_=np_)
+    kg = KGrid.monkhorst_pack(lat, n_k)
+    cost = CostParams(1.0, gamma_bounds(lat))
+    zero = toeplitz_quantize(f, lat, kg, m, hbar)
+    zero.vectors[:] = 0.0
+    assert zero.support_box() == (slice(0, 0),) * d
+
+    def run(rho):
+        env = stability_envelope(f, rho, cost, zero_potential(lat), horizon=0.4, n_times=5,
+                                 dt=1e-2, lipschitz=0.0)
+        return env.energies.tobytes() + env.bounds.tobytes()
+
+    rho = toeplitz_quantize(f, lat, kg, m, hbar)
+    box = rho.support_box()
+    assert np.prod([s.stop - s.start for s in box]) < (2 * m + 1) ** d
+    boxed, boxed_zero = run(rho), run(_copy(zero))
+    assert boxed_zero == np.zeros(12).tobytes()
+    monkeypatch.setattr(FiberedDensity, "support_box",
+                        lambda self: window_box(2 * self.m + 1, self.lat.dimension))
+    assert run(toeplitz_quantize(f, lat, kg, m, hbar)) == boxed
+    assert run(_copy(zero)) == boxed_zero
 
 
 def _forced(monkeypatch, band, run):
