@@ -1,20 +1,19 @@
 """Hamiltonian flows and the geometric-control constant.
 
 The integrator is Stoermer-Verlet (order 2, symplectic); trajectories are
-batched over initial conditions, so the geometric-control sampler and the
-transport of quadrature nodes run as single vectorized sweeps.
+batched over initial conditions, so the transport of quadrature nodes and
+the orbits of the flow route run as single vectorized sweeps.
 
-Two routes bracket the geometric-control constant without a trajectory
-(Golse & Paul 2022, carried to the cell).  In one dimension, when no start
-in K can turn, H = p^2/2 + V(q) is integrable, every occupation time of
-omega is a finite sum of differences of the energy integral
-Q_E(x) = int_0^x dq / sqrt(2 (E - V(q))), and a branch and bound over K
-brackets the constant.  At V = 0, in any dimension, the orbits are
-q + t p, the image of a box of starts is an interval box, and the times it
-lies wholly in a translate of omega are linear; a branch and bound over K
-brackets the constant from them (interval analysis: Moore, Kearfott &
-Cloud 2009).  Elsewhere, at V != 0 in d >= 2 or from 1-D starts that can
-turn, the constant is sampled.
+The geometric-control constant (Golse & Paul 2022, carried to the cell)
+comes from one branch and bound over sub-boxes of K (Moore, Kearfott &
+Cloud 2009), with one of three occupation classes.  At V = 0 the orbits are
+q + t p, and the times the image of a box lies wholly in a translate of
+omega are linear (``_FreeOccupation``).  In 1-D at V != 0, when no start
+can turn, every occupation time is a finite sum of differences of the
+energy integral Q_E(x) = int_0^x dq / sqrt(2 (E - V(q)))
+(``_Occupation1D``).  Both bracket the constant.  For every other input
+``_FlowOccupation`` counts the time along Verlet orbits from sub-box
+centres: an estimate, with no lower bound.
 """
 
 from __future__ import annotations
@@ -205,22 +204,20 @@ class GCEstimate:
     """The geometric-control constant: the least time a trajectory from K spends in omega.
 
     ``value`` is, up to the quadrature error bound, the occupation time of
-    some start in K, so it lies at or above the infimum over K: an upper
-    estimate.  On the exact routes (1-D without turning starts, and V = 0 in
-    any dimension) ``[lower, value]`` is a bracket of the constant, at most
-    ``_GC_TOL`` wide unless ``_GC_MAX_CHUNKS`` stopped the refinement, and
-    ``n_samples`` is 0; the 1-D route's quadrature error bound is in both
-    ends.  On the sampler ``value`` is the least occupation of the sampled
-    trajectories, ``n_samples`` their number, and ``lower`` is 0.0, the only
-    lower bound sampling proves.
+    some start in K: an upper estimate.  On the exact routes ``[lower, value]``
+    brackets the constant, at most ``_GC_TOL`` wide unless ``_GC_MAX_CHUNKS``
+    stopped the refinement, and ``n_samples`` is 0.  On the flow route
+    ``lower`` is 0.0 and ``n_samples`` is the number of centres evaluated.
     """
 
     value: float
-    # the constant is shown positive: every sampled trajectory meets the region
-    # (sampler), or the bracket's lower end is above 0 (exact route)
-    satisfied: bool
     n_samples: int
     lower: float = 0.0
+
+    @property
+    def satisfied(self) -> bool:
+        """The constant is shown positive: lower > 0, which only an exact route proves."""
+        return self.lower > 0.0
 
 
 def _omega_intervals(omega: Region, period: float) -> np.ndarray:
@@ -253,11 +250,8 @@ def _quadrature_error(potential: TrigPotential, nodes: int, period: float,
     b = r (rho - 1/rho) / 4 of the real axis, where
     |V(x + iy)| <= sum |c_t| cosh(|G_t| b), so
     M = 1 / sqrt(2 (E - sum |c_t| cosh(|G_t| b))) while that is positive.  The
-    bound at r = a holds for every r; it is minimized over a grid of rho.  At
-    V = 0 the integrand is constant and the rule exact.
+    bound at r = a holds for every r; it is minimized over a grid of rho.
     """
-    if potential.is_zero:
-        return 0.0
     amplitudes = np.abs([c for _, c, _ in potential.terms])
     g = np.abs(potential.g_vectors()[:, 0])
     rho = 1.0 + np.geomspace(1e-3, 1e2, 256)
@@ -405,21 +399,18 @@ def _quartered(boxes: np.ndarray) -> np.ndarray:
                            ((u1, um, p1, pm), (um, u2, p1, pm), (u1, um, pm, p2), (um, u2, pm, p2))])
 
 
-def _exact_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region,
-                   potential: TrigPotential):
-    """(C_GC_lo, C_GC_hi) in one dimension when no start in K can turn, else None.
+def _line_route(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: TrigPotential):
+    """``_branch_and_bound``'s arguments and error bound for ``_Occupation1D``, or None.
 
-    No start can turn when every K box has (min |p|)^2 / 2 > 2 sum |c_t|:
-    then E - V >= p0^2/2 - 2 sum |c_t| > 0 along the whole orbit.  Branch and
-    bound over (q, p) sub-boxes of K: hi is the least centre occupation, and
-    a sub-box is quartered while its lower bound is below hi by more than
-    _GC_TOL less twice the quadrature error, which then widens both ends.
-    An empty omega gives (0, 0) and one that covers the cell (T, T).  None
-    also when one start's crossings of omega's copies within T outnumber
-    ``_GC_CHUNK``, and when no rule of ``_GC_NODES`` brings the error below
-    _GC_TOL / 8.
+    The route needs one dimension and no start in K that can turn: every K
+    box has (min |p|)^2 / 2 > 2 sum |c_t|, so E - V >= p0^2/2 - 2 sum |c_t| > 0
+    along the orbit.  Sub-boxes are quartered while their lower bound is
+    below hi by more than _GC_TOL less twice the quadrature error, which then
+    widens both ends.  An omega that covers the cell gives (T, T).  None also
+    when one start crosses more than ``_GC_CHUNK`` copies of omega within T,
+    or no rule of ``_GC_NODES`` brings the error below _GC_TOL / 8.
     """
-    if k_set.q_bounds.shape[2] != 1 or k_set.n_boxes == 0:
+    if k_set.q_bounds.shape[2] != 1:
         return None
     v_bound = sum(abs(c) for _, c, _ in potential.terms)
     p = k_set.p_bounds[:, :, 0]
@@ -428,11 +419,9 @@ def _exact_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region,
         return None
     period = abs(float(potential.lat.basis[0, 0]))
     ends = _omega_intervals(omega, period)
-    if not ends.size:
-        return 0.0, 0.0
-    if ends.tolist() == [[0.0, period]]:
-        return float(horizon), float(horizon)
     u = k_set.q_bounds[:, :, 0] + 0.5 * period
+    if ends.tolist() == [[0.0, period]]:
+        return _uniform(horizon, np.concatenate([u, p], axis=1))
     # speed^2 = p0^2 + 2 (V(q0) - V(q)) <= max p^2 + 4 sum |c_t|
     reach = horizon * np.sqrt(np.max(p * p) + 4.0 * v_bound)
     first, last = np.floor(u.min() / period), np.floor(u.max() / period)
@@ -452,10 +441,8 @@ def _exact_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region,
     else:
         return None
     occupation = _Occupation1D(horizon, ends, potential, period, nodes, copies)
-    lo, hi = _branch_and_bound(occupation.bounds, _quartered, np.concatenate([u, p], axis=1),
-                               _GC_TOL - 2.0 * err, _GC_MAX_CHUNKS * occupation.rows)
-    hi = float(min(hi + err, horizon))
-    return float(min(max(lo - err, 0.0), hi)), hi
+    return (occupation.bounds, _quartered, np.concatenate([u, p], axis=1),
+            _GC_TOL - 2.0 * err, _GC_MAX_CHUNKS * occupation.rows), err
 
 
 def _unit_corners(d: int) -> np.ndarray:
@@ -591,13 +578,14 @@ class _FreeOccupation:
         return np.maximum(end - np.maximum(start, before), 0.0).sum(axis=1)
 
 
-def _bisected(boxes: np.ndarray, occupation: _FreeOccupation) -> np.ndarray:
+def _bisected(boxes: np.ndarray, occupation) -> np.ndarray:
     """Both halves of each (q1, q2, p1, p2) sub-box, across one axis pair i.
 
     The pair is the one whose collapse (q_i and p_i both set to their
-    midpoints) raises the lower bound most, the widest on a tie; the half is
-    taken across the wider of q_i and T p_i.  Splitting the widest axis
-    alone would also split axes along which omega never binds.
+    midpoints) raises the lower bound (``occupation.lower``) most, the
+    widest on a tie; the half is taken across the wider of q_i and T p_i.
+    Splitting the widest axis alone would also split axes along which omega
+    never binds.
     """
     n, _, d = boxes.shape
     q_mid, p_mid = 0.5 * (boxes[:, 0] + boxes[:, 1]), 0.5 * (boxes[:, 2] + boxes[:, 3])
@@ -620,72 +608,108 @@ def _bisected(boxes: np.ndarray, occupation: _FreeOccupation) -> np.ndarray:
     return np.concatenate([first, second])
 
 
-def _free_bracket(horizon: float, k_set: PhaseBoxSet, omega: Region):
-    """(C_GC_lo, C_GC_hi) at V = 0 in any dimension, or None (``_free_translates``).
+def _free_route(horizon: float, k_set: PhaseBoxSet, boxes: np.ndarray, omega: Region):
+    """``_branch_and_bound``'s arguments and error bound (0) for ``_FreeOccupation``, or None.
 
-    The orbits are q + t p, so ``_FreeOccupation`` bounds each (q, p)
-    sub-box of K, and ``_branch_and_bound`` halves sub-boxes
-    (``_bisected``).  A bounded sub-box costs two rows of
-    ``_FreeOccupation.lower``, and d more when it is halved, so the
-    refinement stops after ``_GC_MAX_CHUNKS`` chunks' worth of them.  An
-    empty omega gives (0, 0).
+    Sub-boxes are halved (``_bisected``).  A bounded sub-box costs two rows of
+    ``_FreeOccupation.lower``, and d more when it is halved, so the refinement
+    stops after ``_GC_MAX_CHUNKS`` chunks' worth of them.  An omega that no
+    orbit meets gives (0, 0).  None when ``_free_translates`` is.
     """
-    if k_set.n_boxes == 0:
-        return None
-    if omega.boxes.shape[0] == 0:
-        return 0.0, 0.0
+    if not omega.boxes.size:
+        return _uniform(0.0, boxes)
     translates = _free_translates(horizon, k_set, omega)
     if translates is None:
         return None
     if not translates[0].size:
-        return 0.0, 0.0
+        return _uniform(0.0, boxes)
     occupation = _FreeOccupation(horizon, *translates)
-    boxes = np.stack([k_set.q_bounds[:, 0], k_set.q_bounds[:, 1],
-                      k_set.p_bounds[:, 0], k_set.p_bounds[:, 1]], axis=1)
-    lo, hi = _branch_and_bound(occupation.bounds, lambda b: _bisected(b, occupation), boxes,
-                               _GC_TOL, _GC_MAX_CHUNKS * occupation.rows // (2 + boxes.shape[2]))
-    return min(lo, hi), hi
+    return (occupation.bounds, lambda b: _bisected(b, occupation), boxes, _GC_TOL,
+            _GC_MAX_CHUNKS * occupation.rows // (2 + boxes.shape[2])), 0.0
+
+
+class _FlowOccupation:
+    """Occupation of omega along Verlet orbits from sub-box centres, and the lower bound 0.
+
+    The orbit from the centre of a (q1, q2, p1, p2) sub-box takes ``n_time``
+    Verlet steps of h = T / n_time; a step counts h when its midpoint
+    x + h xi / 2 + h^2 F / 8 lies in omega (``Region.contains`` is periodic).
+    Passes shorter than a step are missed, so this is an estimate.
+    """
+
+    def __init__(self, horizon: float, omega: Region, potential: TrigPotential, n_time: int,
+                 budget: int):
+        self.horizon, self.omega, self.potential, self.n_time = horizon, omega, potential, n_time
+        self.budget, self.evaluated, self.centre = budget, 0, None
+
+    def lower(self, boxes: np.ndarray) -> np.ndarray:
+        return np.zeros(boxes.shape[0])
+
+    def bounds(self, boxes: np.ndarray):
+        """Lower bound 0 over each sub-box and the occupation counted from its centre."""
+        x, xi = 0.5 * (boxes[:, 0] + boxes[:, 1]), 0.5 * (boxes[:, 2] + boxes[:, 3])
+        h = self.horizon / self.n_time
+        inside = np.zeros(x.shape[0])
+        force = -self.potential.gradient(x)
+        for _ in range(self.n_time):
+            # at V = 0 the force stays a signed zero, which adds nothing
+            inside += self.omega.contains(x + 0.5 * h * xi + 0.125 * h * h * force)
+            x, xi, force = _verlet_step(x, xi, force, h, self.potential)
+        self.evaluated += boxes.shape[0]
+        self.centre = inside * h
+        return self.lower(boxes), self.centre
+
+    def split(self, boxes: np.ndarray) -> np.ndarray:
+        """Both halves (``_bisected``) of the sub-boxes of least centre occupation, as many
+        as ``budget`` has centres left.  Every lower bound is 0, so ``_branch_and_bound``
+        passes all the sub-boxes it bounded last, or none."""
+        left = self.budget - self.evaluated
+        least = np.argsort(self.centre, kind="stable")[:min(len(boxes), (left + 1) // 2)]
+        return _bisected(boxes[least], self)[:left]
+
+
+def _cut(boxes: np.ndarray, parts: int) -> np.ndarray:
+    """Each (q1, q2, p1, p2) row cut into ``parts`` equal pieces along each of its 2d axes."""
+    d = boxes.shape[2]
+    index = np.stack(np.meshgrid(*[np.arange(parts)] * (2 * d), indexing="ij"), axis=-1)
+    lo, hi, index = boxes[:, None, 0::2], boxes[:, None, 1::2], index.reshape(-1, 2, d)
+    # a piece's ends are lo (1 - f) + hi f, so neighbours share their ends
+    start, stop = (lo * (1.0 - f) + hi * f for f in (index / parts, (index + 1) / parts))
+    return np.stack([start, stop], axis=3).reshape(-1, 4, d)
+
+
+def _uniform(value: float, boxes: np.ndarray):
+    """``_branch_and_bound``'s arguments and error bound (0) when every orbit spends
+    ``value`` in omega: every sub-box bounds to it, so none is split."""
+    def bounds(b):
+        return np.full(b.shape[0], value), np.full(b.shape[0], value)
+    return (bounds, lambda b: b, boxes, _GC_TOL, 1), 0.0
 
 
 def gc_constant(horizon: float, k_set: PhaseBoxSet, omega: Region, potential: TrigPotential,
-                n_time: int = 2000, per_axis: int = 32, n_quasi: int = 1000,
-                seed: int = 0) -> GCEstimate:
+                n_time: int = 2000, per_axis: int = 32, n_quasi: int = 1000) -> GCEstimate:
     """Minimum over starts in K of the time the trajectory spends in omega over [0, T].
 
-    The routes, in order: ``_exact_bracket`` (one dimension, no start in K
-    can turn), then ``_free_bracket`` at V = 0 in any dimension.  Either
-    returns a bracket and reads none of ``n_time``, ``per_axis``, ``n_quasi``
-    and ``seed``.  Otherwise (V != 0 with d >= 2, a 1-D start that can turn,
-    or a route's guard) the sampler runs:
-    midpoint time sampling on a uniform grid of step horizon / n_time along
-    Verlet trajectories from the ``per_axis`` grid and ``n_quasi`` seeded
-    quasi-random starts of each box.  ``Region.contains`` is periodic, so
-    positions that left the cell need no reduction.  The result is an
-    estimate (finer-than-grid grazing passes are invisible).
+    One ``_branch_and_bound`` over sub-boxes of K: ``_free_route`` at V = 0,
+    else ``_line_route``, else, and behind their guards, ``_FlowOccupation``.
+    Only the flow route reads ``n_time``, ``per_axis`` and ``n_quasi``: it
+    cuts each box of K into ``per_axis`` parts per axis, then halves parts
+    until ``n_quasi`` more centres per box have been evaluated.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    bracket = _exact_bracket(horizon, k_set, omega, potential)
-    if bracket is None and potential.is_zero:
-        bracket = _free_bracket(horizon, k_set, omega)
-    if bracket is not None:
-        lower, value = bracket
-        return GCEstimate(value=value, satisfied=lower > 0.0, n_samples=0, lower=lower)
-    qg, pg = k_set.grid_samples(per_axis)
-    qq, pq = k_set.quasi_samples(n_quasi, seed)
-    x = np.concatenate([qg, qq])
-    xi = np.concatenate([pg, pq])
-    if x.shape[0] == 0:
-        raise ValueError("empty sample set for K")
-    h = horizon / n_time
-    inside = np.zeros(x.shape[0])
-    force = -potential.gradient(x)
-    for _ in range(n_time):
-        x_mid = x + 0.5 * h * xi
-        if not potential.is_zero:
-            x_mid += 0.125 * h * h * force
-        inside += omega.contains(x_mid)
-        x, xi, force = _verlet_step(x, xi, force, h, potential)
-    occupation = inside * h
-    value = float(np.min(occupation))
-    return GCEstimate(value=value, satisfied=value > 0.0, n_samples=x.shape[0])
+    if k_set.n_boxes == 0:
+        raise ValueError("K has no boxes")
+    boxes = np.concatenate([k_set.q_bounds, k_set.p_bounds], axis=1)
+    flow = None
+    route = (_free_route(horizon, k_set, boxes, omega) if potential.is_zero
+             else _line_route(horizon, k_set, omega, potential))
+    if route is None:
+        budget = boxes.shape[0] * (per_axis ** (2 * boxes.shape[2]) + n_quasi)
+        flow = _FlowOccupation(horizon, omega, potential, n_time, budget)
+        route = (flow.bounds, flow.split, _cut(boxes, per_axis), _GC_TOL, budget), 0.0
+    search, err = route
+    lo, hi = _branch_and_bound(*search)
+    value = float(min(hi + err, horizon))
+    return GCEstimate(value, 0 if flow is None else flow.evaluated,
+                      float(min(max(lo - err, 0.0), value)))

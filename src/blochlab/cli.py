@@ -21,8 +21,8 @@ the only writer: it writes ``<prefix>_<suffix>.csv`` into ``--out`` for each
 table, then prints the lines.  The rows of ``_verify.csv`` and the verdict
 lines come from ``verify_theorem``'s report as they are.
 
-Deterministic by construction: reductions run in fixed order and the only
-randomness (quasi-random sampling of K) is seeded from the config hash.
+Deterministic by construction: reductions run in fixed order and nothing is
+random, so the outputs depend on the config's values only.
 """
 
 from __future__ import annotations
@@ -206,7 +206,6 @@ def main(argv=None) -> int:
         cfg = load_config(text)
         scn = cfg.scenario()
         scn.tolerance_scale = args.tolerance_scale
-        scn.disc.seed = int(cfg_hash, 16) % (2 ** 31)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

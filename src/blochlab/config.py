@@ -176,8 +176,8 @@ def _check_sizes_fit(sizes: dict, d: int) -> None:
 
     Each array is one that some command builds from the sizes alone: the
     state block, at least one complex vector per fiber; the n_q^d n_p^d
-    phase-space grid; the gc_per_axis^(2d) and gc_quasi starts of the
-    geometric-control sweep, 2d reals each; the n_time_obs + 1 observation
+    phase-space grid; the gc_per_axis^(2d) and gc_quasi sub-boxes of the
+    geometric-control flow route, 4d reals each; the n_time_obs + 1 observation
     times.  The counts are taken in Python ints, so no size overflows, and of
     two factors the larger one's key is named.
     """
@@ -187,10 +187,10 @@ def _check_sizes_fit(sizes: dict, d: int) -> None:
          "the smallest state block, n_k^d (2m+1)^d complex values,"),
         ("n_q" if n_q > n_p else "n_p", (n_q * n_p) ** d * 8,
          "the phase-space grid, n_q^d n_p^d reals,"),
-        ("gc_per_axis", sizes["gc_per_axis"] ** (2 * d) * 16 * d,
-         "the geometric-control grid, gc_per_axis^(2d) points of 2d reals,"),
-        ("gc_quasi", sizes["gc_quasi"] * 16 * d,
-         "the geometric-control quasi-random sample, gc_quasi points of 2d reals,"),
+        ("gc_per_axis", sizes["gc_per_axis"] ** (2 * d) * 32 * d,
+         "the geometric-control first level, gc_per_axis^(2d) sub-boxes of 4d reals,"),
+        ("gc_quasi", sizes["gc_quasi"] * 32 * d,
+         "the geometric-control refinement, gc_quasi sub-boxes of 4d reals,"),
         ("n_time_obs", (sizes["n_time_obs"] + 1) * 8,
          "the observation time grid, n_time_obs + 1 reals,"),
     )
@@ -226,7 +226,7 @@ def load_config(text: str) -> ExperimentConfig:
                                 ("n_k", 32 if d == 1 else 4, 2),
                                 ("n_q", 16, 2), ("n_p", 24, 2),
                                 ("n_time_obs", 200, 1), ("n_time_gc", 2000, 1),
-                                ("gc_per_axis", 32, 1), ("gc_quasi", 1000, 0)):
+                                ("gc_per_axis", round(32 ** (1 / d)), 1), ("gc_quasi", 1000, 0)):
         sizes[key] = _value(sections, "discretization", key, _integer, default)
         if sizes[key] < least:
             raise ConfigValidationError(f"discretization.{key}", f"must be at least {least}")

@@ -101,7 +101,6 @@ class Discretization:
     gc_quasi: int
     dt: float
     p_max: float | None = None
-    seed: int = 0
 
 
 @dataclass
@@ -255,7 +254,7 @@ def theorem_constants(scn: ObservabilityScenario) -> TheoremConstants:
     lip = scn.potential.lipschitz_gradient()
     gc = gc_constant(scn.horizon, scn.k_set, scn.omega, scn.potential,
                      n_time=scn.disc.n_time_gc, per_axis=scn.disc.gc_per_axis,
-                     n_quasi=scn.disc.gc_quasi, seed=scn.disc.seed)
+                     n_quasi=scn.disc.gc_quasi)
     c_t, lam_t = minimize_toeplitz_penalty(scn.geom, scn.horizon, lip.value)
     return TheoremConstants(lip, gc, c_t, lam_t, constant_pure(scn.geom, scn.horizon, lip.value),
                             hbar_threshold(gc.value, c_t, scn.delta, scn.lat.dimension))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import numpy.random  # numpy loads it lazily: here the load is part of the import
 
 from .bloch import KGrid, g_vectors, grid_weight, position_grid, quadrature_len, \
     squared_values
@@ -56,28 +55,6 @@ class PhaseBoxSet:
             out |= (np.all((q >= qlo) & (q <= qhi), axis=-1)
                     & np.all((p >= plo) & (p <= phi), axis=-1))
         return out
-
-    def grid_samples(self, per_axis: int = 32):
-        """Tensor grid over each box; returns (q, p) arrays stacked over boxes."""
-        qs, ps = [], []
-        d = self.q_bounds.shape[2]
-        for (qlo, qhi), (plo, phi) in zip(self.q_bounds, self.p_bounds):
-            axes = [np.linspace(qlo[i], qhi[i], per_axis) for i in range(d)]
-            axes += [np.linspace(plo[i], phi[i], per_axis) for i in range(d)]
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * d)
-            qs.append(mesh[:, :d])
-            ps.append(mesh[:, d:])
-        return np.concatenate(qs), np.concatenate(ps)
-
-    def quasi_samples(self, n: int, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        d = self.q_bounds.shape[2]
-        qs, ps = [], []
-        for (qlo, qhi), (plo, phi) in zip(self.q_bounds, self.p_bounds):
-            u = rng.random((n, 2 * d))
-            qs.append(qlo + u[:, :d] * (qhi - qlo))
-            ps.append(plo + u[:, d:] * (phi - plo))
-        return np.concatenate(qs), np.concatenate(ps)
 
 
 @dataclass

@@ -7,7 +7,7 @@ over dense momentum symbols, the Gaussian packet and Husimi window without
 their floor, a transform loop that rolls and rescales at every step, the dense
 Galerkin matrix of a fiber and its matrix exponential, the evolution by that
 exponential, the full Stoermer-Verlet formula at every step, occupation times by
-midpoint sampling of fine Verlet steps or of the free motion in d dimensions, the stability
+midpoint sampling of Verlet steps or of the free motion in d dimensions, the stability
 energies with both coupling parts recomputed at every sample, the theta cost
 weights summed from a zero array, region
 membership against every neighbouring translate, a midpoint quadrature over
@@ -396,6 +396,28 @@ def verlet_occupation(x, xi, horizon: float, potential: TrigPotential, regions,
         xi = xi + 0.5 * h * (f + new_f)
         f = new_f
     return np.array([h * np.count_nonzero(region.contains(mids), axis=0) for region in regions])
+
+
+def sampled_occupation(x, xi, horizon: float, potential: TrigPotential, region: Region,
+                       n_time: int) -> np.ndarray:
+    """Time each start of a batch (n, d) spends in the region over [0, horizon], by sampling.
+
+    ``n_time`` steps of h = horizon / n_time by the full Stoermer-Verlet
+    formula; each counts h when its midpoint x + h xi / 2 + h^2 F / 8 lies in
+    the region (``Region.contains``).
+    """
+    x = np.array(x, dtype=float, copy=True)
+    xi = np.array(xi, dtype=float, copy=True)
+    h = horizon / n_time
+    inside = np.zeros(x.shape[0])
+    force = -potential.gradient(x)
+    for _ in range(n_time):
+        inside += region.contains(x + 0.5 * h * xi + 0.125 * h * h * force)
+        x = x + h * xi + 0.5 * h * h * force
+        new_force = -potential.gradient(x)
+        xi = xi + 0.5 * h * (force + new_force)
+        force = new_force
+    return inside * h
 
 
 def free_occupation(q, p, horizon: float, region: Region, dt: float) -> np.ndarray:

@@ -11,7 +11,8 @@ from blochlab.lattice import reduce_to_cell
 
 from conftest import LATTICES
 from oracles import (cosine_potential, cubic_lattice, free_occupation, interval_region, k_flow,
-                     single_box, verlet_flow, verlet_occupation, zero_potential)
+                     sampled_occupation, single_box, verlet_flow, verlet_occupation,
+                     zero_potential)
 
 
 @pytest.fixture(scope="module")
@@ -238,13 +239,15 @@ def test_gc_bracket_on_the_cosine_workload(lat1, vpot, monkeypatch):
     assert fine.value <= 0.11478
 
 
-def test_gc_bracket_stays_valid_when_refinement_stops(lat1, monkeypatch):
-    # past _GC_MAX_CHUNKS chunks of sub-boxes the branch and bound reports the
-    # wider bracket it has, which still holds the constant 1/9
+def test_gc_bracket_stays_valid_when_refinement_stops(lat1, vpot, monkeypatch):
+    # past _GC_MAX_CHUNKS chunks of sub-boxes the 1-D route reports the wider
+    # bracket it has, which still holds the constant of the cosine workload
+    k_set, omega = single_box([-0.5], [0.5], [1.0], [2.0]), interval_region([-0.1], [0.1], lat1)
+    full = gc_constant(1.0, k_set, omega, vpot)
     monkeypatch.setattr(classical_dynamics, "_GC_MAX_CHUNKS", 1)
-    est = gc_constant(1.0, single_box([-0.5], [0.5], [1.0], [2.0]),
-                      interval_region([-0.1], [0.1], lat1), zero_potential(lat1))
-    assert est.lower <= 1.0 / 9.0 <= est.value
+    est = gc_constant(1.0, k_set, omega, vpot)
+    assert est.n_samples == 0
+    assert max(est.lower, full.lower) <= min(est.value, full.value)
     assert est.value - est.lower > 1e-3
 
 
@@ -372,52 +375,143 @@ def test_gc_requires_samples(lat1):
                     omega, zero_potential(lat1))
 
 
-def test_gc_sampler_takes_turning_starts_2d_and_long_horizons(lat1, vpot):
-    # under 0.1 cos(2 pi q) a start can turn unless p^2/2 > 2 * 0.1
+def test_gc_flow_route_takes_turning_starts_2d_and_long_horizons(lat1, vpot):
+    # under 0.1 cos(2 pi q) a start can turn unless p^2/2 > 2 * 0.1; the flow
+    # route reports lower 0 and counts the centres it evaluated, the exact
+    # routes none
     omega = interval_region([-0.1], [0.1], lat1)
     turning = gc_constant(1.0, single_box([-0.5], [0.5], [0.3], [0.63]), omega, vpot,
                           n_time=200, per_axis=4, n_quasi=10)
-    assert turning.n_samples == 4 * 4 + 10 and turning.lower == 0.0
+    # a centre that never reaches omega: the estimate 0 is within tolerance of
+    # the lower bound 0, so the first level of 4^2 centres is all it evaluates
+    assert (turning.value, turning.lower, turning.n_samples) == (0.0, 0.0, 4 * 4)
     rotating = gc_constant(3.0, single_box([-0.5], [0.5], [0.64], [1.0]), omega, vpot)
     assert rotating.n_samples == 0 and rotating.lower > 0.0
-    # d >= 2 with a potential takes the sampler, and at V = 0 the free-flow route
+    # d >= 2 with a potential takes the flow route, and at V = 0 the free route;
+    # the flow route spends its whole budget of 2^4 + 4 centres
     lat2 = cubic_lattice(2)
     k2 = PhaseBoxSet(np.array([[[-0.1, -0.1], [0.1, 0.1]]]), np.array([[[1.0, 0.0], [1.5, 0.5]]]))
     strip = Region(np.array([[[-0.2, -0.5], [0.2, 0.5]]]), lat2)
     est = gc_constant(0.5, k2, strip, cosine_potential(lat2, (1, 0), 0.1),
                       n_time=50, per_axis=2, n_quasi=4)
-    assert est.n_samples == 2 ** 4 + 4 and est.lower == 0.0
+    assert est.n_samples == 2 ** 4 + 4 and est.lower == 0.0 and not est.satisfied
+    assert est.value > 1e-3
     # the start x = 0.1, p_x = 1.4 leaves the strip at t = 1/14 and meets the next one at T
     est = gc_constant(0.5, k2, strip, zero_potential(lat2), n_time=50, per_axis=2, n_quasi=4)
     assert est.n_samples == 0 and 0.0 < est.lower <= 1.0 / 14.0 <= est.value
-    # at V = 0 the sampler still takes a box of omega that reaches past the 3^d
-    # cells around the cell, and a horizon whose free orbits meet more
+    # at V = 0 the flow route still takes a box of omega that reaches past the
+    # 3^d cells around the cell, and a horizon whose free orbits meet more
     # translates of omega than a chunk holds
-    for horizon, region in ((0.5, Region(np.array([[[0.2, -0.1], [1.8, 0.1]]]), lat2)),
-                            (1e5, Region(np.array([[[-0.2, -0.2], [0.2, 0.2]]]), lat2))):
+    # (the second estimate is 0, within tolerance of lower 0 after one level)
+    for horizon, region, samples in (
+            (0.5, Region(np.array([[[0.2, -0.1], [1.8, 0.1]]]), lat2), 2 ** 4 + 2),
+            (1e5, Region(np.array([[[-0.2, -0.2], [0.2, 0.2]]]), lat2), 2 ** 4)):
         est = gc_constant(horizon, k2, region, zero_potential(lat2), n_time=20, per_axis=2,
                           n_quasi=2)
-        assert est.n_samples == 2 ** 4 + 2 and est.lower == 0.0
+        assert est.n_samples == samples and est.lower == 0.0
     # so does a horizon whose orbits cross more copies of omega than a chunk holds
     est = gc_constant(1e5, single_box([-0.5], [0.5], [1.0], [2.0]), omega, vpot,
                       n_time=20, per_axis=2, n_quasi=2)
     assert est.n_samples == 2 * 2 + 2 and est.lower == 0.0
 
 
-def test_gc_sampler_is_the_least_verlet_occupation_of_its_starts(lat1, vpot):
-    # starts near rest just left of omega under 0.1 cos(2 pi q) can turn, so they
-    # take the sampler; at h = T / n_time its value is the least midpoint
-    # occupation of full Verlet steps from the same grid and quasi-random
-    # starts, bit for bit.  The first midpoints lie in omega only by their
-    # h^2 F / 8 term.
-    k_set = single_box([0.398], [0.3995], [-0.002], [0.002])
-    omega = interval_region([0.4], [0.6], lat1)
-    est = gc_constant(1.0, k_set, omega, vpot, n_time=4, per_axis=4, n_quasi=10, seed=3)
-    (qg, pg), (qq, pq) = k_set.grid_samples(4), k_set.quasi_samples(10, 3)
-    want = verlet_occupation(np.concatenate([qg, qq])[:, 0], np.concatenate([pg, pq])[:, 0],
-                             1.0, vpot, [omega], dt=1.0 / 4)[0]
-    assert est.n_samples == want.size == 4 * 4 + 10
-    assert est.value == want.min() == 1.0
+def _flow_cases():
+    """(K, omega, potential): 1-D starts near rest just left of omega, which can
+    turn under 0.1 cos(2 pi q), and whose first midpoints lie in omega only by
+    their h^2 F / 8 term; a 2-D K under a cosine; the 2-D K at V = 0 with a
+    box of omega beyond the 3^d cells around the cell, which the free route
+    does not take."""
+    lat1, lat2 = cubic_lattice(1), cubic_lattice(2)
+    k2 = PhaseBoxSet(np.array([[[-0.1, -0.1], [0.1, 0.1]]]), np.array([[[1.0, 0.0], [1.5, 0.5]]]))
+    strip = Region(np.array([[[-0.2, -0.5], [0.2, 0.5]]]), lat2)
+    return [(single_box([0.398], [0.3995], [-0.002], [0.002]),
+             interval_region([0.4], [0.6], lat1), cosine_potential(lat1, (1,), 0.1)),
+            (k2, strip, cosine_potential(lat2, (1, 1), 0.2, 0.4)),
+            (k2, Region(np.array([[[0.2, -0.1], [1.8, 0.1]]]), lat2), zero_potential(lat2))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_flow_occupation_is_the_sampled_occupation_of_its_centres(case):
+    # the flow route's centre occupation is the sampler's loop along the full
+    # Verlet formula from the same starts, bit for bit, and with no exploration
+    # budget (n_quasi = 0) the estimate is the least of the first level's
+    k_set, omega, potential = _flow_cases()[case]
+    boxes = classical_dynamics._cut(np.concatenate([k_set.q_bounds, k_set.p_bounds], axis=1), 3)
+    assert boxes.shape == (3 ** (2 * k_set.q_bounds.shape[2]), 4, k_set.q_bounds.shape[2])
+    flow = classical_dynamics._FlowOccupation(1.0, omega, potential, 40, boxes.shape[0])
+    lower, centre = flow.bounds(boxes)
+    want = sampled_occupation(0.5 * (boxes[:, 0] + boxes[:, 1]), 0.5 * (boxes[:, 2] + boxes[:, 3]),
+                              1.0, potential, omega, 40)
+    assert centre.tobytes() == want.tobytes() and not lower.any()
+    assert 0.0 < want.max() and flow.evaluated == boxes.shape[0]
+    est = gc_constant(1.0, k_set, omega, potential, n_time=40, per_axis=3, n_quasi=0)
+    assert (est.value, est.lower, est.n_samples) == (want.min(), 0.0, boxes.shape[0])
+
+
+def test_flow_route_spends_its_budget_on_the_least_centres():
+    # gc_quasi more centres per box of K: the halves of the sub-boxes whose
+    # centres had the least occupation, so the estimate never rises, and the
+    # cut pieces tile each box with shared ends
+    k_set, omega, potential = _flow_cases()[1]
+    two = PhaseBoxSet(np.concatenate([k_set.q_bounds, k_set.q_bounds + 0.2]),
+                      np.concatenate([k_set.p_bounds, k_set.p_bounds]))
+    first = gc_constant(1.0, two, omega, potential, n_time=40, per_axis=2, n_quasi=0)
+    est = gc_constant(1.0, two, omega, potential, n_time=40, per_axis=2, n_quasi=7)
+    assert first.n_samples == 2 * 2 ** 4 and est.n_samples == 2 * (2 ** 4 + 7)
+    assert est.value <= first.value and est.lower == 0.0
+    # with 3 centres left, both halves of the least parent and the first half of
+    # the next one
+    level = classical_dynamics._cut(np.concatenate([k_set.q_bounds, k_set.p_bounds], axis=1), 2)
+    flow = classical_dynamics._FlowOccupation(1.0, omega, potential, 40, level.shape[0] + 3)
+    order = np.argsort(flow.bounds(level)[1], kind="stable")
+    halves = flow.split(level)
+    assert halves.shape == (3, 4, 2)
+    for half, parent in zip(halves, level[order[[0, 1, 0]]]):
+        assert np.all(half[0::2] >= parent[0::2]) and np.all(half[1::2] <= parent[1::2])
+        assert np.any(half != parent)
+    boxes = classical_dynamics._cut(np.array([[[0.1], [0.4], [-1.0], [1.0]]]), 3)
+    assert boxes[:, :2, 0].tolist()[:3] == [[0.1, 0.2], [0.1, 0.2], [0.1, 0.2]]
+    assert sorted(set(boxes[:, 1, 0]) - set(boxes[:, 0, 0])) == [0.4]
+    assert sorted(set(boxes[:, 3, 0]) - set(boxes[:, 2, 0])) == [1.0]
+
+
+def test_every_input_makes_one_branch_and_bound(lat1, vpot, monkeypatch):
+    # one result path: the free route, the 1-D route, the flow route behind
+    # each guard, and an omega every orbit spends the same time in (none of
+    # it, or in 1-D all of it) each bound K in exactly one call
+    calls = []
+    search = classical_dynamics._branch_and_bound
+
+    def count(*args):
+        calls.append(args[-1])
+        return search(*args)
+
+    monkeypatch.setattr(classical_dynamics, "_branch_and_bound", count)
+    lat2 = cubic_lattice(2)
+    k1 = single_box([-0.5], [0.5], [1.0], [2.0])
+    k2 = single_box([-0.1, -0.1], [0.1, 0.1], [1.0, 0.0], [1.5, 0.5])
+    turning = single_box([-0.5], [0.5], [0.3], [0.63])
+    missed = single_box([0.3], [0.35], [0.0], [0.0])
+    omega, cell = interval_region([-0.1], [0.1], lat1), interval_region([-0.5], [0.5], lat1)
+    strip = interval_region([-0.2, -0.5], [0.2, 0.5], lat2)
+    far = interval_region([0.2, -0.1], [1.8, 0.1], lat2)
+    none1, none2 = Region(np.zeros((0, 2, 1)), lat1), Region(np.zeros((0, 2, 2)), lat2)
+    zero1, zero2 = zero_potential(lat1), zero_potential(lat2)
+    cos2 = cosine_potential(lat2, (1, 0), 0.1)
+    cases = [(1.0, k1, omega, zero1, 0), (0.5, k2, strip, zero2, 0), (1.0, k1, none1, zero1, 0),
+             (0.5, k2, none2, zero2, 0), (1.0, missed, omega, zero1, 0), (1.0, k1, cell, zero1, 0),
+             (1.0, k1, omega, vpot, 0), (1.0, k1, none1, vpot, 0), (1.0, k1, cell, vpot, 0),
+             (1.0, turning, omega, vpot, 4), (0.5, k2, strip, cos2, 18), (0.5, k2, far, zero2, 18),
+             (1e5, k1, omega, vpot, 6), (0.5, k2, none2, cos2, 16)]
+    for horizon, k_set, region, potential, samples in cases:
+        calls.clear()
+        est = gc_constant(horizon, k_set, region, potential, n_time=20, per_axis=2, n_quasi=2)
+        assert len(calls) == 1 and est.n_samples == samples
+        assert est.lower <= est.value and est.satisfied == (est.lower > 0.0)
+    # the closed forms: an omega no orbit meets, or a 1-D cell that omega covers
+    for horizon, k_set, region, potential, _ in cases[2:6] + cases[7:9]:
+        est = gc_constant(horizon, k_set, region, potential)
+        assert est.lower == est.value == (horizon if region is cell else 0.0)
 
 
 HEXAGONAL = LatticeSpec(np.array(LATTICES["hexagonal"]))
@@ -521,15 +615,14 @@ def test_free_bracket_stays_valid_when_refinement_stops(monkeypatch):
     assert est.value - est.lower > 1e-3
 
 
-def test_free_route_in_three_dimensions_builds_no_sample_grid(monkeypatch):
-    # the sampler's default grid would be 32^6 starts; the free route reads no
-    # sampler setting.  The slab |z| < 0.1 tiles x and y, so the constant is
-    # that of the motion along z alone, which the 1-D route brackets.
+def test_free_route_in_three_dimensions_runs_no_orbit(monkeypatch):
+    # the flow route's default first level would be 32^6 centres; the free
+    # route reads no flow setting.  The slab |z| < 0.1 tiles x and y, so the
+    # constant is that of the motion along z alone, which the 1-D case brackets.
     def refuse(*args, **kwargs):
-        raise AssertionError("the sampler's starts were built")
+        raise AssertionError("the flow route ran")
 
-    monkeypatch.setattr(PhaseBoxSet, "grid_samples", refuse)
-    monkeypatch.setattr(PhaseBoxSet, "quasi_samples", refuse)
+    monkeypatch.setattr(classical_dynamics, "_FlowOccupation", refuse)
     lat3 = cubic_lattice(3)
     k_set = PhaseBoxSet(np.array([[[-0.2, -0.2, -0.2], [0.2, 0.2, 0.2]]]),
                         np.array([[[0.0, -0.3, 1.0], [0.3, 0.0, 2.0]]]))

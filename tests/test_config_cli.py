@@ -1,4 +1,3 @@
-import hashlib
 import importlib.util
 import os
 import subprocess
@@ -253,12 +252,51 @@ def test_huge_n_time_gc_ends_on_the_exact_route(tmp_path):
 
 
 def test_constants_at_the_2d_sampler_defaults_ends_in_seconds(tmp_path):
-    # a 2-D config at V = 0 with the sampler's defaults (gc_per_axis 32, n_time_gc
-    # 2000, gc_quasi 1000), whose sampling would take minutes; the free route
-    # reads none of them
+    # a 2-D config at V = 0 with the flow route's keys at their defaults, which
+    # the free route does not read
     done = _constants_in_subprocess(write_cfg(tmp_path, HEX_PURE, "hex.cfg"), tmp_path, 10)
     assert done.returncode == 0, done.stderr
     assert "C_GC_lo = " in done.stdout and "GC_satisfied = 1" in done.stdout
+
+
+def test_constants_on_the_flow_route_at_the_defaults_ends_in_seconds(tmp_path):
+    # a 2-D config under a cosine takes the flow route.  At a default
+    # gc_per_axis of 32 in every dimension its first level was 32^4 centres of
+    # 2000 steps, minutes of work; the default now keeps about 32^2 centres in
+    # every dimension: 32 in 1-D, 6 in 2-D, 3 in 3-D
+    done = _constants_in_subprocess(write_cfg(tmp_path, HEX_COSINE, "hex.cfg"), tmp_path, 60)
+    assert done.returncode == 0, done.stderr
+    assert "C_GC_lo = 0\n" in done.stdout and "GC_satisfied = 0" in done.stdout
+    cube = HEX_COSINE
+    for old, new in (("[1.0, 0.0], [0.5, 0.8660254037844386]", "[1, 0, 0], [0, 1, 0], [0, 0, 1]"),
+                     ("(1, 0), 0.1", "(1, 0, 0), 0.1"),
+                     ("(-0.3, -0.3), (0.3, 0.3), (0.0, 1.0), (0.5, 2.0)",
+                      "(0, 0, 0), (0.3, 0.3, 0.3), (0, 0, 1), (0.5, 0.5, 2)"),
+                     ("(-0.5, -0.1), (0.5, 0.1)", "(-0.5, -0.5, -0.1), (0.5, 0.5, 0.1)"),
+                     ("(0.0, 0.0)\ncenter_p = (0.25, 1.5)", "(0, 0, 0)\ncenter_p = (0, 0, 1.5)")):
+        cube = cube.replace(old, new)
+    defaults = [load_config(text).scenario().disc.gc_per_axis
+                for text in (BASE.replace("gc_per_axis = 8\n", ""), HEX_COSINE, cube)]
+    assert defaults == [32, 6, 3]
+
+
+def test_flow_route_outputs_depend_on_the_config_values_only(tmp_path):
+    # nothing is random: a comment line or another output prefix moves no
+    # constants row and no verify value on the flow route (each CSV's first
+    # line, its provenance comment, names the config's hash)
+    text = HEX_COSINE.replace("n_k = 2\n", "n_k = 2\nn_time_obs = 8\nn_time_gc = 200\n"
+                                           "gc_per_axis = 3\ngc_quasi = 200\n")
+    variants = {"plain": (text, "out"), "comment": ("# another comment\n" + text, "out"),
+                "prefix": (text + "\n[output]\nprefix = other\n", "other")}
+    seen = {}
+    for name, (variant, prefix) in variants.items():
+        cfg, out = write_cfg(tmp_path, variant, f"{name}.cfg"), tmp_path / name
+        assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
+        main(["verify", "--config", cfg, "--out", str(out)])
+        seen[name] = [(out / f"{prefix}_{table}.csv").read_text().splitlines()[1:]
+                      for table in ("constants", "verify", "observation")]
+    assert seen["comment"] == seen["plain"] == seen["prefix"]
+    assert {"C_GC_lo,0", "GC_satisfied,0"} <= set(seen["plain"][0])
 
 
 def test_omega_box_beyond_the_neighbouring_cells_is_rejected(tmp_path, capsys):
@@ -315,6 +353,32 @@ loaded = set(sys.modules)
 code = blochlab.cli.main(["verify", "--config", cfg, "--out", out])
 print(code, sorted(set(sys.modules) - loaded))
 """
+
+
+RANDOM_GUARD = """\
+import sys
+import blochlab.cli
+
+cfg, out = sys.argv[1:]
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+for command in ("verify", "constants"):
+    blochlab.cli.main([command, "--config", cfg, "--out", out])
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # nothing in the package is random, so numpy.random (about 2 MB of peak
+    # RSS) is loaded neither by the import nor by the flow route's commands
+    src = os.path.dirname(os.path.dirname(blochlab.__file__))
+    text = HEX_COSINE.replace("n_k = 2\n", "n_k = 2\nn_time_obs = 8\nn_time_gc = 20\n"
+                                           "gc_per_axis = 2\ngc_quasi = 8\n")
+    done = subprocess.run([sys.executable, "-c", RANDOM_GUARD, write_cfg(tmp_path, text),
+                           str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "C_GC_lo = 0" in lines and lines[0] == lines[-1] == "[]"
 
 
 def test_set_up_loads_every_module_and_no_scipy(tmp_path):
@@ -457,9 +521,7 @@ def test_verify_csv_is_the_report_rows(tmp_path, kind, kind_rows):
     # order, each value through the one CSV formatter
     text = BASE.replace("kind = toeplitz", f"kind = {kind}")
     assert main(["verify", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path)]) == 0
-    scn = load_config(text).scenario()
-    scn.disc.seed = int(hashlib.sha256(text.encode()).hexdigest()[:12], 16) % 2 ** 31
-    rows = verify_theorem(scn).rows
+    rows = verify_theorem(load_config(text).scenario()).rows
     lines = (tmp_path / "out_verify.csv").read_text().splitlines()
     assert lines[1] == "quantity,value"
     assert lines[2:] == [f"{name},{_fmt(value)}" for name, value in rows.items()]
@@ -728,6 +790,10 @@ kind = pure
 center_q = (0.0, 0.0)
 center_p = (0.25, 1.5)
 """
+
+
+# HEX_PURE under a cosine: V != 0 in 2-D takes the flow route of the control constant
+HEX_COSINE = HEX_PURE.replace("[physics]", "[potential]\nterms = [((1, 0), 0.1, 0.0)]\n\n[physics]")
 
 
 def test_cli_metric_pure_hexagonal_energy_within_bound(tmp_path):

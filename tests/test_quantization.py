@@ -430,9 +430,9 @@ def test_phase_boxset_membership():
     k = single_box([-0.5], [0.5], [1.0], [2.0])
     assert k.contains(np.array([[0.0]]), np.array([[1.5]]))[0]
     assert not k.contains(np.array([[0.0]]), np.array([[0.5]]))[0]
-    qg, pg = k.grid_samples(5)
-    assert qg.shape == (25, 1)
-    assert np.all(k.contains(qg, pg))
+    # the box is closed: its corners belong to it
+    qg, pg = np.meshgrid([-0.5, 0.5], [1.0, 2.0])
+    assert np.all(k.contains(qg.reshape(-1, 1), pg.reshape(-1, 1)))
 
 
 def test_phase_boxset_rejects_inverted_boxes():
