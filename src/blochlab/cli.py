@@ -40,9 +40,9 @@ from . import __version__
 from .bloch import fft_threads, grid_weight, position_grid
 from .config import load_config
 from .errors import ConfigParseError, ConfigValidationError
-from .observability import PRUNE_TOL, default_p_max, initial_state, theorem_constants, \
-    verify_theorem
-from .quantization import husimi, momentum_grid
+from .observability import PRUNE_TOL, default_p_max, initial_state, k_grid_size, \
+    theorem_constants, verify_theorem
+from .quantization import husimi, momentum_grid, periodic_trace
 from .transport_metric import CostParams, coupling_energy_husimi, coupling_energy_toeplitz, \
     gronwall_rate, stability_envelope
 
@@ -67,6 +67,16 @@ def _assignments(rows) -> list:
             for name, value in rows]
 
 
+def _k_grid_line(scn) -> str:
+    """The stdout line of the k-grid a command evaluated and its alias bound."""
+    n_k_used, bound = k_grid_size(scn)
+    return f"n_k_used = {n_k_used}, k_alias_bound = {bound:.12g}"
+
+
+# Relative gap between the Husimi grid mass and the exact mass above which ``husimi`` warns.
+_HUSIMI_MASS_TOL = 1e-3
+
+
 def _cmd_husimi(scn):
     _, rho = initial_state(scn)
     rho = rho.compressed(PRUNE_TOL)[0]
@@ -78,7 +88,14 @@ def _cmd_husimi(scn):
     header = tuple(f"q{i}" for i in range(d)) + tuple(f"p{i}" for i in range(d)) + ("value",)
     rows = [tuple(q) + tuple(p) + (v,)
             for q, p, v in zip(w.nodes_q, w.nodes_p, w.values)]
-    return {"husimi": (header, rows)}, [f"husimi mass = {w.mass:.12g}"], 0
+    # the Husimi transform keeps the trace, so the exact mass is the periodic trace
+    exact = periodic_trace(rho)
+    lines = [f"husimi mass = {w.mass:.12g} (grid), {exact:.12g} (exact: periodic trace)"]
+    gap = abs(w.mass - exact) / exact
+    if gap > _HUSIMI_MASS_TOL:
+        lines.append(f"warning: the grid mass is {gap:.3g} relative off the exact mass; "
+                     "refine discretization.n_q and discretization.n_p")
+    return {"husimi": (header, rows)}, lines + [_k_grid_line(scn)], 0
 
 
 def _cmd_metric(scn):
@@ -92,7 +109,7 @@ def _cmd_metric(scn):
         extra = [("std_dev", ce.std_dev), ("c_bold", ce.c_bold)]
     rows = [("coupling_energy_sq", ce.total), ("bound_sq", ce.bound),
             ("position_part", ce.position_part), ("momentum_part", ce.momentum_part), *extra]
-    return {"metric": (("quantity", "value"), rows)}, _assignments(rows), 0
+    return {"metric": (("quantity", "value"), rows)}, _assignments(rows) + [_k_grid_line(scn)], 0
 
 
 def _cmd_stability(scn):
@@ -105,7 +122,8 @@ def _cmd_stability(scn):
     env = stability_envelope(f, rho, CostParams(lam, scn.geom), scn.potential, scn.horizon,
                              n_times=20, dt=scn.disc.dt, lipschitz=lip)
     rows = list(zip(env.times, env.energies, env.bounds))
-    lines = [f"eta = {env.eta:.12g}, max energy/bound = {env.max_ratio():.12g}"]
+    lines = [f"eta = {env.eta:.12g}, max energy/bound = {env.max_ratio():.12g}",
+             _k_grid_line(scn)]
     return {"stability": (("t", "energy", "bound"), rows)}, lines, 0
 
 

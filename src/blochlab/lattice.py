@@ -123,22 +123,22 @@ def theta(r, geom: CellGeometry):
     return out if out.ndim else float(out)
 
 
-def theta_cost_weights(xs: np.ndarray, ygrid: np.ndarray, geom: CellGeometry) -> np.ndarray:
+def fractional_theta_weights(tx: np.ndarray, ty: np.ndarray, geom: CellGeometry) -> np.ndarray:
     """theta(|P_Gamma(x - y)|^2) for every pair of a batch of x's and grid y's.
 
-    Returns shape ``(len(xs), len(ygrid))``.  The difference is taken in
-    fractional coordinates, t(x) - t(y) per axis, and reduced there with
-    ``reduce_to_cell``'s rule s = t - floor(t + 1/2); |P_Gamma z|^2 is the
-    quadratic form of the basis Gram matrix in s.  No Cartesian difference is
-    formed, so a pair exactly half a cell apart on some axis follows the
-    floor rule exactly.  The (len(xs), len(ygrid)) arrays are d + 2 buffers
-    reused in place, and the one ``theta`` returns.  The quadratic form
-    starts from its (0, 0) term, so no zero array is filled.
+    The points come in fractional coordinates, ``tx`` of shape (B, d) and
+    ``ty`` of shape (n, d), so that a caller that weighs many batches against
+    one grid converts the grid once; the result has shape (B, n).  The
+    difference t(x) - t(y) is reduced per axis with ``reduce_to_cell``'s rule
+    s = t - floor(t + 1/2); |P_Gamma z|^2 is the quadratic form of the basis
+    Gram matrix in s.  No Cartesian difference is formed, so a pair exactly
+    half a cell apart on some axis follows the floor rule exactly.  The (B, n)
+    arrays are d + 2 buffers reused in place, and the one ``theta`` returns.
+    The quadratic form starts from its (0, 0) term, so no zero array is
+    filled.
     """
     lat = geom.parent
     d = lat.dimension
-    tx = np.atleast_2d(np.asarray(xs, dtype=float)) @ lat.inverse_basis
-    ty = np.asarray(ygrid, dtype=float) @ lat.inverse_basis
     gram = lat.basis @ lat.basis.T
     r2 = np.empty((tx.shape[0], ty.shape[0]))
     buf = np.empty_like(r2)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import KGrid
+from .bloch import KGrid, quadrature_len
 from .classical_dynamics import GCEstimate, LipschitzBound, TrigPotential, gc_constant
 from .errors import ConfigValidationError
 from .lattice import CellGeometry, LatticeSpec, Region
@@ -81,6 +81,9 @@ def hbar_threshold(c_gc: float, c_toeplitz: float, delta: float, dimension: int)
 
 # Trace fraction that node pruning and rank compression of the quantized bump may drop.
 PRUNE_TOL = 1e-10
+
+# Largest ``k_alias_bound``, per unit trace, at which a V = 0 run takes a k-grid coarser than n_k.
+K_ALIAS_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +222,86 @@ def initial_state(scn: ObservabilityScenario) -> tuple[PhaseSpaceDensity, Fibere
     is the coherent family: fiber k holds the one packet at
     (center_q, center_p - hbar k).  Either way rho = ``toeplitz_quantize`` of f
     on the scenario's k-grid, one vector per node; this is the only builder of
-    that k-grid and of the datum.  Callers that evolve or export the datum take
+    that k-grid and of the datum.  The grid has ``k_grid_size(scn)`` points
+    per axis: n_k at V != 0, and at V = 0 the coarsest grid whose alias bound
+    meets ``K_ALIAS_TOL``.  Callers that evolve or export the datum take
     ``rho.compressed(PRUNE_TOL)``, which returns a rank-1 family unchanged.
     """
     if scn.initial_kind == "toeplitz":
         f = initial_density(scn)
     else:
         f = PhaseSpaceDensity(scn.center_q[None], scn.center_p[None], [1.0], [1.0])
-    kgrid = KGrid.monkhorst_pack(scn.lat, scn.disc.n_k)
+    kgrid = KGrid.monkhorst_pack(scn.lat, k_grid_size(scn)[0])
     return f, toeplitz_quantize(f, scn.lat, kgrid, scn.disc.m, scn.hbar)
+
+
+def _lattice_gauss_sum(rows: np.ndarray, n: int, a: float) -> float:
+    """Upper bound of sum_{l in Z^d, l != 0} exp(-|n l @ rows|^2 / a), in closed form.
+
+    |l @ rows|^2 >= s |l|^2 for any s up to the least eigenvalue of rows
+    rows^T; s is 1 over the largest absolute row sum of its inverse
+    (Gershgorin), which is that eigenvalue on cubic and hexagonal cells and
+    needs no eigensolver.  So the sum is at most
+    (1 + 2 sum_{j >= 1} exp(-c j^2))^d - 1 with c = n^2 s / a, and
+    sum_{j >= 1} exp(-c j^2) <= exp(-c) (1 + 1 / (2c)): its first term, and
+    the integral of x exp(-c x^2) from 1 for the rest.  Exact on a cubic
+    lattice up to that tail; inf when c is 0.
+    """
+    s = 1.0 / float(np.max(np.sum(np.abs(np.linalg.inv(rows @ rows.T)), axis=1)))
+    c = n * n * s / a
+    if not c > 0.0:
+        return float("inf")
+    with np.errstate(over="ignore"):
+        return float(np.expm1(rows.shape[0] * np.log1p(2.0 * np.exp(-c) * (1.0 + 0.5 / c))))
+
+
+def k_alias_bound(scn: ObservabilityScenario, n_k: int) -> float:
+    """How far fiber means on the shifted n_k^d grid can be from the zone integral, at V = 0.
+
+    Per unit trace; README ("The quasimomentum grid") derives it.  The grid
+    mean of exp(i k.L) is unimodular for L in n_k Gamma and 0 for the other
+    lattice vectors, so a mean misses only the overlaps of each packet with
+    its translates by n_k Gamma \\ 0, Gaussian small while the packets'
+    position variance stays below ``var`` per axis.  Linear outputs weigh
+    them by at most ``weight`` (times ``riemann`` for cell-grid sums); the
+    quadratic outputs of pure data (c_bold, std_dev, the Husimi coupling
+    energy) have the weaker exponent of ``quad``, and std_dev its square root.
+    """
+    lat, hbar, horizon, geom = scn.lat, scn.hbar, scn.horizon, scn.geom
+    d = lat.dimension
+    lam = 1.0 if scn.lam is None else scn.lam
+    # a packet's position variance per axis over [0, T], and its Husimi function's at 0
+    var = hbar * max(2.0, 1.0 + horizon * horizon) / 2.0
+    # grid sums of a Gaussian of variance >= hbar / 2 per axis over its integral
+    riemann = 1.0 + _lattice_gauss_sum(lat.reciprocal, quadrature_len(scn.disc.m), 4.0 / hbar)
+    weight = max(2.0 * horizon, 1.0,
+                 lam * lam * geom.gamma_minus / 2.0 + (d / 2.0 + 2.0 / np.e) * hbar)
+    bound = weight * riemann * _lattice_gauss_sum(lat.basis, n_k, 8.0 * var)
+    if scn.initial_kind == "pure":
+        quad = (max(1.0, geom.gamma_plus ** 2 + (2.0 * d + 6.0 / np.e) * hbar)
+                * (1.0 + _lattice_gauss_sum(lat.basis, 1, 4.0 * hbar))
+                * _lattice_gauss_sum(lat.basis, n_k, 16.0 * hbar))
+        bound += quad + np.sqrt(quad)
+    return float(bound)
+
+
+def k_grid_size(scn: ObservabilityScenario) -> tuple[int, float]:
+    """(n_k_used, k_alias_bound): the k-grid a run evaluates, per axis, and its alias bound.
+
+    At V = 0, the coarsest n in [2, n_k] whose ``k_alias_bound`` is at most
+    ``K_ALIAS_TOL``, by bisection (the bound falls as n grows), or n_k when no
+    n is.  At V != 0 there is no closed-form packet width, so n_k, and the
+    bound is nan.
+    """
+    n_k = scn.disc.n_k
+    if not scn.potential.is_zero:
+        return n_k, float("nan")
+    lo, hi = 2, n_k
+    if k_alias_bound(scn, hi) <= K_ALIAS_TOL:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if k_alias_bound(scn, mid) <= K_ALIAS_TOL else (mid + 1, hi)
+    return hi, k_alias_bound(scn, hi)
 
 
 def default_p_max(scn: ObservabilityScenario) -> float:
@@ -274,6 +348,7 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
     """
     d = scn.lat.dimension
     f, rho = initial_state(scn)
+    n_k_used, alias = k_grid_size(scn)
     rank = rho.rank
     rho, tail = rho.compressed(PRUNE_TOL)
     constants = theorem_constants(scn)
@@ -322,7 +397,8 @@ def verify_theorem(scn: ObservabilityScenario) -> TheoremReport:
         # sqrt(2 g+/g-) / (delta * lambda) * (e^{eta T}-1)/eta
         "gronwall_factor": float(gfac), "energy_bound": energy_bound,
         "lhs_quad_error": quad_err, "initial_periodic_trace": trace0, "trace_drift": drift,
-        "rank": rank, "rank_evolved": rho.rank, "rank_tail": tail, **kind_rows,
+        "rank": rank, "rank_evolved": rho.rank, "rank_tail": tail, "n_k_used": n_k_used,
+        "k_alias_bound": alias, **kind_rows,
     }
     return TheoremReport(rows=rows, times=times, observation_series=series,
                          warnings=tuple(warnings))

@@ -163,6 +163,8 @@ class FiberedDensity:
     density and evaluates it at every sample.  The block holds the
     head-placed transform of ``bloch.squared_values``, whose squared modulus
     is that of the grid values: the phase ramp of the head layout drops out.
+    ``_pairs`` holds a chunk's weights, each written twice in a row to meet
+    the interleaved squares, and is reused the same way.
     The vectors are kept C-contiguous, so that ``quantum_dynamics.evolution``
     can advance their support box in place through a reshaped view.
     """
@@ -174,6 +176,7 @@ class FiberedDensity:
     lambdas: np.ndarray   # (n_k, rank) nonnegative
     vectors: np.ndarray   # (n_k, rank, (2m+1)^d) flat coefficients
     _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _pairs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -310,8 +313,8 @@ class FiberedDensity:
         weights have shape (rank, n^d).  |v|^2 comes from the head-placed
         transform in the density's work block, which equals the grid values up
         to a unimodular phase per point; the squares re^2, im^2 are contracted
-        with the weights, repeated for each pair, and the constant
-        |cell| the transform leaves in is divided out of the result.
+        with the weights, written twice in a row into ``_pairs``, and the
+        constant |cell| the transform leaves in is divided out of the result.
         ``box`` is an index box that holds every nonzero coefficient, such as
         ``support_box()``: only the box is transformed (``squared_values``),
         with the same result bit for bit; None transforms the whole window.
@@ -324,12 +327,17 @@ class FiberedDensity:
             return out
         d, n, n_k = self.lat.dimension, quadrature_len(self.m), self.kgrid.size
         if self._work is None:                                  # the first chunk is a full one
-            self._work = np.empty(n_k * self.node_chunks()[0].stop * n ** d, dtype=complex)
+            full = self.node_chunks()[0].stop
+            self._work = np.empty(n_k * full * n ** d, dtype=complex)
+            self._pairs = np.empty(full * 2 * n ** d)
         c = nodes.stop - nodes.start
         work = self._work[:n_k * c * n ** d].reshape((n_k, c) + (n,) * d)
         sq = squared_values(self.vectors[:, nodes].reshape((n_k, c) + self.coeff_shape), work, d,
                             box)
-        per_vector = (sq[..., None, :] @ np.repeat(weights, 2, axis=-1)[..., None])[..., 0, 0]
+        pairs = self._pairs[:2 * weights.size].reshape(weights.shape[:-1] + (-1,))
+        pairs[..., 0::2] = weights
+        pairs[..., 1::2] = weights
+        per_vector = (sq[..., None, :] @ pairs[..., None])[..., 0, 0]
         return per_vector / self.lat.cell_volume
 
     def masked_trace(self, mask: np.ndarray, box: tuple | None = None) -> float:

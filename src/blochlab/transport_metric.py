@@ -19,7 +19,7 @@ import numpy as np
 from .bloch import _offset_coefficients, g_vectors, grid_weight, position_grid, quadrature_len, \
     squared_values
 from .classical_dynamics import TrigPotential
-from .lattice import CellGeometry, LatticeSpec, theta_cost_weights
+from .lattice import CellGeometry, LatticeSpec, fractional_theta_weights
 from .quantization import FiberedDensity, PhaseSpaceDensity, momentum_cost
 from .quantum_dynamics import evolution
 
@@ -60,21 +60,27 @@ class CouplingEnergy:
             raise ValueError("coupling energy must be nonnegative")
 
 
-def _position_parts(rho: FiberedDensity, x: np.ndarray, cost: CostParams,
-                    box: tuple | None = None) -> np.ndarray:
-    """Per-fiber position energies of the diagonal packet coupling at nodes x, shape (n_k,).
+def _position_parts(rho: FiberedDensity, cost: CostParams, box: tuple | None = None):
+    """The per-fiber position energies of the diagonal packet coupling, as a function of nodes x.
 
-    ``box`` holds every nonzero coefficient, as ``FiberedDensity.grid_expectations`` takes it.
+    The returned function maps node positions x, shape (rank, d), to shape
+    (n_k,).  The cell grid and its fractional coordinates are made here, once
+    for every call of it.  ``box`` holds every nonzero coefficient, as
+    ``FiberedDensity.grid_expectations`` takes it.
     """
     lat = rho.lat
     n = quadrature_len(rho.m)
-    grid = position_grid(lat, n)
-    pos = np.empty(rho.lambdas.shape)
-    for nodes in rho.node_chunks():
-        pos[:, nodes] = rho.grid_expectations(theta_cost_weights(x[nodes], grid, cost.geom),
-                                              nodes, box)
-    pos = cost.lam ** 2 * grid_weight(lat, n) * pos
-    return np.sum(rho.lambdas * pos, axis=1)
+    grid = position_grid(lat, n) @ lat.inverse_basis
+
+    def parts(x: np.ndarray) -> np.ndarray:
+        pos = np.empty(rho.lambdas.shape)
+        for nodes in rho.node_chunks():
+            weights = fractional_theta_weights(x[nodes] @ lat.inverse_basis, grid, cost.geom)
+            pos[:, nodes] = rho.grid_expectations(weights, nodes, box)
+        pos = cost.lam ** 2 * grid_weight(lat, n) * pos
+        return np.sum(rho.lambdas * pos, axis=1)
+
+    return parts
 
 
 def _momentum_parts(rho: FiberedDensity, xi: np.ndarray) -> np.ndarray:
@@ -98,7 +104,7 @@ def diagonal_coupling_parts(rho: FiberedDensity, x: np.ndarray, xi: np.ndarray,
     instead of a (rank, n^d) array per sample.  The momentum part is exact in
     coefficients.  Returns two (n_k,) arrays.
     """
-    return _position_parts(rho, x, cost), _momentum_parts(rho, xi)
+    return _position_parts(rho, cost)(x), _momentum_parts(rho, xi)
 
 
 def coupling_energy_toeplitz(f: PhaseSpaceDensity, rho: FiberedDensity,
@@ -263,11 +269,11 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
         lipschitz = potential.lipschitz_gradient().value
     eta = gronwall_rate(cost.geom, cost.lam, lipschitz)
     energies, mom = [], None
-    box = rho.support_box() if potential.is_zero else None
+    position = _position_parts(rho, cost, rho.support_box() if potential.is_zero else None)
     for x, xi in evolution(rho, potential, horizon, n_times, dt, (f.nodes_q, f.nodes_p)):
         if mom is None or not potential.is_zero:
             mom = _momentum_parts(rho, xi)
-        energies.append(np.mean(_position_parts(rho, x, cost, box) + mom))
+        energies.append(np.mean(position(x) + mom))
     energies = np.array(energies)
     times = np.linspace(0.0, horizon, n_times + 1)
     bounds = energies[0] * np.exp(2.0 * eta * times)

@@ -23,19 +23,22 @@ None of them is used by the package itself.
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from scipy import fft as sfft
 from scipy.linalg import expm
 
+from blochlab import observability
 from blochlab.bloch import KGrid, _alt_sign, centered_indices, g_vectors, grid_weight, \
     position_grid, quadrature_len
 from blochlab.classical_dynamics import PhasePoint, TrigPotential, _step_count, flow
-from blochlab.lattice import CellGeometry, LatticeSpec, Region, reduce_to_cell, theta, \
-    theta_cost_weights
+from blochlab.lattice import CellGeometry, LatticeSpec, Region, fractional_theta_weights, \
+    reduce_to_cell, theta
+from blochlab.observability import initial_state, k_grid_size, verify_theorem
 from blochlab.quantization import FiberedDensity, PhaseBoxSet, husimi, momentum_cost, \
     momentum_grid
 from blochlab.quantum_dynamics import FiberHamiltonian, evolution
 from blochlab.states import coherent_coeff_batch
-from blochlab.transport_metric import diagonal_coupling_parts
+from blochlab.transport_metric import CostParams, diagonal_coupling_parts, stability_envelope
 
 
 def cubic_lattice(dimension: int, a: float = 1.0) -> LatticeSpec:
@@ -445,6 +448,13 @@ def recomputed_stability_energies(f, rho: FiberedDensity, cost, potential, horiz
                                             (f.nodes_q, f.nodes_p))])
 
 
+def theta_cost_weights(xs, ygrid, geom: CellGeometry) -> np.ndarray:
+    """``lattice.fractional_theta_weights`` of Cartesian points xs (B, d) and ygrid (n, d)."""
+    inverse = geom.parent.inverse_basis
+    return fractional_theta_weights(np.atleast_2d(np.asarray(xs, dtype=float)) @ inverse,
+                                    np.asarray(ygrid, dtype=float) @ inverse, geom)
+
+
 def theta_cost_weights_zero_started(xs, ygrid, geom: CellGeometry) -> np.ndarray:
     """``theta_cost_weights`` with every Gram term of |P_Gamma z|^2 added to a zero array."""
     lat = geom.parent
@@ -832,3 +842,37 @@ def _gradient_identity_residual(w_coeffs: np.ndarray, w_order: int, u: PeriodicF
         term2 = _mult_exact(grad_i, w_order, pi_small * u.coeffs, u.m, lat)
         rhs = rhs + term1 + term2
     return float(np.linalg.norm((lhs - rhs).reshape(-1)))
+
+
+def k_sensitive_values(scn) -> dict:
+    """The fiber-averaged outputs of a V = 0 scenario that the k-grid can move.
+
+    ``lhs`` for both kinds; ``mass_on_K`` and ``std_dev`` for pure data; the
+    stability energies for toeplitz data.
+    """
+    rows = verify_theorem(scn).rows
+    if scn.initial_kind == "pure":
+        return {"lhs": rows["lhs"], "mass_on_K": rows["mass_on_K"], "std_dev": rows["std_dev"]}
+    f, rho = initial_state(scn)
+    env = stability_envelope(f, rho, CostParams(1.0, scn.geom), scn.potential, scn.horizon,
+                             n_times=4, dt=scn.disc.dt, lipschitz=0.0)
+    return {"lhs": rows["lhs"], "energies": env.energies}
+
+
+def k_alias_moves(scn) -> tuple:
+    """(bound, moves, allowance): the run's k_alias_bound, and how far each output moves on 2n'.
+
+    n' is the grid the scenario runs on.  The doubled grid is forced by a
+    negative tolerance, which no bound meets, and ``scn.disc.n_k`` = 2n'.  The
+    allowance is 1e-12 of each value, for rounding.
+    """
+    used, bound = k_grid_size(scn)
+    first = k_sensitive_values(scn)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observability, "K_ALIAS_TOL", -1.0)
+        scn.disc.n_k = 2 * used
+        assert k_grid_size(scn)[0] == 2 * used
+        second = k_sensitive_values(scn)
+    moves = {k: float(np.max(np.abs(np.subtract(first[k], second[k])))) for k in first}
+    allowance = {k: 1e-12 * float(np.max(np.abs(first[k]))) for k in first}
+    return bound, moves, allowance

@@ -13,9 +13,9 @@ from blochlab import bloch, gamma_bounds, quantum_dynamics, transport_metric
 from blochlab.cli import _COMMANDS, _fmt, main
 from blochlab.config import load_config, parse_config
 from blochlab.errors import ConfigParseError, ConfigValidationError
-from blochlab.observability import verify_theorem
+from blochlab.observability import default_p_max, initial_state, k_grid_size, verify_theorem
 
-from oracles import cubic_lattice, default_window
+from oracles import cubic_lattice, default_window, k_alias_moves
 
 BASE = """\
 [lattice]
@@ -464,6 +464,48 @@ def test_benchmark_verify_observes_through_the_form_at_v0(monkeypatch):
         assert chosen == want, (name, kind)
 
 
+def test_benchmark_commands_pass_the_harness_output_check(tmp_path, monkeypatch):
+    # the seed-0 configs of every workload, each command as the harness runs it,
+    # judged by the harness's own check; its stability check unpacks exactly
+    # three columns, so the k-grid report of ``stability`` stays on stdout
+    workloads = _benchmark_workloads(monkeypatch)
+    for name, workload in workloads.WORKLOADS.items():
+        for command in workload.commands:
+            out = tmp_path / f"{name}-{command.metric}"
+            cfg = write_cfg(tmp_path, workloads.config_text(workload, 0, command.kind),
+                            f"{name}-{command.kind}.cfg")
+            assert main([command.subcommand, "--config", cfg, "--out", str(out)]) == 0
+            assert workloads.check_output(workload, command, 0, str(out)) is None, (name, command)
+            if command.subcommand == "stability":
+                lines = (out / "out_stability.csv").read_text().splitlines()
+                assert lines[1] == "t,energy,bound"
+                assert {len(line.split(",")) for line in lines[2:]} == {3}
+
+
+def test_benchmark_k_grids(monkeypatch):
+    # free-1d (V = 0, hbar = 1e-3) runs 2 of its 8 fibers for both kinds; cell-2d
+    # already has the smallest grid, 2 x 2; potential-1d (V != 0) keeps its 4
+    workloads = _benchmark_workloads(monkeypatch)
+    for name, used, fibers in (("free-1d", 2, 2), ("cell-2d", 2, 4), ("potential-1d", 4, 4)):
+        for kind in ("toeplitz", "pure"):
+            scn = load_config(workloads.config_text(workloads.WORKLOADS[name], 0, kind)).scenario()
+            assert k_grid_size(scn)[0] == used <= scn.disc.n_k
+            assert initial_state(scn)[1].kgrid.size == fibers
+            bound = k_grid_size(scn)[1]
+            assert np.isnan(bound) if name == "potential-1d" else bound >= 0.0
+
+
+def test_free_benchmark_k_alias_bound_covers_the_doubled_grid(monkeypatch):
+    # free-1d at the 2 fibers it runs against 4: lhs, mass_on_K, std_dev and the
+    # stability energies move by rounding only, within the bound and 1e-12 of the value
+    workloads = _benchmark_workloads(monkeypatch)
+    for kind in ("toeplitz", "pure"):
+        text = workloads.config_text(workloads.WORKLOADS["free-1d"], 0, kind)
+        bound, moves, allowance = k_alias_moves(load_config(text).scenario())
+        assert bound < 1e-50
+        assert all(moves[k] <= bound + allowance[k] for k in moves), (kind, moves)
+
+
 def test_bump_without_a_node_in_k_names_n_p(tmp_path, capsys):
     # p_max = 1 + 6 sqrt(hbar) = 2.2 puts the six momentum nodes at +-0.37, +-1.1
     # and +-1.83, none in K's momenta [0.5, 1.0]
@@ -539,6 +581,43 @@ def test_cli_stability_and_husimi(tmp_path):
     assert lines[1] == "q0,p0,value"
     vals = np.array([float(line.split(",")[2]) for line in lines[2:]])
     assert np.all(vals >= -1e-12)
+
+
+def _husimi_lines(tmp_path, capsys, text):
+    """The stdout lines of ``husimi`` on a config, and its grid mass from the CSV."""
+    cfg = write_cfg(tmp_path, text, "husimi.cfg")
+    assert main(["husimi", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "out_husimi.csv").read_text().splitlines()
+    assert lines[1] == "q0,p0,value"
+    sections = parse_config(text)["discretization"]
+    n_q, n_p = sections["n_q"], sections["n_p"]
+    assert len(lines) == 2 + n_q * n_p
+    values = np.array([float(line.split(",")[2]) for line in lines[2:]])
+    # node weight: the unit cell over n_q times the momentum step 2 p_max / n_p
+    p_max = default_p_max(load_config(text).scenario())
+    return capsys.readouterr().out.splitlines(), values.sum() * (1.0 / n_q) * (2 * p_max / n_p)
+
+
+def test_cli_husimi_warns_when_the_grid_mass_is_off_the_exact_mass(tmp_path, capsys):
+    # n_q = 10, n_p = 14 under-resolve the Husimi function of width sqrt(hbar) = 0.14
+    lines, grid_mass = _husimi_lines(tmp_path, capsys, BASE)
+    first = lines[0].split()
+    assert first[:3] == ["husimi", "mass", "="] and first[4] == "(grid),"
+    assert float(first[3]) == pytest.approx(grid_mass, rel=1e-11)
+    assert abs(grid_mass - 1.0) > 1e-2
+    assert lines[0].endswith(", 1 (exact: periodic trace)")
+    assert lines[1].startswith("warning: the grid mass is ")
+    assert "discretization.n_q" in lines[1] and "discretization.n_p" in lines[1]
+    assert lines[2].startswith("n_k_used = ")
+
+
+def test_cli_husimi_resolved_grid_mass_is_the_exact_mass(tmp_path, capsys):
+    text = BASE.replace("n_q = 10", "n_q = 20").replace("n_p = 14", "n_p = 40")
+    lines, grid_mass = _husimi_lines(tmp_path, capsys, text)
+    assert grid_mass == pytest.approx(1.0, rel=1e-3)
+    assert lines[0].endswith(", 1 (exact: periodic trace)")
+    assert not any(line.startswith("warning") for line in lines)
+    assert lines[1].startswith("n_k_used = ")
 
 
 @pytest.mark.parametrize("sub", ["bloch-check", "evolve"])

@@ -4,11 +4,9 @@ from scipy.integrate import quad
 
 from blochlab import LatticeSpec, Region, gamma_bounds, reduce_to_cell, theta
 from blochlab.bloch import position_grid
-from blochlab.lattice import theta_cost_weights
-
 from conftest import LATTICES
 from oracles import cubic_lattice, interval_region, region_contains_unpruned, \
-    theta_cost_weights_zero_started
+    theta_cost_weights, theta_cost_weights_zero_started
 
 
 def test_reciprocal_duality(lat1, lat2):

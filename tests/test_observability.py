@@ -7,15 +7,15 @@ from blochlab import (Discretization, KGrid, LatticeSpec, ObservabilityScenario,
 from blochlab import bloch, quantum_dynamics
 from blochlab.bloch import grid_weight, position_grid
 from blochlab.lattice import reduce_to_cell
-from blochlab.observability import PRUNE_TOL, initial_density, minimize_toeplitz_penalty, \
-    observed_time_integral
+from blochlab.observability import K_ALIAS_TOL, PRUNE_TOL, _lattice_gauss_sum, initial_density, \
+    k_alias_bound, k_grid_size, minimize_toeplitz_penalty, observed_time_integral
 from blochlab.quantization import FiberedDensity
 from blochlab.quantum_dynamics import FiberHamiltonian, propagate_batch
 
 from conftest import LATTICES, is_11_smooth
 
 from oracles import coeffs_to_values_rolled, coherent_family, cosine_potential, interval_region, \
-    single_box, zero_potential
+    k_alias_moves, single_box, zero_potential
 
 
 def _toeplitz_oracle(geom, horizon, lip, n=100_000):
@@ -219,7 +219,9 @@ def test_initial_state_quantizes_the_toeplitz_bump(lat1, geom1):
     for got, want in zip((f.nodes_q, f.nodes_p, f.weights, f.values),
                          (bump.nodes_q, bump.nodes_p, bump.weights, bump.values)):
         np.testing.assert_array_equal(got, want)
-    want = toeplitz_quantize(bump, lat1, KGrid.monkhorst_pack(lat1, 16), 384, 1e-3)
+    # at V = 0 and hbar = 1e-3 the 2-point grid meets the alias tolerance; n_k = 16 is the cap
+    assert k_grid_size(scn)[0] == 2
+    want = toeplitz_quantize(bump, lat1, KGrid.monkhorst_pack(lat1, 2), 384, 1e-3)
     np.testing.assert_array_equal(rho.kgrid.points, want.kgrid.points)
     np.testing.assert_array_equal(rho.lambdas, want.lambdas)
     np.testing.assert_array_equal(rho.vectors, want.vectors)
@@ -237,7 +239,9 @@ def test_initial_state_of_pure_data_is_the_quantized_point_mass(lat1, geom1, lat
     np.testing.assert_array_equal(f.nodes_p, scn.center_p[None])
     np.testing.assert_array_equal(f.weights, [1.0])
     np.testing.assert_array_equal(f.values, [1.0])
-    want = coherent_family(scn.lat, KGrid.monkhorst_pack(scn.lat, scn.disc.n_k), scn.disc.m,
+    # the grid that initial_state chose: 2 of n_k = 16 on the line, n_k = 2 on the cell
+    assert k_grid_size(scn)[0] == 2
+    want = coherent_family(scn.lat, KGrid.monkhorst_pack(scn.lat, 2), scn.disc.m,
                            scn.hbar, scn.center_q, scn.center_p)
     np.testing.assert_array_equal(rho.kgrid.points, want.kgrid.points)
     np.testing.assert_array_equal(rho.lambdas, want.lambdas)
@@ -430,3 +434,96 @@ def test_observation_transforms_have_11_smooth_lengths(lat1, monkeypatch):
     assert observe() == 1
     monkeypatch.setattr(quantum_dynamics, "_band_path", lambda *args: False)
     assert observe() == 3
+
+
+def _v0_scenario(lattice, hbar, horizon, m, kind, n_k):
+    """A V = 0 scenario on a line or a cell of ``LATTICES``, packets or bump inside K."""
+    lat = LatticeSpec(LATTICES[lattice])
+    d = lat.dimension
+    centre_q, centre_p = ([0.0], [1.0]) if d == 1 else ([0.1, -0.05, 0.0][:d], [0.4, 0.2, 0.1][:d])
+    k_set = (single_box([-0.5], [0.5], [0.5], [1.5]) if d == 1
+             else single_box([-0.5] * d, [0.5] * d, [-0.1, -0.5, -0.5][:d], [1.0, 0.5, 0.5][:d]))
+    return ObservabilityScenario(
+        lat=lat, geom=gamma_bounds(lat), potential=zero_potential(lat), hbar=hbar,
+        horizon=horizon, delta=0.05, omega=interval_region([-0.1] * d, [0.1] * d, lat),
+        k_set=k_set, disc=Discretization(m=m, n_k=n_k, n_q=6, n_p=8, n_time_obs=8, n_time_gc=20,
+                                         gc_per_axis=2, gc_quasi=4, dt=1e-3),
+        initial_kind=kind, center_q=np.array(centre_q), center_p=np.array(centre_p))
+
+
+@pytest.mark.parametrize("lattice", ["line", "hexagonal", "skew"])
+def test_lattice_gauss_sum_bounds_the_lattice_sum(lattice):
+    # against the sum over every l in [-12, 12]^d: above it everywhere, and on
+    # the line within its tail estimate 1 + 1/(2c) of it
+    lat = LatticeSpec(LATTICES[lattice])
+    d = lat.dimension
+    ls = np.stack(np.meshgrid(*([np.arange(-12, 13)] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    ls = ls[np.any(ls != 0, axis=1)]
+    for rows in (lat.basis, lat.reciprocal):
+        for n in (1, 2, 5):
+            for a in (0.05, 1.0, 8.0):
+                brute = np.sum(np.exp(-np.sum((n * ls @ rows) ** 2, axis=1) / a))
+                bound = _lattice_gauss_sum(rows, n, a)
+                assert bound >= brute * (1 - 1e-12)
+                if lattice == "line":
+                    c = n * n * float(rows[0, 0]) ** 2 / a
+                    assert bound <= brute * (1 + 1 / (2 * c)) * (1 + 1e-12)
+    hexagonal = LatticeSpec(LATTICES["hexagonal"])
+    # hexagonal: the six shortest vectors have |L| = 1, the bound reads |L|^2 >= |l|^2 / 2,
+    # so it is the four l = (+-1, 0), (0, +-1) at exp(-50), with the tail factor 1 + 1/100
+    assert _lattice_gauss_sum(hexagonal.basis, 1, 0.01) == pytest.approx(
+        4.04 * np.exp(-50.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lattice", ["line", "hexagonal", "skew"])
+def test_k_grid_is_the_coarsest_that_meets_the_tolerance(lattice):
+    # n_k_used <= n_k always; at V = 0 it is the least n in [2, n_k] whose bound
+    # meets the tolerance, or n_k when none does; the bound falls as n grows
+    for hbar in (1e-4, 1e-3, 0.03, 0.3, 1.0):
+        for horizon in (0.1, 1.0, 30.0, 1e200):
+            for kind in ("toeplitz", "pure"):
+                for n_k in (2, 3, 8, 10 ** 6):
+                    scn = _v0_scenario(lattice, hbar, horizon, 24, kind, n_k)
+                    used, bound = k_grid_size(scn)
+                    assert 2 <= used <= n_k and bound == k_alias_bound(scn, used)
+                    if bound <= K_ALIAS_TOL:
+                        assert used == 2 or k_alias_bound(scn, used - 1) > K_ALIAS_TOL
+                    else:
+                        assert used == n_k
+                    bounds = [k_alias_bound(scn, n) for n in (2, 3, 5, 9, 17)]
+                    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+    # a long horizon spreads the packets over many cells: no grid meets the tolerance
+    assert k_grid_size(_v0_scenario(lattice, 0.01, 1e200, 24, "toeplitz", 8)) == (8, np.inf)
+
+
+def test_k_grid_at_v_nonzero_is_the_configured_one(lat1, geom1):
+    # the potential-1d and hexagonal-cosine data keep every configured fiber, bit for bit
+    hexagonal = _hexagonal_pure_scenario()
+    hexagonal.potential = cosine_potential(hexagonal.lat, (1, 0), 0.1)
+    for scn in (_potential_scenario(lat1, geom1), hexagonal):
+        for kind in ("toeplitz", "pure"):
+            scn.initial_kind = kind
+            used, bound = k_grid_size(scn)
+            assert used == scn.disc.n_k and np.isnan(bound)
+            f, rho = initial_state(scn)
+            want = toeplitz_quantize(f, scn.lat, KGrid.monkhorst_pack(scn.lat, scn.disc.n_k),
+                                     scn.disc.m, scn.hbar)
+            np.testing.assert_array_equal(rho.kgrid.points, want.kgrid.points)
+            np.testing.assert_array_equal(rho.vectors, want.vectors)
+    rows = verify_theorem(_potential_scenario(lat1, geom1)).rows
+    assert rows["n_k_used"] == 4 and np.isnan(rows["k_alias_bound"])
+
+
+@pytest.mark.parametrize("lattice, hbar, horizon, m", [("line", 0.05, 0.5, 24),
+                                                        ("hexagonal", 0.06, 0.3, 20)])
+@pytest.mark.parametrize("kind", ["toeplitz", "pure"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_k_alias_bound_covers_the_move_to_the_doubled_grid(lattice, hbar, horizon, m, kind, n):
+    # wide packets, so that the aliased overlaps show: every output moves by at
+    # most the bound between n' and 2n', and some move is far above rounding
+    scn = _v0_scenario(lattice, hbar, horizon, m, kind, n)
+    bound, moves, allowance = k_alias_moves(scn)
+    assert k_grid_size(_v0_scenario(lattice, hbar, horizon, m, kind, n))[0] == n
+    assert all(moves[k] <= bound + allowance[k] for k in moves), (bound, moves)
+    if n == 2:
+        assert max(moves.values()) > 1e-10
