@@ -13,18 +13,19 @@ unnormalized, so callers fold 1/N^d into a scale they apply anyway.  Within
 the result does not depend on n, bit for bit.
 
 Coefficients meet the grid in one layout, the head layout of ``_to_head``:
-the twisted coefficients c_n (-1)^(sum n) sit at the head of each axis (n at
-position n + m) of a work block whose tail is zero, and the inverse FFT runs
-each axis only within the head of the axes before it.  A caller that knows
-an index box holding every nonzero coefficient passes it instead of the
-head: only the box is copied in, and each axis is transformed only on the
-lines inside the box on the axes before it (FFT pruning: the lines left out
-are zero).  Each line that is transformed holds the same values either way,
-so the result is the same bit for bit.  That transform is the
-grid values times the ramp exp(2 pi i m j / N) per axis, a unimodular
-factor, and times the constant sqrt(|cell|) that the coefficient
-normalization leaves in.  A quadrature against |v|^2 (``squared_values``)
-needs only the modulus, where the ramp drops out.  The split step
+the coefficient c_n sits at position j = n + m of each axis (the head) of a
+work block whose tail is zero, twisted by (-1)^(sum j), and the inverse FFT
+runs each axis only within the head of the axes before it.  A caller whose
+coefficients are stored on an index box of the window (``FiberedDensity``)
+passes the box instead of the head: only the box is copied in, and each
+axis is transformed only on the lines inside the box on the axes before it
+(FFT pruning: the lines left out are zero).  Each line that is transformed
+holds the same values either way, so the result is the same bit for bit.
+That transform is the grid values times the ramp exp(2 pi i m j / N) and
+the sign (-1)^m per axis, a unimodular factor, and times the constant
+sqrt(|cell|) that the coefficient normalization leaves in.  A quadrature
+against |v|^2 (``squared_values``) needs only the modulus, where the ramp
+drops out.  The split step
 multiplies the values by a potential factor, which commutes with the ramp,
 so the forward FFT gives the window back at the head
 (``quantum_dynamics.propagate_batch``).  Grid functions go to coefficients
@@ -113,12 +114,13 @@ def g_vectors(lat: LatticeSpec, m: int) -> np.ndarray:
 
 @functools.cache
 def _alt_sign(n: int, d: int) -> np.ndarray:
-    """(-1)^(sum n_i) over the centered index grid -m..m, outer product over d axes.
+    """(-1)^(sum j_i) over the positions j = 0..n-1 of d axes, an outer product.
 
-    Built once per (n, d) and read-only, since every transform reads it.
+    On the 4m+1 offsets D = j - 2m of ``_offset_coefficients`` that is
+    (-1)^(sum D).  Built once per (n, d) and read-only, since every transform
+    reads it.
     """
-    m = (n - 1) // 2
-    one = np.where(np.arange(-m, m + 1) % 2 == 0, 1.0, -1.0)
+    one = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     out = one
     for _ in range(d - 1):
         out = np.multiply.outer(out, one)
@@ -166,28 +168,28 @@ def window_box(n: int, d: int) -> tuple:
 def _to_head(coeffs: np.ndarray, work: np.ndarray, d: int, box: tuple) -> np.ndarray:
     """The head layout: twisted coefficients at the head of ``work``, zeros elsewhere.
 
-    ``coeffs`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes and
-    ``work`` is a complex block ``(..., N, ..., N)`` with N >= 2m+1, whose
-    contents are overwritten: c_n (-1)^(sum n) goes to position n + m of each
-    axis (the head 0..2m).  ``box``, one slice per axis of the window
-    (``window_box`` for the whole window), must hold every nonzero
-    coefficient: only the box is copied, and the rest of ``work`` is zeroed.
-    Then ``_fft(work, d, inverse=True, box=box)`` gives the grid values times
-    sqrt(|cell|) and the ramp exp(2 pi i m j / N) per axis.  Returns ``work``.
+    ``coeffs`` holds the coefficients of an index box of the order-m window,
+    shape ``(..., b_1, ..., b_d)`` with d trailing axes, and ``box`` is that
+    box, one slice per axis of the window (``window_box`` for the whole
+    window); every coefficient outside it is zero.  ``work`` is a complex
+    block ``(..., N, ..., N)`` with N >= 2m+1, whose contents are
+    overwritten: the coefficient at window position j (index n = j - m)
+    goes to position j of each axis, times (-1)^(sum j), and the rest of
+    ``work`` is zeroed.  Then ``_fft(work, d, inverse=True, box=box)`` gives
+    the grid values times sqrt(|cell|), the ramp exp(2 pi i m j / N) and the
+    sign (-1)^m per axis.  Returns ``work``.
     """
-    nin, nout = coeffs.shape[-1], work.shape[-1]
-    if nout < nin:
+    if any(s.stop > work.shape[-1] for s in box):
         raise ValueError("work block must have at least 2m+1 points per axis")
     work.fill(0)
-    np.multiply(coeffs[(Ellipsis,) + box], _alt_sign(nin, d)[box],
-                out=work[(Ellipsis,) + box])
+    np.multiply(coeffs, _alt_sign(work.shape[-1], d)[box], out=work[(Ellipsis,) + box])
     return work
 
 
 def _from_head(work: np.ndarray, out: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of ``_to_head``: the head of ``work`` twisted back into ``out``; returns ``out``.
+    """Inverse of ``_to_head`` on the whole window: the head of ``work`` twisted back into ``out``.
 
-    ``out`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes.
+    ``out`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes.  Returns ``out``.
     """
     nin = out.shape[-1]
     return np.multiply(work[(Ellipsis,) + (slice(0, nin),) * d], _alt_sign(nin, d), out=out)
@@ -197,17 +199,18 @@ def squared_values(coeffs: np.ndarray, work: np.ndarray, d: int, box: tuple | No
                    ) -> np.ndarray:
     """|v|^2 on the N-point grid per axis, times |cell|, squared in place in ``work``.
 
-    ``coeffs`` has shape ``(..., 2m+1, ..., 2m+1)`` with d trailing axes and
-    ``work`` is a complex block ``(..., N, ..., N)`` with N >= 2m+1, whose
-    contents are overwritten.  ``box`` is an index box that holds every
-    nonzero coefficient, one slice per axis of the window, and the whole
-    window when None.  The box goes to the head of ``work`` (``_to_head``)
-    and the inverse FFT runs in place, each axis only on the lines inside the
-    box on the axes before it; the result is the grid values times the
-    unimodular ramp exp(2 pi i m j / N) per axis and sqrt(|cell|), so its
-    squared modulus is |v|^2 |cell|, the same bit for bit for every box that
-    holds the nonzero coefficients.  Returns the float view of the block,
-    shape ``(..., 2 N^d)``: re^2 and im^2 of each grid value, interleaved.
+    ``coeffs`` holds the coefficients of the index box ``box`` of the
+    order-m window, shape ``(..., b_1, ..., b_d)`` with d trailing axes, one
+    slice of the window per axis; when ``box`` is None, ``coeffs`` is the
+    whole window.  Every coefficient outside the box is zero.  ``work`` is a
+    complex block ``(..., N, ..., N)`` with N >= 2m+1, whose contents are
+    overwritten.  The box goes to the head of ``work`` (``_to_head``) and the
+    inverse FFT runs in place, each axis only on the lines inside the box on
+    the axes before it; the result is the grid values times a unimodular
+    factor per point and sqrt(|cell|), so its squared modulus is |v|^2 |cell|,
+    the same bit for bit for every box that holds the nonzero coefficients.
+    Returns the float view of the block, shape ``(..., 2 N^d)``: re^2 and
+    im^2 of each grid value, interleaved.
     """
     box = window_box(coeffs.shape[-1], d) if box is None else box
     _fft(_to_head(coeffs, work, d, box), d, inverse=True, box=box)

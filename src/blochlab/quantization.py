@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .bloch import KGrid, g_vectors, grid_weight, position_grid, quadrature_len, \
-    squared_values
+    squared_values, window_box
 from .lattice import LatticeSpec, Region
-from .states import _ROUNDOFF, _floored_gaussian, coherent_coeff_batch
+from .states import _ROUNDOFF, _floored_gaussian, _packet_amp, _packet_box, coherent_coeff_batch
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,17 @@ _CHUNK_BYTES = 2 ** 21
 class FiberedDensity:
     """Low-rank fibered density operator: per fiber sum_m lambda_m |v_m><v_m|.
 
+    The vectors are stored on one index box of the order-m window: ``box``
+    has one slice per axis of the window (the whole window when None), and
+    ``vectors`` holds the coefficients of the box's cells, flat in C order;
+    every coefficient outside the box is zero.  ``toeplitz_quantize`` stores
+    its packets on the smallest box that holds every nonzero coefficient
+    (``trimmed``), at semiclassical hbar a small part of the window (17 x 18
+    of 49 x 49 indices on a 2-D cell), and every kernel reads the box as it
+    is stored.  ``window_vectors`` gives the whole window; ``widen`` stores
+    the density on it, as the fiber Hamiltonian at V != 0 couples every
+    coefficient.
+
     Quadratures against |v|^2 (``grid_expectations``) sweep the vectors in
     chunks of nodes (``node_chunks``): slices of the rank axis, all fibers
     each, whose complex work block (n_k, c, n, ..., n), n =
@@ -166,7 +177,7 @@ class FiberedDensity:
     ``_pairs`` holds a chunk's weights, each written twice in a row to meet
     the interleaved squares, and is reused the same way.
     The vectors are kept C-contiguous, so that ``quantum_dynamics.evolution``
-    can advance their support box in place through a reshaped view.
+    can advance them in place as one array.
     """
 
     kgrid: KGrid
@@ -174,18 +185,23 @@ class FiberedDensity:
     m: int
     hbar: float
     lambdas: np.ndarray   # (n_k, rank) nonnegative
-    vectors: np.ndarray   # (n_k, rank, (2m+1)^d) flat coefficients
+    vectors: np.ndarray   # (n_k, rank, cells of box) flat coefficients
+    box: tuple | None = None
     _work: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _pairs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
         self.vectors = np.ascontiguousarray(self.vectors, dtype=complex)
-        n_g = (2 * self.m + 1) ** self.lat.dimension
+        n, d = 2 * self.m + 1, self.lat.dimension
+        self.box = window_box(n, d) if self.box is None else tuple(
+            slice(int(s.start), int(s.stop)) for s in self.box)
+        if len(self.box) != d or not all(0 <= s.start <= s.stop <= n for s in self.box):
+            raise ValueError("box must be one slice of the window per axis")
         if self.lambdas.ndim != 2 or self.lambdas.shape[0] != self.kgrid.size:
             raise ValueError("lambdas must have shape (n_k, rank)")
-        if self.vectors.shape != (*self.lambdas.shape, n_g):
-            raise ValueError("vectors must have shape (n_k, rank, n_coeff)")
+        if self.vectors.shape != (*self.lambdas.shape, int(np.prod(self.box_shape))):
+            raise ValueError("vectors must have shape (n_k, rank, cells of box)")
         if np.any(self.lambdas < -1e-14):
             raise ValueError("fiber weights must be nonnegative")
         if not self.hbar > 0:
@@ -199,21 +215,48 @@ class FiberedDensity:
     def coeff_shape(self) -> tuple:
         return (2 * self.m + 1,) * self.lat.dimension
 
-    def support(self) -> np.ndarray:
-        """Flat indices, ascending, of the coefficients that are nonzero in some vector."""
-        return np.flatnonzero(np.any(self.vectors, axis=(0, 1)))
+    @property
+    def box_shape(self) -> tuple:
+        return tuple(s.stop - s.start for s in self.box)
 
-    def support_box(self) -> tuple:
-        """The smallest index box that holds every coefficient ``support()`` finds.
+    def box_cells(self) -> np.ndarray:
+        """Flat window index of each stored coefficient, in the order of ``vectors``."""
+        return np.arange(np.prod(self.coeff_shape)).reshape(self.coeff_shape)[self.box].reshape(-1)
 
-        One slice per axis of ``coeff_shape``, as ``bloch.squared_values``
-        takes it.  A density whose vectors are all zero has the empty box,
-        ``slice(0, 0)`` on every axis.
+    def window_vectors(self) -> np.ndarray:
+        """The vectors on the whole window, shape (n_k, rank, (2m+1)^d), zero outside the box."""
+        out = np.zeros(self.lambdas.shape + self.coeff_shape, dtype=complex)
+        out[(Ellipsis,) + self.box] = self.vectors.reshape(self.lambdas.shape + self.box_shape)
+        return out.reshape(self.vectors.shape[:2] + (-1,))
+
+    def widen(self) -> None:
+        """Store the density on the whole window, in place; a density stored there is kept."""
+        if self.box_shape != self.coeff_shape:
+            self.vectors = self.window_vectors()
+            self.box = window_box(2 * self.m + 1, self.lat.dimension)
+
+    def trimmed(self) -> "FiberedDensity":
+        """The density on the smallest box that holds every nonzero coefficient.
+
+        Found on the stored box.  A density whose vectors are all zero gets the
+        empty box, ``slice(0, 0)`` on every axis; one stored on its smallest box
+        is returned itself.
         """
-        index = np.unravel_index(self.support(), self.coeff_shape)
-        if not index[0].size:
-            return (slice(0, 0),) * self.lat.dimension
-        return tuple(slice(int(i.min()), int(i.max()) + 1) for i in index)
+        d = self.lat.dimension
+        nonzero = np.any(self.vectors, axis=(0, 1)).reshape(self.box_shape)
+        if np.any(nonzero):
+            spans = [np.flatnonzero(np.any(nonzero, axis=tuple(j for j in range(d) if j != i)))
+                     for i in range(d)]
+            within = tuple(slice(a[0], a[-1] + 1) for a in spans)
+            box = tuple(slice(s.start + w.start, s.start + w.stop)
+                        for s, w in zip(self.box, within))
+        else:
+            within = box = (slice(0, 0),) * d
+        if box == self.box:
+            return self
+        vectors = self.vectors.reshape(self.lambdas.shape + self.box_shape)[(Ellipsis,) + within]
+        return FiberedDensity(self.kgrid, self.lat, self.m, self.hbar, self.lambdas,
+                              vectors.reshape(self.lambdas.shape + (-1,)), box)
 
     def fiber_traces(self) -> np.ndarray:
         """sum_r lambda_r |v_r|^2 per fiber, the squared norms read from the float view."""
@@ -226,39 +269,50 @@ class FiberedDensity:
         With s_j = sqrt(lambda_j), fiber k has the nonzero spectrum of the
         (rank x rank) Gram matrix G_ij = s_i s_j <v_i, v_j>, and the Gram
         eigenvector u with eigenvalue w gives the unit eigenvector
-        sum_j u_j s_j v_j / sqrt(w).  The kept rank r is the smallest one, common
-        to all fibers, whose discarded eigenvalues sum to at most tol times the
-        fiber trace in every fiber; the kept eigenvalues are rescaled so that
-        each fiber trace is unchanged.  The Gram matrices and the mixing
-        product run on the coefficients that are nonzero in some vector, and
-        the others stay zero.  Returns (density, largest discarded trace
-        fraction over fibers); when nothing can be dropped the density itself
-        is returned.
+        sum_j u_j s_j v_j / sqrt(w).  When the rank exceeds the W coefficients
+        that are nonzero in some vector, the (W x W) fiber operator
+        sum_j lambda_j v_j v_j^* on them is the smaller matrix with that
+        nonzero spectrum, and its unit eigenvectors are read off directly; the
+        other coefficients stay zero.  The kept rank r is the smallest one,
+        common to all fibers, whose discarded eigenvalues sum to at most tol
+        times the fiber trace in every fiber; the kept eigenvalues are
+        rescaled so that each fiber trace is unchanged.  The result is stored
+        on the same box.  Returns (density, largest discarded trace fraction
+        over fibers); when nothing can be dropped the density itself is
+        returned.
         """
-        s = np.sqrt(np.clip(self.lambdas, 0.0, None))
-        support = self.support()
-        on_support = self.vectors[:, :, support]
-        gram = np.conj(on_support) @ np.swapaxes(on_support, 1, 2) * s[:, :, None] * s[:, None, :]
-        w, u = np.linalg.eigh(gram)                         # ascending, per fiber
+        lam = np.clip(self.lambdas, 0.0, None)
+        s = np.sqrt(lam)
+        support = np.flatnonzero(np.any(self.vectors, axis=(0, 1)))
+        operator = self.rank > support.size
+        if operator:
+            on_support = self.vectors[:, :, support]
+            w, u = np.linalg.eigh(np.swapaxes(on_support * lam[:, :, None], 1, 2)
+                                  @ np.conj(on_support))
+        else:
+            w, u = np.linalg.eigh(np.conj(self.vectors) @ np.swapaxes(self.vectors, 1, 2)
+                                  * s[:, :, None] * s[:, None, :])     # ascending, per fiber
         w = np.clip(w, 0.0, None)
         traces = self.fiber_traces()
         # tails[k, i]: trace left out when the i smallest eigenvalues of fiber k are dropped
         tails = np.concatenate([np.zeros((w.shape[0], 1)), np.cumsum(w, axis=1)], axis=1)
         n_drop = min(int(np.min(np.sum(tails <= tol * traces[:, None], axis=1))) - 1,
-                     self.rank - 1)
+                     w.shape[1] - 1)
         if n_drop <= 0:
             return self, 0.0
-        w, u = w[:, n_drop:], u[:, :, n_drop:]
-        inv_root = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > 0.0)
-        vectors = np.zeros(w.shape + self.vectors.shape[-1:], dtype=complex)
-        vectors[:, :, support] = (np.swapaxes(u, 1, 2) * s[:, None, :] * inv_root[:, :, None]
-                                  ) @ on_support
+        w, u = w[:, n_drop:], np.swapaxes(u[:, :, n_drop:], 1, 2)
+        if operator:
+            vectors = np.zeros(w.shape + self.vectors.shape[-1:], dtype=complex)
+            vectors[:, :, support] = u
+        else:
+            inv_root = np.divide(1.0, np.sqrt(w), out=np.zeros_like(w), where=w > 0.0)
+            vectors = (u * s[:, None, :] * inv_root[:, :, None]) @ self.vectors
         lambdas = w * np.divide(traces, np.sum(w, axis=1), out=np.zeros_like(traces),
                                 where=traces > 0.0)[:, None]
         dropped = np.divide(tails[:, n_drop], traces, out=np.zeros_like(traces),
                             where=traces > 0.0)
-        return (FiberedDensity(self.kgrid, self.lat, self.m, self.hbar, lambdas, vectors),
-                float(np.max(dropped)))
+        return (FiberedDensity(self.kgrid, self.lat, self.m, self.hbar, lambdas, vectors,
+                               self.box), float(np.max(dropped)))
 
     def momentum_moments(self):
         """Moments of |c_G|^2 of every vector: N (n_k, rank), P (n_k, rank, d), Q (n_k, rank).
@@ -272,7 +326,7 @@ class FiberedDensity:
         three moments of the fiber.
         """
         d = self.lat.dimension
-        hg = self.hbar * g_vectors(self.lat, self.m)
+        hg = self.hbar * g_vectors(self.lat, self.m)[self.box_cells()]
         symbols = np.repeat(np.column_stack([np.ones(len(hg)), hg, np.sum(hg * hg, axis=-1)]).T,
                             2, axis=1)                                  # (d+2, 2 n_G)
         moments = np.empty((self.kgrid.size, d + 2, self.rank))
@@ -302,8 +356,7 @@ class FiberedDensity:
         c = max(1, _CHUNK_BYTES // node_bytes)
         return [slice(i, min(i + c, self.rank)) for i in range(0, self.rank, c)]
 
-    def grid_expectations(self, weights: np.ndarray, nodes: slice | None = None,
-                          box: tuple | None = None) -> np.ndarray:
+    def grid_expectations(self, weights: np.ndarray, nodes: slice | None = None) -> np.ndarray:
         """sum_y w(y) |v(y)|^2 over the quadrature grid for every vector of a chunk.
 
         ``nodes`` is one of ``node_chunks``; the result has shape (n_k, c) and
@@ -315,15 +368,14 @@ class FiberedDensity:
         to a unimodular phase per point; the squares re^2, im^2 are contracted
         with the weights, written twice in a row into ``_pairs``, and the
         constant |cell| the transform leaves in is divided out of the result.
-        ``box`` is an index box that holds every nonzero coefficient, such as
-        ``support_box()``: only the box is transformed (``squared_values``),
-        with the same result bit for bit; None transforms the whole window.
+        Only the stored box is transformed (``squared_values``), with the
+        result of the whole window bit for bit.
         """
         if nodes is None:
             out = np.empty(self.lambdas.shape)
             for chunk in self.node_chunks():
                 out[:, chunk] = self.grid_expectations(
-                    weights if weights.ndim == 1 else weights[chunk], chunk, box)
+                    weights if weights.ndim == 1 else weights[chunk], chunk)
             return out
         d, n, n_k = self.lat.dimension, quadrature_len(self.m), self.kgrid.size
         if self._work is None:                                  # the first chunk is a full one
@@ -332,23 +384,23 @@ class FiberedDensity:
             self._pairs = np.empty(full * 2 * n ** d)
         c = nodes.stop - nodes.start
         work = self._work[:n_k * c * n ** d].reshape((n_k, c) + (n,) * d)
-        sq = squared_values(self.vectors[:, nodes].reshape((n_k, c) + self.coeff_shape), work, d,
-                            box)
+        sq = squared_values(self.vectors[:, nodes].reshape((n_k, c) + self.box_shape), work, d,
+                            self.box)
         pairs = self._pairs[:2 * weights.size].reshape(weights.shape[:-1] + (-1,))
         pairs[..., 0::2] = weights
         pairs[..., 1::2] = weights
         per_vector = (sq[..., None, :] @ pairs[..., None])[..., 0, 0]
         return per_vector / self.lat.cell_volume
 
-    def masked_trace(self, mask: np.ndarray, box: tuple | None = None) -> float:
+    def masked_trace(self, mask: np.ndarray) -> float:
         """Fiber average of sum_r lambda_r <v_r| mask |v_r>, mask on the quadrature grid.
 
         ``mask`` carries the grid weight, as the one ``region_mask`` returns.
         |v|^2 is that of the head-placed transform, swept chunk by chunk
-        (``grid_expectations``, which takes ``box``); it differs from the grid
-        values only by a phase per point.
+        (``grid_expectations``); it differs from the grid values only by a
+        phase per point.
         """
-        per_vector = self.grid_expectations(mask, box=box)
+        per_vector = self.grid_expectations(mask)
         return float(self.lambdas.reshape(-1) @ per_vector.reshape(-1)) / self.kgrid.size
 
 
@@ -377,16 +429,21 @@ def toeplitz_quantize(f: PhaseSpaceDensity, lat: LatticeSpec, kgrid: KGrid, m: i
     spectrally small once the plane-wave order resolves the packets.  A unit
     point mass at (q, p) gives the coherent family: one packet per fiber, at
     (q, p - hbar*k), with weight 1.
+
+    Every fiber is evaluated on one index box, the ``_packet_box`` of all the
+    momenta p_j - hbar*k, which holds every packet's nonzero coefficients, and
+    the density is stored on the smallest box that holds them (``trimmed``).
     """
     if abs(f.mass - 1.0) > _MASS_TOL:
         raise ValueError(f"density mass {f.mass:.3e} is not 1 (tol {_MASS_TOL:g})")
-    n_k = kgrid.size
+    n_k, d = kgrid.size, lat.dimension
     lam = np.broadcast_to((f.weights * f.values)[None, :], (n_k, f.size)).copy()
-    vecs = np.empty((n_k, f.size, (2 * m + 1) ** lat.dimension), dtype=complex)
+    ps = f.nodes_p[None, :, :] - hbar * kgrid.points[:, None, :]
+    box = _packet_box(ps.reshape(-1, d), hbar, lat, m, _packet_amp(hbar, lat))
+    vecs = np.empty((n_k, f.size, int(np.prod([s.stop - s.start for s in box]))), dtype=complex)
     for ik in range(n_k):
-        vecs[ik] = coherent_coeff_batch(f.nodes_q, f.nodes_p - hbar * kgrid.points[ik],
-                                        hbar, lat, m)
-    return FiberedDensity(kgrid, lat, m, hbar, lam, vecs)
+        vecs[ik] = coherent_coeff_batch(f.nodes_q, ps[ik], hbar, lat, m, box)
+    return FiberedDensity(kgrid, lat, m, hbar, lam, vecs, box).trimmed()
 
 
 def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
@@ -398,15 +455,16 @@ def husimi(rho: FiberedDensity, qs: np.ndarray, ps: np.ndarray,
     at all product nodes (qs x ps); the scalar ``weight`` is the per-node
     quadrature weight of that product grid.  A packet overlap is the
     coefficients times the momentum window exp(-|p - hbar k - hbar G|^2 / (2 hbar))
-    against the phases exp(i q.G).  The window is the packet Gaussian of
-    ``states`` at q = 0 with unit amplitude, zero below the unit roundoff, the
-    packets' floor at a unit peak.
+    against the phases exp(i q.G), over the stored box of ``rho``.  The
+    window is the packet Gaussian of ``states`` at q = 0 with unit
+    amplitude, zero below the unit roundoff, the packets' floor at a unit
+    peak.
     """
     qs = np.atleast_2d(qs)
     ps = np.atleast_2d(ps)
     lat, hbar = rho.lat, rho.hbar
     d = lat.dimension
-    g = g_vectors(lat, rho.m)
+    g = g_vectors(lat, rho.m)[rho.box_cells()]
     phase_q = np.exp(1j * qs @ g.T)                                     # (Nq, nG)
     acc = np.zeros((ps.shape[0], qs.shape[0]))
     for k, lambdas, vectors in zip(rho.kgrid.points, rho.lambdas, rho.vectors):
@@ -478,23 +536,21 @@ def husimi_mass_on_boxes(rho: FiberedDensity, k_set: PhaseBoxSet) -> float:
                                                 - erf((P_lo - hbar k - hbar S)_i / sqrt(hbar))]
 
     (an erf for the p-integral of two Gaussian momentum windows, a box
-    transform for the q-integral).  The sum runs over the support box of the
-    vectors (``FiberedDensity.support_box``), the smallest index box that
-    holds every nonzero coefficient of every fiber: the erf factor is
-    evaluated once per fiber and box on its grid of index sums, and the
-    offsets G - G' are those of two indices in it whose Gaussian factor is
-    at least the unit roundoff.  Each offset is one product over all fibers
-    and vectors.  Fibers are weighted by lambda and averaged.  A density
-    whose vectors are all zero has the empty box and mass 0.0.
+    transform for the q-integral).  The sum runs over the stored box of the
+    vectors (``FiberedDensity.box``): the erf factor is evaluated once per
+    fiber and box on its grid of index sums, and the offsets G - G' are
+    those of two indices in it whose Gaussian factor is at least the unit
+    roundoff.  Each offset is one product over all fibers and vectors.
+    Fibers are weighted by lambda and averaged.  A density on the empty box
+    has mass 0.0.
     """
     lat, hbar = rho.lat, rho.hbar
     d = lat.dimension
-    box = rho.support_box()
-    if box[0].start == box[0].stop:
+    if 0 in rho.box_shape:
         return 0.0
-    first = np.array([s.start for s in box])
+    first = np.array([s.start for s in rho.box])
     vectors = (np.sqrt(np.clip(rho.lambdas, 0.0, None)).reshape(rho.lambdas.shape + (1,) * d)
-               * rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape)[(Ellipsis,) + box])
+               * rho.vectors.reshape(rho.lambdas.shape + rho.box_shape))
     conj = np.conj(vectors)
     sizes = np.array(vectors.shape[2:])
     offsets = np.stack(np.meshgrid(*(np.arange(1 - n, n) for n in sizes), indexing="ij"),

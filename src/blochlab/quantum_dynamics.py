@@ -184,7 +184,7 @@ _FORM_BLOCK_BYTES = 96 * 1024
 
 def _form_rows(w: int) -> int:
     """Rows of a (rows, ``w``) complex block of ``_FORM_BLOCK_BYTES``, and at least one."""
-    return max(1, _FORM_BLOCK_BYTES // (16 * w))
+    return max(1, _FORM_BLOCK_BYTES // (16 * max(w, 1)))
 
 
 def _band_path(rho: FiberedDensity, n_support: int, n_samples: int, n_steps: int,
@@ -228,10 +228,12 @@ def _band_forms(rho: FiberedDensity, h: FiberHamiltonian, mask: np.ndarray, hori
     p(t) = exp(-i t e / hbar), <v_r(t)| mask |v_r(t)> is
     sum_ab conj(p_a a_ra) K_ab p_b a_rb with K = U^* M U, M_nn' = X(n' - n) the
     mask's matrix (X from ``bloch._offset_coefficients``).  So the fiber's form
-    is K o sum_r lambda_r conj(a_r) a_r^T on the W coefficients of ``support``:
-    all n_G at V != 0; at V = 0, where U is the identity and K is read from X,
-    those nonzero in some vector, since the others stay zero under the phases;
-    when they are one run, the form reads the vectors in place.  It is built
+    is K o sum_r lambda_r conj(a_r) a_r^T on the W coefficients of ``support``,
+    flat positions in the stored box of ``rho``: all n_G at V != 0, where
+    ``rho`` is stored on the whole window; at V = 0, where U is the identity
+    and K is read from X, those nonzero in some vector, since the others stay
+    zero under the phases; when they are one run, the form reads the vectors
+    in place.  It is built
     in blocks of ``_form_rows(W)`` rows into one (W, W) buffer that
     every fiber reuses.  Once the caller has read it, the fiber's vectors move
     to ``horizon`` in place, exactly: v_r = U (p(horizon) o a_r).  One fiber's
@@ -239,17 +241,17 @@ def _band_forms(rho: FiberedDensity, h: FiberHamiltonian, mask: np.ndarray, hori
     """
     x = _offset_coefficients(mask.reshape((quadrature_len(rho.m),) * rho.lat.dimension),
                              rho.lat, rho.m)
-    w = support.size
+    w, cells = support.size, rho.box_cells()[support]
     if w and support[-1] - support[0] + 1 == w:
         # one run of coefficients: at V = 0, a is a view of the vectors, not a copy
         support = slice(support[0], support[0] + w)
     # offset n' - n sits at position pos(n') - pos(n) + x.size // 2 of x
-    pos = _offset_positions(rho.m, rho.lat.dimension)[support]
+    pos = _offset_positions(rho.m, rho.lat.dimension)[cells]
     cols = pos + x.size // 2
     form, step = np.empty((w, w), dtype=complex), _form_rows(w)
     for (e, u), lambdas, vectors in zip(h.eigenpairs(), rho.lambdas, rho.vectors):
         if u is None:
-            e, a, k = e[support], vectors[:, support], None
+            e, a, k = e[cells], vectors[:, support], None
         else:
             a = vectors @ np.conj(u)
             k = np.conj(u).T @ (x[cols[None, :] - pos[:, None]] @ u)
@@ -277,18 +279,18 @@ def observation_series(rho: FiberedDensity, mask: np.ndarray, potential: TrigPot
     energies e; A lives on the support W of the vectors at V = 0 and on all
     n_G coefficients otherwise.  The samples are evaluated ``_form_rows(W)``
     at a time as one (samples, W) x (W, W) product.  Otherwise the trace is
-    read at every yield of ``evolution``, at V = 0 on the support box of the
-    vectors, which the phases keep.  Either path builds the run's one
-    ``FiberHamiltonian``.
+    read at every yield of ``evolution``.  At V != 0 ``rho`` is first stored
+    on the whole window (``FiberedDensity.widen``).  Either path builds the
+    run's one ``FiberHamiltonian``.
     """
     n_steps = _step_count(horizon / n_samples, dt)  # rejects dt <= 0 at every V
     if potential.is_zero:
-        support, n_steps = rho.support(), 0
+        support, n_steps = np.flatnonzero(np.any(rho.vectors, axis=(0, 1))), 0
     else:
+        rho.widen()
         support = np.arange(rho.vectors.shape[-1])
     if not _band_path(rho, support.size, n_samples + 1, n_steps, True):
-        box = rho.support_box() if potential.is_zero else None
-        return np.array([rho.masked_trace(mask, box)
+        return np.array([rho.masked_trace(mask)
                          for _ in evolution(rho, potential, horizon, n_samples, dt)])
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     times = np.arange(n_samples + 1) * (horizon / n_samples)
@@ -318,27 +320,27 @@ def evolution(rho: FiberedDensity, potential: TrigPotential, horizon: float, n_s
     Each fiber moves in its band basis (``FiberHamiltonian.eigenpairs``): it
     holds a = U^* v, and each sample multiplies a by the one-sample phases
     exp(-i t e / hbar), in one multiply over all fibers, and writes v = U a
-    back.  At V = 0, a is ``rho.vectors`` itself, so a sample is one phase
-    multiply in place, on the support box of the vectors only
-    (``FiberedDensity.support_box``, found once): the phases keep zeros at
-    zero, so the box holds at every sample, and the vectors are C-contiguous
-    (``FiberedDensity``), so the box is a view of them.  At V != 0 the band
-    basis is taken where ``_band_path`` says so (many Strang steps per
-    sample, many vectors, a small window); otherwise ``propagate_batch``
-    advances the vectors at every sample by Strang steps of at most ``dt``.
+    back.  At V = 0, a is ``rho.vectors`` itself, on the box they are stored
+    on, so a sample is one phase multiply in place: the phases keep zeros at
+    zero, so the box holds at every sample.  At V != 0 ``rho`` is first
+    stored on the whole window (``FiberedDensity.widen``); the band basis is
+    taken where ``_band_path`` says so (many Strang steps per sample, many
+    vectors, a small window); otherwise ``propagate_batch`` advances the
+    vectors at every sample by Strang steps of at most ``dt``.
     """
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
     sample_dt = horizon / n_samples
     n_steps = _step_count(sample_dt, dt)  # rejects dt <= 0 at every V
+    if not potential.is_zero:
+        rho.widen()
     band = potential.is_zero or _band_path(rho, rho.vectors.shape[-1], n_samples, n_steps, False)
     if band:
         e, u = zip(*h.eigenpairs())
-        phases = np.exp(-1j * sample_dt * np.stack(e) / h.hbar)[:, None, :]
         if potential.is_zero:
-            within = (Ellipsis,) + rho.support_box()
-            a = rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape)[within]
-            phases = phases.reshape(phases.shape[:2] + rho.coeff_shape)[within]
+            a = rho.vectors
+            phases = np.exp(-1j * sample_dt * np.stack(e)[:, rho.box_cells()] / h.hbar)[:, None]
         else:
+            phases = np.exp(-1j * sample_dt * np.stack(e) / h.hbar)[:, None, :]
             a = np.stack([vectors @ np.conj(ui) for vectors, ui in zip(rho.vectors, u)])
     yield nodes
     for _ in range(n_samples):

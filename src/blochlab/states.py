@@ -13,16 +13,17 @@ result by more than rounding does, and a packet's dropped tail is a few u in
 norm.  The floor is never below ``_FLOOR`` = sqrt(smallest normal double):
 the square of a smaller value is subnormal, and every kernel downstream
 (Gram matrices, transforms, phase multiplies, moment squares) would take the
-processor's slow path on subnormal operands.  The kernels that read the
-packets then work on their support, the coefficients nonzero in some
-vector.
+processor's slow path on subnormal operands.  A packet is then zero outside
+a small ball of reciprocal vectors, and a batch of them outside one index
+box of the window (``_packet_box``): ``quantization.toeplitz_quantize``
+evaluates and stores its packets on that box only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bloch import g_vectors
+from .bloch import g_vectors, window_box
 from .lattice import LatticeSpec
 
 # Smallest packet coefficient kept, relative to the Gaussian's peak: the unit roundoff.
@@ -32,28 +33,29 @@ _FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 def coherent_coeff_batch(qs: np.ndarray, ps: np.ndarray, hbar: float,
-                         lat: LatticeSpec, m: int) -> np.ndarray:
+                         lat: LatticeSpec, m: int, box: tuple | None = None) -> np.ndarray:
     """Plane-wave coefficients of periodized packets for a batch of centers.
 
-    ``qs, ps`` have shape (B, d); the result is (B, (2m+1)^d) complex, flat in
-    C order over the centered index grid.  The momentum argument is taken as
-    given (callers pass p - hbar*k to address fiber k).  Coefficients below
-    ``_packet_floor(amp)`` in modulus, amp the Gaussian's peak, are exact zeros
-    (``_floored_gaussian``).  They are evaluated on the batch's index box
-    (``_packet_box``) only and written into a zeroed block: every coefficient
-    outside the box is below the floor.
+    ``qs, ps`` have shape (B, d); the result is (B, c) complex, the c
+    coefficients of the index box ``box`` of the order-m window (one slice
+    per axis; the whole window when None), flat in C order over the centered
+    index grid.  The momentum argument is taken as given (callers pass
+    p - hbar*k to address fiber k).  Coefficients below ``_packet_floor(amp)``
+    in modulus, amp the Gaussian's peak, are exact zeros
+    (``_floored_gaussian``), so a box that holds the batch's ``_packet_box``
+    leaves out only zeros.
     """
     qs = np.atleast_2d(np.asarray(qs, dtype=float))
     ps = np.atleast_2d(np.asarray(ps, dtype=float))
     d = lat.dimension
-    amp = (4.0 * np.pi * hbar) ** (d / 4.0) / np.sqrt(lat.cell_volume)
-    shape = (2 * m + 1,) * d
-    within = (slice(None),) + _packet_box(ps, hbar, lat, m, amp)
-    g = g_vectors(lat, m).reshape(shape + (d,))[within[1:]]
-    out = np.zeros((ps.shape[0],) + shape, dtype=complex)
-    out[within] = _floored_gaussian(qs, ps, hbar * g.reshape(-1, d), hbar, amp).reshape(
-        (ps.shape[0],) + g.shape[:-1])
-    return out.reshape(ps.shape[0], -1)
+    box = window_box(2 * m + 1, d) if box is None else box
+    g = g_vectors(lat, m).reshape((2 * m + 1,) * d + (d,))[box]
+    return _floored_gaussian(qs, ps, hbar * g.reshape(-1, d), hbar, _packet_amp(hbar, lat))
+
+
+def _packet_amp(hbar: float, lat: LatticeSpec) -> float:
+    """The peak (4 pi hbar)^(d/4) / sqrt(|cell|) of every packet's Gaussian coefficients."""
+    return (4.0 * np.pi * hbar) ** (lat.dimension / 4.0) / np.sqrt(lat.cell_volume)
 
 
 def _packet_box(ps: np.ndarray, hbar: float, lat: LatticeSpec, m: int, amp: float) -> tuple:

@@ -60,13 +60,12 @@ class CouplingEnergy:
             raise ValueError("coupling energy must be nonnegative")
 
 
-def _position_parts(rho: FiberedDensity, cost: CostParams, box: tuple | None = None):
+def _position_parts(rho: FiberedDensity, cost: CostParams):
     """The per-fiber position energies of the diagonal packet coupling, as a function of nodes x.
 
     The returned function maps node positions x, shape (rank, d), to shape
-    (n_k,).  The cell grid and its fractional coordinates are made here, once
-    for every call of it.  ``box`` holds every nonzero coefficient, as
-    ``FiberedDensity.grid_expectations`` takes it.
+    (n_k,), for the density ``rho`` holds when it is called.  The cell grid
+    and its fractional coordinates are made here, once for every call of it.
     """
     lat = rho.lat
     n = quadrature_len(rho.m)
@@ -76,7 +75,7 @@ def _position_parts(rho: FiberedDensity, cost: CostParams, box: tuple | None = N
         pos = np.empty(rho.lambdas.shape)
         for nodes in rho.node_chunks():
             weights = fractional_theta_weights(x[nodes] @ lat.inverse_basis, grid, cost.geom)
-            pos[:, nodes] = rho.grid_expectations(weights, nodes, box)
+            pos[:, nodes] = rho.grid_expectations(weights, nodes)
         pos = cost.lam ** 2 * grid_weight(lat, n) * pos
         return np.sum(rho.lambdas * pos, axis=1)
 
@@ -164,8 +163,8 @@ def _density_coeffs(rho: FiberedDensity) -> np.ndarray:
     """
     d, n = rho.lat.dimension, quadrature_len(2 * rho.m)
     shape = rho.lambdas.shape
-    sq = squared_values(rho.vectors.reshape(shape + rho.coeff_shape),
-                        np.empty(shape + (n,) * d, dtype=complex), d)
+    sq = squared_values(rho.vectors.reshape(shape + rho.box_shape),
+                        np.empty(shape + (n,) * d, dtype=complex), d, rho.box)
     x = _offset_coefficients((sq[..., 0::2] + sq[..., 1::2]).reshape(shape + (n,) * d),
                              rho.lat, rho.m)
     scale = np.sqrt(rho.lat.cell_volume) / n ** d
@@ -182,7 +181,7 @@ def _weighted_vectors(rho: FiberedDensity) -> FiberedDensity:
         raise ValueError("requires rank-1 fibers")
     root = np.sqrt(np.clip(rho.lambdas, 0.0, None))
     return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, np.ones_like(root),
-                          root[:, :, None] * rho.vectors)
+                          root[:, :, None] * rho.vectors, rho.box)
 
 
 def coupling_energy_husimi(rho: FiberedDensity) -> CouplingEnergy:
@@ -253,10 +252,9 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
     momentum part is computed once, at t = 0, and added to each sample's
     position part.  Later energies then differ from a per-sample
     recomputation only by the rounding of the phase multiplies.  The phases
-    also keep zeros at zero, so the support box of the vectors
-    (``FiberedDensity.support_box``) is found once, at t = 0, and every
-    sample transforms only that box, with the energies of the whole window
-    bit for bit.
+    also keep zeros at zero, so the vectors stay on the box they are stored
+    on, and every sample transforms only that box, with the energies of the
+    whole window bit for bit.
 
     ``lipschitz`` is ``potential.lipschitz_gradient().value`` when the caller
     already has it; otherwise it is computed here.
@@ -269,7 +267,7 @@ def stability_envelope(f: PhaseSpaceDensity, rho: FiberedDensity, cost: CostPara
         lipschitz = potential.lipschitz_gradient().value
     eta = gronwall_rate(cost.geom, cost.lam, lipschitz)
     energies, mom = [], None
-    position = _position_parts(rho, cost, rho.support_box() if potential.is_zero else None)
+    position = _position_parts(rho, cost)
     for x, xi in evolution(rho, potential, horizon, n_times, dt, (f.nodes_q, f.nodes_p)):
         if mom is None or not potential.is_zero:
             mom = _momentum_parts(rho, xi)

@@ -20,6 +20,7 @@ boxes, a rescaled density, the coherent family of one packet per fiber).
 None of them is used by the package itself.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ from scipy import fft as sfft
 from scipy.linalg import expm
 
 from blochlab import observability
-from blochlab.bloch import KGrid, _alt_sign, centered_indices, g_vectors, grid_weight, \
-    position_grid, quadrature_len
+from blochlab.bloch import KGrid, centered_indices, g_vectors, grid_weight, position_grid, \
+    quadrature_len
 from blochlab.classical_dynamics import PhasePoint, TrigPotential, _step_count, flow
 from blochlab.lattice import CellGeometry, LatticeSpec, Region, fractional_theta_weights, \
     reduce_to_cell, theta
@@ -69,7 +70,8 @@ def single_box(qlo, qhi, plo, phi) -> PhaseBoxSet:
 
 def scaled_density(rho: FiberedDensity, c: float) -> FiberedDensity:
     """The density c rho: the same vectors with every fiber weight times c."""
-    return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, c * rho.lambdas, rho.vectors)
+    return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, c * rho.lambdas, rho.vectors,
+                          rho.box)
 
 
 def coherent_family(lat: LatticeSpec, kgrid: KGrid, m: int, hbar: float, q0, p0
@@ -258,13 +260,19 @@ def coeffs_to_values_rolled(coeffs, lat, nout=None):
     pad = (nout - coeffs.shape[-1]) // 2
     coeffs = np.pad(coeffs, [(0, 0)] * (coeffs.ndim - d) + [(pad, pad)] * d)
     axes = tuple(range(coeffs.ndim - d, coeffs.ndim))
-    vals = np.fft.ifftn(np.fft.ifftshift(coeffs * _alt_sign(nout, d), axes=axes), axes=axes)
+    vals = np.fft.ifftn(np.fft.ifftshift(coeffs * _centered_sign(nout, d), axes=axes), axes=axes)
     return vals * (nout ** d / np.sqrt(lat.cell_volume))
+
+
+def _centered_sign(n: int, d: int) -> np.ndarray:
+    """(-1)^(sum n_i) over the centered index grid -(n-1)/2..(n-1)/2 of d axes, n odd."""
+    one = np.where(np.arange(n) % 2 == (n - 1) // 2 % 2, 1.0, -1.0)
+    return functools.reduce(np.multiply.outer, [one] * d)
 
 
 def position_density(rho: FiberedDensity) -> np.ndarray:
     """|v(y)|^2 of every vector on the quadrature grid, shape (n_k, rank, n^d), from its values."""
-    vals = coeffs_to_values_rolled(rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape),
+    vals = coeffs_to_values_rolled(rho.window_vectors().reshape(rho.lambdas.shape + rho.coeff_shape),
                                    rho.lat, quadrature_len(rho.m))
     return np.abs(vals.reshape(rho.lambdas.shape + (-1,))) ** 2
 
@@ -275,7 +283,7 @@ def values_to_coeffs_rolled(values, lat, m: int):
     n = values.shape[-1]
     axes = tuple(range(values.ndim - d, values.ndim))
     spec = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes=axes)
-    spec = spec * (np.sqrt(lat.cell_volume) / n ** d) * _alt_sign(n, d)
+    spec = spec * (np.sqrt(lat.cell_volume) / n ** d) * _centered_sign(n, d)
     cut = (n - (2 * m + 1)) // 2
     return spec[(Ellipsis,) + (slice(cut, n - cut),) * d]
 
@@ -332,11 +340,12 @@ def exact_evolution(rho: FiberedDensity, potential, horizon: float, n_samples: i
                     nodes=None):
     """``quantum_dynamics.evolution`` by the dense exponential.
 
-    At sample i the vectors, in place, are the initial ones times
-    ``galerkin_propagators`` of i horizon / n_samples; the nodes move by
-    ``flow`` as in ``evolution``.
+    At sample i the vectors, in place on the whole window, are the initial
+    ones times ``galerkin_propagators`` of i horizon / n_samples; the nodes
+    move by ``flow`` as in ``evolution``.
     """
     h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
+    rho.widen()
     start = rho.vectors.copy()
     yield nodes
     for i in range(1, n_samples + 1):
@@ -350,7 +359,7 @@ def exact_observation_series(rho: FiberedDensity, mask, h, times) -> np.ndarray:
     """``rho.masked_trace(mask)`` of the density moved to each time by the dense exponential."""
     out = []
     for t in times:
-        moved = np.matmul(rho.vectors, galerkin_propagators(h, t))
+        moved = np.matmul(rho.window_vectors(), galerkin_propagators(h, t))
         out.append(FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, rho.lambdas, moved)
                    .masked_trace(mask))
     return np.array(out)
@@ -602,7 +611,7 @@ def husimi_unfloored(rho, qs, ps, weight):
     g = g_vectors(lat, rho.m)
     phase_q = np.exp(1j * qs @ g.T)
     acc = np.zeros((ps.shape[0], qs.shape[0]))
-    for k, lambdas, vectors in zip(rho.kgrid.points, rho.lambdas, rho.vectors):
+    for k, lambdas, vectors in zip(rho.kgrid.points, rho.lambdas, rho.window_vectors()):
         diff = (ps - hbar * k)[:, None, :] - hbar * g[None, :, :]
         window = np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * hbar))
         for w, vector in zip(lambdas, vectors):
@@ -629,7 +638,7 @@ def coupling_energy_husimi_grid(rho, nq, np_per_dim, p_max, ny=None):
     lat, m, hbar = rho.lat, rho.m, rho.hbar
     d = lat.dimension
     ny = quadrature_len(m) if ny is None else ny
-    vectors = np.sqrt(rho.lambdas[:, 0])[:, None] * rho.vectors[:, 0]
+    vectors = np.sqrt(rho.lambdas[:, 0])[:, None] * rho.window_vectors()[:, 0]
     qs = position_grid(lat, nq)
     ps, wp = momentum_grid(d, np_per_dim, p_max)
     ys = position_grid(lat, ny)

@@ -464,6 +464,26 @@ def test_benchmark_verify_observes_through_the_form_at_v0(monkeypatch):
         assert chosen == want, (name, kind)
 
 
+def test_cell_benchmark_peaks_stay_within_12_mib(tmp_path, monkeypatch):
+    # the packets are stored on the 17 x 18 index box of their nonzero
+    # coefficients, not on the 49 x 49 window: the seed-0 cell-2d verify
+    # (toeplitz) and stability commands allocate at most 12 MiB at their peak,
+    # where vectors on the whole window took 33.2 and 26.5 MiB
+    workloads = _benchmark_workloads(monkeypatch)
+    text = workloads.config_text(workloads.WORKLOADS["cell-2d"], 0, "toeplitz")
+    cfg = write_cfg(tmp_path, text)
+    runs = {"verify": lambda: verify_theorem(load_config(text).scenario()),
+            "stability": lambda: main(["stability", "--config", cfg, "--out", str(tmp_path)])}
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20, (name, peak / 2 ** 20)
+
+
 def test_benchmark_commands_pass_the_harness_output_check(tmp_path, monkeypatch):
     # the seed-0 configs of every workload, each command as the harness runs it,
     # judged by the harness's own check; its stability check unpacks exactly

@@ -245,7 +245,7 @@ def test_initial_state_of_pure_data_is_the_quantized_point_mass(lat1, geom1, lat
                            scn.hbar, scn.center_q, scn.center_p)
     np.testing.assert_array_equal(rho.kgrid.points, want.kgrid.points)
     np.testing.assert_array_equal(rho.lambdas, want.lambdas)
-    np.testing.assert_array_equal(rho.vectors, want.vectors)
+    np.testing.assert_array_equal(rho.window_vectors(), want.vectors)
     assert rho.rank == 1 and rho.kgrid.size > 1
 
 

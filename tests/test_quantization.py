@@ -68,7 +68,7 @@ def test_toeplitz_single_node_rank_one(lat1):
     rho = toeplitz_quantize(f, lat1, kg, m, hbar)
     assert rho.rank == 1
     expected = coherent_family(lat1, kg, m, hbar, [0.1], [0.5])
-    np.testing.assert_allclose(rho.vectors, expected.vectors, atol=1e-14)
+    np.testing.assert_allclose(rho.window_vectors(), expected.vectors, atol=1e-14)
     np.testing.assert_allclose(rho.lambdas, 1.0)
 
 
@@ -102,8 +102,8 @@ def test_compressed_matches_dense_fiber_operator(rng, basis, m, nq, npd, hbar):
     small, tail = rho.compressed(tol)
     assert small.rank < rho.rank and 0.0 < tail <= tol
     # the floored packets vanish on some coefficients, and so do their eigenvectors
-    off = ~np.any(rho.vectors, axis=(0, 1))
-    assert off.any() and not np.any(small.vectors[..., off])
+    off = ~np.any(rho.window_vectors(), axis=(0, 1))
+    assert off.any() and not np.any(small.window_vectors()[..., off])
     traces = rho.fiber_traces()
     np.testing.assert_allclose(small.fiber_traces(), traces, rtol=1e-13)
     # the tail is dropped and its trace put back on the kept part: trace norm 2 tail
@@ -298,21 +298,27 @@ def test_husimi_mass_on_boxes_matches_full_grid(lat1):
 
 @pytest.mark.parametrize("name", ["line", "hexagonal", "skew"])
 def test_support_box_is_the_box_of_the_support(name):
-    # the smallest box holding every coefficient that is nonzero in some
-    # vector; an all-zero density has the empty box and Husimi mass 0.0
+    # the quantized packets are stored on the smallest box holding every
+    # coefficient that is nonzero in some vector, and trimming the same packets
+    # stored on the whole window finds that box; an all-zero density trims to
+    # the empty box, and its Husimi mass is 0.0 on either box
     lat = LatticeSpec(LATTICES[name])
     d = lat.dimension
-    rho = coherent_family(lat, KGrid.monkhorst_pack(lat, 2), 12, 0.01, [0.1] * d, [0.3] * d)
-    box = rho.support_box()
-    index = np.unravel_index(rho.support(), rho.coeff_shape)
-    assert box == tuple(slice(i.min(), i.max() + 1) for i in index)
-    assert 0 < np.prod([s.stop - s.start for s in box]) < rho.vectors.shape[-1]
-    inside = rho.vectors.reshape(rho.lambdas.shape + rho.coeff_shape)[(Ellipsis,) + box]
-    assert np.count_nonzero(inside) == np.count_nonzero(rho.vectors)
-    rho.vectors[:] = 0.0
-    assert rho.support_box() == (slice(0, 0),) * d
-    assert husimi_mass_on_boxes(rho, single_box([-0.5] * d, [0.5] * d, [-1.0] * d,
-                                                [1.0] * d)) == 0.0
+    kg = KGrid.monkhorst_pack(lat, 2)
+    window = coherent_family(lat, kg, 12, 0.01, [0.1] * d, [0.3] * d)
+    rho = toeplitz_quantize(PhaseSpaceDensity([[0.1] * d], [[0.3] * d], [1.0], [1.0]),
+                            lat, kg, 12, 0.01)
+    index = np.nonzero(np.any(window.vectors, axis=(0, 1)).reshape(window.coeff_shape))
+    assert rho.box == tuple(slice(i.min(), i.max() + 1) for i in index)
+    assert rho.vectors.shape[-1] == np.prod(rho.box_shape) < window.vectors.shape[-1]
+    np.testing.assert_array_equal(rho.window_vectors(), window.vectors)
+    assert window.trimmed().box == rho.box and rho.trimmed() is rho
+    window.vectors[:] = 0.0
+    zero = window.trimmed()
+    assert zero.box == (slice(0, 0),) * d and zero.vectors.shape == (kg.size, 1, 0)
+    for empty in (zero, window):
+        assert husimi_mass_on_boxes(empty, single_box([-0.5] * d, [0.5] * d, [-1.0] * d,
+                                                      [1.0] * d)) == 0.0
 
 
 def _husimi_mass_of_pairs(rho, k_set):

@@ -215,23 +215,28 @@ def packet_density(lat, m: int, hbar: float, n_k: int, qs, ps) -> FiberedDensity
 
 @pytest.mark.parametrize("name, m, hbar", [("line", 64, 0.01), ("hexagonal", 24, 0.03)])
 def test_free_evolution_moves_the_support_box_as_the_whole_window(name, m, hbar):
-    # at V = 0 each sample multiplies the phases on the support box only: the
-    # vectors equal those of the whole-window multiply at every sample (a zero
-    # may differ in sign), and the box does not grow
+    # at V = 0 each sample multiplies the phases on the stored box only, in
+    # place: the vectors equal those of the whole-window multiply at every
+    # sample (a zero may differ in sign), and the box does not grow
     lat = LatticeSpec(LATTICES[name])
     d = lat.dimension
-    rho = packet_density(lat, m, hbar, 2, np.full((3, d), 0.1), [[0.2] * d, [0.5] * d, [-0.3] * d])
-    box = rho.support_box()
-    assert np.prod([s.stop - s.start for s in box]) < (2 * m + 1) ** d
-    vectors, ref = rho.vectors, rho.vectors.copy()
+    window = packet_density(lat, m, hbar, 2, np.full((3, d), 0.1),
+                            [[0.2] * d, [0.5] * d, [-0.3] * d])
+    rho = window.trimmed()
+    box = rho.box
+    assert rho.vectors.shape[-1] < (2 * m + 1) ** d
+    vectors, ref = rho.vectors, window.vectors.copy()
     h = FiberHamiltonian(lat, m, rho.kgrid.points, zero_potential(lat), hbar)
     phases = np.exp(-1j * 0.05 * h.kinetic_diagonal / hbar)[:, None, :]
-    for i, _ in enumerate(evolution(rho, zero_potential(lat), 0.2, 4, 1e-2)):
+    both = zip(evolution(rho, zero_potential(lat), 0.2, 4, 1e-2),
+               evolution(window, zero_potential(lat), 0.2, 4, 1e-2))
+    for i, _ in enumerate(both):
         if i:
             ref *= phases
         assert rho.vectors is vectors
-        np.testing.assert_array_equal(rho.vectors, ref)
-        assert rho.support_box() == box
+        np.testing.assert_array_equal(rho.window_vectors(), ref)
+        np.testing.assert_array_equal(window.vectors, ref)
+        assert rho.box == box
 
 
 def test_fiber_hamiltonian_holds_every_fiber(lat2):

@@ -104,7 +104,7 @@ def test_compressed_and_evolved_vectors_hold_no_subnormal():
     cosine = TrigPotential(rho.lat, [((1, 0), 0.1, 0.0), ((0, 1), 0.05, 0.3)])
     for potential in (zero_potential(rho.lat), cosine):
         h = FiberHamiltonian(rho.lat, rho.m, rho.kgrid.points, potential, rho.hbar)
-        vectors = rho.vectors.copy()
+        vectors = rho.window_vectors()
         for _ in range(20):
             propagate_batch(vectors, h, 0.05, 0.01)
         assert _subnormal_count(vectors) == 0

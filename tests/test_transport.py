@@ -149,7 +149,7 @@ def test_marginals_of_diagonal_coupling(lat1, geom1):
         assert np.mean(norms) == pytest.approx(1.0, abs=1e-8)
     expected = np.array([coherent_coeff_batch(f.nodes_q, f.nodes_p - hbar * kg.points[i],
                                               hbar, lat1, m) for i in range(nk)])
-    assert np.max(np.abs(rho.vectors - expected)) < 1e-9
+    assert np.max(np.abs(rho.window_vectors() - expected)) < 1e-9
     np.testing.assert_allclose(rho.lambdas[0], f.weights * f.values, rtol=1e-12)
 
 
@@ -330,7 +330,15 @@ def test_stability_envelope_free(lat1, geom1):
 
 
 def _copy(rho):
-    return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, rho.lambdas, rho.vectors.copy())
+    return FiberedDensity(rho.kgrid, rho.lat, rho.m, rho.hbar, rho.lambdas, rho.vectors.copy(),
+                          rho.box)
+
+
+def _widened(rho):
+    """A copy of ``rho`` stored on the whole window."""
+    out = _copy(rho)
+    out.widen()
+    return out
 
 
 @pytest.mark.parametrize("name, m", [("line", 384), ("hexagonal", 8), ("skew", 6)])
@@ -454,11 +462,12 @@ def test_stability_envelope_matches_the_per_sample_recomputation(basis, terms, m
     (LATTICES["hexagonal"], 24, 0.03, 4, 4, 2),
 ])
 def test_free_stability_envelope_on_the_support_box_is_that_of_the_window(
-        monkeypatch, basis, m, hbar, nq, np_, n_k):
-    # at V = 0 the evolution and every sample's transforms run on the support
-    # box, found once; with the box forced to the whole window the energies and
-    # bounds are the same bits, and so is the all-zero density's envelope,
-    # whose box is empty: zero energies under zero bounds
+        basis, m, hbar, nq, np_, n_k):
+    # at V = 0 the evolution and every sample's transforms run on the box the
+    # quantized packets are stored on; the same density stored on the whole
+    # window gives the same energies and bounds (to the rounding of the
+    # momentum moments, summed over more zeros), and the all-zero density,
+    # trimmed to the empty box, has zero energies under zero bounds either way
     lat = LatticeSpec(basis)
     d = lat.dimension
     f = bump_density(lat, nq=nq, np_=np_)
@@ -466,22 +475,20 @@ def test_free_stability_envelope_on_the_support_box_is_that_of_the_window(
     cost = CostParams(1.0, gamma_bounds(lat))
     zero = toeplitz_quantize(f, lat, kg, m, hbar)
     zero.vectors[:] = 0.0
-    assert zero.support_box() == (slice(0, 0),) * d
+    zero = zero.trimmed()
+    assert zero.box == (slice(0, 0),) * d
 
     def run(rho):
         env = stability_envelope(f, rho, cost, zero_potential(lat), horizon=0.4, n_times=5,
                                  dt=1e-2, lipschitz=0.0)
-        return env.energies.tobytes() + env.bounds.tobytes()
+        return np.concatenate([env.energies, env.bounds])
 
     rho = toeplitz_quantize(f, lat, kg, m, hbar)
-    box = rho.support_box()
-    assert np.prod([s.stop - s.start for s in box]) < (2 * m + 1) ** d
-    boxed, boxed_zero = run(rho), run(_copy(zero))
-    assert boxed_zero == np.zeros(12).tobytes()
-    monkeypatch.setattr(FiberedDensity, "support_box",
-                        lambda self: window_box(2 * self.m + 1, self.lat.dimension))
-    assert run(toeplitz_quantize(f, lat, kg, m, hbar)) == boxed
-    assert run(_copy(zero)) == boxed_zero
+    assert window_box(2 * m + 1, d) != rho.box and rho.vectors.shape[-1] < (2 * m + 1) ** d
+    boxed, boxed_zero = run(_copy(rho)), run(_copy(zero))
+    assert boxed_zero.tobytes() == np.zeros(12).tobytes()
+    np.testing.assert_allclose(run(_widened(rho)), boxed, rtol=1e-14, atol=0)
+    assert run(_widened(zero)).tobytes() == boxed_zero.tobytes()
 
 
 def _forced(monkeypatch, band, run):
@@ -507,14 +514,16 @@ def test_stability_envelope_advances_the_density_in_place(monkeypatch, lat1, geo
         h = FiberHamiltonian(lat1, 64, kg.points, potential, hbar)
         for band in paths:
             rho = toeplitz_quantize(f, lat1, kg, 64, hbar)
+            if not potential.is_zero:
+                rho.widen()     # as the evolution does first at V != 0
             vectors = rho.vectors
             _forced(monkeypatch, lambda observed: band, lambda: stability_envelope(
                 f, rho, CostParams(1.0, geom1), potential, horizon=horizon, n_times=2, dt=dt))
             assert rho.vectors is vectors
-            fresh = toeplitz_quantize(f, lat1, kg, 64, hbar).vectors
+            fresh = toeplitz_quantize(f, lat1, kg, 64, hbar).window_vectors()
             if band:
                 exact = fresh @ galerkin_propagators(h, horizon)
-                assert np.max(np.abs(rho.vectors - exact)) <= 1e-12
+                assert np.max(np.abs(rho.window_vectors() - exact)) <= 1e-12
             else:
                 for _ in range(2):
                     propagate_batch(fresh, h, horizon / 2, dt)
@@ -678,6 +687,7 @@ def test_cached_stability_pass_propagates_once(monkeypatch, lat1, geom1):
     vpot = cosine_potential(lat1, (1,), 0.1)
     f = bump_density(lat1, nq=10, np_=12)
     rho = toeplitz_quantize(f, lat1, KGrid.monkhorst_pack(lat1, 4), 64, 0.01)
+    rho.widen()     # as the evolution does first at V != 0
     vectors = rho.vectors
     stability_envelope(f, rho, CostParams(1.0, geom1), vpot, horizon=1.0, n_times=20, dt=1e-3)
     assert calls == []
@@ -737,7 +747,8 @@ def test_free_observation_form_matches_the_loop(monkeypatch, basis, m, hbar, nq,
     assert rho.vectors is vectors
     fresh = datum()
     h = FiberHamiltonian(fresh.lat, m, fresh.kgrid.points, zero_potential(fresh.lat), hbar)
-    np.testing.assert_allclose(rho.vectors, fresh.vectors @ galerkin_propagators(h, 0.4),
+    np.testing.assert_allclose(rho.window_vectors(),
+                               fresh.window_vectors() @ galerkin_propagators(h, 0.4),
                                rtol=0, atol=1e-13)
 
 
